@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-smoke-baseline check clean panicgate fuzz-smoke chaos-soak serve-smoke serve-load shard-soak net-chaos-soak shard-bench
+.PHONY: all build vet test race bench bench-test bench-smoke bench-smoke-baseline check clean panicgate fuzz-smoke chaos-soak serve-smoke serve-load shard-soak net-chaos-soak shard-bench
 
 all: check
 
@@ -21,6 +21,13 @@ race:
 
 bench:
 	$(GO) test -bench BenchmarkOp -benchtime 1x -run '^$$' .
+
+# The repo's benchmark (bench/, see BENCHMARK.json) is a module of its
+# own that imports internal/..., so `go test ./...` never compiles it: an
+# internal rename would break it unnoticed. Its own suite builds it
+# against the library and runs a quick pass of every workload.
+bench-test:
+	$(GO) -C bench test .
 
 # Fused-kernel regression gate: at tiny parameters, check fused vs staged
 # MulRescale agree exactly, then fail if the fused/staged time ratio

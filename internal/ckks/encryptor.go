@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"math/big"
+	"sync"
 
 	"bitpacker/internal/fherr"
 	"bitpacker/internal/ring"
@@ -83,6 +84,9 @@ type Decryptor struct {
 	params *Parameters
 	sk     *SecretKey
 
+	// basisMu guards basisCache: serving tenants decrypt concurrently
+	// through one shared Decryptor.
+	basisMu    sync.Mutex
 	basisCache map[string]*rns.Basis
 }
 
@@ -109,6 +113,8 @@ func (dec *Decryptor) Basis(moduli []uint64) (*rns.Basis, error) {
 	for _, q := range moduli {
 		key += string(rune(q % 65536))
 	}
+	dec.basisMu.Lock()
+	defer dec.basisMu.Unlock()
 	if b, ok := dec.basisCache[key]; ok && sameModuli(b.Moduli, moduli) {
 		return b, nil
 	}

@@ -2,9 +2,11 @@ package ckks
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/big"
 	"os"
+	"slices"
 	"sync"
 
 	"bitpacker/internal/core"
@@ -59,9 +61,31 @@ type Evaluator struct {
 // an evaluator and its WithContext derivatives. The read path takes only
 // the shared lock so concurrent evaluations don't serialize on hits.
 type evalCaches struct {
-	mu        sync.RWMutex
-	convCache map[string]*rns.Conv
-	sdCache   map[string]*ring.ScaleDownParams
+	mu      sync.RWMutex
+	sdCache map[string]*ring.ScaleDownParams // level transitions, keyed moduli|shed
+	ksCache map[string]*ksPlan               // keyswitch layouts, keyed by live basis
+}
+
+// cached returns m[key], building and storing it on first use. The key
+// bytes never leave the caller's stack on a hit (a string(key) map index
+// does not allocate), which is what keeps the per-op lookups free.
+func cached[V any](cc *evalCaches, m map[string]V, key []byte, build func() (V, error)) (V, error) {
+	cc.mu.RLock()
+	v, ok := m[string(key)]
+	cc.mu.RUnlock()
+	if ok {
+		return v, nil
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if v, ok := m[string(key)]; ok {
+		return v, nil
+	}
+	v, err := build()
+	if err == nil {
+		m[string(key)] = v
+	}
+	return v, err
 }
 
 // NewEvaluator creates an evaluator. Invariant checking starts enabled
@@ -75,8 +99,8 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
 		checkInvariants: os.Getenv("BITPACKER_CHECK_INVARIANTS") != "",
 		fused:           os.Getenv("BITPACKER_UNFUSED") == "",
 		caches: &evalCaches{
-			convCache: map[string]*rns.Conv{},
-			sdCache:   map[string]*ring.ScaleDownParams{},
+			sdCache: map[string]*ring.ScaleDownParams{},
+			ksCache: map[string]*ksPlan{},
 		},
 	}
 }
@@ -174,62 +198,86 @@ func (ev *Evaluator) guardNoise(op string, out *Ciphertext) error {
 	return &fherr.NoiseBudgetError{Op: op, BudgetBits: budget, GuardBits: ev.guardBits, Action: action}
 }
 
-func moduliKey(a, b []uint64) string {
-	s := make([]byte, 0, 8*(len(a)+len(b))+1)
+// moduliKey appends the cache key of the modulus lists a|b to buf.
+func moduliKey(buf []byte, a, b []uint64) []byte {
 	for _, q := range a {
-		for i := 0; i < 8; i++ {
-			s = append(s, byte(q>>(8*i)))
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, q)
 	}
-	s = append(s, '|')
+	buf = append(buf, '|')
 	for _, q := range b {
-		for i := 0; i < 8; i++ {
-			s = append(s, byte(q>>(8*i)))
+		buf = binary.LittleEndian.AppendUint64(buf, q)
+	}
+	return buf
+}
+
+// scaleDownParams returns (caching) the scaleDown transition that sheds
+// the moduli down from a polynomial over moduli.
+func (ev *Evaluator) scaleDownParams(moduli, down []uint64) (*ring.ScaleDownParams, error) {
+	var buf [512]byte
+	return cached(ev.caches, ev.caches.sdCache, moduliKey(buf[:0], moduli, down), func() (*ring.ScaleDownParams, error) {
+		shedPos := make([]int, len(down))
+		for i, q := range down {
+			if shedPos[i] = slices.Index(moduli, q); shedPos[i] < 0 {
+				return nil, fherr.Wrap(fherr.ErrInvariant, "ckks: modulus %d to shed not present in ciphertext", q)
+			}
 		}
-	}
-	return string(s)
+		return ring.NewScaleDownParams(moduli, shedPos), nil
+	})
 }
 
-func (ev *Evaluator) conv(src, dst []uint64) *rns.Conv {
-	key := moduliKey(src, dst)
-	cc := ev.caches
-	cc.mu.RLock()
-	c, ok := cc.convCache[key]
-	cc.mu.RUnlock()
-	if ok {
-		return c
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if c, ok := cc.convCache[key]; ok {
-		return c
-	}
-	c = rns.NewConv(src, dst)
-	cc.convCache[key] = c
-	return c
+// ksPlan is the layout of a hybrid keyswitch over one live basis: the
+// extended basis live++special, each digit's rows and ModUp conversion,
+// and the ModDown transition back to live. It depends on nothing but the
+// basis, so it is built once and shared by every keyswitch at that level.
+type ksPlan struct {
+	ext     []uint64
+	digits  []ksDigit // indexed by digit; conv is nil when it has no live rows
+	modDown *ring.ScaleDownParams
 }
 
-func (ev *Evaluator) scaleDownParams(moduli []uint64, shedPos []int) *ring.ScaleDownParams {
-	shed := make([]uint64, len(shedPos))
-	for i, pos := range shedPos {
-		shed[i] = moduli[pos]
-	}
-	key := moduliKey(moduli, shed)
-	cc := ev.caches
-	cc.mu.RLock()
-	p, ok := cc.sdCache[key]
-	cc.mu.RUnlock()
-	if ok {
-		return p
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if p, ok := cc.sdCache[key]; ok {
-		return p
-	}
-	p = ring.NewScaleDownParams(moduli, shedPos)
-	cc.sdCache[key] = p
-	return p
+type ksDigit struct {
+	own  []int     // the digit's rows of live — and of ext, which extends live
+	rest []int     // every other row of ext: what the conversion fills
+	conv *rns.Conv // own moduli -> rest moduli
+}
+
+func (ev *Evaluator) ksPlan(live []uint64) *ksPlan {
+	var buf [512]byte
+	pl, _ := cached(ev.caches, ev.caches.ksCache, moduliKey(buf[:0], live, nil), func() (*ksPlan, error) {
+		p := ev.params
+		special := p.Chain.Special
+		pl := &ksPlan{
+			ext:    append(append([]uint64(nil), live...), special...),
+			digits: make([]ksDigit, p.Dnum),
+		}
+		for r, q := range live {
+			d := &pl.digits[p.DigitOf(q)]
+			d.own = append(d.own, r)
+		}
+		for d := range pl.digits {
+			dg := &pl.digits[d]
+			if len(dg.own) == 0 {
+				continue
+			}
+			var src, dst []uint64
+			for r, q := range pl.ext {
+				if slices.Contains(dg.own, r) {
+					src = append(src, q)
+				} else {
+					dg.rest = append(dg.rest, r)
+					dst = append(dst, q)
+				}
+			}
+			dg.conv = rns.NewConv(src, dst)
+		}
+		shedPos := make([]int, len(special))
+		for i := range shedPos {
+			shedPos[i] = len(live) + i
+		}
+		pl.modDown = ring.NewScaleDownParams(pl.ext, shedPos)
+		return pl, nil
+	})
+	return pl
 }
 
 // ---------------------------------------------------------------------------
@@ -494,100 +542,85 @@ func (hd *HoistedDecomp) Free(ctx *ring.Context) {
 // over the current level moduli). This is the per-input half of keySwitch;
 // keySwitchHoisted is the per-key half.
 func (ev *Evaluator) decomposePoly(c2 *ring.Poly) *HoistedDecomp {
+	var hd *HoistedDecomp
 	var c2c *ring.Poly
 	if ev.fused {
 		c2c = c2.ScratchCopyINTT()
+		hd = ev.decompose(c2c, c2)
 	} else {
 		c2c = c2.ScratchCopy()
 		c2c.INTT()
+		hd = ev.decompose(c2c, nil)
 	}
-	hd := ev.decomposeCoeff(c2c)
 	ev.params.Ctx.PutPoly(c2c)
 	return hd
 }
 
-// decomposeCoeff is decomposePoly minus the copy/transform: c2c must
-// already be in the coefficient domain over the live moduli (the fused
-// Galois path feeds the permuted polynomial straight in, skipping a
-// round trip through the NTT domain — bit-identical because the
-// transforms are exact inverses). c2c is only read.
-func (ev *Evaluator) decomposeCoeff(c2c *ring.Poly) *HoistedDecomp {
-	p := ev.params
-	live := c2c.Moduli
-	special := p.Chain.Special
-	ext := append(append([]uint64(nil), live...), special...)
-
-	// Rows of c2c per digit.
-	digitRows := make(map[int][]int)
-	for i, q := range live {
-		d := p.DigitOf(q)
-		digitRows[d] = append(digitRows[d], i)
-	}
-
-	rowOf := make(map[uint64]int, len(ext))
-	for i, q := range ext {
-		rowOf[q] = i
-	}
-
+// decompose builds the digits of the polynomial whose coefficient-domain
+// form is c2c: each digit carries its own rows of the polynomial and the
+// ModUp conversion of those rows onto every other row of live++special.
+//
+// c2n, when non-nil, is the same polynomial in the evaluation domain (the
+// fused paths have it at hand: the keyswitch input itself, or its
+// PermuteNTT image on the Galois path), and the digits come out in the
+// evaluation domain: a digit's own rows are copied from c2n — they are
+// NTT(INTT(c2n)) = c2n bit for bit, the transforms being exact inverses —
+// and only the converted rows are transformed, |ext|−|own| per digit
+// instead of |ext|. Fused consumers want exactly that: a Galois
+// automorphism is then a pure permutation of evaluation points
+// (ring.PermuteNTT), so every hoisted rotation reuses the digits with
+// zero transforms and the galEl==1 inner product aliases them with zero
+// copies. With c2n nil (staged evaluator) the digits stay in the
+// coefficient domain. Both inputs are only read.
+func (ev *Evaluator) decompose(c2c, c2n *ring.Poly) *HoistedDecomp {
+	ctx := ev.params.Ctx
+	pl := ev.ksPlan(c2c.Moduli)
 	hd := &HoistedDecomp{
-		live:   append([]uint64(nil), live...),
-		ext:    ext,
-		digits: make([]*ring.Poly, p.Dnum),
+		live:   append([]uint64(nil), c2c.Moduli...),
+		ext:    pl.ext,
+		digits: make([]*ring.Poly, len(pl.digits)),
 	}
-	for d := 0; d < p.Dnum; d++ {
-		rows := digitRows[d]
-		if len(rows) == 0 {
+	own := c2c
+	if c2n != nil {
+		own = c2n
+	}
+	// The pooled digit polys are not zeroed: copied and converted rows
+	// together cover every row.
+	type rowJob struct {
+		dst, src []uint64 // src nil: a converted row, to be transformed
+		q        uint64
+	}
+	var jobs []rowJob
+	for d := range pl.digits {
+		dg := &pl.digits[d]
+		if dg.conv == nil {
 			continue
 		}
-		srcModuli := make([]uint64, len(rows))
-		srcRes := make([][]uint64, len(rows))
-		inDigit := map[uint64]bool{}
-		for i, r := range rows {
-			srcModuli[i] = live[r]
+		digit := ctx.GetPoly(pl.ext)
+		digit.IsNTT = own.IsNTT
+		srcRes := make([][]uint64, len(dg.own))
+		for i, r := range dg.own {
 			srcRes[i] = c2c.Coeffs[r]
-			inDigit[live[r]] = true
+			jobs = append(jobs, rowJob{dst: digit.Coeffs[r], src: own.Coeffs[r]})
 		}
-		// Targets: everything in ext not in this digit's live set.
-		var dstModuli []uint64
-		for _, q := range ext {
-			if !inDigit[q] {
-				dstModuli = append(dstModuli, q)
+		dstRes := make([][]uint64, len(dg.rest))
+		for i, r := range dg.rest {
+			dstRes[i] = digit.Coeffs[r]
+			if c2n != nil {
+				jobs = append(jobs, rowJob{dst: dstRes[i], q: pl.ext[r]})
 			}
 		}
-		cv := ev.conv(srcModuli, dstModuli)
-
-		// Assemble the extended digit over ext (coefficient domain):
-		// the digit's own rows are copied, the rest are basis-converted
-		// straight into the pooled (non-zeroed) poly — together they
-		// cover every row, so nothing needs clearing.
-		digit := p.Ctx.GetPoly(ext)
-		digit.IsNTT = false
-		dstRes := make([][]uint64, len(dstModuli))
-		for i, q := range dstModuli {
-			dstRes[i] = digit.Coeffs[rowOf[q]]
-		}
-		cv.Convert(dstRes, srcRes)
-		for i, q := range srcModuli {
-			copy(digit.Coeffs[rowOf[q]], srcRes[i])
-		}
+		dg.conv.Convert(dstRes, srcRes)
 		hd.digits[d] = digit
 	}
-	if ev.fused {
-		// Fused consumers take the digits in the evaluation domain: a
-		// Galois automorphism there is a pure permutation of evaluation
-		// points (ring.PermuteNTT), so transforming each extended digit
-		// ONCE here lets every hoisted rotation reuse it with zero
-		// transforms, and the galEl==1 inner product aliases it with zero
-		// copies. One batched fork/join over all digit rows; bit-identical
-		// to transforming per use because the transform is deterministic.
-		var built []*ring.Poly
-		for _, d := range hd.digits {
-			if d != nil {
-				built = append(built, d)
-			}
+	// One fork/join over every row of every digit.
+	engine.Dispatch(len(jobs), ctx.N, func(t int) {
+		if j := &jobs[t]; j.src != nil {
+			copy(j.dst, j.src)
+		} else {
+			ctx.Table(j.q).Forward(j.dst)
 		}
-		ring.NTTBatch(built...)
-	}
+	})
 	return hd
 }
 
@@ -622,7 +655,7 @@ func (ev *Evaluator) DecomposeModUp(ct *Ciphertext) (*HoistedDecomp, error) {
 // the unsplit keyswitch. Outputs are in the NTT domain.
 func (ev *Evaluator) keySwitchHoisted(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
 	if ev.fused {
-		return ev.keySwitchFused(hd, swk, galEl, true)
+		return ev.keySwitchFused(hd, swk, galEl)
 	}
 	return ev.keySwitchHoistedUnfused(hd, swk, galEl)
 }
@@ -632,19 +665,15 @@ func (ev *Evaluator) keySwitchHoisted(hd *HoistedDecomp, swk *SwitchingKey, galE
 // decomposition, so galEl==1 aliases it copy-free and a Galois map is a
 // pure permutation of evaluation points), both inner-product halves share
 // one fork/join against the accumulator pair, and the ModDown runs in the
-// NTT domain when the caller wants NTT output — only the special rows are
-// inverse-transformed and only the basis-conversion rows transformed
-// forward, so the live accumulator rows never leave the evaluation
-// domain. Bit-identical to the staged pipeline — the first digit writes
-// the accumulators directly (AddMod with a zero accumulator is the
-// identity), every later stage preserves canonical residues, and the
-// transforms are exactly linear.
-//
-// nttOut=false returns the pair in the coefficient domain so callers that
-// keep computing there (rescale tails) skip transforms.
-func (ev *Evaluator) keySwitchFused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64, nttOut bool) (*ring.Poly, *ring.Poly) {
+// NTT domain — only the special rows are inverse-transformed and only the
+// basis-conversion rows transformed forward, so the live accumulator rows
+// never leave the evaluation domain. Bit-identical to the staged pipeline
+// — the first digit writes the accumulators directly (AddMod with a zero
+// accumulator is the identity), every later stage preserves canonical
+// residues, and the transforms are exactly linear.
+func (ev *Evaluator) keySwitchFused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
 	acc0, acc1 := ev.keySwitchExtFused(hd, swk, galEl)
-	return ev.extModDownFused(acc0, acc1, hd.live, nttOut)
+	return ev.extModDownFused(acc0, acc1, hd.live)
 }
 
 // keySwitchExtFused is the inner-product half of the fused keyswitch: it
@@ -727,29 +756,14 @@ func (ev *Evaluator) keySwitchExtFused(hd *HoistedDecomp, swk *SwitchingKey, gal
 }
 
 // extModDownFused divides an extended-basis accumulator pair by P and
-// sheds the special moduli, landing back on live. It consumes acc0/acc1
-// (returned to the pool).
-func (ev *Evaluator) extModDownFused(acc0, acc1 *ring.Poly, live []uint64, nttOut bool) (*ring.Poly, *ring.Poly) {
-	p := ev.params
-	ext := acc0.Moduli
-	special := p.Chain.Special
-	shedPos := make([]int, len(special))
-	for i := range special {
-		shedPos[i] = len(live) + i
-	}
-	sd := ev.scaleDownParams(ext, shedPos)
-	var outs []*ring.Poly
-	if nttOut {
-		// NTT-domain ModDown: the live rows stay put; only the special
-		// rows are inverse-transformed and only the conversion rows
-		// transformed forward.
-		outs = sd.ScaleDownNTTBatch([]*ring.Poly{acc0, acc1})
-	} else {
-		ring.INTTBatch(acc0, acc1)
-		outs = sd.ScaleDownBatch([]*ring.Poly{acc0, acc1}, false)
-	}
-	p.Ctx.PutPoly(acc0)
-	p.Ctx.PutPoly(acc1)
+// sheds the special moduli, landing back on live, all in the NTT domain:
+// the live rows stay put; only the special rows are inverse-transformed
+// and only the conversion rows transformed forward. It consumes
+// acc0/acc1 (returned to the pool).
+func (ev *Evaluator) extModDownFused(acc0, acc1 *ring.Poly, live []uint64) (*ring.Poly, *ring.Poly) {
+	outs := ev.ksPlan(live).modDown.ScaleDownNTTBatch([]*ring.Poly{acc0, acc1})
+	ev.params.Ctx.PutPoly(acc0)
+	ev.params.Ctx.PutPoly(acc1)
 	return outs[0], outs[1]
 }
 
@@ -823,9 +837,10 @@ func (ev *Evaluator) PinGaloisKeys(op string, els []uint64) (func(), error) {
 // the key back to s.
 //
 // Fused path: only C1 leaves the evaluation domain — its permuted
-// coefficient form feeds the digit decomposition (skipping the legacy
-// NTT→INTT round trip, which is exact and therefore bit-identical). C0
-// never transforms at all: in the NTT domain the automorphism is a pure
+// coefficient form feeds the digit conversions (skipping the legacy
+// NTT→INTT round trip, which is exact and therefore bit-identical), its
+// permuted evaluation form supplies each digit's own rows. C0 never
+// transforms at all: in the NTT domain the automorphism is a pure
 // permutation of evaluation points, and the keyswitch corrections come
 // back NTT-domain (NTT ModDown), so the fold is a single gather+add.
 func (ev *Evaluator) applyGalois(op string, ct *Ciphertext, galEl uint64) (*Ciphertext, error) {
@@ -839,9 +854,11 @@ func (ev *Evaluator) applyGalois(op string, ct *Ciphertext, galEl uint64) (*Ciph
 	}
 	ctx := ev.params.Ctx
 	a1c := ring.AutomorphismFromNTTBatch(galEl, ct.C1)[0]
-	hd := ev.decomposeCoeff(a1c)
+	a1n := ct.C1.PermuteNTT(galEl)
+	hd := ev.decompose(a1c, a1n)
 	ctx.PutPoly(a1c)
-	ks0, ks1 := ev.keySwitchFused(hd, swk, 1, true)
+	ctx.PutPoly(a1n)
+	ks0, ks1 := ev.keySwitchFused(hd, swk, 1)
 	hd.Free(ctx)
 	// φ(c0) + ks0 computed as one evaluation-domain gather+add: equal
 	// bit-for-bit to permuting in the coefficient domain and transforming,
@@ -895,19 +912,16 @@ func (ev *Evaluator) rotateHoisted(hd *HoistedDecomp, steps int) (*Ciphertext, e
 	if !ev.fused {
 		return ev.rotateHoistedUnfused(hd, swk, galEl)
 	}
-	if !hd.c0.IsNTT {
+	ks0, ks1 := ev.keySwitchFused(hd, swk, galEl)
+	var c0 *ring.Poly
+	if hd.c0.IsNTT {
+		c0 = hd.c0.PermuteNTTAdd(galEl, ks0)
+	} else {
 		// Staged-produced decomposition consumed under a fused evaluator:
-		// run the legacy fused fold (coefficient-domain C0 + shared NTT).
-		c0 := hd.c0.Automorphism(galEl)
-		ks0, ks1 := ev.keySwitchFused(hd, swk, galEl, false)
-		c0.AddNTT(ks0)
-		ev.params.Ctx.PutPoly(ks0)
-		ks1.NTT()
-		noise := addNoiseBits(hd.noise, ev.nm.KeySwitchBits())
-		return newCiphertext(c0, ks1, hd.level, new(big.Rat).Set(hd.scale), noise), nil
+		// its C0 snapshot is in the coefficient domain.
+		c0 = hd.c0.AutomorphismNTT(galEl)
+		c0.Add(c0, ks0)
 	}
-	ks0, ks1 := ev.keySwitchFused(hd, swk, galEl, true)
-	c0 := hd.c0.PermuteNTTAdd(galEl, ks0)
 	ev.params.Ctx.PutPoly(ks0)
 	noise := addNoiseBits(hd.noise, ev.nm.KeySwitchBits())
 	return newCiphertext(c0, ks1, hd.level, new(big.Rat).Set(hd.scale), noise), nil

@@ -1,7 +1,10 @@
 package ckks
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"runtime/debug"
 	"testing"
 
 	"bitpacker/internal/core"
@@ -264,6 +267,149 @@ func TestFusedRepairHealsInFusedKernels(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFusedDifferentialWordSizes: the evaluation-domain level management,
+// the one-transform digits and the narrow-modulus kernels all sit under
+// the fused seam, and which of them engage depends on the word size (28:
+// every product fits a word; 36: none does; 61 under BitPacker: narrow
+// terminal primes beside wide ones) and on the spare channel (with it,
+// rescales go through the coefficient domain). So every level-management
+// and keyswitch op is byte-compared fused vs staged across that grid, at
+// workers 1 and 4; on the redundant-residue chains the spare channel must
+// come out seeded and equal, and an injected residue flip must still be
+// repaired to the fault-free bits.
+func TestFusedDifferentialWordSizes(t *testing.T) {
+	const dim = 8
+	rots := []int{1, 2, 3, 4, 5, 6, 7}
+	for _, scheme := range []core.Scheme{core.BitPacker, core.RNSCKKS} {
+		for _, w := range []int{28, 36, 61} {
+			for _, rrns := range []bool{false, true} {
+				setup := newTestSetup
+				if rrns {
+					setup = newRRNSSetup
+				}
+				s := setup(t, scheme, 4, 40, w, 9, 3, rots)
+				tag := fmt.Sprintf("%v w=%d rrns=%v", scheme, w, rrns)
+				rng := rand.New(rand.NewPCG(215, uint64(w)))
+				slots := s.params.Slots()
+				a := s.encryptValues(randomValues(slots, rng))
+				b := s.encryptValues(randomValues(slots, rng))
+				mat := make([][]complex128, dim)
+				for i := range mat {
+					mat[i] = make([]complex128, dim)
+					for j := range mat[i] {
+						mat[i][j] = complex(2*rng.Float64()-1, 0)
+					}
+				}
+				lt, err := NewLinearTransform(s.params, s.enc, mat, s.params.MaxLevel())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lt.N1 == 0 {
+					t.Fatalf("%s: dense transform did not take the BSGS path", tag)
+				}
+				blocks := s.encryptValues(ReplicateBlocks(randomValues(dim, rng), dim, slots))
+
+				one := func(ct *Ciphertext) []*Ciphertext { return []*Ciphertext{ct} }
+				ops := []struct {
+					name string
+					run  func(x, y *Ciphertext) []*Ciphertext
+				}{
+					{"Rescale", func(x, y *Ciphertext) []*Ciphertext { return one(s.ev.MustRescale(s.ev.MustMulRelin(x, y))) }},
+					{"MulRescale", func(x, y *Ciphertext) []*Ciphertext { return one(s.ev.MustMulRescale(x, y)) }},
+					{"Adjust", func(x, y *Ciphertext) []*Ciphertext { return one(s.ev.MustAdjust(s.ev.MustMulRelin(x, y))) }},
+					{"AdjustTo", func(x, y *Ciphertext) []*Ciphertext { return one(s.ev.MustAdjustTo(x, 1)) }},
+					{"Rotate", func(x, y *Ciphertext) []*Ciphertext { return one(s.ev.MustRotate(x, 3)) }},
+					{"RotateHoisted", func(x, y *Ciphertext) []*Ciphertext { return s.ev.MustRotateHoisted(x, []int{3, 1, 0, 3}) }},
+					{"BSGS", func(x, y *Ciphertext) []*Ciphertext { return one(s.ev.MustApplyLinearTransform(blocks, lt)) }},
+				}
+				run := func(workers int, fused bool, f func() []*Ciphertext) (outs []*Ciphertext) {
+					runWithWorkers(t, workers, func() *Ciphertext {
+						return withFused(s, fused, func() *Ciphertext { outs = f(); return nil })
+					})
+					return outs
+				}
+				for _, workers := range []int{1, 4} {
+					for i, op := range ops {
+						fused := run(workers, true, func() []*Ciphertext { return op.run(a, b) })
+						staged := run(workers, false, func() []*Ciphertext { return op.run(a, b) })
+						for k := range fused {
+							if !ctEqualNoise(fused[k], staged[k]) || !spareEqual(fused[k], staged[k]) {
+								t.Fatalf("%s workers=%d: fused %s[%d] differs from staged twin", tag, workers, op.name, k)
+							}
+						}
+						if !rrns || i > 1 {
+							continue
+						}
+						// Rescale and MulRescale on a spare-carrying chain:
+						// the output is reseeded, and a flipped input word
+						// heals to the same bits.
+						if fused[0].SpareDepth != 1 {
+							t.Fatalf("%s workers=%d: %s left the spare channel unseeded", tag, workers, op.name)
+						}
+						healed := run(workers, true, func() []*Ciphertext {
+							ca := a.CopyNew()
+							ca.C0.Coeffs[rng.IntN(ca.C0.R())][rng.IntN(s.params.N())] ^= 1 << 63
+							return op.run(ca, b.CopyNew())
+						})
+						if !ctEqual(fused[0], healed[0]) {
+							t.Fatalf("%s workers=%d: %s with a flipped residue word not healed to the fault-free bits", tag, workers, op.name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWideChainsHaveNoNarrowModulus: the narrow-modulus kernels key on
+// q < 2^32 (ntt.Table) and on a whole conversion sum fitting a word
+// (rns.Conv), so an RNS-CKKS chain at 61-bit words — primes at the scale,
+// 40 bits and up — must keep them off by construction.
+func TestWideChainsHaveNoNarrowModulus(t *testing.T) {
+	s := newTestSetup(t, core.RNSCKKS, 8, 40, 61, 9, 3, nil)
+	for _, q := range s.params.KeyBasis() {
+		if q < 1<<32 {
+			t.Fatalf("RNS-CKKS at 61-bit words carries the %d-bit modulus %d", bits.Len64(q), q)
+		}
+	}
+}
+
+// TestFusedHotPathAllocCeiling pins the allocation count of the two fused
+// ops every program leans on. The conversion matrix is column-major and
+// the per-basis keyswitch layout (digit rows, conversions, ModDown
+// transition) is cached, so a keyswitch no longer rebuilds maps, modulus
+// lists, weight columns or cache-key strings; what remains is pooled
+// polynomial headers, dispatch closures and big.Int bookkeeping. The
+// ceilings sit between the counts with and without those rebuilds
+// (MulRescale 513 vs 553, Rotate 290 vs 350 at this shape). The collector
+// is held off because a collection empties the scratch pools mid-run.
+func TestFusedHotPathAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	engine.SetWorkers(1)
+	defer engine.SetWorkers(0)
+	s := newTestSetup(t, core.BitPacker, 4, 40, 28, 9, 3, []int{1})
+	rng := rand.New(rand.NewPCG(217, 218))
+	a := s.encryptValues(randomValues(s.params.Slots(), rng))
+	b := s.encryptValues(randomValues(s.params.Slots(), rng))
+	for _, op := range []struct {
+		name    string
+		ceiling float64
+		run     func()
+	}{
+		{"MulRescale", 530, func() { s.ev.MustMulRescale(a, b) }},
+		{"Rotate", 310, func() { s.ev.MustRotate(a, 1) }},
+	} {
+		if got := testing.AllocsPerRun(10, op.run); got > op.ceiling {
+			t.Errorf("fused %s: %.0f allocations per call, ceiling %.0f", op.name, got, op.ceiling)
+		} else {
+			t.Logf("fused %s: %.0f allocations per call (ceiling %.0f)", op.name, got, op.ceiling)
 		}
 	}
 }

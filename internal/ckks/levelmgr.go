@@ -35,7 +35,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	if !ev.fused {
 		return ev.rescaleUnfused(ct)
 	}
-	return ev.rescaleFused(ct, nil, ct.Scale, ct.NoiseBits, true)
+	return ev.rescaleFused(ct.C0, ct.C1, ct.Level, nil, ct.Scale, ct.NoiseBits, ct)
 }
 
 // upFactor returns the product of the transition's introduced moduli
@@ -71,41 +71,78 @@ func (ev *Evaluator) rescaleBookkeeping(up, down []uint64, inScale *big.Rat, inN
 	return scale, noise
 }
 
-// rescaleTail is the back half of every fused rescale: cs holds the two
-// working components, already in the coefficient domain over the
-// scaled-up moduli and premultiplied. It divides out the retired moduli
-// (running the forward transform inside the division pass when no spare
-// reseed needs the coefficient form), seeds the spare channel, and does
-// the scale/noise/level bookkeeping. cs is consumed (returned to the
-// pool).
-func (ev *Evaluator) rescaleTail(cs []*ring.Poly, level int, down []uint64, inScale *big.Rat, inNoise float64, shedBitsUp []uint64) (*Ciphertext, error) {
+// rescaleFused runs the one-level transition on the evaluation-domain
+// pair (c0, c1) at the given level; the pair is only read. pre is
+// Adjust's rounded constant (nil for plain Rescale), folded with the
+// scale-up constant K into one Shoup multiply per row — canonical scalar
+// multiplies compose exactly, so this is bit-identical to the staged
+// multiplies; inScale/inNoise describe the (virtual) input after
+// premultiplication.
+//
+// Without a spare channel nothing leaves the evaluation domain but the
+// retired rows: scale-up is a scalar multiply plus zero rows in either
+// domain, and the division inverse-transforms the D shed rows and
+// forward-transforms the K conversion rows (ScaleDownNTTBatch) — D+K
+// transforms per polynomial where the coefficient-domain route pays R+K.
+// A redundant-residue chain needs coefficient residues at both ends —
+// the input for the cross-check of checked's spare (nil: no check), the
+// output to seed the next spare — and takes that route.
+func (ev *Evaluator) rescaleFused(c0, c1 *ring.Poly, level int, pre *big.Int, inScale *big.Rat, inNoise float64, checked *Ciphertext) (*Ciphertext, error) {
+	tr := ev.params.Chain.TransitionDown(level)
 	ctx := ev.params.Ctx
-	shedPos, err := positionsOf(cs[0].Moduli, down)
-	if err != nil {
-		ctx.PutPoly(cs[0])
-		ctx.PutPoly(cs[1])
-		return nil, err
-	}
-	sd := ev.scaleDownParams(cs[0].Moduli, shedPos)
 	rrns := ev.rrnsEnabled()
-	// Without a spare channel the forward transform runs inside the
-	// division pass, while each output row is still cache-resident.
-	outs := sd.ScaleDownBatch(cs, !rrns)
-	ctx.PutPoly(cs[0])
-	ctx.PutPoly(cs[1])
-	c0, c1 := outs[0], outs[1]
-	// Reseed the spare channel from the rescaled output while it is
-	// still in the coefficient domain — the trusted production point for
-	// the next stretch of the computation.
-	var sp0, sp1 []uint64
-	if rrns {
-		sp0 = ev.projectSpare(c0)
-		sp1 = ev.projectSpare(c1)
-		ring.NTTBatch(c0, c1)
+
+	mul := upFactor(tr.Up)
+	if pre != nil {
+		if mul == nil {
+			mul = pre
+		} else {
+			mul.Mul(mul, pre)
+		}
 	}
 
-	scale, noise := ev.rescaleBookkeeping(shedBitsUp, down, inScale, inNoise)
-	out := newCiphertext(c0, c1, level-1, scale, noise)
+	cs, owned := []*ring.Poly{c0, c1}, false
+	free := func() {
+		if owned {
+			ctx.PutPoly(cs[0])
+			ctx.PutPoly(cs[1])
+		}
+	}
+	if rrns {
+		cs, owned = []*ring.Poly{c0.ScratchCopyINTT(), c1.ScratchCopyINTT()}, true
+		if checked != nil && checked.SpareDepth > 0 {
+			if err := ev.checkSpare("Rescale", checked, cs[0], cs[1]); err != nil {
+				free()
+				return nil, err
+			}
+		}
+	}
+	if mul != nil {
+		up := ctx.ScaleUpBatch(cs, tr.Up, mul)
+		free()
+		cs, owned = up, true
+	}
+	sd, err := ev.scaleDownParams(cs[0].Moduli, tr.Down)
+	if err != nil {
+		free()
+		return nil, err
+	}
+	var outs []*ring.Poly
+	var sp0, sp1 []uint64
+	if rrns {
+		// Reseed the spare channel from the rescaled output while it is
+		// still in the coefficient domain — the trusted production point
+		// for the next stretch of the computation.
+		outs = sd.ScaleDownBatch(cs)
+		sp0, sp1 = ev.projectSpare(outs[0]), ev.projectSpare(outs[1])
+		ring.NTTBatch(outs...)
+	} else {
+		outs = sd.ScaleDownNTTBatch(cs)
+	}
+	free()
+
+	scale, noise := ev.rescaleBookkeeping(tr.Up, tr.Down, inScale, inNoise)
+	out := newCiphertext(outs[0], outs[1], level-1, scale, noise)
 	if sp0 != nil {
 		out.Spare0, out.Spare1, out.SpareDepth = sp0, sp1, 1
 	}
@@ -116,44 +153,6 @@ func (ev *Evaluator) rescaleTail(cs []*ring.Poly, level int, down []uint64, inSc
 		return nil, err
 	}
 	return out, nil
-}
-
-// rescaleFused runs the one-level transition with fused kernels: one
-// batched pass does copy + inverse transform + premultiply (pre·K folded
-// into a single Shoup constant — canonical scalar multiplies compose
-// exactly, so this is bit-identical to the staged multiplies) and
-// appends the introduced-modulus rows; the exact division feeds the
-// forward transform row by row. pre is Adjust's rounded constant (nil
-// for plain Rescale); inScale/inNoise describe the (virtual) input after
-// premultiplication; check enables the RRNS spare cross-check, which
-// needs the untouched coefficient residues and therefore splits the prep
-// in two.
-func (ev *Evaluator) rescaleFused(ct *Ciphertext, pre *big.Int, inScale *big.Rat, inNoise float64, check bool) (*Ciphertext, error) {
-	tr := ev.params.Chain.TransitionDown(ct.Level)
-	ctx := ev.params.Ctx
-
-	mul := upFactor(tr.Up)
-	if pre != nil {
-		if mul == nil {
-			mul = new(big.Int).Set(pre)
-		} else {
-			mul.Mul(mul, pre)
-		}
-	}
-
-	var cs []*ring.Poly
-	if check && ev.rrnsEnabled() && ct.SpareDepth > 0 {
-		cs = ctx.RescalePrepBatch([]*ring.Poly{ct.C0, ct.C1}, nil, nil)
-		if err := ev.checkSpare("Rescale", ct, cs[0], cs[1]); err != nil {
-			ctx.PutPoly(cs[0])
-			ctx.PutPoly(cs[1])
-			return nil, err
-		}
-		ctx.ScaleUpBatchInPlace(cs, tr.Up, mul)
-	} else {
-		cs = ctx.RescalePrepBatch([]*ring.Poly{ct.C0, ct.C1}, tr.Up, mul)
-	}
-	return ev.rescaleTail(cs, ct.Level, tr.Down, inScale, inNoise, tr.Up)
 }
 
 // Adjust moves ct one level down without changing the encrypted value:
@@ -193,7 +192,7 @@ func (ev *Evaluator) Adjust(ct *Ciphertext) (*Ciphertext, error) {
 		if kf, _ := new(big.Float).SetInt(kInt).Float64(); kf > 1 {
 			inNoise = ct.NoiseBits + math.Log2(kf)
 		}
-		out, err = ev.rescaleFused(ct, kInt, inScale, inNoise, false)
+		out, err = ev.rescaleFused(ct.C0, ct.C1, ct.Level, kInt, inScale, inNoise, nil)
 	} else {
 		out, err = ev.adjustUnfused(ct, k, kInt)
 	}
@@ -208,9 +207,9 @@ func (ev *Evaluator) Adjust(ct *Ciphertext) (*Ciphertext, error) {
 // MulRescale computes Rescale(MulRelin(a, b)) as one fused macro op: the
 // tensor product, relinearization and level transition share their
 // intermediate polynomials, so the product pair never round-trips
-// through a full-size ciphertext copy — the keyswitch corrections stay
-// in the coefficient domain and fold into the inverse transform that the
-// rescale needs anyway. Bit-identical to the two-call sequence.
+// through a full-size ciphertext copy — the keyswitch corrections are
+// added in the evaluation domain and the rescale consumes the pair where
+// it lies. Bit-identical to the two-call sequence.
 func (ev *Evaluator) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	if !ev.fused {
 		return ev.mulRescaleUnfused(a, b)
@@ -240,41 +239,29 @@ func (ev *Evaluator) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 
 	hd := ev.decomposePoly(d2)
 	ctx.PutPoly(d2)
-	ks0, ks1 := ev.keySwitchFused(hd, rlk, 1, false)
+	ks0, ks1 := ev.keySwitchFused(hd, rlk, 1)
 	hd.Free(ctx)
+	ring.AddPair(d0, d0, ks0, d1, d1, ks1)
+	ctx.PutPoly(ks0)
+	ctx.PutPoly(ks1)
+	defer func() {
+		ctx.PutPoly(d0)
+		ctx.PutPoly(d1)
+	}()
 
 	scale := new(big.Rat).Mul(a.Scale, b.Scale)
 	noise := ev.nm.MulBits(core.RatLog2(a.Scale), a.NoiseBits, core.RatLog2(b.Scale), b.NoiseBits)
-	free := func() {
-		ctx.PutPoly(d0)
-		ctx.PutPoly(d1)
-		ctx.PutPoly(ks0)
-		ctx.PutPoly(ks1)
-	}
 	// Guard the (never materialized) product ciphertext exactly as
 	// MulRelin would have before rescaling.
 	if err := ev.guardNoise("MulRelin", &Ciphertext{Level: a.Level, Scale: scale, NoiseBits: noise}); err != nil {
-		free()
 		return nil, err
 	}
 	if a.Level <= 0 {
-		free()
 		return nil, fherr.Wrap(fherr.ErrChainExhausted, "ckks: Rescale at level 0")
 	}
-
-	// Rescale tail, consuming the product pair in place: the inverse
-	// transform of each component absorbs the coefficient-domain
-	// keyswitch correction (the transform is exactly linear), then the
-	// scale-up multiply and the exact division run on the same rows. A
-	// fresh product carries no spare channel, so there is nothing to
+	// A fresh product carries no spare channel, so there is nothing to
 	// cross-check before the transition.
-	ring.INTTAddPair(d0, ks0, d1, ks1)
-	ctx.PutPoly(ks0)
-	ctx.PutPoly(ks1)
-	tr := p.Chain.TransitionDown(a.Level)
-	cs := []*ring.Poly{d0, d1}
-	ctx.ScaleUpBatchInPlace(cs, tr.Up, upFactor(tr.Up))
-	return ev.rescaleTail(cs, a.Level, tr.Down, scale, noise, tr.Up)
+	return ev.rescaleFused(d0, d1, a.Level, nil, scale, noise, nil)
 }
 
 // AdjustTo lowers ct to the given level by repeated one-level adjusts.
@@ -311,23 +298,6 @@ func roundRat(r *big.Rat) *big.Int {
 		num.Sub(num, half)
 	}
 	return num.Quo(num, den)
-}
-
-// positionsOf locates each modulus of want within moduli.
-func positionsOf(moduli, want []uint64) ([]int, error) {
-	pos := make([]int, 0, len(want))
-	idx := map[uint64]int{}
-	for i, q := range moduli {
-		idx[q] = i
-	}
-	for _, q := range want {
-		i, ok := idx[q]
-		if !ok {
-			return nil, fherr.Wrap(fherr.ErrInvariant, "ckks: modulus %d to shed not present in ciphertext", q)
-		}
-		pos = append(pos, i)
-	}
-	return pos, nil
 }
 
 // assertLevelModuli reports an invariant error if the ciphertext's moduli

@@ -630,7 +630,7 @@ func (ev *Evaluator) applyLinearTransformBSGS(ct *Ciphertext, lt *LinearTransfor
 	if ext0 != nil {
 		var ks0, ks1 *ring.Poly
 		if ev.fused {
-			ks0, ks1 = ev.extModDownFused(ext0, ext1, ct.C0.Moduli, true)
+			ks0, ks1 = ev.extModDownFused(ext0, ext1, ct.C0.Moduli)
 		} else {
 			ks0, ks1 = ev.extModDownUnfused(ext0, ext1, ct.C0.Moduli)
 		}

@@ -56,7 +56,7 @@ type Parameters struct {
 // dst. Both always derive from the validated chain, so construction
 // cannot fail.
 func (p *Parameters) spareProjector(src []uint64, dst uint64) *rns.Projector {
-	key := moduliKey(src, []uint64{dst})
+	key := string(moduliKey(nil, src, []uint64{dst}))
 	p.spareMu.Lock()
 	defer p.spareMu.Unlock()
 	if p.spareProj == nil {

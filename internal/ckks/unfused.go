@@ -84,14 +84,7 @@ func (ev *Evaluator) keySwitchExtUnfused(hd *HoistedDecomp, swk *SwitchingKey, g
 // acc0/acc1.
 func (ev *Evaluator) extModDownUnfused(acc0, acc1 *ring.Poly, live []uint64) (*ring.Poly, *ring.Poly) {
 	p := ev.params
-
-	// ModDown: divide by P and shed the special moduli.
-	special := p.Chain.Special
-	shedPos := make([]int, len(special))
-	for i := range special {
-		shedPos[i] = len(live) + i
-	}
-	sd := ev.scaleDownParams(acc0.Moduli, shedPos)
+	sd := ev.ksPlan(live).modDown
 	acc0.INTT()
 	acc1.INTT()
 	out0 := acc0.ScaleDown(sd)
@@ -158,13 +151,12 @@ func (ev *Evaluator) rescaleUnfused(ct *Ciphertext) (*Ciphertext, error) {
 		ctx.PutPoly(c1)
 		c0, c1 = u0, u1
 	}
-	shedPos, err := positionsOf(c0.Moduli, tr.Down)
+	sd, err := ev.scaleDownParams(c0.Moduli, tr.Down)
 	if err != nil {
 		ctx.PutPoly(c0)
 		ctx.PutPoly(c1)
 		return nil, err
 	}
-	sd := ev.scaleDownParams(c0.Moduli, shedPos)
 	s0, s1 := c0.ScaleDown(sd), c1.ScaleDown(sd)
 	ctx.PutPoly(c0)
 	ctx.PutPoly(c1)

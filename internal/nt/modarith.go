@@ -25,12 +25,16 @@ func AddMod(x, y, q uint64) uint64 {
 	return s
 }
 
-// SubMod returns (x - y) mod q. Requires x, y < q.
+// SubMod returns (x - y) mod q. Requires x, y < q. Written as a
+// conditional correction of one difference (not two returns) so it
+// compiles to a conditional move: on residues the borrow is a coin flip,
+// and a branch there mispredicts every other word.
 func SubMod(x, y, q uint64) uint64 {
-	if x >= y {
-		return x - y
+	d := x - y
+	if x < y {
+		d += q
 	}
-	return x + q - y
+	return d
 }
 
 // NegMod returns (-x) mod q. Requires x < q.
@@ -102,6 +106,29 @@ func MulModBarrett(x, y, q, bhi, blo uint64) uint64 {
 	_, carry2 := bits.Add64(mid, c3lo, 0)
 	t := ahi*bhi + c2hi + c3hi + carry1 + carry2
 	r := alo - t*q
+	if r >= q {
+		r -= q
+	}
+	return r
+}
+
+// WordBarrett returns floor(2^64 / q), the one-word Barrett constant
+// behind ReduceWord. Requires q > 1.
+func WordBarrett(q uint64) uint64 {
+	mu, _ := bits.Div64(1, 0, q)
+	return mu
+}
+
+// ReduceWord returns x mod q for any one-word x, where mu = WordBarrett(q).
+// The quotient estimate floor(x·mu / 2^64) undershoots floor(x/q) by at
+// most one (x·mu/2^64 > x/q − x/2^64 > x/q − 1), so x − est·q < 2q and a
+// single conditional subtraction finishes. This is what a narrow modulus
+// buys: when a product (or a whole sum of products) fits one word, it is
+// reduced with one high multiply instead of the 256-bit MulModBarrett
+// product. Requires q < 2^63.
+func ReduceWord(x, q, mu uint64) uint64 {
+	hi, _ := bits.Mul64(x, mu)
+	r := x - hi*q
 	if r >= q {
 		r -= q
 	}

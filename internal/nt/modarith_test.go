@@ -63,6 +63,28 @@ func TestMulModBarrett(t *testing.T) {
 	}
 }
 
+// TestReduceWord: the one-word Barrett reduction must agree with % over
+// the whole word, in particular at the multiples of q (where an estimate
+// one short leaves exactly q) and at the top of the range.
+func TestReduceWord(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for _, q := range []uint64{3, 97, 7681, 1<<28 - 57, 1<<32 - 5, 1<<45 - 55, testPrime, 1<<62 - 57} {
+		mu := WordBarrett(q)
+		top := ^uint64(0) / q * q
+		for _, x := range []uint64{0, 1, q - 1, q, q + 1, 2*q - 1, 2 * q, top - 1, top, top + 1, ^uint64(0)} {
+			if got, want := ReduceWord(x, q, mu), x%q; got != want {
+				t.Fatalf("q=%d ReduceWord(%d)=%d want %d", q, x, got, want)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			x := rng.Uint64()
+			if got, want := ReduceWord(x, q, mu), x%q; got != want {
+				t.Fatalf("q=%d ReduceWord(%d)=%d want %d", q, x, got, want)
+			}
+		}
+	}
+}
+
 func TestBarrettConstantAgainstBig(t *testing.T) {
 	for _, q := range []uint64{3, 97, 1<<30 - 35, testPrime, 1<<62 - 57} {
 		want := new(big.Int).Lsh(big.NewInt(1), 128)

@@ -42,6 +42,10 @@ type Table struct {
 
 	// Barrett constant floor(2^128/q) for division-free pointwise products.
 	brHi, brLo uint64
+	// mu = nt.WordBarrett(q), set only when q < 2^32: a product of two
+	// residues then fits one word and the pointwise kernels reduce it
+	// with nt.ReduceWord. Zero selects the two-word Barrett path.
+	mu uint64
 }
 
 // NewTable precomputes an NTT table for modulus q and size n (a power of
@@ -91,6 +95,9 @@ func NewTable(q uint64, n int) (*Table, error) {
 		t.invN1Sh = nt.ShoupPrecomp(t.invN1, q)
 	}
 	t.brHi, t.brLo = nt.BarrettConstant(q)
+	if q < 1<<32 {
+		t.mu = nt.WordBarrett(q)
+	}
 	return t, nil
 }
 
@@ -228,11 +235,18 @@ func (t *Table) Inverse(a []uint64) {
 // MulCoeffs stores the pointwise product of a and b (both NTT domain) in
 // out. All slices must have length t.N; aliasing is allowed. The product
 // uses the precomputed Barrett constant, avoiding the hardware divide
-// nt.MulMod pays per coefficient.
+// nt.MulMod pays per coefficient; below 2^32 the product fits one word
+// and takes the one-word reduction instead.
 func (t *Table) MulCoeffs(out, a, b []uint64) {
 	q, bhi, blo := t.Q, t.brHi, t.brLo
 	a = a[:len(out)]
 	b = b[:len(out)]
+	if mu := t.mu; mu != 0 {
+		for i := range out {
+			out[i] = nt.ReduceWord(a[i]*b[i], q, mu)
+		}
+		return
+	}
 	for i := range out {
 		out[i] = nt.MulModBarrett(a[i], b[i], q, bhi, blo)
 	}
@@ -244,6 +258,14 @@ func (t *Table) MulCoeffsAdd(out, a, b []uint64) {
 	q, bhi, blo := t.Q, t.brHi, t.brLo
 	a = a[:len(out)]
 	b = b[:len(out)]
+	if mu := t.mu; mu != 0 {
+		// (q−1)² + (q−1) < 2^64: the accumulator rides along in the
+		// product word and is reduced with it.
+		for i := range out {
+			out[i] = nt.ReduceWord(a[i]*b[i]+out[i], q, mu)
+		}
+		return
+	}
 	for i := range out {
 		out[i] = nt.AddMod(out[i], nt.MulModBarrett(a[i], b[i], q, bhi, blo), q)
 	}
@@ -259,6 +281,14 @@ func (t *Table) MulCoeffsCross(out, a0, b1, a1, b0 []uint64) {
 	b1 = b1[:len(out)]
 	a1 = a1[:len(out)]
 	b0 = b0[:len(out)]
+	if mu := t.mu; mu != 0 {
+		// Two raw products can exceed one word at 32 bits, so the first
+		// is reduced before it joins the second.
+		for i := range out {
+			out[i] = nt.ReduceWord(a1[i]*b0[i]+nt.ReduceWord(a0[i]*b1[i], q, mu), q, mu)
+		}
+		return
+	}
 	for i := range out {
 		x := nt.MulModBarrett(a0[i], b1[i], q, bhi, blo)
 		y := nt.MulModBarrett(a1[i], b0[i], q, bhi, blo)

@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 
@@ -183,6 +184,53 @@ func TestMulCoeffsAddAccumulates(t *testing.T) {
 	for i := range acc {
 		if acc[i] != want[i] {
 			t.Fatalf("MulCoeffsAdd coeff %d: got %d want %d", i, acc[i], want[i])
+		}
+	}
+}
+
+// TestPointwiseKernelsMatchMulMod checks MulCoeffs, MulCoeffsAdd and
+// MulCoeffsCross against nt.MulMod on random and boundary operands
+// (q−1, 0) at every width class: 20-, 28-, 31- and 32-bit primes take
+// the one-word reduction, 33- and 61-bit primes must not.
+func TestPointwiseKernelsMatchMulMod(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewPCG(25, 26))
+	for _, c := range []struct {
+		bits   int
+		narrow bool
+	}{{20, true}, {28, true}, {31, true}, {32, true}, {33, false}, {61, false}} {
+		q := nt.PreviousNTTPrime(1<<c.bits, 2*n)
+		if got := bits.Len64(q); got != c.bits {
+			t.Fatalf("prime below 2^%d has %d bits", c.bits, got)
+		}
+		tab := testTable(t, q, n)
+		if (tab.mu != 0) != c.narrow {
+			t.Fatalf("%d-bit prime: narrow path selected = %v, want %v", c.bits, tab.mu != 0, c.narrow)
+		}
+		vecs := make([][]uint64, 5) // a0, b1, a1, b0, acc
+		for v := range vecs {
+			vecs[v] = make([]uint64, n)
+			for i := range vecs[v] {
+				vecs[v][i] = rng.Uint64() % q
+			}
+		}
+		// Boundary operands: every combination of q−1 and 0 in the
+		// first slots, all-(q−1) in the next.
+		for i := 0; i < 32; i++ {
+			for v := range vecs {
+				vecs[v][i] = uint64(i>>v&1) * (q - 1)
+			}
+		}
+		a0, b1, a1, b0, acc := vecs[0], vecs[1], vecs[2], vecs[3], vecs[4]
+		mul, add, cross := make([]uint64, n), append([]uint64(nil), acc...), make([]uint64, n)
+		tab.MulCoeffs(mul, a0, b1)
+		tab.MulCoeffsAdd(add, a0, b1)
+		tab.MulCoeffsCross(cross, a0, b1, a1, b0)
+		for i := 0; i < n; i++ {
+			x, y := nt.MulMod(a0[i], b1[i], q), nt.MulMod(a1[i], b0[i], q)
+			if mul[i] != x || add[i] != nt.AddMod(acc[i], x, q) || cross[i] != nt.AddMod(x, y, q) {
+				t.Fatalf("%d-bit prime, coeff %d: kernels disagree with nt.MulMod", c.bits, i)
+			}
 		}
 	}
 }

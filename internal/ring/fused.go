@@ -427,58 +427,3 @@ func AutomorphismFromNTTBatch(k uint64, ps ...*Poly) []*Poly {
 	})
 	return outs
 }
-
-// INTTAddPair sets a0 = INTT(a0) + b0 and a1 = INTT(a1) + b1 in place,
-// fusing the inverse transform with the coefficient-domain addition per
-// row. a0/a1 must be NTT domain, b0/b1 coefficient domain with the same
-// moduli. Bit-identical to INTT-then-Add because the inverse transform
-// emits canonical residues.
-func INTTAddPair(a0, b0, a1, b1 *Poly) {
-	if !a0.IsNTT || !a1.IsNTT || b0.IsNTT || b1.IsNTT {
-		panic("ring: INTTAddPair domain mismatch")
-	}
-	tabs0 := a0.tables()
-	tabs1 := a1.tables()
-	r := len(a0.Moduli)
-	engine.Dispatch(r+len(a1.Moduli), 2*a0.ctx.N, func(t int) {
-		a, b := a0, b0
-		tabs := tabs0
-		i := t
-		if t >= r {
-			a, b = a1, b1
-			tabs = tabs1
-			i = t - r
-		}
-		q := a.Moduli[i]
-		row := a.Coeffs[i]
-		tabs[i].Inverse(row)
-		pb := b.Coeffs[i][:len(row)]
-		for k := range row {
-			row[k] = nt.AddMod(row[k], pb[k], q)
-		}
-	})
-	a0.IsNTT = false
-	a1.IsNTT = false
-}
-
-// AddNTT sets p = NTT(p + b) in place (both coefficient domain), fusing
-// the addition with the forward transform per row.
-func (p *Poly) AddNTT(b *Poly) {
-	sameShape(p, b)
-	if p.IsNTT {
-		panic("ring: AddNTT requires coefficient domain")
-	}
-	tabs := p.tables()
-	engine.DispatchFused(len(p.Moduli), p.ctx.N,
-		func(i int) {
-			q := p.Moduli[i]
-			row := p.Coeffs[i]
-			pb := b.Coeffs[i][:len(row)]
-			for k := range row {
-				row[k] = nt.AddMod(row[k], pb[k], q)
-			}
-		},
-		func(i int) { tabs[i].Forward(p.Coeffs[i]) },
-	)
-	p.IsNTT = true
-}

@@ -192,35 +192,6 @@ func TestTransformAddFusionsMatchStaged(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 16))
 
 	withWorkers(t, func() {
-		a0 := randPoly(ctx, moduli, rng)
-		a1 := randPoly(ctx, moduli, rng)
-		a0.IsNTT, a1.IsNTT = true, true
-		b0 := randPoly(ctx, moduli, rng)
-		b1 := randPoly(ctx, moduli, rng)
-
-		w0 := a0.ScratchCopy()
-		w0.INTT()
-		tmp := NewPoly(ctx, moduli)
-		tmp.Add(w0, b0)
-		w1 := a1.ScratchCopy()
-		w1.INTT()
-		tmp1 := NewPoly(ctx, moduli)
-		tmp1.Add(w1, b1)
-
-		g0, g1 := a0.ScratchCopy(), a1.ScratchCopy()
-		INTTAddPair(g0, b0, g1, b1)
-		mustEqual(t, "INTTAddPair/0", g0, tmp)
-		mustEqual(t, "INTTAddPair/1", g1, tmp1)
-
-		// AddNTT: p = NTT(p + b).
-		p := randPoly(ctx, moduli, rng)
-		wantP := NewPoly(ctx, moduli)
-		wantP.Add(p, b0)
-		wantP.NTT()
-		got := p.ScratchCopy()
-		got.AddNTT(b0)
-		mustEqual(t, "AddNTT", got, wantP)
-
 		// NTTBatch / INTTBatch vs per-poly transforms.
 		x := randPoly(ctx, moduli, rng)
 		y := randPoly(ctx, moduli, rng)
@@ -260,42 +231,34 @@ func TestRescalePrepAndScaleDownBatchMatchStaged(t *testing.T) {
 		p1 := randPoly(ctx, moduli, rng)
 		p0.IsNTT, p1.IsNTT = true, true
 
-		// Staged: copy, INTT, premultiply by kInt, ScaleUp by Π up.
-		want := make([]*Poly, 2)
-		for i, p := range []*Poly{p0, p1} {
-			c := p.ScratchCopy()
-			c.INTT()
-			m := NewPoly(ctx, moduli)
-			m.MulScalarBig(c, kInt)
-			want[i] = m.ScaleUp(up)
+		// Staged: copy, premultiply by kInt, ScaleUp by Π up — in either
+		// domain, since ScaleUpBatch keeps its input's.
+		for _, intt := range []bool{false, true} {
+			want := make([]*Poly, 2)
+			in := make([]*Poly, 2)
+			for i, p := range []*Poly{p0, p1} {
+				in[i] = p.ScratchCopy()
+				if intt {
+					in[i].INTT()
+				}
+				m := NewPoly(ctx, moduli)
+				m.IsNTT = in[i].IsNTT
+				m.MulScalarBig(in[i], kInt)
+				want[i] = m.ScaleUp(up)
+			}
+			// Fused: one pass with the folded premultiplier kInt·Πup.
+			got := ctx.ScaleUpBatch(in, up, kBig)
+			mustEqual(t, "ScaleUpBatch/0", got[0], want[0])
+			mustEqual(t, "ScaleUpBatch/1", got[1], want[1])
+			if !intt {
+				continue
+			}
+			// ScaleDownBatch vs ScaleDown.
+			params := NewScaleDownParams(got[0].Moduli, []int{len(got[0].Moduli) - 1})
+			gotDown := params.ScaleDownBatch(got)
+			mustEqual(t, "ScaleDownBatch/0", gotDown[0], got[0].ScaleDown(params))
+			mustEqual(t, "ScaleDownBatch/1", gotDown[1], got[1].ScaleDown(params))
 		}
-		// Fused: one pass with the folded premultiplier kInt·Πup.
-		got := ctx.RescalePrepBatch([]*Poly{p0, p1}, up, kBig)
-		mustEqual(t, "RescalePrepBatch/0", got[0], want[0])
-		mustEqual(t, "RescalePrepBatch/1", got[1], want[1])
-
-		// ScaleUpBatchInPlace must agree with ScaleUp row-for-row.
-		c0 := p0.ScratchCopy()
-		c0.INTT()
-		inPlace := c0.ScratchCopy()
-		ctx.ScaleUpBatchInPlace([]*Poly{inPlace}, up, nil)
-		kOnly := new(big.Int).SetInt64(1)
-		for _, q := range up {
-			kOnly.Mul(kOnly, new(big.Int).SetUint64(q))
-		}
-		inPlace2 := c0.ScratchCopy()
-		ctx.ScaleUpBatchInPlace([]*Poly{inPlace2}, up, kOnly)
-		mustEqual(t, "ScaleUpBatchInPlace", inPlace2, c0.ScaleUp(up))
-
-		// ScaleDownBatch vs ScaleDown (+ NTT epilogue).
-		wide := got[0]
-		params := NewScaleDownParams(wide.Moduli, []int{len(wide.Moduli) - 1})
-		wantDown := wide.ScaleDown(params)
-		gotDown := params.ScaleDownBatch([]*Poly{wide}, false)[0]
-		mustEqual(t, "ScaleDownBatch", gotDown, wantDown)
-		wantDown.NTT()
-		gotNTT := params.ScaleDownBatch([]*Poly{wide}, true)[0]
-		mustEqual(t, "ScaleDownBatch/ntt", gotNTT, wantDown)
 	})
 }
 

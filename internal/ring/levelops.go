@@ -37,123 +37,54 @@ func (p *Poly) ScaleUp(newModuli []uint64) *Poly {
 	return out
 }
 
-// RescalePrepBatch is the fused front half of bpRescale/bpAdjust: for
-// each input polynomial it returns a pooled coefficient-domain copy,
-// optionally premultiplied by mul (nil = no multiply) and extended with
-// zero rows for the up moduli (nil = none). Per original row the chain
-// copy→inverse-NTT→scalar-multiply runs as one work item, and all
+// ScaleUpBatch is the fused scaleUp of bpRescale/bpAdjust: for each input
+// polynomial it returns a pooled copy multiplied by mul and extended with
+// zero rows for the up moduli, in the input's own domain — a scalar
+// multiple and an all-zero row read the same on either side of the
+// transform. Per original row copy→multiply is one pass, and all
 // polynomials' rows share a single fork/join.
 //
-// Bit-identical to ScratchCopy+INTT+MulScalarBig+ScaleUp composed
-// stepwise: the inverse transform emits canonical residues, Shoup scalar
-// multiplication of canonical inputs is canonical, and appended rows are
-// identically zero either way. (When mul folds several legacy scalar
-// multiplies into one — e.g. Adjust's k times ScaleUp's K — canonical
-// Shoup multiplies compose exactly: (x·a mod q)·b mod q = x·(ab mod q).)
-func (c *Context) RescalePrepBatch(ps []*Poly, up []uint64, mul *big.Int) []*Poly {
+// Bit-identical to ScratchCopy+MulScalarBig+ScaleUp composed stepwise:
+// Shoup scalar multiplication of canonical inputs is canonical, and when
+// mul folds several legacy scalar multiplies into one (Adjust's k times
+// ScaleUp's K) canonical multiplies compose exactly:
+// (x·a mod q)·b mod q = x·(ab mod q).
+func (c *Context) ScaleUpBatch(ps []*Poly, up []uint64, mul *big.Int) []*Poly {
 	outs := make([]*Poly, len(ps))
 	type rowJob struct {
-		src, dst []uint64
+		src, dst []uint64 // src nil: appended row, just clear
 		q        uint64
-		w, wsh   uint64 // scalar (valid when mul != nil and row is original)
-		inv      bool   // run the inverse transform
-		zero     bool   // appended row: just clear
+		w, wsh   uint64
 	}
 	var jobs []rowJob
 	tmp := new(big.Int)
 	for pi, p := range ps {
-		moduli := p.Moduli
-		if len(up) > 0 {
-			moduli = append(append([]uint64(nil), p.Moduli...), up...)
-		}
-		out := c.GetPoly(moduli)
-		out.IsNTT = false
+		out := c.GetPoly(append(append([]uint64(nil), p.Moduli...), up...))
+		out.IsNTT = p.IsNTT
 		outs[pi] = out
-		for r := range p.Moduli {
-			j := rowJob{src: p.Coeffs[r], dst: out.Coeffs[r], q: p.Moduli[r], inv: p.IsNTT}
-			if mul != nil {
-				j.w = tmp.Mod(mul, new(big.Int).SetUint64(j.q)).Uint64()
-				j.wsh = nt.ShoupPrecomp(j.w, j.q)
-			}
-			jobs = append(jobs, j)
+		for r, q := range p.Moduli {
+			w := tmp.Mod(mul, new(big.Int).SetUint64(q)).Uint64()
+			jobs = append(jobs, rowJob{src: p.Coeffs[r], dst: out.Coeffs[r], q: q, w: w, wsh: nt.ShoupPrecomp(w, q)})
 		}
-		for r := len(p.Moduli); r < len(moduli); r++ {
-			jobs = append(jobs, rowJob{dst: out.Coeffs[r], zero: true})
+		for r := len(p.Moduli); r < len(out.Moduli); r++ {
+			jobs = append(jobs, rowJob{dst: out.Coeffs[r]})
 		}
 	}
-	if len(jobs) == 0 {
-		return outs
-	}
-	mulRows := mul != nil
-	engine.Dispatch(len(jobs), 3*c.N, func(t int) {
+	engine.Dispatch(len(jobs), c.N, func(t int) {
 		j := &jobs[t]
 		dst := j.dst
-		if j.zero {
+		if j.src == nil {
 			for k := range dst {
 				dst[k] = 0
 			}
 			return
 		}
-		copy(dst, j.src)
-		if j.inv {
-			c.Table(j.q).Inverse(dst)
-		}
-		if mulRows {
-			w, wsh, q := j.w, j.wsh, j.q
-			for k := range dst {
-				dst[k] = nt.MulModShoup(dst[k], w, wsh, q)
-			}
+		w, wsh, q := j.w, j.wsh, j.q
+		for k, x := range j.src[:len(dst)] {
+			dst[k] = nt.MulModShoup(x, w, wsh, q)
 		}
 	})
 	return outs
-}
-
-// ScaleUpBatchInPlace applies the scaleUp tail to polynomials already in
-// the coefficient domain: existing rows are multiplied by mul (nil = no
-// multiply) and zero rows are appended for the up moduli, all in one
-// fork/join. The polynomials are mutated in place (their pooled rows are
-// reused); appended rows come from the scratch pool.
-func (c *Context) ScaleUpBatchInPlace(ps []*Poly, up []uint64, mul *big.Int) {
-	type rowJob struct {
-		row    []uint64
-		q      uint64
-		w, wsh uint64
-		zero   bool
-	}
-	var jobs []rowJob
-	tmp := new(big.Int)
-	for _, p := range ps {
-		if mul != nil {
-			for r := range p.Moduli {
-				q := p.Moduli[r]
-				w := tmp.Mod(mul, new(big.Int).SetUint64(q)).Uint64()
-				jobs = append(jobs, rowJob{row: p.Coeffs[r], q: q, w: w, wsh: nt.ShoupPrecomp(w, q)})
-			}
-		}
-		for _, q := range up {
-			row := c.GetVec()
-			p.Moduli = append(p.Moduli, q)
-			p.Coeffs = append(p.Coeffs, row)
-			jobs = append(jobs, rowJob{row: row, zero: true})
-		}
-	}
-	if len(jobs) == 0 {
-		return
-	}
-	engine.Dispatch(len(jobs), c.N, func(t int) {
-		j := &jobs[t]
-		if j.zero {
-			for k := range j.row {
-				j.row[k] = 0
-			}
-			return
-		}
-		w, wsh, q := j.w, j.wsh, j.q
-		row := j.row
-		for k := range row {
-			row[k] = nt.MulModShoup(row[k], w, wsh, q)
-		}
-	})
 }
 
 // ScaleDownParams precomputes a scaleDown transition: shedding the moduli
@@ -191,13 +122,11 @@ func NewScaleDownParams(moduli []uint64, shedPos []int) *ScaleDownParams {
 	return sp
 }
 
-// ScaleDown divides p by the product of the shed moduli (flooring, with
-// the < k additive error analyzed in rns.ExactDiv) and sheds them.
-// p must be in the coefficient domain and its moduli must match params.
-// The result keeps the surviving moduli in their original order.
-func (p *Poly) ScaleDown(params *ScaleDownParams) *Poly {
-	if p.IsNTT {
-		panic("ring: ScaleDown requires coefficient domain")
+// split checks p against the transition (domain and moduli) and returns
+// its shed rows and its kept rows (over params.div.Kept).
+func (params *ScaleDownParams) split(p *Poly, wantNTT bool) (shed, kept [][]uint64) {
+	if p.IsNTT != wantNTT {
+		panic("ring: ScaleDown domain mismatch")
 	}
 	if len(p.Moduli) != len(params.Moduli) {
 		panic("ring: ScaleDown moduli mismatch")
@@ -207,65 +136,47 @@ func (p *Poly) ScaleDown(params *ScaleDownParams) *Poly {
 			panic("ring: ScaleDown moduli mismatch")
 		}
 	}
-	shedRes := make([][]uint64, len(params.ShedPos))
+	shed = make([][]uint64, len(params.ShedPos))
 	for i, pos := range params.ShedPos {
-		shedRes[i] = p.Coeffs[pos]
+		shed[i] = p.Coeffs[pos]
 	}
-	kept := make([]uint64, len(params.keptPos))
+	kept = make([][]uint64, len(params.keptPos))
 	for j, pos := range params.keptPos {
-		kept[j] = p.Moduli[pos]
+		kept[j] = p.Coeffs[pos]
 	}
-	out := p.ctx.GetPoly(kept) // every row fully overwritten below
+	return shed, kept
+}
+
+// ScaleDown divides p by the product of the shed moduli (flooring, with
+// the < k additive error analyzed in rns.ExactDiv) and sheds them.
+// p must be in the coefficient domain and its moduli must match params.
+// The result keeps the surviving moduli in their original order.
+func (p *Poly) ScaleDown(params *ScaleDownParams) *Poly {
+	shedRes, keptRes := params.split(p, false)
+	out := p.ctx.GetPoly(params.div.Kept) // every row fully overwritten below
 	out.IsNTT = false
-	engine.Dispatch(len(params.keptPos), p.ctx.N, func(j int) {
-		copy(out.Coeffs[j], p.Coeffs[params.keptPos[j]])
+	engine.Dispatch(len(keptRes), p.ctx.N, func(j int) {
+		copy(out.Coeffs[j], keptRes[j])
 	})
 	params.div.Apply(out.Coeffs, shedRes)
 	return out
 }
 
-// ScaleDownBatch runs ScaleDown over several polynomials as one batched
-// pair of fork/joins, reading each input's kept rows directly (no copy
-// pass) and — when nttOut is set — running the forward transform on each
-// output row while it is still cache-resident. Bit-identical to
-// per-polynomial ScaleDown followed by NTT.
-func (params *ScaleDownParams) ScaleDownBatch(ps []*Poly, nttOut bool) []*Poly {
-	if len(ps) == 0 {
-		return nil
-	}
-	ctx := ps[0].ctx
-	kept := make([]uint64, len(params.keptPos))
+// ScaleDownBatch runs ScaleDown over several coefficient-domain
+// polynomials as one batched pair of fork/joins, reading each input's
+// kept rows directly (no copy pass). Bit-identical to per-polynomial
+// ScaleDown. It serves the RRNS configuration, whose spare channel is
+// projected from coefficient-domain output; everything else stays in the
+// evaluation domain (ScaleDownNTTBatch).
+func (params *ScaleDownParams) ScaleDownBatch(ps []*Poly) []*Poly {
 	outs := make([]*Poly, len(ps))
 	targets := make([]rns.DivBatchTarget, len(ps))
 	for pi, p := range ps {
-		if p.IsNTT {
-			panic("ring: ScaleDownBatch requires coefficient domain")
-		}
-		if len(p.Moduli) != len(params.Moduli) {
-			panic("ring: ScaleDownBatch moduli mismatch")
-		}
-		for i := range p.Moduli {
-			if p.Moduli[i] != params.Moduli[i] {
-				panic("ring: ScaleDownBatch moduli mismatch")
-			}
-		}
-		shedRes := make([][]uint64, len(params.ShedPos))
-		for i, pos := range params.ShedPos {
-			shedRes[i] = p.Coeffs[pos]
-		}
-		keptRes := make([][]uint64, len(params.keptPos))
-		for j, pos := range params.keptPos {
-			kept[j] = p.Moduli[pos]
-			keptRes[j] = p.Coeffs[pos]
-		}
-		out := ctx.GetPoly(kept) // every row fully overwritten by ApplyBatch
-		out.IsNTT = nttOut
+		shedRes, keptRes := params.split(p, false)
+		out := p.ctx.GetPoly(params.div.Kept) // every row fully overwritten by ApplyBatch
+		out.IsNTT = false
 		outs[pi] = out
 		targets[pi] = rns.DivBatchTarget{Shed: shedRes, Kept: keptRes, Out: out.Coeffs}
-		if nttOut {
-			tabs := out.tables()
-			targets[pi].Epi = func(j int, row []uint64) { tabs[j].Forward(row) }
-		}
 	}
 	params.div.ApplyBatch(targets)
 	return outs
@@ -277,52 +188,32 @@ func (params *ScaleDownParams) ScaleDownBatch(ps []*Poly, nttOut bool) []*Poly {
 // basis-conversion rows forward-transformed, so the kept rows never
 // round-trip through the coefficient domain. With S shed and K kept rows
 // per polynomial this costs S inverse + K forward transforms instead of
-// the (S+K) inverse + K forward of INTT → ScaleDownBatch(nttOut=true).
+// the (S+K) inverse + K forward of INTT → ScaleDownBatch → NTT.
 // Bit-identical to that staged sandwich: the transforms are exactly
 // linear and mutually inverse on canonical residues, so subtracting the
 // forward-transformed conversion from the untouched evaluation-domain
 // row yields the same canonical words as transforming the coefficient-
-// domain difference.
+// domain difference. The inputs are only read.
 func (params *ScaleDownParams) ScaleDownNTTBatch(ps []*Poly) []*Poly {
 	if len(ps) == 0 {
 		return nil
 	}
 	ctx := ps[0].ctx
-	nShed := len(params.ShedPos)
-	kept := make([]uint64, len(params.keptPos))
 	outs := make([]*Poly, len(ps))
 	targets := make([]rns.DivBatchTarget, len(ps))
-	shedScratch := make([][]uint64, len(ps)*nShed)
-	shedSrc := make([][]uint64, len(ps)*nShed)
-	shedTabs := make([]*ntt.Table, len(ps)*nShed)
-	pos := 0
+	var shedSrc, shedScratch [][]uint64
+	shedTabs := make([]*ntt.Table, len(params.ShedPos))
+	for i, sp := range params.ShedPos {
+		shedTabs[i] = ctx.Table(params.Moduli[sp])
+	}
 	for pi, p := range ps {
-		if !p.IsNTT {
-			panic("ring: ScaleDownNTTBatch requires NTT domain")
+		shedRes, keptRes := params.split(p, true)
+		shedSrc = append(shedSrc, shedRes...)
+		for i := range shedRes {
+			shedRes[i] = ctx.GetVec()
 		}
-		if len(p.Moduli) != len(params.Moduli) {
-			panic("ring: ScaleDownNTTBatch moduli mismatch")
-		}
-		for i := range p.Moduli {
-			if p.Moduli[i] != params.Moduli[i] {
-				panic("ring: ScaleDownNTTBatch moduli mismatch")
-			}
-		}
-		shedRes := make([][]uint64, nShed)
-		for i, sp := range params.ShedPos {
-			v := ctx.GetVec()
-			shedScratch[pos] = v
-			shedSrc[pos] = p.Coeffs[sp]
-			shedTabs[pos] = ctx.Table(p.Moduli[sp])
-			shedRes[i] = v
-			pos++
-		}
-		keptRes := make([][]uint64, len(params.keptPos))
-		for j, kp := range params.keptPos {
-			kept[j] = p.Moduli[kp]
-			keptRes[j] = p.Coeffs[kp]
-		}
-		out := ctx.GetPoly(kept) // every row fully overwritten by ApplyBatchNTT
+		shedScratch = append(shedScratch, shedRes...)
+		out := ctx.GetPoly(params.div.Kept) // every row fully overwritten by ApplyBatchNTT
 		out.IsNTT = true
 		outs[pi] = out
 		targets[pi] = rns.DivBatchTarget{Shed: shedRes, Kept: keptRes, Out: out.Coeffs}
@@ -331,12 +222,9 @@ func (params *ScaleDownParams) ScaleDownNTTBatch(ps []*Poly) []*Poly {
 	// polynomials; the kept rows are left untouched in the NTT domain.
 	engine.Dispatch(len(shedScratch), 2*ctx.N, func(t int) {
 		copy(shedScratch[t], shedSrc[t])
-		shedTabs[t].Inverse(shedScratch[t])
+		shedTabs[t%len(shedTabs)].Inverse(shedScratch[t])
 	})
-	keptTabs := make([]*ntt.Table, len(kept))
-	for j, q := range kept {
-		keptTabs[j] = ctx.Table(q)
-	}
+	keptTabs := outs[0].tables()
 	params.div.ApplyBatchNTT(targets, func(j int, row []uint64) { keptTabs[j].Forward(row) })
 	for _, v := range shedScratch {
 		ctx.PutVec(v)

@@ -45,8 +45,18 @@ type Conv struct {
 
 	pHatInv   []uint64 // [(P/p_i)^{-1}]_{p_i}
 	pHatInvSh []uint64
-	mat       [][]uint64 // mat[i][j] = (P/p_i) mod t_j
-	matSh     [][]uint64
+	// col[j][i] = (P/p_i) mod t_j, column-major: the weights one target
+	// row needs are contiguous, so the row kernels index them directly.
+	col   [][]uint64
+	colSh [][]uint64
+	// sumMu[j] = nt.WordBarrett(t_j) when a whole conversion sum fits
+	// one word for target j — Σ_i (p_i−1)(t_j−1) < 2^64, every source
+	// modulus counted — and 0 otherwise. Non-zero selects the deferred
+	// reduction in row: raw 64-bit multiply-accumulates, one reduction.
+	// The bound cannot be read off the target alone: a chain with 61-bit
+	// words packs narrow terminal primes beside 61-bit ones, and a
+	// narrow target fed by wide sources overflows.
+	sumMu []uint64
 }
 
 // NewConv precomputes a conversion from the src moduli to the dst moduli.
@@ -58,27 +68,98 @@ func NewConv(src, dst []uint64) *Conv {
 		Dst: append([]uint64(nil), dst...),
 		P:   big.NewInt(1),
 	}
+	tmp := new(big.Int)
+	srcSum := new(big.Int) // Σ_i (p_i − 1)
 	for _, p := range src {
-		c.P.Mul(c.P, new(big.Int).SetUint64(p))
+		c.P.Mul(c.P, tmp.SetUint64(p))
+		srcSum.Add(srcSum, tmp.SetUint64(p-1))
 	}
 	c.pHatInv = make([]uint64, len(src))
 	c.pHatInvSh = make([]uint64, len(src))
-	c.mat = make([][]uint64, len(src))
-	c.matSh = make([][]uint64, len(src))
-	tmp := new(big.Int)
+	pHat := make([]*big.Int, len(src))
 	for i, p := range src {
-		pHat := new(big.Int).Div(c.P, tmp.SetUint64(p))
-		r := new(big.Int).Mod(pHat, tmp.SetUint64(p)).Uint64()
+		pHat[i] = new(big.Int).Div(c.P, tmp.SetUint64(p))
+		r := new(big.Int).Mod(pHat[i], tmp.SetUint64(p)).Uint64()
 		c.pHatInv[i] = nt.InvMod(r, p)
 		c.pHatInvSh[i] = nt.ShoupPrecomp(c.pHatInv[i], p)
-		c.mat[i] = make([]uint64, len(dst))
-		c.matSh[i] = make([]uint64, len(dst))
-		for j, t := range dst {
-			c.mat[i][j] = new(big.Int).Mod(pHat, tmp.SetUint64(t)).Uint64()
-			c.matSh[i][j] = nt.ShoupPrecomp(c.mat[i][j], t)
+	}
+	c.col = make([][]uint64, len(dst))
+	c.colSh = make([][]uint64, len(dst))
+	c.sumMu = make([]uint64, len(dst))
+	for j, t := range dst {
+		c.col[j] = make([]uint64, len(src))
+		c.colSh[j] = make([]uint64, len(src))
+		for i := range src {
+			c.col[j][i] = new(big.Int).Mod(pHat[i], tmp.SetUint64(t)).Uint64()
+			c.colSh[j][i] = nt.ShoupPrecomp(c.col[j][i], t)
+		}
+		if tmp.SetUint64(t-1).Mul(tmp, srcSum).IsUint64() {
+			c.sumMu[j] = nt.WordBarrett(t)
 		}
 	}
 	return c
+}
+
+// scale fills y[i] = [x_i · pHatInv_i]_{p_i} for source residue i — the
+// first half of every conversion.
+func (c *Conv) scale(y, x []uint64, i int) {
+	p, w, ws := c.Src[i], c.pHatInv[i], c.pHatInvSh[i]
+	for k, v := range x {
+		y[k] = nt.MulModShoup(v, w, ws, p)
+	}
+}
+
+// row fills dst with target j's conversion row, Σ_i y_i · col[j][i] mod
+// t_j, from the scaled source rows y. Either branch emits the canonical
+// residue of the same integer sum, so the two are bit-identical and so
+// is every worker count. With sumMu[j] set the loop is the CRB unit's
+// multiply-accumulate: one raw product per term, swept row-wise so every
+// access is sequential, and a single reduction at the end; otherwise
+// every term is reduced (Shoup) and added mod t_j.
+func (c *Conv) row(dst []uint64, y [][]uint64, j int) {
+	t, w := c.Dst[j], c.col[j]
+	if mu := c.sumMu[j]; mu != 0 {
+		// Two terms per sweep halve the traffic on dst; an odd count
+		// opens the sum with a single term.
+		i := 2 - len(y)&1
+		if i == 1 {
+			w0 := w[0]
+			for k, v := range y[0][:len(dst)] {
+				dst[k] = v * w0
+			}
+		} else {
+			w0, w1 := w[0], w[1]
+			y0, y1 := y[0][:len(dst)], y[1][:len(dst)]
+			for k := range dst {
+				dst[k] = y0[k]*w0 + y1[k]*w1
+			}
+		}
+		for ; i < len(y); i += 2 {
+			wa, wb := w[i], w[i+1]
+			ya, yb := y[i][:len(dst)], y[i+1][:len(dst)]
+			for k := range dst {
+				dst[k] += ya[k]*wa + yb[k]*wb
+			}
+		}
+		for k := range dst {
+			dst[k] = nt.ReduceWord(dst[k], t, mu)
+		}
+		return
+	}
+	ws := c.colSh[j]
+	for i, yi := range y {
+		wi, wsi := w[i], ws[i]
+		yi = yi[:len(dst)]
+		if i == 0 {
+			for k := range dst {
+				dst[k] = nt.MulModShoup(yi[k], wi, wsi, t)
+			}
+			continue
+		}
+		for k := range dst {
+			dst[k] = nt.AddMod(dst[k], nt.MulModShoup(yi[k], wi, wsi, t), t)
+		}
+	}
 }
 
 // Convert performs the conversion on coefficient-domain residue vectors.
@@ -89,36 +170,14 @@ func (c *Conv) Convert(out, src [][]uint64) {
 		panic("rns: Convert shape mismatch")
 	}
 	n := len(src[0])
-	// y_i = [x_i * pHatInv_i]_{p_i} — independent per source residue.
 	y := make([][]uint64, len(c.Src))
 	for i := range y {
 		y[i] = getVec(n)
 	}
-	engine.Dispatch(len(c.Src), n, func(i int) {
-		p := c.Src[i]
-		w, ws := c.pHatInv[i], c.pHatInvSh[i]
-		yi := y[i]
-		for k, x := range src[i] {
-			yi[k] = nt.MulModShoup(x, w, ws, p)
-		}
-	})
-	// out_j = Σ_i y_i * mat[i][j] mod t_j — independent per target
-	// residue; the inner sum keeps its i-order, so results are identical
-	// at every worker count.
-	engine.Dispatch(len(out), n*len(y), func(j int) {
-		t := c.Dst[j]
-		oj := out[j]
-		for k := range oj {
-			oj[k] = 0
-		}
-		for i := range y {
-			w, ws := c.mat[i][j], c.matSh[i][j]
-			yi := y[i]
-			for k := range oj {
-				oj[k] = nt.AddMod(oj[k], nt.MulModShoup(yi[k], w, ws, t), t)
-			}
-		}
-	})
+	engine.Dispatch(len(c.Src), n, func(i int) { c.scale(y[i], src[i], i) })
+	// Target rows are independent and each keeps its i-order, so results
+	// are identical at every worker count.
+	engine.Dispatch(len(out), n*len(y), func(j int) { c.row(out[j], y, j) })
 	for i := range y {
 		putVec(y[i])
 	}
@@ -132,7 +191,7 @@ func (c *Conv) ConvertScalar(xs []uint64) []uint64 {
 		var acc uint64
 		for i, x := range xs {
 			y := nt.MulModShoup(x, c.pHatInv[i], c.pHatInvSh[i], c.Src[i])
-			acc = nt.AddMod(acc, nt.MulModShoup(y, c.mat[i][j], c.matSh[i][j], t), t)
+			acc = nt.AddMod(acc, nt.MulModShoup(y, c.col[j][i], c.colSh[j][i], t), t)
 		}
 		out[j] = acc
 	}
@@ -197,83 +256,27 @@ type DivBatchTarget struct {
 	Shed [][]uint64 // coefficient-domain residues mod Conv.Src (read-only)
 	Kept [][]uint64 // residues mod Kept (read-only; Out may alias it)
 	Out  [][]uint64 // receives the scaled-down rows
-	// Epi, if non-nil, runs on each finished output row inside the same
-	// work item (e.g. the NTT back to the evaluation domain), so the row
-	// is transformed while still cache-resident.
-	Epi func(j int, row []uint64)
 }
 
 // ApplyBatch runs Apply over several polynomials as two fork/joins total
-// (instead of three per polynomial), and fuses the subtract-divide pass
-// with each target's epilogue so every output row is written exactly
-// once. The inner accumulation keeps Apply's i-order, so results are
-// bit-identical to per-polynomial Apply calls at every worker count.
+// (instead of three per polynomial). The conversion rows come from
+// Conv.row exactly as in Apply, so results are bit-identical to
+// per-polynomial Apply calls at every worker count.
 func (d *ExactDiv) ApplyBatch(targets []DivBatchTarget) {
-	if len(targets) == 0 {
-		return
-	}
-	c := d.Conv
-	nSrc := len(c.Src)
-	nKept := len(d.Kept)
-	n := len(targets[0].Kept[0])
-	// Stage A: y[t][i] = [shed_i · pHatInv_i]_{p_i}, all targets batched.
-	y := make([][]uint64, len(targets)*nSrc)
-	for i := range y {
-		y[i] = getVec(n)
-	}
-	engine.Dispatch(len(y), n, func(ti int) {
-		t, i := ti/nSrc, ti%nSrc
-		p := c.Src[i]
-		w, ws := c.pHatInv[i], c.pHatInvSh[i]
-		yi := y[ti]
-		for k, x := range targets[t].Shed[i] {
-			yi[k] = nt.MulModShoup(x, w, ws, p)
-		}
-	})
-	// Stage B: per kept row, accumulate the conversion in i-order,
-	// subtract, divide by P, then run the fused epilogue — one write per
-	// output word, no intermediate conversion buffer.
-	engine.Dispatch(len(targets)*nKept, n*(nSrc+8), func(tj int) {
-		t, j := tj/nKept, tj%nKept
-		tgt := &targets[t]
-		q := d.Kept[j]
-		wp, wps := d.invP[j], d.invPSh[j]
-		wcol := make([]uint64, nSrc)
-		wscol := make([]uint64, nSrc)
-		for i := 0; i < nSrc; i++ {
-			wcol[i] = c.mat[i][j]
-			wscol[i] = c.matSh[i][j]
-		}
-		yt := y[t*nSrc : (t+1)*nSrc]
-		kj := tgt.Kept[j]
-		oj := tgt.Out[j][:len(kj)]
-		for k := range oj {
-			var acc uint64
-			for i := range yt {
-				acc = nt.AddMod(acc, nt.MulModShoup(yt[i][k], wcol[i], wscol[i], q), q)
-			}
-			oj[k] = nt.MulModShoup(nt.SubMod(kj[k], acc, q), wp, wps, q)
-		}
-		if tgt.Epi != nil {
-			tgt.Epi(j, oj)
-		}
-	})
-	for i := range y {
-		putVec(y[i])
-	}
+	d.ApplyBatchNTT(targets, nil)
 }
 
 // ApplyBatchNTT is ApplyBatch for targets whose Kept and Out rows are in
 // the NTT evaluation domain while the Shed rows stay in the coefficient
-// domain: the conversion row is assembled in the coefficient domain
-// (same i-ordered accumulation as ApplyBatch), moved to the evaluation
-// domain by fwd — the caller's forward transform for kept modulus j —
-// and the subtract-divide then runs pointwise on evaluation-domain
-// words. The transform is exactly linear and emits canonical residues,
-// and every operand here is canonical, so the outputs are bit-identical
-// to coefficient-domain ApplyBatch sandwiched between inverse/forward
-// transforms of the kept rows — but only the conversion rows are ever
-// forward-transformed and the kept rows never leave the NTT domain.
+// domain: the conversion row is assembled in the coefficient domain,
+// moved to the evaluation domain by fwd — the caller's forward transform
+// for kept modulus j; nil leaves it where it is, which is ApplyBatch —
+// and the subtract-divide then runs pointwise. The transform is exactly
+// linear and emits canonical residues, and every operand here is
+// canonical, so the outputs are bit-identical to coefficient-domain
+// ApplyBatch sandwiched between inverse/forward transforms of the kept
+// rows — but only the conversion rows are ever forward-transformed and
+// the kept rows never leave the NTT domain.
 func (d *ExactDiv) ApplyBatchNTT(targets []DivBatchTarget, fwd func(j int, row []uint64)) {
 	if len(targets) == 0 {
 		return
@@ -282,54 +285,35 @@ func (d *ExactDiv) ApplyBatchNTT(targets []DivBatchTarget, fwd func(j int, row [
 	nSrc := len(c.Src)
 	nKept := len(d.Kept)
 	n := len(targets[0].Kept[0])
-	// Stage A: y[t][i] = [shed_i · pHatInv_i]_{p_i}, identical to
-	// ApplyBatch (the shed rows are coefficient-domain in both variants).
+	// Stage A: the scaled shed rows, all targets batched.
 	y := make([][]uint64, len(targets)*nSrc)
 	for i := range y {
 		y[i] = getVec(n)
 	}
 	engine.Dispatch(len(y), n, func(ti int) {
 		t, i := ti/nSrc, ti%nSrc
-		p := c.Src[i]
-		w, ws := c.pHatInv[i], c.pHatInvSh[i]
-		yi := y[ti]
-		for k, x := range targets[t].Shed[i] {
-			yi[k] = nt.MulModShoup(x, w, ws, p)
-		}
+		c.scale(y[ti], targets[t].Shed[i], i)
 	})
-	// Stage B: per kept row, accumulate the conversion into a scratch
-	// row (i-order preserved, so bits match Apply), forward-transform it,
-	// then subtract-divide against the evaluation-domain kept row.
+	// Stage B: per kept row, the conversion row into scratch, its
+	// forward transform, then subtract and divide by P.
 	engine.Dispatch(len(targets)*nKept, n*(nSrc+16), func(tj int) {
 		t, j := tj/nKept, tj%nKept
 		tgt := &targets[t]
 		q := d.Kept[j]
 		wp, wps := d.invP[j], d.invPSh[j]
-		wcol := make([]uint64, nSrc)
-		wscol := make([]uint64, nSrc)
-		for i := 0; i < nSrc; i++ {
-			wcol[i] = c.mat[i][j]
-			wscol[i] = c.matSh[i][j]
-		}
-		yt := y[t*nSrc : (t+1)*nSrc]
 		kj := tgt.Kept[j]
 		conv := getVec(len(kj))
-		for k := range conv {
-			var acc uint64
-			for i := range yt {
-				acc = nt.AddMod(acc, nt.MulModShoup(yt[i][k], wcol[i], wscol[i], q), q)
-			}
-			conv[k] = acc
+		c.row(conv, y[t*nSrc:(t+1)*nSrc], j)
+		if fwd != nil {
+			fwd(j, conv)
 		}
-		fwd(j, conv)
 		oj := tgt.Out[j][:len(kj)]
 		for k := range oj {
-			oj[k] = nt.MulModShoup(nt.SubMod(kj[k], conv[k], q), wp, wps, q)
+			// kj − conv + q < 2q: the exact Shoup multiply reduces any
+			// operand below 4q, so the difference needs no SubMod.
+			oj[k] = nt.MulModShoup(kj[k]+q-conv[k], wp, wps, q)
 		}
 		putVec(conv)
-		if tgt.Epi != nil {
-			tgt.Epi(j, oj)
-		}
 	})
 	for i := range y {
 		putVec(y[i])
