@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke bench-smoke-baseline check clean panicgate fuzz-smoke chaos-soak serve-smoke serve-load shard-soak net-chaos-soak shard-bench
+.PHONY: all build vet test race bench-test check clean panicgate docs-check fuzz-smoke chaos-soak serve-smoke shard-soak net-chaos-soak
 
 all: check
 
@@ -19,25 +19,12 @@ test:
 race:
 	$(GO) test -race ./internal/ring/... ./internal/ckks/... ./internal/serve/...
 
-bench:
-	$(GO) test -bench BenchmarkOp -benchtime 1x -run '^$$' .
-
 # The repo's benchmark (bench/, see BENCHMARK.json) is a module of its
 # own that imports internal/..., so `go test ./...` never compiles it: an
 # internal rename would break it unnoticed. Its own suite builds it
 # against the library and runs a quick pass of every workload.
 bench-test:
 	$(GO) -C bench test .
-
-# Fused-kernel regression gate: at tiny parameters, check fused vs staged
-# MulRescale agree exactly, then fail if the fused/staged time ratio
-# regressed >10% against the checked-in baseline. The baseline is a
-# ratio, not nanoseconds, so any machine can judge it.
-bench-smoke:
-	$(GO) run ./cmd/bpbench -smoke BENCH_SMOKE.json
-
-bench-smoke-baseline:
-	$(GO) run ./cmd/bpbench -smoke BENCH_SMOKE.json -smoke-update
 
 # Error-taxonomy gate: the API layers (root package, internal/ckks,
 # internal/engine, internal/fherr, internal/chaos) report failures as
@@ -49,6 +36,26 @@ panicgate:
 	@bad=$$(grep -rn "panic(" --include="*.go" *.go internal/ckks internal/engine internal/fherr internal/chaos internal/serve \
 		| grep -v _test.go | grep -vE '(^|/)must\.go:' | grep -v unreachable; true); \
 	if [ -n "$$bad" ]; then echo "untyped panic in API layer:"; echo "$$bad"; exit 1; fi
+
+# Stale-reference gate: the prose names commands, and a deleted target,
+# tool or flag otherwise lingers there unnoticed. Fails when README.md,
+# DESIGN.md, EXPERIMENTS.md or the verify skill mention a backticked
+# `make <target>` absent from this Makefile, a `go run ./<dir>` whose
+# directory does not exist, or a `bpbench -<flag>` that cmd/bpbench does
+# not define.
+DOCS = README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
+docs-check:
+	@bad=$$( \
+	for t in $$(grep -ohE '`make [a-z][a-z0-9-]*`' $(DOCS) | tr -d '`' | cut -d' ' -f2 | sort -u); do \
+		grep -q "^$$t:" Makefile || echo "  make $$t: no such target"; \
+	done; \
+	for d in $$(grep -ohE 'go run \./[A-Za-z0-9_/.-]+' $(DOCS) | cut -d' ' -f3 | sort -u); do \
+		[ -d "$$d" ] || echo "  go run $$d: no such directory"; \
+	done; \
+	for f in $$(grep -ohE 'bpbench( +-[a-z][a-z-]*( +[^-` #][^` ]*)?)+' $(DOCS) | grep -oE ' -[a-z][a-z-]*' | sed 's/^ -//' | sort -u); do \
+		grep -q "flag\.[A-Za-z0-9]*(\"$$f\"" cmd/bpbench/*.go || echo "  bpbench -$$f: no such flag"; \
+	done); \
+	if [ -n "$$bad" ]; then echo "stale reference in $(DOCS):"; echo "$$bad"; exit 1; fi
 
 # Short native-fuzz runs over every target: a smoke pass for CI, not a
 # campaign. Seed corpora live in testdata/fuzz/ next to each target;
@@ -66,11 +73,6 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' -v ./internal/serve
 
-# Serving-layer load comparison: packed vs one-request-per-ciphertext
-# req/s and latency percentiles into BENCH_5.json.
-serve-load:
-	$(GO) run ./cmd/bpbench -serve-load BENCH_5.json
-
 # Shard soak: the supervised worker-process suite under the race
 # detector, repeated with shuffled order. TestShardSoak kills random
 # workers mid-job with SIGKILL; every repetition must finish with zero
@@ -86,12 +88,6 @@ shard-soak:
 net-chaos-soak:
 	$(GO) test -race -count=3 -shuffle=on -run 'TestTCP|TestFleet' -timeout 20m ./internal/shard/
 
-# Sharded-executor speedup bench: predicted (accelerator cost model) vs
-# measured wall time for the fork fleet and the TCP fleet into
-# BENCH_7.json (fork fields keep their BENCH_6 names).
-shard-bench:
-	$(GO) run ./cmd/bpbench -shard BENCH_7.json
-
 # Chaos soak: run the fault-injection and self-healing suites (RRNS
 # repair, op-level retry, checkpoint/resume) repeatedly with shuffled
 # test order. Recovery bugs are often timing- and order-dependent; a
@@ -100,9 +96,10 @@ chaos-soak:
 	$(GO) test -race -count=5 -shuffle=on -short -run 'Chaos|SelfHeal|Fault|Retry|Burst|RRNS|Pipeline' \
 		./internal/chaos/... ./internal/engine/... ./internal/pipeline/... ./internal/ckks/... .
 
-# Tier-1 gate: everything must build, vet clean, pass tests, and the
-# parallel hot paths must be race-free.
-check: build vet test race panicgate
+# Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
+# included), the parallel hot paths must be race-free, and the docs may
+# name only commands that exist.
+check: build vet test bench-test race panicgate docs-check
 
 clean:
 	$(GO) clean ./...

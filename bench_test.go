@@ -3,14 +3,11 @@ package bitpacker
 // The benchmark harness: one testing.B benchmark per paper table/figure.
 // Each BenchmarkFigXX regenerates the corresponding artifact (in quick
 // mode) and logs the resulting table; custom metrics expose the headline
-// numbers so `go test -bench` output doubles as a results summary.
-// BenchmarkOp* are microbenchmarks of the functional library, comparing
-// the two representations directly.
+// numbers so `go test -bench` output doubles as a results summary. Host
+// timings of the functional library live in bench/ (see BENCHMARK.json).
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"testing"
 
 	"bitpacker/internal/experiments"
@@ -51,142 +48,3 @@ func BenchmarkFig19AdjustError(b *testing.B)     { runExperimentBench(b, "fig19"
 func BenchmarkSec61EDP(b *testing.B)             { runExperimentBench(b, "sec61") }
 func BenchmarkSec62SHARPComparison(b *testing.B) { runExperimentBench(b, "sec62") }
 func BenchmarkSec63AreaReduction(b *testing.B)   { runExperimentBench(b, "sec63") }
-
-// benchCtx builds a context for microbenchmarks.
-func benchCtx(b *testing.B, scheme Scheme, levels int, scaleBits float64, w int) *Context {
-	b.Helper()
-	ctx, err := New(Config{
-		Scheme:    scheme,
-		LogN:      12,
-		Levels:    levels,
-		ScaleBits: scaleBits,
-		WordBits:  w,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ctx
-}
-
-func schemeName(s Scheme) string { return strings.ReplaceAll(s.String(), "-", "") }
-
-// BenchmarkOpMulRescale measures a ciphertext multiply + rescale at the
-// top level for both schemes at 61-bit words (the CPU-favored size, as in
-// Fig. 13) and at the accelerator-favored 28-bit words.
-func BenchmarkOpMulRescale(b *testing.B) {
-	for _, w := range []int{28, 61} {
-		for _, scheme := range []Scheme{RNSCKKS, BitPacker} {
-			b.Run(fmt.Sprintf("%s/w%d", schemeName(scheme), w), func(b *testing.B) {
-				ctx := benchCtx(b, scheme, 6, 45, w)
-				ct, err := ctx.EncryptReal([]float64{0.5, 0.25})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(ct.Residues()), "residues")
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = ctx.MustRescale(ctx.MustMul(ct, ct))
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkOpAdjust measures the adjust operation both schemes use to align
-// levels.
-func BenchmarkOpAdjust(b *testing.B) {
-	for _, scheme := range []Scheme{RNSCKKS, BitPacker} {
-		b.Run(schemeName(scheme), func(b *testing.B) {
-			ctx := benchCtx(b, scheme, 6, 45, 61)
-			ct, err := ctx.EncryptReal([]float64{0.5})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = ctx.MustAdjust(ct, ct.Level()-1)
-			}
-		})
-	}
-}
-
-// BenchmarkOpEncryptDecrypt measures the encode/encrypt and decrypt/decode
-// paths.
-func BenchmarkOpEncryptDecrypt(b *testing.B) {
-	ctx := benchCtx(b, BitPacker, 4, 40, 61)
-	vals := make([]float64, ctx.Slots())
-	for i := range vals {
-		vals[i] = 1 / float64(i+2)
-	}
-	b.Run("encrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ctx.EncryptReal(vals); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ct, _ := ctx.EncryptReal(vals)
-	b.Run("decrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ctx.DecryptReal(ct); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkOpLinearTransform measures the dense 16-diagonal BSGS
-// matrix-vector product at bpbench's parameters, for fused and staged
-// execution — the kernel the fusion work targets.
-func BenchmarkOpLinearTransform(b *testing.B) {
-	const dim = 16
-	rots := make([]int, 0, dim-1)
-	for r := 1; r < dim; r++ {
-		rots = append(rots, r)
-	}
-	mat := make([][]complex128, dim)
-	for i := range mat {
-		mat[i] = make([]complex128, dim)
-		for j := range mat[i] {
-			mat[i][j] = complex(1/float64(i+j+2), 0)
-		}
-	}
-	for _, scheme := range []Scheme{RNSCKKS, BitPacker} {
-		for _, fused := range []bool{true, false} {
-			mode := "fused"
-			if !fused {
-				mode = "staged"
-			}
-			b.Run(fmt.Sprintf("%s/%s", schemeName(scheme), mode), func(b *testing.B) {
-				ctx, err := New(Config{
-					Scheme:    scheme,
-					LogN:      11,
-					Levels:    2,
-					ScaleBits: 40,
-					WordBits:  61,
-					Rotations: rots,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx.SetFused(fused)
-				tr, err := ctx.NewMatrixTransform(mat, ctx.MaxLevel())
-				if err != nil {
-					b.Fatal(err)
-				}
-				vec := make([]complex128, dim)
-				for i := range vec {
-					vec[i] = complex(1/float64(i+2), 0)
-				}
-				ct, err := ctx.Encrypt(ctx.Replicate(vec, dim))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = ctx.MustApply(ct, tr)
-				}
-			})
-		}
-	}
-}

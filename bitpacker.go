@@ -98,13 +98,6 @@ type Config struct {
 	// single corrupted residue in place without decryption. Off by
 	// default; the default chains are byte-identical with it off.
 	RedundantResidue bool
-	// DisableFusion turns off the fused per-residue kernel paths and
-	// runs every hot operation stage by stage (each kernel as its own
-	// full pass over all residues). The two paths are bit-identical;
-	// the staged one exists as the differential-testing and benchmark
-	// baseline. Also enabled by the BITPACKER_UNFUSED environment
-	// variable.
-	DisableFusion bool
 	// KeyCacheBytes, when nonzero, replaces eager key generation with a
 	// budgeted key cache: switching keys (relinearization, rotations,
 	// bootstrap Galois keys) are generated lazily from the secret key on
@@ -293,9 +286,6 @@ func New(cfg Config) (*Context, error) {
 			pk.Compress()
 		}
 		eval = ckks.NewEvaluator(params, keys)
-	}
-	if cfg.DisableFusion {
-		eval.SetFused(false)
 	}
 	if cfg.CheckInvariants {
 		eval.SetInvariantChecks(true)
@@ -579,8 +569,11 @@ func (c *Context) PinRotations(steps ...int) (func(), error) {
 	return c.eval.PinGaloisKeys("PinRotations", els)
 }
 
-// SetFused toggles the fused per-residue kernel paths at runtime (see
-// Config.DisableFusion). Both settings produce bit-identical results.
+// SetFused toggles the fused per-residue kernel paths at runtime. Off,
+// every hot operation runs stage by stage (each kernel as its own full
+// pass over all residues); the two settings produce bit-identical
+// results, and the staged one exists as the differential-testing and
+// benchmark baseline.
 func (c *Context) SetFused(on bool) { c.eval.SetFused(on) }
 
 // Fused reports whether the fused kernel paths are active.

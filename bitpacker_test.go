@@ -126,6 +126,44 @@ func TestCiphertextIntrospection(t *testing.T) {
 	}
 }
 
+// TestTopLevelResidueCounts freezes the residue counts of a fresh
+// ciphertext at the benchmark's chain (bench/infer.go: LogN 13, Levels 8,
+// ScaleBits 40). The paper's headline host ratio (14/9 = 1.56 residues,
+// infer_bp28 vs infer_rns61), DESIGN.md's transform-count table and the
+// core.residues_top.* metrics all rest on these four numbers, so a
+// chain-builder change that moves one must show up here.
+func TestTopLevelResidueCounts(t *testing.T) {
+	for _, tc := range []struct {
+		scheme   Scheme
+		wordBits int
+		want     int
+	}{
+		{BitPacker, 28, 14},
+		{RNSCKKS, 61, 9},
+		{RNSCKKS, 28, 19},
+		{BitPacker, 61, 7},
+	} {
+		ctx, err := New(Config{
+			Scheme:        tc.scheme,
+			LogN:          13,
+			Levels:        8,
+			ScaleBits:     40,
+			WordBits:      tc.wordBits,
+			KeyCacheBytes: 1 << 20, // keys on demand: none are needed here
+		})
+		if err != nil {
+			t.Fatalf("%v w=%d: %v", tc.scheme, tc.wordBits, err)
+		}
+		ct, err := ctx.EncryptReal([]float64{0.5})
+		if err != nil {
+			t.Fatalf("%v w=%d: %v", tc.scheme, tc.wordBits, err)
+		}
+		if got := ct.Residues(); got != tc.want {
+			t.Errorf("%v w=%d: fresh ciphertext has %d residues, want %d", tc.scheme, tc.wordBits, got, tc.want)
+		}
+	}
+}
+
 func TestSimulateWorkloadAPI(t *testing.T) {
 	bp, err := SimulateWorkload("LogReg", "BS19", BitPacker, 28)
 	if err != nil {

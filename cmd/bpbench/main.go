@@ -6,11 +6,8 @@
 //	bpbench -quick          # trimmed sample counts / sweep grids
 //	bpbench -exp fig11      # run one experiment (comma-separated list OK)
 //	bpbench -list           # list experiment IDs
-//	bpbench -json bench.json  # microbenchmark the host kernels, emit JSON
-//	bpbench -smoke BENCH_SMOKE.json           # fused/staged regression gate (CI)
-//	bpbench -smoke BENCH_SMOKE.json -smoke-update  # refresh the smoke baseline
-//	bpbench -shard BENCH_7.json    # sharded-executor speedup: serial vs fork fleet vs TCP fleet
-//	bpbench -shard BENCH_7.json -shard-addrs host1:9000,host2:9000  # dispatch the TCP lane to a standing bpworker fleet
+//
+// Host timings of the library itself are bench/'s job (see BENCHMARK.json).
 package main
 
 import (
@@ -21,61 +18,13 @@ import (
 	"time"
 
 	"bitpacker/internal/experiments"
-	"bitpacker/internal/shard/worker"
 )
 
 func main() {
-	// The shard bench and smoke gate use this binary as its own worker
-	// fleet: when the supervisor re-execs us with the shard environment
-	// set, hand the process to the worker loop before touching flags.
-	if worker.IsWorker() {
-		os.Exit(worker.Main())
-	}
 	quick := flag.Bool("quick", false, "trim sample counts and sweep grids")
 	exp := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	jsonPath := flag.String("json", "", "run host-kernel microbenchmarks and write JSON records to this file")
-	smokePath := flag.String("smoke", "", "run the fused/staged differential smoke bench against this baseline file")
-	smokeUpdate := flag.Bool("smoke-update", false, "with -smoke: rewrite the baseline instead of checking against it")
-	serveLoad := flag.String("serve-load", "", "run the multi-tenant serving-layer load generator and write packed-vs-solo records to this file")
-	serveTenants := flag.Int("serve-tenants", 8, "with -serve-load: concurrent tenants")
-	serveRequests := flag.Int("serve-requests", 200, "with -serve-load: total requests per mode")
-	shardPath := flag.String("shard", "", "run the sharded-executor speedup bench (predicted vs measured) and write records to this file")
-	shardWorkers := flag.Int("shard-workers", 3, "with -shard: worker-process fleet size")
-	shardAddrs := flag.String("shard-addrs", "", "with -shard: comma-separated bpworker -listen addresses for the remote lane (empty = self-hosted loopback fleets)")
 	flag.Parse()
-
-	if *shardPath != "" {
-		if err := runShardBench(*shardPath, *shardWorkers, *shardAddrs, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "shard-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveLoad != "" {
-		if err := runServeLoad(*serveLoad, *serveTenants, *serveRequests); err != nil {
-			fmt.Fprintf(os.Stderr, "serve-load: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *smokePath != "" {
-		if err := runBenchSmoke(*smokePath, *smokeUpdate); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonPath != "" {
-		if err := runMicrobench(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, r := range experiments.Runners() {

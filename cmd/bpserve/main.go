@@ -11,8 +11,8 @@
 //	curl -s localhost:8080/v1/stats
 //
 // Eval and job submissions are framed binary streams (see
-// internal/serve and the README quickstart); bpbench -serve-load is the
-// reference client.
+// internal/serve and the README quickstart); bench/serve.go (the
+// serve_mix workload of BENCHMARK.json) is the reference client.
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 	levels := flag.Int("levels", 4, "multiplicative depth")
 	scaleBits := flag.Float64("scale", 40, "CKKS scale bits")
 	wordBits := flag.Int("word", 61, "hardware word size (BitPacker packing target)")
-	scheme := flag.String("scheme", "bitpacker", "scheme: bitpacker or rnsckks")
+	scheme := flag.String("scheme", "bitpacker", "scheme: "+schemeValues)
 	window := flag.Int("window", 0, "slots per tenant window (0 = Slots()/8)")
 	maxBatch := flag.Int("maxbatch", 0, "max requests per packed batch (0 = window capacity)")
 	flush := flag.Duration("flush", 3*time.Millisecond, "batch flush deadline")
@@ -50,9 +50,10 @@ func main() {
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated bpworker -listen addresses: run long jobs on a standing TCP fleet (requires a shared jobdir filesystem)")
 	flag.Parse()
 
-	sc := bitpacker.BitPacker
-	if *scheme == "rnsckks" {
-		sc = bitpacker.RNSCKKS
+	sc, err := parseScheme(*scheme)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bpserve:", err)
+		os.Exit(2)
 	}
 	cfg := bitpacker.Config{
 		Scheme:        sc,
@@ -94,7 +95,7 @@ func main() {
 	}()
 
 	log.Printf("bpserve listening on %s (scheme=%s logN=%d levels=%d packing=%v)",
-		*addr, *scheme, *logN, *levels, !*noPack)
+		*addr, sc, *logN, *levels, !*noPack)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -105,6 +106,22 @@ func main() {
 	// resumes them from their latest intact checkpoint.
 	srv.Shutdown()
 	log.Printf("bpserve drained cleanly")
+}
+
+// schemeValues are the -scheme spellings parseScheme accepts.
+const schemeValues = "bitpacker, rnsckks or rns-ckks (case-insensitive)"
+
+// parseScheme resolves the -scheme flag. Anything outside schemeValues is
+// an error: serving a different scheme than the operator asked for is
+// worse than not starting.
+func parseScheme(s string) (bitpacker.Scheme, error) {
+	switch strings.ToLower(s) {
+	case "bitpacker":
+		return bitpacker.BitPacker, nil
+	case "rnsckks", "rns-ckks":
+		return bitpacker.RNSCKKS, nil
+	}
+	return 0, fmt.Errorf("unknown -scheme %q: want %s", s, schemeValues)
 }
 
 // splitAddrs parses the comma-separated -shard-addrs value.

@@ -7,12 +7,12 @@
 // meant to be run by hand.
 //
 // Fleet mode (-listen addr): serves a standing worker fleet over TCP.
-// Supervisors started with -shard-addrs (bpserve, bpbench) dial out,
-// authenticate with the job fingerprint, and stream the same protocol
-// over the socket; the fleet member keeps computing through
-// disconnections and partitions. Fleet members need a filesystem shared
-// with the supervisor (the job exchange directory carries inputs,
-// checkpoints, and outputs).
+// Supervisors given fleet addresses (bpserve -shard-addrs,
+// ShardOptions.Addrs) dial out, authenticate with the job fingerprint,
+// and stream the same protocol over the socket; the fleet member keeps
+// computing through disconnections and partitions. Fleet members need a
+// filesystem shared with the supervisor (the job exchange directory
+// carries inputs, checkpoints, and outputs).
 //
 // See DESIGN.md "Sharded execution & supervision" and "Transports &
 // fencing".

@@ -14,7 +14,8 @@
 //     SimulateWorkload.
 //
 //   - The paper's full evaluation as runnable experiments: RunExperiment
-//     and the cmd/bpbench tool.
+//     and the cmd/bpbench tool. (Host timings of the library itself are a
+//     separate module, bench/, declared in BENCHMARK.json.)
 //
 // A minimal session:
 //

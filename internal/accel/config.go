@@ -85,9 +85,6 @@ func (c Config) eNTT() float64  { return nttRatio * c.eMul() }
 func (c Config) eRFWord() float64 {
 	return eRFBit * float64(c.WordBits)
 }
-func (c Config) eHBMWord() float64 {
-	return eHBMBit * float64(c.WordBits)
-}
 
 // AreaMM2 returns die area. Anchored to CraterLake's published numbers:
 // 472 mm² at 28-bit words and 557 mm² at 64-bit under iso-throughput

@@ -35,11 +35,6 @@ func (c Component) String() string {
 	return "?"
 }
 
-// Components lists all components in display order.
-func Components() []Component {
-	return []Component{CompNTT, CompCRB, CompMul, CompAdd, CompAuto, CompRF, CompHBM}
-}
-
 // opCost aggregates the raw work of one macro-operation.
 type opCost struct {
 	nttElems  float64 // elements through NTT FUs

@@ -1,9 +1,10 @@
 package accel
 
 // Shard-placement planning surface: simulated per-operation times in
-// microseconds, exposed so the sharded-execution planner (and bpbench
-// -shard) can predict a job's serial cost and the speedup a given shard
-// partition should yield, then compare prediction against measurement.
+// microseconds, exposed so the sharded-execution planner can predict a
+// job's serial cost and the speedup a given shard partition should yield,
+// and the benchmark can set prediction beside measurement (accel.pred_*
+// and shard.predicted_speedup in BENCHMARK.json).
 // All times come from the same cycle model the rest of the package uses:
 // compute bounded by the busiest FU pipeline, memory overlapped.
 

@@ -113,11 +113,3 @@ func (in *Injector) Burst(task, n int) (remaining func() int, restore func()) {
 	return func() int { return int(left.Load()) },
 		func() { engine.SetFaultHook(nil) }
 }
-
-// BurstRandom drops one task chosen in [0, tasks) for the next n
-// dispatches. See Burst.
-func (in *Injector) BurstRandom(tasks, n int) (task int, remaining func() int, restore func()) {
-	task = in.rng.IntN(tasks)
-	remaining, restore = in.Burst(task, n)
-	return task, remaining, restore
-}

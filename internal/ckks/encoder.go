@@ -170,12 +170,3 @@ func (e *Encoder) Decode(p *ring.Poly, basis *rns.Basis, scale *big.Rat) []compl
 	e.fftSpecial(vals)
 	return vals
 }
-
-// EncodeReal is a convenience wrapper for real-valued slot vectors.
-func (e *Encoder) EncodeReal(values []float64, scale *big.Rat, moduli []uint64) (*ring.Poly, error) {
-	cv := make([]complex128, len(values))
-	for i, v := range values {
-		cv[i] = complex(v, 0)
-	}
-	return e.Encode(cv, scale, moduli)
-}

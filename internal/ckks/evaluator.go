@@ -90,14 +90,14 @@ func cached[V any](cc *evalCaches, m map[string]V, key []byte, build func() (V, 
 
 // NewEvaluator creates an evaluator. Invariant checking starts enabled
 // when the BITPACKER_CHECK_INVARIANTS environment variable is non-empty;
-// the fused hot paths start enabled unless BITPACKER_UNFUSED is set.
+// the fused hot paths start enabled (see SetFused).
 func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
 	return &Evaluator{
 		params:          params,
 		keys:            keys,
 		nm:              NewNoiseModel(params),
 		checkInvariants: os.Getenv("BITPACKER_CHECK_INVARIANTS") != "",
-		fused:           os.Getenv("BITPACKER_UNFUSED") == "",
+		fused:           true,
 		caches: &evalCaches{
 			sdCache: map[string]*ring.ScaleDownParams{},
 			ksCache: map[string]*ksPlan{},

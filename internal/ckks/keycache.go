@@ -316,6 +316,20 @@ func (km *KeyManager) Pin(ctx context.Context, op string, els []uint64) (func(),
 func (km *KeyManager) VerifyIntegrity() error {
 	km.mu.Lock()
 	defer km.mu.Unlock()
+	// A generation or A-promotion in flight works on its key outside the
+	// lock, with only the generating flag holding acquirers off: the
+	// key's rows and the books disagree until it lands, so wait it out.
+	generating := func() bool {
+		for _, e := range km.entries {
+			if e.generating {
+				return true
+			}
+		}
+		return false
+	}
+	for generating() {
+		km.cond.Wait()
+	}
 	var sum int64
 	inLRU := map[*keyEntry]bool{}
 	for el := km.lru.Front(); el != nil; el = el.Next() {

@@ -77,11 +77,6 @@ func (ev *Evaluator) MustRotateHoisted(ct *Ciphertext, steps []int) []*Ciphertex
 	return must(ev.RotateHoisted(ct, steps))
 }
 
-// MustDecomposeModUp is DecomposeModUp, panicking on error.
-func (ev *Evaluator) MustDecomposeModUp(ct *Ciphertext) *HoistedDecomp {
-	return must(ev.DecomposeModUp(ct))
-}
-
 // MustModRaise is ModRaise, panicking on error.
 func (ev *Evaluator) MustModRaise(ct *Ciphertext, toLevel int) *Ciphertext {
 	return must(ev.ModRaise(ct, toLevel))

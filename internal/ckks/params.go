@@ -147,9 +147,6 @@ func (p *Parameters) DefaultScale(level int) *big.Rat {
 // built without Options.RedundantResidue.
 func (p *Parameters) SpareModulus() uint64 { return p.Chain.Spare }
 
-// Union returns the canonical ordering of all chain moduli (no specials).
-func (p *Parameters) Union() []uint64 { return p.union }
-
 // KeyBasis returns the basis switching keys live in: every chain modulus
 // plus the special primes.
 func (p *Parameters) KeyBasis() []uint64 {

@@ -11,9 +11,9 @@ import (
 // They run each kernel as its own full pass over every residue —
 // copy, transform, pointwise, divide, transform — exactly as the
 // pipeline looked before the fused execution layer. The evaluator keeps
-// them behind SetFused(false) (or BITPACKER_UNFUSED=1) as the baseline
-// for the differential tests and the fused/unfused benchmark: both
-// paths must produce bit-identical ciphertexts at every worker count.
+// them behind SetFused(false) as the baseline for the differential tests
+// and the fused/unfused benchmark: both paths must produce bit-identical
+// ciphertexts at every worker count.
 
 // keySwitchHoistedUnfused is the staged per-key half of a hybrid
 // keyswitch: one pass per kernel, accumulators zero-initialized.

@@ -236,15 +236,6 @@ func LimitRat(r *big.Rat) *big.Rat {
 // reporting layers).
 func RatLog2(r *big.Rat) float64 { return ratLog2(r) }
 
-// bigLog2 approximates log2 of a positive big integer.
-func bigLog2(x *big.Int) float64 {
-	f := new(big.Float).SetInt(x)
-	mant := new(big.Float)
-	exp := f.MantExp(mant)
-	m, _ := mant.Float64()
-	return float64(exp) + math.Log2(m)
-}
-
 // pow2Rat returns 2^bits as an exact rational for integer bits, or the
 // nearest representable value for fractional bits (used only for target
 // scales, which the builders treat as approximate anyway).

@@ -157,8 +157,3 @@ func InvMod(x, q uint64) uint64 {
 	}
 	return PowMod(x, q-2, q)
 }
-
-// ReduceMod reduces an arbitrary uint64 into [0, q).
-func ReduceMod(x, q uint64) uint64 {
-	return x % q
-}

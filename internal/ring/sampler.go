@@ -99,12 +99,6 @@ func (s *Sampler) GaussianPoly(moduli []uint64, sigma float64) *Poly {
 	return s.fromSigned(moduli, v)
 }
 
-// SignedPoly builds a coefficient-domain poly from explicit small signed
-// coefficients (used by tests).
-func (s *Sampler) SignedPoly(moduli []uint64, v []int64) *Poly {
-	return s.fromSigned(moduli, v)
-}
-
 // SparseTernaryPoly samples a ternary secret with exactly h nonzero
 // coefficients (Hamming weight h), the distribution CKKS bootstrapping
 // uses to keep the ModRaise overflow I(X) small.

@@ -44,9 +44,6 @@ func (s Seed) Derive(labels ...uint64) Seed {
 	return Seed{h0, h1}
 }
 
-// IsZero reports whether the seed is unset (no derivation recorded).
-func (s Seed) IsZero() bool { return s[0] == 0 && s[1] == 0 }
-
 // UniformRowFromSeed fills dst with residues uniform in [0, q), drawn
 // from the row stream derived from (seed, q). Regenerating the row for
 // the same (seed, q) always reproduces the same words, regardless of
