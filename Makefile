@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate docs-check fuzz-smoke chaos-soak serve-smoke shard-soak net-chaos-soak
+.PHONY: all build vet test race bench-test check clean panicgate docs-check fuzz-smoke chaos-soak serve-smoke shard-soak
 
 all: check
 
@@ -73,20 +73,15 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' -v ./internal/serve
 
-# Shard soak: the supervised worker-process suite under the race
-# detector, repeated with shuffled order. TestShardSoak kills random
-# workers mid-job with SIGKILL; every repetition must finish with zero
-# lost or duplicated shards and outputs bit-identical to the serial run.
+# Shard soak: the whole supervised-worker suite — spawned members and
+# standing fleets are one lane — under the race detector, repeated with
+# shuffled order. TestShardSoak kills random workers mid-job with
+# SIGKILL; connection drops, partitions, duplicate and stale-epoch
+# deliveries and full fleet loss are injected; every repetition must
+# finish with zero lost or duplicated shards, every stale-lease write
+# fenced off, and outputs bit-identical to the serial run.
 shard-soak:
-	$(GO) test -race -count=3 -shuffle=on -run 'TestShard' -timeout 20m ./internal/shard/
-
-# Network chaos soak: the TCP worker-fleet suite under the race
-# detector, repeated with shuffled order. Connection drops, partitions,
-# duplicate and stale-epoch deliveries, and full fleet loss must all
-# recover with outputs bit-identical to the serial run and every
-# stale-lease write fenced off.
-net-chaos-soak:
-	$(GO) test -race -count=3 -shuffle=on -run 'TestTCP|TestFleet' -timeout 20m ./internal/shard/
+	$(GO) test -race -count=3 -shuffle=on -run 'TestShard|TestTCP|TestFleet' -timeout 20m ./internal/shard/...
 
 # Chaos soak: run the fault-injection and self-healing suites (RRNS
 # repair, op-level retry, checkpoint/resume) repeatedly with shuffled

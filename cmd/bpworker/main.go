@@ -1,18 +1,18 @@
-// Command bpworker is the shard worker in both transports of the
-// sharded execution layer.
+// Command bpworker is the shard worker of the sharded execution layer:
+// a fleet member that supervisors dial, authenticate to with the job
+// fingerprint, and stream assign/beat/done/fail lines with over one
+// socket. It keeps computing through disconnections and partitions.
+//
+// Fleet mode (-listen addr): serves a standing worker fleet. Supervisors
+// given fleet addresses (bpserve -shard-addrs, ShardOptions.Addrs) dial
+// out; fleet members need a filesystem shared with the supervisor (the
+// job exchange directory carries inputs, checkpoints, and outputs).
 //
 // Forked mode (no flags): the supervisor (Context.RunSharded) spawns it
-// with the job exchange directory and protocol parameters in the
-// environment and speaks line-delimited JSON over stdin/stdout. Not
-// meant to be run by hand.
-//
-// Fleet mode (-listen addr): serves a standing worker fleet over TCP.
-// Supervisors given fleet addresses (bpserve -shard-addrs,
-// ShardOptions.Addrs) dial out, authenticate with the job fingerprint,
-// and stream the same protocol over the socket; the fleet member keeps
-// computing through disconnections and partitions. Fleet members need a
-// filesystem shared with the supervisor (the job exchange directory
-// carries inputs, checkpoints, and outputs).
+// with the job exchange directory in the environment. It is the same
+// member on a loopback port: it prints the address it bound on stdout
+// for the supervisor to dial, serves that one directory only, and exits
+// when its stdin closes. Not meant to be run by hand.
 //
 // See DESIGN.md "Sharded execution & supervision" and "Transports &
 // fencing".

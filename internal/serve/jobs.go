@@ -263,33 +263,7 @@ func (jm *JobManager) execute(rec *jobRecord) error {
 		stages[i] = bitpacker.PipelineStage{
 			Name: fmt.Sprintf("%02d-%s", i, step.Op),
 			Run: func(ctx context.Context, state []*bitpacker.Ciphertext) ([]*bitpacker.Ciphertext, error) {
-				fhe := p.ctx.WithContext(ctx)
-				var out *bitpacker.Ciphertext
-				var err error
-				switch step.Op {
-				case OpSquare:
-					out, err = fhe.MulRescale(state[0], state[0])
-				case OpQuartic:
-					out, err = fhe.MulRescale(state[0], state[0])
-					if err == nil {
-						out, err = fhe.MulRescale(out, out)
-					}
-				case OpNegate:
-					out, err = fhe.Neg(state[0])
-				case OpOffset:
-					out, err = fhe.AddConst(state[0], uniformVec(fhe.Slots(), step.Arg))
-				case OpScale:
-					out, err = fhe.MulConst(state[0], uniformVec(fhe.Slots(), step.Arg))
-					if err == nil {
-						out, err = fhe.Rescale(out)
-					}
-				default:
-					err = fmt.Errorf("serve: unknown op %q", step.Op)
-				}
-				if err != nil {
-					return nil, err
-				}
-				return []*bitpacker.Ciphertext{out}, nil
+				return p.ctx.WithContext(ctx).ApplyShardStep(bitpacker.ShardStep{Op: step.Op, Arg: step.Arg}, state)
 			},
 		}
 	}
@@ -341,15 +315,6 @@ func (jm *JobManager) executeSharded(rec *jobRecord, p *profile, initial *bitpac
 		return err
 	}
 	return os.WriteFile(filepath.Join(jm.jobDir(rec.ID), "output.bin"), outBlob, 0o644)
-}
-
-// uniformVec is a constant vector with v in every slot.
-func uniformVec(slots int, v float64) []complex128 {
-	vec := make([]complex128, slots)
-	for i := range vec {
-		vec[i] = complex(v, 0)
-	}
-	return vec
 }
 
 // Status returns a copy of the job's current record.

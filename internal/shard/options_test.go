@@ -38,9 +38,6 @@ func TestOptionsWithDefaults(t *testing.T) {
 			if o.ShardAttempts != 3 {
 				t.Errorf("ShardAttempts default = %d, want 3", o.ShardAttempts)
 			}
-			if o.Reconnect.MaxAttempts <= 0 || o.Reconnect.BaseDelay <= 0 || o.Reconnect.MaxDelay <= 0 {
-				t.Errorf("Reconnect policy not defaulted: %+v", o.Reconnect)
-			}
 			if o.Logf == nil {
 				t.Error("Logf not defaulted")
 			}

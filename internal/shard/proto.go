@@ -1,11 +1,18 @@
-// Package shard supervises a fleet of disposable worker processes that
-// execute a job's shards, and keeps the job alive under process-level
+// Package shard supervises a fleet of disposable workers that execute a
+// job's shards, and keeps the job alive under process- and network-level
 // faults: crashed workers are respawned with backoff behind a per-worker
 // circuit breaker, hung workers are detected by heartbeat deadline and
-// SIGKILLed, and a dead worker's leased shards are re-dispatched to
+// SIGKILLed, dropped connections are redialed and their leases
+// re-adopted, and a lost worker's leased shards are re-dispatched to
 // survivors, who resume from the shard's last durable checkpoint. When
 // no worker can be kept alive the supervisor degrades to in-process
 // execution rather than failing the job.
+//
+// There is one way to reach a worker: dial its address, send hello, read
+// lines. The address is either a standing fleet member's (Options.Addrs)
+// or that of a loopback member the supervisor spawned for the slot
+// (Options.WorkerCommand); what owning the process adds — exit status,
+// SIGKILL, the stderr tail — is keyed on the slot having a child.
 //
 // The package is deliberately generic: it moves opaque shard IDs, not
 // ciphertexts. The caller supplies callbacks that validate a completed
@@ -25,31 +32,27 @@ import (
 	"path/filepath"
 )
 
-// Environment keys the supervisor sets on spawned workers. A process
-// started with EnvDir in its environment is a shard worker and must speak
-// the stdin/stdout protocol below instead of running its normal main.
+// Environment keys. A process started with EnvDir in its environment is
+// a spawned worker: it must serve that one exchange directory as a
+// loopback fleet member (worker.Main) instead of running its normal
+// main. Everything else a worker needs — slot index, beat period, job
+// fingerprint — arrives in the hello.
 const (
 	// EnvDir is the job exchange directory (holds job.json, in/, out/,
 	// ckpt/, chaos/).
 	EnvDir = "BITPACKER_SHARD_DIR"
-	// EnvWorkerID is the supervisor's slot index for this worker.
-	EnvWorkerID = "BITPACKER_SHARD_WORKER_ID"
-	// EnvBeatMs is the heartbeat period in milliseconds.
-	EnvBeatMs = "BITPACKER_SHARD_BEAT_MS"
 	// EnvWorkerBin, when set, names the worker executable Context.RunSharded
 	// spawns (checked before bpworker on PATH).
 	EnvWorkerBin = "BITPACKER_BPWORKER"
 )
 
-// Message types of the line-delimited JSON protocol. Over the proc
-// transport the supervisor writes to the worker's stdin and the worker
-// answers on stdout (stderr is captured for crash diagnostics); over the
-// TCP transport the same lines ride one socket, prefixed by a hello
-// handshake. Heartbeats ride the same stream so a single pipe or socket
-// closure is the complete disconnection signal.
+// Message types of the line-delimited JSON protocol. Every session is
+// one socket: the supervisor opens it with a hello handshake and both
+// directions ride it. Heartbeats share the stream with results, so the
+// socket closing is the complete disconnection signal.
 const (
 	// Supervisor -> worker.
-	MsgHello  = "hello"  // TCP handshake: Dir/Fingerprint/Worker/BeatMs(/Shard+Epoch of the lease being re-adopted)
+	MsgHello  = "hello"  // handshake: Dir/Fingerprint/Worker/BeatMs
 	MsgAssign = "assign" // run shard Msg.Shard under lease Msg.Epoch
 	MsgDrain  = "drain"  // finish nothing new, end the session
 
@@ -58,7 +61,7 @@ const (
 	MsgBeat   = "beat"   // liveness; Shard/Step report progress
 	MsgDone   = "done"   // shard Msg.Shard output durably written under Msg.Epoch
 	MsgFail   = "fail"   // shard Msg.Shard failed under Msg.Epoch with Class/Err
-	MsgReject = "reject" // TCP handshake refused (fingerprint mismatch etc.); Err says why
+	MsgReject = "reject" // handshake refused (fingerprint mismatch, foreign directory, unbuildable context); Err says why
 )
 
 // Failure classes carried by MsgFail. The supervisor maps them back to
@@ -80,7 +83,7 @@ type Msg struct {
 	// current epoch, and done/fail reports echo it. Epochs start at 1, so
 	// Epoch 0 in a ready message means "no in-flight lease".
 	Epoch int `json:"epoch,omitempty"`
-	// Hello handshake fields (TCP transport only).
+	// Hello handshake fields.
 	Dir         string `json:"dir,omitempty"`
 	Fingerprint uint64 `json:"fp,omitempty"`
 	Worker      int    `json:"worker,omitempty"`

@@ -13,43 +13,37 @@ import (
 
 // Options tunes a supervised run.
 type Options struct {
-	// Dir is the job exchange directory (required); it is exported to
-	// workers via EnvDir (proc transport) or the hello handshake (TCP).
+	// Dir is the job exchange directory (required). Every hello names it;
+	// a spawned worker also gets it as EnvDir and serves nothing else.
 	Dir string
 	// Workers is the worker-slot count. Default: one slot per fleet
 	// address when Addrs is set, else 2. The supervisor never runs more
 	// slots than there are shards.
 	Workers int
-	// WorkerCommand is the argv of a worker process for the proc
-	// transport (the caller resolves bpworker/self-exec before calling
-	// Run). Ignored when Addrs or Transport select another transport.
+	// WorkerCommand is the argv of a worker process (the caller resolves
+	// bpworker/self-exec before calling Run). When Addrs is empty the
+	// supervisor spawns one per slot as a loopback fleet member and dials
+	// the address it announces.
 	WorkerCommand []string
-	// WorkerEnv is appended to the inherited environment of every forked
-	// worker (proc transport only).
+	// WorkerEnv is appended to the inherited environment of every spawned
+	// worker.
 	WorkerEnv []string
 	// Addrs lists standing fleet endpoints (`bpworker -listen`). When
-	// non-empty the supervisor dials out over TCP instead of forking:
-	// slot i connects to Addrs[i%len(Addrs)], authenticates with the job
-	// fingerprint, and runs the same protocol over the socket.
+	// non-empty the supervisor spawns nothing: slot i dials
+	// Addrs[i%len(Addrs)].
 	Addrs []string
-	// Fingerprint authenticates TCP sessions: the fleet member compares
-	// it against the job file in Dir and rejects a mismatch, so a
-	// supervisor cannot adopt a fleet that is serving a different job.
+	// Fingerprint authenticates sessions: the member compares it against
+	// the job file in Dir and rejects a mismatch, so a supervisor cannot
+	// adopt a fleet that is serving a different job.
 	Fingerprint uint64
-	// Transport overrides transport selection entirely (tests and
-	// embedders). When nil, Addrs selects TCP and WorkerCommand proc.
-	Transport Transport
-	// DialTimeout bounds one TCP connection attempt (default 2x the
-	// heartbeat timeout).
-	DialTimeout time.Duration
 	// HeartbeatInterval is the worker beat period (default 250ms);
 	// HeartbeatTimeout is the deadline after which a silent worker is
-	// declared hung — SIGKILLed on the proc transport, fenced and
-	// re-dispatched on TCP (default 8x the interval). A dropped TCP
-	// connection spends the same deadline: the supervisor reconnects
-	// with backoff and re-adopts the lease if the worker still holds it;
-	// a partition that outlives the deadline breaks the lease exactly
-	// like a crash.
+	// declared hung — fenced and re-dispatched, and SIGKILLed when the
+	// supervisor spawned it (default 8x the interval). A dropped
+	// connection spends the same deadline: the supervisor reconnects with
+	// backoff and re-adopts the lease if the worker still holds it; a
+	// partition that outlives the deadline breaks the lease exactly like
+	// a crash.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 	// ShardDeadline, when positive, bounds the wall time of one shard
@@ -63,11 +57,6 @@ type Options struct {
 	// open that slot's circuit breaker and retire it. Zero values select
 	// the Retrier defaults.
 	Respawn engine.RetryPolicy
-	// Reconnect is the in-lease redial policy for a dropped TCP
-	// connection: attempts are retried with Retrier backoff until the
-	// heartbeat deadline expires (the attempt budget is effectively the
-	// deadline). Zero values select sensible defaults.
-	Reconnect engine.RetryPolicy
 	// ShardAttempts bounds how many times a shard that a live worker
 	// *reports* as failed (as opposed to dying while holding it) is
 	// re-dispatched before the job fails with ErrFaultUnrecovered
@@ -82,9 +71,24 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// OnSpawn, when non-nil, observes every worker session start —
 	// monitoring hooks and the chaos soak's random killer use it. pid is
-	// 0 for TCP sessions (there is no local process to signal).
+	// 0 for standing fleet members (there is no local process to signal).
 	OnSpawn func(worker, pid int)
 }
+
+// Heartbeat defaults, and the fixed policy that hangs off them. No caller
+// ever tuned the dial and redial values separately from the heartbeat,
+// so they are not options.
+const (
+	defaultHeartbeatInterval = 250 * time.Millisecond
+	defaultTimeoutBeats      = 8 // HeartbeatTimeout default, in intervals
+	// One connection attempt may take this many heartbeat timeouts.
+	dialTimeoutFactor = 2
+	// In-lease redials of a dropped connection back off from
+	// redialBaseDelay up to one heartbeat interval until the heartbeat
+	// deadline expires; the attempt count is never the binding limit.
+	redialBaseDelay   = 5 * time.Millisecond
+	redialMaxAttempts = 1000
+)
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -95,22 +99,13 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 250 * time.Millisecond
+		o.HeartbeatInterval = defaultHeartbeatInterval
 	}
 	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 8 * o.HeartbeatInterval
+		o.HeartbeatTimeout = defaultTimeoutBeats * o.HeartbeatInterval
 	}
 	if o.ShardAttempts <= 0 {
 		o.ShardAttempts = 3
-	}
-	if o.Reconnect.MaxAttempts <= 0 {
-		o.Reconnect.MaxAttempts = 1000 // bounded by the heartbeat deadline, not the count
-	}
-	if o.Reconnect.BaseDelay <= 0 {
-		o.Reconnect.BaseDelay = 5 * time.Millisecond
-	}
-	if o.Reconnect.MaxDelay <= 0 {
-		o.Reconnect.MaxDelay = o.HeartbeatInterval
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -125,7 +120,7 @@ func (o Options) withDefaults() Options {
 func (o Options) Validate() error {
 	interval := o.HeartbeatInterval
 	if interval <= 0 {
-		interval = 250 * time.Millisecond
+		interval = defaultHeartbeatInterval
 	}
 	if o.HeartbeatTimeout > 0 && o.HeartbeatTimeout < interval {
 		return fherr.Wrap(fherr.ErrInvalidParams,
@@ -142,7 +137,7 @@ type Stats struct {
 	// slot.
 	Spawns   int64
 	Respawns int64
-	// Crashes counts abnormal worker exits (and TCP workers that came
+	// Crashes counts abnormal worker exits (and dialed members that came
 	// back with lost state); Hangs counts heartbeat- or shard-deadline
 	// kills (each hang also exits abnormally but is not double-counted
 	// as a crash).
@@ -150,10 +145,10 @@ type Stats struct {
 	Hangs   int64
 	// HeartbeatMisses counts deadline checks that found a beat overdue
 	// by more than two intervals — late beats that may precede a hang —
-	// plus dropped TCP connections (a disconnection is a missed beat
-	// until the reconnect succeeds or the lease expires).
+	// plus dropped connections (a disconnection is a missed beat until
+	// the reconnect succeeds or the lease expires).
 	HeartbeatMisses int64
-	// ConnDrops counts TCP sessions that closed mid-life; Reconnects the
+	// ConnDrops counts sessions that closed mid-life; Reconnects the
 	// drops healed by a successful redial; Readopts the subset where an
 	// in-flight lease was re-adopted (same shard, same epoch) with the
 	// worker never having stopped computing. Partitions counts drops
@@ -213,7 +208,6 @@ type Callbacks struct {
 type supervisor struct {
 	opts Options
 	cb   Callbacks
-	tr   Transport
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -272,16 +266,7 @@ func Run(ctx context.Context, opts Options, total int, done []bool, cb Callbacks
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.tr = opts.Transport
-	if s.tr == nil {
-		switch {
-		case len(opts.Addrs) > 0:
-			s.tr = newTCPTransport(opts)
-		case len(opts.WorkerCommand) > 0:
-			s.tr = &procTransport{opts: opts}
-		}
-	}
-	if s.tr == nil {
+	if len(opts.Addrs) == 0 && len(opts.WorkerCommand) == 0 {
 		// No way to reach workers at all: straight to degraded mode.
 		return s.finish(ctx, fmt.Errorf("shard: no worker command or fleet address"))
 	}
@@ -584,46 +569,31 @@ func (s *supervisor) slotLoop(ctx context.Context, slot int) error {
 	}
 }
 
-// reconnect redials a dropped TCP session and decides the lease's fate.
-// Returns the adopted session (plus any done/fail the worker flushed
-// ahead of the supervisor's read, which the caller must process), or the
-// classified terminal error (partition past the heartbeat deadline,
-// worker that lost its state, cancellation) after releasing the lease.
-func (s *supervisor) reconnect(ctx context.Context, slot, cur, curEpoch int, lastBeat time.Time) (Session, *Msg, error) {
+// reconnect redials a dropped session and decides the lease's fate. It
+// returns the adopted session (plus any done/fail the worker flushed
+// ahead of the supervisor's read, which the caller must process), or —
+// cause non-nil — the kind of end the slot met, for the caller's death
+// handling: "partition" past the heartbeat deadline, "crash" for a worker
+// that lost its state, anything else when ctx ended the attempt.
+func (s *supervisor) reconnect(ctx context.Context, slot int, addr string, cur, curEpoch int, lastBeat time.Time) (sess *session, pending *Msg, kind string, cause error) {
 	deadline := lastBeat.Add(s.opts.HeartbeatTimeout)
 	s.addStat(func(st *Stats) { st.ConnDrops++; st.HeartbeatMisses++ })
 	s.opts.Logf("shard: action=conn-drop worker=%d shard=%d epoch=%d budget=%v",
 		slot, cur, curEpoch, time.Until(deadline).Round(time.Millisecond))
 
-	fail := func(kind string, cause error) (Session, *Msg, error) {
-		s.releaseLease(slot, cur)
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fherr.Wrap(fherr.ErrCanceled, "shard: worker %d stopped by cancellation (%v)", slot, err)
-		}
-		switch kind {
-		case "partition":
-			s.addStat(func(st *Stats) { st.Partitions++ })
-		default:
-			s.addStat(func(st *Stats) { st.Crashes++ })
-		}
-		s.opts.Logf("shard: action=%s worker=%d shard=%d reason=%q", kind, slot, cur, errString(cause))
-		return nil, nil, fherr.Wrap(fherr.ErrEngineFault, "shard: worker %d %s: %v", slot, kind, cause)
-	}
-
 	rctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
-	var sess Session
 	var ready Msg
-	retrier := engine.NewRetrier(s.opts.Reconnect)
+	retrier := engine.NewRetrier(engine.RetryPolicy{
+		MaxAttempts: redialMaxAttempts, BaseDelay: redialBaseDelay, MaxDelay: s.opts.HeartbeatInterval})
 	err := retrier.Do(rctx, fmt.Sprintf("shard-reconnect-%d", slot), func(actx context.Context) error {
-		ns, err := s.tr.Dial(slot)
+		ns, err := s.dial(slot, addr)
 		if err != nil {
-			return err // already classified by the transport
+			return err
 		}
 		m, err := awaitReady(actx, ns)
 		if err != nil {
-			ns.Kill()
-			ns.Wait()
+			ns.close()
 			return err
 		}
 		sess, ready = ns, m
@@ -633,9 +603,9 @@ func (s *supervisor) reconnect(ctx context.Context, slot, cur, curEpoch int, las
 		if ctx.Err() == nil && rctx.Err() != nil {
 			// The redial budget (the heartbeat deadline) expired with the
 			// job still alive: a partition that outlived the lease.
-			return fail("partition", fmt.Errorf("no reconnection before the heartbeat deadline: %v", err))
+			return nil, nil, "partition", fmt.Errorf("no reconnection before the heartbeat deadline: %v", err)
 		}
-		return fail("reconnect-failed", err)
+		return nil, nil, "reconnect-failed", err
 	}
 
 	if cur < 0 || (ready.Shard == cur && ready.Epoch == curEpoch) {
@@ -648,60 +618,55 @@ func (s *supervisor) reconnect(ctx context.Context, slot, cur, curEpoch int, las
 				st.Readopts++
 			}
 		})
-		s.opts.Logf("shard: action=readopt worker=%d peer=%s shard=%d epoch=%d", slot, sess.Desc(), cur, curEpoch)
-		return sess, &ready, nil
+		s.opts.Logf("shard: action=readopt worker=%d peer=%s shard=%d epoch=%d", slot, addr, cur, curEpoch)
+		return sess, &ready, "", nil
 	}
-	if ready.Epoch == 0 {
-		// The worker is idle: it may have finished our shard during the
-		// partition and queued the done, which it flushes right after the
-		// ready. Wait for that report before declaring the state lost.
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		for {
-			select {
-			case m, open := <-sess.Recv():
-				if !open {
-					sess.Wait()
-					return fail("crash", errors.New("reconnected session closed before flushing completion"))
-				}
-				if m.Type == MsgBeat {
-					continue
-				}
-				if (m.Type == MsgDone || m.Type == MsgFail) && m.Shard == cur && m.Epoch == curEpoch {
-					s.addStat(func(st *Stats) { st.Reconnects++ })
-					s.opts.Logf("shard: action=reconnect-flush worker=%d peer=%s shard=%d epoch=%d type=%s",
-						slot, sess.Desc(), cur, curEpoch, m.Type)
-					return sess, &m, nil
-				}
-				sess.Kill()
-				sess.Wait()
-				return fail("crash", fmt.Errorf("reconnected worker flushed %q for shard %d epoch %d while leased %d epoch %d",
-					m.Type, m.Shard, m.Epoch, cur, curEpoch))
-			case <-timer.C:
-				sess.Kill()
-				sess.Wait()
-				return fail("crash", errors.New("reconnected worker lost the lease state"))
-			case <-ctx.Done():
-				sess.Kill()
-				sess.Wait()
-				return fail("canceled", ctx.Err())
+	lost := func(kind string, cause error) (*session, *Msg, string, error) {
+		sess.close()
+		return nil, nil, kind, cause
+	}
+	if ready.Epoch != 0 {
+		return lost("crash", fmt.Errorf("reconnected worker reports shard %d epoch %d while leased %d epoch %d",
+			ready.Shard, ready.Epoch, cur, curEpoch))
+	}
+	// The worker is idle: it may have finished our shard during the
+	// partition and queued the done, which it flushes right after the
+	// ready. Wait for that report before declaring the state lost.
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	for {
+		select {
+		case m, open := <-sess.msgs:
+			if !open {
+				return lost("crash", errors.New("reconnected session closed before flushing completion"))
 			}
+			if m.Type == MsgBeat {
+				continue
+			}
+			if (m.Type == MsgDone || m.Type == MsgFail) && m.Shard == cur && m.Epoch == curEpoch {
+				s.addStat(func(st *Stats) { st.Reconnects++ })
+				s.opts.Logf("shard: action=reconnect-flush worker=%d peer=%s shard=%d epoch=%d type=%s",
+					slot, addr, cur, curEpoch, m.Type)
+				return sess, &m, "", nil
+			}
+			return lost("crash", fmt.Errorf("reconnected worker flushed %q for shard %d epoch %d while leased %d epoch %d",
+				m.Type, m.Shard, m.Epoch, cur, curEpoch))
+		case <-timer.C:
+			return lost("crash", errors.New("reconnected worker lost the lease state"))
+		case <-ctx.Done():
+			return lost("canceled", ctx.Err())
 		}
 	}
-	sess.Kill()
-	sess.Wait()
-	return fail("crash", fmt.Errorf("reconnected worker reports shard %d epoch %d while leased %d epoch %d",
-		ready.Shard, ready.Epoch, cur, curEpoch))
 }
 
 // awaitReady reads session messages until the handshake resolves: ready
 // (possibly preceded by beats), reject, or an error.
-func awaitReady(ctx context.Context, sess Session) (Msg, error) {
+func awaitReady(ctx context.Context, sess *session) (Msg, error) {
 	for {
 		select {
-		case m, open := <-sess.Recv():
+		case m, open := <-sess.msgs:
 			if !open {
-				return Msg{}, fherr.Wrap(fherr.ErrEngineFault, "shard: session closed before ready (%v)", sess.Wait())
+				return Msg{}, fherr.Wrap(fherr.ErrEngineFault, "shard: session closed before ready (%v)", sess.close())
 			}
 			switch m.Type {
 			case MsgReady:
@@ -719,15 +684,103 @@ func awaitReady(ctx context.Context, sess Session) (Msg, error) {
 	}
 }
 
-// workerLife runs one worker session from dial to exit. Return classes:
+// workerLife runs one worker from spawn-or-dial to exit. Return classes:
 // nil (clean drain), ErrCanceled (job canceled), ErrEngineFault-wrapped
-// (crash, hang, or partition — retryable, redialed by the slot's
-// Retrier), other (terminal spawn/handshake problem — retires the slot).
+// (crash, hang, or partition — retryable, respawned or redialed by the
+// slot's Retrier), other (terminal spawn/handshake problem — retires the
+// slot).
 func (s *supervisor) workerLife(ctx context.Context, slot int) error {
-	sess, err := s.tr.Dial(slot)
-	if err != nil {
-		return err
+	var (
+		ch       *child // the slot's own process; nil when it dials a standing member
+		sess     *session
+		peer     string
+		cur      = -1 // shard currently leased to this worker
+		curEpoch = 0  // its fencing epoch
+	)
+	// lctx ends with the job or with the slot's child, whichever goes
+	// first. Every wait below (address, handshake, redial backoff, next
+	// message) is cut short by the child's exit, so a dead pid is a crash
+	// at once — never a silence to time out or a port to keep redialing.
+	lctx, stop := context.WithCancel(ctx)
+	defer stop()
+
+	// die centralizes death handling: drop the session, kill and reap the
+	// child, release the lease, and classify. Cancellation beats fault: a
+	// worker killed because the job was canceled must surface ErrCanceled,
+	// never count as a crash against the breaker. A child's exit beats
+	// whatever symptom of it was noticed first.
+	die := func(kind string, cause error) error {
+		stderr := ""
+		exited := ch != nil && ch.exited() // before our own kill makes it true
+		if sess != nil {
+			sess.close()
+		}
+		if ch != nil {
+			ch.kill()
+			stderr = ch.stderr.String()
+		}
+		s.releaseLease(slot, cur)
+		if err := ctx.Err(); err != nil {
+			return fherr.Wrap(fherr.ErrCanceled, "shard: worker %d stopped by cancellation (%v)", slot, err)
+		}
+		if exited {
+			kind, cause = "crash", fmt.Errorf("process exited: %v", ch.err)
+		}
+		switch kind {
+		case "hang":
+			s.addStat(func(st *Stats) { st.Hangs++ })
+		case "partition":
+			s.addStat(func(st *Stats) { st.Partitions++ })
+		default:
+			s.addStat(func(st *Stats) { st.Crashes++ })
+		}
+		s.opts.Logf("shard: action=%s worker=%d peer=%s shard=%d reason=%q stderr=%q",
+			kind, slot, peer, cur, errString(cause), stderr)
+		return fherr.Wrap(fherr.ErrEngineFault, "shard: worker %d (%s) %s: %v", slot, peer, kind, cause)
 	}
+
+	// The one thing Addrs vs WorkerCommand decides: where the address
+	// comes from.
+	var addr string
+	if n := len(s.opts.Addrs); n > 0 {
+		addr = s.opts.Addrs[slot%n]
+		peer = addr
+	} else {
+		var err error
+		if ch, err = startChild(s.opts, slot); err != nil {
+			return err
+		}
+		defer ch.stop(s.opts.HeartbeatTimeout)
+		peer = fmt.Sprintf("pid %d", ch.pid())
+		go func() {
+			select {
+			case <-ch.done:
+				stop()
+			case <-lctx.Done():
+			}
+		}()
+		// Binding precedes everything slow in the child, so its address is
+		// due within the deadline any other silence gets.
+		select {
+		case a, ok := <-ch.addr:
+			if !ok {
+				return die("crash", errors.New("stdout closed before the worker announced its address"))
+			}
+			addr = a
+		case <-time.After(s.opts.HeartbeatTimeout):
+			return die("hang", fmt.Errorf("no address announced within %v", s.opts.HeartbeatTimeout))
+		case <-lctx.Done():
+			return die("canceled", lctx.Err())
+		}
+	}
+	var err error
+	if sess, err = s.dial(slot, addr); err != nil {
+		if ch == nil {
+			return err // an unreachable member is backed off and redialed, not a crash
+		}
+		return die("crash", err)
+	}
+
 	s.mu.Lock()
 	s.stats.Spawns++
 	respawn := s.spawned[slot]
@@ -740,34 +793,9 @@ func (s *supervisor) workerLife(ctx context.Context, slot int) error {
 	if respawn {
 		action = "respawn"
 	}
-	s.opts.Logf("shard: action=%s worker=%d transport=%s peer=%s", action, slot, s.tr.Name(), sess.Desc())
+	s.opts.Logf("shard: action=%s worker=%d peer=%s addr=%s", action, slot, peer, addr)
 	if s.opts.OnSpawn != nil {
-		s.opts.OnSpawn(slot, sessionPid(sess))
-	}
-
-	cur := -1      // shard currently leased to this worker
-	curEpoch := 0  // its fencing epoch
-	// die centralizes death handling: kill, reap, release the lease, and
-	// classify. Cancellation beats fault: a worker killed because the job
-	// was canceled must surface ErrCanceled, never count as a crash
-	// against the breaker.
-	die := func(kind string, cause error) error {
-		sess.Kill()
-		sess.CloseSend()
-		sess.Wait()
-		s.releaseLease(slot, cur)
-		if err := ctx.Err(); err != nil {
-			return fherr.Wrap(fherr.ErrCanceled, "shard: worker %d stopped by cancellation (%v)", slot, err)
-		}
-		switch kind {
-		case "hang":
-			s.addStat(func(st *Stats) { st.Hangs++ })
-		default:
-			s.addStat(func(st *Stats) { st.Crashes++ })
-		}
-		s.opts.Logf("shard: action=%s worker=%d peer=%s shard=%d reason=%q stderr=%q",
-			kind, slot, sess.Desc(), cur, errString(cause), sessionStderr(sess))
-		return fherr.Wrap(fherr.ErrEngineFault, "shard: worker %d (%s) %s: %v", slot, sess.Desc(), kind, cause)
+		s.opts.OnSpawn(slot, ch.pid())
 	}
 
 	lastBeat := time.Now()
@@ -775,25 +803,21 @@ func (s *supervisor) workerLife(ctx context.Context, slot int) error {
 	ticker := time.NewTicker(s.opts.HeartbeatInterval)
 	defer ticker.Stop()
 
-	// awaitMsg multiplexes protocol messages with death, disconnection,
+	// awaitMsg multiplexes protocol messages with disconnection, death,
 	// hang-deadline and cancellation signals. ok=false means fatal: the
 	// second return is the classified error.
 	awaitMsg := func() (Msg, bool, error) {
 		for {
 			select {
-			case m, open := <-sess.Recv():
+			case m, open := <-sess.msgs:
 				if !open {
-					if !s.tr.Reconnectable() {
-						werr := sess.Wait()
-						return Msg{}, false, die("crash", fmt.Errorf("process exited: %v", werr))
-					}
 					// A dropped connection is a heartbeat miss, not a death:
-					// the fleet member keeps computing. Redial with backoff
-					// and re-adopt the lease while the deadline budget lasts.
-					sess.Wait()
-					ns, pending, err := s.reconnect(ctx, slot, cur, curEpoch, lastBeat)
-					if err != nil {
-						return Msg{}, false, err
+					// the member keeps computing. Redial with backoff and
+					// re-adopt the lease while the deadline budget lasts.
+					sess.close()
+					ns, pending, kind, cause := s.reconnect(lctx, slot, addr, cur, curEpoch, lastBeat)
+					if cause != nil {
+						return Msg{}, false, die(kind, cause)
 					}
 					sess = ns
 					lastBeat = time.Now()
@@ -811,20 +835,20 @@ func (s *supervisor) workerLife(ctx context.Context, slot int) error {
 				}
 				if silent > 2*s.opts.HeartbeatInterval {
 					s.addStat(func(st *Stats) { st.HeartbeatMisses++ })
-					s.opts.Logf("shard: action=heartbeat-miss worker=%d peer=%s silent=%v", slot, sess.Desc(), silent.Round(time.Millisecond))
+					s.opts.Logf("shard: action=heartbeat-miss worker=%d peer=%s silent=%v", slot, peer, silent.Round(time.Millisecond))
 				}
 				if cur >= 0 && s.opts.ShardDeadline > 0 && time.Since(curStart) > s.opts.ShardDeadline {
 					return Msg{}, false, die("hang", fmt.Errorf("shard %d exceeded deadline %v", cur, s.opts.ShardDeadline))
 				}
-			case <-ctx.Done():
-				return Msg{}, false, die("canceled", ctx.Err())
+			case <-lctx.Done():
+				return Msg{}, false, die("canceled", lctx.Err())
 			}
 		}
 	}
 
 	// Startup: the worker builds its Context (keygen included) and says
-	// ready. The heartbeat goroutine is already beating during setup, so
-	// the ordinary deadline applies. A TCP worker may report a stale
+	// ready. Its beater starts with the hello, before the build, so the
+	// ordinary deadline applies. A standing member may report a stale
 	// in-flight lease from a previous supervisor life; it abandons that
 	// work at the next assign, and its stale reports are fenced by epoch.
 	for {
@@ -841,9 +865,8 @@ func (s *supervisor) workerLife(ctx context.Context, slot int) error {
 		if m.Type == MsgReject {
 			// Terminal misconfiguration (wrong fingerprint / wrong fleet):
 			// NOT an engine fault, so the slot retires without redials.
-			sess.Kill()
-			sess.Wait()
-			return fmt.Errorf("shard: worker %d handshake rejected by %s: %s", slot, sess.Desc(), m.Err)
+			sess.close()
+			return fmt.Errorf("shard: worker %d handshake rejected by %s: %s", slot, peer, m.Err)
 		}
 		if m.Type != MsgBeat {
 			return die("crash", fmt.Errorf("protocol: %q before ready", m.Type))
@@ -853,40 +876,36 @@ func (s *supervisor) workerLife(ctx context.Context, slot int) error {
 	for {
 		shard, epoch, more := s.claim(slot)
 		if !more {
-			// Drain: let the worker end the session on its own, then reap.
-			sess.Send(Msg{Type: MsgDrain})
-			sess.CloseSend()
+			// Drain: let the worker end the session on its own; a child is
+			// then told to exit (stdin closed) and reaped on the way out.
+			sess.send(Msg{Type: MsgDrain})
+			sess.closeSend()
 			drainDeadline := time.After(s.opts.HeartbeatTimeout)
 			for {
 				select {
-				case _, open := <-sess.Recv():
+				case _, open := <-sess.msgs:
 					if !open {
-						sess.Wait()
-						s.opts.Logf("shard: action=drain worker=%d peer=%s", slot, sess.Desc())
+						sess.close()
+						s.opts.Logf("shard: action=drain worker=%d peer=%s", slot, peer)
 						if err := ctx.Err(); err != nil {
 							return fherr.Wrap(fherr.ErrCanceled, "shard: worker %d drained after cancellation (%v)", slot, err)
 						}
 						return nil
 					}
 				case <-drainDeadline:
-					sess.Kill()
-					sess.Wait()
-					s.opts.Logf("shard: action=drain-kill worker=%d peer=%s", slot, sess.Desc())
+					sess.close()
+					s.opts.Logf("shard: action=drain-kill worker=%d peer=%s", slot, peer)
 					return nil
 				}
 			}
 		}
 		cur, curEpoch = shard, epoch
 		curStart = time.Now()
-		if err := sess.Send(Msg{Type: MsgAssign, Shard: shard, Epoch: epoch}); err != nil {
-			if s.tr.Reconnectable() {
-				// Let the read side observe the drop and run the reconnect
-				// path; the re-adopted worker never saw this assign, so
-				// re-adoption will fail fast into a redispatch.
-				s.opts.Logf("shard: action=assign-write-failed worker=%d shard=%d reason=%q", slot, shard, err.Error())
-			} else {
-				return die("crash", fmt.Errorf("assign write: %v", err))
-			}
+		if err := sess.send(Msg{Type: MsgAssign, Shard: shard, Epoch: epoch}); err != nil {
+			// Let the read side observe the drop and run the reconnect path;
+			// the re-adopted worker never saw this assign, so re-adoption
+			// will fail fast into a redispatch.
+			s.opts.Logf("shard: action=assign-write-failed worker=%d shard=%d reason=%q", slot, shard, err.Error())
 		}
 		for cur >= 0 {
 			m, ok, err := awaitMsg()
@@ -939,12 +958,4 @@ func (s *supervisor) workerLife(ctx context.Context, slot int) error {
 			}
 		}
 	}
-}
-
-// sessionPid extracts the worker's local pid when there is one.
-func sessionPid(s Session) int {
-	if p, ok := s.(*procSession); ok && p.cmd.Process != nil {
-		return p.cmd.Process.Pid
-	}
-	return 0
 }

@@ -6,8 +6,8 @@ package shard_test
 // the unsharded in-process run on both backends, with typed errors only
 // on breaker/budget exhaustion. Worker processes are this test binary
 // re-exec'd: TestMain routes a process spawned with the shard
-// environment into worker.Main, so workers carry the same -race
-// instrumentation as the test.
+// environment into worker.Main (a loopback fleet member the supervisor
+// dials), so workers carry the same -race instrumentation as the test.
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -378,12 +379,14 @@ func TestShardSoak(t *testing.T) {
 
 	var mu sync.Mutex
 	pids := map[int]int{} // slot -> live pid
+	var spawned []int     // every pid the supervisor ever started
 	opts := baseOpts(t)
 	opts.Workers = 3
 	opts.Respawn = bitpacker.RetryPolicy{MaxAttempts: 1000, BaseDelay: time.Millisecond, BreakerThreshold: 1000, Seed: 5}
 	opts.OnSpawn = func(slot, pid int) {
 		mu.Lock()
 		pids[slot] = pid
+		spawned = append(spawned, pid)
 		mu.Unlock()
 	}
 
@@ -425,6 +428,13 @@ func TestShardSoak(t *testing.T) {
 	t.Logf("soak stats: %+v", report.Stats)
 	if len(got) != len(inputs) {
 		t.Fatalf("soak lost or duplicated shards: %d outputs for %d inputs", len(got), len(inputs))
+	}
+	// Teardown: every worker the supervisor started — killed, crashed or
+	// drained — has been reaped by the time the job returns.
+	for _, pid := range spawned {
+		if p, err := os.FindProcess(pid); err == nil && p.Signal(syscall.Signal(0)) == nil {
+			t.Errorf("worker pid %d outlived the job", pid)
+		}
 	}
 }
 

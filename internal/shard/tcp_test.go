@@ -1,13 +1,14 @@
 package shard_test
 
-// Network fault-tolerance tests for the TCP fleet transport: every
-// network fault class (conn drop mid-shard, partition past the lease,
-// duplicate done, stale-epoch zombie writes at both the message and the
-// blob layer, full fleet loss) must leave the job's output bit-identical
-// to the unsharded in-process run, with the recovery visible in the
-// supervisor's counters. Fleet members run in-process (worker.Listen on
-// a loopback port) so they carry the same -race instrumentation as the
-// supervisor.
+// Network fault-tolerance tests: every network fault class (conn drop
+// mid-shard, partition past the lease, duplicate done, stale-epoch
+// zombie writes at both the message and the blob layer, full fleet loss)
+// must leave the job's output bit-identical to the unsharded in-process
+// run, with the recovery visible in the supervisor's counters. Fleet
+// members run in-process (worker.Listen on a loopback port) so they
+// carry the same -race instrumentation as the supervisor; the cases that
+// pin the two address sources to one lane run a second time against
+// members the supervisor spawns (this binary re-exec'd).
 
 import (
 	"bufio"
@@ -15,6 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,35 +82,46 @@ func TestTCPShardedBitIdentical(t *testing.T) {
 	})
 }
 
+// lanes runs f once per address source: standing in-process members the
+// supervisor dials, and members it spawns for the job. Everything past
+// the address is one code path, so a network fault must heal the same way
+// on both.
+func lanes(t *testing.T, f func(t *testing.T, opts bitpacker.ShardOptions)) {
+	t.Run("fleet", func(t *testing.T) { f(t, fleetOpts(t, 2)) })
+	t.Run("spawned", func(t *testing.T) { f(t, baseOpts(t)) })
+}
+
 // TestTCPConnDropReadopt drops the supervisor connection mid-shard while
 // the fleet member keeps computing. The supervisor must treat it as a
 // heartbeat miss — reconnect with backoff and re-adopt (or collect the
 // flushed completion), never re-dispatch, never count a crash.
 func TestTCPConnDropReadopt(t *testing.T) {
 	forBothSchemes(t, func(t *testing.T, scheme bitpacker.Scheme) {
-		ctx := testCtx(t, scheme)
-		inputs := encryptBatch(t, ctx, 6, 62)
-		want := unshardedRun(t, ctx, testProgram, inputs)
-		fault := chaos.NetFault{Kind: chaos.NetConnDrop, Shard: 2, Step: 1, Times: 1}
-		t.Setenv(chaos.NetFaultEnv, fault.Encode()) // fleet runs in-process: env reaches it directly
-		got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, fleetOpts(t, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, ctx, "conn-drop", got, want)
-		st := report.Stats
-		if st.ConnDrops == 0 {
-			t.Fatalf("conn drop was injected but not observed: %+v", st)
-		}
-		if st.Reconnects == 0 {
-			t.Fatalf("dropped connection was never healed: %+v", st)
-		}
-		if st.Crashes != 0 || st.Partitions != 0 {
-			t.Fatalf("sub-deadline conn drop was escalated: %+v", st)
-		}
-		if st.Redispatches != 0 {
-			t.Fatalf("conn drop caused a re-dispatch despite the worker computing on: %+v", st)
-		}
+		lanes(t, func(t *testing.T, opts bitpacker.ShardOptions) {
+			ctx := testCtx(t, scheme)
+			inputs := encryptBatch(t, ctx, 6, 62)
+			want := unshardedRun(t, ctx, testProgram, inputs)
+			fault := chaos.NetFault{Kind: chaos.NetConnDrop, Shard: 2, Step: 1, Times: 1}
+			t.Setenv(chaos.NetFaultEnv, fault.Encode()) // reaches an in-process fleet directly, a spawned member by inheritance
+			got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, ctx, "conn-drop", got, want)
+			st := report.Stats
+			if st.ConnDrops == 0 {
+				t.Fatalf("conn drop was injected but not observed: %+v", st)
+			}
+			if st.Reconnects == 0 {
+				t.Fatalf("dropped connection was never healed: %+v", st)
+			}
+			if st.Crashes != 0 || st.Partitions != 0 {
+				t.Fatalf("sub-deadline conn drop was escalated: %+v", st)
+			}
+			if st.Redispatches != 0 {
+				t.Fatalf("conn drop caused a re-dispatch despite the worker computing on: %+v", st)
+			}
+		})
 	})
 }
 
@@ -129,6 +144,44 @@ func TestTCPBeatDelay(t *testing.T) {
 	if st.Hangs != 0 || st.Partitions != 0 || st.Redispatches != 0 {
 		t.Fatalf("sub-deadline beat delay broke the lease: %+v", st)
 	}
+}
+
+// TestTCPBeatsPrecedeContextBuild gives a cold member a context whose build
+// (keygen for four dozen rotation keys) outlasts the heartbeat timeout
+// several times over: beats must flow from the hello on, so the build is
+// never mistaken for a hang — whichever way the supervisor came by the
+// member's address.
+func TestTCPBeatsPrecedeContextBuild(t *testing.T) {
+	cfg := testConfig(bitpacker.BitPacker)
+	cfg.LogN, cfg.Levels, cfg.CheckInvariants = 12, 6, false
+	for r := 1; r <= 48; r++ {
+		cfg.Rotations = append(cfg.Rotations, r)
+	}
+	t0 := time.Now()
+	ctx, err := bitpacker.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 150 * time.Millisecond
+	if build := time.Since(t0); build < 2*timeout {
+		t.Skipf("context builds in %v: too fast to outlast a %v heartbeat timeout", build, timeout)
+	}
+	program := []bitpacker.ShardStep{{Op: bitpacker.ShardOpNegate}}
+	inputs := encryptBatch(t, ctx, 2, 70)
+	want := unshardedRun(t, ctx, program, inputs)
+	lanes(t, func(t *testing.T, opts bitpacker.ShardOptions) {
+		opts.Workers = 1
+		opts.Addrs = opts.Addrs[:min(1, len(opts.Addrs))]
+		opts.HeartbeatTimeout = timeout
+		got, report, err := ctx.RunSharded(context.Background(), program, inputs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, ctx, "slow build", got, want)
+		if st := report.Stats; st.Hangs != 0 || st.Crashes != 0 || st.Spawns != 1 {
+			t.Fatalf("a context build longer than the heartbeat timeout was taken for a fault: %+v", st)
+		}
+	})
 }
 
 // TestTCPPartitionPastLease partitions a fleet member (connection
@@ -334,5 +387,52 @@ func TestFleetRejectsBadFingerprint(t *testing.T) {
 	}
 	if m.Type != shard.MsgReject {
 		t.Fatalf("fingerprint mismatch answered with %q, want reject", m.Type)
+	}
+}
+
+// TestFleetSpawnedMemberServesOnlyItsDir starts a worker the way the
+// supervisor does — this binary with the exchange directory in its
+// environment — and checks the two things process ownership rests on: it
+// refuses a hello for any directory but its own, and it exits when its
+// stdin closes (which is also what a dead supervisor looks like).
+func TestFleetSpawnedMemberServesOnlyItsDir(t *testing.T) {
+	cmd := exec.Command(selfExec(t)[0])
+	cmd.Env = append(os.Environ(), shard.EnvDir+"="+t.TempDir())
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	addr, err := bufio.NewReader(stdout).ReadString('\n')
+	if err != nil {
+		t.Fatalf("spawned member announced no address: %v", err)
+	}
+	conn, err := net.Dial("tcp", strings.TrimSpace(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, `{"t":"hello","dir":%q,"fp":1,"worker":0,"beat_ms":50}`+"\n", t.TempDir())
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if m, err := shard.ReadMessage(bufio.NewReader(conn)); err != nil || m.Type != shard.MsgReject {
+		t.Fatalf("hello for a foreign directory answered with %q (%v), want reject", m.Type, err)
+	}
+	stdin.Close()
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("spawned member exited uncleanly after stdin closed: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("spawned member outlived its closed stdin")
 	}
 }

@@ -11,27 +11,33 @@ import (
 )
 
 // Fleet serves shard workers to dialing supervisors over TCP (`bpworker
-// -listen addr`). Each accepted connection starts with a hello
-// handshake naming the job exchange directory, the job fingerprint, and
-// the worker slot; the fleet verifies the fingerprint against the job
-// file on disk (rejecting a supervisor that tries to adopt it for a
-// different job), then serves the ordinary assign/beat/done/fail
-// protocol on the socket.
+// -listen addr`, or the loopback member a spawned worker is). Each
+// accepted connection starts with a hello handshake naming the job
+// exchange directory, the job fingerprint, and the worker slot; the fleet
+// verifies the fingerprint against the job file on disk (rejecting a
+// supervisor that tries to adopt it for a different job), then serves the
+// ordinary assign/beat/done/fail protocol on the socket.
 //
-// Unlike a forked worker, a fleet member outlives its connection: a
-// dropped socket does not cancel in-flight compute. Completions reached
-// while disconnected are queued on the slot and flushed — after a ready
-// message reporting the slot's in-flight lease (epoch 0 = idle) — when
-// the supervisor reconnects. Stale assignments (a lease the supervisor
-// re-dispatched while partitioned) are simply superseded: a new assign
-// cancels the old compute, and any late report from it carries the old
-// epoch, which the supervisor's fence drops.
+// A fleet member outlives its connection: a dropped socket does not
+// cancel in-flight compute. Completions reached while disconnected are
+// queued on the slot and flushed — after a ready message reporting the
+// slot's in-flight lease (epoch 0 = idle) — when the supervisor
+// reconnects. Stale assignments (a lease the supervisor re-dispatched
+// while partitioned) are simply superseded: a new assign cancels the old
+// compute, and any late report from it carries the old epoch, which the
+// supervisor's fence drops. A drain ends the slot: it is released, and
+// the job's context with its last slot, so a standing member holds
+// nothing for jobs that are over.
 type Fleet struct {
 	ln   net.Listener
 	logf func(format string, args ...any)
+	// only, when set, is the one exchange directory this member serves: a
+	// spawned worker answers for the job it was forked for and refuses a
+	// hello for any other, whoever finds its loopback port.
+	only string
 
 	mu          sync.Mutex
-	jobs        map[string]*jobEntry  // "dir|fp" -> lazily built runtime
+	jobs        map[string]*jobEntry  // "dir|fp" -> runtime, built once, held while a slot refers to it
 	slots       map[string]*fleetSlot // "dir|fp|worker" -> slot state
 	refuseUntil time.Time             // chaos partition: refuse handshakes until then
 	closed      bool
@@ -39,7 +45,11 @@ type Fleet struct {
 	wg sync.WaitGroup
 }
 
+// jobEntry is one job's runtime, shared by the member's slots for that
+// job and built by whichever gets there first.
 type jobEntry struct {
+	key  string
+	refs int // slots holding the entry; guarded by Fleet.mu
 	once sync.Once
 	rt   *runtime
 	err  error
@@ -124,41 +134,23 @@ func (f *Fleet) refusing() bool {
 	return time.Now().Before(f.refuseUntil)
 }
 
-// job returns the cached runtime for (dir, fingerprint), loading the job
-// file and rebuilding the FHE context on first use.
-func (f *Fleet) job(dir string, fp uint64) (*runtime, error) {
-	key := fmt.Sprintf("%s|%d", dir, fp)
-	f.mu.Lock()
-	e := f.jobs[key]
-	if e == nil {
-		e = &jobEntry{}
-		f.jobs[key] = e
-	}
-	f.mu.Unlock()
-	e.once.Do(func() {
-		rt, err := loadRuntime(dir)
-		if err != nil {
-			e.err = err
-			return
-		}
-		if rt.fingerprint != fp {
-			e.err = fmt.Errorf("worker: job fingerprint %d on disk, supervisor claims %d", rt.fingerprint, fp)
-			return
-		}
-		e.rt = rt
-	})
-	return e.rt, e.err
-}
-
-// slot returns the slot state for (dir, fingerprint, worker), creating
-// it (and its beater) on first use.
-func (f *Fleet) slot(dir string, fp uint64, worker, beatMs int) *fleetSlot {
-	key := fmt.Sprintf("%s|%d|%d", dir, fp, worker)
+// slot returns the slot state for the hello's (dir, fingerprint,
+// worker), creating it — beater already ticking — on first use.
+func (f *Fleet) slot(hello shard.Msg) *fleetSlot {
+	jobKey := fmt.Sprintf("%s|%d", hello.Dir, hello.Fingerprint)
+	key := fmt.Sprintf("%s|%d", jobKey, hello.Worker)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sl := f.slots[key]
 	if sl == nil {
-		sl = &fleetSlot{fleet: f, worker: worker}
+		e := f.jobs[jobKey]
+		if e == nil {
+			e = &jobEntry{key: jobKey}
+			f.jobs[jobKey] = e
+		}
+		e.refs++
+		sl = &fleetSlot{fleet: f, key: key, job: e}
+		beatMs := hello.BeatMs
 		if beatMs <= 0 {
 			beatMs = 250
 		}
@@ -168,10 +160,26 @@ func (f *Fleet) slot(dir string, fp uint64, worker, beatMs int) *fleetSlot {
 	return sl
 }
 
+// release ends a slot (drained, or rejected after attaching): compute
+// canceled, beater halted, connection closed, entry deleted, and the
+// job's runtime dropped with its last slot.
+func (f *Fleet) release(sl *fleetSlot) {
+	sl.shutdown()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.slots[sl.key] != sl {
+		return
+	}
+	delete(f.slots, sl.key)
+	if sl.job.refs--; sl.job.refs == 0 {
+		delete(f.jobs, sl.job.key)
+	}
+}
+
 // handle runs one supervisor connection: hardened hello handshake,
-// fingerprint check, slot attach, then the assign/drain read loop. The
-// connection ending never cancels compute — only a drain or a
-// superseding assign does.
+// fingerprint check, slot attach, context build, then the assign/drain
+// read loop. The connection ending never cancels compute — only a drain
+// or a superseding assign does.
 func (f *Fleet) handle(conn net.Conn) {
 	if f.refusing() {
 		conn.Close()
@@ -186,14 +194,31 @@ func (f *Fleet) handle(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	rt, err := f.job(hello.Dir, hello.Fingerprint)
+	var jf shard.JobFile
+	if f.only != "" && hello.Dir != f.only {
+		err = fmt.Errorf("worker: spawned for %s, not %s", f.only, hello.Dir)
+	} else if jf, err = shard.ReadJobFile(hello.Dir); err == nil && jf.Fingerprint != hello.Fingerprint {
+		err = fmt.Errorf("worker: job fingerprint %d on disk, supervisor claims %d", jf.Fingerprint, hello.Fingerprint)
+	}
 	if err != nil {
 		f.logf("worker: fleet: reject %s: %v", conn.RemoteAddr(), err)
-		reject(conn, err.Error())
+		fmt.Fprintf(conn, `{"t":%q,"err":%q}`+"\n", shard.MsgReject, err.Error())
+		conn.Close()
 		return
 	}
-	sl := f.slot(hello.Dir, hello.Fingerprint, hello.Worker, hello.BeatMs)
-	sl.attach(conn, rt)
+	// Beats before the build: the slot's beater is ticking and attach hands
+	// it the connection, so a cold member whose keygen outlasts the
+	// heartbeat timeout cannot look like a hang.
+	sl := f.slot(hello)
+	sl.attach(conn)
+	sl.job.once.Do(func() { sl.job.rt, sl.job.err = newRuntime(hello.Dir, jf) })
+	if err := sl.job.err; err != nil {
+		f.logf("worker: fleet: reject %s: %v", conn.RemoteAddr(), err)
+		sl.send(shard.Msg{Type: shard.MsgReject, Err: err.Error()})
+		f.release(sl)
+		return
+	}
+	sl.ready()
 	f.logf("worker: fleet: supervisor %s attached (dir=%s worker=%d)", conn.RemoteAddr(), hello.Dir, hello.Worker)
 	for {
 		m, err := shard.ReadMessage(br)
@@ -205,14 +230,8 @@ func (f *Fleet) handle(conn net.Conn) {
 		case shard.MsgAssign:
 			sl.assign(m.Shard, m.Epoch)
 		case shard.MsgDrain:
-			sl.drain()
+			f.release(sl)
 			return
 		}
 	}
-}
-
-// reject answers a failed handshake and closes the connection.
-func reject(conn net.Conn, why string) {
-	fmt.Fprintf(conn, `{"t":%q,"err":%q}`+"\n", shard.MsgReject, why)
-	conn.Close()
 }

@@ -12,71 +12,85 @@ import (
 
 // fleetSlot is one worker slot of a fleet member: at most one supervisor
 // connection, at most one in-flight shard, and a queue of completion
-// reports produced while disconnected. It implements sink (protocol
-// output, connection-or-queue) and netEnactor (connection chaos).
+// reports produced while disconnected.
 type fleetSlot struct {
-	fleet  *Fleet
-	worker int
-	b      *beater
+	fleet *Fleet
+	key   string
+	job   *jobEntry
+	b     *beater
 
 	mu      sync.Mutex
-	rt      *runtime
 	conn    net.Conn
 	enc     *json.Encoder
-	queued  []shard.Msg // done / non-canceled fail awaiting a connection
+	greeted bool        // ready sent on conn: until then only beats may precede it
+	queued  []shard.Msg // done / non-canceled fail awaiting a greeted connection
 	inShard int
 	inEpoch int // 0 = idle
 	cancel  context.CancelFunc
 }
 
 // send writes a protocol message to the live connection, or queues
-// completion reports (and drops beats) while disconnected. A write
-// failure demotes the connection to disconnected on the spot so the
-// report is queued, not lost.
+// completion reports (and drops beats) while disconnected or not yet
+// greeted. A write failure demotes the connection to disconnected on the
+// spot so the report is queued, not lost.
 func (s *fleetSlot) send(m shard.Msg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.enc != nil {
+	completion := m.Type == shard.MsgDone || m.Type == shard.MsgFail
+	if s.enc != nil && (s.greeted || !completion) {
 		if err := s.enc.Encode(m); err == nil {
 			return
 		}
-		s.conn.Close()
-		s.conn, s.enc = nil, nil
+		s.disconnect()
 	}
-	if m.Type == shard.MsgDone || (m.Type == shard.MsgFail && m.Class != shard.ClassCanceled) {
+	if completion && m.Class != shard.ClassCanceled {
 		// Canceled fails are supersession noise: no supervisor acts on
 		// them, so they are not worth replaying into a future session.
 		s.queued = append(s.queued, m)
 	}
 }
 
-// attach adopts a new supervisor connection: supersede any previous one,
-// report the in-flight lease (epoch 0 = idle) in a ready message, then
-// flush queued completions. Holding the lock across the writes keeps the
-// beater from interleaving a beat before the ready.
-func (s *fleetSlot) attach(conn net.Conn, rt *runtime) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rt = rt
+// disconnect closes and forgets the connection. Callers hold s.mu.
+func (s *fleetSlot) disconnect() {
 	if s.conn != nil {
 		s.conn.Close()
 	}
-	s.conn = conn
-	s.enc = json.NewEncoder(conn)
+	s.conn, s.enc, s.greeted = nil, nil, false
+}
+
+// attach adopts a new supervisor connection, superseding any previous
+// one. Beats flow on it at once; completions wait for ready.
+func (s *fleetSlot) attach(conn net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.disconnect()
+	s.conn, s.enc = conn, json.NewEncoder(conn)
+}
+
+// ready greets the attached supervisor once the job's runtime is built:
+// report the in-flight lease (epoch 0 = idle), then flush queued
+// completions. Holding the lock across the writes keeps a completion
+// from overtaking the ready.
+func (s *fleetSlot) ready() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.enc == nil {
+		return
+	}
 	ready := shard.Msg{Type: shard.MsgReady}
 	if s.inEpoch > 0 {
 		ready.Shard, ready.Epoch = s.inShard, s.inEpoch
 	}
 	if err := s.enc.Encode(ready); err != nil {
-		s.conn.Close()
-		s.conn, s.enc = nil, nil
+		s.disconnect()
 		return
 	}
-	for _, q := range s.queued {
+	s.greeted = true
+	for i, q := range s.queued {
 		if err := s.enc.Encode(q); err != nil {
-			s.conn.Close()
-			s.conn, s.enc = nil, nil
-			return // unsent reports stay queued
+			s.queued = s.queued[i:] // unsent reports stay queued
+			s.disconnect()
+			return
 		}
 	}
 	s.queued = nil
@@ -88,8 +102,7 @@ func (s *fleetSlot) detach(conn net.Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.conn == conn {
-		s.conn.Close()
-		s.conn, s.enc = nil, nil
+		s.disconnect()
 	}
 }
 
@@ -108,11 +121,10 @@ func (s *fleetSlot) assign(id, epoch int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
 	s.inShard, s.inEpoch = id, epoch
-	rt := s.rt
 	s.mu.Unlock()
 	go func() {
 		defer cancel()
-		rt.runShard(ctx, id, epoch, s, s.b, s)
+		s.job.rt.runShard(ctx, id, epoch, s)
 		s.mu.Lock()
 		if s.inShard == id && s.inEpoch == epoch {
 			s.inShard, s.inEpoch = 0, 0
@@ -122,10 +134,10 @@ func (s *fleetSlot) assign(id, epoch int) {
 	}()
 }
 
-// drain ends the session: cancel in-flight compute, drop queued reports
-// (the supervisor that drained us has everything it needs), and close
-// the connection.
-func (s *fleetSlot) drain() {
+// shutdown ends the slot, on drain or with the fleet: in-flight compute
+// canceled, queued reports dropped (the supervisor that drained us has
+// everything it needs), connection closed, beater halted.
+func (s *fleetSlot) shutdown() {
 	s.mu.Lock()
 	if s.cancel != nil {
 		s.cancel()
@@ -133,18 +145,8 @@ func (s *fleetSlot) drain() {
 	}
 	s.inShard, s.inEpoch = 0, 0
 	s.queued = nil
-	conn := s.conn
-	s.conn, s.enc = nil, nil
+	s.disconnect()
 	s.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
-
-// shutdown tears the slot down with the fleet: compute canceled, beater
-// halted, connection closed.
-func (s *fleetSlot) shutdown() {
-	s.drain()
 	s.b.halt()
 }
 
@@ -153,10 +155,7 @@ func (s *fleetSlot) shutdown() {
 func (s *fleetSlot) dropConn() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.conn != nil {
-		s.conn.Close()
-		s.conn, s.enc = nil, nil
-	}
+	s.disconnect()
 }
 
 // partition enacts the partition chaos fault: drop the connection and

@@ -1,15 +1,17 @@
-// Package worker is the worker side of the shard protocol, in both of
-// its transports. A process started with BITPACKER_SHARD_DIR in its
-// environment is a forked worker: it rebuilds a bit-identical FHE
-// context from the job file's Config (deterministic seeded keygen makes
-// every process derive the same keys), then serves shard assignments
-// from stdin — executing each through the checkpointed ExecShard path
+// Package worker is the worker side of the shard protocol: a fleet
+// member (Listen / `bpworker -listen`) accepts dialing supervisors,
+// authenticates each hello by job fingerprint, rebuilds a bit-identical
+// FHE context from the job file's Config (deterministic seeded keygen
+// makes every process derive the same keys), and serves shard
+// assignments — executing each through the checkpointed ExecShard path
 // and publishing durable outputs stamped with the dispatch's lease epoch
-// — while a background goroutine heartbeats on stdout. A fleet member
-// (Listen / `bpworker -listen`) serves the same protocol over TCP to
-// dialing supervisors, authenticated by job fingerprint, and keeps
+// — while a per-slot goroutine heartbeats on the same socket. It keeps
 // computing through disconnections: completions are queued while the
-// socket is down and flushed when the supervisor reconnects.
+// socket is down and flushed when the supervisor reconnects. There is one
+// loop that reads assign/drain (Fleet.handle); a process the supervisor
+// forked (BITPACKER_SHARD_DIR in its environment, Main) is the same
+// member on a loopback port, serving that one directory until its stdin
+// closes.
 package worker
 
 import (
@@ -17,8 +19,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"sync"
 	"time"
 
@@ -33,33 +35,11 @@ import (
 // workers) check it first thing in main.
 func IsWorker() bool { return os.Getenv(shard.EnvDir) != "" }
 
-// sink consumes protocol messages headed for the supervisor. The stdio
-// sender and the fleet slot (which queues completions across
-// disconnections) both implement it.
-type sink interface {
-	send(m shard.Msg)
-}
-
-// sender serializes protocol writes to stdout: the beat goroutine and
-// the assignment loop share the pipe.
-type sender struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-func (s *sender) send(m shard.Msg) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// A write error means the supervisor is gone; the stdin read loop
-	// will see EOF and exit, so the error needs no handling here.
-	_ = s.enc.Encode(m)
-}
-
 // beater emits liveness beats every interval, carrying the current
 // shard/step so the supervisor can track progress. It can be paused (the
 // beat-delay chaos faults) or stopped permanently (the hang fault).
 type beater struct {
-	out      sink
+	out      *fleetSlot
 	interval time.Duration
 
 	mu          sync.Mutex
@@ -70,7 +50,7 @@ type beater struct {
 	once sync.Once
 }
 
-func newBeater(out sink, interval time.Duration) *beater {
+func newBeater(out *fleetSlot, interval time.Duration) *beater {
 	b := &beater{out: out, interval: interval, stop: make(chan struct{})}
 	go b.loop()
 	return b
@@ -111,23 +91,17 @@ func (b *beater) pause(d time.Duration) {
 func (b *beater) halt() { b.once.Do(func() { close(b.stop) }) }
 
 // runtime is one job's loaded execution state: the rebuilt FHE context
-// and the declarative program, shared by every shard the worker runs for
-// that job. Forked workers hold exactly one; a fleet member caches one
-// per job it serves.
+// and the declarative program, shared by every slot the member runs for
+// that job.
 type runtime struct {
-	fhe         *bitpacker.Context
-	dir         string
-	program     []bitpacker.ShardStep
-	fingerprint uint64
+	fhe     *bitpacker.Context
+	dir     string
+	program []bitpacker.ShardStep
 }
 
-// loadRuntime reads the job file under dir and rebuilds the job's
-// bit-identical FHE context (deterministic seeded keygen).
-func loadRuntime(dir string) (*runtime, error) {
-	jf, err := shard.ReadJobFile(dir)
-	if err != nil {
-		return nil, err
-	}
+// newRuntime rebuilds the job's bit-identical FHE context (deterministic
+// seeded keygen) from its job file.
+func newRuntime(dir string, jf shard.JobFile) (*runtime, error) {
 	var cfg bitpacker.Config
 	if err := json.Unmarshal(jf.Config, &cfg); err != nil {
 		return nil, fmt.Errorf("worker: job config: %w", err)
@@ -144,29 +118,21 @@ func loadRuntime(dir string) (*runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("worker: context: %w", err)
 	}
-	return &runtime{fhe: fhe, dir: dir, program: program, fingerprint: jf.Fingerprint}, nil
-}
-
-// netEnactor enacts connection-level chaos faults. Only the fleet can
-// drop its own connection or refuse handshakes; the stdio worker passes
-// nil and those fault kinds are ignored.
-type netEnactor interface {
-	dropConn()
-	partition(d time.Duration)
+	return &runtime{fhe: fhe, dir: dir, program: program}, nil
 }
 
 // runShard executes one assigned shard under its lease epoch and reports
-// done or fail through out. Chaos faults specified in the environment
-// (process-level and network-level) are enacted at the hook's step
-// boundaries.
-func (rt *runtime) runShard(ctx context.Context, id, epoch int, out sink, b *beater, net netEnactor) {
+// done or fail through the slot. Chaos faults specified in the
+// environment (process-level and network-level) are enacted at the
+// hook's step boundaries.
+func (rt *runtime) runShard(ctx context.Context, id, epoch int, sl *fleetSlot) {
 	corruptOut := false
 	dupDone := false
 	staleDone := false
 	staleBlob := false
 	hook := func(step int) {
-		b.progress(id, step)
-		out.send(shard.Msg{Type: shard.MsgBeat, Shard: id, Step: step})
+		sl.b.progress(id, step)
+		sl.send(shard.Msg{Type: shard.MsgBeat, Shard: id, Step: step})
 		if f := chaos.FireProc(shard.ChaosDir(rt.dir), id, step); f != nil {
 			switch f.Kind {
 			case chaos.ProcCrash:
@@ -176,12 +142,12 @@ func (rt *runtime) runShard(ctx context.Context, id, epoch int, out sink, b *bea
 				// block on channels so the runtime's deadlock detector cannot
 				// turn the hang into an exit; only the supervisor's SIGKILL
 				// ends it.
-				b.halt()
+				sl.b.halt()
 				for {
 					time.Sleep(time.Hour)
 				}
 			case chaos.ProcBeatDelay:
-				b.pause(time.Duration(f.DelayMs) * time.Millisecond)
+				sl.b.pause(time.Duration(f.DelayMs) * time.Millisecond)
 			case chaos.ProcCorruptOut:
 				corruptOut = true
 			}
@@ -189,13 +155,9 @@ func (rt *runtime) runShard(ctx context.Context, id, epoch int, out sink, b *bea
 		if f := chaos.FireNet(shard.ChaosDir(rt.dir), id, step); f != nil {
 			switch f.Kind {
 			case chaos.NetConnDrop:
-				if net != nil {
-					net.dropConn()
-				}
+				sl.dropConn()
 			case chaos.NetPartition:
-				if net != nil {
-					net.partition(time.Duration(f.DelayMs) * time.Millisecond)
-				}
+				sl.partition(time.Duration(f.DelayMs) * time.Millisecond)
 			case chaos.NetDupDone:
 				dupDone = true
 			case chaos.NetStaleDone:
@@ -203,7 +165,7 @@ func (rt *runtime) runShard(ctx context.Context, id, epoch int, out sink, b *bea
 			case chaos.NetStaleBlob:
 				staleBlob = true
 			case chaos.NetBeatDelay:
-				b.pause(time.Duration(f.DelayMs) * time.Millisecond)
+				sl.b.pause(time.Duration(f.DelayMs) * time.Millisecond)
 			}
 		}
 	}
@@ -213,7 +175,7 @@ func (rt *runtime) runShard(ctx context.Context, id, epoch int, out sink, b *bea
 		if errors.Is(err, bitpacker.ErrCanceled) {
 			class = shard.ClassCanceled
 		}
-		out.send(shard.Msg{Type: shard.MsgFail, Shard: id, Epoch: epoch, Class: class, Err: err.Error()})
+		sl.send(shard.Msg{Type: shard.MsgFail, Shard: id, Epoch: epoch, Class: class, Err: err.Error()})
 		return
 	}
 	if corruptOut {
@@ -221,7 +183,7 @@ func (rt *runtime) runShard(ctx context.Context, id, epoch int, out sink, b *bea
 		// anyway, and die — the supervisor's output validation must reject
 		// the file and re-dispatch the shard.
 		_ = chaos.CorruptFile(bitpacker.ShardOutputPath(rt.dir, id))
-		out.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch})
+		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch})
 		os.Exit(shard.CrashExitCode)
 	}
 	if staleBlob {
@@ -233,11 +195,11 @@ func (rt *runtime) runShard(ctx context.Context, id, epoch int, out sink, b *bea
 	if staleDone {
 		// Zombie-report model: a done carrying the previous epoch precedes
 		// the real one — the epoch fence must drop it.
-		out.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch - 1})
+		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch - 1})
 	}
-	out.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch})
+	sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch})
 	if dupDone {
-		out.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch})
+		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch})
 	}
 }
 
@@ -255,44 +217,28 @@ func restampOutput(dir string, id, epoch int) {
 	_ = st.Put(id, shard.OutputName(id, epoch), blob)
 }
 
-// Main runs the stdio worker protocol to completion. The return value is
-// the process exit code: 0 for a clean drain (stdin closed or drain
-// message), nonzero for startup failures. Call only when IsWorker().
+// Main is a spawned worker's whole life: a loopback fleet member for the
+// one exchange directory the supervisor put in its environment. It binds
+// 127.0.0.1:0, announces the address on stdout for the supervisor to
+// dial, and serves until stdin closes — the supervisor's drain, or its
+// death: either way the pipe's EOF ends the process, so a worker never
+// outlives its supervisor. The return value is the process exit code.
+// Call only when IsWorker().
 func Main() int {
-	dir := os.Getenv(shard.EnvDir)
-	if dir == "" {
-		fmt.Fprintln(os.Stderr, "bpworker: "+shard.EnvDir+" not set")
-		return 2
-	}
-	beatMs, _ := strconv.Atoi(os.Getenv(shard.EnvBeatMs))
-	if beatMs <= 0 {
-		beatMs = 250
-	}
-	out := &sender{enc: json.NewEncoder(os.Stdout)}
-	b := newBeater(out, time.Duration(beatMs)*time.Millisecond)
-	defer b.halt()
-
-	// Deterministic seeded keygen: this context is bit-identical to the
-	// submitting process's (and every sibling worker's). The beater is
-	// already running, so slow keygen cannot look like a hang.
-	rt, err := loadRuntime(dir)
+	fl, err := Listen("127.0.0.1:0", nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bpworker: %v\n", err)
 		return 1
 	}
-
-	out.send(shard.Msg{Type: shard.MsgReady})
-	dec := json.NewDecoder(os.Stdin)
-	for {
-		var m shard.Msg
-		if err := dec.Decode(&m); err != nil {
-			return 0 // stdin closed: supervisor is draining us or gone
-		}
-		switch m.Type {
-		case shard.MsgDrain:
-			return 0
-		case shard.MsgAssign:
-			rt.runShard(context.Background(), m.Shard, m.Epoch, out, b, nil)
-		}
+	fl.only = os.Getenv(shard.EnvDir)
+	fmt.Println(fl.Addr())
+	served := make(chan error, 1)
+	go func() { served <- fl.Serve() }()
+	io.Copy(io.Discard, os.Stdin)
+	fl.Close()
+	if err := <-served; err != nil {
+		fmt.Fprintf(os.Stderr, "bpworker: %v\n", err)
+		return 1
 	}
+	return 0
 }

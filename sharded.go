@@ -221,11 +221,12 @@ type ShardOptions struct {
 	// WorkerEnv is appended to every worker's environment.
 	WorkerEnv []string
 	// Addrs lists standing fleet endpoints (`bpworker -listen`). When
-	// non-empty the job runs over the TCP transport — the supervisor
-	// dials out, authenticates each connection with the job fingerprint,
-	// and no local worker processes are forked. Workers defaults to
-	// len(Addrs). If every fleet member is lost the job degrades to
-	// in-process execution (or fails, if DisableDegraded).
+	// non-empty the supervisor dials them instead of the loopback
+	// members it would otherwise spawn from WorkerCommand — the same
+	// sessions, authenticated with the job fingerprint, and no local
+	// worker processes. Workers defaults to len(Addrs). If every fleet
+	// member is lost the job degrades to in-process execution (or fails,
+	// if DisableDegraded).
 	Addrs []string
 	// EngineWorkers caps each worker process's execution-engine
 	// parallelism (default: NumCPU / Workers, minimum 1) so the fleet
@@ -252,8 +253,8 @@ type ShardOptions struct {
 	Keep bool
 	// Logf receives one structured line per recovery action.
 	Logf func(format string, args ...any)
-	// OnSpawn observes every worker process start (slot, pid) — the
-	// chaos soak's random killer hooks it.
+	// OnSpawn observes every worker session start (slot, pid; pid 0 for
+	// a standing fleet member) — the chaos soak's random killer hooks it.
 	OnSpawn func(worker, pid int)
 }
 
