@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate docs-check fuzz-smoke chaos-soak serve-smoke shard-soak
+.PHONY: all build vet test race bench-test check clean panicgate docs-check fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -59,29 +59,23 @@ docs-check:
 
 # Short native-fuzz runs over every target: a smoke pass for CI, not a
 # campaign. Seed corpora live in testdata/fuzz/ next to each target;
-# the deserialization targets carry hostile-length corpus cases.
+# the deserialization targets carry hostile-length corpus cases, and the
+# supervisor state machine's corpus holds one model-fleet schedule per
+# row of DESIGN.md's failure matrix (its seeded and exhaustive schedule
+# search runs in plain `go test`, which is what replaced the shard soak).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecode -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzParams -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalCiphertext -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSwitchingKey -fuzztime 20s ./internal/ckks
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWorkerMessage -fuzztime 20s ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzSupervisorMachine -fuzztime 20s ./internal/shard
 
 # Serving-layer smoke: 100 mixed-tenant requests through the full HTTP
 # stack under chaos bursts — zero 5xx, every answer verified, clean
 # drain — with the race detector on.
 serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' -v ./internal/serve
-
-# Shard soak: the whole supervised-worker suite — spawned members and
-# standing fleets are one lane — under the race detector, repeated with
-# shuffled order. TestShardSoak kills random workers mid-job with
-# SIGKILL; connection drops, partitions, duplicate and stale-epoch
-# deliveries and full fleet loss are injected; every repetition must
-# finish with zero lost or duplicated shards, every stale-lease write
-# fenced off, and outputs bit-identical to the serial run.
-shard-soak:
-	$(GO) test -race -count=3 -shuffle=on -run 'TestShard|TestTCP|TestFleet' -timeout 20m ./internal/shard/...
 
 # Chaos soak: run the fault-injection and self-healing suites (RRNS
 # repair, op-level retry, checkpoint/resume) repeatedly with shuffled

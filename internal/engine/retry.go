@@ -43,7 +43,8 @@ type RetryPolicy struct {
 	Cooldown time.Duration
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
+// WithDefaults fills the zero fields with the documented defaults.
+func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
 	}
@@ -83,7 +84,7 @@ type Retrier struct {
 	policy RetryPolicy
 
 	mu          sync.Mutex
-	rng         *rand.Rand
+	delays      *Backoff
 	consecutive int       // ops that exhausted their budget since the last success
 	open        bool      // breaker state
 	openedAt    time.Time // when the breaker last opened
@@ -96,11 +97,35 @@ type Retrier struct {
 
 // NewRetrier builds a retrier for the policy.
 func NewRetrier(policy RetryPolicy) *Retrier {
-	p := policy.withDefaults()
-	return &Retrier{
-		policy: p,
-		rng:    rand.New(rand.NewPCG(p.Seed, p.Seed^0xda3e39cb94b95bdb)),
+	p := policy.WithDefaults()
+	return &Retrier{policy: p, delays: NewBackoff(p)}
+}
+
+// Backoff computes a policy's delays between attempts: BaseDelay doubled
+// per attempt up to MaxDelay, each multiplied by a jitter factor in
+// [0.5, 1.5) drawn from the policy's seeded PRNG. It reads no clock and
+// sleeps nowhere, so callers that keep their own time (the shard
+// supervisor's state machine) share the one computation with Retrier.
+// Not safe for concurrent use.
+type Backoff struct {
+	base, max time.Duration
+	rng       *rand.Rand
+}
+
+// NewBackoff builds the delay sequence of a policy (defaults applied).
+func NewBackoff(policy RetryPolicy) *Backoff {
+	p := policy.WithDefaults()
+	return &Backoff{base: p.BaseDelay, max: p.MaxDelay,
+		rng: rand.New(rand.NewPCG(p.Seed, p.Seed^0xda3e39cb94b95bdb))}
+}
+
+// Delay is the wait after the attempt-th consecutive failure (1-based).
+func (b *Backoff) Delay(attempt int) time.Duration {
+	d := b.base << uint(attempt-1)
+	if d > b.max || d <= 0 {
+		d = b.max
 	}
+	return time.Duration(float64(d) * (0.5 + b.rng.Float64()))
 }
 
 // retryable reports whether an error class can plausibly clear on a
@@ -177,14 +202,9 @@ func (r *Retrier) admit(op string) error {
 // backoff sleeps the jittered exponential delay for the given attempt,
 // aborting early if ctx is canceled.
 func (r *Retrier) backoff(ctx context.Context, attempt int) error {
-	d := r.policy.BaseDelay << uint(attempt-1)
-	if d > r.policy.MaxDelay || d <= 0 {
-		d = r.policy.MaxDelay
-	}
 	r.mu.Lock()
-	jitter := 0.5 + r.rng.Float64()
+	d := r.delays.Delay(attempt)
 	r.mu.Unlock()
-	d = time.Duration(float64(d) * jitter)
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

@@ -126,39 +126,51 @@ var syncDir = func(dir string) error {
 	return d.Sync()
 }
 
-// Put writes the framed checkpoint to a temp file, fsyncs it, renames it
-// over the stage's path, and fsyncs the directory — the full
-// power-loss-safe publication sequence.
+// Put atomically and durably replaces the stage's checkpoint.
 func (s *DirStore) Put(stage int, name string, payload []byte) error {
 	if stage < 0 {
 		return fmt.Errorf("pipeline: negative stage %d", stage)
 	}
-	final := s.path(stage)
-	tmp, err := os.CreateTemp(s.dir, "stage-*.tmp")
+	return WriteFileDurable(s.path(stage), frame(stage, name, payload), 0o600)
+}
+
+// WriteFileDurable is os.WriteFile for what is acknowledged as stored (a
+// checkpoint, an accepted job, a finished job's output): it replaces the
+// file at path so that a crash or power loss at any point leaves either
+// the previous content or the new, never a torn or empty file — the full
+// publication sequence of temp file in the same directory, fsync, rename
+// over path, fsync of the directory.
+func WriteFileDurable(path string, data []byte, perm os.FileMode) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("pipeline: checkpoint temp file: %w", err)
+		return fmt.Errorf("pipeline: temp file for %s: %w", path, err)
 	}
-	blob := frame(stage, name, payload)
-	if _, err := tmp.Write(blob); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: checkpoint write: %w", err)
+		return fmt.Errorf("pipeline: write %s: %w", path, err)
+	}
+	if err := tmp.Chmod(perm); err != nil { // CreateTemp made it 0600
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("pipeline: chmod %s: %w", path, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: checkpoint sync: %w", err)
+		return fmt.Errorf("pipeline: sync %s: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: checkpoint close: %w", err)
+		return fmt.Errorf("pipeline: close %s: %w", path, err)
 	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: checkpoint rename: %w", err)
+		return fmt.Errorf("pipeline: rename onto %s: %w", path, err)
 	}
-	if err := syncDir(s.dir); err != nil {
-		return fmt.Errorf("pipeline: checkpoint dir sync: %w", err)
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("pipeline: dir sync for %s: %w", path, err)
 	}
 	return nil
 }

@@ -9,7 +9,9 @@ package pipeline
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -114,34 +116,48 @@ func TestDirStoreConcurrentWriters(t *testing.T) {
 }
 
 // TestDirStorePutSyncsParentDir pins the power-loss half of durable
-// publication: after the atomic rename, Put must fsync the containing
-// directory (or the rename itself may not survive power loss), and a
-// failing directory sync must surface as a Put error, not silence.
+// publication: after the atomic rename, the directory must be fsynced (or
+// the rename itself may not survive power loss), and a failing directory
+// sync must surface as an error, not silence — for a checkpoint Put and
+// for every other file acknowledged through WriteFileDurable.
 func TestDirStorePutSyncsParentDir(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	orig := syncDir
 	defer func() { syncDir = orig }()
 
-	var synced []string
-	syncDir = func(d string) error {
-		synced = append(synced, d)
-		return orig(d)
+	for name, write := range map[string]func(n int) error{
+		"DirStore.Put": func(n int) error { return store.Put(n, "writer", []byte("payload")) },
+		"WriteFileDurable": func(n int) error {
+			return WriteFileDurable(filepath.Join(dir, fmt.Sprintf("job-%d.json", n)), []byte("{}"), 0o644)
+		},
+	} {
+		var synced []string
+		syncDir = func(d string) error {
+			synced = append(synced, d)
+			return orig(d)
+		}
+		if err := write(3); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(synced) != 1 || synced[0] != dir {
+			t.Fatalf("%s synced %v, want exactly [%q]", name, synced, dir)
+		}
+		syncDir = func(string) error { return errors.New("injected dir sync failure") }
+		if err := write(4); err == nil {
+			t.Fatalf("%s swallowed a failed directory sync", name)
+		}
 	}
-	if err := store.Put(3, "writer", []byte("payload")); err != nil {
+	if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) != 0 {
+		t.Fatalf("temp files left behind: %v", left)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "job-3.json")); err != nil {
 		t.Fatal(err)
-	}
-	if len(synced) != 1 || synced[0] != dir {
-		t.Fatalf("Put synced %v, want exactly [%q]", synced, dir)
-	}
-
-	syncDir = func(string) error { return errors.New("injected dir sync failure") }
-	if err := store.Put(4, "writer", []byte("payload")); err == nil {
-		t.Fatal("failed directory sync was swallowed")
+	} else if fi.Mode().Perm() != 0o644 {
+		t.Fatalf("published file mode %v, want the 0644 asked for, not the temp file's 0600", fi.Mode())
 	}
 
 	// The real hook works against a real directory.

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"bitpacker"
+	"bitpacker/internal/pipeline"
 )
 
 // Job states reported by GET /v1/job/{id}.
@@ -147,24 +148,23 @@ func (jm *JobManager) load(id string) (*jobRecord, error) {
 	return rec, nil
 }
 
-// persist writes the job record atomically (write-then-rename), so a
-// crash mid-update leaves the previous intact record, never a torn one.
-func (jm *JobManager) persist(rec *jobRecord) error {
+// persist durably replaces the job record. Every file a job is
+// acknowledged by (input.bin, job.json, output.bin) reaches the disk
+// through pipeline.WriteFileDurable: a crash or power loss leaves the
+// previous file or the new one, never a torn or empty one. persist takes
+// a copy, so the write and its two fsyncs need not happen under jm.mu.
+func (jm *JobManager) persist(rec jobRecord) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(jm.jobDir(rec.ID), "job.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return pipeline.WriteFileDurable(filepath.Join(jm.jobDir(rec.ID), "job.json"), data, 0o644)
 }
 
 // Submit durably records a new job and starts it. The input ciphertext
-// blob is written before job.json flips to running, so a crash between
-// the two leaves nothing half-started.
+// blob is durable before job.json says running, so a crash between the
+// two leaves nothing half-started, and an id is returned only for a job
+// a restart will find.
 func (jm *JobManager) Submit(spec JobSpec, inputBlob []byte) (string, error) {
 	p, err := jm.reg.profile(spec.Profile)
 	if err != nil {
@@ -202,9 +202,9 @@ func (jm *JobManager) Submit(spec JobSpec, inputBlob []byte) (string, error) {
 	jm.mu.Unlock()
 
 	if err := os.MkdirAll(jm.jobDir(id), 0o755); err == nil {
-		err = os.WriteFile(filepath.Join(jm.jobDir(id), "input.bin"), inputBlob, 0o644)
+		err = pipeline.WriteFileDurable(filepath.Join(jm.jobDir(id), "input.bin"), inputBlob, 0o644)
 		if err == nil {
-			err = jm.persist(rec)
+			err = jm.persist(*rec)
 		}
 	}
 	jm.mu.Lock()
@@ -230,6 +230,12 @@ func (jm *JobManager) run(rec *jobRecord) {
 		// Shutdown drain, not a failure: the job's checkpoints are
 		// durable, so leave it recorded as running and the next process
 		// resumes it from the latest intact checkpoint.
+	case errors.Is(err, errUnpublished):
+		// The result exists but could not be made durable: a storage
+		// fault, not a job fault. The record must not say done for an
+		// output a power loss could tear; it stays running, and the next
+		// process republishes from the final checkpoint.
+		rec.Error = err.Error()
 	case err != nil:
 		rec.State = JobFailed
 		rec.Error = err.Error()
@@ -237,8 +243,9 @@ func (jm *JobManager) run(rec *jobRecord) {
 		rec.State = JobDone
 		rec.Error = ""
 	}
-	jm.persist(rec)
+	final := *rec
 	jm.mu.Unlock()
+	jm.persist(final)
 }
 
 func (jm *JobManager) execute(rec *jobRecord) error {
@@ -276,11 +283,23 @@ func (jm *JobManager) execute(rec *jobRecord) error {
 	if err != nil {
 		return err
 	}
-	outBlob, err := p.ctx.MarshalCiphertext(final[0])
+	return jm.publish(rec, p, final[0])
+}
+
+// errUnpublished marks a finished job whose output could not be written.
+var errUnpublished = errors.New("serve: output not published")
+
+// publish durably writes a finished job's output, which is what lets
+// run() record it done.
+func (jm *JobManager) publish(rec *jobRecord, p *profile, out *bitpacker.Ciphertext) error {
+	blob, err := p.ctx.MarshalCiphertext(out)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(jm.jobDir(rec.ID), "output.bin"), outBlob, 0o644)
+	if err := pipeline.WriteFileDurable(filepath.Join(jm.jobDir(rec.ID), "output.bin"), blob, 0o644); err != nil {
+		return fmt.Errorf("%w: %v", errUnpublished, err)
+	}
+	return nil
 }
 
 // executeSharded runs the job's steps through supervised worker
@@ -310,11 +329,7 @@ func (jm *JobManager) executeSharded(rec *jobRecord, p *profile, initial *bitpac
 	if err != nil {
 		return err
 	}
-	outBlob, err := p.ctx.MarshalCiphertext(final[0])
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(jm.jobDir(rec.ID), "output.bin"), outBlob, 0o644)
+	return jm.publish(rec, p, final[0])
 }
 
 // Status returns a copy of the job's current record.

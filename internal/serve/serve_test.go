@@ -320,14 +320,11 @@ func pollJob(t *testing.T, url, id string, timeout time.Duration) jobRecord {
 	}
 }
 
-// TestJobResumeAfterRestart: a job directory left in the running state
-// by a dead process (durable record + input blob, no result) is picked
-// up and driven to completion by the next server's startup scan.
-func TestJobResumeAfterRestart(t *testing.T) {
-	jobDir := t.TempDir()
-
-	// A context with the profile's exact parameters plays the dead
-	// process: it wrote the job record and input, then vanished.
+// orphanJob leaves job-000042 (negate) in jobDir the way a dead process
+// would: durable record in the running state and input blob, no result.
+// A context with the profile's exact parameters plays the dead process.
+func orphanJob(t *testing.T, jobDir string) (in []float64) {
+	t.Helper()
 	cfg := bitpacker.Config{
 		Scheme: bitpacker.BitPacker, LogN: 9, Levels: 3, ScaleBits: 40,
 		QMinBits: 48, WordBits: 61, Seed: 13, KeyCacheBytes: 8 << 20,
@@ -336,7 +333,7 @@ func TestJobResumeAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make([]float64, writer.Slots())
+	in = make([]float64, writer.Slots())
 	for i := range in {
 		in[i] = 0.02 * float64(i%3)
 	}
@@ -362,6 +359,48 @@ func TestJobResumeAfterRestart(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "job.json"), rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return in
+}
+
+// TestJobUnpublishedOutputStaysRunning: a job is recorded done only after
+// its output is durable. When publishing output.bin fails (here: a
+// non-empty directory squats on the name, so the rename cannot land) the
+// record — in memory and on disk — must still say running, with no result
+// served and no temp file left, so that the next process republishes.
+func TestJobUnpublishedOutputStaysRunning(t *testing.T) {
+	jobDir := t.TempDir()
+	orphanJob(t, jobDir)
+	dir := filepath.Join(jobDir, "job-000042")
+	if err := os.MkdirAll(filepath.Join(dir, "output.bin", "squatter"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := testServer(t, nil, jobDir)
+	srv.Close() // waits the resumed job out
+	rec, err := srv.jobs.Status("job-000042")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != JobRunning || rec.Error == "" {
+		t.Fatalf("unpublished job recorded %q (error %q), want running with the publish error", rec.State, rec.Error)
+	}
+	onDisk, err := srv.jobs.load("job-000042")
+	if err != nil || onDisk.State != JobRunning {
+		t.Fatalf("durable record after a failed publish: %+v, %v; want running", onDisk, err)
+	}
+	if _, err := srv.jobs.Result("job-000042"); err == nil {
+		t.Fatal("a result was served for a job whose output was never published")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) != 0 {
+		t.Fatalf("failed publish left temp files behind: %v", left)
+	}
+}
+
+// TestJobResumeAfterRestart: a job directory left in the running state
+// by a dead process (durable record + input blob, no result) is picked
+// up and driven to completion by the next server's startup scan.
+func TestJobResumeAfterRestart(t *testing.T) {
+	jobDir := t.TempDir()
+	in := orphanJob(t, jobDir)
 
 	srv, p := testServer(t, nil, jobDir)
 	defer srv.Close()

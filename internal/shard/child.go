@@ -27,12 +27,13 @@ type child struct {
 	addr   chan string   // the announced address; closed empty if stdout ends first
 	done   chan struct{} // closed once the process is reaped
 	err    error         // exit status, valid after done
+	reaped bool          // the driver's loop has seen done
 }
 
 // startChild spawns the slot's worker process. An error is a terminal
 // environment problem (missing binary, not executable): deliberately NOT
-// an engine fault, so the Retrier returns it unretried and the slot
-// retires straight into degraded mode.
+// an engine fault, so the slot retires unretried, straight into degraded
+// mode.
 func startChild(opts Options, slot int) (*child, error) {
 	argv := opts.WorkerCommand
 	cmd := exec.Command(argv[0], argv[1:]...)
@@ -64,40 +65,12 @@ func startChild(opts Options, slot int) (*child, error) {
 	return c, nil
 }
 
-// pid is the process id, or 0 for the nil child of a slot that dials a
-// standing member (what OnSpawn reports when there is nothing to signal).
-func (c *child) pid() int {
-	if c == nil {
-		return 0
-	}
-	return c.cmd.Process.Pid
-}
-
-// exited reports whether the process is already gone.
-func (c *child) exited() bool {
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// kill SIGKILLs the process and reaps it.
-func (c *child) kill() {
-	c.cmd.Process.Kill()
-	<-c.done
-}
-
-// stop ends a child that is no longer needed: closing stdin is its
-// signal to exit; one that has not within grace is killed.
+// stop ends the child: closing stdin is its signal to exit; one that has
+// not within grace — none, for a hung or fenced one — is SIGKILLed (which
+// does nothing to a process already reaped).
 func (c *child) stop(grace time.Duration) {
 	c.stdin.Close()
-	select {
-	case <-c.done:
-	case <-time.After(grace):
-		c.kill()
-	}
+	time.AfterFunc(grace, func() { c.cmd.Process.Kill() })
 }
 
 // boundedBuf retains the tail of worker stderr for crash diagnostics.

@@ -8,11 +8,15 @@
 // no worker can be kept alive the supervisor degrades to in-process
 // execution rather than failing the job.
 //
-// There is one way to reach a worker: dial its address, send hello, read
-// lines. The address is either a standing fleet member's (Options.Addrs)
-// or that of a loopback member the supervisor spawned for the slot
-// (Options.WorkerCommand); what owning the process adds — exit status,
-// SIGKILL, the stderr tail — is keyed on the slot having a child.
+// Every one of those decisions is made in one place: machine.go, a pure
+// step(event) -> actions state machine that owns the ledger and the slot
+// records and never touches a socket, a process or a clock, which is
+// what lets a test explore its interleavings by the thousand. Run
+// (shard.go) is its driver: one loop that feeds it events and performs
+// its actions. There is one way to reach a worker — dial its address,
+// send hello, read lines (session.go) — and the address is either a
+// standing fleet member's (Options.Addrs) or that of a loopback member
+// spawned for the slot (Options.WorkerCommand, child.go).
 //
 // The package is deliberately generic: it moves opaque shard IDs, not
 // ciphertexts. The caller supplies callbacks that validate a completed

@@ -2,51 +2,47 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
-	"sync"
 
 	"bitpacker/internal/fherr"
 )
 
-// session is one authenticated supervisor->member connection. msgs
-// closes when the stream ends, which says nothing about the worker
-// behind it: a fleet member keeps computing through a disconnection, so
-// the supervisor redials and re-adopts leases whose epoch still matches.
-// Only a slot that owns its member's process (child) learns more.
+// session is one authenticated supervisor->member connection. Its
+// stream ending says nothing about the worker behind it: a fleet member
+// keeps computing through a disconnection, so the supervisor redials and
+// re-adopts leases whose epoch still matches. Only a slot that owns its
+// member's process (child) learns more.
 type session struct {
-	conn      net.Conn
-	enc       *json.Encoder
-	msgs      chan Msg
-	readDone  chan error
-	closeOnce sync.Once
-	readErr   error
+	conn net.Conn
+	enc  *json.Encoder
 }
 
 // dial connects the slot to a member's address and sends the hello
 // handshake. Failures are retryable engine faults: a refused or
 // timed-out dial during a partition should be backed off and retried,
-// not treated as a missing binary.
-func (s *supervisor) dial(slot int, addr string) (*session, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeoutFactor*s.opts.HeartbeatTimeout)
+// not treated as a missing binary. ctx cuts a dial short when the Run is
+// over.
+func dial(ctx context.Context, opts Options, slot int, addr string) (*session, error) {
+	dialer := net.Dialer{Timeout: dialTimeoutFactor * opts.HeartbeatTimeout}
+	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fherr.Wrap(fherr.ErrEngineFault, "shard: dial worker %d: %v", slot, err)
 	}
-	sess := &session{conn: conn, enc: json.NewEncoder(conn),
-		msgs: make(chan Msg, 256), readDone: make(chan error, 1)}
+	sess := &session{conn: conn, enc: json.NewEncoder(conn)}
 	if err := sess.send(Msg{
 		Type:        MsgHello,
-		Dir:         s.opts.Dir,
-		Fingerprint: s.opts.Fingerprint,
+		Dir:         opts.Dir,
+		Fingerprint: opts.Fingerprint,
 		Worker:      slot,
-		BeatMs:      int(s.opts.HeartbeatInterval.Milliseconds()),
+		BeatMs:      int(opts.HeartbeatInterval.Milliseconds()),
 	}); err != nil {
 		conn.Close()
 		return nil, fherr.Wrap(fherr.ErrEngineFault, "shard: dial worker %d: hello to %s: %v", slot, addr, err)
 	}
-	go readLines(conn, sess.msgs, sess.readDone)
 	return sess, nil
 }
 
@@ -60,32 +56,24 @@ func (s *session) closeSend() {
 	}
 }
 
-// close drops the connection, waits for the reader to finish and returns
-// what ended the stream. It kills nothing: a fenced member that keeps
-// computing is harmless — its stale-epoch output is rejected.
-func (s *session) close() error {
-	s.closeOnce.Do(func() {
-		s.conn.Close()
-		s.readErr = <-s.readDone
-	})
-	return s.readErr
-}
+// close drops the connection, which also ends read. It kills nothing: a
+// fenced member that keeps computing is harmless — its stale-epoch output
+// is rejected.
+func (s *session) close() { s.conn.Close() }
 
-// readLines pumps length-capped protocol lines from r into msgs through
-// the hardened decoder, reporting the terminal error (EOF included) on
-// done and closing msgs. A line that fails DecodeWorkerMessage ends the
-// stream: a peer that emits garbage is indistinguishable from a corrupt
-// one, and the supervisor's death handling takes over.
-func readLines(r io.Reader, msgs chan<- Msg, done chan<- error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+// read pumps length-capped protocol lines through the hardened decoder
+// into deliver until the stream ends, and returns why it did. A line that
+// fails DecodeWorkerMessage ends it too: a peer that emits garbage is
+// indistinguishable from a corrupt one, and the supervisor's death
+// handling takes over.
+func (s *session) read(deliver func(Msg)) error {
+	br := bufio.NewReaderSize(s.conn, 64<<10)
 	for {
 		m, err := ReadMessage(br)
 		if err != nil {
-			done <- err
-			close(msgs)
-			return
+			return err
 		}
-		msgs <- m
+		deliver(m)
 	}
 }
 

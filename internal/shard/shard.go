@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -54,8 +53,9 @@ type Options struct {
 	// engine.Retrier semantics: a crashed or hung worker is respawned
 	// (or redialed) with jittered exponential backoff up to MaxAttempts
 	// times per round, and BreakerThreshold consecutive exhausted rounds
-	// open that slot's circuit breaker and retire it. Zero values select
-	// the Retrier defaults.
+	// open that slot's circuit breaker and retire it. A life that
+	// completed a shard starts the count over. Zero values select the
+	// Retrier defaults; AttemptTimeout and Cooldown mean nothing here.
 	Respawn engine.RetryPolicy
 	// ShardAttempts bounds how many times a shard that a live worker
 	// *reports* as failed (as opposed to dying while holding it) is
@@ -70,7 +70,7 @@ type Options struct {
 	// stale-epoch reject, re-dispatch, degraded entry).
 	Logf func(format string, args ...any)
 	// OnSpawn, when non-nil, observes every worker session start —
-	// monitoring hooks and the chaos soak's random killer use it. pid is
+	// monitoring hooks and TestShardSoak's random killer use it. pid is
 	// 0 for standing fleet members (there is no local process to signal).
 	OnSpawn func(worker, pid int)
 }
@@ -85,9 +85,8 @@ const (
 	dialTimeoutFactor = 2
 	// In-lease redials of a dropped connection back off from
 	// redialBaseDelay up to one heartbeat interval until the heartbeat
-	// deadline expires; the attempt count is never the binding limit.
-	redialBaseDelay   = 5 * time.Millisecond
-	redialMaxAttempts = 1000
+	// deadline expires.
+	redialBaseDelay = 5 * time.Millisecond
 )
 
 func (o Options) withDefaults() Options {
@@ -204,31 +203,16 @@ type Callbacks struct {
 	ExecLocal func(ctx context.Context, shard, epoch int) error
 }
 
-// supervisor is the shared state of one Run.
-type supervisor struct {
-	opts Options
-	cb   Callbacks
-
-	mu          sync.Mutex
-	cond        *sync.Cond
-	pending     []int
-	epoch       map[int]int  // shard -> current lease epoch (increments per dispatch)
-	leaseOwner  map[int]int  // shard -> slot holding its lease
-	brokenOwner map[int]int  // shard -> slot that last lost its lease
-	attempts    map[int]int  // worker-reported failures per shard
-	spawned     map[int]bool // slots that have spawned at least once
-	done        map[int]bool
-	doneCount   int
-	total       int
-	jobErr      error
-	canceled    bool
-	stats       Stats
-}
-
 // Run executes shards [0, total) across worker sessions. done marks
 // shards already completed by a previous attempt (may be nil). Run
 // returns when every shard is complete, the job fails with a typed
 // error, or ctx is canceled.
+//
+// Run is the driver of the state machine in machine.go: one loop that
+// feeds it what happened and performs what it answers. Whatever the
+// driver starts (timers, dials, session readers, child watchers, the
+// three callbacks) runs off the loop and comes back through the inbox, so
+// the driver's tables need no lock, and nothing it starts outlives Run.
 func Run(ctx context.Context, opts Options, total int, done []bool, cb Callbacks) (Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return Stats{}, err
@@ -240,722 +224,261 @@ func Run(ctx context.Context, opts Options, total int, done []bool, cb Callbacks
 	if cb.ShardDone == nil || cb.ExecLocal == nil {
 		return Stats{}, fherr.Wrap(fherr.ErrInvalidParams, "shard: ShardDone and ExecLocal callbacks required")
 	}
-	s := &supervisor{
-		opts:        opts,
-		cb:          cb,
-		epoch:       map[int]int{},
-		leaseOwner:  map[int]int{},
-		brokenOwner: map[int]int{},
-		attempts:    map[int]int{},
-		spawned:     map[int]bool{},
-		done:        map[int]bool{},
-		total:       total,
-	}
-	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < total; i++ {
-		if i < len(done) && done[i] {
-			s.done[i] = true
-			s.doneCount++
-		} else {
-			s.pending = append(s.pending, i)
-		}
-	}
-	if s.doneCount == total {
-		return s.stats, nil
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(opts.Addrs) == 0 && len(opts.WorkerCommand) == 0 {
-		// No way to reach workers at all: straight to degraded mode.
-		return s.finish(ctx, fmt.Errorf("shard: no worker command or fleet address"))
+	if cb.HealInput == nil {
+		cb.HealInput = func(int) error { return nil }
 	}
+	m, first := newMachine(opts, total, done, time.Now())
+	d := &driver{opts: opts, cb: cb, ctx: ctx, m: m, inbox: make(chan func()), ports: make([]port, len(m.slots))}
+	var stop context.CancelFunc
+	d.quit, stop = context.WithCancel(context.Background())
+	d.perform(first)
+	ticker := time.NewTicker(opts.HeartbeatInterval)
+	canceled := ctx.Done()
+	for !d.finished {
+		select {
+		case fn := <-d.inbox:
+			fn()
+		case <-ticker.C:
+			d.feed(event{kind: evTick})
+		case <-canceled:
+			canceled = nil
+			d.feed(event{kind: evCancel, err: ctx.Err()})
+		}
+	}
+	ticker.Stop()
+	stop()
+	for slot := range d.ports {
+		d.drop(slot, 0)
+	}
+	// Whatever is still on its way is let in and finds nothing to do: the
+	// core is finished and every port has moved on.
+	go func() { d.bg.Wait(); close(d.inbox) }()
+	for fn := range d.inbox {
+		fn()
+	}
+	return m.stats, d.err
+}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// driver is the I/O half of one Run. It decides nothing about leases,
+// epochs, budgets or counters. Its judgements are about its own I/O:
+// whether a completion still belongs to what the core last asked of a
+// slot (port.gen), and that a dead child's exit is reported only after
+// what the child had written to its session.
+type driver struct {
+	opts Options
+	cb   Callbacks
+	ctx  context.Context // the caller's: what ExecLocal runs under
+	m    *machine
+
+	inbox chan func()     // what happened off the loop, to be run on it
+	quit  context.Context // ends with the loop: dials and timers stop waiting
+	bg    sync.WaitGroup  // every goroutine the driver started, the only senders on inbox
+	ports []port
+
+	finished bool
+	err      error
+}
+
+// port is a slot's I/O: the session and process the core's record stands
+// for. gen moves on whenever the core asks for something new of the slot
+// or drops it; a completion that carries an older gen is dropped.
+type port struct {
+	gen   int
+	addr  string // where the slot's member listens; a fresh child announces its own
+	sess  *session
+	child *child
+}
+
+// feed stamps an event with the time and performs the core's answer.
+func (d *driver) feed(ev event) {
+	ev.now = time.Now()
+	d.perform(d.m.step(ev))
+}
+
+// async runs work off the loop and then what it returns on it. Run does
+// not return before both have happened.
+func (d *driver) async(work func() (onLoop func())) {
+	d.bg.Add(1)
 	go func() {
-		// Wake claim waiters when the job is canceled.
-		<-runCtx.Done()
-		s.mu.Lock()
-		s.canceled = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		defer d.bg.Done()
+		if fn := work(); fn != nil {
+			d.inbox <- fn
+		}
 	}()
+}
 
-	slots := opts.Workers
-	if slots > total-s.doneCount {
-		slots = total - s.doneCount
-	}
-	var wg sync.WaitGroup
-	var lastWorkerErr error
-	var lastMu sync.Mutex
-	for i := 0; i < slots; i++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			if err := s.slotLoop(runCtx, slot); err != nil {
-				lastMu.Lock()
-				lastWorkerErr = err
-				lastMu.Unlock()
+func (d *driver) perform(actions []action) {
+	for _, a := range actions {
+		switch a.kind {
+		case actStart, actDial:
+			d.connect(a.slot, a.after, a.kind == actStart)
+		case actSend:
+			if sess := d.ports[a.slot].sess; sess != nil {
+				if err := sess.send(a.msg); err != nil {
+					// The read side sees the drop; the core takes it from there.
+					d.opts.Logf("shard: action=%s-write-failed worker=%d shard=%d reason=%q", a.msg.Type, a.slot, a.msg.Shard, err.Error())
+				}
+				if a.last {
+					sess.closeSend()
+				}
 			}
-		}(i)
-	}
-	wg.Wait()
-	return s.finish(ctx, lastWorkerErr)
-}
-
-// finish assesses the post-worker state and, when shards remain with no
-// worker to run them, enters degraded in-process execution.
-func (s *supervisor) finish(ctx context.Context, lastWorkerErr error) (Stats, error) {
-	s.mu.Lock()
-	jobErr, doneCount := s.jobErr, s.doneCount
-	s.mu.Unlock()
-	if jobErr != nil {
-		return s.snapshot(), jobErr
-	}
-	if err := ctx.Err(); err != nil {
-		return s.snapshot(), fherr.Wrap(fherr.ErrCanceled, "shard: job canceled (%v)", err)
-	}
-	if doneCount == s.total {
-		return s.snapshot(), nil
-	}
-	// Shards remain and every slot has exited: no worker could be kept
-	// alive. Degrade to in-process execution unless forbidden.
-	if s.opts.DisableDegraded {
-		if lastWorkerErr == nil {
-			lastWorkerErr = errors.New("no worker available")
-		}
-		return s.snapshot(), fmt.Errorf("shard: %d/%d shards unfinished with all workers retired: %w (last: %v)",
-			s.total-doneCount, s.total, fherr.ErrFaultUnrecovered, lastWorkerErr)
-	}
-	s.mu.Lock()
-	s.stats.DegradedEntries++
-	remaining := append([]int(nil), s.pending...)
-	for shard := range s.leaseOwner {
-		// Leases of workers that died on the way out.
-		remaining = append(remaining, shard)
-	}
-	s.mu.Unlock()
-	s.opts.Logf("shard: action=degraded remaining=%d reason=%q", len(remaining), errString(lastWorkerErr))
-	for _, shard := range remaining {
-		if err := ctx.Err(); err != nil {
-			return s.snapshot(), fherr.Wrap(fherr.ErrCanceled, "shard: degraded run canceled (%v)", err)
-		}
-		epoch := s.nextEpoch(shard)
-		if err := s.cb.ExecLocal(ctx, shard, epoch); err != nil {
-			return s.snapshot(), fmt.Errorf("shard: degraded shard %d: %w", shard, err)
-		}
-		s.mu.Lock()
-		s.done[shard] = true
-		s.doneCount++
-		s.stats.LocalShards++
-		s.mu.Unlock()
-		s.opts.Logf("shard: action=local-complete shard=%d epoch=%d", shard, epoch)
-	}
-	return s.snapshot(), nil
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
-func (s *supervisor) snapshot() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// nextEpoch advances and returns a shard's lease epoch — every dispatch
-// (worker assign or degraded local execution) gets a fresh fencing
-// token.
-func (s *supervisor) nextEpoch(shard int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch[shard]++
-	return s.epoch[shard]
-}
-
-// claim blocks until a shard is available, leasing it to slot under a
-// fresh epoch. ok=false means there will never be more work for this
-// slot (job done, failed, or canceled) and the worker should be drained.
-func (s *supervisor) claim(slot int) (shard, epoch int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.jobErr != nil || s.canceled || s.doneCount == s.total {
-			return 0, 0, false
-		}
-		if len(s.pending) > 0 {
-			shard = s.pending[0]
-			s.pending = s.pending[1:]
-			s.leaseOwner[shard] = slot
-			s.epoch[shard]++
-			return shard, s.epoch[shard], true
-		}
-		s.cond.Wait()
-	}
-}
-
-// complete processes a worker's done report for the current lease:
-// validate the durable output against the dispatched epoch, then mark
-// the shard finished. A failed validation is treated as a reported shard
-// failure; a stale-epoch stamp additionally counts as a fenced zombie
-// write.
-func (s *supervisor) complete(slot, shard, epoch int) {
-	s.mu.Lock()
-	if s.done[shard] {
-		s.stats.DuplicateDones++
-		delete(s.leaseOwner, shard)
-		s.mu.Unlock()
-		s.opts.Logf("shard: action=duplicate-done worker=%d shard=%d", slot, shard)
-		return
-	}
-	s.mu.Unlock()
-
-	if err := s.cb.ShardDone(shard, epoch); err != nil {
-		if errors.Is(err, ErrStaleEpoch) {
-			s.addStat(func(st *Stats) { st.StaleEpochRejects++ })
-			s.opts.Logf("shard: action=stale-epoch-reject worker=%d shard=%d epoch=%d reason=%q", slot, shard, epoch, err.Error())
-		} else {
-			s.opts.Logf("shard: action=output-rejected worker=%d shard=%d reason=%q", slot, shard, err.Error())
-		}
-		s.shardFailed(slot, shard, err)
-		return
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done[shard] {
-		s.stats.DuplicateDones++
-	} else {
-		s.done[shard] = true
-		s.doneCount++
-		if prev, broken := s.brokenOwner[shard]; broken && prev != slot {
-			s.stats.LeasesStolen++
-		}
-	}
-	delete(s.leaseOwner, shard)
-	if s.doneCount == s.total {
-		s.cond.Broadcast()
-	}
-}
-
-// staleMsg classifies a done/fail report that does not match the
-// worker's current lease: a duplicate (shard already done), a fenced
-// zombie (older epoch), or neither (a protocol violation the caller
-// turns into a crash). Duplicates and zombies are counted and dropped.
-func (s *supervisor) staleMsg(slot int, m Msg) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done[m.Shard] {
-		s.stats.DuplicateDones++
-		s.opts.Logf("shard: action=duplicate-done worker=%d shard=%d epoch=%d", slot, m.Shard, m.Epoch)
-		return true
-	}
-	if m.Epoch < s.epoch[m.Shard] {
-		if m.Type == MsgDone {
-			s.stats.StaleEpochRejects++
-			s.opts.Logf("shard: action=stale-epoch-reject worker=%d shard=%d epoch=%d current=%d", slot, m.Shard, m.Epoch, s.epoch[m.Shard])
-		} else {
-			s.opts.Logf("shard: action=stale-fail-dropped worker=%d shard=%d epoch=%d current=%d", slot, m.Shard, m.Epoch, s.epoch[m.Shard])
-		}
-		return true
-	}
-	return false
-}
-
-// shardFailed handles a shard failure reported by a live worker (or a
-// rejected output): heal the input and re-dispatch, or fail the job once
-// the shard's attempt budget is spent.
-func (s *supervisor) shardFailed(slot, shard int, cause error) {
-	s.mu.Lock()
-	delete(s.leaseOwner, shard)
-	s.attempts[shard]++
-	attempts := s.attempts[shard]
-	exhausted := attempts >= s.opts.ShardAttempts
-	if exhausted && s.jobErr == nil {
-		s.jobErr = fmt.Errorf("shard: shard %d failed %d times: %w (last: %w)",
-			shard, attempts, fherr.ErrFaultUnrecovered, cause)
-	}
-	s.mu.Unlock()
-	if exhausted {
-		s.opts.Logf("shard: action=shard-exhausted worker=%d shard=%d attempts=%d reason=%q",
-			slot, shard, attempts, cause.Error())
-		s.wake()
-		return
-	}
-	if s.cb.HealInput != nil {
-		if err := s.cb.HealInput(shard); err != nil {
-			s.opts.Logf("shard: action=heal-input-failed shard=%d reason=%q", shard, err.Error())
-		}
-	}
-	s.mu.Lock()
-	s.pending = append(s.pending, shard)
-	s.stats.ShardRetries++
-	s.mu.Unlock()
-	s.opts.Logf("shard: action=shard-retry worker=%d shard=%d attempt=%d reason=%q",
-		slot, shard, attempts, cause.Error())
-	s.wake()
-}
-
-// releaseLease returns a dead worker's shard to the queue (re-dispatch
-// from its last durable checkpoint). Broken leases are free: they count
-// against the worker's breaker, not the shard's attempt budget.
-func (s *supervisor) releaseLease(slot int, shard int) {
-	if shard < 0 {
-		return
-	}
-	s.mu.Lock()
-	if owner, held := s.leaseOwner[shard]; !held || owner != slot {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.leaseOwner, shard)
-	if !s.done[shard] {
-		s.pending = append(s.pending, shard)
-		s.brokenOwner[shard] = slot
-		s.stats.Redispatches++
-	}
-	s.mu.Unlock()
-	s.opts.Logf("shard: action=redispatch worker=%d shard=%d", slot, shard)
-	s.wake()
-}
-
-func (s *supervisor) wake() {
-	s.mu.Lock()
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-func (s *supervisor) addStat(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
-}
-
-// slotLoop keeps one worker slot alive: each Retrier round spawns (or
-// dials) and runs a worker to clean completion, retrying crashes, hangs
-// and partitions with jittered backoff; consecutive exhausted rounds
-// open the slot's breaker and retire it. Cancellation always wins and is
-// never charged as a crash. Returns nil on clean drain, else the
-// retirement cause.
-func (s *supervisor) slotLoop(ctx context.Context, slot int) error {
-	retrier := engine.NewRetrier(s.opts.Respawn)
-	for {
-		err := retrier.Do(ctx, fmt.Sprintf("shard-worker-%d", slot), func(actx context.Context) error {
-			return s.workerLife(actx, slot)
-		})
-		switch {
-		case err == nil:
-			return nil // clean drain
-		case errors.Is(err, fherr.ErrCanceled):
-			return nil // job canceled; not a worker fault
-		case errors.Is(err, fherr.ErrFaultUnrecovered):
-			// One round's respawn budget spent; the breaker counted it.
-			// Keep trying until the breaker opens.
-			s.opts.Logf("shard: action=respawn-round-exhausted worker=%d reason=%q", slot, err.Error())
-			continue
-		default:
-			// Breaker open, or a terminal spawn error (missing binary,
-			// rejected handshake): retire the slot.
-			s.addStat(func(st *Stats) { st.WorkersRetired++ })
-			s.opts.Logf("shard: action=retire worker=%d reason=%q", slot, err.Error())
-			s.wake() // unblock peers if this was the last slot
-			return err
+		case actDrop:
+			d.drop(a.slot, a.after)
+		case actVerify:
+			d.call(event{kind: evVerified, shard: a.shard, epoch: a.epoch}, func() error { return d.cb.ShardDone(a.shard, a.epoch) })
+		case actHeal:
+			d.call(event{kind: evHealed, shard: a.shard}, func() error { return d.cb.HealInput(a.shard) })
+		case actExecLocal:
+			d.call(event{kind: evLocalDone, shard: a.shard, epoch: a.epoch}, func() error { return d.cb.ExecLocal(d.ctx, a.shard, a.epoch) })
+		case actLog:
+			d.opts.Logf("%s", a.text)
+		case actFinish:
+			d.finished, d.err = true, a.err
 		}
 	}
 }
 
-// reconnect redials a dropped session and decides the lease's fate. It
-// returns the adopted session (plus any done/fail the worker flushed
-// ahead of the supervisor's read, which the caller must process), or —
-// cause non-nil — the kind of end the slot met, for the caller's death
-// handling: "partition" past the heartbeat deadline, "crash" for a worker
-// that lost its state, anything else when ctx ended the attempt.
-func (s *supervisor) reconnect(ctx context.Context, slot int, addr string, cur, curEpoch int, lastBeat time.Time) (sess *session, pending *Msg, kind string, cause error) {
-	deadline := lastBeat.Add(s.opts.HeartbeatTimeout)
-	s.addStat(func(st *Stats) { st.ConnDrops++; st.HeartbeatMisses++ })
-	s.opts.Logf("shard: action=conn-drop worker=%d shard=%d epoch=%d budget=%v",
-		slot, cur, curEpoch, time.Until(deadline).Round(time.Millisecond))
-
-	rctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	var ready Msg
-	retrier := engine.NewRetrier(engine.RetryPolicy{
-		MaxAttempts: redialMaxAttempts, BaseDelay: redialBaseDelay, MaxDelay: s.opts.HeartbeatInterval})
-	err := retrier.Do(rctx, fmt.Sprintf("shard-reconnect-%d", slot), func(actx context.Context) error {
-		ns, err := s.dial(slot, addr)
-		if err != nil {
-			return err
-		}
-		m, err := awaitReady(actx, ns)
-		if err != nil {
-			ns.close()
-			return err
-		}
-		sess, ready = ns, m
-		return nil
+// call runs one of the caller's callbacks off the loop and answers the
+// core with its verdict.
+func (d *driver) call(answer event, callback func() error) {
+	d.async(func() func() {
+		answer.err = callback()
+		return func() { d.feed(answer) }
 	})
-	if err != nil {
-		if ctx.Err() == nil && rctx.Err() != nil {
-			// The redial budget (the heartbeat deadline) expired with the
-			// job still alive: a partition that outlived the lease.
-			return nil, nil, "partition", fmt.Errorf("no reconnection before the heartbeat deadline: %v", err)
-		}
-		return nil, nil, "reconnect-failed", err
-	}
+}
 
-	if cur < 0 || (ready.Shard == cur && ready.Epoch == curEpoch) {
-		// Idle drop healed, or the worker still holds our exact lease. The
-		// consumed ready is handed back as the pending message so a drop
-		// during startup still delivers it to the ready loop.
-		s.addStat(func(st *Stats) {
-			st.Reconnects++
-			if cur >= 0 {
-				st.Readopts++
+// connect gives the slot a session once the delay is over, unless the
+// core has asked for something else of the slot by then.
+func (d *driver) connect(slot int, after time.Duration, life bool) {
+	p := &d.ports[slot]
+	p.gen++
+	gen := p.gen
+	d.async(func() func() {
+		select {
+		case <-time.After(after):
+			return func() { d.attach(slot, gen, life) }
+		case <-d.quit.Done():
+			return nil
+		}
+	})
+}
+
+// deliver feeds the core an event about a slot, unless the core has moved
+// the slot on since gen.
+func (d *driver) deliver(slot, gen int, ev event) {
+	if d.ports[slot].gen == gen {
+		ev.slot = slot
+		d.feed(ev)
+	}
+}
+
+// attach dials the slot's member. A new life first gets its address — the
+// one thing Addrs vs WorkerCommand decides: a standing member's, or that
+// of a child spawned now, which announces where it listens — and its
+// first session is what OnSpawn observes.
+func (d *driver) attach(slot, gen int, life bool) {
+	p := &d.ports[slot]
+	if p.gen != gen {
+		return
+	}
+	if n := len(d.opts.Addrs); n > 0 {
+		p.addr = d.opts.Addrs[slot%n]
+	} else if life {
+		ch, err := startChild(d.opts, slot)
+		if err != nil {
+			d.deliver(slot, gen, event{kind: evDialFailed, err: err, terminal: true})
+			return
+		}
+		p.child, p.addr = ch, ""
+		d.async(func() func() {
+			<-ch.done // every child is dropped by the end of Run at the latest
+			return func() {
+				ch.reaped = true
+				tail := ch.stderr.String()
+				switch {
+				case p.child == ch && p.sess == nil:
+					d.exited(slot)
+				case p.child == ch:
+					// Its last words are heard first: the end of the
+					// session reports the exit.
+				case tail != "":
+					// Ended on the core's word, which has logged why; what
+					// the child said on its way out is kept beside it.
+					d.opts.Logf("shard: action=reaped worker=%d pid=%d status=%q stderr=%q", slot, ch.cmd.Process.Pid, fmt.Sprint(ch.err), tail)
+				}
 			}
 		})
-		s.opts.Logf("shard: action=readopt worker=%d peer=%s shard=%d epoch=%d", slot, addr, cur, curEpoch)
-		return sess, &ready, "", nil
 	}
-	lost := func(kind string, cause error) (*session, *Msg, string, error) {
-		sess.close()
-		return nil, nil, kind, cause
-	}
-	if ready.Epoch != 0 {
-		return lost("crash", fmt.Errorf("reconnected worker reports shard %d epoch %d while leased %d epoch %d",
-			ready.Shard, ready.Epoch, cur, curEpoch))
-	}
-	// The worker is idle: it may have finished our shard during the
-	// partition and queued the done, which it flushes right after the
-	// ready. Wait for that report before declaring the state lost.
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	for {
-		select {
-		case m, open := <-sess.msgs:
-			if !open {
-				return lost("crash", errors.New("reconnected session closed before flushing completion"))
+	addr, ch := p.addr, p.child
+	d.async(func() func() {
+		if addr == "" {
+			select {
+			case addr = <-ch.addr:
+			case <-d.quit.Done():
 			}
-			if m.Type == MsgBeat {
-				continue
+			if addr == "" {
+				return nil // stdout ended first: the exit, or the start deadline, says why
 			}
-			if (m.Type == MsgDone || m.Type == MsgFail) && m.Shard == cur && m.Epoch == curEpoch {
-				s.addStat(func(st *Stats) { st.Reconnects++ })
-				s.opts.Logf("shard: action=reconnect-flush worker=%d peer=%s shard=%d epoch=%d type=%s",
-					slot, addr, cur, curEpoch, m.Type)
-				return sess, &m, "", nil
-			}
-			return lost("crash", fmt.Errorf("reconnected worker flushed %q for shard %d epoch %d while leased %d epoch %d",
-				m.Type, m.Shard, m.Epoch, cur, curEpoch))
-		case <-timer.C:
-			return lost("crash", errors.New("reconnected worker lost the lease state"))
-		case <-ctx.Done():
-			return lost("canceled", ctx.Err())
 		}
-	}
+		sess, err := dial(d.quit, d.opts, slot, addr)
+		if err != nil {
+			return func() { d.deliver(slot, gen, event{kind: evDialFailed, err: err}) }
+		}
+		d.inbox <- func() {
+			if p.gen != gen {
+				sess.close() // which also ends the read below
+				return
+			}
+			p.sess, p.addr = sess, addr
+			peer, pid := addr, 0 // pid 0: a standing member, nothing local to signal
+			if ch != nil {
+				pid = ch.cmd.Process.Pid
+				peer = fmt.Sprintf("pid %d at %s", pid, addr)
+			}
+			if life && d.opts.OnSpawn != nil {
+				d.opts.OnSpawn(slot, pid)
+			}
+			d.feed(event{kind: evAttached, slot: slot, peer: peer})
+		}
+		err = sess.read(func(m Msg) { d.inbox <- func() { d.deliver(slot, gen, event{kind: evMsg, msg: m}) } })
+		return func() {
+			if p.gen != gen {
+				return
+			}
+			sess.close()
+			p.sess = nil
+			if p.child != nil && p.child.reaped {
+				d.exited(slot)
+			} else {
+				d.feed(event{kind: evClosed, slot: slot, err: err})
+			}
+		}
+	})
 }
 
-// awaitReady reads session messages until the handshake resolves: ready
-// (possibly preceded by beats), reject, or an error.
-func awaitReady(ctx context.Context, sess *session) (Msg, error) {
-	for {
-		select {
-		case m, open := <-sess.msgs:
-			if !open {
-				return Msg{}, fherr.Wrap(fherr.ErrEngineFault, "shard: session closed before ready (%v)", sess.close())
-			}
-			switch m.Type {
-			case MsgReady:
-				return m, nil
-			case MsgBeat:
-				continue
-			case MsgReject:
-				return Msg{}, fmt.Errorf("shard: handshake rejected: %s", m.Err)
-			default:
-				return Msg{}, fherr.Wrap(fherr.ErrEngineFault, "shard: protocol: %q before ready", m.Type)
-			}
-		case <-ctx.Done():
-			return Msg{}, fherr.Wrap(fherr.ErrCanceled, "shard: handshake canceled (%v)", ctx.Err())
-		}
-	}
+// exited tells the core that the slot's child is gone: a crash at once,
+// by exit status, with the stderr tail for the log line.
+func (d *driver) exited(slot int) {
+	ch := d.ports[slot].child
+	d.ports[slot].child = nil
+	d.feed(event{kind: evChildExited, slot: slot, err: fmt.Errorf("process exited: %v (stderr %q)", ch.err, ch.stderr.String())})
 }
 
-// workerLife runs one worker from spawn-or-dial to exit. Return classes:
-// nil (clean drain), ErrCanceled (job canceled), ErrEngineFault-wrapped
-// (crash, hang, or partition — retryable, respawned or redialed by the
-// slot's Retrier), other (terminal spawn/handshake problem — retires the
-// slot).
-func (s *supervisor) workerLife(ctx context.Context, slot int) error {
-	var (
-		ch       *child // the slot's own process; nil when it dials a standing member
-		sess     *session
-		peer     string
-		cur      = -1 // shard currently leased to this worker
-		curEpoch = 0  // its fencing epoch
-	)
-	// lctx ends with the job or with the slot's child, whichever goes
-	// first. Every wait below (address, handshake, redial backoff, next
-	// message) is cut short by the child's exit, so a dead pid is a crash
-	// at once — never a silence to time out or a port to keep redialing.
-	lctx, stop := context.WithCancel(ctx)
-	defer stop()
-
-	// die centralizes death handling: drop the session, kill and reap the
-	// child, release the lease, and classify. Cancellation beats fault: a
-	// worker killed because the job was canceled must surface ErrCanceled,
-	// never count as a crash against the breaker. A child's exit beats
-	// whatever symptom of it was noticed first.
-	die := func(kind string, cause error) error {
-		stderr := ""
-		exited := ch != nil && ch.exited() // before our own kill makes it true
-		if sess != nil {
-			sess.close()
-		}
-		if ch != nil {
-			ch.kill()
-			stderr = ch.stderr.String()
-		}
-		s.releaseLease(slot, cur)
-		if err := ctx.Err(); err != nil {
-			return fherr.Wrap(fherr.ErrCanceled, "shard: worker %d stopped by cancellation (%v)", slot, err)
-		}
-		if exited {
-			kind, cause = "crash", fmt.Errorf("process exited: %v", ch.err)
-		}
-		switch kind {
-		case "hang":
-			s.addStat(func(st *Stats) { st.Hangs++ })
-		case "partition":
-			s.addStat(func(st *Stats) { st.Partitions++ })
-		default:
-			s.addStat(func(st *Stats) { st.Crashes++ })
-		}
-		s.opts.Logf("shard: action=%s worker=%d peer=%s shard=%d reason=%q stderr=%q",
-			kind, slot, peer, cur, errString(cause), stderr)
-		return fherr.Wrap(fherr.ErrEngineFault, "shard: worker %d (%s) %s: %v", slot, peer, kind, cause)
+// drop ends what the slot has of its worker: the session, with the gen
+// any start or dial still on its way, and the child, which its watcher
+// reaps.
+func (d *driver) drop(slot int, grace time.Duration) {
+	p := &d.ports[slot]
+	p.gen++
+	if p.sess != nil {
+		p.sess.close()
+		p.sess = nil
 	}
-
-	// The one thing Addrs vs WorkerCommand decides: where the address
-	// comes from.
-	var addr string
-	if n := len(s.opts.Addrs); n > 0 {
-		addr = s.opts.Addrs[slot%n]
-		peer = addr
-	} else {
-		var err error
-		if ch, err = startChild(s.opts, slot); err != nil {
-			return err
-		}
-		defer ch.stop(s.opts.HeartbeatTimeout)
-		peer = fmt.Sprintf("pid %d", ch.pid())
-		go func() {
-			select {
-			case <-ch.done:
-				stop()
-			case <-lctx.Done():
-			}
-		}()
-		// Binding precedes everything slow in the child, so its address is
-		// due within the deadline any other silence gets.
-		select {
-		case a, ok := <-ch.addr:
-			if !ok {
-				return die("crash", errors.New("stdout closed before the worker announced its address"))
-			}
-			addr = a
-		case <-time.After(s.opts.HeartbeatTimeout):
-			return die("hang", fmt.Errorf("no address announced within %v", s.opts.HeartbeatTimeout))
-		case <-lctx.Done():
-			return die("canceled", lctx.Err())
-		}
-	}
-	var err error
-	if sess, err = s.dial(slot, addr); err != nil {
-		if ch == nil {
-			return err // an unreachable member is backed off and redialed, not a crash
-		}
-		return die("crash", err)
-	}
-
-	s.mu.Lock()
-	s.stats.Spawns++
-	respawn := s.spawned[slot]
-	s.spawned[slot] = true
-	if respawn {
-		s.stats.Respawns++
-	}
-	s.mu.Unlock()
-	action := "spawn"
-	if respawn {
-		action = "respawn"
-	}
-	s.opts.Logf("shard: action=%s worker=%d peer=%s addr=%s", action, slot, peer, addr)
-	if s.opts.OnSpawn != nil {
-		s.opts.OnSpawn(slot, ch.pid())
-	}
-
-	lastBeat := time.Now()
-	curStart := time.Now()
-	ticker := time.NewTicker(s.opts.HeartbeatInterval)
-	defer ticker.Stop()
-
-	// awaitMsg multiplexes protocol messages with disconnection, death,
-	// hang-deadline and cancellation signals. ok=false means fatal: the
-	// second return is the classified error.
-	awaitMsg := func() (Msg, bool, error) {
-		for {
-			select {
-			case m, open := <-sess.msgs:
-				if !open {
-					// A dropped connection is a heartbeat miss, not a death:
-					// the member keeps computing. Redial with backoff and
-					// re-adopt the lease while the deadline budget lasts.
-					sess.close()
-					ns, pending, kind, cause := s.reconnect(lctx, slot, addr, cur, curEpoch, lastBeat)
-					if cause != nil {
-						return Msg{}, false, die(kind, cause)
-					}
-					sess = ns
-					lastBeat = time.Now()
-					if pending != nil {
-						return *pending, true, nil
-					}
-					continue
-				}
-				lastBeat = time.Now()
-				return m, true, nil
-			case <-ticker.C:
-				silent := time.Since(lastBeat)
-				if silent > s.opts.HeartbeatTimeout {
-					return Msg{}, false, die("hang", fmt.Errorf("no heartbeat for %v (deadline %v)", silent.Round(time.Millisecond), s.opts.HeartbeatTimeout))
-				}
-				if silent > 2*s.opts.HeartbeatInterval {
-					s.addStat(func(st *Stats) { st.HeartbeatMisses++ })
-					s.opts.Logf("shard: action=heartbeat-miss worker=%d peer=%s silent=%v", slot, peer, silent.Round(time.Millisecond))
-				}
-				if cur >= 0 && s.opts.ShardDeadline > 0 && time.Since(curStart) > s.opts.ShardDeadline {
-					return Msg{}, false, die("hang", fmt.Errorf("shard %d exceeded deadline %v", cur, s.opts.ShardDeadline))
-				}
-			case <-lctx.Done():
-				return Msg{}, false, die("canceled", lctx.Err())
-			}
-		}
-	}
-
-	// Startup: the worker builds its Context (keygen included) and says
-	// ready. Its beater starts with the hello, before the build, so the
-	// ordinary deadline applies. A standing member may report a stale
-	// in-flight lease from a previous supervisor life; it abandons that
-	// work at the next assign, and its stale reports are fenced by epoch.
-	for {
-		m, ok, err := awaitMsg()
-		if !ok {
-			return err
-		}
-		if m.Type == MsgReady {
-			if m.Epoch > 0 {
-				s.opts.Logf("shard: action=ready-stale-lease worker=%d shard=%d epoch=%d", slot, m.Shard, m.Epoch)
-			}
-			break
-		}
-		if m.Type == MsgReject {
-			// Terminal misconfiguration (wrong fingerprint / wrong fleet):
-			// NOT an engine fault, so the slot retires without redials.
-			sess.close()
-			return fmt.Errorf("shard: worker %d handshake rejected by %s: %s", slot, peer, m.Err)
-		}
-		if m.Type != MsgBeat {
-			return die("crash", fmt.Errorf("protocol: %q before ready", m.Type))
-		}
-	}
-
-	for {
-		shard, epoch, more := s.claim(slot)
-		if !more {
-			// Drain: let the worker end the session on its own; a child is
-			// then told to exit (stdin closed) and reaped on the way out.
-			sess.send(Msg{Type: MsgDrain})
-			sess.closeSend()
-			drainDeadline := time.After(s.opts.HeartbeatTimeout)
-			for {
-				select {
-				case _, open := <-sess.msgs:
-					if !open {
-						sess.close()
-						s.opts.Logf("shard: action=drain worker=%d peer=%s", slot, peer)
-						if err := ctx.Err(); err != nil {
-							return fherr.Wrap(fherr.ErrCanceled, "shard: worker %d drained after cancellation (%v)", slot, err)
-						}
-						return nil
-					}
-				case <-drainDeadline:
-					sess.close()
-					s.opts.Logf("shard: action=drain-kill worker=%d peer=%s", slot, peer)
-					return nil
-				}
-			}
-		}
-		cur, curEpoch = shard, epoch
-		curStart = time.Now()
-		if err := sess.send(Msg{Type: MsgAssign, Shard: shard, Epoch: epoch}); err != nil {
-			// Let the read side observe the drop and run the reconnect path;
-			// the re-adopted worker never saw this assign, so re-adoption
-			// will fail fast into a redispatch.
-			s.opts.Logf("shard: action=assign-write-failed worker=%d shard=%d reason=%q", slot, shard, err.Error())
-		}
-		for cur >= 0 {
-			m, ok, err := awaitMsg()
-			if !ok {
-				return err
-			}
-			switch m.Type {
-			case MsgBeat:
-				// Progress beats also push the shard deadline forward.
-				if m.Shard == cur && m.Step > 0 {
-					curStart = time.Now()
-				}
-			case MsgDone:
-				if m.Shard == cur && m.Epoch == curEpoch {
-					s.complete(slot, cur, curEpoch)
-					cur, curEpoch = -1, 0
-					continue
-				}
-				if s.staleMsg(slot, m) {
-					continue
-				}
-				return die("crash", fmt.Errorf("protocol: done for shard %d epoch %d while leased %d epoch %d", m.Shard, m.Epoch, cur, curEpoch))
-			case MsgFail:
-				if m.Shard != cur || m.Epoch != curEpoch {
-					if s.staleMsg(slot, m) {
-						continue
-					}
-					return die("crash", fmt.Errorf("protocol: fail for shard %d epoch %d while leased %d epoch %d", m.Shard, m.Epoch, cur, curEpoch))
-				}
-				if m.Class == ClassCanceled {
-					// The worker's own operation context was canceled. If
-					// the job is being canceled this is expected shutdown
-					// noise; either way it is not a crash and not a shard
-					// fault.
-					if err := ctx.Err(); err != nil {
-						return die("canceled", err)
-					}
-					s.opts.Logf("shard: action=worker-canceled worker=%d shard=%d reason=%q", slot, cur, m.Err)
-					s.releaseLease(slot, cur)
-					cur, curEpoch = -1, 0
-					continue
-				}
-				s.shardFailed(slot, cur, fmt.Errorf("worker %d: %s", slot, m.Err))
-				cur, curEpoch = -1, 0
-			case MsgReady:
-				// A re-handshake mid-life (fleet member reattached):
-				// harmless, already logged by the reconnect path.
-			default:
-				return die("crash", fmt.Errorf("protocol: unexpected %q", m.Type))
-			}
-		}
+	if p.child != nil {
+		p.child.stop(grace)
+		p.child = nil
 	}
 }

@@ -254,7 +254,7 @@ type ShardOptions struct {
 	// Logf receives one structured line per recovery action.
 	Logf func(format string, args ...any)
 	// OnSpawn observes every worker session start (slot, pid; pid 0 for
-	// a standing fleet member) — the chaos soak's random killer hooks it.
+	// a standing fleet member) — TestShardSoak's random killer hooks it.
 	OnSpawn func(worker, pid int)
 }
 
