@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate docs-check fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -56,6 +56,23 @@ docs-check:
 		grep -q "flag\.[A-Za-z0-9]*(\"$$f\"" cmd/bpbench/*.go || echo "  bpbench -$$f: no such flag"; \
 	done); \
 	if [ -n "$$bad" ]; then echo "stale reference in $(DOCS):"; echo "$$bad"; exit 1; fi
+
+# Line counts, regenerated instead of quoted by hand: ROADMAP's items
+# close on `wc -l` exits (non-test lines of a package or two), and a
+# number copied into prose goes stale with the next PR. Non-test and
+# test lines of every package outside bench/, which is listed apart: it
+# is frozen between benchmark PRs and only read here.
+loc:
+	@count() { if [ $$# -eq 0 ]; then echo 0; else cat "$$@" | wc -l; fi; }; \
+	row() { printf '%-28s %9d %7d\n' "$$@"; }; \
+	printf '%-28s %9s %7s\n' package non-test test; \
+	tn=0; tt=0; \
+	for d in $$(find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs -n1 dirname | sort -u); do \
+		n=$$(count $$(ls $$d/*.go | grep -v _test.go)); t=$$(count $$(ls $$d/*_test.go 2>/dev/null)); \
+		row $$d $$n $$t; tn=$$((tn+n)); tt=$$((tt+t)); \
+	done; \
+	row 'total outside bench/' $$tn $$tt; \
+	row 'bench/ (read only)' $$(count $$(ls bench/*.go | grep -v _test.go)) $$(count $$(ls bench/*_test.go 2>/dev/null))
 
 # Short native-fuzz runs over every target: a smoke pass for CI, not a
 # campaign. Seed corpora live in testdata/fuzz/ next to each target;

@@ -156,3 +156,32 @@ func TestMustPanicsOnError(t *testing.T) {
 	}()
 	ctx.MustRotate(ct, 2)
 }
+
+// TestDecodeCiphertextsRejectsHostileBatch: a shard batch whose framing
+// and ciphertext encoding both parse but whose ciphertext breaks an
+// evaluator invariant (here: polynomials flagged coefficient-domain) is
+// refused with ErrInvalidParams — by the one validation pass
+// pipeline.DecodeState runs, DecodeCiphertexts adds none of its own.
+func TestDecodeCiphertextsRejectsHostileBatch(t *testing.T) {
+	ctx := errCtx(t, BitPacker)
+	ct := ctx.MustEncrypt([]complex128{1, 2, 3})
+	blob, err := ctx.EncodeCiphertexts([]*Ciphertext{ct, ct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ctx.DecodeCiphertexts(blob); err != nil || len(back) != 2 {
+		t.Fatalf("clean batch: %d ciphertexts, %v", len(back), err)
+	}
+	// count u32 | len u64 | "BPCT" version u8 level u32 | isNTT u8
+	const isNTT = 4 + 8 + 4 + 1 + 4
+	if blob[isNTT] != 1 {
+		t.Fatalf("byte %d of the batch is %d, not the first ciphertext's NTT flag", isNTT, blob[isNTT])
+	}
+	blob[isNTT] = 0
+	if _, err := ctx.DecodeCiphertexts(blob); !errors.Is(err, ErrInvalidParams) {
+		t.Fatalf("hostile batch: %v, want ErrInvalidParams", err)
+	}
+	if _, err := ctx.DecodeCiphertexts(blob[:len(blob)-1]); !errors.Is(err, ErrInvalidParams) {
+		t.Fatalf("truncated batch: %v, want ErrInvalidParams", err)
+	}
+}

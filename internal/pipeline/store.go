@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"bitpacker/internal/durable"
 )
 
 // Store persists stage checkpoints. Implementations must make Put
@@ -113,66 +115,12 @@ func DirStorePath(dir string, stage int) string {
 	return (&DirStore{dir: dir}).path(stage)
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives power
-// loss, not only process crash (POSIX: rename durability requires an
-// fsync of the containing directory). A hook variable so the torn-frame
-// test can observe and fail it.
-var syncDir = func(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // Put atomically and durably replaces the stage's checkpoint.
 func (s *DirStore) Put(stage int, name string, payload []byte) error {
 	if stage < 0 {
 		return fmt.Errorf("pipeline: negative stage %d", stage)
 	}
-	return WriteFileDurable(s.path(stage), frame(stage, name, payload), 0o600)
-}
-
-// WriteFileDurable is os.WriteFile for what is acknowledged as stored (a
-// checkpoint, an accepted job, a finished job's output): it replaces the
-// file at path so that a crash or power loss at any point leaves either
-// the previous content or the new, never a torn or empty file — the full
-// publication sequence of temp file in the same directory, fsync, rename
-// over path, fsync of the directory.
-func WriteFileDurable(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("pipeline: temp file for %s: %w", path, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: write %s: %w", path, err)
-	}
-	if err := tmp.Chmod(perm); err != nil { // CreateTemp made it 0600
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: chmod %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: sync %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("pipeline: rename onto %s: %w", path, err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("pipeline: dir sync for %s: %w", path, err)
-	}
-	return nil
+	return durable.WriteFile(s.path(stage), frame(stage, name, payload), 0o600)
 }
 
 // Get reads and verifies a stage's checkpoint.

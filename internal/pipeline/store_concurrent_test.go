@@ -14,6 +14,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"bitpacker/internal/durable"
 )
 
 func TestDirStoreConcurrentWriters(t *testing.T) {
@@ -119,24 +121,24 @@ func TestDirStoreConcurrentWriters(t *testing.T) {
 // publication: after the atomic rename, the directory must be fsynced (or
 // the rename itself may not survive power loss), and a failing directory
 // sync must surface as an error, not silence — for a checkpoint Put and
-// for every other file acknowledged through WriteFileDurable.
+// for every other file acknowledged through durable.WriteFile.
 func TestDirStorePutSyncsParentDir(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := syncDir
-	defer func() { syncDir = orig }()
+	orig := durable.SyncDir
+	defer func() { durable.SyncDir = orig }()
 
 	for name, write := range map[string]func(n int) error{
 		"DirStore.Put": func(n int) error { return store.Put(n, "writer", []byte("payload")) },
-		"WriteFileDurable": func(n int) error {
-			return WriteFileDurable(filepath.Join(dir, fmt.Sprintf("job-%d.json", n)), []byte("{}"), 0o644)
+		"durable.WriteFile": func(n int) error {
+			return durable.WriteFile(filepath.Join(dir, fmt.Sprintf("job-%d.json", n)), []byte("{}"), 0o644)
 		},
 	} {
 		var synced []string
-		syncDir = func(d string) error {
+		durable.SyncDir = func(d string) error {
 			synced = append(synced, d)
 			return orig(d)
 		}
@@ -146,7 +148,7 @@ func TestDirStorePutSyncsParentDir(t *testing.T) {
 		if len(synced) != 1 || synced[0] != dir {
 			t.Fatalf("%s synced %v, want exactly [%q]", name, synced, dir)
 		}
-		syncDir = func(string) error { return errors.New("injected dir sync failure") }
+		durable.SyncDir = func(string) error { return errors.New("injected dir sync failure") }
 		if err := write(4); err == nil {
 			t.Fatalf("%s swallowed a failed directory sync", name)
 		}

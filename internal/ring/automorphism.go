@@ -1,11 +1,6 @@
 package ring
 
-import (
-	"math/bits"
-
-	"bitpacker/internal/engine"
-	"bitpacker/internal/nt"
-)
+import "math/bits"
 
 // Automorphisms of Z_q[X]/(X^N+1): the maps φ_k(X) = X^k for odd k,
 // which implement CKKS slot rotations (k = 5^r mod 2N) and conjugation
@@ -109,7 +104,7 @@ func (c *Context) AutomorphismNTTTable(k uint64) []uint64 {
 	t = make([]uint64, n)
 	for j := uint64(0); j < n; j++ {
 		e := 2*brv(j) + 1
-		t[j] = brv((e * k % m - 1) / 2)
+		t[j] = brv((e*k%m - 1) / 2)
 	}
 	c.autoNTTTabs[k] = t
 	return t
@@ -120,18 +115,8 @@ func (c *Context) AutomorphismNTTTable(k uint64) []uint64 {
 // because the transform is exact and emits canonical residues, so the
 // permuted evaluation values are the same canonical words either way.
 func (p *Poly) PermuteNTT(k uint64) *Poly {
-	if !p.IsNTT {
-		panic("ring: PermuteNTT requires NTT domain")
-	}
-	tab := p.ctx.AutomorphismNTTTable(k)
-	out := p.ctx.GetPoly(p.Moduli)
-	out.IsNTT = true
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		src, dst := p.Coeffs[i], out.Coeffs[i]
-		for j, s := range tab {
-			dst[j] = src[s]
-		}
-	})
+	out := p.scratchLike()
+	each(gatherOp("PermuteNTT", out, p, k))
 	return out
 }
 
@@ -139,20 +124,8 @@ func (p *Poly) PermuteNTT(k uint64) *Poly {
 // per row — the hoisted-rotation C0 fold, with the keyswitch correction
 // added while the gathered word is still in a register.
 func (p *Poly) PermuteNTTAdd(k uint64, b *Poly) *Poly {
-	if !p.IsNTT {
-		panic("ring: PermuteNTTAdd requires NTT domain")
-	}
-	sameShape(p, b)
-	tab := p.ctx.AutomorphismNTTTable(k)
-	out := p.ctx.GetPoly(p.Moduli)
-	out.IsNTT = true
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		q := p.Moduli[i]
-		src, add, dst := p.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		for j, s := range tab {
-			dst[j] = nt.AddMod(src[s], add[j], q)
-		}
-	})
+	out := p.scratchLike()
+	each(gatherAddOp("PermuteNTTAdd", out, p, b, k))
 	return out
 }
 
@@ -163,18 +136,8 @@ func (p *Poly) PermuteNTTAdd(k uint64, b *Poly) *Poly {
 // rotations apply the same φ_k to every keyswitching digit) only pay the
 // permutation itself.
 func (p *Poly) Automorphism(k uint64) *Poly {
-	if p.IsNTT {
-		panic("ring: Automorphism requires coefficient domain")
-	}
-	tab := p.ctx.AutomorphismTable(k)
-	n := p.ctx.N
-	// Every output slot is written exactly once (j -> j*k mod 2N is a
-	// bijection on odd k), so the pooled non-zeroed poly is safe here.
-	out := p.ctx.GetPoly(p.Moduli)
-	out.IsNTT = false
-	engine.Dispatch(len(p.Moduli), n, func(i int) {
-		autoPermuteRow(out.Coeffs[i], p.Coeffs[i], tab, p.Moduli[i])
-	})
+	out := p.scratchLike()
+	each(permuteOp("Automorphism", out, p, k))
 	return out
 }
 
@@ -183,16 +146,13 @@ func (p *Poly) Automorphism(k uint64) *Poly {
 // imaginary unit i (since 5^k ≡ 1 mod 4, all slot evaluation points see
 // the same quarter rotation). p must be in the coefficient domain.
 func (p *Poly) MulByMonomial(k int) *Poly {
-	if p.IsNTT {
-		panic("ring: MulByMonomial requires coefficient domain")
-	}
+	needNTT("MulByMonomial", p, false)
 	n := p.ctx.N
 	k = ((k % (2 * n)) + 2*n) % (2 * n)
 	// The shift j -> j+k mod 2N is a bijection, so every output slot is
 	// written exactly once and the non-zeroed pooled poly is safe.
-	out := p.ctx.GetPoly(p.Moduli)
-	out.IsNTT = false
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
+	out := p.scratchLike()
+	each(out.op(func(i int) {
 		q := p.Moduli[i]
 		src, dst := p.Coeffs[i], out.Coeffs[i]
 		for j := 0; j < n; j++ {
@@ -208,6 +168,6 @@ func (p *Poly) MulByMonomial(k int) *Poly {
 			}
 			dst[idx] = v
 		}
-	})
+	}))
 	return out
 }

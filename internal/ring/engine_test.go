@@ -69,11 +69,6 @@ func TestParallelMatchesSequentialPolyOps(t *testing.T) {
 		out.Neg(in[0])
 		return out
 	})
-	runBothWorkerCounts(t, "MulScalarUint", []*Poly{a}, func(in []*Poly) *Poly {
-		out := NewPoly(ctx, moduli)
-		out.MulScalarUint(in[0], 123456789)
-		return out
-	})
 	runBothWorkerCounts(t, "MulScalarBig", []*Poly{a}, func(in []*Poly) *Poly {
 		out := NewPoly(ctx, moduli)
 		out.MulScalarBig(in[0], new(big.Int).SetInt64(-987654321))

@@ -192,7 +192,7 @@ func TestTransformAddFusionsMatchStaged(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 16))
 
 	withWorkers(t, func() {
-		// NTTBatch / INTTBatch vs per-poly transforms.
+		// NTTBatch vs per-poly transforms.
 		x := randPoly(ctx, moduli, rng)
 		y := randPoly(ctx, moduli, rng)
 		wx, wy := x.ScratchCopy(), y.ScratchCopy()
@@ -202,11 +202,6 @@ func TestTransformAddFusionsMatchStaged(t *testing.T) {
 		NTTBatch(gx, gy)
 		mustEqual(t, "NTTBatch/0", gx, wx)
 		mustEqual(t, "NTTBatch/1", gy, wy)
-		INTTBatch(gx, gy)
-		wx.INTT()
-		wy.INTT()
-		mustEqual(t, "INTTBatch/0", gx, wx)
-		mustEqual(t, "INTTBatch/1", gy, wy)
 
 		outs := ScratchCopyBatch(x, y)
 		mustEqual(t, "ScratchCopyBatch/0", outs[0], x)

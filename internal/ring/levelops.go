@@ -3,9 +3,6 @@ package ring
 import (
 	"math/big"
 
-	"bitpacker/internal/engine"
-	"bitpacker/internal/nt"
-	"bitpacker/internal/ntt"
 	"bitpacker/internal/rns"
 )
 
@@ -26,14 +23,8 @@ func (p *Poly) ScaleUp(newModuli []uint64) *Poly {
 	out.IsNTT = p.IsNTT
 	// Multiply the original residues by K, writing straight into out's
 	// leading rows through a shared view; the appended rows stay zero.
-	scaled := &Poly{
-		ctx:    p.ctx,
-		Moduli: out.Moduli[:len(p.Moduli)],
-		Coeffs: out.Coeffs[:len(p.Moduli)],
-		IsNTT:  p.IsNTT,
-		shared: true,
-	}
-	scaled.MulScalarBig(p, k)
+	r := len(p.Moduli)
+	each(scalarOp(p.ctx.view(out.Moduli[:r], out.Coeffs[:r], out.IsNTT), p, reduceBig(k, p.Moduli)))
 	return out
 }
 
@@ -51,39 +42,19 @@ func (p *Poly) ScaleUp(newModuli []uint64) *Poly {
 // (x·a mod q)·b mod q = x·(ab mod q).
 func (c *Context) ScaleUpBatch(ps []*Poly, up []uint64, mul *big.Int) []*Poly {
 	outs := make([]*Poly, len(ps))
-	type rowJob struct {
-		src, dst []uint64 // src nil: appended row, just clear
-		q        uint64
-		w, wsh   uint64
-	}
-	var jobs []rowJob
-	tmp := new(big.Int)
+	ops := make([]rowOp, 0, 2*len(ps))
 	for pi, p := range ps {
 		out := c.GetPoly(append(append([]uint64(nil), p.Moduli...), up...))
 		out.IsNTT = p.IsNTT
 		outs[pi] = out
-		for r, q := range p.Moduli {
-			w := tmp.Mod(mul, new(big.Int).SetUint64(q)).Uint64()
-			jobs = append(jobs, rowJob{src: p.Coeffs[r], dst: out.Coeffs[r], q: q, w: w, wsh: nt.ShoupPrecomp(w, q)})
-		}
-		for r := len(p.Moduli); r < len(out.Moduli); r++ {
-			jobs = append(jobs, rowJob{dst: out.Coeffs[r]})
-		}
+		// The original residues times mul go into out's leading rows
+		// through a shared view; the appended rows are cleared.
+		r := len(p.Moduli)
+		ops = append(ops,
+			scalarOp(c.view(out.Moduli[:r], out.Coeffs[:r], out.IsNTT), p, reduceBig(mul, p.Moduli)),
+			zeroOp(c.view(out.Moduli[r:], out.Coeffs[r:], out.IsNTT)))
 	}
-	engine.Dispatch(len(jobs), c.N, func(t int) {
-		j := &jobs[t]
-		dst := j.dst
-		if j.src == nil {
-			for k := range dst {
-				dst[k] = 0
-			}
-			return
-		}
-		w, wsh, q := j.w, j.wsh, j.q
-		for k, x := range j.src[:len(dst)] {
-			dst[k] = nt.MulModShoup(x, w, wsh, q)
-		}
-	})
+	perRow(ops...)
 	return outs
 }
 
@@ -152,13 +123,9 @@ func (params *ScaleDownParams) split(p *Poly, wantNTT bool) (shed, kept [][]uint
 // p must be in the coefficient domain and its moduli must match params.
 // The result keeps the surviving moduli in their original order.
 func (p *Poly) ScaleDown(params *ScaleDownParams) *Poly {
-	shedRes, keptRes := params.split(p, false)
-	out := p.ctx.GetPoly(params.div.Kept) // every row fully overwritten below
-	out.IsNTT = false
-	engine.Dispatch(len(keptRes), p.ctx.N, func(j int) {
-		copy(out.Coeffs[j], keptRes[j])
-	})
-	params.div.Apply(out.Coeffs, shedRes)
+	shed, kept := params.split(p, false)
+	out := p.ctx.view(params.div.Kept, kept, false).ScratchCopy()
+	params.div.Apply(out.Coeffs, shed)
 	return out
 }
 
@@ -172,11 +139,9 @@ func (params *ScaleDownParams) ScaleDownBatch(ps []*Poly) []*Poly {
 	outs := make([]*Poly, len(ps))
 	targets := make([]rns.DivBatchTarget, len(ps))
 	for pi, p := range ps {
-		shedRes, keptRes := params.split(p, false)
-		out := p.ctx.GetPoly(params.div.Kept) // every row fully overwritten by ApplyBatch
-		out.IsNTT = false
-		outs[pi] = out
-		targets[pi] = rns.DivBatchTarget{Shed: shedRes, Kept: keptRes, Out: out.Coeffs}
+		shed, kept := params.split(p, false)
+		outs[pi] = p.ctx.GetPoly(params.div.Kept) // every row fully overwritten by ApplyBatch
+		targets[pi] = rns.DivBatchTarget{Shed: shed, Kept: kept, Out: outs[pi].Coeffs}
 	}
 	params.div.ApplyBatch(targets)
 	return outs
@@ -198,36 +163,28 @@ func (params *ScaleDownParams) ScaleDownNTTBatch(ps []*Poly) []*Poly {
 	if len(ps) == 0 {
 		return nil
 	}
-	ctx := ps[0].ctx
+	ctx, ns := ps[0].ctx, len(params.ShedPos)
 	outs := make([]*Poly, len(ps))
 	targets := make([]rns.DivBatchTarget, len(ps))
-	var shedSrc, shedScratch [][]uint64
-	shedTabs := make([]*ntt.Table, len(params.ShedPos))
-	for i, sp := range params.ShedPos {
-		shedTabs[i] = ctx.Table(params.Moduli[sp])
-	}
+	// in views every polynomial's shed rows as one polynomial (concat's
+	// job, done in place: the rows are not polynomials yet).
+	in := ctx.view(make([]uint64, 0, ns*len(ps)), make([][]uint64, 0, ns*len(ps)), true)
 	for pi, p := range ps {
-		shedRes, keptRes := params.split(p, true)
-		shedSrc = append(shedSrc, shedRes...)
-		for i := range shedRes {
-			shedRes[i] = ctx.GetVec()
-		}
-		shedScratch = append(shedScratch, shedRes...)
-		out := ctx.GetPoly(params.div.Kept) // every row fully overwritten by ApplyBatchNTT
-		out.IsNTT = true
-		outs[pi] = out
-		targets[pi] = rns.DivBatchTarget{Shed: shedRes, Kept: keptRes, Out: out.Coeffs}
+		shed, kept := params.split(p, true)
+		in.Moduli = append(in.Moduli, params.div.Conv.Src...)
+		in.Coeffs = append(in.Coeffs, shed...)
+		outs[pi] = ctx.GetPoly(params.div.Kept) // every row fully overwritten by ApplyBatchNTT
+		outs[pi].IsNTT = true
+		targets[pi] = rns.DivBatchTarget{Kept: kept, Out: outs[pi].Coeffs}
 	}
 	// One fused copy+inverse work item per shed row across all
 	// polynomials; the kept rows are left untouched in the NTT domain.
-	engine.Dispatch(len(shedScratch), 2*ctx.N, func(t int) {
-		copy(shedScratch[t], shedSrc[t])
-		shedTabs[t%len(shedTabs)].Inverse(shedScratch[t])
-	})
-	keptTabs := outs[0].tables()
-	params.div.ApplyBatchNTT(targets, func(j int, row []uint64) { keptTabs[j].Forward(row) })
-	for _, v := range shedScratch {
-		ctx.PutVec(v)
+	tmp := in.scratchLike()
+	fused(copyOp(tmp, in), inverseOp(tmp))
+	for pi := range targets {
+		targets[pi].Shed = tmp.Coeffs[pi*ns : (pi+1)*ns]
 	}
+	params.div.ApplyBatchNTT(targets, func(j int, row []uint64) { outs[0].table(j).Forward(row) })
+	ctx.PutPoly(tmp)
 	return outs
 }

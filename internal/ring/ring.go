@@ -10,8 +10,6 @@ import (
 	"math/big"
 	"sync"
 
-	"bitpacker/internal/engine"
-	"bitpacker/internal/nt"
 	"bitpacker/internal/ntt"
 	"bitpacker/internal/rns"
 )
@@ -116,12 +114,7 @@ func (c *Context) GetPoly(moduli []uint64) *Poly {
 // NewPoly's semantics but reusing pooled memory.
 func (c *Context) GetPolyZero(moduli []uint64) *Poly {
 	p := c.GetPoly(moduli)
-	engine.Dispatch(len(p.Coeffs), c.N, func(i int) {
-		row := p.Coeffs[i]
-		for k := range row {
-			row[k] = 0
-		}
-	})
+	each(zeroOp(p))
 	return p
 }
 
@@ -194,11 +187,8 @@ func (p *Poly) Copy() *Poly {
 // Release it with Context.PutPoly when it dies; the hot paths use this
 // for the many short-lived copies key-switching and rescaling take.
 func (p *Poly) ScratchCopy() *Poly {
-	q := p.ctx.GetPoly(p.Moduli)
-	q.IsNTT = p.IsNTT
-	engine.Dispatch(len(p.Coeffs), p.ctx.N, func(i int) {
-		copy(q.Coeffs[i], p.Coeffs[i])
-	})
+	q := p.scratchLike()
+	each(copyOp(q, p))
 	return q
 }
 
@@ -206,7 +196,10 @@ func (p *Poly) ScratchCopy() *Poly {
 // residue vectors ALIAS p's rows (no copy). The view is read-only by
 // contract: writing through it corrupts p. PutPoly on a view is a no-op.
 // Every requested modulus must be present in p.
-func (p *Poly) RestrictView(moduli []uint64) *Poly {
+func (p *Poly) RestrictView(moduli []uint64) *Poly { return p.restrictView("RestrictView", moduli) }
+
+// restrictView is RestrictView, panicking in the name of entry point who.
+func (p *Poly) restrictView(who string, moduli []uint64) *Poly {
 	rowOf := make(map[uint64]int, len(p.Moduli))
 	for i, q := range p.Moduli {
 		rowOf[q] = i
@@ -217,7 +210,7 @@ func (p *Poly) RestrictView(moduli []uint64) *Poly {
 	for _, q := range moduli {
 		i, ok := rowOf[q]
 		if !ok {
-			panic("ring: RestrictView: modulus not present")
+			panic("ring: " + who + ": modulus not present")
 		}
 		out.Moduli = append(out.Moduli, q)
 		out.Coeffs = append(out.Coeffs, p.Coeffs[i])
@@ -225,161 +218,36 @@ func (p *Poly) RestrictView(moduli []uint64) *Poly {
 	return out
 }
 
-// sameShape panics unless a and b have identical moduli and domain.
-func sameShape(a, b *Poly) {
-	if len(a.Moduli) != len(b.Moduli) {
-		panic("ring: residue count mismatch")
-	}
-	for i := range a.Moduli {
-		if a.Moduli[i] != b.Moduli[i] {
-			panic("ring: moduli mismatch")
-		}
-	}
-	if a.IsNTT != b.IsNTT {
-		panic("ring: NTT domain mismatch")
-	}
-}
-
 // Add sets p = a + b. All three may alias.
-func (p *Poly) Add(a, b *Poly) {
-	sameShape(a, b)
-	sameShape(p, a)
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		q := p.Moduli[i]
-		pa, pb, pp := a.Coeffs[i], b.Coeffs[i], p.Coeffs[i]
-		for k := range pp {
-			pp[k] = nt.AddMod(pa[k], pb[k], q)
-		}
-	})
-}
+func (p *Poly) Add(a, b *Poly) { each(addOp(p, a, b)) }
 
 // Sub sets p = a - b.
-func (p *Poly) Sub(a, b *Poly) {
-	sameShape(a, b)
-	sameShape(p, a)
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		q := p.Moduli[i]
-		pa, pb, pp := a.Coeffs[i], b.Coeffs[i], p.Coeffs[i]
-		for k := range pp {
-			pp[k] = nt.SubMod(pa[k], pb[k], q)
-		}
-	})
-}
+func (p *Poly) Sub(a, b *Poly) { each(subOp(p, a, b)) }
 
 // Neg sets p = -a.
-func (p *Poly) Neg(a *Poly) {
-	sameShape(p, a)
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		q := p.Moduli[i]
-		pa, pp := a.Coeffs[i], p.Coeffs[i]
-		for k := range pp {
-			pp[k] = nt.NegMod(pa[k], q)
-		}
-	})
-}
+func (p *Poly) Neg(a *Poly) { each(negOp(p, a)) }
 
 // MulCoeffs sets p = a ⊙ b pointwise. All polynomials must be in the NTT
 // domain (where pointwise product is ring multiplication). The per-residue
 // product runs through the NTT table's Barrett constant rather than a
 // hardware divide per coefficient.
-func (p *Poly) MulCoeffs(a, b *Poly) {
-	sameShape(a, b)
-	sameShape(p, a)
-	if !a.IsNTT {
-		panic("ring: MulCoeffs requires NTT domain")
-	}
-	tabs := p.tables()
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		tabs[i].MulCoeffs(p.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
-}
+func (p *Poly) MulCoeffs(a, b *Poly) { each(mulOp("MulCoeffs", p, a, b)) }
 
 // MulCoeffsAdd sets p += a ⊙ b pointwise (NTT domain).
-func (p *Poly) MulCoeffsAdd(a, b *Poly) {
-	sameShape(a, b)
-	sameShape(p, a)
-	if !a.IsNTT {
-		panic("ring: MulCoeffsAdd requires NTT domain")
-	}
-	tabs := p.tables()
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		tabs[i].MulCoeffsAdd(p.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
-}
-
-// MulScalarUint sets p = a * c for a small scalar c (reduced per modulus).
-func (p *Poly) MulScalarUint(a *Poly, c uint64) {
-	sameShape(p, a)
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		q := p.Moduli[i]
-		w := c % q
-		ws := nt.ShoupPrecomp(w, q)
-		pa, pp := a.Coeffs[i], p.Coeffs[i]
-		for k := range pp {
-			pp[k] = nt.MulModShoup(pa[k], w, ws, q)
-		}
-	})
-}
+func (p *Poly) MulCoeffsAdd(a, b *Poly) { each(mulAddOp("MulCoeffsAdd", p, a, b)) }
 
 // MulScalarBig sets p = a * c where c is an arbitrary (possibly negative)
 // integer, reduced modulo each residue modulus. This implements the
-// mulConst of the paper's Listings 2, 3 and 6. The big.Int reductions run
-// sequentially (big.Int is not goroutine-safe to share); only the residue
-// sweeps are fanned out.
-func (p *Poly) MulScalarBig(a *Poly, c *big.Int) {
-	sameShape(p, a)
-	ws := make([]uint64, len(p.Moduli))
-	tmp := new(big.Int)
-	for i, q := range p.Moduli {
-		ws[i] = tmp.Mod(c, new(big.Int).SetUint64(q)).Uint64()
-	}
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		q := p.Moduli[i]
-		w := ws[i]
-		wsh := nt.ShoupPrecomp(w, q)
-		pa, pp := a.Coeffs[i], p.Coeffs[i]
-		for k := range pp {
-			pp[k] = nt.MulModShoup(pa[k], w, wsh, q)
-		}
-	})
-}
-
-// tables resolves the NTT table of every residue up front (serially, so
-// lazy table construction happens outside the worker pool) and returns
-// them indexed by row.
-func (p *Poly) tables() []*ntt.Table {
-	tabs := make([]*ntt.Table, len(p.Moduli))
-	for i, q := range p.Moduli {
-		tabs[i] = p.ctx.Table(q)
-	}
-	return tabs
-}
+// mulConst of the paper's Listings 2, 3 and 6.
+func (p *Poly) MulScalarBig(a *Poly, c *big.Int) { each(scalarOp(p, a, reduceBig(c, p.Moduli))) }
 
 // NTT moves p into the evaluation domain (no-op if already there). The
 // per-residue transforms are independent and run on the engine's worker
 // pool.
-func (p *Poly) NTT() {
-	if p.IsNTT {
-		return
-	}
-	tabs := p.tables()
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		tabs[i].Forward(p.Coeffs[i])
-	})
-	p.IsNTT = true
-}
+func (p *Poly) NTT() { each(forwardOp(p)) }
 
 // INTT moves p into the coefficient domain (no-op if already there).
-func (p *Poly) INTT() {
-	if !p.IsNTT {
-		return
-	}
-	tabs := p.tables()
-	engine.Dispatch(len(p.Moduli), p.ctx.N, func(i int) {
-		tabs[i].Inverse(p.Coeffs[i])
-	})
-	p.IsNTT = false
-}
+func (p *Poly) INTT() { each(inverseOp(p)) }
 
 // Equal reports whether two polynomials are identical in moduli, domain
 // and coefficients.
@@ -439,32 +307,5 @@ func (p *Poly) SetCoeffBig(k int, v *big.Int) {
 // Restrict returns a copy of p containing only the rows for the given
 // moduli, in the given order. Every requested modulus must be present.
 func (p *Poly) Restrict(moduli []uint64) *Poly {
-	rowOf := make(map[uint64]int, len(p.Moduli))
-	for i, q := range p.Moduli {
-		rowOf[q] = i
-	}
-	out := &Poly{ctx: p.ctx, IsNTT: p.IsNTT}
-	for _, q := range moduli {
-		i, ok := rowOf[q]
-		if !ok {
-			panic("ring: Restrict: modulus not present")
-		}
-		out.Moduli = append(out.Moduli, q)
-		out.Coeffs = append(out.Coeffs, append([]uint64(nil), p.Coeffs[i]...))
-	}
-	return out
-}
-
-// DropResidues returns a view-copy of p with the residues at the given
-// positions removed. Used by RNS-CKKS mod-down between non-adjacent levels.
-func (p *Poly) DropResidues(drop map[int]bool) *Poly {
-	out := &Poly{ctx: p.ctx, IsNTT: p.IsNTT}
-	for i := range p.Moduli {
-		if drop[i] {
-			continue
-		}
-		out.Moduli = append(out.Moduli, p.Moduli[i])
-		out.Coeffs = append(out.Coeffs, append([]uint64(nil), p.Coeffs[i]...))
-	}
-	return out
+	return p.restrictView("Restrict", moduli).Copy()
 }

@@ -300,22 +300,6 @@ func TestSamplerDistributions(t *testing.T) {
 	}
 }
 
-func TestDropResidues(t *testing.T) {
-	ctx := testCtx(t, 16)
-	moduli := testModuli(t, 16, 40, 4)
-	rng := rand.New(rand.NewPCG(8, 8))
-	p := randPoly(ctx, moduli, rng)
-	out := p.DropResidues(map[int]bool{1: true, 3: true})
-	if out.R() != 2 || out.Moduli[0] != moduli[0] || out.Moduli[1] != moduli[2] {
-		t.Fatalf("DropResidues wrong moduli: %v", out.Moduli)
-	}
-	for k := 0; k < 16; k++ {
-		if out.Coeffs[0][k] != p.Coeffs[0][k] || out.Coeffs[1][k] != p.Coeffs[2][k] {
-			t.Fatal("DropResidues wrong coefficients")
-		}
-	}
-}
-
 func TestNewContextErrors(t *testing.T) {
 	if _, err := NewContext(100); err == nil {
 		t.Fatal("non power of two accepted")

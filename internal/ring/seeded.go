@@ -1,10 +1,6 @@
 package ring
 
-import (
-	"math/rand/v2"
-
-	"bitpacker/internal/engine"
-)
+import "math/rand/v2"
 
 // Seed-compressed uniform polynomials. A uniform mask (the `A` half of a
 // switching or public key) carries no information beyond its PRNG seed,
@@ -63,10 +59,8 @@ func UniformRowFromSeed(dst []uint64, q uint64, seed Seed) {
 // directly.
 func UniformPolyFromSeed(ctx *Context, moduli []uint64, seed Seed) *Poly {
 	p := NewPoly(ctx, moduli)
-	engine.Dispatch(len(p.Moduli), ctx.N, func(i int) {
-		UniformRowFromSeed(p.Coeffs[i], p.Moduli[i], seed)
-	})
 	p.IsNTT = true
+	each(uniformOp(p, seed))
 	return p
 }
 
@@ -74,10 +68,8 @@ func UniformPolyFromSeed(ctx *Context, moduli []uint64, seed Seed) *Poly {
 // scratch pool; release with Context.PutPoly.
 func GetUniformPolyFromSeed(ctx *Context, moduli []uint64, seed Seed) *Poly {
 	p := ctx.GetPoly(moduli)
-	engine.Dispatch(len(p.Moduli), ctx.N, func(i int) {
-		UniformRowFromSeed(p.Coeffs[i], p.Moduli[i], seed)
-	})
 	p.IsNTT = true
+	each(uniformOp(p, seed))
 	return p
 }
 
@@ -88,44 +80,16 @@ func GetUniformPolyFromSeed(ctx *Context, moduli []uint64, seed Seed) *Poly {
 // polys NTT domain; bit-identical to MulCoeffsPairInto against the dense
 // UniformPolyFromSeed(.., seed) restricted to x's moduli.
 func MulCoeffsPairIntoSeeded(o0, o1, x, y0 *Poly, seed Seed) {
-	sameShape(x, y0)
-	sameShape(o0, x)
-	sameShape(o1, x)
-	if !x.IsNTT {
-		panic("ring: MulCoeffsPairIntoSeeded requires NTT domain")
-	}
-	ctx := x.ctx
-	tabs := x.tables()
-	engine.DispatchFused(len(x.Moduli), 2*ctx.N,
-		func(i int) { tabs[i].MulCoeffs(o0.Coeffs[i], x.Coeffs[i], y0.Coeffs[i]) },
-		func(i int) {
-			row := ctx.GetVec()
-			UniformRowFromSeed(row, x.Moduli[i], seed)
-			tabs[i].MulCoeffs(o1.Coeffs[i], x.Coeffs[i], row)
-			ctx.PutVec(row)
-		},
-	)
+	const who = "MulCoeffsPairIntoSeeded"
+	u := x.lent()
+	fused(mulOp(who, o0, x, y0), borrow(u), uniformOp(u, seed), mulOp(who, o1, x, u), release(u))
 }
 
 // MulCoeffsPairAddSeeded accumulates o0 += x⊙y0 and o1 += x⊙U with U
 // seed-regenerated per row (NTT domain) — the accumulate twin of
 // MulCoeffsPairIntoSeeded.
 func MulCoeffsPairAddSeeded(o0, o1, x, y0 *Poly, seed Seed) {
-	sameShape(x, y0)
-	sameShape(o0, x)
-	sameShape(o1, x)
-	if !x.IsNTT {
-		panic("ring: MulCoeffsPairAddSeeded requires NTT domain")
-	}
-	ctx := x.ctx
-	tabs := x.tables()
-	engine.DispatchFused(len(x.Moduli), 2*ctx.N,
-		func(i int) { tabs[i].MulCoeffsAdd(o0.Coeffs[i], x.Coeffs[i], y0.Coeffs[i]) },
-		func(i int) {
-			row := ctx.GetVec()
-			UniformRowFromSeed(row, x.Moduli[i], seed)
-			tabs[i].MulCoeffsAdd(o1.Coeffs[i], x.Coeffs[i], row)
-			ctx.PutVec(row)
-		},
-	)
+	const who = "MulCoeffsPairAddSeeded"
+	u := x.lent()
+	fused(mulAddOp(who, o0, x, y0), borrow(u), uniformOp(u, seed), mulAddOp(who, o1, x, u), release(u))
 }

@@ -102,12 +102,3 @@ func (b *Basis) Decompose(x *big.Int) []uint64 {
 	}
 	return out
 }
-
-// SubProduct returns the product of the moduli at the given indices.
-func (b *Basis) SubProduct(idx []int) *big.Int {
-	p := big.NewInt(1)
-	for _, i := range idx {
-		p.Mul(p, new(big.Int).SetUint64(b.Moduli[i]))
-	}
-	return p
-}

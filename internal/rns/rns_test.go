@@ -156,16 +156,6 @@ func TestExactDivVector(t *testing.T) {
 	}
 }
 
-func TestSubProduct(t *testing.T) {
-	ps := primes(t, 30, 128, 4)
-	b, _ := NewBasis(64, ps)
-	got := b.SubProduct([]int{0, 2})
-	want := new(big.Int).Mul(new(big.Int).SetUint64(ps[0]), new(big.Int).SetUint64(ps[2]))
-	if got.Cmp(want) != 0 {
-		t.Fatalf("SubProduct wrong")
-	}
-}
-
 // randBig returns a uniform big.Int in [0, max) drawn from rng.
 func randBig(rng *rand.Rand, max *big.Int) *big.Int {
 	buf := make([]byte, len(max.Bytes())+8)

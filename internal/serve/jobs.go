@@ -10,7 +10,7 @@ import (
 	"sync"
 
 	"bitpacker"
-	"bitpacker/internal/pipeline"
+	"bitpacker/internal/durable"
 )
 
 // Job states reported by GET /v1/job/{id}.
@@ -150,7 +150,7 @@ func (jm *JobManager) load(id string) (*jobRecord, error) {
 
 // persist durably replaces the job record. Every file a job is
 // acknowledged by (input.bin, job.json, output.bin) reaches the disk
-// through pipeline.WriteFileDurable: a crash or power loss leaves the
+// through durable.WriteFile: a crash or power loss leaves the
 // previous file or the new one, never a torn or empty one. persist takes
 // a copy, so the write and its two fsyncs need not happen under jm.mu.
 func (jm *JobManager) persist(rec jobRecord) error {
@@ -158,7 +158,7 @@ func (jm *JobManager) persist(rec jobRecord) error {
 	if err != nil {
 		return err
 	}
-	return pipeline.WriteFileDurable(filepath.Join(jm.jobDir(rec.ID), "job.json"), data, 0o644)
+	return durable.WriteFile(filepath.Join(jm.jobDir(rec.ID), "job.json"), data, 0o644)
 }
 
 // Submit durably records a new job and starts it. The input ciphertext
@@ -202,7 +202,7 @@ func (jm *JobManager) Submit(spec JobSpec, inputBlob []byte) (string, error) {
 	jm.mu.Unlock()
 
 	if err := os.MkdirAll(jm.jobDir(id), 0o755); err == nil {
-		err = pipeline.WriteFileDurable(filepath.Join(jm.jobDir(id), "input.bin"), inputBlob, 0o644)
+		err = durable.WriteFile(filepath.Join(jm.jobDir(id), "input.bin"), inputBlob, 0o644)
 		if err == nil {
 			err = jm.persist(*rec)
 		}
@@ -296,7 +296,7 @@ func (jm *JobManager) publish(rec *jobRecord, p *profile, out *bitpacker.Ciphert
 	if err != nil {
 		return err
 	}
-	if err := pipeline.WriteFileDurable(filepath.Join(jm.jobDir(rec.ID), "output.bin"), blob, 0o644); err != nil {
+	if err := durable.WriteFile(filepath.Join(jm.jobDir(rec.ID), "output.bin"), blob, 0o644); err != nil {
 		return fmt.Errorf("%w: %v", errUnpublished, err)
 	}
 	return nil

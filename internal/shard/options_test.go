@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"bitpacker/internal/engine"
 	"bitpacker/internal/fherr"
 )
 
@@ -59,12 +60,13 @@ func TestOptionsWorkersDefaultFollowsFleet(t *testing.T) {
 func TestOptionsValidate(t *testing.T) {
 	ok := []Options{
 		{}, // all defaults
-		{HeartbeatInterval: 50 * time.Millisecond},                                      // timeout defaulted from interval
-		{HeartbeatTimeout: time.Second},                                                 // above the default interval
-		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Second},       // explicit, ordered
-		{HeartbeatInterval: -time.Second, HeartbeatTimeout: 300 * time.Millisecond},     // negative interval defaults to 250ms, below timeout
-		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: -3 * time.Second},  // negative timeout defaults
+		{HeartbeatInterval: 50 * time.Millisecond},                                          // timeout defaulted from interval
+		{HeartbeatTimeout: time.Second},                                                     // above the default interval
+		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Second},           // explicit, ordered
+		{HeartbeatInterval: -time.Second, HeartbeatTimeout: 300 * time.Millisecond},         // negative interval defaults to 250ms, below timeout
+		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: -3 * time.Second},      // negative timeout defaults
 		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 50 * time.Millisecond}, // equal is allowed
+		{Respawn: engine.RetryPolicy{MaxAttempts: 2, BreakerThreshold: 1}},                  // the fields the supervisor reads
 	}
 	for i, o := range ok {
 		if err := o.Validate(); err != nil {
@@ -75,6 +77,8 @@ func TestOptionsValidate(t *testing.T) {
 		{HeartbeatTimeout: 100 * time.Millisecond},                                    // below the default 250ms interval
 		{HeartbeatInterval: time.Second, HeartbeatTimeout: 100 * time.Millisecond},    // below explicit interval
 		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Nanosecond}, // pathological
+		{Respawn: engine.RetryPolicy{AttemptTimeout: time.Second}},                    // the supervisor has no per-attempt timeout
+		{Respawn: engine.RetryPolicy{MaxAttempts: 2, Cooldown: time.Minute}},          // nor a breaker cooldown: refused, not ignored
 	}
 	for i, o := range bad {
 		err := o.Validate()

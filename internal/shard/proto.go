@@ -34,6 +34,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"bitpacker/internal/durable"
 )
 
 // Environment keys. A process started with EnvDir in its environment is
@@ -180,7 +182,7 @@ const CrashExitCode = 13
 // Config and ShardStep program into them; the worker unmarshals both and
 // rebuilds a bit-identical Context from the same seed).
 type JobFile struct {
-	Version int             `json:"version"`
+	Version int `json:"version"`
 	// Fingerprint hashes config+program+inputs; a mismatch against an
 	// existing exchange directory means stale state from a different job
 	// and everything under it is cleared before reuse.
@@ -201,26 +203,25 @@ const JobFileVersion = 1
 // Exchange-directory layout helpers. Inputs and outputs are
 // pipeline.DirStore checkpoint files keyed by shard ID; ckpt/ holds one
 // per-shard checkpoint directory the worker's pipeline resumes from.
-func InDir(root string) string              { return filepath.Join(root, "in") }
-func OutDir(root string) string             { return filepath.Join(root, "out") }
-func CkptDir(root string, shard int) string { return filepath.Join(root, "ckpt", fmt.Sprintf("shard-%04d", shard)) }
-func ChaosDir(root string) string           { return filepath.Join(root, "chaos") }
+func InDir(root string) string  { return filepath.Join(root, "in") }
+func OutDir(root string) string { return filepath.Join(root, "out") }
+func CkptDir(root string, shard int) string {
+	return filepath.Join(root, "ckpt", fmt.Sprintf("shard-%04d", shard))
+}
+func ChaosDir(root string) string { return filepath.Join(root, "chaos") }
 
 func jobFilePath(root string) string { return filepath.Join(root, "job.json") }
 
-// WriteJobFile atomically persists the job description (temp file +
-// rename, like every other durable artifact in the exchange directory).
+// WriteJobFile publishes the job description durably (temp file, fsync,
+// rename, directory fsync — durable.WriteFile, like every other durable
+// artifact in the exchange directory): every fleet hello is authenticated
+// against this file, so a torn or vanished one fails the whole job.
 func WriteJobFile(root string, jf JobFile) error {
 	data, err := json.MarshalIndent(jf, "", "  ")
 	if err != nil {
 		return fmt.Errorf("shard: marshal job file: %w", err)
 	}
-	tmp := jobFilePath(root) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("shard: write job file: %w", err)
-	}
-	if err := os.Rename(tmp, jobFilePath(root)); err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(jobFilePath(root), data, 0o644); err != nil {
 		return fmt.Errorf("shard: publish job file: %w", err)
 	}
 	return nil

@@ -55,7 +55,8 @@ type Options struct {
 	// times per round, and BreakerThreshold consecutive exhausted rounds
 	// open that slot's circuit breaker and retire it. A life that
 	// completed a shard starts the count over. Zero values select the
-	// Retrier defaults; AttemptTimeout and Cooldown mean nothing here.
+	// Retrier defaults; AttemptTimeout and Cooldown mean nothing here
+	// and Validate refuses them.
 	Respawn engine.RetryPolicy
 	// ShardAttempts bounds how many times a shard that a live worker
 	// *reports* as failed (as opposed to dying while holding it) is
@@ -125,6 +126,11 @@ func (o Options) Validate() error {
 		return fherr.Wrap(fherr.ErrInvalidParams,
 			"shard: heartbeat timeout %v below interval %v (every worker would be declared hung at its first check)",
 			o.HeartbeatTimeout, interval)
+	}
+	if o.Respawn.AttemptTimeout != 0 || o.Respawn.Cooldown != 0 {
+		return fherr.Wrap(fherr.ErrInvalidParams,
+			"shard: Respawn.AttemptTimeout %v and Respawn.Cooldown %v mean nothing to the supervisor (a life is bounded by the heartbeat and shard deadlines, a retired slot stays retired)",
+			o.Respawn.AttemptTimeout, o.Respawn.Cooldown)
 	}
 	return nil
 }

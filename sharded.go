@@ -126,21 +126,15 @@ func (c *Context) EncodeCiphertexts(cts []*Ciphertext) ([]byte, error) {
 	return pipeline.EncodeState(inner)
 }
 
-// DecodeCiphertexts decodes an EncodeCiphertexts batch, validating every
-// ciphertext against the context's chain and reseeding the RRNS spare
-// channel (deserialization is a trusted point, like a fresh encryption).
+// DecodeCiphertexts decodes an EncodeCiphertexts batch. Every ciphertext
+// is validated against the context's chain and its RRNS spare channel
+// reseeded (deserialization is a trusted point, like a fresh encryption)
+// by pipeline.DecodeState, once: both are O(R·N) passes per ciphertext,
+// and a shard's batch is decoded on each side of the exchange.
 func (c *Context) DecodeCiphertexts(data []byte) ([]*Ciphertext, error) {
 	inner, err := pipeline.DecodeState(c.params, data)
 	if err != nil {
 		return nil, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: %v", err)
-	}
-	for i, ct := range inner {
-		if err := ct.Validate(c.params); err != nil {
-			return nil, fmt.Errorf("bitpacker: shard batch ciphertext %d: %w", i, err)
-		}
-		if c.params.SpareModulus() != 0 {
-			ct.SeedSpare(c.params)
-		}
 	}
 	return wrapState(inner), nil
 }
@@ -239,7 +233,9 @@ type ShardOptions struct {
 	ShardDeadline     time.Duration
 	// Respawn is the per-worker crash/hang recovery policy with
 	// engine.Retrier semantics (backoff, attempt budget, circuit
-	// breaker). Zero values select the Retrier defaults.
+	// breaker). Zero values select the Retrier defaults; a non-zero
+	// AttemptTimeout or Cooldown, which the supervisor has no use for,
+	// is refused with ErrInvalidParams.
 	Respawn RetryPolicy
 	// ShardAttempts bounds re-dispatches of a shard a live worker reports
 	// as failed before the job fails (default 3).
