@@ -7,11 +7,13 @@
 // bit-reversed order, and the inverse is the matching Gentleman-Sande
 // network. Twiddle multiplications use Shoup's precomputed-quotient trick.
 //
-// Both transforms use lazy reduction (Longa–Naehrig / Harvey): butterfly
-// operands travel in [0, 4q) forward and [0, 2q) inverse, with a single
-// correction pass at the end. This is exactly what nt.MaxModulusBits = 62
-// reserves its two slack bits for: 4q < 2^64 keeps every lazy sum inside
-// one machine word.
+// Both transforms use lazy reduction (Longa–Naehrig / Harvey) in one of
+// two regimes chosen per table from the modulus: corrected, where operands
+// are folded back at every stage and travel in [0, 4q) forward and
+// [0, 2q) inverse — what nt.MaxModulusBits = 62 reserves its two slack
+// bits for — and correction-free, where a modulus with 2N·q < 2^64 has
+// the headroom to skip every intermediate fold. Either way the outputs
+// are canonical, so the regime is invisible outside this file.
 package ntt
 
 import (
@@ -46,6 +48,11 @@ type Table struct {
 	// residues then fits one word and the pointwise kernels reduce it
 	// with nt.ReduceWord. Zero selects the two-word Barrett path.
 	mu uint64
+	// lazyMu = nt.WordBarrett(q), set only when 2N·q < 2^64 (every
+	// q < 2^32 qualifies): it selects the correction-free regime of
+	// Forward and Inverse and finishes Forward's outputs. Zero selects
+	// the corrected regime.
+	lazyMu uint64
 }
 
 // NewTable precomputes an NTT table for modulus q and size n (a power of
@@ -98,137 +105,339 @@ func NewTable(q uint64, n int) (*Table, error) {
 	if q < 1<<32 {
 		t.mu = nt.WordBarrett(q)
 	}
+	if hi, _ := bits.Mul64(uint64(2*n), q); hi == 0 {
+		t.lazyMu = nt.WordBarrett(q)
+	}
 	return t, nil
 }
 
-// Forward transforms a (coefficient-domain, values < q) in place into the
-// NTT evaluation domain. len(a) must equal t.N. Outputs are fully reduced
-// (< q).
+// The two lazy regimes. A transform kernel is written once over a regime
+// type parameter and compiled once per regime: the array length of R is a
+// constant inside each instantiation, so isFree folds away and the
+// `corrected` copy carries every conditional subtraction while the
+// `correctionFree` copy carries none — a butterfly consults no run-time
+// flag.
 //
-// The butterfly network is lazy: values stay in [0, 4q) between stages.
-// Each butterfly reduces its sum operand into [0, 2q), takes the twiddle
-// product in [0, 2q) via the subtraction-free Shoup multiply, and emits
-// u+v and u-v+2q, both < 4q. Since q < 2^62 (nt.MaxModulusBits), 4q never
-// overflows uint64. The [0, 4q) → [0, q) correction is folded into the
-// last butterfly stage (which already writes every word once), so the
-// transform makes no separate correction pass over the vector.
+//   - corrected: every modulus up to nt.MaxModulusBits. Operands are
+//     folded back below 2q at each stage, so nothing exceeds 4q < 2^64.
+//   - correction-free: moduli with 2N·q < 2^64 (NewTable sets t.lazyMu),
+//     which includes every q < 2^32 since 2N < q. No intermediate
+//     correction is made at all; the proofs that nothing overflows are on
+//     Forward and Inverse. This is the narrow word's headroom, spent on
+//     the host.
+type (
+	corrected      = [0]struct{}
+	correctionFree = [1]struct{}
+	regime         interface{ corrected | correctionFree }
+)
+
+func isFree[R regime]() bool {
+	var r R
+	return len(r) == 1
+}
+
+// Forward transforms a (coefficient domain) in place into the NTT
+// evaluation domain. len(a) must equal t.N. Inputs may be lazy, in
+// [0, 2q); outputs are fully reduced (< q).
+//
+// Pass structure: the logN butterfly stages run two per sweep over the
+// vector (radix-4: four quarter-slices, three twiddles per block), after
+// one radix-2 sweep when the count is odd, and the last three stages
+// (strides 4, 2, 1) run on eight words held in registers together with
+// the final correction, so the vector is read and written ⌈(logN−3)/2⌉+1
+// times instead of logN.
+//
+// Corrected regime: a butterfly folds its sum operand u from [0, 4q) into
+// [0, 2q), takes the twiddle product v in [0, 2q) from the
+// subtraction-free Shoup multiply (which lands there for any 64-bit
+// operand), and emits u+v and u−v+2q, both < 4q. Since q < 2^62
+// (nt.MaxModulusBits), 4q never overflows uint64; the last stage reduces
+// [0, 4q) → [0, q) with two conditional subtractions.
+//
+// Free regime: the fold is dropped. With v < 2q whatever its operand,
+// u+v and u−v+2q exceed u by at most 2q, so inputs below 2q stay below
+// (2·logN+2)·q after logN stages; 2·logN+2 ≤ 2N for every N ≥ 1, so the
+// selection rule 2N·q < 2^64 keeps every word inside uint64, and each
+// output is finished by one nt.ReduceWord.
 func (t *Table) Forward(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")
 	}
-	q := t.Q
-	q2 := q << 1
-	n := t.N
-	step := n
-	for m := 1; m < n>>1; m <<= 1 {
-		step >>= 1
-		for i := 0; i < m; i++ {
-			w := t.psi[m+i]
-			ws := t.psiShoup[m+i]
-			j1 := 2 * i * step
-			lo := a[j1 : j1+step : j1+step]
-			hi := a[j1+step : j1+2*step : j1+2*step]
-			for j := range lo {
-				u := lo[j]
-				if u >= q2 {
-					u -= q2
-				}
-				v := nt.MulModLazyShoup(hi[j], w, ws, q)
-				lo[j] = u + v
-				hi[j] = u + q2 - v
-			}
-		}
-	}
-	// Last stage (step == 1), with the final correction fused in: the
-	// emitted u+v and u+2q-v are reduced from [0, 4q) to [0, q) in
-	// registers, exactly as the separate pass would.
-	for i, m := 0, n>>1; i < m; i++ {
-		w := t.psi[m+i]
-		ws := t.psiShoup[m+i]
-		u := a[2*i]
-		if u >= q2 {
-			u -= q2
-		}
-		v := nt.MulModLazyShoup(a[2*i+1], w, ws, q)
-		x := u + v
-		if x >= q2 {
-			x -= q2
-		}
-		if x >= q {
-			x -= q
-		}
-		y := u + q2 - v
-		if y >= q2 {
-			y -= q2
-		}
-		if y >= q {
-			y -= q
-		}
-		a[2*i] = x
-		a[2*i+1] = y
+	if t.lazyMu != 0 {
+		forward[correctionFree](t, a)
+	} else {
+		forward[corrected](t, a)
 	}
 }
 
-// Inverse transforms a (NTT domain, values < q) in place back into
-// coefficients, fully reduced (< q).
+func forward[R regime](t *Table, a []uint64) {
+	// Stages m = 1, 2, …, end/2 are sweeps; the 8-point tail takes the
+	// last three when there are that many.
+	n, end := t.N, t.N
+	if n >= 8 {
+		end = n >> 3
+	}
+	m := 1
+	if bits.TrailingZeros(uint(end))&1 == 1 {
+		fwdPass2[R](t, a, 1)
+		m = 2
+	}
+	for ; m < end; m <<= 2 {
+		fwdPass4[R](t, a, m)
+	}
+	if n >= 8 {
+		fwdTail8[R](t, a)
+		return
+	}
+	for i, x := range a {
+		a[i] = finish(x, t.Q, t.lazyMu, isFree[R]())
+	}
+}
+
+// ct is the Cooley-Tukey butterfly (u, v) → (u + v·w, u − v·w + 2q).
+func ct(u, v, w, ws, q, q2 uint64, free bool) (uint64, uint64) {
+	if !free && u >= q2 {
+		u -= q2
+	}
+	p := nt.MulModLazyShoup(v, w, ws, q)
+	return u + p, u + q2 - p
+}
+
+// finish reduces a forward output to [0, q): from [0, 4q) in the
+// corrected regime, from anywhere in the word in the free one.
+func finish(x, q, mu uint64, free bool) uint64 {
+	if free {
+		return nt.ReduceWord(x, q, mu)
+	}
+	if x >= q<<1 {
+		x -= q << 1
+	}
+	if x >= q {
+		x -= q
+	}
+	return x
+}
+
+// fwdPass2 runs stage m alone: m blocks of two halves, one twiddle each.
+func fwdPass2[R regime](t *Table, a []uint64, m int) {
+	free := isFree[R]()
+	q, q2 := t.Q, t.Q<<1
+	h := t.N / (2 * m)
+	for i := 0; i < m; i++ {
+		w, ws := t.psi[m+i], t.psiShoup[m+i]
+		b := a[2*i*h:]
+		lo, hi := b[:h:h], b[h:][:h:h]
+		for j := range lo {
+			lo[j], hi[j] = ct(lo[j], hi[j], w, ws, q, q2, free)
+		}
+	}
+}
+
+// fwdPass4 runs stages m and 2m in one sweep. Block i of stage m is four
+// quarters x0..x3: stage m pairs (x0,x2) and (x1,x3) under ψ[m+i], stage
+// 2m pairs (x0,x1) under ψ[2m+2i] and (x2,x3) under ψ[2m+2i+1].
+func fwdPass4[R regime](t *Table, a []uint64, m int) {
+	free := isFree[R]()
+	q, q2 := t.Q, t.Q<<1
+	h := t.N / (4 * m)
+	for i := 0; i < m; i++ {
+		w1, s1 := t.psi[m+i], t.psiShoup[m+i]
+		w2, s2 := t.psi[2*m+2*i], t.psiShoup[2*m+2*i]
+		w3, s3 := t.psi[2*m+2*i+1], t.psiShoup[2*m+2*i+1]
+		b := a[4*i*h:]
+		x0, x1, x2, x3 := b[:h:h], b[h:][:h:h], b[2*h:][:h:h], b[3*h:][:h:h]
+		for j := range x0 {
+			u0, u2 := ct(x0[j], x2[j], w1, s1, q, q2, free)
+			u1, u3 := ct(x1[j], x3[j], w1, s1, q, q2, free)
+			x0[j], x1[j] = ct(u0, u1, w2, s2, q, q2, free)
+			x2[j], x3[j] = ct(u2, u3, w3, s3, q, q2, free)
+		}
+	}
+}
+
+// fwdTail8 runs the last three stages (m = N/8, N/4, N/2; strides 4, 2,
+// 1) on each aligned run of eight words in registers — seven twiddles per
+// block — and finishes the eight outputs.
+func fwdTail8[R regime](t *Table, a []uint64) {
+	free := isFree[R]()
+	q, q2, mu := t.Q, t.Q<<1, t.lazyMu
+	n := t.N
+	for i := 0; i < n>>3; i++ {
+		w1, s1 := t.psi[n>>3+i], t.psiShoup[n>>3+i]
+		w2, s2 := t.psi[n>>2+2*i:][:2:2], t.psiShoup[n>>2+2*i:][:2:2]
+		w4, s4 := t.psi[n>>1+4*i:][:4:4], t.psiShoup[n>>1+4*i:][:4:4]
+		x := a[8*i:][:8:8]
+		x0, x4 := ct(x[0], x[4], w1, s1, q, q2, free)
+		x1, x5 := ct(x[1], x[5], w1, s1, q, q2, free)
+		x2, x6 := ct(x[2], x[6], w1, s1, q, q2, free)
+		x3, x7 := ct(x[3], x[7], w1, s1, q, q2, free)
+		x0, x2 = ct(x0, x2, w2[0], s2[0], q, q2, free)
+		x1, x3 = ct(x1, x3, w2[0], s2[0], q, q2, free)
+		x4, x6 = ct(x4, x6, w2[1], s2[1], q, q2, free)
+		x5, x7 = ct(x5, x7, w2[1], s2[1], q, q2, free)
+		x0, x1 = ct(x0, x1, w4[0], s4[0], q, q2, free)
+		x2, x3 = ct(x2, x3, w4[1], s4[1], q, q2, free)
+		x4, x5 = ct(x4, x5, w4[2], s4[2], q, q2, free)
+		x6, x7 = ct(x6, x7, w4[3], s4[3], q, q2, free)
+		x[0], x[1] = finish(x0, q, mu, free), finish(x1, q, mu, free)
+		x[2], x[3] = finish(x2, q, mu, free), finish(x3, q, mu, free)
+		x[4], x[5] = finish(x4, q, mu, free), finish(x5, q, mu, free)
+		x[6], x[7] = finish(x6, q, mu, free), finish(x7, q, mu, free)
+	}
+}
+
+// Inverse transforms a (NTT domain) in place back into coefficients.
+// Inputs may be lazy, in [0, 2q); outputs are fully reduced (< q).
 //
-// The Gentleman-Sande network keeps values in [0, 2q): the sum branch is
-// reduced with one conditional subtraction, the difference branch feeds
-// u-v+2q (< 4q, safe for q < 2^62) into the lazy Shoup multiply which
-// lands back in [0, 2q). The final N^{-1} scaling is folded into the last
-// stage: its single twiddle becomes inv[1]·N^{-1} (precomputed), and the
-// sum branch takes the exact Shoup multiply by N^{-1} directly — both
-// branches emit the same fully reduced words the separate scaling pass
-// produced, without re-reading the vector. (The exact Shoup multiply
-// fully reduces any operand < 4q, since its lazy product lies in [0, 2q)
-// for q < 2^62; the lazy transforms rely on the same bound.)
+// Pass structure: the mirror of Forward. The first three stages (strides
+// 1, 2, 4) run on eight words in registers, the middle stages two per
+// sweep after one radix-2 sweep when their count is odd, and the last
+// stage has the N^{-1} scaling folded in: its single twiddle becomes
+// inv[1]·N^{-1} (precomputed) and the sum branch takes the exact Shoup
+// multiply by N^{-1} directly, so no scaling pass re-reads the vector.
+// The exact Shoup multiply fully reduces any 64-bit operand (its lazy
+// product lies in [0, 2q)), so that stage needs no fold in either regime.
+//
+// Corrected regime: the Gentleman-Sande butterfly keeps values in
+// [0, 2q): the sum u+v < 4q is folded once, the difference u−v+2q < 4q
+// feeds the lazy Shoup multiply, which lands back in [0, 2q). Safe for
+// q < 2^62.
+//
+// Free regime: the fold is dropped and the difference is offset by the
+// operands' bound instead of 2q. If both operands of stage k are below
+// B_k = 2q·2^k (true at k = 0), then u+v < 2·B_k = B_{k+1}, and
+// u−v+B_k lies in [0, B_{k+1}), congruent to u−v since q | B_k; the
+// lazy Shoup multiply returns it to [0, 2q) ⊂ [0, B_{k+1}). The widest
+// word is the last stage's, below B_{logN} = 2N·q — the selection rule.
 func (t *Table) Inverse(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")
 	}
-	q := t.Q
-	q2 := q << 1
+	if t.lazyMu != 0 {
+		inverse[correctionFree](t, a)
+	} else {
+		inverse[corrected](t, a)
+	}
+}
+
+func inverse[R regime](t *Table, a []uint64) {
 	n := t.N
 	if n == 1 {
-		a[0] = nt.MulModShoup(a[0], t.nInv, t.nInvSh, q)
+		a[0] = nt.MulModShoup(a[0], t.nInv, t.nInvSh, t.Q)
 		return
 	}
-	step := 1
-	for m := n >> 1; m >= 2; m >>= 1 {
-		for i := 0; i < m; i++ {
-			w := t.inv[m+i]
-			ws := t.invShoup[m+i]
-			j1 := 2 * i * step
-			lo := a[j1 : j1+step : j1+step]
-			hi := a[j1+step : j1+2*step : j1+2*step]
-			for j := range lo {
-				u := lo[j]
-				v := hi[j]
-				s := u + v
-				if s >= q2 {
-					s -= q2
-				}
-				lo[j] = s
-				hi[j] = nt.MulModLazyShoup(u+q2-v, w, ws, q)
-			}
-		}
-		step <<= 1
+	// Stages m = N/2, N/4, …, 2 then the scaled last one; off is the
+	// difference branch's offset at the stage about to run.
+	m, off := n>>1, t.Q<<1
+	if n >= 16 {
+		invHead8[R](t, a)
+		m, off = n>>4, grow[R](off, 3)
 	}
-	// Last stage (m == 1) with the N^{-1} scaling fused in.
-	half := n >> 1
-	w, ws := t.invN1, t.invN1Sh
-	nInv, nInvSh := t.nInv, t.nInvSh
-	lo := a[:half:half]
-	hi := a[half:n:n]
-	for j := range lo {
-		u := lo[j]
-		v := hi[j]
-		s := u + v
-		if s >= q2 {
-			s -= q2
+	if bits.TrailingZeros(uint(m))&1 == 1 {
+		invPass2[R](t, a, m, off)
+		m, off = m>>1, grow[R](off, 1)
+	}
+	for ; m >= 4; m >>= 2 {
+		invPass4[R](t, a, m, off)
+		off = grow[R](off, 2)
+	}
+	invLast(t, a, off)
+}
+
+// grow advances the difference offset by the given number of stages: it
+// doubles per stage in the free regime and stays 2q in the corrected one.
+func grow[R regime](off uint64, stages uint) uint64 {
+	if isFree[R]() {
+		return off << stages
+	}
+	return off
+}
+
+// gs is the Gentleman-Sande butterfly (u, v) → (u + v, (u − v + off)·w);
+// off bounds both operands (2q in the corrected regime).
+func gs(u, v, w, ws, q, off uint64, free bool) (uint64, uint64) {
+	s := u + v
+	if !free && s >= off {
+		s -= off
+	}
+	return s, nt.MulModLazyShoup(u+off-v, w, ws, q)
+}
+
+// invHead8 runs the first three stages (m = N/2, N/4, N/8; strides 1, 2,
+// 4) on each aligned run of eight words in registers.
+func invHead8[R regime](t *Table, a []uint64) {
+	free := isFree[R]()
+	q := t.Q
+	o1 := q << 1
+	o2, o4 := grow[R](o1, 1), grow[R](o1, 2)
+	n := t.N
+	for i := 0; i < n>>3; i++ {
+		w1, s1 := t.inv[n>>1+4*i:][:4:4], t.invShoup[n>>1+4*i:][:4:4]
+		w2, s2 := t.inv[n>>2+2*i:][:2:2], t.invShoup[n>>2+2*i:][:2:2]
+		w4, s4 := t.inv[n>>3+i], t.invShoup[n>>3+i]
+		x := a[8*i:][:8:8]
+		x0, x1 := gs(x[0], x[1], w1[0], s1[0], q, o1, free)
+		x2, x3 := gs(x[2], x[3], w1[1], s1[1], q, o1, free)
+		x4, x5 := gs(x[4], x[5], w1[2], s1[2], q, o1, free)
+		x6, x7 := gs(x[6], x[7], w1[3], s1[3], q, o1, free)
+		x0, x2 = gs(x0, x2, w2[0], s2[0], q, o2, free)
+		x1, x3 = gs(x1, x3, w2[0], s2[0], q, o2, free)
+		x4, x6 = gs(x4, x6, w2[1], s2[1], q, o2, free)
+		x5, x7 = gs(x5, x7, w2[1], s2[1], q, o2, free)
+		x[0], x[4] = gs(x0, x4, w4, s4, q, o4, free)
+		x[1], x[5] = gs(x1, x5, w4, s4, q, o4, free)
+		x[2], x[6] = gs(x2, x6, w4, s4, q, o4, free)
+		x[3], x[7] = gs(x3, x7, w4, s4, q, o4, free)
+	}
+}
+
+// invPass2 runs stage m alone.
+func invPass2[R regime](t *Table, a []uint64, m int, off uint64) {
+	free := isFree[R]()
+	q := t.Q
+	h := t.N / (2 * m)
+	for i := 0; i < m; i++ {
+		w, ws := t.inv[m+i], t.invShoup[m+i]
+		b := a[2*i*h:]
+		lo, hi := b[:h:h], b[h:][:h:h]
+		for j := range lo {
+			lo[j], hi[j] = gs(lo[j], hi[j], w, ws, q, off, free)
 		}
-		lo[j] = nt.MulModShoup(s, nInv, nInvSh, q)
-		hi[j] = nt.MulModShoup(u+q2-v, w, ws, q)
+	}
+}
+
+// invPass4 runs stages m and m/2 in one sweep. Block i of stage m/2 is
+// four quarters x0..x3: stage m pairs (x0,x1) under inv[m+2i] and (x2,x3)
+// under inv[m+2i+1], stage m/2 pairs (x0,x2) and (x1,x3) under inv[m/2+i].
+func invPass4[R regime](t *Table, a []uint64, m int, off uint64) {
+	free := isFree[R]()
+	q, off2 := t.Q, grow[R](off, 1)
+	h := t.N / (2 * m)
+	for i := 0; i < m>>1; i++ {
+		w1, s1 := t.inv[m+2*i], t.invShoup[m+2*i]
+		w2, s2 := t.inv[m+2*i+1], t.invShoup[m+2*i+1]
+		w3, s3 := t.inv[m>>1+i], t.invShoup[m>>1+i]
+		b := a[4*i*h:]
+		x0, x1, x2, x3 := b[:h:h], b[h:][:h:h], b[2*h:][:h:h], b[3*h:][:h:h]
+		for j := range x0 {
+			u0, u1 := gs(x0[j], x1[j], w1, s1, q, off, free)
+			u2, u3 := gs(x2[j], x3[j], w2, s2, q, off, free)
+			x0[j], x2[j] = gs(u0, u2, w3, s3, q, off2, free)
+			x1[j], x3[j] = gs(u1, u3, w3, s3, q, off2, free)
+		}
+	}
+}
+
+// invLast runs stage m = 1 with the N^{-1} scaling folded in; both
+// branches take the exact Shoup multiply and emit canonical words.
+func invLast(t *Table, a []uint64, off uint64) {
+	q := t.Q
+	h := t.N >> 1
+	lo, hi := a[:h:h], a[h:][:h:h]
+	for j := range lo {
+		u, v := lo[j], hi[j]
+		lo[j] = nt.MulModShoup(u+v, t.nInv, t.nInvSh, q)
+		hi[j] = nt.MulModShoup(u+off-v, t.invN1, t.invN1Sh, q)
 	}
 }
 

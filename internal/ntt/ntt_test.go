@@ -17,6 +17,178 @@ func testTable(t *testing.T, q uint64, n int) *Table {
 	return tab
 }
 
+// refForward and refInverse are the package's transforms as they stood
+// before the radix-4 kernels: one radix-2 stage per pass, operands in
+// [0, 4q) forward and [0, 2q) inverse at every modulus. They are kept
+// as the oracle the kernels are compared with word for word; both
+// directions emit canonical residues, so equality is exact.
+func refForward(t *Table, a []uint64) {
+	q, q2, n := t.Q, t.Q<<1, t.N
+	step := n
+	for m := 1; m < n>>1; m <<= 1 {
+		step >>= 1
+		for i := 0; i < m; i++ {
+			w, ws := t.psi[m+i], t.psiShoup[m+i]
+			j1 := 2 * i * step
+			lo, hi := a[j1:j1+step], a[j1+step:j1+2*step]
+			for j := range lo {
+				u := lo[j]
+				if u >= q2 {
+					u -= q2
+				}
+				v := nt.MulModLazyShoup(hi[j], w, ws, q)
+				lo[j], hi[j] = u+v, u+q2-v
+			}
+		}
+	}
+	reduce := func(x uint64) uint64 {
+		if x >= q2 {
+			x -= q2
+		}
+		if x >= q {
+			x -= q
+		}
+		return x
+	}
+	if n == 1 {
+		a[0] = reduce(a[0])
+	}
+	for i, m := 0, n>>1; i < m; i++ {
+		u := a[2*i]
+		if u >= q2 {
+			u -= q2
+		}
+		v := nt.MulModLazyShoup(a[2*i+1], t.psi[m+i], t.psiShoup[m+i], q)
+		a[2*i], a[2*i+1] = reduce(u+v), reduce(u+q2-v)
+	}
+}
+
+func refInverse(t *Table, a []uint64) {
+	q, q2, n := t.Q, t.Q<<1, t.N
+	if n == 1 {
+		a[0] = nt.MulModShoup(a[0], t.nInv, t.nInvSh, q)
+		return
+	}
+	step := 1
+	for m := n >> 1; m >= 2; m >>= 1 {
+		for i := 0; i < m; i++ {
+			w, ws := t.inv[m+i], t.invShoup[m+i]
+			j1 := 2 * i * step
+			lo, hi := a[j1:j1+step], a[j1+step:j1+2*step]
+			for j := range lo {
+				u, v := lo[j], hi[j]
+				s := u + v
+				if s >= q2 {
+					s -= q2
+				}
+				lo[j], hi[j] = s, nt.MulModLazyShoup(u+q2-v, w, ws, q)
+			}
+		}
+		step <<= 1
+	}
+	half := n >> 1
+	for j := 0; j < half; j++ {
+		u, v := a[j], a[j+half]
+		s := u + v
+		if s >= q2 {
+			s -= q2
+		}
+		a[j] = nt.MulModShoup(s, t.nInv, t.nInvSh, q)
+		a[j+half] = nt.MulModShoup(u+q2-v, t.invN1, t.invN1Sh, q)
+	}
+}
+
+// lazyCases returns the input classes every transform test drives: all
+// zero, all q−1, uniform below q, and the documented lazy contract's
+// upper end — all 2q−1, and uniform below 2q.
+func lazyCases(rng *rand.Rand, q uint64, n int) [][]uint64 {
+	cases := make([][]uint64, 5)
+	for c := range cases {
+		cases[c] = make([]uint64, n)
+	}
+	for i := 0; i < n; i++ {
+		cases[1][i] = q - 1
+		cases[2][i] = rng.Uint64() % q
+		cases[3][i] = 2*q - 1
+		cases[4][i] = rng.Uint64() % (2 * q)
+	}
+	return cases
+}
+
+// TestTransformsMatchRadix2Reference asserts word-for-word equality of
+// Forward and Inverse with the radix-2 references at every size from
+// N = 1 (no stage) through the small sizes that bypass the 8-point
+// blocks to logN 15 (both parities of the radix-4 sweep count), at
+// widths on both sides of every selection: one-word products (≤ 32
+// bits), the correction-free regime (2N·q < 2^64) and the corrected one.
+func TestTransformsMatchRadix2Reference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 32))
+	regimes := map[bool]int{}
+	for logN := 0; logN <= 15; logN++ {
+		n := 1 << logN
+		for _, width := range []int{28, 31, 32, 33, 45, 59, 61, 62} {
+			q := nt.PreviousNTTPrime(1<<width, uint64(2*n))
+			if bits.Len64(q) != width {
+				t.Fatalf("logN=%d: prime below 2^%d has %d bits", logN, width, bits.Len64(q))
+			}
+			tab := testTable(t, q, n)
+			regimes[tab.lazyMu != 0]++
+			for ci, in := range lazyCases(rng, q, n) {
+				for _, dir := range []struct {
+					name     string
+					got, ref func([]uint64)
+				}{
+					{"Forward", tab.Forward, func(a []uint64) { refForward(tab, a) }},
+					{"Inverse", tab.Inverse, func(a []uint64) { refInverse(tab, a) }},
+				} {
+					got := append([]uint64(nil), in...)
+					want := append([]uint64(nil), in...)
+					dir.got(got)
+					dir.ref(want)
+					for i := range got {
+						if got[i] != want[i] || got[i] >= q {
+							t.Fatalf("logN=%d width=%d case %d: %s[%d] = %d, reference %d (q=%d)",
+								logN, width, ci, dir.name, i, got[i], want[i], q)
+						}
+					}
+				}
+			}
+		}
+	}
+	if regimes[true] == 0 || regimes[false] == 0 {
+		t.Fatalf("one regime never ran: %v", regimes)
+	}
+}
+
+// TestRegimeSelection pins the rule NewTable chooses the lazy regime by:
+// correction-free exactly when 2N·q < 2^64. At each size it takes the
+// largest NTT-friendly prime the rule admits and the next one above the
+// bound; every prime below 2^32 qualifies at any size it is friendly for.
+func TestRegimeSelection(t *testing.T) {
+	for _, logN := range []int{0, 1, 3, 10, 13, 15} {
+		n := 1 << logN
+		bound := uint64(1) << (63 - logN) // 2N·q < 2^64  ⇔  q < bound
+		// At logN ≤ 1 the bound is past the package's own width limit:
+		// every supported modulus qualifies and none lies above.
+		below := nt.PreviousNTTPrime(min(bound, 1<<nt.MaxModulusBits), uint64(2*n))
+		above := nt.NextNTTPrime(bound, uint64(2*n))
+		if tab := testTable(t, below, n); tab.lazyMu != nt.WordBarrett(below) {
+			t.Errorf("logN=%d q=%d (largest below the bound): corrected regime selected", logN, below)
+		}
+		if bits.Len64(above) > nt.MaxModulusBits {
+			continue
+		}
+		if tab := testTable(t, above, n); tab.lazyMu != 0 {
+			t.Errorf("logN=%d q=%d (first above the bound): correction-free regime selected", logN, above)
+		}
+	}
+	// 2^32 − 2^20 + 1 is friendly up to N = 2^19, the largest size a
+	// one-word modulus admits here; 2N < q keeps it under the bound.
+	if tab := testTable(t, 1<<32-1<<20+1, 1<<12); tab.lazyMu == 0 || tab.mu == 0 {
+		t.Error("32-bit prime: correction-free regime not selected")
+	}
+}
+
 func TestNewTableErrors(t *testing.T) {
 	if _, err := NewTable(7681, 100); err == nil {
 		t.Fatal("non-power-of-two size accepted")
@@ -113,30 +285,32 @@ func TestForwardIsEvaluationHomomorphic(t *testing.T) {
 	}
 }
 
-// TestLazyReductionBounds drives the lazy-reduction butterflies with
-// worst-case inputs (including all coefficients at q-1 for the widest
-// supported 62-bit modulus) and asserts every output of the correction
-// pass is fully reduced below q, in both directions and after pointwise
-// products.
+// TestLazyReductionBounds drives the lazy butterflies with worst-case
+// inputs at the edge of each regime's word budget and asserts every
+// output is fully reduced below q, in both directions and after
+// pointwise products. Corrected regime: the widest supported 62-bit
+// modulus, where lazy values reach almost 4q ~ 2^64 and any missing
+// correction overflows. Correction-free regime: the largest modulus the
+// selection rule admits at each size (2N·q just under 2^64, up to the
+// largest size tested anywhere, logN 15), where one stage more, one
+// offset doubled too often or an input above the 2q contract would wrap.
 func TestLazyReductionBounds(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
-	for _, n := range []int{8, 256, 2048} {
-		// The widest modulus the package supports: lazy values reach
-		// almost 4q ~ 2^64 here, so any missing correction overflows.
-		q := nt.PreviousNTTPrime(uint64(1)<<nt.MaxModulusBits, uint64(2*n))
+	for _, c := range []struct {
+		logN int
+		free bool
+	}{{3, false}, {8, false}, {11, false}, {3, true}, {4, true}, {8, true}, {11, true}, {15, true}} {
+		n := 1 << c.logN
+		limit := uint64(1) << nt.MaxModulusBits
+		if c.free {
+			limit = 1 << (63 - c.logN)
+		}
+		q := nt.PreviousNTTPrime(limit, uint64(2*n))
 		tab := testTable(t, q, n)
-		cases := [][]uint64{
-			make([]uint64, n), // all zero
-			make([]uint64, n), // all q-1
-			make([]uint64, n), // random
+		if (tab.lazyMu != 0) != c.free {
+			t.Fatalf("n=%d q=%d: correction-free regime = %v, want %v", n, q, tab.lazyMu != 0, c.free)
 		}
-		for i := range cases[1] {
-			cases[1][i] = q - 1
-		}
-		for i := range cases[2] {
-			cases[2][i] = rng.Uint64() % q
-		}
-		for ci, a := range cases {
+		for ci, a := range lazyCases(rng, q, n) {
 			fwd := append([]uint64(nil), a...)
 			tab.Forward(fwd)
 			for i, x := range fwd {
@@ -151,13 +325,20 @@ func TestLazyReductionBounds(t *testing.T) {
 					t.Fatalf("n=%d case %d: MulCoeffs output[%d]=%d >= q=%d", n, ci, i, x, q)
 				}
 			}
+			// The inverse's own lazy contract: the evaluation-domain
+			// words shifted up by q where the case is a lazy one.
 			inv := append([]uint64(nil), fwd...)
+			if ci >= 3 {
+				for i := range inv {
+					inv[i] += q
+				}
+			}
 			tab.Inverse(inv)
 			for i, x := range inv {
 				if x >= q {
 					t.Fatalf("n=%d case %d: Inverse output[%d]=%d >= q=%d", n, ci, i, x, q)
 				}
-				if x != a[i] {
+				if x != a[i]%q {
 					t.Fatalf("n=%d case %d: roundtrip mismatch at %d", n, ci, i)
 				}
 			}
@@ -258,9 +439,12 @@ func TestMulByXShiftsNegacyclically(t *testing.T) {
 	}
 }
 
-func BenchmarkForwardN8192(b *testing.B) {
-	n := 8192
-	q := nt.PreviousNTTPrime(1<<59, uint64(2*n))
+// benchTransform times one direction at a (modulus width, logN) point
+// and reports ns per butterfly (N/2·logN of them per transform), the unit
+// in which sizes and widths compare.
+func benchTransform(b *testing.B, width, logN int, inverse bool) {
+	n := 1 << logN
+	q := nt.PreviousNTTPrime(1<<width, uint64(2*n))
 	tab, err := NewTable(q, n)
 	if err != nil {
 		b.Fatal(err)
@@ -269,25 +453,22 @@ func BenchmarkForwardN8192(b *testing.B) {
 	for i := range a {
 		a[i] = uint64(i) % q
 	}
+	run := tab.Forward
+	if inverse {
+		run = tab.Inverse
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.Forward(a)
+		run(a)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n/2*logN), "ns/butterfly")
 }
 
-func BenchmarkInverseN8192(b *testing.B) {
-	n := 8192
-	q := nt.PreviousNTTPrime(1<<59, uint64(2*n))
-	tab, err := NewTable(q, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := make([]uint64, n)
-	for i := range a {
-		a[i] = uint64(i) % q
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.Inverse(a)
-	}
-}
+func BenchmarkForwardN8192(b *testing.B)     { benchTransform(b, 59, 13, false) }
+func BenchmarkInverseN8192(b *testing.B)     { benchTransform(b, 59, 13, true) }
+func BenchmarkForwardN8192W28(b *testing.B)  { benchTransform(b, 28, 13, false) }
+func BenchmarkInverseN8192W28(b *testing.B)  { benchTransform(b, 28, 13, true) }
+func BenchmarkForwardN4096(b *testing.B)     { benchTransform(b, 59, 12, false) }
+func BenchmarkForwardN4096W28(b *testing.B)  { benchTransform(b, 28, 12, false) }
+func BenchmarkForwardN16384(b *testing.B)    { benchTransform(b, 59, 14, false) }
+func BenchmarkForwardN16384W28(b *testing.B) { benchTransform(b, 28, 14, false) }
