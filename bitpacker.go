@@ -652,6 +652,17 @@ func (c *Context) AddConst(a *Ciphertext, values []complex128) (*Ciphertext, err
 	return c.runOp("AddConst", func() (*ckks.Ciphertext, error) { return c.eval.AddPlain(a.ct, pt) })
 }
 
+// mulScalar and addScalar are MulConst and AddConst for one real constant
+// in every slot: the evaluator applies it as a scalar and nothing is
+// encoded. EvalPolynomial's coefficients take this path.
+func (c *Context) mulScalar(a *Ciphertext, v float64) (*Ciphertext, error) {
+	return c.runOp("MulConst", func() (*ckks.Ciphertext, error) { return c.eval.MulConst(a.ct, v) })
+}
+
+func (c *Context) addScalar(a *Ciphertext, v float64) (*Ciphertext, error) {
+	return c.runOp("AddConst", func() (*ckks.Ciphertext, error) { return c.eval.AddConst(a.ct, v) })
+}
+
 // Rescale drops the ciphertext one level, dividing out one scale factor
 // (call after Mul/MulConst). This is where RNSCKKS and BitPacker differ:
 // RNSCKKS sheds the level's own residues; BitPacker scales up by the next

@@ -89,14 +89,6 @@ func (c *Context) EvalPolynomial(x *Ciphertext, coeffs []float64) (*Ciphertext, 
 		return nil, fherr.Wrap(fherr.ErrChainExhausted,
 			"bitpacker: need %d levels, ciphertext has %d", len(coeffs)-1, x.Level())
 	}
-	n := c.Slots()
-	cvec := func(v float64) []complex128 {
-		out := make([]complex128, n)
-		for i := range out {
-			out[i] = complex(v, 0)
-		}
-		return out
-	}
 	// Horner: acc = c_{d}; acc = acc*x + c_{i}.
 	d := len(coeffs) - 1
 	if d == 0 {
@@ -104,9 +96,9 @@ func (c *Context) EvalPolynomial(x *Ciphertext, coeffs []float64) (*Ciphertext, 
 		if err != nil {
 			return nil, err
 		}
-		return c.AddConst(enc, cvec(coeffs[0]))
+		return c.addScalar(enc, coeffs[0])
 	}
-	prod, err := c.MulConst(x, cvec(coeffs[d]))
+	prod, err := c.mulScalar(x, coeffs[d])
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +106,7 @@ func (c *Context) EvalPolynomial(x *Ciphertext, coeffs []float64) (*Ciphertext, 
 	if err != nil {
 		return nil, err
 	}
-	if acc, err = c.AddConst(acc, cvec(coeffs[d-1])); err != nil {
+	if acc, err = c.addScalar(acc, coeffs[d-1]); err != nil {
 		return nil, err
 	}
 	for i := d - 2; i >= 0; i-- {
@@ -128,7 +120,7 @@ func (c *Context) EvalPolynomial(x *Ciphertext, coeffs []float64) (*Ciphertext, 
 		if acc, err = c.Rescale(prod); err != nil {
 			return nil, err
 		}
-		if acc, err = c.AddConst(acc, cvec(coeffs[i])); err != nil {
+		if acc, err = c.addScalar(acc, coeffs[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -93,6 +93,67 @@ func TestEvalPolynomial(t *testing.T) {
 	}
 }
 
+// TestEvalPolynomialScalarsMatchEncoderPath runs EvalPolynomial, whose
+// coefficients reach the evaluator as scalars, beside the same Horner
+// scheme over MulConst/AddConst of the replicated, encoded coefficient —
+// the path it took before — at a narrow and a wide word, with negative
+// and zero coefficients: within 2^-25 of each other, and within the
+// precision the result's own noise budget promises (the fuzz target's
+// 16× allowance) of the exact polynomial.
+func TestEvalPolynomialScalarsMatchEncoderPath(t *testing.T) {
+	coeffs := []float64{-0.5, 0.197, 0, -0.004, 0.3}
+	for _, w := range []int{28, 61} {
+		ctx, err := New(Config{Scheme: BitPacker, LogN: 10, Levels: 5, ScaleBits: 40, WordBits: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := []float64{0.4, -0.9, 0, 0.77}
+		ct, _ := ctx.EncryptReal(xs)
+		got, err := ctx.EvalPolynomial(ct, coeffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		cvec := func(v float64) []complex128 {
+			out := make([]complex128, ctx.Slots())
+			for i := range out {
+				out[i] = complex(v, 0)
+			}
+			return out
+		}
+		must := func(c *Ciphertext, err error) *Ciphertext {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		d := len(coeffs) - 1
+		ref := must(ctx.Rescale(must(ctx.MulConst(ct, cvec(coeffs[d])))))
+		ref = must(ctx.AddConst(ref, cvec(coeffs[d-1])))
+		for i := d - 2; i >= 0; i-- {
+			ref = must(ctx.Rescale(must(ctx.Mul(ref, must(ctx.Adjust(ct, ref.Level()))))))
+			ref = must(ctx.AddConst(ref, cvec(coeffs[i])))
+		}
+
+		out, _ := ctx.DecryptReal(got)
+		enc, _ := ctx.DecryptReal(ref)
+		bound := 16 * math.Exp2(-ctx.NoiseBudget(got))
+		for i, x := range xs {
+			want := 0.0
+			for k := d; k >= 0; k-- {
+				want = want*x + coeffs[k]
+			}
+			if e := math.Abs(out[i] - enc[i]); e > 1.0/(1<<25) {
+				t.Errorf("w=%d p(%g): scalar path %g from the encoder path", w, x, e)
+			}
+			if e := math.Abs(out[i] - want); e > bound {
+				t.Errorf("w=%d p(%g) = %g, want %g: error above the tracked bound %g", w, x, out[i], want, bound)
+			}
+		}
+	}
+}
+
 func TestCrossSchemeEquivalence(t *testing.T) {
 	// The two representations must compute the same function to within
 	// noise: run an identical program under both and compare outputs.

@@ -1,11 +1,6 @@
 package ckks
 
-import (
-	"math/big"
-
-	"bitpacker/internal/fherr"
-	"bitpacker/internal/ring"
-)
+import "bitpacker/internal/fherr"
 
 // Chebyshev polynomial evaluation: sum_k coeffs[k]*T_k(x) for x encrypted
 // with slots in [-1, 1]. Chebyshev bases keep coefficients small and are
@@ -17,21 +12,6 @@ import (
 // evaluated by recursive division p = q·T_m + r. Depth drops from deg
 // (three-term recurrence) to O(log deg) and non-scalar multiplications to
 // ~2·sqrt(deg).
-
-// constPT encodes the scalar v into a plaintext at the given level/scale.
-// Scalar encoding cannot fail (one value replicated across all slots), so
-// this uses the Must form.
-func constPT(p *Parameters, enc *Encoder, v float64, level int, scale *big.Rat) *Plaintext {
-	vals := make([]complex128, p.Slots())
-	for i := range vals {
-		vals[i] = complex(v, 0)
-	}
-	return &Plaintext{
-		Value: enc.MustEncode(vals, scale, p.LevelModuli(level)),
-		Level: level,
-		Scale: new(big.Rat).Set(scale),
-	}
-}
 
 // trimChebyshev drops trailing zero coefficients, returning the effective
 // degree (-1 for an empty series).
@@ -117,7 +97,7 @@ func ChebyshevDepth(deg int) int {
 			if d == 0 {
 				return 0 // pure pending constant
 			}
-			// Linear combination of babies: MulPlain+Rescale costs one
+			// Linear combination of babies: MulConst+Rescale costs one
 			// level over the deepest baby used.
 			max := 0
 			for k := 1; k <= d; k++ {
@@ -213,11 +193,11 @@ func (ce *chebEval) mulRelin(a, b *Ciphertext) *Ciphertext {
 	return ce.take(ce.ev.MulRelin(a, b))
 }
 
-func (ce *chebEval) mulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
+func (ce *chebEval) mulConst(ct *Ciphertext, v float64) *Ciphertext {
 	if ce.err != nil {
 		return nil
 	}
-	return ce.take(ce.ev.MulPlain(ct, pt))
+	return ce.take(ce.ev.MulConst(ct, v))
 }
 
 func (ce *chebEval) mulScalarInt(ct *Ciphertext, k int64) *Ciphertext {
@@ -227,11 +207,11 @@ func (ce *chebEval) mulScalarInt(ct *Ciphertext, k int64) *Ciphertext {
 	return ce.take(ce.ev.MulScalarInt(ct, k))
 }
 
-func (ce *chebEval) addPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
+func (ce *chebEval) addConst(ct *Ciphertext, v float64) *Ciphertext {
 	if ce.err != nil {
 		return nil
 	}
-	return ce.take(ce.ev.AddPlain(ct, pt))
+	return ce.take(ce.ev.AddConst(ct, v))
 }
 
 func (ce *chebEval) add(a, b *Ciphertext) *Ciphertext {
@@ -258,7 +238,8 @@ func (ce *chebEval) adjustTo(ct *Ciphertext, level int) *Ciphertext {
 // EvalChebyshev evaluates sum_k coeffs[k]*T_k(x) by Paterson–Stockmeyer,
 // consuming ChebyshevDepth(deg) = O(log deg) levels. Zero coefficients
 // are skipped. Degrees <= 2 delegate to the three-term recurrence, which
-// is optimal there.
+// is optimal there. Constants are applied as scalars (MulConst, AddConst)
+// and never encoded; enc stays for the callers that pass one.
 func (ev *Evaluator) EvalChebyshev(enc *Encoder, x *Ciphertext, coeffs []float64) (*Ciphertext, error) {
 	if len(coeffs) == 0 {
 		return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: empty Chebyshev series")
@@ -272,7 +253,6 @@ func (ev *Evaluator) EvalChebyshev(enc *Encoder, x *Ciphertext, coeffs []float64
 		return nil, fherr.Wrap(fherr.ErrChainExhausted,
 			"ckks: Chebyshev degree %d needs %d levels, have %d", deg, need, x.Level)
 	}
-	p := ev.params
 	pl := newChebPlan(deg)
 	ce := &chebEval{ev: ev}
 
@@ -284,11 +264,7 @@ func (ev *Evaluator) EvalChebyshev(enc *Encoder, x *Ciphertext, coeffs []float64
 		var tk *Ciphertext
 		if a == b {
 			// T_{2a} = 2·T_a^2 - 1.
-			sq := ce.rescale(ce.square(T[a]))
-			tk = ce.mulScalarInt(sq, 2)
-			if ce.err == nil {
-				tk = ce.addPlain(tk, constPT(p, enc, -1, tk.Level, tk.Scale))
-			}
+			tk = ce.addConst(ce.mulScalarInt(ce.rescale(ce.square(T[a])), 2), -1)
 		} else {
 			// T_{a+b} = 2·T_a·T_b - T_1 (a-b = 1 here).
 			lvl := T[a].Level
@@ -297,8 +273,7 @@ func (ev *Evaluator) EvalChebyshev(enc *Encoder, x *Ciphertext, coeffs []float64
 			}
 			ta := ce.adjustTo(T[a].CopyNew(), lvl)
 			tb := ce.adjustTo(T[b].CopyNew(), lvl)
-			prod := ce.rescale(ce.mulRelin(ta, tb))
-			prod = ce.mulScalarInt(prod, 2)
+			prod := ce.mulScalarInt(ce.rescale(ce.mulRelin(ta, tb)), 2)
 			if ce.err == nil {
 				sub := ce.adjustTo(T[1].CopyNew(), prod.Level)
 				tk = ce.sub(prod, sub)
@@ -313,13 +288,8 @@ func (ev *Evaluator) EvalChebyshev(enc *Encoder, x *Ciphertext, coeffs []float64
 	// Giant steps T_{2m} = 2·T_m^2 - 1 starting from T_bs.
 	G := map[int]*Ciphertext{pl.giants[0]: T[pl.bs]}
 	for i := 1; i < len(pl.giants) && ce.err == nil; i++ {
-		prev := G[pl.giants[i-1]]
-		sq := ce.rescale(ce.square(prev))
-		tk := ce.mulScalarInt(sq, 2)
-		if ce.err == nil {
-			tk = ce.addPlain(tk, constPT(p, enc, -1, tk.Level, tk.Scale))
-		}
-		G[pl.giants[i]] = tk
+		sq := ce.rescale(ce.square(G[pl.giants[i-1]]))
+		G[pl.giants[i]] = ce.addConst(ce.mulScalarInt(sq, 2), -1)
 	}
 	if ce.err != nil {
 		return nil, ce.err
@@ -335,8 +305,7 @@ func (ev *Evaluator) EvalChebyshev(enc *Encoder, x *Ciphertext, coeffs []float64
 			if c[k] == 0 {
 				continue
 			}
-			term := ce.mulPlain(T[k], constPT(p, enc, c[k], T[k].Level, p.DefaultScale(T[k].Level)))
-			term = ce.rescale(term)
+			term := ce.rescale(ce.mulConst(T[k], c[k]))
 			if ce.err != nil {
 				break
 			}
@@ -381,7 +350,7 @@ func (ev *Evaluator) EvalChebyshev(enc *Encoder, x *Ciphertext, coeffs []float64
 		case qRes.ct != nil:
 			qct := qRes.ct
 			if qRes.c0 != 0 {
-				qct = ce.addPlain(qct, constPT(p, enc, qRes.c0, qct.Level, qct.Scale))
+				qct = ce.addConst(qct, qRes.c0)
 			}
 			if ce.err != nil {
 				return chebRes{}
@@ -394,7 +363,7 @@ func (ev *Evaluator) EvalChebyshev(enc *Encoder, x *Ciphertext, coeffs []float64
 			ta := ce.adjustTo(tm.CopyNew(), lvl)
 			prod = ce.rescale(ce.mulRelin(qa, ta))
 		case qRes.c0 != 0:
-			prod = ce.rescale(ce.mulPlain(tm, constPT(p, enc, qRes.c0, tm.Level, p.DefaultScale(tm.Level))))
+			prod = ce.rescale(ce.mulConst(tm, qRes.c0))
 		}
 		if ce.err != nil {
 			return chebRes{}
@@ -420,26 +389,18 @@ func (ev *Evaluator) EvalChebyshev(enc *Encoder, x *Ciphertext, coeffs []float64
 	}
 	if res.ct == nil {
 		// Degenerate all-constant series (deg was trimmed above, so this
-		// needs every higher coefficient to cancel): encode as zero
-		// ciphertext plus the constant.
-		out := x.CopyNew()
-		zero := ring.NewPoly(p.Ctx, x.C0.Moduli)
-		zero.IsNTT = true
-		out.C0 = zero
-		out.C1 = zero.Copy()
-		out.seal()
-		return ev.AddPlain(out, constPT(p, enc, res.c0, out.Level, out.Scale))
+		// needs every higher coefficient to cancel).
+		return ev.EvalChebyshevNaive(enc, x, []float64{res.c0})
 	}
-	out := res.ct
 	if res.c0 != 0 {
-		return ev.AddPlain(out, constPT(p, enc, res.c0, out.Level, out.Scale))
+		return ev.AddConst(res.ct, res.c0)
 	}
-	return out, nil
+	return res.ct, nil
 }
 
 // EvalChebyshevNaive evaluates the series by the three-term recurrence
 // T_k = 2x·T_{k-1} - T_{k-2}, consuming one level per degree. Zero
-// coefficients skip their MulPlain+Rescale (a degree-trimmed constant
+// coefficients skip their MulConst+Rescale (a degree-trimmed constant
 // series consumes no levels at all). Kept as the reference and
 // differential-test baseline for EvalChebyshev.
 func (ev *Evaluator) EvalChebyshevNaive(enc *Encoder, x *Ciphertext, coeffs []float64) (*Ciphertext, error) {
@@ -451,17 +412,15 @@ func (ev *Evaluator) EvalChebyshevNaive(enc *Encoder, x *Ciphertext, coeffs []fl
 		return nil, fherr.Wrap(fherr.ErrChainExhausted,
 			"ckks: Chebyshev degree %d needs %d levels, have %d", deg, deg, x.Level)
 	}
-	p := ev.params
 	ce := &chebEval{ev: ev}
 
 	if deg == 0 {
-		out := x.CopyNew()
-		zero := ring.NewPoly(p.Ctx, x.C0.Moduli)
-		zero.IsNTT = true
-		out.C0 = zero
-		out.C1 = zero.Copy()
-		out.seal()
-		return ev.AddPlain(out, constPT(p, enc, coeffs[0], out.Level, out.Scale))
+		// 0·x keeps x's level, scale and noise under a zero message.
+		zero, err := ev.MulScalarInt(x, 0)
+		if err != nil {
+			return nil, err
+		}
+		return ev.AddConst(zero, coeffs[0])
 	}
 
 	// acc accumulates coeffs[k] * T_k at progressively lower levels;
@@ -471,8 +430,7 @@ func (ev *Evaluator) EvalChebyshevNaive(enc *Encoder, x *Ciphertext, coeffs []fl
 		if ce.err != nil {
 			return
 		}
-		term := ce.mulPlain(tk, constPT(p, enc, c, tk.Level, p.DefaultScale(tk.Level)))
-		term = ce.rescale(term)
+		term := ce.rescale(ce.mulConst(tk, c))
 		if ce.err != nil {
 			return
 		}
@@ -492,19 +450,14 @@ func (ev *Evaluator) EvalChebyshevNaive(enc *Encoder, x *Ciphertext, coeffs []fl
 		var tk *Ciphertext
 		if k == 2 {
 			// T_2 = 2x^2 - 1.
-			sq := ce.rescale(ce.square(x))
-			tk = ce.mulScalarInt(sq, 2)
-			if ce.err == nil {
-				tk = ce.addPlain(tk, constPT(p, enc, -1, tk.Level, tk.Scale))
-			}
+			tk = ce.addConst(ce.mulScalarInt(ce.rescale(ce.square(x)), 2), -1)
 			if ce.err == nil {
 				tPrev2 = ce.adjustTo(x.CopyNew(), tk.Level) // T_1 aligned
 			}
 		} else {
 			// T_k = 2x*T_{k-1} - T_{k-2}.
 			xa := ce.adjustTo(x.CopyNew(), tPrev.Level)
-			prod := ce.rescale(ce.mulRelin(xa, tPrev))
-			prod = ce.mulScalarInt(prod, 2)
+			prod := ce.mulScalarInt(ce.rescale(ce.mulRelin(xa, tPrev)), 2)
 			if ce.err == nil {
 				sub := ce.adjustTo(tPrev2, prod.Level)
 				tk = ce.sub(prod, sub)
@@ -524,7 +477,7 @@ func (ev *Evaluator) EvalChebyshevNaive(enc *Encoder, x *Ciphertext, coeffs []fl
 	// + coeffs[0] * T_0 (acc is non-nil: the trimmed leading coefficient
 	// is nonzero, so the k = deg term was added).
 	if coeffs[0] != 0 {
-		return ev.AddPlain(acc, constPT(p, enc, coeffs[0], acc.Level, acc.Scale))
+		return ev.AddConst(acc, coeffs[0])
 	}
 	return acc, nil
 }

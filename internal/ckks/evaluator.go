@@ -403,14 +403,59 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	if release {
 		ev.params.Ctx.PutPoly(m)
 	}
-	scale := new(big.Rat).Mul(ct.Scale, pt.Scale)
-	// pt·e_ct dominates; the encoding rounding of pt is amplified by the
-	// ciphertext's scale.
-	noise := addNoiseBits(
-		ct.NoiseBits+core.RatLog2(pt.Scale),
-		core.RatLog2(ct.Scale)+ev.nm.EncodingBits(),
-	)
-	return newCiphertext(c0, c1, ct.Level, scale, noise), nil
+	return ev.plainProduct(ct, c0, c1, pt.Scale), nil
+}
+
+// plainProduct wraps the components of ct times a plaintext of the given
+// scale. pt·e_ct dominates the noise; the encoding rounding of pt is
+// amplified by the ciphertext's scale.
+func (ev *Evaluator) plainProduct(ct *Ciphertext, c0, c1 *ring.Poly, ptScale *big.Rat) *Ciphertext {
+	noise := addNoiseBits(ct.NoiseBits+core.RatLog2(ptScale), core.RatLog2(ct.Scale)+ev.nm.EncodingBits())
+	return newCiphertext(c0, c1, ct.Level, new(big.Rat).Mul(ct.Scale, ptScale), noise)
+}
+
+// constOperand is the prologue of the scalar operations: begin, then what
+// a real constant replicated in every slot encodes to at the given scale
+// — the constant polynomial round(v·scale): one integer, the same word at
+// every evaluation point of a residue row. A constant therefore costs no
+// encoder FFT, no per-coefficient big.Int reduction and no transform.
+func (ev *Evaluator) constOperand(op string, ct *Ciphertext, v float64, scale *big.Rat) (*big.Int, error) {
+	if err := ev.begin(op, ct); err != nil {
+		return nil, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: %s: constant is not finite", op)
+	}
+	const prec = 256
+	f := new(big.Float).SetPrec(prec).SetFloat64(v)
+	return roundToBig(f.Mul(f, new(big.Float).SetPrec(prec).SetRat(scale))), nil
+}
+
+// AddConst returns ct + v in every slot: AddPlain for a plaintext that is
+// one number, added to C0 at ct's scale.
+func (ev *Evaluator) AddConst(ct *Ciphertext, v float64) (*Ciphertext, error) {
+	c, err := ev.constOperand("AddConst", ct, v, ct.Scale)
+	if err != nil {
+		return nil, err
+	}
+	c0, c1 := ev.polyPairLike(ct)
+	ring.AddScalarBigCopyPair(c0, ct.C0, c1, ct.C1, c)
+	noise := addNoiseBits(ct.NoiseBits, ev.nm.EncodingBits())
+	return newCiphertext(c0, c1, ct.Level, new(big.Rat).Set(ct.Scale), noise), nil
+}
+
+// MulConst returns ct·v in every slot, v taken at the level's default
+// scale as MulPlain's operands are; rescale afterwards. Both components
+// take a per-residue Shoup scalar multiply.
+func (ev *Evaluator) MulConst(ct *Ciphertext, v float64) (*Ciphertext, error) {
+	scale := ev.params.DefaultScale(ct.Level)
+	c, err := ev.constOperand("MulConst", ct, v, scale)
+	if err != nil {
+		return nil, err
+	}
+	c0, c1 := ev.polyPairLike(ct)
+	ring.MulScalarBigPair(c0, ct.C0, c1, ct.C1, c)
+	return ev.plainProduct(ct, c0, c1, scale), nil
 }
 
 // MulScalarInt multiplies by a small integer constant (scale unchanged).
@@ -494,7 +539,8 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	return out, nil
 }
 
-// Square is MulRelin(ct, ct) with one fewer pointwise multiply.
+// Square is MulRelin(ct, ct), all four pointwise multiplies included: a
+// squaring tensor step (d1 = 2·a0⊙a1) saves under 1 % of the operation.
 func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) {
 	return ev.MulRelin(ct, ct)
 }

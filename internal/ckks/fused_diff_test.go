@@ -385,8 +385,12 @@ func TestWideChainsHaveNoNarrowModulus(t *testing.T) {
 // lists, weight columns or cache-key strings; what remains is pooled
 // polynomial headers, dispatch closures and big.Int bookkeeping. The
 // ceilings sit between the counts with and without those rebuilds
-// (MulRescale 513 vs 553, Rotate 290 vs 350 at this shape). The collector
-// is held off because a collection empties the scratch pools mid-run.
+// (MulRescale 513 vs 553, Rotate 290 vs 350 at this shape). A degree-7
+// EvalChebyshev rides along for its constants: applied as scalars the
+// series costs 6281 allocations, and each constant that went through the
+// encoder again would add about 1,900 (27,005 with all eleven encoded).
+// The collector is held off because a collection empties the scratch
+// pools mid-run.
 func TestFusedHotPathAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -398,6 +402,7 @@ func TestFusedHotPathAllocCeiling(t *testing.T) {
 	rng := rand.New(rand.NewPCG(217, 218))
 	a := s.encryptValues(randomValues(s.params.Slots(), rng))
 	b := s.encryptValues(randomValues(s.params.Slots(), rng))
+	cheb7 := []float64{0.1, 0.8, -0.3, 0.05, 0.12, -0.05, 0.03, 0.02}
 	for _, op := range []struct {
 		name    string
 		ceiling float64
@@ -405,6 +410,11 @@ func TestFusedHotPathAllocCeiling(t *testing.T) {
 	}{
 		{"MulRescale", 530, func() { s.ev.MustMulRescale(a, b) }},
 		{"Rotate", 310, func() { s.ev.MustRotate(a, 1) }},
+		{"EvalChebyshev", 6600, func() {
+			if _, err := s.ev.EvalChebyshev(s.enc, a, cheb7); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		if got := testing.AllocsPerRun(10, op.run); got > op.ceiling {
 			t.Errorf("fused %s: %.0f allocations per call, ceiling %.0f", op.name, got, op.ceiling)

@@ -154,11 +154,11 @@ func isFree[R regime]() bool {
 // (nt.MaxModulusBits), 4q never overflows uint64; the last stage reduces
 // [0, 4q) → [0, q) with two conditional subtractions.
 //
-// Free regime: the fold is dropped. With v < 2q whatever its operand,
-// u+v and u−v+2q exceed u by at most 2q, so inputs below 2q stay below
-// (2·logN+2)·q after logN stages; 2·logN+2 ≤ 2N for every N ≥ 1, so the
-// selection rule 2N·q < 2^64 keeps every word inside uint64, and each
-// output is finished by one nt.ReduceWord.
+// Correction-free regime: the fold is dropped. With v < 2q whatever its
+// operand, u+v and u−v+2q exceed u by at most 2q, so inputs below 2q stay
+// below (2·logN+2)·q after logN stages; 2·logN+2 ≤ 2N for every N ≥ 1,
+// so the selection rule 2N·q < 2^64 keeps every word inside uint64, and
+// each output is finished by one nt.ReduceWord.
 func (t *Table) Forward(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")
@@ -303,10 +303,10 @@ func fwdTail8[R regime](t *Table, a []uint64) {
 // feeds the lazy Shoup multiply, which lands back in [0, 2q). Safe for
 // q < 2^62.
 //
-// Free regime: the fold is dropped and the difference is offset by the
-// operands' bound instead of 2q. If both operands of stage k are below
-// B_k = 2q·2^k (true at k = 0), then u+v < 2·B_k = B_{k+1}, and
-// u−v+B_k lies in [0, B_{k+1}), congruent to u−v since q | B_k; the
+// Correction-free regime: the fold is dropped and the difference is
+// offset by the operands' bound instead of 2q. If both operands of stage
+// k are below B_k = 2q·2^k (true at k = 0), then u+v < 2·B_k = B_{k+1},
+// and u−v+B_k lies in [0, B_{k+1}), congruent to u−v since q | B_k; the
 // lazy Shoup multiply returns it to [0, 2q) ⊂ [0, B_{k+1}). The widest
 // word is the last stage's, below B_{logN} = 2N·q — the selection rule.
 func (t *Table) Inverse(a []uint64) {
@@ -431,13 +431,13 @@ func invPass4[R regime](t *Table, a []uint64, m int, off uint64) {
 // invLast runs stage m = 1 with the N^{-1} scaling folded in; both
 // branches take the exact Shoup multiply and emit canonical words.
 func invLast(t *Table, a []uint64, off uint64) {
-	q := t.Q
-	h := t.N >> 1
+	q, h := t.Q, t.N>>1
+	nInv, nInvSh, w, ws := t.nInv, t.nInvSh, t.invN1, t.invN1Sh
 	lo, hi := a[:h:h], a[h:][:h:h]
 	for j := range lo {
 		u, v := lo[j], hi[j]
-		lo[j] = nt.MulModShoup(u+v, t.nInv, t.nInvSh, q)
-		hi[j] = nt.MulModShoup(u+off-v, t.invN1, t.invN1Sh, q)
+		lo[j] = nt.MulModShoup(u+v, nInv, nInvSh, q)
+		hi[j] = nt.MulModShoup(u+off-v, w, ws, q)
 	}
 }
 

@@ -92,6 +92,13 @@ func NegPair(o0, a0, o1, a1 *Poly) { perRow(negOp(o0, a0), negOp(o1, a1)) }
 // plaintext-addition shape, where only the degree-0 component changes.
 func AddCopyPair(o0, a0, m, o1, a1 *Poly) { perRow(addOp(o0, a0, m), copyOp(o1, a1)) }
 
+// AddScalarBigCopyPair is AddCopyPair for a plaintext that is the
+// constant polynomial c: o0 = a0 + c and o1 = copy(a1) in one fork/join
+// (NTT domain), c reduced per modulus once.
+func AddScalarBigCopyPair(o0, a0, o1, a1 *Poly, c *big.Int) {
+	perRow(addScalarOp("AddScalarBigCopyPair", o0, a0, reduceBig(c, a0.Moduli)), copyOp(o1, a1))
+}
+
 // MulCoeffsPair sets o0 = a0⊙m and o1 = a1⊙m in one fork/join (NTT
 // domain) — the plaintext-multiplication shape.
 func MulCoeffsPair(o0, a0, o1, a1, m *Poly) {

@@ -258,6 +258,21 @@ func scalarOp(o, a *Poly, ws []uint64) rowOp {
 	})
 }
 
+// addScalarOp sets o = a + c for the constant polynomial c, in the
+// evaluation domain, where a constant is the same word ws[i] at every
+// point of row i; ws comes from reduceBig over a's moduli.
+func addScalarOp(who string, o, a *Poly, ws []uint64) rowOp {
+	needNTT(who, a, true)
+	sameShape(o, a)
+	return o.op(func(i int) {
+		q, w := o.Moduli[i], ws[i]
+		pp := o.Coeffs[i]
+		for k, x := range a.Coeffs[i][:len(pp)] {
+			pp[k] = nt.AddMod(x, w, q)
+		}
+	})
+}
+
 // uniformOp regenerates every row of p from (seed, modulus).
 func uniformOp(p *Poly, seed Seed) rowOp {
 	return p.op(func(i int) { UniformRowFromSeed(p.Coeffs[i], p.Moduli[i], seed) })

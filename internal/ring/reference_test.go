@@ -323,6 +323,19 @@ func (e *refEnv) products(alias bool) {
 	e.check("MulCoeffsPair/0", d0, m, zip(m, refProd, ra0, rb0), true)
 	e.check("MulCoeffsPair/1", d1, m, zip(m, refProd, ra1, rb0), true)
 
+	// a0 + c for the constant polynomial c: the reference transforms c
+	// (one coefficient, the rest zero) and adds it as any other operand.
+	c := new(big.Int).Lsh(big.NewInt(-987654321), 70)
+	rc := zip(m, func(q uint64, x []uint64) uint64 { return 0 }, ra0)
+	for i, q := range m {
+		rc[i][0] = refBig(c, q)
+	}
+	x0, x1 = cp()
+	d0, d1 = e.dst(x0, alias), e.dst(x1, alias)
+	AddScalarBigCopyPair(d0, x0, d1, x1, c)
+	e.check("AddScalarBigCopyPair/0", d0, m, zip(m, refAdd, ra0, e.fwd(m, rc)), true)
+	e.check("AddScalarBigCopyPair/1", d1, m, ra1, true)
+
 	// x⊙y0, x⊙y1 with x shared: only the second output may alias x, the
 	// first is written before x's last read.
 	x0, _ = cp()
