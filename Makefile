@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate docs-check loc fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate opgate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -36,6 +36,15 @@ panicgate:
 	@bad=$$(grep -rn "panic(" --include="*.go" *.go internal/ckks internal/engine internal/fherr internal/chaos internal/serve \
 		| grep -v _test.go | grep -vE '(^|/)must\.go:' | grep -v unreachable; true); \
 	if [ -n "$$bad" ]; then echo "untyped panic in API layer:"; echo "$$bad"; exit 1; fi
+
+# One-definition gate: a program op (square, quartic, negate, offset,
+# scale, rotate) is defined once, as a row of program.go's op table. A
+# `case` on an op name anywhere else in non-test code is a second
+# definition growing back. bench/ is frozen and reads the names only.
+opgate:
+	@bad=$$(grep -rnE 'case (bitpacker\.)?(ShardOp|Op)(Square|Quartic|Negate|Offset|Scale|Rotate)' --include='*.go' . \
+		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build)/' | grep -v '^\./program\.go:'; true); \
+	if [ -n "$$bad" ]; then echo "program op switched on outside program.go:"; echo "$$bad"; exit 1; fi
 
 # Stale-reference gate: the prose names commands, and a deleted target,
 # tool or flag otherwise lingers there unnoticed. Fails when README.md,
@@ -84,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecode -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzParams -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalCiphertext -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzProgram -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSwitchingKey -fuzztime 20s ./internal/ckks
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWorkerMessage -fuzztime 20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzSupervisorMachine -fuzztime 20s ./internal/shard
@@ -103,9 +113,9 @@ chaos-soak:
 		./internal/chaos/... ./internal/engine/... ./internal/pipeline/... ./internal/ckks/... .
 
 # Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
-# included), the parallel hot paths must be race-free, and the docs may
-# name only commands that exist.
-check: build vet test bench-test race panicgate docs-check
+# included), the parallel hot paths must be race-free, a program op must
+# have one definition, and the docs may name only commands that exist.
+check: build vet test bench-test race panicgate opgate docs-check
 
 clean:
 	$(GO) clean ./...

@@ -3,6 +3,7 @@ package bitpacker
 import (
 	"context"
 	"math"
+	"math/big"
 
 	"bitpacker/internal/ckks"
 	"bitpacker/internal/core"
@@ -438,14 +439,9 @@ func (c *Context) ChainDescription() string {
 // level.
 func (c *Context) Encrypt(values []complex128) (*Ciphertext, error) {
 	lvl := c.params.MaxLevel()
-	val, err := c.encoder.Encode(values, c.params.DefaultScale(lvl), c.params.LevelModuli(lvl))
+	pt, err := c.encode(values, lvl, c.params.DefaultScale(lvl))
 	if err != nil {
 		return nil, err
-	}
-	pt := &ckks.Plaintext{
-		Value: val,
-		Level: lvl,
-		Scale: c.params.DefaultScale(lvl),
 	}
 	ct, err := c.enc.EncryptAtLevel(pt, lvl)
 	if err != nil {
@@ -552,16 +548,10 @@ func (c *Context) ResidentKeyBytes() int64 {
 // are ignored. Without a key cache this is a no-op. The release function
 // is idempotent.
 func (c *Context) PinRotations(steps ...int) (func(), error) {
-	slots := c.params.Slots()
-	seen := map[uint64]bool{}
+	seen := map[uint64]bool{1: true} // element 1 is the identity: a zero step needs no key
 	els := make([]uint64, 0, len(steps))
 	for _, s := range steps {
-		s = ((s % slots) + slots) % slots
-		if s == 0 {
-			continue
-		}
-		el := ring.GaloisElementForRotation(s, c.params.N())
-		if !seen[el] {
+		if el := ring.GaloisElementForRotation(s, c.params.N()); !seen[el] {
 			seen[el] = true
 			els = append(els, el)
 		}
@@ -598,15 +588,20 @@ func (c *Context) EncodePlain(values []complex128, level int) (*Plain, error) {
 	if level < 0 || level > c.params.MaxLevel() {
 		return nil, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: level %d outside [0, %d]", level, c.params.MaxLevel())
 	}
-	val, err := c.encoder.Encode(values, c.params.DefaultScale(level), c.params.LevelModuli(level))
+	pt, err := c.encode(values, level, c.params.DefaultScale(level))
 	if err != nil {
 		return nil, err
 	}
-	return &Plain{pt: &ckks.Plaintext{
-		Value: val,
-		Level: level,
-		Scale: c.params.DefaultScale(level),
-	}}, nil
+	return &Plain{pt: pt}, nil
+}
+
+// encode encodes a slot vector for one level of the chain at a scale.
+func (c *Context) encode(values []complex128, level int, scale *big.Rat) (*ckks.Plaintext, error) {
+	val, err := c.encoder.Encode(values, scale, c.params.LevelModuli(level))
+	if err != nil {
+		return nil, err
+	}
+	return &ckks.Plaintext{Value: val, Level: level, Scale: scale}, nil
 }
 
 // MulPlain multiplies by a pre-encoded plaintext (see EncodePlain);
@@ -624,30 +619,18 @@ func (c *Context) MulPlain(a *Ciphertext, p *Plain) (*Ciphertext, error) {
 // MulConst multiplies by an unencrypted per-slot constant vector, encoded
 // at the ciphertext's level and scale; follow with Rescale.
 func (c *Context) MulConst(a *Ciphertext, values []complex128) (*Ciphertext, error) {
-	lvl := a.ct.Level
-	val, err := c.encoder.Encode(values, c.params.DefaultScale(lvl), c.params.LevelModuli(lvl))
+	pt, err := c.encode(values, a.ct.Level, c.params.DefaultScale(a.ct.Level))
 	if err != nil {
 		return nil, err
-	}
-	pt := &ckks.Plaintext{
-		Value: val,
-		Level: lvl,
-		Scale: c.params.DefaultScale(lvl),
 	}
 	return c.runOp("MulConst", func() (*ckks.Ciphertext, error) { return c.eval.MulPlain(a.ct, pt) })
 }
 
 // AddConst adds an unencrypted per-slot constant vector.
 func (c *Context) AddConst(a *Ciphertext, values []complex128) (*Ciphertext, error) {
-	lvl := a.ct.Level
-	val, err := c.encoder.Encode(values, a.ct.Scale, c.params.LevelModuli(lvl))
+	pt, err := c.encode(values, a.ct.Level, a.ct.Scale)
 	if err != nil {
 		return nil, err
-	}
-	pt := &ckks.Plaintext{
-		Value: val,
-		Level: lvl,
-		Scale: a.ct.Scale,
 	}
 	return c.runOp("AddConst", func() (*ckks.Ciphertext, error) { return c.eval.AddPlain(a.ct, pt) })
 }

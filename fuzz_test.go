@@ -1,6 +1,8 @@
 package bitpacker
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"sync"
@@ -165,6 +167,58 @@ func FuzzUnmarshalCiphertext(f *testing.F) {
 		}
 		if _, err := ctx.MarshalCiphertext(got); err != nil {
 			t.Fatalf("accepted blob does not re-encode: %v", err)
+		}
+	})
+}
+
+// FuzzProgram feeds arbitrary bytes through the path a job file or a
+// served request takes: JSON -> program -> PlanProgram. Planning never
+// panics and refuses with a typed error; a program it accepts runs, at
+// LogN 9, to exactly the level it planned, or fails with a typed error.
+func FuzzProgram(f *testing.F) {
+	ctx, err := New(Config{Scheme: BitPacker, LogN: 9, Levels: 3, ScaleBits: 40, WordBits: 61, Rotations: []int{1, -2}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	in, err := ctx.EncryptReal([]float64{0.5, -0.25, 0.125})
+	if err != nil {
+		f.Fatal(err)
+	}
+	typed := []error{ErrInvalidParams, ErrMissingKey, ErrChainExhausted, ErrInvariant, ErrNoiseBudget}
+	isTyped := func(err error) bool {
+		for _, want := range typed {
+			if errors.Is(err, want) {
+				return true
+			}
+		}
+		return false
+	}
+	f.Add([]byte(`[{"op":"square"},{"op":"scale","arg":1.25},{"op":"offset","arg":0.125},{"op":"negate"}]`))
+	f.Add([]byte(`[{"op":"rotate","arg":1e300}]`))
+	f.Add([]byte(`[{"op":"rotate","arg":-2},{"op":"rotate","arg":257}]`))
+	f.Add([]byte(`[{"op":"quartic"},{"op":"quartic"}]`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var program []ShardStep
+		if json.Unmarshal(data, &program) != nil || len(program) > 8 {
+			return
+		}
+		plan, err := ctx.PlanProgram(program, in.Level())
+		if err != nil {
+			if !isTyped(err) {
+				t.Fatalf("PlanProgram(%s) refused with an untyped error: %v", data, err)
+			}
+			return
+		}
+		out, _, err := ctx.RunProgram(context.Background(), program, []*Ciphertext{in}, PipelineOptions{}, nil)
+		if err != nil {
+			if !isTyped(err) {
+				t.Fatalf("accepted program %s failed with an untyped error: %v", data, err)
+			}
+			return
+		}
+		if out[0].Level() != plan.EndLevel {
+			t.Fatalf("program %s ended at level %d, planned %d", data, out[0].Level(), plan.EndLevel)
 		}
 	})
 }

@@ -249,10 +249,5 @@ func HMulEnergy(cfg Config, r, dnum int) HMulBreakdown {
 // at residue count r with `up` introduced and `down` shed moduli. Exposed
 // for the scaleDown-strategy ablation.
 func RescaleMicros(cfg Config, r, up, down int) float64 {
-	compute, mem := cfg.cycles(cfg.rescaleCost(r, up, down))
-	cyc := compute
-	if mem > cyc {
-		cyc = mem
-	}
-	return cyc / (cfg.FreqGHz * 1e3)
+	return cfg.opMicros(cfg.rescaleCost(r, up, down))
 }

@@ -151,11 +151,7 @@ func (s *Simulator) Run(prog *trace.Program) (Stats, error) {
 		}
 		total := cost.scaled(float64(g.Count))
 		compute, mem := s.Cfg.cycles(total)
-		cyc := compute
-		if mem > cyc {
-			cyc = mem
-		}
-		stats.Cycles += cyc
+		stats.Cycles += max(compute, mem)
 		e := s.Cfg.energy(total)
 		var opE float64
 		for c, v := range e {

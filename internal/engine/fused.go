@@ -1,7 +1,5 @@
 package engine
 
-import "context"
-
 // Fused dispatch: run a *sequence* of per-residue stages as one work item
 // per task index, instead of one full Dispatch pass per stage.
 //
@@ -33,24 +31,6 @@ func DispatchFused(tasks, opsPerStage int, stages ...func(int)) {
 		return
 	}
 	Dispatch(tasks, opsPerStage*len(stages), func(i int) {
-		for _, s := range stages {
-			s(i)
-		}
-	})
-}
-
-// DispatchFusedCtx is DispatchFused with DispatchCtx's cancellation and
-// fault-reporting semantics. A dropped or canceled task skips ALL of its
-// stages (the fused chain is one work item), so partial outputs must be
-// discarded exactly as with DispatchCtx.
-func DispatchFusedCtx(ctx context.Context, tasks, opsPerStage int, stages ...func(int)) error {
-	switch len(stages) {
-	case 0:
-		return nil
-	case 1:
-		return DispatchCtx(ctx, tasks, opsPerStage, stages[0])
-	}
-	return DispatchCtx(ctx, tasks, opsPerStage*len(stages), func(i int) {
 		for _, s := range stages {
 			s(i)
 		}

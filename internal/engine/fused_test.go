@@ -1,12 +1,6 @@
 package engine
 
-import (
-	"context"
-	"errors"
-	"testing"
-
-	"bitpacker/internal/fherr"
-)
+import "testing"
 
 // TestDispatchFusedMatchesStagedPasses checks that fusing a stage chain
 // produces the same result as running the stages as separate full passes,
@@ -57,38 +51,4 @@ func TestDispatchFusedMatchesStagedPasses(t *testing.T) {
 	}
 	SetWorkers(0)
 	SetMinParallelOps(0)
-}
-
-// TestDispatchFusedCtxFault checks that a dropped fused work item skips
-// every stage of that task and surfaces as ErrEngineFault.
-func TestDispatchFusedCtxFault(t *testing.T) {
-	const tasks = 4
-	SetFaultHook(func(task int) bool { return task == 2 })
-	defer SetFaultHook(nil)
-
-	ranA := make([]bool, tasks)
-	ranB := make([]bool, tasks)
-	err := DispatchFusedCtx(context.Background(), tasks, 1,
-		func(i int) { ranA[i] = true },
-		func(i int) { ranB[i] = true },
-	)
-	if !errors.Is(err, fherr.ErrEngineFault) {
-		t.Fatalf("want ErrEngineFault, got %v", err)
-	}
-	for i := 0; i < tasks; i++ {
-		want := i != 2
-		if ranA[i] != want || ranB[i] != want {
-			t.Fatalf("task %d: stageA=%v stageB=%v, want both %v", i, ranA[i], ranB[i], want)
-		}
-	}
-}
-
-// TestDispatchFusedCtxCanceled checks the canceled-context path.
-func TestDispatchFusedCtxCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := DispatchFusedCtx(ctx, 4, 1, func(int) {}, func(int) {})
-	if !errors.Is(err, fherr.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
 }

@@ -22,10 +22,7 @@ const (
 
 // JobStep is one pipeline stage of a long job: the same ops the eval
 // endpoint serves, applied in sequence with a checkpoint after each.
-type JobStep struct {
-	Op  string  `json:"op"`
-	Arg float64 `json:"arg,omitempty"`
-}
+type JobStep = bitpacker.ShardStep
 
 // JobSpec is the header frame of POST /v1/job.
 type JobSpec struct {
@@ -173,16 +170,13 @@ func (jm *JobManager) Submit(spec JobSpec, inputBlob []byte) (string, error) {
 	if _, err := p.lookup(spec.Tenant); err != nil {
 		return "", err
 	}
-	if len(spec.Steps) == 0 {
-		return "", fmt.Errorf("serve: job with no steps")
+	// Decode and plan eagerly: a malformed blob, or steps the input's
+	// levels cannot finish, fail the submission, not the job.
+	input, err := p.ctx.UnmarshalCiphertext(inputBlob)
+	if err != nil {
+		return "", err
 	}
-	for _, st := range spec.Steps {
-		if !validOp(st.Op) {
-			return "", fmt.Errorf("serve: unknown op %q", st.Op)
-		}
-	}
-	// Decode eagerly: a malformed blob fails the submission, not the job.
-	if _, err := p.ctx.UnmarshalCiphertext(inputBlob); err != nil {
+	if err := p.admit(spec.Steps, input, 0); err != nil {
 		return "", err
 	}
 	jm.mu.Lock()
@@ -264,18 +258,8 @@ func (jm *JobManager) execute(rec *jobRecord) error {
 	if jm.shard.Workers > 0 || len(jm.shard.Addrs) > 0 {
 		return jm.executeSharded(rec, p, initial)
 	}
-	stages := make([]bitpacker.PipelineStage, len(rec.Steps))
-	for i, st := range rec.Steps {
-		step := st
-		stages[i] = bitpacker.PipelineStage{
-			Name: fmt.Sprintf("%02d-%s", i, step.Op),
-			Run: func(ctx context.Context, state []*bitpacker.Ciphertext) ([]*bitpacker.Ciphertext, error) {
-				return p.ctx.WithContext(ctx).ApplyShardStep(bitpacker.ShardStep{Op: step.Op, Arg: step.Arg}, state)
-			},
-		}
-	}
-	final, report, err := p.ctx.RunPipeline(jm.runCtx, stages, []*bitpacker.Ciphertext{initial},
-		bitpacker.PipelineOptions{CheckpointDir: filepath.Join(jm.jobDir(rec.ID), "checkpoints")})
+	final, report, err := p.ctx.RunProgram(jm.runCtx, rec.Steps, []*bitpacker.Ciphertext{initial},
+		bitpacker.PipelineOptions{CheckpointDir: filepath.Join(jm.jobDir(rec.ID), "checkpoints")}, nil)
 	jm.mu.Lock()
 	rec.ResumedFrom = report.ResumedFrom
 	rec.StagesRun = report.StagesRun
@@ -304,14 +288,9 @@ func (jm *JobManager) publish(rec *jobRecord, p *profile, out *bitpacker.Ciphert
 
 // executeSharded runs the job's steps through supervised worker
 // processes. The exchange directory lives inside the job directory, so a
-// server restart resumes from the finished shards' durable outputs, and
-// the serve op vocabulary maps 1:1 onto the shard program ops.
+// server restart resumes from the finished shards' durable outputs.
 func (jm *JobManager) executeSharded(rec *jobRecord, p *profile, initial *bitpacker.Ciphertext) error {
-	program := make([]bitpacker.ShardStep, len(rec.Steps))
-	for i, st := range rec.Steps {
-		program[i] = bitpacker.ShardStep{Op: st.Op, Arg: st.Arg}
-	}
-	final, report, err := p.ctx.RunSharded(jm.runCtx, program,
+	final, report, err := p.ctx.RunSharded(jm.runCtx, rec.Steps,
 		[]*bitpacker.Ciphertext{initial}, bitpacker.ShardOptions{
 			Dir:           filepath.Join(jm.jobDir(rec.ID), "shards"),
 			Workers:       jm.shard.Workers,

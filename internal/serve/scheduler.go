@@ -8,25 +8,34 @@ import (
 	"bitpacker"
 )
 
-// Ops the eval endpoint accepts. square and negate are uniform across a
-// batch; scale and offset take a per-tenant argument, combined into one
-// plaintext vector at evaluation time (each tenant's slot window carries
-// its own constant).
+// Ops the eval endpoint accepts: the slot-wise ops of the program
+// vocabulary (bitpacker's op table), under the names the serving API has
+// always used for them.
 const (
-	OpSquare  = "square"  // x -> x*x (MulRescale; consumes one level)
-	OpQuartic = "quartic" // x -> x^4 (two MulRescales; consumes two levels)
-	OpScale   = "scale"   // x -> arg*x (MulConst+Rescale; consumes one level)
-	OpOffset  = "offset"  // x -> x+arg (AddConst; level-neutral)
-	OpNegate  = "negate"  // x -> -x (level-neutral)
+	OpSquare  = bitpacker.ShardOpSquare
+	OpQuartic = bitpacker.ShardOpQuartic
+	OpScale   = bitpacker.ShardOpScale
+	OpOffset  = bitpacker.ShardOpOffset
+	OpNegate  = bitpacker.ShardOpNegate
 )
 
-// validOp reports whether op is one the scheduler evaluates.
-func validOp(op string) bool {
-	switch op {
-	case OpSquare, OpQuartic, OpScale, OpOffset, OpNegate:
-		return true
+// admit plans a tenant's program on its input ciphertext before anything
+// is queued or written, so a request the chain cannot finish is refused
+// as the client's error rather than failing half-way as ours. The
+// serving layer takes slot-wise programs only, and spare is the levels
+// the caller spends on the result itself (the extraction mask's one).
+func (p *profile) admit(steps []JobStep, ct *bitpacker.Ciphertext, spare int) error {
+	plan, err := p.ctx.PlanProgram(steps, ct.Level())
+	if err != nil {
+		return err
 	}
-	return false
+	if !plan.SlotWise {
+		return fmt.Errorf("serve: program is not slot-wise: %w", bitpacker.ErrInvalidParams)
+	}
+	if plan.EndLevel < spare {
+		return fmt.Errorf("serve: program ends at level %d and the reply needs %d more: %w", plan.EndLevel, spare, bitpacker.ErrChainExhausted)
+	}
+	return nil
 }
 
 // evalRequest is one tenant's unit of work queued at the scheduler.
@@ -269,32 +278,28 @@ func (s *scheduler) evalBatch(batch []*evalRequest) {
 }
 
 // applyOp performs the batch's single shared evaluation (also the solo
-// path, with a one-element batch). For the per-tenant-argument ops the
-// constant vector is combined: each request's slot window carries that
-// tenant's own argument.
+// path, with a one-element batch): the op table's form of the op, with
+// one special case. A packed batch of a per-tenant-argument op (scale,
+// offset) carries a different constant in each tenant's slot window, so
+// it builds the combined vector; a solo request does not need one — its
+// reply is masked to its window anyway.
 func (s *scheduler) applyOp(ct *bitpacker.Ciphertext, batch []*evalRequest) (*bitpacker.Ciphertext, error) {
-	fhe := s.p.ctx
-	switch batch[0].op {
-	case OpSquare:
-		return fhe.MulRescale(ct, ct)
-	case OpQuartic:
-		sq, err := fhe.MulRescale(ct, ct)
-		if err != nil {
-			return nil, err
-		}
-		return fhe.MulRescale(sq, sq)
-	case OpNegate:
-		return fhe.Neg(ct)
-	case OpScale:
+	fhe, head := s.p.ctx, batch[0]
+	if len(batch) > 1 && head.op == OpOffset {
+		return fhe.AddConst(ct, s.combined(batch))
+	}
+	if len(batch) > 1 && head.op == OpScale {
 		out, err := fhe.MulConst(ct, s.combined(batch))
 		if err != nil {
 			return nil, err
 		}
 		return fhe.Rescale(out)
-	case OpOffset:
-		return fhe.AddConst(ct, s.combined(batch))
 	}
-	return nil, fmt.Errorf("serve: unknown op %q", batch[0].op)
+	out, err := fhe.ApplyShardStep(bitpacker.ShardStep{Op: head.op, Arg: head.arg}, []*bitpacker.Ciphertext{ct})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // combined builds the per-tenant-argument plaintext vector: arg in each
@@ -428,8 +433,8 @@ func (s *scheduler) evalPacked(batch []*evalRequest) error {
 // submit, wait. The scheduler always answers every accepted request, so
 // the wait needs no timeout of its own.
 func (p *profile) Eval(tenantName, op string, arg float64, ct *bitpacker.Ciphertext) (*bitpacker.Ciphertext, bool, error) {
-	if !validOp(op) {
-		return nil, false, fmt.Errorf("serve: unknown op %q", op)
+	if err := p.admit([]JobStep{{Op: op, Arg: arg}}, ct, 1); err != nil {
+		return nil, false, err
 	}
 	t, err := p.lookup(tenantName)
 	if err != nil {

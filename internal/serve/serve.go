@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
+
+	"bitpacker"
 )
 
 // DefaultMaxBlobBytes bounds uploaded ciphertext blobs (and the frames
@@ -116,6 +118,9 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownProfile), errors.Is(err, ErrUnknownTenant):
 		status = http.StatusNotFound
+	case errors.Is(err, bitpacker.ErrInvalidParams), errors.Is(err, bitpacker.ErrChainExhausted):
+		// What profile.admit refuses: a program or input the client chose.
+		status = http.StatusBadRequest
 	}
 	if status >= 500 {
 		s.fiveXX.Add(1)
@@ -197,19 +202,23 @@ type EvalResult struct {
 	Scale  float64 `json:"scale_log2"`
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
+// readRequest reads the two frames of an eval or job request: the JSON
+// header into hdr, then the ciphertext blob.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, hdr any) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, int64(s.maxBlob)+(1<<16))
 	headerJSON, err := expectFrame(body, FrameHeader, 1<<16)
 	if err != nil {
-		s.badRequest(w, err)
-		return
+		return nil, err
 	}
+	if err := json.Unmarshal(headerJSON, hdr); err != nil {
+		return nil, fmt.Errorf("serve: bad request header: %w", err)
+	}
+	return expectFrame(body, FrameBlob, s.maxBlob)
+}
+
+func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	var hdr EvalHeader
-	if err := json.Unmarshal(headerJSON, &hdr); err != nil {
-		s.badRequest(w, fmt.Errorf("serve: bad eval header: %w", err))
-		return
-	}
-	blob, err := expectFrame(body, FrameBlob, s.maxBlob)
+	blob, err := s.readRequest(w, r, &hdr)
 	if err != nil {
 		s.badRequest(w, err)
 		return
@@ -217,10 +226,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	p, err := s.reg.profile(hdr.Profile)
 	if err != nil {
 		s.httpError(w, err)
-		return
-	}
-	if !validOp(hdr.Op) {
-		s.badRequest(w, fmt.Errorf("serve: unknown op %q", hdr.Op))
 		return
 	}
 	ct, err := p.ctx.UnmarshalCiphertext(blob)
@@ -249,18 +254,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("serve: jobs disabled (no JobDir)"))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, int64(s.maxBlob)+(1<<16))
-	headerJSON, err := expectFrame(body, FrameHeader, 1<<16)
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
 	var spec JobSpec
-	if err := json.Unmarshal(headerJSON, &spec); err != nil {
-		s.badRequest(w, fmt.Errorf("serve: bad job spec: %w", err))
-		return
-	}
-	blob, err := expectFrame(body, FrameBlob, s.maxBlob)
+	blob, err := s.readRequest(w, r, &spec)
 	if err != nil {
 		s.badRequest(w, err)
 		return

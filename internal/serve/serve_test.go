@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -158,6 +160,29 @@ func TestServeHTTPEval(t *testing.T) {
 	if status, _, _ := evalHTTP(t, ts.URL, EvalHeader{Profile: "p", Tenant: "alice", Op: OpScale}, []byte("junk")); status != 400 {
 		t.Fatalf("junk blob: status %d, want 400", status)
 	}
+	// So is a request the chain cannot finish (the op's levels plus the
+	// extraction mask's one), and one that is not slot-wise: refused before
+	// the scheduler sees it.
+	before := p.sched.Stats()
+	for _, tc := range []struct {
+		op    string
+		level int
+	}{{OpQuartic, 1}, {OpQuartic, 2}, {OpSquare, 0}, {OpSquare, 1}, {OpScale, 1}, {OpNegate, 0}, {bitpacker.ShardOpRotate, 3}} {
+		low, err := p.ctx.Adjust(ct, tc.level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lowBlob, err := p.ctx.MarshalCiphertext(low)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status, _, _ := evalHTTP(t, ts.URL, EvalHeader{Profile: "p", Tenant: "alice", Op: tc.op, Arg: 1}, lowBlob); status != 400 {
+			t.Fatalf("%s at level %d: status %d, want 400", tc.op, tc.level, status)
+		}
+	}
+	if after := p.sched.Stats(); after != before {
+		t.Fatalf("refused requests moved the scheduler's counters: %+v -> %+v", before, after)
+	}
 	if n := srv.FiveXX(); n != 0 {
 		t.Fatalf("server wrote %d 5xx responses", n)
 	}
@@ -274,6 +299,30 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("job ran %d stages, want 2", rec.StagesRun)
 	}
 
+	// Steps that outrun the input's three levels are the client's error:
+	// 400 with the typed message, and no job directory.
+	body.Reset()
+	spec, _ = json.Marshal(JobSpec{Tenant: "alice", Profile: "p",
+		Steps: []JobStep{{Op: OpQuartic}, {Op: OpSquare}, {Op: OpScale, Arg: 2}}})
+	WriteFrame(&body, FrameHeader, spec)
+	WriteFrame(&body, FrameBlob, blob)
+	res, err = http.Post(ts.URL+"/v1/job", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refusal map[string]string
+	json.NewDecoder(res.Body).Decode(&refusal)
+	res.Body.Close()
+	if res.StatusCode != 400 || !strings.Contains(refusal["error"], bitpacker.ErrChainExhausted.Error()) {
+		t.Fatalf("too-deep job: status %d, body %v; want 400 naming %q", res.StatusCode, refusal, bitpacker.ErrChainExhausted)
+	}
+	if dirs, _ := filepath.Glob(filepath.Join(srv.jobs.dir, "job-*")); len(dirs) != 1 {
+		t.Fatalf("job directories after a refused submission: %v, want only the first job's", dirs)
+	}
+	if n := srv.FiveXX(); n != 0 {
+		t.Fatalf("server wrote %d 5xx responses", n)
+	}
+
 	res, err = http.Get(ts.URL + "/v1/job/" + sub["id"] + "/result")
 	if err != nil {
 		t.Fatal(err)
@@ -320,9 +369,12 @@ func pollJob(t *testing.T, url, id string, timeout time.Duration) jobRecord {
 	}
 }
 
-// orphanJob leaves job-000042 (negate) in jobDir the way a dead process
-// would: durable record in the running state and input blob, no result.
-// A context with the profile's exact parameters plays the dead process.
+// orphanJob leaves job-000042 (scale by 2, negate) in jobDir the way a
+// dead process would: durable record in the running state and input blob,
+// no result. A context with the profile's exact parameters plays the dead
+// process, and the record is testdata/parent-job.json, written by the
+// commit before JobStep became bitpacker.ShardStep: the schema a restart
+// must keep reading.
 func orphanJob(t *testing.T, jobDir string) (in []float64) {
 	t.Helper()
 	cfg := bitpacker.Config{
@@ -352,10 +404,10 @@ func orphanJob(t *testing.T, jobDir string) (in []float64) {
 	if err := os.WriteFile(filepath.Join(dir, "input.bin"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := json.Marshal(jobRecord{
-		ID: "job-000042", Tenant: "alice", Profile: "p",
-		Steps: []JobStep{{Op: OpNegate}}, State: JobRunning,
-	})
+	rec, err := os.ReadFile(filepath.Join("testdata", "parent-job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, "job.json"), rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -411,6 +463,9 @@ func TestJobResumeAfterRestart(t *testing.T) {
 	if got.State != JobDone {
 		t.Fatalf("resumed job ended %s: %s", got.State, got.Error)
 	}
+	if want := []JobStep{{Op: OpScale, Arg: 2}, {Op: OpNegate}}; !reflect.DeepEqual(got.Steps, want) || got.StagesRun != 2 {
+		t.Fatalf("parent-format record read as %+v (%d stages run), want %+v", got.Steps, got.StagesRun, want)
+	}
 	outBlob, err := srv.jobs.Result("job-000042")
 	if err != nil {
 		t.Fatal(err)
@@ -424,8 +479,8 @@ func TestJobResumeAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range in {
-		if math.Abs(vals[i]-(-in[i])) > 1e-2 {
-			t.Fatalf("slot %d: got %v, want %v", i, vals[i], -in[i])
+		if math.Abs(vals[i]-(-2*in[i])) > 1e-2 {
+			t.Fatalf("slot %d: got %v, want %v", i, vals[i], -2*in[i])
 		}
 	}
 }

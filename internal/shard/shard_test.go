@@ -500,4 +500,16 @@ func TestShardedTypedErrors(t *testing.T) {
 	if _, _, err := ctx.RunSharded(context.Background(), testProgram, nil, bitpacker.ShardOptions{}); !errors.Is(err, bitpacker.ErrInvalidParams) {
 		t.Fatalf("no inputs: %v, want ErrInvalidParams", err)
 	}
+	// A program deeper than the chain's three levels is refused before an
+	// input is published or a worker started.
+	opts := baseOpts(t)
+	opts.WorkerCommand = selfExec(t)
+	opts.OnSpawn = func(worker, pid int) { t.Errorf("worker %d (pid %d) started for a refused job", worker, pid) }
+	tooDeep := []bitpacker.ShardStep{{Op: bitpacker.ShardOpQuartic}, {Op: bitpacker.ShardOpSquare}, {Op: bitpacker.ShardOpSquare}}
+	if _, _, err := ctx.RunSharded(context.Background(), tooDeep, inputs, opts); !errors.Is(err, bitpacker.ErrChainExhausted) {
+		t.Fatalf("too-deep program: %v, want ErrChainExhausted", err)
+	}
+	if left, err := os.ReadDir(opts.Dir); err != nil || len(left) != 0 {
+		t.Fatalf("refused job left %v in the exchange directory (%v)", left, err)
+	}
 }

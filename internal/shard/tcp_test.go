@@ -355,38 +355,52 @@ func TestTCPFleetResume(t *testing.T) {
 	}
 }
 
-// TestFleetRejectsBadFingerprint dials a fleet directly with a hello
-// whose fingerprint does not match the job file on disk: the fleet must
-// answer with a reject, not serve the job.
+// TestFleetRejectsBadFingerprint dials a fleet directly with a hello the
+// job file on disk does not back: a fingerprint that does not match it,
+// or a matching one for a program the op table refuses. The fleet must
+// answer with a reject at the handshake, not serve the job (and fail
+// every shard of it ShardAttempts times).
 func TestFleetRejectsBadFingerprint(t *testing.T) {
-	dir := t.TempDir()
 	cfgJSON, err := json.Marshal(testConfig(bitpacker.BitPacker))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := shard.WriteJobFile(dir, shard.JobFile{
-		Version:     shard.JobFileVersion,
-		Fingerprint: 111,
-		Config:      cfgJSON,
-		Program:     []byte(`[{"op":"square"}]`),
-		Shards:      []int{1},
-	}); err != nil {
-		t.Fatal(err)
-	}
 	_, addr := startFleet(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, `{"t":"hello","dir":%q,"fp":222,"worker":0,"beat_ms":50}`+"\n", dir)
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	m, err := shard.ReadMessage(bufio.NewReader(conn))
-	if err != nil {
-		t.Fatalf("no reject answer: %v", err)
-	}
-	if m.Type != shard.MsgReject {
-		t.Fatalf("fingerprint mismatch answered with %q, want reject", m.Type)
+	for _, tc := range []struct {
+		name, program string
+		helloFP       uint64
+	}{
+		{"fingerprint mismatch", `[{"op":"square"}]`, 222},
+		{"unknown op", `[{"op":"square"},{"op":"cube"}]`, 111},
+	} {
+		dir := t.TempDir()
+		if err := shard.WriteJobFile(dir, shard.JobFile{
+			Version:     shard.JobFileVersion,
+			Fingerprint: 111,
+			Config:      cfgJSON,
+			Program:     []byte(tc.program),
+			Shards:      []int{1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, `{"t":"hello","dir":%q,"fp":%d,"worker":0,"beat_ms":50}`+"\n", dir, tc.helloFP)
+		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+		br := bufio.NewReader(conn)
+		m, err := shard.ReadMessage(br)
+		for err == nil && m.Type == shard.MsgBeat { // beats precede the context build
+			m, err = shard.ReadMessage(br)
+		}
+		if err != nil {
+			t.Fatalf("%s: no reject answer: %v", tc.name, err)
+		}
+		if m.Type != shard.MsgReject {
+			t.Fatalf("%s answered with %q, want reject", tc.name, m.Type)
+		}
 	}
 }
 

@@ -118,6 +118,12 @@ func newRuntime(dir string, jf shard.JobFile) (*runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("worker: context: %w", err)
 	}
+	// A job file is outside input, and the inputs' level is unknown until a
+	// shard is read: planned at the top of the chain, a program no input
+	// could run is refused at the handshake, not shard by shard.
+	if _, err := fhe.PlanProgram(program, fhe.MaxLevel()); err != nil {
+		return nil, fmt.Errorf("worker: job program: %w", err)
+	}
 	return &runtime{fhe: fhe, dir: dir, program: program}, nil
 }
 

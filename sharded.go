@@ -12,109 +12,10 @@ import (
 	"sync"
 	"time"
 
-	"bitpacker/internal/accel"
 	"bitpacker/internal/fherr"
 	"bitpacker/internal/pipeline"
 	"bitpacker/internal/shard"
 )
-
-// Shard program operations. A sharded job's program must be declarative
-// (it crosses a process boundary as JSON), so it is a sequence of named
-// steps rather than closures — the same op vocabulary the serving layer
-// exposes, applied to every ciphertext of a shard.
-const (
-	ShardOpSquare  = "square"  // MulRescale(x, x)
-	ShardOpQuartic = "quartic" // square twice
-	ShardOpNegate  = "negate"  // Neg(x)
-	ShardOpOffset  = "offset"  // AddConst(x, Arg)
-	ShardOpScale   = "scale"   // MulConst(x, Arg) then Rescale
-	ShardOpRotate  = "rotate"  // Rotate(x, int(Arg))
-)
-
-// ShardStep is one step of a sharded job's program.
-type ShardStep struct {
-	Op  string  `json:"op"`
-	Arg float64 `json:"arg,omitempty"`
-}
-
-// ValidShardOp reports whether op names a shard program operation.
-func ValidShardOp(op string) bool {
-	switch op {
-	case ShardOpSquare, ShardOpQuartic, ShardOpNegate, ShardOpOffset, ShardOpScale, ShardOpRotate:
-		return true
-	}
-	return false
-}
-
-// ApplyShardStep applies one program step to every ciphertext of a
-// shard's state, preserving order and count.
-func (c *Context) ApplyShardStep(step ShardStep, state []*Ciphertext) ([]*Ciphertext, error) {
-	out := make([]*Ciphertext, len(state))
-	for i, ct := range state {
-		var r *Ciphertext
-		var err error
-		switch step.Op {
-		case ShardOpSquare:
-			r, err = c.MulRescale(ct, ct)
-		case ShardOpQuartic:
-			r, err = c.MulRescale(ct, ct)
-			if err == nil {
-				r, err = c.MulRescale(r, r)
-			}
-		case ShardOpNegate:
-			r, err = c.Neg(ct)
-		case ShardOpOffset:
-			r, err = c.AddConst(ct, uniformSlots(c.Slots(), step.Arg))
-		case ShardOpScale:
-			r, err = c.MulConst(ct, uniformSlots(c.Slots(), step.Arg))
-			if err == nil {
-				r, err = c.Rescale(r)
-			}
-		case ShardOpRotate:
-			r, err = c.Rotate(ct, int(step.Arg))
-		default:
-			err = fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: unknown shard op %q", step.Op)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-func uniformSlots(slots int, v float64) []complex128 {
-	vec := make([]complex128, slots)
-	for i := range vec {
-		vec[i] = complex(v, 0)
-	}
-	return vec
-}
-
-// ShardHook observes a shard's step boundaries inside ExecShard: it is
-// called with the step index before each program step runs (skipped for
-// steps restored from a checkpoint) and with len(program) after the last
-// step completes. The worker uses it for progress heartbeats and chaos
-// injection points.
-type ShardHook func(step int)
-
-// shardStages builds the checkpointable pipeline for a shard program.
-func (c *Context) shardStages(program []ShardStep, hook ShardHook) []PipelineStage {
-	stages := make([]PipelineStage, len(program))
-	for i, st := range program {
-		i, st := i, st
-		stages[i] = PipelineStage{
-			Name: fmt.Sprintf("%02d-%s", i, st.Op),
-			Run: func(ctx context.Context, state []*Ciphertext) ([]*Ciphertext, error) {
-				if hook != nil {
-					hook(i)
-				}
-				return c.WithContext(ctx).ApplyShardStep(st, state)
-			},
-		}
-	}
-	return stages
-}
 
 // EncodeCiphertexts serializes a ciphertext batch in the shard-exchange
 // wire format (the pipeline checkpoint state encoding).
@@ -155,7 +56,9 @@ func ShardOutputPath(dir string, shardID int) string {
 // supervisor fences output files overwritten by zombie workers holding
 // broken leases. Worker processes, fleet members, and the supervisor's
 // degraded in-process fallback all run shards through this one code
-// path, which is what makes every execution mode bit-identical.
+// path, which is what makes every execution mode bit-identical. hook, if
+// not nil, is RunProgram's, and is called once more with len(program)
+// when the last step is done.
 func (c *Context) ExecShard(ctx context.Context, dir string, shardID, epoch int, program []ShardStep, hook ShardHook) error {
 	inStore, err := pipeline.NewDirStore(shard.InDir(dir))
 	if err != nil {
@@ -169,8 +72,8 @@ func (c *Context) ExecShard(ctx context.Context, dir string, shardID, epoch int,
 	if err != nil {
 		return fmt.Errorf("bitpacker: shard %d input: %w", shardID, err)
 	}
-	final, _, err := c.RunPipeline(ctx, c.shardStages(program, hook), state,
-		PipelineOptions{CheckpointDir: shard.CkptDir(dir, shardID), Keep: true})
+	final, _, err := c.RunProgram(ctx, program, state,
+		PipelineOptions{CheckpointDir: shard.CkptDir(dir, shardID), Keep: true}, hook)
 	if err != nil {
 		return err
 	}
@@ -261,8 +164,8 @@ type ShardReport struct {
 	Shards     int
 	ShardSizes []int
 	Workers    int
-	// PredictedMicrosPerCt is the accelerator cost model's simulated time
-	// for the program on one ciphertext; PredictedSpeedup is the
+	// PredictedMicrosPerCt is ProgramPlan.PredictedMicros for the job's
+	// program at the lowest input level; PredictedSpeedup is the
 	// model-planned serial/sharded ratio for this partition and fleet.
 	PredictedMicrosPerCt float64
 	PredictedSpeedup     float64
@@ -287,45 +190,6 @@ func resolveWorkerCommand(opts ShardOptions) []string {
 		return []string{p}
 	}
 	return nil
-}
-
-// planShardProgram walks the program with the accelerator cost model
-// (CraterLake-class configuration at the context's word size), tracking
-// the residue count across rescales, and returns the simulated
-// per-ciphertext microseconds.
-func (c *Context) planShardProgram(program []ShardStep, r int) float64 {
-	cfg := accel.CraterLake(c.cfg.WordBits)
-	dnum := c.cfg.KeySwitchDigits
-	atLeast1 := func(v int) int {
-		if v < 1 {
-			return 1
-		}
-		return v
-	}
-	var micros float64
-	for _, st := range program {
-		r = atLeast1(r)
-		switch st.Op {
-		case ShardOpSquare:
-			micros += accel.HMulMicros(cfg, r, dnum) + accel.RescaleMicros(cfg, r, 0, 1)
-			r--
-		case ShardOpQuartic:
-			micros += accel.HMulMicros(cfg, r, dnum) + accel.RescaleMicros(cfg, r, 0, 1)
-			r = atLeast1(r - 1)
-			micros += accel.HMulMicros(cfg, r, dnum) + accel.RescaleMicros(cfg, r, 0, 1)
-			r--
-		case ShardOpNegate:
-			micros += accel.HAddMicros(cfg, r) / 2
-		case ShardOpOffset:
-			micros += accel.PAddMicros(cfg, r)
-		case ShardOpScale:
-			micros += accel.PMulMicros(cfg, r) + accel.RescaleMicros(cfg, r, 0, 1)
-			r--
-		case ShardOpRotate:
-			micros += accel.HRotMicros(cfg, r, dnum)
-		}
-	}
-	return micros
 }
 
 // planSpeedup is the model's serial/sharded ratio: serial time over the
@@ -382,17 +246,20 @@ func clearExchange(dir string) error {
 // DESIGN.md "Sharded execution & supervision" for the failure matrix.
 func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []*Ciphertext, opts ShardOptions) ([]*Ciphertext, ShardReport, error) {
 	report := ShardReport{}
-	if len(program) == 0 {
-		return nil, report, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: sharded job with no program")
-	}
-	for i, st := range program {
-		if !ValidShardOp(st.Op) {
-			return nil, report, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: shard program step %d: unknown op %q", i, st.Op)
-		}
-	}
 	if len(inputs) == 0 {
 		return nil, report, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: sharded job with no inputs")
 	}
+	// Planned before the exchange directory is touched or a worker started,
+	// at the lowest input level: the program must fit every ciphertext.
+	level := inputs[0].Level()
+	for _, ct := range inputs[1:] {
+		level = min(level, ct.Level())
+	}
+	plan, err := c.PlanProgram(program, level)
+	if err != nil {
+		return nil, report, err
+	}
+	report.PredictedMicrosPerCt = plan.PredictedMicros
 	if ctx == nil {
 		ctx = c.opCtx()
 	}
@@ -448,7 +315,6 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		blobs[i] = blob
 	}
 	report.ShardSizes = sizes
-	report.PredictedMicrosPerCt = c.planShardProgram(program, inputs[0].Residues())
 	report.PredictedSpeedup = planSpeedup(sizes, workers)
 
 	cfgJSON, err := json.Marshal(c.cfg)
