@@ -94,7 +94,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParams -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalCiphertext -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzProgram -fuzztime 20s .
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSwitchingKey -fuzztime 20s ./internal/ckks
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWorkerMessage -fuzztime 20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzSupervisorMachine -fuzztime 20s ./internal/shard
 

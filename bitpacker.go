@@ -573,7 +573,8 @@ func (c *Context) Fused() bool { return c.eval.Fused() }
 // chain. Encoding is an O(N log N) transform — callers that apply the
 // same constant vector to many ciphertexts (masks, fixed weights)
 // should encode once with EncodePlain and reuse the Plain instead of
-// paying the transform inside every MulConst call.
+// paying the transform inside every MulConst call. It is kept in the
+// evaluation (NTT) domain, the form MulPlain reads.
 type Plain struct {
 	pt *ckks.Plaintext
 }
@@ -592,6 +593,7 @@ func (c *Context) EncodePlain(values []complex128, level int) (*Plain, error) {
 	if err != nil {
 		return nil, err
 	}
+	pt.Value.NTT() // once here instead of a copy and R transforms per use
 	return &Plain{pt: pt}, nil
 }
 

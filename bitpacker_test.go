@@ -93,6 +93,50 @@ func TestPublicAPIConstOps(t *testing.T) {
 	}
 }
 
+// TestEncodePlainKeepsEvaluationDomain: a Plain is stored in the form
+// MulPlain reads, so a use costs no transform — and, the transform being
+// deterministic, the product is byte for byte MulConst's, which encodes
+// and transforms the same vector per call.
+func TestEncodePlainKeepsEvaluationDomain(t *testing.T) {
+	for _, scheme := range []Scheme{RNSCKKS, BitPacker} {
+		for _, w := range []int{28, 61} {
+			ctx, err := New(Config{Scheme: scheme, LogN: 10, Levels: 3, ScaleBits: 40, WordBits: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := []complex128{0.5, complex(-0.25, 0.75), 0.125, 1}
+			a, err := ctx.Encrypt([]complex128{0.3, 0.6, complex(0, -0.9)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := ctx.EncodePlain(v, a.Level())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.pt.Value.IsNTT {
+				t.Fatalf("%v w=%d: EncodePlain left the plaintext in the coefficient domain", scheme, w)
+			}
+			for use := 0; use < 2; use++ { // a reused Plain is not consumed
+				prod, err := ctx.MulPlain(a, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ctx.MarshalCiphertext(prod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ctx.MarshalCiphertext(ctx.MustMulConst(a, v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%v w=%d use %d: MulPlain(EncodePlain(v)) differs from MulConst(v)", scheme, w, use)
+				}
+			}
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{LogN: 10, Levels: 2}); err == nil {
 		t.Fatal("missing scale accepted")

@@ -65,6 +65,11 @@ func TestErrorTaxonomy(t *testing.T) {
 			_, err := ctx.Encrypt(make([]complex128, 2*ctx.Slots()+1))
 			return err
 		}},
+		{"diagonal indices naming one rotation", ErrInvalidParams, func(t *testing.T, ctx *Context, ct *Ciphertext) error {
+			one := make([]complex128, ctx.Slots())
+			_, err := ctx.NewDiagonalTransform(map[int][]complex128{1: one, 1 + ctx.Slots(): one}, ct.Level())
+			return err
+		}},
 		{"refresh without bootstrap", ErrInvalidParams, func(t *testing.T, ctx *Context, ct *Ciphertext) error {
 			_, err := ctx.Refresh(ctx.MustAdjust(ct, 0))
 			return err

@@ -2,6 +2,7 @@ package bitpacker
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -224,6 +225,53 @@ func TestTransformAPI(t *testing.T) {
 	}
 	if len(tr.Rotations()) == 0 {
 		t.Fatal("transform should need rotations")
+	}
+}
+
+// TestTransformStoresEachDiagonalOnce: a transform retains one encoded
+// polynomial (R rows of N words) per diagonal and little else. Measured as
+// live heap across the build; with a second encoded copy of every
+// diagonal beside the one Apply reads, the same build retained 2.0 x.
+func TestTransformStoresEachDiagonalOnce(t *testing.T) {
+	const dim = 32
+	mat := make([][]complex128, dim)
+	for i := range mat {
+		mat[i] = make([]complex128, dim)
+		for j := range mat[i] {
+			mat[i][j] = complex(float64(1+(i*dim+j)%7)/8, 0)
+		}
+	}
+	for _, scheme := range []Scheme{RNSCKKS, BitPacker} {
+		ctx, err := New(Config{Scheme: scheme, LogN: 12, Levels: 3, ScaleBits: 40, WordBits: 28})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := ctx.EncryptReal([]float64{0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := func() uint64 {
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.GC() // the second cycle drops sync.Pool's victim cache
+			runtime.ReadMemStats(&ms)
+			return ms.HeapAlloc
+		}
+		before := live()
+		tr, err := ctx.NewMatrixTransform(mat, ctx.MaxLevel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := float64(live()) - float64(before)
+		runtime.KeepAlive(tr)
+		runtime.KeepAlive(ctx) // or its keys are collected between the readings
+		once := float64(dim * ct.Residues() * (1 << 12) * 8)
+		if retained > 1.15*once {
+			t.Errorf("%v: a %dx%d transform retains %.1f MB, %.2f x one encoded copy per diagonal (%.1f MB)",
+				scheme, dim, dim, retained/1e6, retained/once, once/1e6)
+		} else {
+			t.Logf("%v: retained %.2f x one encoded copy per diagonal (%.1f MB)", scheme, retained/once, once/1e6)
+		}
 	}
 }
 

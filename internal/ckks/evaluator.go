@@ -306,8 +306,8 @@ func (ev *Evaluator) polyPairLike(ct *Ciphertext) (*ring.Poly, *ring.Poly) {
 }
 
 // plainOperand returns pt's polynomial in the NTT domain: a zero-copy
-// alias when it is already transformed (LinearTransform pre-transforms
-// its diagonals), a pooled fused copy+NTT otherwise. release reports
+// alias when it is already transformed (a plaintext encoded for reuse
+// is), a pooled fused copy+NTT otherwise. release reports
 // whether the caller must PutPoly the result.
 func (ev *Evaluator) plainOperand(pt *Plaintext) (m *ring.Poly, release bool) {
 	if pt.Value.IsNTT {
@@ -973,6 +973,35 @@ func (ev *Evaluator) rotateHoisted(hd *HoistedDecomp, steps int) (*Ciphertext, e
 	return newCiphertext(c0, ks1, hd.level, new(big.Rat).Set(hd.scale), noise), nil
 }
 
+// rotateHoistedSteps is the one rotation fan-out: every step (normalized,
+// nonzero, distinct) applied to the shared decomposition, results indexed
+// like steps. The rotations are independent — each reads hd and writes
+// only its own slot — so under fusion they run as one fork/join instead
+// of back to back; the first error in step order wins either way.
+func (ev *Evaluator) rotateHoistedSteps(hd *HoistedDecomp, steps []int) ([]*Ciphertext, error) {
+	out := make([]*Ciphertext, len(steps))
+	errs := make([]error, len(steps))
+	rotate := func(i int) { out[i], errs[i] = ev.rotateHoisted(hd, steps[i]) }
+	if !ev.fused || len(steps) == 1 {
+		for i := range steps {
+			if rotate(i); errs[i] != nil {
+				return nil, errs[i]
+			}
+		}
+		return out, nil
+	}
+	cost := ev.params.N() * len(hd.live) * 8 // keyswitch-dominated per rotation
+	if err := engine.DispatchCtx(ev.ctx, len(steps), cost, rotate); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // RotateHoisted rotates ct by every amount in steps, sharing one digit
 // decomposition (ModUp) across all of them: n rotations of the same
 // ciphertext cost 1 ModUp + n (automorphism + inner product + ModDown)
@@ -990,20 +1019,19 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 		return nil, err
 	}
 	slots := ev.params.Slots()
-	out := make([]*Ciphertext, len(steps))
 
 	// Dedupe the normalized nonzero steps, preserving first-seen order.
 	var uniq []int
-	seen := map[int]bool{}
+	index := map[int]int{} // normalized step -> position in uniq
 	for _, s := range steps {
 		n := normalizeSteps(s, slots)
-		if n != 0 && !seen[n] {
-			seen[n] = true
+		if _, seen := index[n]; n != 0 && !seen {
+			index[n] = len(uniq)
 			uniq = append(uniq, n)
 		}
 	}
 
-	var hd *HoistedDecomp
+	var rotated []*Ciphertext
 	if len(uniq) > 0 {
 		// Declare the whole rotation-key demand before the fan-out: with a
 		// key manager the working set is pinned resident across all the
@@ -1018,52 +1046,27 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 			return nil, err
 		}
 		defer releaseKeys()
-		hd, err = ev.DecomposeModUp(ct)
+		hd, err := ev.DecomposeModUp(ct)
 		if err != nil {
 			return nil, err
 		}
 		defer hd.Free(ev.params.Ctx)
-	}
-	rotated := make(map[int]*Ciphertext, len(uniq))
-	if ev.fused && len(uniq) > 1 {
-		// Independent rotations off the shared decomposition: fan out as
-		// one fork/join, first error (in step order) wins.
-		rs := make([]*Ciphertext, len(uniq))
-		rerrs := make([]error, len(uniq))
-		cost := ev.params.N() * ct.C0.R() * 8
-		if err := engine.DispatchCtx(ev.ctx, len(uniq), cost, func(i int) {
-			rs[i], rerrs[i] = ev.rotateHoisted(hd, uniq[i])
-		}); err != nil {
+		if rotated, err = ev.rotateHoistedSteps(hd, uniq); err != nil {
 			return nil, err
 		}
-		for _, err := range rerrs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for i, n := range uniq {
-			rotated[n] = rs[i]
-		}
-	} else {
-		for _, n := range uniq {
-			r, err := ev.rotateHoisted(hd, n)
-			if err != nil {
-				return nil, err
-			}
-			rotated[n] = r
-		}
 	}
-	used := map[int]bool{}
+	out := make([]*Ciphertext, len(steps))
+	used := make([]bool, len(uniq))
 	for i, s := range steps {
 		n := normalizeSteps(s, slots)
-		switch {
+		switch u := index[n]; {
 		case n == 0:
 			out[i] = ct.CopyNew()
-		case !used[n]:
-			out[i] = rotated[n]
-			used[n] = true
+		case !used[u]:
+			out[i] = rotated[u]
+			used[u] = true
 		default: // duplicate step: hand out an independent copy
-			out[i] = rotated[n].CopyNew()
+			out[i] = rotated[u].CopyNew()
 		}
 	}
 	return out, nil

@@ -159,7 +159,7 @@ func TestFusedDifferentialLinearTransform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dense.N1 == 0 {
+		if dense.N1 == dense.Slots {
 			t.Fatalf("%v: dense transform did not take the BSGS path", scheme)
 		}
 		slots := s.params.Slots()
@@ -172,14 +172,14 @@ func TestFusedDifferentialLinearTransform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sparse.N1 != 0 {
+		if sparse.N1 != sparse.Slots {
 			t.Fatalf("%v: sparse transform unexpectedly took the BSGS path", scheme)
 		}
 
 		ct := s.encryptValues(ReplicateBlocks(randomValues(dim, rng), dim, slots))
 		for _, lt := range []*LinearTransform{dense, sparse} {
 			kind := "BSGS"
-			if lt.N1 == 0 {
+			if lt.N1 == lt.Slots {
 				kind = "hoisted"
 			}
 			for _, workers := range []int{1, 4} {
@@ -308,7 +308,7 @@ func TestFusedDifferentialWordSizes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if lt.N1 == 0 {
+				if lt.N1 == lt.Slots {
 					t.Fatalf("%s: dense transform did not take the BSGS path", tag)
 				}
 				blocks := s.encryptValues(ReplicateBlocks(randomValues(dim, rng), dim, slots))
@@ -389,6 +389,10 @@ func TestWideChainsHaveNoNarrowModulus(t *testing.T) {
 // EvalChebyshev rides along for its constants: applied as scalars the
 // series costs 6281 allocations, and each constant that went through the
 // encoder again would add about 1,900 (27,005 with all eleven encoded).
+// A 16-diagonal transform (n1 = 4: three baby and three giant rotations)
+// is pinned at the 1,759 allocations it cost when every application
+// rebuilt its step lists from maps and sorted them; the plan is now fixed
+// at build time (1,732), and rebuilding it per apply would show here.
 // The collector is held off because a collection empties the scratch
 // pools mid-run.
 func TestFusedHotPathAllocCeiling(t *testing.T) {
@@ -398,10 +402,11 @@ func TestFusedHotPathAllocCeiling(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	engine.SetWorkers(1)
 	defer engine.SetWorkers(0)
-	s := newTestSetup(t, core.BitPacker, 4, 40, 28, 9, 3, []int{1})
+	s := newTestSetup(t, core.BitPacker, 4, 40, 28, 9, 3, []int{1, 2, 3, 4, 8, 12})
 	rng := rand.New(rand.NewPCG(217, 218))
 	a := s.encryptValues(randomValues(s.params.Slots(), rng))
 	b := s.encryptValues(randomValues(s.params.Slots(), rng))
+	lt, blocks, _ := denseTestTransform(t, s, 16, 219)
 	cheb7 := []float64{0.1, 0.8, -0.3, 0.05, 0.12, -0.05, 0.03, 0.02}
 	for _, op := range []struct {
 		name    string
@@ -415,6 +420,7 @@ func TestFusedHotPathAllocCeiling(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"ApplyLinearTransform", 1759, func() { s.ev.MustApplyLinearTransform(blocks, lt) }},
 	} {
 		if got := testing.AllocsPerRun(10, op.run); got > op.ceiling {
 			t.Errorf("fused %s: %.0f allocations per call, ceiling %.0f", op.name, got, op.ceiling)

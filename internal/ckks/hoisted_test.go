@@ -123,11 +123,8 @@ func TestRotateHoistedDifferentialWorkers(t *testing.T) {
 	}
 }
 
-// denseTestTransform builds a random dim x dim matrix transform plus the
-// replicated input vector and its expected product.
-func denseTestTransform(t *testing.T, s *testSetup, dim int, seed uint64) (*LinearTransform, *Ciphertext, []complex128) {
-	t.Helper()
-	rng := rand.New(rand.NewPCG(seed, seed+1))
+// denseTestMatrix draws a random real dim x dim matrix.
+func denseTestMatrix(rng *rand.Rand, dim int) [][]complex128 {
 	mat := make([][]complex128, dim)
 	for i := range mat {
 		mat[i] = make([]complex128, dim)
@@ -135,6 +132,15 @@ func denseTestTransform(t *testing.T, s *testSetup, dim int, seed uint64) (*Line
 			mat[i][j] = complex(2*rng.Float64()-1, 0)
 		}
 	}
+	return mat
+}
+
+// denseTestTransform builds a random dim x dim matrix transform plus the
+// replicated input vector and its expected product.
+func denseTestTransform(t *testing.T, s *testSetup, dim int, seed uint64) (*LinearTransform, *Ciphertext, []complex128) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, seed+1))
+	mat := denseTestMatrix(rng, dim)
 	lt, err := NewLinearTransform(s.params, s.enc, mat, s.params.MaxLevel())
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +168,7 @@ func TestLinearTransformBSGSMatchesNaive(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.BitPacker, core.RNSCKKS} {
 		s := newTestSetup(t, scheme, 2, 40, 61, 9, 8, rots)
 		lt, ct, want := denseTestTransform(t, s, dim, 81)
-		if lt.N1 == 0 {
+		if lt.N1 == lt.Slots {
 			t.Fatalf("%v: BSGS not active for a dense %d-diagonal transform", scheme, dim)
 		}
 		naive, active := lt.KeySwitchCounts()
@@ -171,7 +177,13 @@ func TestLinearTransformBSGSMatchesNaive(t *testing.T) {
 		}
 
 		fast := s.ev.MustRescale(s.ev.MustApplyLinearTransform(ct, lt))
-		ref := s.ev.MustRescale(s.ev.MustApplyLinearTransformNaive(ct, lt))
+		// The reference reads the matrix, not the transform under test.
+		mat := denseTestMatrix(rand.New(rand.NewPCG(81, 82)), dim)
+		naiveOut, err := s.ev.ApplyLinearTransformNaive(s.enc, ct, matrixDiagonals(mat, s.params.Slots()), lt.Level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := s.ev.MustRescale(naiveOut)
 		if fast.Level != ref.Level || fast.Scale.Cmp(ref.Scale) != 0 {
 			t.Fatalf("%v: BSGS level/scale mismatch vs naive", scheme)
 		}

@@ -3,6 +3,7 @@ package ckks
 import (
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 
 	"bitpacker/internal/core"
@@ -30,99 +31,59 @@ import (
 
 // LinearTransform is a plaintext matrix encoded diagonal-by-diagonal at a
 // fixed level and scale, ready to be applied to ciphertexts at that level.
+// Each diagonal is stored once, in the form the evaluation reads: grouped
+// giant step -> baby step, pre-rotated by minus its giant step and in the
+// NTT domain. The evaluation plan (ordered steps, key demand) is fixed
+// when the transform is built.
 type LinearTransform struct {
-	// Diags maps rotation amount -> encoded diagonal (NTT domain), used
-	// by the per-diagonal (naive/hoisted) path.
-	Diags map[int]*Plaintext
 	Level int
 	Scale *big.Rat
 	Slots int
 
-	// N1 is the baby-step modulus of the BSGS factorization; 0 means the
-	// factorization would not reduce the keyswitch count (sparse/banded
-	// transforms) and the per-diagonal hoisted path is used instead.
+	// N1 is the baby-step modulus of the BSGS factorization: diagonal d
+	// is evaluated as giant step d - d%N1 plus baby step d%N1. N1 == Slots
+	// is the unfactored case (sparse/banded transforms no power-of-two
+	// split improves): one giant step, 0, every diagonal a baby step.
 	N1 int
-	// bsgs maps giant step g (multiple of N1) -> baby step b -> the
-	// diagonal g+b pre-rotated by -g and encoded in the NTT domain.
-	bsgs map[int]map[int]*Plaintext
+
+	giants    []giantStep // ascending g
+	babies    []int       // distinct baby steps, ascending (zero included)
+	rotations []int       // nonzero baby and giant steps, ascending
+	galEls    []uint64    // the Galois elements of rotations, same order
+	diags     int         // diagonals stored
+	naive     int         // diagonals with a nonzero rotation
 }
 
-// Rotations returns the rotation amounts the transform's evaluation path
-// needs Galois keys for, in ascending order (zero is excluded): the baby
-// and giant steps when the BSGS factorization is active, the diagonal
-// indices otherwise. The order is deterministic so that key generation
+// giantStep is one inner sum of the factorization: the diagonals g+b for
+// every stored b, each pre-rotated by -g.
+type giantStep struct {
+	g     int
+	terms []babyTerm // ascending baby step
+}
+
+type babyTerm struct {
+	baby int // index into LinearTransform.babies
+	pt   *Plaintext
+}
+
+// Rotations returns the rotation amounts the transform's evaluation
+// needs Galois keys for, in ascending order (zero is excluded): its baby
+// and giant steps. The order is deterministic so that key generation
 // consumes its PRNG stream reproducibly.
-func (lt *LinearTransform) Rotations() []int {
-	if lt.N1 == 0 {
-		return lt.RotationsNaive()
-	}
-	seen := map[int]bool{}
-	var out []int
-	add := func(r int) {
-		if r != 0 && !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	for g, group := range lt.bsgs {
-		add(g)
-		for b := range group {
-			add(b)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// GaloisElements returns the Galois elements the transform's evaluation
-// path touches, in the same deterministic order as Rotations() — the
-// plan-wide key demand a key manager pins before evaluation begins.
-func (lt *LinearTransform) GaloisElements(n int) []uint64 {
-	rots := lt.Rotations()
-	els := make([]uint64, len(rots))
-	for i, r := range rots {
-		els[i] = ring.GaloisElementForRotation(r, n)
-	}
-	return els
-}
-
-// RotationsNaive returns the rotation amounts the per-diagonal reference
-// path (ApplyLinearTransformNaive) needs, in ascending order.
-func (lt *LinearTransform) RotationsNaive() []int {
-	var out []int
-	for d := range lt.Diags {
-		if d != 0 {
-			out = append(out, d)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+func (lt *LinearTransform) Rotations() []int { return slices.Clone(lt.rotations) }
 
 // KeySwitchCounts reports the number of keyswitches one application costs
-// on the naive per-diagonal path and on the active (BSGS or hoisted) path
-// — the complexity the factorization optimizes.
+// on the naive per-diagonal path (one per diagonal with a nonzero
+// rotation) and on the factored path — the complexity BSGS optimizes.
 func (lt *LinearTransform) KeySwitchCounts() (naive, active int) {
-	naive = len(lt.RotationsNaive())
-	active = len(lt.Rotations())
-	return naive, active
-}
-
-// sortedDiags returns the diagonal indices in ascending order, fixing the
-// evaluation order of the per-diagonal paths independent of map iteration.
-func (lt *LinearTransform) sortedDiags() []int {
-	ds := make([]int, 0, len(lt.Diags))
-	for d := range lt.Diags {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
-	return ds
+	return lt.naive, len(lt.rotations)
 }
 
 // bsgsPlan picks the baby-step modulus (a power of two) minimizing the
 // keyswitch count |B\0| + |G\0| over the given normalized diagonal
-// indices. It returns 0 when no factorization beats the per-diagonal
-// count — e.g. banded transforms with a handful of spread-out diagonals.
+// indices. It returns slots — one giant step, every diagonal a baby —
+// when no factorization beats the per-diagonal count, e.g. banded
+// transforms with a handful of spread-out diagonals.
 func bsgsPlan(diags []int, slots int) int {
 	naive := 0
 	for _, d := range diags {
@@ -130,7 +91,7 @@ func bsgsPlan(diags []int, slots int) int {
 			naive++
 		}
 	}
-	best, bestCost := 0, naive
+	best, bestCost := slots, naive
 	for n1 := 2; n1 < slots; n1 <<= 1 {
 		babies := map[int]bool{}
 		giants := map[int]bool{}
@@ -151,68 +112,104 @@ func bsgsPlan(diags []int, slots int) int {
 
 // NewLinearTransformFromDiags encodes the given nonzero diagonals
 // (diags[d][i] multiplies slot (i+d) mod slots of the input) at the given
-// level with the level's canonical scale, precomputing the BSGS
-// factorization when it reduces the keyswitch count.
+// level with the level's canonical scale, in the BSGS factorization that
+// costs the fewest keyswitches. Indices are taken modulo the slot count;
+// two that name the same rotation are refused.
 func NewLinearTransformFromDiags(params *Parameters, enc *Encoder, diags map[int][]complex128, level int) (*LinearTransform, error) {
 	if level < 0 || level > params.MaxLevel() {
 		return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: level %d out of range", level)
 	}
 	slots := params.Slots()
-	scale := params.DefaultScale(level)
-	lt := &LinearTransform{
-		Diags: map[int]*Plaintext{},
-		Level: level,
-		Scale: scale,
-		Slots: slots,
+	keys := make([]int, 0, len(diags))
+	for d := range diags {
+		keys = append(keys, d)
 	}
-	encode := func(v []complex128) *Plaintext {
-		pt := &Plaintext{
-			Value: enc.MustEncode(v, scale, params.LevelModuli(level)),
-			Level: level,
-			Scale: scale,
+	sort.Ints(keys)
+	source := make(map[int]int, len(keys)) // normalized index -> caller's
+	ds := make([]int, 0, len(keys))
+	for _, d := range keys {
+		if len(diags[d]) > slots {
+			return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: diagonal %d has %d entries for %d slots", d, len(diags[d]), slots)
 		}
-		// Pre-transform to the NTT domain: the values are identical to
-		// NTT-ing at use (the transform is deterministic), so the naive
-		// path stays bit-compatible while every apply saves one NTT per
-		// diagonal.
-		pt.Value.NTT()
-		return pt
-	}
-	normalized := map[int][]complex128{}
-	for d, diag := range diags {
-		if len(diag) > slots {
-			return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: diagonal %d has %d entries for %d slots", d, len(diag), slots)
+		dd := normalizeSteps(d, slots)
+		if prev, dup := source[dd]; dup {
+			return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: diagonals %d and %d both name rotation %d of %d slots", prev, d, dd, slots)
 		}
-		dd := ((d % slots) + slots) % slots
-		padded := make([]complex128, slots)
-		copy(padded, diag)
-		normalized[dd] = padded
-		lt.Diags[dd] = encode(padded)
-	}
-
-	// BSGS factorization: pre-rotate diagonal g+b by -g so the giant
-	// rotation can be applied after the baby-step accumulation.
-	var ds []int
-	for d := range normalized {
-		ds = append(ds, d)
+		source[dd] = d
+		ds = append(ds, dd)
 	}
 	sort.Ints(ds)
-	if n1 := bsgsPlan(ds, slots); n1 != 0 {
-		lt.N1 = n1
-		lt.bsgs = map[int]map[int]*Plaintext{}
-		for _, d := range ds {
-			g, b := d-d%n1, d%n1
-			rotated := make([]complex128, slots)
-			for j := range rotated {
-				rotated[j] = normalized[d][((j-g)%slots+slots)%slots]
-			}
-			if lt.bsgs[g] == nil {
-				lt.bsgs[g] = map[int]*Plaintext{}
-			}
-			lt.bsgs[g][b] = encode(rotated)
+
+	scale := params.DefaultScale(level)
+	n1 := bsgsPlan(ds, slots)
+	lt := &LinearTransform{Level: level, Scale: scale, Slots: slots, N1: n1, diags: len(ds)}
+	for _, d := range ds {
+		lt.babies = append(lt.babies, d%n1)
+	}
+	sort.Ints(lt.babies)
+	lt.babies = slices.Compact(lt.babies)
+
+	// ds ascends, so giants arrive in order and babies ascend within one.
+	for _, d := range ds {
+		g, b := d-d%n1, d%n1
+		if len(lt.giants) == 0 || lt.giants[len(lt.giants)-1].g != g {
+			lt.giants = append(lt.giants, giantStep{g: g})
+		}
+		// Pre-rotate by -g so the giant rotation can be applied after
+		// the baby-step accumulation, and pre-transform: the values are
+		// identical to NTT-ing at use, every apply saves the transform.
+		rotated := make([]complex128, slots)
+		for j, v := range diags[source[d]] {
+			rotated[(j+g)%slots] = v
+		}
+		pt := &Plaintext{Value: enc.MustEncode(rotated, scale, params.LevelModuli(level)), Level: level, Scale: scale}
+		pt.Value.NTT()
+		bi, _ := slices.BinarySearch(lt.babies, b)
+		last := &lt.giants[len(lt.giants)-1]
+		last.terms = append(last.terms, babyTerm{baby: bi, pt: pt})
+		if d != 0 {
+			lt.naive++
 		}
 	}
+
+	// Nonzero babies are below n1 and nonzero giants are its multiples:
+	// babies then giants is already ascending.
+	for _, b := range lt.babies {
+		if b != 0 {
+			lt.rotations = append(lt.rotations, b)
+		}
+	}
+	for _, gs := range lt.giants {
+		if gs.g != 0 {
+			lt.rotations = append(lt.rotations, gs.g)
+		}
+	}
+	for _, r := range lt.rotations {
+		lt.galEls = append(lt.galEls, ring.GaloisElementForRotation(r, params.N()))
+	}
 	return lt, nil
+}
+
+// matrixDiagonals extracts the nonzero diagonals of a dense dim x dim
+// matrix (dim divides slots), each replicated across the slot blocks: the
+// vector lives replicated in blocks of dim slots, so rotation by d works
+// across block boundaries.
+func matrixDiagonals(mat [][]complex128, slots int) map[int][]complex128 {
+	dim := len(mat)
+	diags := map[int][]complex128{}
+	for d := 0; d < dim; d++ {
+		diag := make([]complex128, slots)
+		nonzero := false
+		for i := range diag {
+			row := i % dim
+			diag[i] = mat[row][(row+d)%dim]
+			nonzero = nonzero || diag[i] != 0
+		}
+		if nonzero {
+			diags[d] = diag
+		}
+	}
+	return diags
 }
 
 // NewLinearTransform encodes a dense square matrix (dim x dim,
@@ -230,129 +227,71 @@ func NewLinearTransform(params *Parameters, enc *Encoder, mat [][]complex128, le
 	if slots%dim != 0 {
 		return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: matrix dim %d must divide slot count %d", dim, slots)
 	}
-	diags := map[int][]complex128{}
-	for d := 0; d < dim; d++ {
-		diag := make([]complex128, slots)
-		nonzero := false
-		// The vector lives replicated in blocks of dim slots, so the
-		// diagonal is replicated too; rotation by d then works across
-		// block boundaries.
-		for i := 0; i < slots; i++ {
-			row := i % dim
-			v := mat[row][(row+d)%dim]
-			// Only valid when the rotated index stays within the same
-			// block, which replication guarantees.
-			diag[i] = v
-			if v != 0 {
-				nonzero = true
-			}
-		}
-		if nonzero {
-			diags[d] = diag
-		}
-	}
-	return NewLinearTransformFromDiags(params, enc, diags, level)
+	return NewLinearTransformFromDiags(params, enc, matrixDiagonals(mat, slots), level)
 }
 
 // zeroTransformResult is the all-zero-transform fallback: an encryption
 // of zero at the right level and scale.
-func (ev *Evaluator) zeroTransformResult(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
+func (ev *Evaluator) zeroTransformResult(ct *Ciphertext, scale *big.Rat) *Ciphertext {
 	out := ct.CopyNew()
 	out.C0 = ring.NewPoly(ev.params.Ctx, ct.C0.Moduli)
 	out.C0.IsNTT = true
 	out.C1 = ring.NewPoly(ev.params.Ctx, ct.C1.Moduli)
 	out.C1.IsNTT = true
-	out.Scale = new(big.Rat).Mul(ct.Scale, lt.Scale)
+	out.Scale = new(big.Rat).Mul(ct.Scale, scale)
 	out.seal()
 	return out
 }
 
-// transformNoise is the post-transform noise estimate: each of the D
-// diagonal terms contributes MulPlain noise plus (for the rotated ones)
-// keyswitch noise, summed coherently.
-func (ev *Evaluator) transformNoise(ct *Ciphertext, lt *LinearTransform) float64 {
+// transformNoise is the post-transform noise estimate: each of the
+// diagonal terms (encoded at scale) contributes MulPlain noise plus (for
+// the rotated ones) keyswitch noise, summed coherently.
+func (ev *Evaluator) transformNoise(ct *Ciphertext, scale *big.Rat, terms int) float64 {
 	perTerm := addNoiseBits(
-		addNoiseBits(ct.NoiseBits, ev.nm.KeySwitchBits())+core.RatLog2(lt.Scale),
+		addNoiseBits(ct.NoiseBits, ev.nm.KeySwitchBits())+core.RatLog2(scale),
 		core.RatLog2(ct.Scale)+ev.nm.EncodingBits(),
 	)
-	terms := len(lt.Diags)
-	if terms < 1 {
-		terms = 1
-	}
-	return perTerm + math.Log2(float64(terms))/2 // sqrt accumulation of independent terms
+	return perTerm + math.Log2(float64(max(terms, 1)))/2 // sqrt accumulation of independent terms
 }
 
-// checkTransformLevel validates the input against the transform.
-func checkTransformLevel(op string, ct *Ciphertext, lt *LinearTransform) error {
-	if ct.Level != lt.Level {
+// checkTransformLevel validates the input against the transform's level.
+func checkTransformLevel(op string, ct *Ciphertext, level int) error {
+	if ct.Level != level {
 		return fherr.Wrap(fherr.ErrLevelMismatch,
-			"ckks: %s: transform at level %d, ciphertext at %d (adjust first)", op, lt.Level, ct.Level)
+			"ckks: %s: transform at level %d, ciphertext at %d (adjust first)", op, level, ct.Level)
 	}
 	return nil
 }
 
-// ApplyLinearTransform computes M·v for the encrypted vector v. The input
-// must be at lt.Level with the canonical scale; the output carries scale
-// ct.Scale * lt.Scale and should be rescaled by the caller.
-//
-// Dense transforms run baby-step/giant-step with the baby rotations
-// hoisted; sparse ones fall back to the per-diagonal path with all
-// rotations hoisted (one ModUp total either way). The result is
-// value-equivalent to ApplyLinearTransformNaive — same level, scale and
-// noise bound — but not bit-identical, because hoisting reorders the
-// approximate-ModUp rounding (see DESIGN.md).
-//
-// When the transform was built by NewLinearTransform for dim < slots, the
-// input vector must be replicated across the slot blocks (ReplicateBlocks
-// does this for freshly encoded vectors).
-func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
-	if err := ev.begin("ApplyLinearTransform", ct); err != nil {
-		return nil, err
-	}
-	if err := checkTransformLevel("ApplyLinearTransform", ct, lt); err != nil {
-		return nil, err
-	}
-	if len(lt.Diags) == 0 {
-		return ev.zeroTransformResult(ct, lt), nil
-	}
-	// Declare the plan's whole key demand up front: with a key manager
-	// the transform's rotation keys are pinned resident for the duration
-	// of the evaluation, so the per-giant keyswitches hit a stable
-	// working set instead of re-streaming keys mid-plan.
-	releaseKeys, err := ev.PinGaloisKeys("ApplyLinearTransform", lt.GaloisElements(ev.params.N()))
-	if err != nil {
-		return nil, err
-	}
-	defer releaseKeys()
-	if lt.N1 != 0 {
-		return ev.applyLinearTransformBSGS(ct, lt)
-	}
-	return ev.applyLinearTransformHoisted(ct, lt)
-}
-
-// ApplyLinearTransformNaive is the reference per-diagonal evaluation: one
-// full keyswitch (ModUp + inner product + ModDown) per nonzero diagonal.
-// It is kept as the differential-testing and benchmarking baseline for
-// the hoisted/BSGS paths.
-func (ev *Evaluator) ApplyLinearTransformNaive(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
+// ApplyLinearTransformNaive is the reference per-diagonal evaluation,
+// kept for differential testing: Σ_d MulPlain(Rotate(ct, d), encode(diag_d))
+// straight from raw diagonals (as NewLinearTransformFromDiags takes them)
+// at the level's canonical scale — one full keyswitch per nonzero d, and
+// nothing shared with the LinearTransform it is compared against.
+func (ev *Evaluator) ApplyLinearTransformNaive(enc *Encoder, ct *Ciphertext, diags map[int][]complex128, level int) (*Ciphertext, error) {
 	if err := ev.begin("ApplyLinearTransformNaive", ct); err != nil {
 		return nil, err
 	}
-	if err := checkTransformLevel("ApplyLinearTransformNaive", ct, lt); err != nil {
+	if err := checkTransformLevel("ApplyLinearTransformNaive", ct, level); err != nil {
 		return nil, err
 	}
+	scale := ev.params.DefaultScale(level)
+	ds := make([]int, 0, len(diags))
+	for d := range diags {
+		ds = append(ds, d)
+	}
+	sort.Ints(ds)
 	var acc *Ciphertext
-	for _, d := range lt.sortedDiags() {
-		pt := lt.Diags[d]
-		term := ct
-		if d != 0 {
-			var err error
-			term, err = ev.Rotate(ct, d)
-			if err != nil {
-				return nil, err
-			}
+	for _, d := range ds {
+		val, err := enc.Encode(diags[d], scale, ev.params.LevelModuli(level))
+		if err != nil {
+			return nil, err
 		}
-		term, err := ev.MulPlain(term, pt)
+		term, err := ev.Rotate(ct, d)
+		if err != nil {
+			return nil, err
+		}
+		term, err = ev.MulPlain(term, &Plaintext{Value: val, Level: level, Scale: scale})
 		if err != nil {
 			return nil, err
 		}
@@ -364,140 +303,76 @@ func (ev *Evaluator) ApplyLinearTransformNaive(ct *Ciphertext, lt *LinearTransfo
 		}
 	}
 	if acc == nil {
-		return ev.zeroTransformResult(ct, lt), nil
+		return ev.zeroTransformResult(ct, scale), nil
 	}
-	acc.NoiseBits = ev.transformNoise(ct, lt)
+	acc.NoiseBits = ev.transformNoise(ct, scale, len(ds))
 	acc.seal()
 	return acc, nil
 }
 
-// applyLinearTransformHoisted is the per-diagonal path with the rotations
-// hoisted: the input is decomposed once and every diagonal reuses the
-// extended digits.
-func (ev *Evaluator) applyLinearTransformHoisted(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
-	ds := lt.sortedDiags()
-	var hd *HoistedDecomp
-	for _, d := range ds {
-		if d != 0 {
-			var err error
-			hd, err = ev.DecomposeModUp(ct)
-			if err != nil {
-				return nil, err
-			}
-			defer hd.Free(ev.params.Ctx)
-			break
-		}
-	}
-	var acc *Ciphertext
-	for _, d := range ds {
-		term := ct
-		if d != 0 {
-			var err error
-			term, err = ev.rotateHoisted(hd, d)
-			if err != nil {
-				return nil, err
-			}
-		}
-		term, err := ev.MulPlain(term, lt.Diags[d])
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = term
-		} else {
-			acc.C0.Add(acc.C0, term.C0)
-			acc.C1.Add(acc.C1, term.C1)
-		}
-	}
-	acc.NoiseBits = ev.transformNoise(ct, lt)
-	acc.seal()
-	return acc, nil
-}
-
-// applyLinearTransformBSGS evaluates the factored transform: hoist the
-// baby rotations of the input (one ModUp), multiply-accumulate each giant
-// step's pre-rotated diagonals against them, then rotate only the n2
-// accumulators. The per-giant accumulations are independent and fan out
-// across the execution engine (honoring the evaluator's context); the
-// final reduction is ordered, so results are bit-identical for any worker
+// ApplyLinearTransform computes M·v for the encrypted vector v. The input
+// must be at lt.Level with the canonical scale; the output carries scale
+// ct.Scale * lt.Scale and should be rescaled by the caller.
+//
+// The evaluation is baby-step/giant-step: hoist the baby rotations of the
+// input (one ModUp), multiply-accumulate each giant step's pre-rotated
+// diagonals against them, then rotate only the accumulators. An
+// unfactored transform is the same with a single giant step, 0: D hoisted
+// rotations and nothing else. The result is value-equivalent to
+// ApplyLinearTransformNaive — same level, scale and noise bound — but not
+// bit-identical, because hoisting reorders the approximate-ModUp rounding
+// (see DESIGN.md).
+//
+// The per-giant accumulations are independent and fan out across the
+// execution engine (honoring the evaluator's context); the final
+// reduction is ordered, so results are bit-identical for any worker
 // count. A canceled context or dropped engine task surfaces as an error
 // (fherr.ErrCanceled / fherr.ErrEngineFault) with all pooled scratch
 // returned.
-func (ev *Evaluator) applyLinearTransformBSGS(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
+//
+// When the transform was built by NewLinearTransform for dim < slots, the
+// input vector must be replicated across the slot blocks (ReplicateBlocks
+// does this for freshly encoded vectors).
+func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
+	if err := ev.begin("ApplyLinearTransform", ct); err != nil {
+		return nil, err
+	}
+	if err := checkTransformLevel("ApplyLinearTransform", ct, lt.Level); err != nil {
+		return nil, err
+	}
+	if lt.diags == 0 {
+		return ev.zeroTransformResult(ct, lt.Scale), nil
+	}
+	// Declare the plan's whole key demand up front: with a key manager
+	// the transform's rotation keys are pinned resident for the duration
+	// of the evaluation, so the per-giant keyswitches hit a stable
+	// working set instead of re-streaming keys mid-plan.
+	releaseKeys, err := ev.PinGaloisKeys("ApplyLinearTransform", lt.galEls)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseKeys()
 	p := ev.params
 
-	// Collect the baby and giant steps in deterministic order.
-	babySet := map[int]bool{}
-	var giants []int
-	for g, group := range lt.bsgs {
-		giants = append(giants, g)
-		for b := range group {
-			babySet[b] = true
-		}
+	// Hoisted baby rotations, indexed like lt.babies: one ModUp shared by
+	// every nonzero step, baby 0 is the input itself.
+	rot := make([]*Ciphertext, len(lt.babies))
+	steps := lt.babies
+	if steps[0] == 0 {
+		rot[0], steps = ct, steps[1:]
 	}
-	sort.Ints(giants)
-	var babies []int
-	for b := range babySet {
-		babies = append(babies, b)
-	}
-	sort.Ints(babies)
-
-	// Hoisted baby rotations: one ModUp shared by every nonzero step.
-	rot := map[int]*Ciphertext{}
-	var hd *HoistedDecomp
-	for _, b := range babies {
-		if b != 0 {
-			var err error
-			hd, err = ev.DecomposeModUp(ct)
-			if err != nil {
-				return nil, err
-			}
-			defer hd.Free(p.Ctx)
-			break
-		}
-	}
-	if ev.fused && len(babies) > 1 {
-		// The hoisted baby rotations are independent (each reads the
-		// shared decomposition and writes only its own slot), so they
-		// fan out as one fork/join instead of running back to back;
-		// first-error selection stays in baby order, deterministic.
-		rots := make([]*Ciphertext, len(babies))
-		rerrs := make([]error, len(babies))
-		cost := p.N() * ct.C0.R() * 8 // keyswitch-dominated per rotation
-		if err := engine.DispatchCtx(ev.ctx, len(babies), cost, func(bi int) {
-			if b := babies[bi]; b == 0 {
-				rots[bi] = ct
-			} else if r, err := ev.rotateHoisted(hd, b); err != nil {
-				rerrs[bi] = err
-			} else {
-				rots[bi] = r
-			}
-		}); err != nil {
+	if len(steps) > 0 {
+		hd, err := ev.DecomposeModUp(ct)
+		if err != nil {
 			return nil, err
 		}
-		for _, err := range rerrs {
-			if err != nil {
-				return nil, err
-			}
+		defer hd.Free(p.Ctx)
+		rs, err := ev.rotateHoistedSteps(hd, steps)
+		if err != nil {
+			return nil, err
 		}
-		for bi, b := range babies {
-			rot[b] = rots[bi]
-		}
-	} else {
-		for _, b := range babies {
-			if b == 0 {
-				rot[0] = ct
-			} else {
-				r, err := ev.rotateHoisted(hd, b)
-				if err != nil {
-					return nil, err
-				}
-				rot[b] = r
-			}
-		}
+		copy(rot[len(rot)-len(rs):], rs)
 	}
-
-	outScale := new(big.Rat).Mul(ct.Scale, lt.Scale)
 
 	// Per-giant-step accumulation, fanned out over the engine. Each task
 	// writes only its own slot and the inner ops are deterministic, so
@@ -513,25 +388,18 @@ func (ev *Evaluator) applyLinearTransformBSGS(ct *Ciphertext, lt *LinearTransfor
 		e0, e1     *ring.Poly // nonzero giants: permuted ext-basis inner product
 		c0         *ring.Poly // nonzero giants: permuted C0 half (live basis)
 	}
-	parts := make([]giantPart, len(giants))
-	errs := make([]error, len(giants))
+	parts := make([]giantPart, len(lt.giants))
+	errs := make([]error, len(lt.giants))
 	cost := p.N() * ct.C0.R() * 8 // keyswitch-dominated: always worth fanning out
-	dispatchErr := engine.DispatchCtx(ev.ctx, len(giants), cost, func(gi int) {
-		g := giants[gi]
-		group := lt.bsgs[g]
-		var bs []int
-		for b := range group {
-			bs = append(bs, b)
-		}
-		sort.Ints(bs)
-
+	dispatchErr := engine.DispatchCtx(ev.ctx, len(lt.giants), cost, func(gi int) {
+		giant := &lt.giants[gi]
 		acc0 := p.Ctx.GetPoly(ct.C0.Moduli)
 		acc0.IsNTT = true
 		acc1 := p.Ctx.GetPoly(ct.C1.Moduli)
 		acc1.IsNTT = true
-		for i, b := range bs {
-			in := rot[b]
-			pt := group[b].Value
+		for i, term := range giant.terms {
+			in := rot[term.baby]
+			pt := term.pt.Value
 			switch {
 			case ev.fused && i == 0:
 				// Both accumulator halves share the diagonal operand in
@@ -547,11 +415,11 @@ func (ev *Evaluator) applyLinearTransformBSGS(ct *Ciphertext, lt *LinearTransfor
 				acc1.MulCoeffsAdd(in.C1, pt)
 			}
 		}
-		if g == 0 {
+		if giant.g == 0 {
 			parts[gi] = giantPart{acc0: acc0, acc1: acc1}
 			return
 		}
-		galEl := ring.GaloisElementForRotation(g, p.N())
+		galEl := ring.GaloisElementForRotation(giant.g, p.N())
 		swk, releaseKey, err := ev.galoisKey("ApplyLinearTransform", galEl)
 		if err != nil {
 			p.Ctx.PutPoly(acc0)
@@ -606,8 +474,7 @@ func (ev *Evaluator) applyLinearTransformBSGS(ct *Ciphertext, lt *LinearTransfor
 	// giant 0's unrotated accumulator.
 	var ext0, ext1, c0sum *ring.Poly // ownership taken from the first nonzero giant
 	var out0, out1 *ring.Poly        // giant 0's contribution (live basis)
-	for gi := range giants {
-		part := parts[gi]
+	for _, part := range parts {
 		if part.acc0 != nil {
 			out0, out1 = part.acc0, part.acc1
 			continue
@@ -649,8 +516,7 @@ func (ev *Evaluator) applyLinearTransformBSGS(ct *Ciphertext, lt *LinearTransfor
 			p.Ctx.PutPoly(ks1)
 		}
 	}
-	out := newCiphertext(out0, out1, ct.Level, new(big.Rat).Set(outScale), ct.NoiseBits)
-	out.NoiseBits = ev.transformNoise(ct, lt)
+	out := newCiphertext(out0, out1, ct.Level, new(big.Rat).Mul(ct.Scale, lt.Scale), ev.transformNoise(ct, lt.Scale, lt.diags))
 	out.seal()
 	return out, nil
 }

@@ -1,12 +1,19 @@
 package ckks
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"sort"
+	"strings"
 	"testing"
 
 	"bitpacker/internal/core"
+	"bitpacker/internal/fherr"
 )
 
 func TestLinearTransformIdentity(t *testing.T) {
@@ -132,6 +139,143 @@ func TestLinearTransformErrors(t *testing.T) {
 	}
 	if _, err := NewLinearTransformFromDiags(s.params, s.enc, nil, 99); err == nil {
 		t.Fatal("bad level accepted")
+	}
+	// Three indices naming rotation 1: before they were refused, whichever
+	// the map yielded last won, and the transform's values changed from
+	// build to build.
+	slots := s.params.Slots()
+	aliased := map[int][]complex128{1: constSlice(1, slots), 1 + slots: constSlice(2, slots), 1 - slots: constSlice(1, slots)}
+	for i := 0; i < 20; i++ {
+		_, err := NewLinearTransformFromDiags(s.params, s.enc, aliased, 1)
+		if !errors.Is(err, fherr.ErrInvalidParams) {
+			t.Fatalf("aliased diagonal indices: got %v, want ErrInvalidParams", err)
+		}
+		if want := fmt.Sprintf("diagonals %d and 1 ", 1-slots); !strings.Contains(err.Error(), want) {
+			t.Fatalf("aliased diagonal indices: %q does not name both (%q)", err, want)
+		}
+	}
+}
+
+// parentHoistedApply is the per-diagonal hoisted evaluator the unfactored
+// case had to itself before ApplyLinearTransform had one body, kept here
+// (with the un-rotated encoding it read) as the byte-level oracle: one
+// decomposition, then rotate, MulPlain and add per diagonal in ascending
+// order.
+func parentHoistedApply(t *testing.T, s *testSetup, ct *Ciphertext, diags map[int][]complex128, level int) *Ciphertext {
+	t.Helper()
+	ev, scale := s.ev, s.params.DefaultScale(level)
+	var ds []int
+	for d := range diags {
+		ds = append(ds, d)
+	}
+	sort.Ints(ds)
+	hd, err := ev.DecomposeModUp(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hd.Free(s.params.Ctx)
+	var acc *Ciphertext
+	for _, d := range ds {
+		padded := make([]complex128, s.params.Slots())
+		copy(padded, diags[d])
+		pt := &Plaintext{Value: s.enc.MustEncode(padded, scale, s.params.LevelModuli(level)), Level: level, Scale: scale}
+		pt.Value.NTT()
+		term := ct
+		if d != 0 {
+			if term, err = ev.rotateHoisted(hd, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		term = ev.MustMulPlain(term, pt)
+		if acc == nil {
+			acc = term
+		} else {
+			acc.C0.Add(acc.C0, term.C0)
+			acc.C1.Add(acc.C1, term.C1)
+		}
+	}
+	acc.NoiseBits = ev.transformNoise(ct, scale, len(ds))
+	acc.seal()
+	return acc
+}
+
+func marshalCt(t *testing.T, ct *Ciphertext) []byte {
+	t.Helper()
+	b, err := ct.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestUnfactoredTransformMatchesParentHoisted: a transform no split
+// improves (N1 == Slots) goes through the one BSGS body as a single giant
+// step, and must come out byte for byte what the dedicated hoisted
+// evaluator produced.
+func TestUnfactoredTransformMatchesParentHoisted(t *testing.T) {
+	for _, scheme := range []core.Scheme{core.BitPacker, core.RNSCKKS} {
+		for _, w := range []int{28, 61} {
+			s := newTestSetup(t, scheme, 2, 40, w, 9, 8, []int{1, 3, -1})
+			slots := s.params.Slots()
+			level := s.params.MaxLevel()
+			ct := s.encryptValues(randomValues(slots, rand.New(rand.NewPCG(221, uint64(w)))))
+			for name, diags := range map[string]map[int][]complex128{
+				"identity": {0: ones(slots)},
+				"banded":   {slots - 1: constSlice(0.25, slots), 0: constSlice(0.5, slots), 1: constSlice(0.25, slots)},
+				"sparse":   {0: constSlice(0.5, slots), 1: constSlice(0.25, slots), 3: constSlice(-0.25, slots)},
+			} {
+				lt, err := NewLinearTransformFromDiags(s.params, s.enc, diags, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lt.N1 != lt.Slots || len(lt.giants) != 1 {
+					t.Fatalf("%s: expected an unfactored transform, N1=%d with %d giants", name, lt.N1, len(lt.giants))
+				}
+				for _, workers := range []int{1, 4} {
+					for _, fused := range []bool{true, false} {
+						got := runWithWorkers(t, workers, func() *Ciphertext {
+							return withFused(s, fused, func() *Ciphertext { return s.ev.MustApplyLinearTransform(ct, lt) })
+						})
+						want := runWithWorkers(t, workers, func() *Ciphertext {
+							return withFused(s, fused, func() *Ciphertext { return parentHoistedApply(t, s, ct, diags, level) })
+						})
+						if !bytes.Equal(marshalCt(t, got), marshalCt(t, want)) {
+							t.Fatalf("%v w=%d %s workers=%d fused=%v: one-body output differs from the parent's hoisted evaluator",
+								scheme, w, name, workers, fused)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseTransformMatchesParentBytes: the factored path's output did
+// not move when the stored form changed. The digests are SHA-256 of
+// Rescale(ApplyLinearTransform(ct, lt)) for denseTestTransform(16, 81),
+// recorded at the commit before the single stored form (1f9a2a3).
+func TestDenseTransformMatchesParentBytes(t *testing.T) {
+	const dim = 16
+	rots := make([]int, 0, dim-1)
+	for r := 1; r < dim; r++ {
+		rots = append(rots, r)
+	}
+	for _, c := range []struct {
+		scheme core.Scheme
+		w      int
+		sha    string
+	}{
+		{core.BitPacker, 28, "e7198dbf52f3f5a3500a6c6b966b61f6bedd126baef10f58fb5786ebda5a9840"},
+		{core.BitPacker, 61, "d659eec9c31b1184df254eff9caa6177016975c8bad8e34a6e4b5c50113f5c03"},
+		{core.RNSCKKS, 28, "242037f4e14346b0c501111351c710e2d5a3dd1e54ddc8cc02c77f256ccd031f"},
+		{core.RNSCKKS, 61, "36f990616a21a30bb06819698dd2efd5bd9d707049b02550b1c84044a7f5a111"},
+	} {
+		s := newTestSetup(t, c.scheme, 2, 40, c.w, 9, 8, rots)
+		lt, ct, _ := denseTestTransform(t, s, dim, 81)
+		out := s.ev.MustRescale(s.ev.MustApplyLinearTransform(ct, lt))
+		if got := fmt.Sprintf("%x", sha256.Sum256(marshalCt(t, out))); got != c.sha {
+			t.Errorf("%v w=%d: dense transform output digest %s, parent's %s", c.scheme, c.w, got, c.sha)
+		}
 	}
 }
 

@@ -87,11 +87,6 @@ func (ev *Evaluator) MustApplyLinearTransform(ct *Ciphertext, lt *LinearTransfor
 	return must(ev.ApplyLinearTransform(ct, lt))
 }
 
-// MustApplyLinearTransformNaive is ApplyLinearTransformNaive, panicking on error.
-func (ev *Evaluator) MustApplyLinearTransformNaive(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
-	return must(ev.ApplyLinearTransformNaive(ct, lt))
-}
-
 // MustEncryptAtLevel is EncryptAtLevel, panicking on error.
 func (enc *Encryptor) MustEncryptAtLevel(pt *Plaintext, level int) *Ciphertext {
 	return must(enc.EncryptAtLevel(pt, level))

@@ -8,18 +8,15 @@ type Transform struct {
 	lt *ckks.LinearTransform
 }
 
-// Rotations returns the rotation amounts the transform's evaluation path
-// needs (the baby/giant steps when the BSGS factorization is active, the
-// diagonal indices otherwise); pass them in Config.Rotations when
-// creating the context.
+// Rotations returns the rotation amounts the transform's evaluation
+// needs: the baby and giant steps of its BSGS factorization, which for a
+// sparse transform no split improves are the diagonal indices. Pass them
+// in Config.Rotations when creating the context.
 func (t *Transform) Rotations() []int { return t.lt.Rotations() }
 
-// RotationsNaive returns the rotation amounts the per-diagonal reference
-// path (ApplyNaive) needs — one per nonzero diagonal.
-func (t *Transform) RotationsNaive() []int { return t.lt.RotationsNaive() }
-
-// KeySwitchCounts reports how many keyswitches one application costs on
-// the naive per-diagonal path versus the active (BSGS/hoisted) path.
+// KeySwitchCounts reports how many keyswitches one application costs
+// evaluated naively, one per diagonal with a nonzero rotation, versus on
+// the factored path Apply takes.
 func (t *Transform) KeySwitchCounts() (naive, active int) { return t.lt.KeySwitchCounts() }
 
 // NewMatrixTransform encodes a dense dim×dim matrix (dim must divide
@@ -34,7 +31,9 @@ func (c *Context) NewMatrixTransform(mat [][]complex128, level int) (*Transform,
 }
 
 // NewDiagonalTransform encodes a sparse linear map given by its nonzero
-// diagonals: diags[d][i] multiplies input slot (i+d) mod Slots().
+// diagonals: diags[d][i] multiplies input slot (i+d) mod Slots(). Indices
+// are taken modulo Slots(); two that name the same rotation fail with
+// ErrInvalidParams.
 func (c *Context) NewDiagonalTransform(diags map[int][]complex128, level int) (*Transform, error) {
 	lt, err := ckks.NewLinearTransformFromDiags(c.params, c.encoder, diags, level)
 	if err != nil {
@@ -47,7 +46,8 @@ func (c *Context) NewDiagonalTransform(diags map[int][]complex128, level int) (*
 // ciphertext must sit at the transform's level (ErrLevelMismatch
 // otherwise); follow with Rescale. Dense transforms evaluate
 // baby-step/giant-step with hoisted rotations (O(2√D) keyswitches for D
-// diagonals); sparse ones run per-diagonal with the rotations hoisted.
+// diagonals); sparse ones are the same evaluation with one giant step,
+// every diagonal's rotation hoisted.
 // Under a canceled WithContext the fan-out stops within one dispatch
 // quantum and Apply fails with ErrCanceled. With Config.Retry, a
 // dropped engine task (ErrEngineFault) re-dispatches the whole
@@ -59,18 +59,6 @@ func (c *Context) Apply(ct *Ciphertext, t *Transform) (*Ciphertext, error) {
 // MustApply is Apply, panicking on error.
 func (c *Context) MustApply(ct *Ciphertext, t *Transform) *Ciphertext {
 	return must(c.Apply(ct, t))
-}
-
-// ApplyNaive computes the same product with one full keyswitch per
-// nonzero diagonal — the reference path Apply is benchmarked and
-// differentially tested against. Requires keys for RotationsNaive().
-func (c *Context) ApplyNaive(ct *Ciphertext, t *Transform) (*Ciphertext, error) {
-	return c.runOp("ApplyNaive", func() (*ckks.Ciphertext, error) { return c.eval.ApplyLinearTransformNaive(ct.ct, t.lt) })
-}
-
-// MustApplyNaive is ApplyNaive, panicking on error.
-func (c *Context) MustApplyNaive(ct *Ciphertext, t *Transform) *Ciphertext {
-	return must(c.ApplyNaive(ct, t))
 }
 
 // Replicate repeats the first dim values across all slots, the layout
