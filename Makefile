@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate opgate docs-check loc fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate opgate keygate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -45,6 +45,17 @@ opgate:
 	@bad=$$(grep -rnE 'case (bitpacker\.)?(ShardOp|Op)(Square|Quartic|Negate|Offset|Scale|Rotate)' --include='*.go' . \
 		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build)/' | grep -v '^\./program\.go:'; true); \
 	if [ -n "$$bad" ]; then echo "program op switched on outside program.go:"; echo "$$bad"; exit 1; fi
+
+# One-key-store gate: switching keys come from ckks.KeyManager alone (a
+# closed set or a budgeted cache). A call of GenRelinKey, GenGaloisKey
+# or the genSwitchingKey they wrap in non-test code anywhere but
+# internal/ckks/keycache.go (and keys.go, where they are defined) is a
+# second key source growing back. bench/ is frozen and measures keygen
+# directly.
+keygate:
+	@bad=$$(grep -rnE '\.(Gen(Relin|Galois)|[Gg]enSwitching)Key\(' --include='*.go' . \
+		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build)/' | grep -vE '^\./internal/ckks/(keycache|keys)\.go:'; true); \
+	if [ -n "$$bad" ]; then echo "switching key generated outside the key store:"; echo "$$bad"; exit 1; fi
 
 # Stale-reference gate: the prose names commands, and a deleted target,
 # tool or flag otherwise lingers there unnoticed. Fails when README.md,
@@ -113,8 +124,9 @@ chaos-soak:
 
 # Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
 # included), the parallel hot paths must be race-free, a program op must
-# have one definition, and the docs may name only commands that exist.
-check: build vet test bench-test race panicgate opgate docs-check
+# have one definition, switching keys one source, and the docs may name
+# only commands that exist.
+check: build vet test bench-test race panicgate opgate keygate docs-check
 
 clean:
 	$(GO) clean ./...

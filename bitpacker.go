@@ -100,7 +100,10 @@ type Config struct {
 	// default; the default chains are byte-identical with it off.
 	RedundantResidue bool
 	// KeyCacheBytes, when nonzero, replaces eager key generation with a
-	// budgeted key cache: switching keys (relinearization, rotations,
+	// budgeted key cache. Zero (the default) generates the closed key set
+	// up front — relinearization, Rotations, Conjugation and the
+	// bootstrap rotations — and any other rotation fails with
+	// ErrMissingKey. With a budget, switching keys (relinearization, rotations,
 	// bootstrap Galois keys) are generated lazily from the secret key on
 	// first use and their resident footprint is kept within this soft
 	// byte budget by demoting cold keys to seed-compressed form (only
@@ -111,17 +114,9 @@ type Config struct {
 	// transforms, hoisted rotation batches) pin their whole key demand
 	// up front so the working set streams in once and stays resident.
 	// Results are bit-identical to the eager dense path. Inspect the
-	// cache with Context.KeyCacheStats; pre-warm and pin a plan's
+	// store with Context.KeyCacheStats; pre-warm and pin a plan's
 	// rotations with Context.PinRotations.
 	KeyCacheBytes int64
-	// CompressKeys stores the eagerly generated switching keys (and the
-	// public key) seed-compressed: the uniform A half of every key digit
-	// is replaced by the 16-byte seed it was expanded from, roughly
-	// halving resident key memory; keyswitch kernels regenerate A rows
-	// from the seed inside the fused dispatch, bit-identical to the
-	// dense path. Ignored when KeyCacheBytes is set (the cache manages
-	// compression itself).
-	CompressKeys bool
 	// Retry, when non-nil, re-dispatches operations that fail with a
 	// detected fault (ErrInvariant, ErrEngineFault) from their retained
 	// inputs, with exponential backoff, until the policy's attempt
@@ -158,8 +153,7 @@ type Context struct {
 	enc     *ckks.Encryptor
 	dec     *ckks.Decryptor
 	eval    *ckks.Evaluator
-	keys    *ckks.EvaluationKeySet // eager key set; nil under KeyCacheBytes
-	km      *ckks.KeyManager       // budgeted key cache; nil unless KeyCacheBytes
+	km      *ckks.KeyManager // closed key set, or the budgeted cache under KeyCacheBytes
 	boot    *ckks.Bootstrapper
 	retrier *engine.Retrier
 	ctx     context.Context // from WithContext; nil means Background
@@ -267,27 +261,16 @@ func New(cfg Config) (*Context, error) {
 		sk = kg.GenSecretKey()
 	}
 	pk := kg.GenPublicKey(sk)
-	var keys *ckks.EvaluationKeySet
 	var km *ckks.KeyManager
-	var eval *ckks.Evaluator
 	if cfg.KeyCacheBytes > 0 {
 		// Budgeted cache: no eager generation at all — every switching
 		// key (including bootstrap rotations) is produced lazily on first
 		// use and managed within the byte budget.
 		km = ckks.NewKeyManager(params, kg, sk, cfg.KeyCacheBytes)
-		eval = ckks.NewEvaluator(params, nil)
-		eval.SetKeyManager(km)
 	} else {
-		keys = &ckks.EvaluationKeySet{
-			Relin:  kg.GenRelinKey(sk),
-			Galois: kg.GenRotationKeys(sk, rotations, conj),
-		}
-		if cfg.CompressKeys {
-			keys.Compress()
-			pk.Compress()
-		}
-		eval = ckks.NewEvaluator(params, keys)
+		km = ckks.NewClosedKeyManager(params, kg, sk, rotations, conj)
 	}
+	eval := ckks.NewEvaluator(params, km)
 	if cfg.CheckInvariants {
 		eval.SetInvariantChecks(true)
 	}
@@ -307,7 +290,6 @@ func New(cfg Config) (*Context, error) {
 		enc:     ckks.NewEncryptor(params, pk, cfg.Seed+2, cfg.Seed+3),
 		dec:     ckks.NewDecryptor(params, sk),
 		eval:    eval,
-		keys:    keys,
 		km:      km,
 		boot:    boot,
 		retrier: retrier,
@@ -516,37 +498,28 @@ func (c *Context) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	return c.runOp("MulRescale", func() (*ckks.Ciphertext, error) { return c.eval.MulRescale(a.ct, b.ct) })
 }
 
-// KeyCacheStats reports the budgeted key cache's cumulative counters and
-// current/peak resident key footprint. The second return is false when
-// the context was built without Config.KeyCacheBytes (eager keys have no
-// cache to report on; see ResidentKeyBytes for their footprint).
-func (c *Context) KeyCacheStats() (ckks.KeyCacheStats, bool) {
-	if c.km == nil {
-		return ckks.KeyCacheStats{}, false
-	}
-	return c.km.Stats(), true
+// KeyCacheStats reports the key store's cumulative counters and
+// current/peak resident key footprint. A closed store (no
+// Config.KeyCacheBytes) counts only hits: it never generates, demotes or
+// evicts.
+func (c *Context) KeyCacheStats() ckks.KeyCacheStats {
+	return c.km.Stats()
 }
 
 // ResidentKeyBytes reports the bytes of switching-key material currently
-// resident in memory: the cache's live footprint under KeyCacheBytes,
-// otherwise the eager key set's size (halved by CompressKeys).
+// resident in memory.
 func (c *Context) ResidentKeyBytes() int64 {
-	if c.km != nil {
-		return c.km.Stats().ResidentBytes
-	}
-	if c.keys == nil {
-		return 0
-	}
-	return c.keys.ResidentBytes()
+	return c.km.Stats().ResidentBytes
 }
 
 // PinRotations declares a plan's rotation-key working set up front: under
 // Config.KeyCacheBytes the keys for the given slot steps are generated
 // (or promoted) now and pinned against demotion and eviction until the
 // returned release is called, so a loop of Rotate/RotateHoisted calls
-// over those steps runs entirely on cache hits. Zero and duplicate steps
-// are ignored. Without a key cache this is a no-op. The release function
-// is idempotent.
+// over those steps runs entirely on cache hits. Without a key cache the
+// keys are already resident, and a step outside the closed set fails
+// here with ErrMissingKey. Zero and duplicate steps are ignored. The
+// release function is idempotent.
 func (c *Context) PinRotations(steps ...int) (func(), error) {
 	seen := map[uint64]bool{1: true} // element 1 is the identity: a zero step needs no key
 	els := make([]uint64, 0, len(steps))

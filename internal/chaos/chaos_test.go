@@ -45,11 +45,7 @@ func newSetup(t testing.TB, scheme core.Scheme, rotations []int) *setup {
 	kg := ckks.NewKeyGenerator(params, 11, 22)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	keys := &ckks.EvaluationKeySet{
-		Relin:  kg.GenRelinKey(sk),
-		Galois: kg.GenRotationKeys(sk, rotations, true),
-	}
-	ev := ckks.NewEvaluator(params, keys)
+	ev := ckks.NewEvaluator(params, ckks.NewClosedKeyManager(params, kg, sk, rotations, true))
 	ev.SetInvariantChecks(true)
 	return &setup{
 		params: params,

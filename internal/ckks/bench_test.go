@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"maps"
 	"math/rand/v2"
 	"testing"
 
@@ -29,7 +28,7 @@ func BenchmarkDivideOnce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		maps.Copy(s.ev.keys.Galois, s.kg.GenRotationKeys(s.sk, lt.Rotations(), false))
+		s.addRotationKeys(lt.Rotations())
 		cheb7 := []float64{0.1, 0.8, -0.3, 0.05, 0.12, -0.05, 0.03, 0.02}
 		for _, op := range []struct {
 			name string

@@ -190,11 +190,7 @@ func TestFullBootstrapRefresh(t *testing.T) {
 	kg := NewKeyGenerator(params, 101, 102)
 	sk := kg.GenSecretKeySparse(3)
 	pk := kg.GenPublicKey(sk)
-	keys := &EvaluationKeySet{
-		Relin:  kg.GenRelinKey(sk),
-		Galois: kg.GenRotationKeys(sk, bs.Rotations(), true),
-	}
-	ev := NewEvaluator(params, keys)
+	ev := NewEvaluator(params, NewClosedKeyManager(params, kg, sk, bs.Rotations(), true))
 	encr := NewEncryptor(params, pk, 103, 104)
 	dec := NewDecryptor(params, sk)
 

@@ -22,6 +22,8 @@ type testSetup struct {
 	encr   *Encryptor
 	dec    *Decryptor
 	ev     *Evaluator
+
+	rotations []int // the closed store's rotation steps
 }
 
 func newTestSetup(t testing.TB, scheme core.Scheme, levels int, scaleBits float64, w, logN, dnum int, rotations []int) *testSetup {
@@ -38,20 +40,24 @@ func newTestSetup(t testing.TB, scheme core.Scheme, levels int, scaleBits float6
 	kg := NewKeyGenerator(params, 11, 22)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	keys := &EvaluationKeySet{
-		Relin:  kg.GenRelinKey(sk),
-		Galois: kg.GenRotationKeys(sk, rotations, true),
-	}
 	return &testSetup{
-		params: params,
-		enc:    NewEncoder(params),
-		kg:     kg,
-		sk:     sk,
-		pk:     pk,
-		encr:   NewEncryptor(params, pk, 33, 44),
-		dec:    NewDecryptor(params, sk),
-		ev:     NewEvaluator(params, keys),
+		params:    params,
+		enc:       NewEncoder(params),
+		kg:        kg,
+		sk:        sk,
+		pk:        pk,
+		encr:      NewEncryptor(params, pk, 33, 44),
+		dec:       NewDecryptor(params, sk),
+		ev:        NewEvaluator(params, NewClosedKeyManager(params, kg, sk, rotations, true)),
+		rotations: rotations,
 	}
+}
+
+// addRotationKeys gives the setup's evaluator a closed store that also
+// holds the keys for steps.
+func (s *testSetup) addRotationKeys(steps []int) {
+	s.rotations = append(s.rotations, steps...)
+	s.ev.SetKeyManager(NewClosedKeyManager(s.params, s.kg, s.sk, s.rotations, true))
 }
 
 // encryptValues encodes and encrypts at the top level.

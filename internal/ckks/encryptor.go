@@ -48,16 +48,7 @@ func (enc *Encryptor) EncryptAtLevel(pt *Plaintext, level int) (*Ciphertext, err
 	e1.NTT()
 
 	b := enc.pk.B.Restrict(moduli)
-	var a *ring.Poly
-	if enc.pk.A != nil {
-		a = enc.pk.A.Restrict(moduli)
-	} else {
-		// Seed-compressed public key: regenerate exactly the level's rows
-		// from the seed — row content depends only on (seed, modulus), so
-		// this matches restricting the dense A bit for bit.
-		a = ring.GetUniformPolyFromSeed(p.Ctx, moduli, enc.pk.ASeed)
-		defer p.Ctx.PutPoly(a)
-	}
+	a := enc.pk.A.Restrict(moduli)
 
 	m := pt.Value.Copy()
 	m.NTT()

@@ -143,11 +143,7 @@ func bootstrapPipelineForTest(t *testing.T) func() *Ciphertext {
 		kg := NewKeyGenerator(params, 101, 102)
 		sk := kg.GenSecretKeySparse(3)
 		pk := kg.GenPublicKey(sk)
-		keys := &EvaluationKeySet{
-			Relin:  kg.GenRelinKey(sk),
-			Galois: kg.GenRotationKeys(sk, bs.Rotations(), true),
-		}
-		ev := NewEvaluator(params, keys)
+		ev := NewEvaluator(params, NewClosedKeyManager(params, kg, sk, bs.Rotations(), true))
 		encr := NewEncryptor(params, pk, 103, 104)
 
 		vals := make([]complex128, params.Slots())

@@ -17,7 +17,7 @@ import (
 )
 
 // Evaluator performs homomorphic operations. It is bound to one parameter
-// set and one evaluation key set. The level-management backend (classic
+// set and one key store. The level-management backend (classic
 // RNS-CKKS vs BitPacker) is selected by the chain's Scheme.
 //
 // Every operation returns a wrapped error from the internal/fherr
@@ -27,13 +27,11 @@ import (
 // enable the Validate() entry checks and the noise-budget guard.
 type Evaluator struct {
 	params *Parameters
-	keys   *EvaluationKeySet
 	nm     *NoiseModel
 
-	// km, when non-nil, replaces the static key set as the source of
-	// switching keys: keys are generated lazily from the secret key,
-	// demoted to seed-compressed form or evicted under a byte budget, and
-	// pinned for the duration of each keyswitch (see KeyManager).
+	// km is the one source of switching keys: a closed set, or a budgeted
+	// cache that generates keys from the secret key on demand (see
+	// KeyManager). nil serves no key at all.
 	km *KeyManager
 
 	// ctx, when non-nil, is checked at operation entry and threaded
@@ -88,13 +86,14 @@ func cached[V any](cc *evalCaches, m map[string]V, key []byte, build func() (V, 
 	return v, err
 }
 
-// NewEvaluator creates an evaluator. Invariant checking starts enabled
-// when the BITPACKER_CHECK_INVARIANTS environment variable is non-empty;
-// the fused hot paths start enabled (see SetFused).
-func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
+// NewEvaluator creates an evaluator drawing its switching keys from km.
+// Invariant checking starts enabled when the BITPACKER_CHECK_INVARIANTS
+// environment variable is non-empty; the fused hot paths start enabled
+// (see SetFused).
+func NewEvaluator(params *Parameters, km *KeyManager) *Evaluator {
 	return &Evaluator{
 		params:          params,
-		keys:            keys,
+		km:              km,
 		nm:              NewNoiseModel(params),
 		checkInvariants: os.Getenv("BITPACKER_CHECK_INVARIANTS") != "",
 		fused:           true,
@@ -105,14 +104,11 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
 	}
 }
 
-// SetKeyManager routes the evaluator's switching-key lookups through a
-// budgeted key cache (lazy generation, seed-compressed demotion, LRU
-// eviction) instead of the static key set. With a manager installed, any
-// Galois element can be served on demand — ErrMissingKey no longer
-// occurs for rotations. Results are bit-identical to dense keys.
+// SetKeyManager replaces the evaluator's key store. Results are
+// bit-identical whichever store serves the keys.
 func (ev *Evaluator) SetKeyManager(km *KeyManager) { ev.km = km }
 
-// KeyManager returns the installed key manager, or nil.
+// KeyManager returns the evaluator's key store.
 func (ev *Evaluator) KeyManager() *KeyManager { return ev.km }
 
 // SetFused selects between the fused-kernel hot paths (default) and the
@@ -472,7 +468,7 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := checkCompatible("MulRelin", a, b); err != nil {
 		return nil, err
 	}
-	rlk, releaseKey, err := ev.relinKey("MulRelin")
+	rlk, releaseKey, err := ev.km.Acquire(ev.ctx, "MulRelin", RelinKeyID)
 	if err != nil {
 		return nil, err
 	}
@@ -852,48 +848,13 @@ func (ev *Evaluator) keySwitch(c2 *ring.Poly, swk *SwitchingKey) (*ring.Poly, *r
 // Rotations
 // ---------------------------------------------------------------------------
 
-// noopRelease is the release function for keys served from the static
-// key set, which are never demoted or evicted.
-func noopRelease() {}
-
-// galoisKey fetches the switching key for galEl, pinned until release is
-// called. With a key manager it is generated/promoted on demand; from
-// the static key set absence maps onto the typed taxonomy.
-func (ev *Evaluator) galoisKey(op string, galEl uint64) (*SwitchingKey, func(), error) {
-	if ev.km != nil {
-		return ev.km.Acquire(ev.ctx, op, galEl)
-	}
-	if ev.keys == nil {
-		return nil, nil, fherr.Wrap(fherr.ErrMissingKey, "ckks: %s: no evaluation keys", op)
-	}
-	swk, ok := ev.keys.Galois[galEl]
-	if !ok {
-		return nil, nil, fherr.Wrap(fherr.ErrMissingKey, "ckks: %s: no Galois key for element %d", op, galEl)
-	}
-	return swk, noopRelease, nil
-}
-
-// relinKey fetches the relinearization key, pinned until release runs.
-func (ev *Evaluator) relinKey(op string) (*SwitchingKey, func(), error) {
-	if ev.km != nil {
-		return ev.km.Acquire(ev.ctx, op, RelinKeyID)
-	}
-	if ev.keys == nil || ev.keys.Relin == nil {
-		return nil, nil, fherr.Wrap(fherr.ErrMissingKey, "ckks: %s: no relinearization key", op)
-	}
-	return ev.keys.Relin, noopRelease, nil
-}
-
 // PinGaloisKeys declares a plan's whole rotation-key demand up front:
-// with a key manager, every element in els is pinned resident until the
-// returned release runs, so a multi-keyswitch plan (BSGS transform,
-// hoisted rotation fan-out, pipeline stage) streams its working set in
-// once instead of thrashing the budget key by key. Without a manager it
-// is a no-op — static key sets are always resident.
+// every element in els is served now (ErrMissingKey if the store cannot)
+// and, in a budgeted store, pinned resident until the returned release
+// runs, so a multi-keyswitch plan (BSGS transform, hoisted rotation
+// fan-out, pipeline stage) streams its working set in once instead of
+// thrashing the budget key by key.
 func (ev *Evaluator) PinGaloisKeys(op string, els []uint64) (func(), error) {
-	if ev.km == nil {
-		return noopRelease, nil
-	}
 	return ev.km.Pin(ev.ctx, op, els)
 }
 
@@ -908,7 +869,7 @@ func (ev *Evaluator) PinGaloisKeys(op string, els []uint64) (func(), error) {
 // permutation of evaluation points, and the keyswitch corrections come
 // back NTT-domain (NTT ModDown), so the fold is a single gather+add.
 func (ev *Evaluator) applyGalois(op string, ct *Ciphertext, galEl uint64) (*Ciphertext, error) {
-	swk, releaseKey, err := ev.galoisKey(op, galEl)
+	swk, releaseKey, err := ev.km.Acquire(ev.ctx, op, galEl)
 	if err != nil {
 		return nil, err
 	}
@@ -968,7 +929,7 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 // special-row INTTs and conversion-row NTTs.
 func (ev *Evaluator) rotateHoisted(hd *HoistedDecomp, steps int) (*Ciphertext, error) {
 	galEl := ring.GaloisElementForRotation(steps, ev.params.N())
-	swk, releaseKey, err := ev.galoisKey("RotateHoisted", galEl)
+	swk, releaseKey, err := ev.km.Acquire(ev.ctx, "RotateHoisted", galEl)
 	if err != nil {
 		return nil, err
 	}

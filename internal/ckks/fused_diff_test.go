@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"fmt"
-	"maps"
 	"math/bits"
 	"math/rand/v2"
 	"runtime/debug"
@@ -425,7 +424,7 @@ func TestFusedHotPathAllocCeiling(t *testing.T) {
 	a := s.encryptValues(randomValues(s.params.Slots(), rng))
 	b := s.encryptValues(randomValues(s.params.Slots(), rng))
 	lt, blocks, _ := denseTestTransform(t, s, 16, 219)
-	maps.Copy(s.ev.keys.Galois, s.kg.GenRotationKeys(s.sk, lt.Rotations(), false))
+	s.addRotationKeys(lt.Rotations())
 	cheb7 := []float64{0.1, 0.8, -0.3, 0.05, 0.12, -0.05, 0.03, 0.02}
 	for _, op := range []struct {
 		name    string

@@ -3,6 +3,7 @@ package ckks
 import (
 	"container/list"
 	"context"
+	"sort"
 	"sync"
 
 	"bitpacker/internal/engine"
@@ -10,8 +11,17 @@ import (
 	"bitpacker/internal/ring"
 )
 
-// KeyManager makes switching-key memory a budgeted resource instead of an
-// O(keys × Dnum × basis) wall. Keys live in one of three states:
+// KeyManager is the evaluator's one source of switching keys. It comes in
+// two shapes:
+//
+//	generating  NewKeyManager: keys are generated from the secret key on
+//	            first use, and a byte budget demotes and evicts cold ones
+//	closed      NewClosedKeyManager: a fixed set generated up front; an
+//	            absent key is ErrMissingKey, never generated
+//
+// A generating store makes switching-key memory a budgeted resource
+// instead of an O(keys × Dnum × basis) wall. Keys live in one of three
+// states:
 //
 //	full        B and A resident — dense kernels, fastest
 //	compressed  only B resident, A as per-digit seeds (~2x smaller) —
@@ -24,13 +34,14 @@ import (
 // Pin); pinned keys are never demoted or evicted, so the fused dispatch
 // can read key rows without holding any lock. The byte budget is soft:
 // eviction only considers unpinned keys, so a plan that pins more than
-// the budget overshoots rather than deadlocks.
+// the budget overshoots rather than deadlocks. An unbounded store (budget
+// <= 0, every closed store) never demotes anything, so it keeps no pins.
 type KeyManager struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	params *Parameters
-	kg     *KeyGenerator
+	kg     *KeyGenerator // nil: a closed store
 	sk     *SecretKey
 
 	budget   int64 // bytes; <= 0 means unlimited
@@ -56,8 +67,9 @@ type keyEntry struct {
 
 // KeyCacheStats are the manager's cumulative counters plus the current
 // and peak resident footprint. Hits/Misses count Acquire calls that
-// found/lacked resident key material; KeyGens counts full generations
-// from the secret key; ARegens counts A-half materializations from seed;
+// found/lacked resident key material; KeyGens counts on-demand
+// generations from the secret key (a closed store's preloaded keys are
+// not counted); ARegens counts A-half materializations from seed;
 // Demotions counts full→compressed transitions; Evictions counts
 // compressed→cold transitions.
 type KeyCacheStats struct {
@@ -85,6 +97,49 @@ func NewKeyManager(params *Parameters, kg *KeyGenerator, sk *SecretKey, budgetBy
 	return km
 }
 
+// NewClosedKeyManager builds the closed store: the relinearization key
+// and the Galois keys for the given slot rotations and, optionally,
+// conjugation, generated now and resident for good. Each distinct Galois
+// element is generated once, in ascending order; keygen is per-key
+// seed-derived, so the bits match a generating store's for the same ids.
+// Acquire of any other id fails with ErrMissingKey.
+func NewClosedKeyManager(params *Parameters, kg *KeyGenerator, sk *SecretKey, rotations []int, conjugate bool) *KeyManager {
+	n := params.N()
+	want := map[uint64]bool{RelinKeyID: true}
+	for _, r := range rotations {
+		want[ring.GaloisElementForRotation(r, n)] = true
+	}
+	if conjugate {
+		want[ring.GaloisElementForConjugation(n)] = true
+	}
+	ids := make([]uint64, 0, len(want))
+	for id := range want {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	km := NewKeyManager(params, nil, nil, 0)
+	for _, id := range ids {
+		swk := generateKey(kg, sk, id)
+		e := &keyEntry{id: id, swk: swk}
+		km.entries[id] = e
+		km.touchLocked(e)
+		km.resident += swk.ResidentBytes()
+	}
+	km.stats.PeakResidentBytes = km.resident
+	return km
+}
+
+// Has reports whether Acquire can serve id: always for a generating
+// store, only for a preloaded key of a closed one.
+func (km *KeyManager) Has(id uint64) bool {
+	if km.kg != nil {
+		return true
+	}
+	km.mu.Lock()
+	defer km.mu.Unlock()
+	return km.entries[id] != nil
+}
+
 // Stats returns a snapshot of the manager's counters.
 func (km *KeyManager) Stats() KeyCacheStats {
 	km.mu.Lock()
@@ -95,13 +150,13 @@ func (km *KeyManager) Stats() KeyCacheStats {
 	return s
 }
 
-// generate builds the key for id from the secret key — RelinKeyID is the
-// relinearization key, everything else a Galois key for that element.
-func (km *KeyManager) generate(id uint64) *SwitchingKey {
+// generateKey builds the key for id from the secret key — RelinKeyID is
+// the relinearization key, everything else a Galois key for that element.
+func generateKey(kg *KeyGenerator, sk *SecretKey, id uint64) *SwitchingKey {
 	if id == RelinKeyID {
-		return km.kg.GenRelinKey(km.sk)
+		return kg.GenRelinKey(sk)
 	}
-	return km.kg.GenGaloisKey(km.sk, id)
+	return kg.GenGaloisKey(sk, id)
 }
 
 // aBytes is the cost of materializing the key's dropped A halves.
@@ -212,7 +267,11 @@ func (km *KeyManager) enforceLocked() {
 // either way). ctx (nil allowed) bounds the A-half materialization: a
 // canceled context surfaces as ErrCanceled with the key left in its
 // consistent compressed state. op names the caller for error context.
+// A closed store (or a nil one) refuses an absent id with ErrMissingKey.
 func (km *KeyManager) Acquire(ctx context.Context, op string, id uint64) (*SwitchingKey, func(), error) {
+	if km == nil {
+		return nil, nil, fherr.Wrap(fherr.ErrMissingKey, "ckks: %s: no key store", op)
+	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fherr.Wrap(fherr.ErrCanceled, "ckks: %s: key %d (%v)", op, id, err)
@@ -223,6 +282,13 @@ func (km *KeyManager) Acquire(ctx context.Context, op string, id uint64) (*Switc
 	for {
 		e = km.entries[id]
 		if e == nil {
+			if km.kg == nil {
+				km.mu.Unlock()
+				if id == RelinKeyID {
+					return nil, nil, fherr.Wrap(fherr.ErrMissingKey, "ckks: %s: no relinearization key", op)
+				}
+				return nil, nil, fherr.Wrap(fherr.ErrMissingKey, "ckks: %s: no Galois key for element %d", op, id)
+			}
 			e = &keyEntry{id: id}
 			km.entries[id] = e
 		}
@@ -234,7 +300,7 @@ func (km *KeyManager) Acquire(ctx context.Context, op string, id uint64) (*Switc
 			km.stats.Misses++
 			e.generating = true
 			km.mu.Unlock()
-			swk := km.generate(id)
+			swk := generateKey(km.kg, km.sk, id)
 			km.mu.Lock()
 			e.generating = false
 			e.swk = swk
@@ -265,10 +331,16 @@ func (km *KeyManager) Acquire(ctx context.Context, op string, id uint64) (*Switc
 		}
 		break
 	}
-	e.pins++
 	if km.resident > km.stats.PeakResidentBytes {
 		km.stats.PeakResidentBytes = km.resident
 	}
+	if km.budget <= 0 {
+		// Nothing is ever demoted or evicted: no pin to keep, no release
+		// closure to allocate.
+		km.mu.Unlock()
+		return e.swk, noopRelease, nil
+	}
+	e.pins++
 	km.enforceLocked()
 	km.mu.Unlock()
 	released := false
@@ -285,11 +357,24 @@ func (km *KeyManager) Acquire(ctx context.Context, op string, id uint64) (*Switc
 	}, nil
 }
 
+// noopRelease is the release an unbounded store hands out.
+func noopRelease() {}
+
 // Pin acquires every id in els and holds the pins until the returned
 // release runs — the plan-wide form of Acquire, used by BSGS transforms
 // and pipeline stages to declare their whole key demand up front so the
 // working set streams in once and stays resident across the plan.
 func (km *KeyManager) Pin(ctx context.Context, op string, els []uint64) (func(), error) {
+	if km == nil || km.budget <= 0 {
+		// An unbounded store keeps no pins: pinning only checks that every
+		// key can be served (and generates it if need be).
+		for _, id := range els {
+			if _, _, err := km.Acquire(ctx, op, id); err != nil {
+				return nil, err
+			}
+		}
+		return noopRelease, nil
+	}
 	releases := make([]func(), 0, len(els))
 	releaseAll := func() {
 		for _, r := range releases {

@@ -15,21 +15,20 @@ import (
 	"bitpacker/internal/ring"
 )
 
-// Tests for the key-management subsystem: seed-compressed switching keys
-// must be bit-identical to dense ones through every keyswitch path, key
+// Tests for the key store: seed-compressed switching keys must be
+// bit-identical to dense ones through every keyswitch path, key
 // generation must be order-independent (the property lazy regeneration
-// leans on), and the budgeted LRU manager must respect pins, demote and
-// evict coldest-first, and survive concurrent acquirers under -race.
+// leans on), a closed store must refuse what it does not hold, and the
+// budgeted LRU manager must respect pins, demote and evict
+// coldest-first, and survive concurrent acquirers under -race.
 
 // swkEqual compares two switching keys digit by digit: seeds, B halves,
-// and the A halves after decompressing both to dense form.
+// and the A halves after rebuilding both in dense form.
 func swkEqual(ctx *testSetup, x, y *SwitchingKey) bool {
 	if len(x.B) != len(y.B) {
 		return false
 	}
-	xc, yc := cloneKey(x), cloneKey(y)
-	xc.Decompress(ctx.params.Ctx)
-	yc.Decompress(ctx.params.Ctx)
+	xc, yc := denseKey(ctx.params.Ctx, x), denseKey(ctx.params.Ctx, y)
 	for j := range xc.B {
 		if xc.ASeeds[j] != yc.ASeeds[j] || !xc.B[j].Equal(yc.B[j]) || !xc.A[j].Equal(yc.A[j]) {
 			return false
@@ -39,7 +38,7 @@ func swkEqual(ctx *testSetup, x, y *SwitchingKey) bool {
 }
 
 // cloneKey copies the key's slices (sharing poly contents) so Compress
-// and Decompress on the clone leave the original untouched.
+// on the clone leaves the original untouched.
 func cloneKey(swk *SwitchingKey) *SwitchingKey {
 	return &SwitchingKey{
 		B:      append([]*ring.Poly(nil), swk.B...),
@@ -48,10 +47,35 @@ func cloneKey(swk *SwitchingKey) *SwitchingKey {
 	}
 }
 
+// denseKey returns a clone of swk with every dropped A half rebuilt from
+// its seed over the basis of the matching B digit.
+func denseKey(ctx *ring.Context, swk *SwitchingKey) *SwitchingKey {
+	d := cloneKey(swk)
+	for j := range d.A {
+		if d.A[j] == nil {
+			d.A[j] = ring.UniformPolyFromSeed(ctx, d.B[j].Moduli, d.ASeeds[j])
+		}
+	}
+	return d
+}
+
+// compressStore demotes every key of a store to its seeded form in place
+// and settles the books, the state a budgeted store reaches under
+// pressure.
+func compressStore(km *KeyManager) {
+	km.mu.Lock()
+	defer km.mu.Unlock()
+	km.resident = 0
+	for _, e := range km.entries {
+		e.swk.Compress()
+		km.resident += e.swk.ResidentBytes()
+	}
+}
+
 func TestKeygenOrderIndependent(t *testing.T) {
 	// The same key id must yield the same bits no matter what else has
 	// been generated before it — the property that makes cold-key
-	// regeneration (and GenRotationKeys' documented determinism) sound.
+	// regeneration (and the closed store's matching bits) sound.
 	s := newTestSetup(t, core.BitPacker, 2, 40, 61, 8, 4, nil)
 	kgA := NewKeyGenerator(s.params, 11, 22)
 	kgB := NewKeyGenerator(s.params, 11, 22)
@@ -85,31 +109,75 @@ func TestKeygenOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestGenRotationKeysConjDedup(t *testing.T) {
-	// A rotation whose Galois element coincides with the conjugation
-	// element must be generated once, and the whole set must match
-	// per-element generation.
+func TestClosedStoreDedupsElements(t *testing.T) {
+	// Repeated rotations and the conjugation element must be generated
+	// once each, and every key must match per-element generation.
 	s := newTestSetup(t, core.BitPacker, 2, 40, 61, 8, 4, nil)
 	n := s.params.N()
-	conjEl := ring.GaloisElementForConjugation(n)
-	// Find a rotation step mapping to the conjugation element, if any;
-	// regardless, passing conjugate=true twice over overlapping requests
-	// must still produce each element exactly once.
-	set := s.kg.GenRotationKeys(s.sk, []int{1, 2, 1, -1}, true)
-	want := map[uint64]bool{
-		ring.GaloisElementForRotation(1, n):  true,
-		ring.GaloisElementForRotation(2, n):  true,
-		ring.GaloisElementForRotation(-1, n): true,
-		conjEl:                               true,
+	km := NewClosedKeyManager(s.params, s.kg, s.sk, []int{1, 2, 1, -1}, true)
+	want := []uint64{
+		RelinKeyID,
+		ring.GaloisElementForRotation(1, n),
+		ring.GaloisElementForRotation(2, n),
+		ring.GaloisElementForRotation(-1, n),
+		ring.GaloisElementForConjugation(n),
 	}
-	if len(set) != len(want) {
-		t.Fatalf("got %d keys, want %d (duplicates not deduped)", len(set), len(want))
+	if len(km.entries) != len(want) {
+		t.Fatalf("got %d keys, want %d (duplicates not deduped)", len(km.entries), len(want))
 	}
-	for el := range want {
-		one := s.kg.GenGaloisKey(s.sk, el)
-		if !swkEqual(s, set[el], one) {
-			t.Fatalf("batch-generated key %d differs from individually generated", el)
+	for _, id := range want {
+		one := generateKey(s.kg, s.sk, id)
+		swk, rel, err := km.Acquire(nil, "test", id)
+		if err != nil {
+			t.Fatal(err)
 		}
+		rel()
+		if !swkEqual(s, swk, one) {
+			t.Fatalf("preloaded key %d differs from individually generated", id)
+		}
+	}
+	if err := km.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClosedStoreRefusesAbsentKey: a closed store serves what it holds
+// and refuses anything else with ErrMissingKey — from Acquire, from a
+// plan-wide Pin and from the evaluator — without generating a key.
+func TestClosedStoreRefusesAbsentKey(t *testing.T) {
+	s := newTestSetup(t, core.BitPacker, 2, 40, 61, 8, 4, []int{1})
+	km := s.ev.KeyManager()
+	n := s.params.N()
+	el1, el2 := ring.GaloisElementForRotation(1, n), ring.GaloisElementForRotation(2, n)
+	if !km.Has(el1) || !km.Has(RelinKeyID) || km.Has(el2) {
+		t.Fatal("Has disagrees with the preloaded set")
+	}
+	if _, _, err := km.Acquire(nil, "test", el2); !errors.Is(err, fherr.ErrMissingKey) {
+		t.Fatalf("absent element: err = %v, want ErrMissingKey", err)
+	}
+	if _, err := km.Pin(nil, "test", []uint64{el1, el2}); !errors.Is(err, fherr.ErrMissingKey) {
+		t.Fatalf("pin over an absent element: err = %v, want ErrMissingKey", err)
+	}
+	ct := s.encryptValues(randomValues(s.params.Slots(), rand.New(rand.NewPCG(1, 2))))
+	if _, err := s.ev.Rotate(ct, 2); !errors.Is(err, fherr.ErrMissingKey) {
+		t.Fatalf("rotate by an absent step: err = %v, want ErrMissingKey", err)
+	}
+	if _, err := s.ev.Rotate(ct, 1); err != nil {
+		t.Fatal(err)
+	}
+	st := km.Stats()
+	if st.KeyGens != 0 || st.Misses != 0 || st.Demotions+st.Evictions != 0 {
+		t.Fatalf("closed store generated or reclaimed: %+v", st)
+	}
+	if st.Hits == 0 || st.ResidentBytes == 0 || st.ResidentBytes != st.PeakResidentBytes {
+		t.Fatalf("closed store books: %+v", st)
+	}
+	if err := km.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	var none *KeyManager
+	if _, _, err := none.Acquire(nil, "test", RelinKeyID); !errors.Is(err, fherr.ErrMissingKey) {
+		t.Fatalf("nil store: err = %v, want ErrMissingKey", err)
 	}
 }
 
@@ -125,9 +193,9 @@ func TestCompressRoundTrip(t *testing.T) {
 	if got := swk.ResidentBytes(); got*2 != denseBytes {
 		t.Fatalf("compressed key holds %d bytes, want half of %d", got, denseBytes)
 	}
-	swk.Decompress(s.params.Ctx)
+	rebuilt := denseKey(s.params.Ctx, swk)
 	for j := range swk.A {
-		if !swk.A[j].Equal(dense.A[j]) {
+		if !rebuilt.A[j].Equal(dense.A[j]) {
 			t.Fatalf("digit %d: decompressed A differs from original", j)
 		}
 	}
@@ -144,15 +212,21 @@ func TestCompressedKeysDifferential(t *testing.T) {
 		b := s.encryptValues(randomValues(s.params.Slots(), rng))
 
 		// A twin evaluator over the same params whose keys are the same
-		// bits, seed-compressed.
+		// bits, seed-compressed. The keys are pinned before they are
+		// compressed: Acquire promotes only unpinned keys, so every
+		// keyswitch below regenerates A rows inside its dispatch.
 		ckg := NewKeyGenerator(s.params, 11, 22)
 		csk := ckg.GenSecretKey()
-		ckeys := &EvaluationKeySet{
-			Relin:  ckg.GenRelinKey(csk),
-			Galois: ckg.GenRotationKeys(csk, []int{1, 3}, true),
+		ckm := NewKeyManager(s.params, ckg, csk, 1)
+		n := s.params.N()
+		ids := []uint64{RelinKeyID, ring.GaloisElementForRotation(1, n),
+			ring.GaloisElementForRotation(3, n), ring.GaloisElementForConjugation(n)}
+		unpin, err := ckm.Pin(nil, "test", ids)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ckeys.Compress()
-		cev := NewEvaluator(s.params, ckeys)
+		compressStore(ckm)
+		cev := NewEvaluator(s.params, ckm)
 
 		ops := []struct {
 			name string
@@ -177,6 +251,18 @@ func TestCompressedKeysDifferential(t *testing.T) {
 					}
 				}
 			}
+		}
+		for _, id := range ids {
+			if !ckm.entries[id].swk.Compressed() {
+				t.Fatalf("%v: key %d was promoted to dense form", scheme, id)
+			}
+		}
+		if st := ckm.Stats(); st.KeyGens != int64(len(ids)) || st.ARegens != 0 || st.Evictions != 0 {
+			t.Fatalf("%v: keys left their seeded form: %+v", scheme, st)
+		}
+		unpin()
+		if err := ckm.VerifyIntegrity(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -213,7 +299,7 @@ func TestKeyManagerDifferential(t *testing.T) {
 			want := runWithWorkers(t, workers, func() *Ciphertext { return pipeline(s.ev) })
 			got := runWithWorkers(t, workers, func() *Ciphertext { return pipeline(kev) })
 			if !ctEqualNoise(got, want) {
-				t.Fatalf("%v workers=%d: key-manager pipeline differs from static dense keys", scheme, workers)
+				t.Fatalf("%v workers=%d: key-manager pipeline differs from the closed store's", scheme, workers)
 			}
 		}
 		st := km.Stats()
@@ -299,15 +385,11 @@ func TestKeyManagerBootstrapDifferential(t *testing.T) {
 	kg := NewKeyGenerator(params, 101, 102)
 	sk := kg.GenSecretKeySparse(3)
 	pk := kg.GenPublicKey(sk)
-	keys := &EvaluationKeySet{
-		Relin:  kg.GenRelinKey(sk),
-		Galois: kg.GenRotationKeys(sk, bs.Rotations(), true),
-	}
-	ev := NewEvaluator(params, keys)
+	ev := NewEvaluator(params, NewClosedKeyManager(params, kg, sk, bs.Rotations(), true))
 
 	kg2 := NewKeyGenerator(params, 101, 102)
 	sk2 := kg2.GenSecretKeySparse(3)
-	km := NewKeyManager(params, kg2, sk2, keys.ResidentBytes()/4)
+	km := NewKeyManager(params, kg2, sk2, ev.KeyManager().Stats().ResidentBytes/4)
 	kev := NewEvaluator(params, nil)
 	kev.SetKeyManager(km)
 

@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"math/big"
-	"sort"
 
 	"bitpacker/internal/ring"
 )
@@ -22,9 +21,9 @@ import (
 //  1. Generation order is irrelevant: GenGaloisKey(sk, 5) returns the
 //     same bits whether it is the first or the fortieth key generated,
 //     so a key evicted to seed form can be regenerated bit-identically.
-//  2. The uniform A half is redundant given ASeeds: Compress() drops it
-//     and any consumer can rebuild exactly the rows it needs with
-//     ring.UniformRowFromSeed.
+//  2. The uniform A half of a switching key is redundant given ASeeds:
+//     Compress() drops it and any consumer can rebuild exactly the rows
+//     it needs with ring.UniformRowFromSeed.
 
 // Seed-derivation kinds (first label of every path).
 const (
@@ -48,18 +47,10 @@ type SecretKey struct {
 }
 
 // PublicKey is an encryption of zero: (b, a) = (-a*s + e, a) over the full
-// key basis, NTT domain. ASeed regenerates A; after Compress, A is nil and
-// consumers rebuild it (or the sub-basis rows they need) from the seed.
+// key basis, NTT domain.
 type PublicKey struct {
-	B, A  *ring.Poly
-	ASeed ring.Seed
+	B, A *ring.Poly
 }
-
-// Compress drops the dense uniform half; A stays recoverable via ASeed.
-func (pk *PublicKey) Compress() { pk.A = nil }
-
-// Compressed reports whether the dense A half has been dropped.
-func (pk *PublicKey) Compressed() bool { return pk.A == nil }
 
 // SwitchingKey re-encrypts the product with some s' (s^2 for
 // relinearization, phi_k(s) for rotations) under s. One (B, A) pair per
@@ -88,16 +79,6 @@ func (swk *SwitchingKey) Compressed() bool {
 	return true
 }
 
-// Decompress rebuilds any dropped A halves from their seeds, over the
-// basis of the matching B digit — bit-identical to the originals.
-func (swk *SwitchingKey) Decompress(ctx *ring.Context) {
-	for j := range swk.A {
-		if swk.A[j] == nil {
-			swk.A[j] = ring.UniformPolyFromSeed(ctx, swk.B[j].Moduli, swk.ASeeds[j])
-		}
-	}
-}
-
 // ResidentBytes is the coefficient storage the key currently pins in
 // memory (B always, A only while materialized). Seeds and headers are
 // negligible and excluded.
@@ -121,34 +102,6 @@ func polyBytes(p *ring.Poly) int64 {
 		n += int64(len(row)) * 8
 	}
 	return n
-}
-
-// EvaluationKeySet is everything the evaluator may need.
-type EvaluationKeySet struct {
-	Relin  *SwitchingKey
-	Galois map[uint64]*SwitchingKey // by Galois element
-}
-
-// Compress drops the dense A halves of every key in the set.
-func (ks *EvaluationKeySet) Compress() {
-	if ks.Relin != nil {
-		ks.Relin.Compress()
-	}
-	for _, swk := range ks.Galois {
-		swk.Compress()
-	}
-}
-
-// ResidentBytes totals the resident coefficient storage across the set.
-func (ks *EvaluationKeySet) ResidentBytes() int64 {
-	var total int64
-	if ks.Relin != nil {
-		total += ks.Relin.ResidentBytes()
-	}
-	for _, swk := range ks.Galois {
-		total += swk.ResidentBytes()
-	}
-	return total
 }
 
 // KeyGenerator derives all key material deterministically from a seed.
@@ -181,8 +134,7 @@ func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 // GenPublicKey samples a fresh public key for sk.
 func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	basis := kg.params.KeyBasis()
-	aSeed := kg.master.Derive(seedKindPublicA)
-	a := ring.UniformPolyFromSeed(kg.params.Ctx, basis, aSeed)
+	a := ring.UniformPolyFromSeed(kg.params.Ctx, basis, kg.master.Derive(seedKindPublicA))
 	e := kg.sampler(seedKindPublicErr).GaussianPoly(basis, kg.params.Sigma)
 	e.NTT()
 	b := ring.NewPoly(kg.params.Ctx, basis)
@@ -190,7 +142,7 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	b.MulCoeffs(a, sk.S)
 	b.Neg(b)
 	b.Add(b, e)
-	return &PublicKey{B: b, A: a, ASeed: aSeed}
+	return &PublicKey{B: b, A: a}
 }
 
 // gadget returns g_j for digit j: P * Uhat_j * [Uhat_j^{-1}]_{U_j}, where
@@ -220,12 +172,12 @@ func (kg *KeyGenerator) gadget(digit int) *big.Int {
 	return g.Mul(g, bigP)
 }
 
-// GenSwitchingKey builds the key switching sPrime -> sk (both NTT domain
+// genSwitchingKey builds the key switching sPrime -> sk (both NTT domain
 // over the full key basis). id is the key's identity in the seed
 // derivation — the Galois element for rotation keys, RelinKeyID for the
 // relinearization key — so regenerating the same id reproduces the same
 // key bits regardless of what else has been generated.
-func (kg *KeyGenerator) GenSwitchingKey(sk *SecretKey, sPrime *ring.Poly, id uint64) *SwitchingKey {
+func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly, id uint64) *SwitchingKey {
 	p := kg.params
 	basis := p.KeyBasis()
 	swk := &SwitchingKey{
@@ -260,7 +212,7 @@ func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *SwitchingKey {
 	s2 := ring.NewPoly(kg.params.Ctx, kg.params.KeyBasis())
 	s2.IsNTT = true
 	s2.MulCoeffs(sk.S, sk.S)
-	return kg.GenSwitchingKey(sk, s2, RelinKeyID)
+	return kg.genSwitchingKey(sk, s2, RelinKeyID)
 }
 
 // GenGaloisKey builds the phi_k(s) -> s switching key for Galois element k.
@@ -269,34 +221,7 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64) *SwitchingKey 
 	s.INTT()
 	sk2 := s.Automorphism(galEl)
 	sk2.NTT()
-	return kg.GenSwitchingKey(sk, sk2, galEl)
-}
-
-// GenRotationKeys builds Galois keys for the given slot rotations and,
-// optionally, conjugation. Each distinct Galois element is generated
-// exactly once — the conjugation element is skipped if a rotation already
-// produced it — and generation proceeds in ascending element order.
-// Because every key draws from its own derived stream, the resulting keys
-// are identical for any call pattern that requests the same elements.
-func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, rotations []int, conjugate bool) map[uint64]*SwitchingKey {
-	n := kg.params.N()
-	want := map[uint64]bool{}
-	for _, r := range rotations {
-		want[ring.GaloisElementForRotation(r, n)] = true
-	}
-	if conjugate {
-		want[ring.GaloisElementForConjugation(n)] = true
-	}
-	els := make([]uint64, 0, len(want))
-	for el := range want {
-		els = append(els, el)
-	}
-	sort.Slice(els, func(i, j int) bool { return els[i] < els[j] })
-	out := make(map[uint64]*SwitchingKey, len(els))
-	for _, el := range els {
-		out[el] = kg.GenGaloisKey(sk, el)
-	}
-	return out
+	return kg.genSwitchingKey(sk, sk2, galEl)
 }
 
 // GenSecretKeySparse samples a secret with Hamming weight h (sparse

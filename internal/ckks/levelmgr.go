@@ -300,7 +300,7 @@ func (ev *Evaluator) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := checkCompatible("MulRelin", a, b); err != nil {
 		return nil, err
 	}
-	rlk, releaseKey, err := ev.relinKey("MulRelin")
+	rlk, releaseKey, err := ev.km.Acquire(ev.ctx, "MulRelin", RelinKeyID)
 	if err != nil {
 		return nil, err
 	}

@@ -443,7 +443,7 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 		defer ctx.PutPoly(pc0)
 		if err := ev.fanOut(nb, live, func(i int) error {
 			galEl := lt.galEls[i] // the nonzero babies lead lt.rotations
-			swk, releaseKey, err := ev.galoisKey("ApplyLinearTransform", galEl)
+			swk, releaseKey, err := ev.km.Acquire(ev.ctx, "ApplyLinearTransform", galEl)
 			if err != nil {
 				return err
 			}
@@ -526,7 +526,7 @@ func (ev *Evaluator) giantStep(ct *Ciphertext, lt *LinearTransform, giant *giant
 		return acc, nil
 	}
 	galEl := ring.GaloisElementForRotation(giant.g, ev.params.N())
-	swk, releaseKey, err := ev.galoisKey("ApplyLinearTransform", galEl)
+	swk, releaseKey, err := ev.km.Acquire(ev.ctx, "ApplyLinearTransform", galEl)
 	if err != nil {
 		acc.free(ctx)
 		return extPair{}, err

@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"maps"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
@@ -103,7 +102,7 @@ func TestNoiseModelCoversDivisionPoints(t *testing.T) {
 		}
 
 		lt, in, want := denseTestTransform(t, s, 32, 313)
-		maps.Copy(s.ev.keys.Galois, s.kg.GenRotationKeys(s.sk, lt.Rotations(), false))
+		s.addRotationKeys(lt.Rotations())
 		check("BSGS apply", s.ev.MustApplyLinearTransform(in, lt), want,
 			s.ev.transformNoise(in, lt.Scale, lt.diags, s.ev.nm.KeySwitchBits()), true)
 

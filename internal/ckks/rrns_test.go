@@ -27,10 +27,6 @@ func newRRNSSetup(t testing.TB, scheme core.Scheme, levels int, scaleBits float6
 	kg := NewKeyGenerator(params, 11, 22)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	keys := &EvaluationKeySet{
-		Relin:  kg.GenRelinKey(sk),
-		Galois: kg.GenRotationKeys(sk, rotations, true),
-	}
 	return &testSetup{
 		params: params,
 		enc:    NewEncoder(params),
@@ -39,7 +35,7 @@ func newRRNSSetup(t testing.TB, scheme core.Scheme, levels int, scaleBits float6
 		pk:     pk,
 		encr:   NewEncryptor(params, pk, 33, 44),
 		dec:    NewDecryptor(params, sk),
-		ev:     NewEvaluator(params, keys),
+		ev:     NewEvaluator(params, NewClosedKeyManager(params, kg, sk, rotations, true)),
 	}
 }
 
@@ -91,11 +87,11 @@ func TestRRNSSpareAlgebra(t *testing.T) {
 	ca := s.encryptValues(a)
 	cb := s.encryptValues(b)
 
-	x := s.ev.MustAdd(ca, cb)            // depth 2
-	x = s.ev.MustSub(x, cb)              // depth 3
-	x = s.ev.MustNeg(x)                  // depth 4
-	y := s.ev.MustMulScalarInt(ca, -3)   // depth 4
-	x = s.ev.MustAdd(x, y)               // depth 8
+	x := s.ev.MustAdd(ca, cb)          // depth 2
+	x = s.ev.MustSub(x, cb)            // depth 3
+	x = s.ev.MustNeg(x)                // depth 4
+	y := s.ev.MustMulScalarInt(ca, -3) // depth 4
+	x = s.ev.MustAdd(x, y)             // depth 8
 	if x.SpareDepth != 8 {
 		t.Fatalf("spare depth = %d, want 8", x.SpareDepth)
 	}

@@ -41,14 +41,13 @@ func newFuncSetup(scheme core.Scheme, levels int, scaleBits float64, w, logN int
 	kg := ckks.NewKeyGenerator(params, seed, seed+1)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	keys := &ckks.EvaluationKeySet{Relin: kg.GenRelinKey(sk)}
 	return &funcSetup{
 		params: params,
 		enc:    ckks.NewEncoder(params),
 		sk:     sk,
 		encr:   ckks.NewEncryptor(params, pk, seed+2, seed+3),
 		dec:    ckks.NewDecryptor(params, sk),
-		ev:     ckks.NewEvaluator(params, keys),
+		ev:     ckks.NewEvaluator(params, ckks.NewClosedKeyManager(params, kg, sk, nil, false)),
 	}, nil
 }
 

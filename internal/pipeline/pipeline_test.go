@@ -44,13 +44,12 @@ func newSetup(t testing.TB, scheme core.Scheme, rrns bool) *setup {
 	kg := ckks.NewKeyGenerator(params, 11, 22)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	keys := &ckks.EvaluationKeySet{Relin: kg.GenRelinKey(sk)}
 	return &setup{
 		params: params,
 		enc:    ckks.NewEncoder(params),
 		encr:   ckks.NewEncryptor(params, pk, 33, 44),
 		dec:    ckks.NewDecryptor(params, sk),
-		ev:     ckks.NewEvaluator(params, keys),
+		ev:     ckks.NewEvaluator(params, ckks.NewClosedKeyManager(params, kg, sk, nil, false)),
 	}
 }
 

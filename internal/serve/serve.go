@@ -327,17 +327,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		p.mu.Lock()
 		tenants := len(p.tenants)
 		p.mu.Unlock()
-		ps := ProfileStats{
+		kcs := p.ctx.KeyCacheStats()
+		out[name] = ProfileStats{
 			Tenants:          tenants,
 			Windows:          p.windows(),
 			Scheduler:        p.sched.Stats(),
-			ResidentKeyBytes: p.ctx.ResidentKeyBytes(),
+			ResidentKeyBytes: kcs.ResidentBytes,
+			KeyCacheHits:     kcs.Hits,
+			KeyCacheMisses:   kcs.Misses,
 		}
-		if kcs, ok := p.ctx.KeyCacheStats(); ok {
-			ps.KeyCacheHits = kcs.Hits
-			ps.KeyCacheMisses = kcs.Misses
-		}
-		out[name] = ps
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"profiles": out, "five_xx": s.fiveXX.Load()})

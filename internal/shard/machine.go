@@ -124,10 +124,11 @@ type slot struct {
 }
 
 type machine struct {
-	opts    Options         // Respawn with its defaults filled in
-	spawns  bool            // slots own a child process rather than dial a standing member
-	backoff *engine.Backoff // between lives of a slot
-	redial  *engine.Backoff // between dials within one drop
+	opts    Options
+	respawn engine.RetryPolicy // opts.Respawn with its defaults filled in
+	spawns  bool               // slots own a child process rather than dial a standing member
+	backoff *engine.Backoff    // between lives of a slot
+	redial  *engine.Backoff    // between dials within one drop
 
 	shards    []shardRec
 	pending   []int
@@ -148,11 +149,12 @@ type machine struct {
 // newMachine builds the core for shards [0, total) minus those already
 // done and returns it with its opening actions.
 func newMachine(opts Options, total int, done []bool, now time.Time) (*machine, []action) {
-	opts.Respawn = opts.Respawn.WithDefaults()
+	respawn := opts.Respawn.retry()
 	m := &machine{
 		opts:    opts,
+		respawn: respawn,
 		spawns:  len(opts.Addrs) == 0,
-		backoff: engine.NewBackoff(opts.Respawn),
+		backoff: engine.NewBackoff(respawn),
 		// In-lease redials back off from redialBaseDelay up to one
 		// heartbeat interval; the deadline, not a count, ends them.
 		redial: engine.NewBackoff(engine.RetryPolicy{BaseDelay: redialBaseDelay, MaxDelay: opts.HeartbeatInterval}),
@@ -368,14 +370,14 @@ func (m *machine) fail(sl *slot, counter *int64, kind string, cause error, now t
 		return
 	}
 	m.drop(sl, true, 0)
-	if sl.attempt++; sl.attempt < m.opts.Respawn.MaxAttempts {
+	if sl.attempt++; sl.attempt < m.respawn.MaxAttempts {
 		m.start(sl, m.backoff.Delay(sl.attempt), now)
 		return
 	}
 	sl.attempt = 0
 	sl.rounds++
 	m.note(nil, "shard: action=respawn-round-exhausted worker=%d reason=%q", sl.id, cause)
-	if sl.rounds < m.opts.Respawn.BreakerThreshold {
+	if sl.rounds < m.respawn.BreakerThreshold {
 		m.start(sl, 0, now)
 		return
 	}

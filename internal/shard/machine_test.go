@@ -25,7 +25,6 @@ import (
 	"testing"
 	"time"
 
-	"bitpacker/internal/engine"
 	"bitpacker/internal/fherr"
 )
 
@@ -328,7 +327,7 @@ func TestMachineProductiveSlotKeepsItsBudget(t *testing.T) {
 // lives per round, BreakerThreshold rounds, then retirement and the typed
 // error (what TestShardedBreakerExhaustion sees from outside).
 func TestMachineUnproductiveSlotExhausts(t *testing.T) {
-	for _, p := range []engine.RetryPolicy{
+	for _, p := range []RespawnPolicy{
 		{MaxAttempts: 2, BaseDelay: time.Millisecond, BreakerThreshold: 1},
 		{BaseDelay: time.Millisecond}, // defaults: 3 x 5
 	} {
@@ -338,7 +337,7 @@ func TestMachineUnproductiveSlotExhausts(t *testing.T) {
 				w.op('c', '0')
 			}
 		})
-		d := p.WithDefaults()
+		d := p.retry()
 		lives := int64(d.MaxAttempts * d.BreakerThreshold)
 		s := w.m.stats
 		if !errors.Is(w.err, fherr.ErrFaultUnrecovered) || s.Spawns != lives || s.Crashes != lives || s.WorkersRetired != 1 {

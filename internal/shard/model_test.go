@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"bitpacker/internal/engine"
 	"bitpacker/internal/fherr"
 )
 
@@ -41,7 +40,7 @@ type modelCfg struct {
 	slots, shards int
 	fleet         bool // standing members (state survives a supervisor hang-up) instead of spawned children
 	noDegrade     bool
-	respawn       engine.RetryPolicy
+	respawn       RespawnPolicy
 	shardAttempts int
 	done          []bool
 }
@@ -55,7 +54,7 @@ func decodeHeader(b []byte) (modelCfg, []byte) {
 	cfg := modelCfg{
 		slots:         1 + int(h[0]+2)%3, // '1' -> 1
 		shards:        1 + int(h[1]+5)%6, // '1' -> 1
-		respawn:       engine.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, BreakerThreshold: 2},
+		respawn:       RespawnPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, BreakerThreshold: 2},
 		shardAttempts: 2,
 	}
 	lane := int(h[2]) % 4

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"bitpacker/internal/engine"
 	"bitpacker/internal/fherr"
 )
 
@@ -66,7 +65,7 @@ func TestOptionsValidate(t *testing.T) {
 		{HeartbeatInterval: -time.Second, HeartbeatTimeout: 300 * time.Millisecond},         // negative interval defaults to 250ms, below timeout
 		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: -3 * time.Second},      // negative timeout defaults
 		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 50 * time.Millisecond}, // equal is allowed
-		{Respawn: engine.RetryPolicy{MaxAttempts: 2, BreakerThreshold: 1}},                  // the fields the supervisor reads
+		{Respawn: RespawnPolicy{MaxAttempts: 2, BreakerThreshold: 1}},
 	}
 	for i, o := range ok {
 		if err := o.Validate(); err != nil {
@@ -77,8 +76,6 @@ func TestOptionsValidate(t *testing.T) {
 		{HeartbeatTimeout: 100 * time.Millisecond},                                    // below the default 250ms interval
 		{HeartbeatInterval: time.Second, HeartbeatTimeout: 100 * time.Millisecond},    // below explicit interval
 		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Nanosecond}, // pathological
-		{Respawn: engine.RetryPolicy{AttemptTimeout: time.Second}},                    // the supervisor has no per-attempt timeout
-		{Respawn: engine.RetryPolicy{MaxAttempts: 2, Cooldown: time.Minute}},          // nor a breaker cooldown: refused, not ignored
 	}
 	for i, o := range bad {
 		err := o.Validate()

@@ -49,15 +49,9 @@ type Options struct {
 	// lease: a worker that heartbeats but makes no progress past it is
 	// treated exactly like a hang. Zero disables the bound.
 	ShardDeadline time.Duration
-	// Respawn is the per-worker-slot recovery policy, with
-	// engine.Retrier semantics: a crashed or hung worker is respawned
-	// (or redialed) with jittered exponential backoff up to MaxAttempts
-	// times per round, and BreakerThreshold consecutive exhausted rounds
-	// open that slot's circuit breaker and retire it. A life that
-	// completed a shard starts the count over. Zero values select the
-	// Retrier defaults; AttemptTimeout and Cooldown mean nothing here
-	// and Validate refuses them.
-	Respawn engine.RetryPolicy
+	// Respawn is the per-worker-slot recovery policy (see
+	// RespawnPolicy).
+	Respawn RespawnPolicy
 	// ShardAttempts bounds how many times a shard that a live worker
 	// *reports* as failed (as opposed to dying while holding it) is
 	// re-dispatched before the job fails with ErrFaultUnrecovered
@@ -74,6 +68,28 @@ type Options struct {
 	// monitoring hooks and TestShardSoak's random killer use it. pid is
 	// 0 for standing fleet members (there is no local process to signal).
 	OnSpawn func(worker, pid int)
+}
+
+// RespawnPolicy is the supervisor's per-slot recovery policy: the fields
+// of engine.RetryPolicy it reads, with engine.Retrier semantics. A
+// crashed or hung worker is respawned (or redialed) with jittered
+// exponential backoff, from BaseDelay up to MaxDelay, up to MaxAttempts
+// times per round, and BreakerThreshold consecutive exhausted rounds
+// open that slot's circuit breaker and retire it. A life that completed
+// a shard starts the count over. Zero values select the Retrier
+// defaults.
+type RespawnPolicy struct {
+	MaxAttempts      int
+	BaseDelay        time.Duration
+	MaxDelay         time.Duration
+	Seed             uint64
+	BreakerThreshold int
+}
+
+// retry is p as the engine policy it is part of, defaults filled in.
+func (p RespawnPolicy) retry() engine.RetryPolicy {
+	return engine.RetryPolicy{MaxAttempts: p.MaxAttempts, BaseDelay: p.BaseDelay, MaxDelay: p.MaxDelay,
+		Seed: p.Seed, BreakerThreshold: p.BreakerThreshold}.WithDefaults()
 }
 
 // Heartbeat defaults, and the fixed policy that hangs off them. No caller
@@ -126,11 +142,6 @@ func (o Options) Validate() error {
 		return fherr.Wrap(fherr.ErrInvalidParams,
 			"shard: heartbeat timeout %v below interval %v (every worker would be declared hung at its first check)",
 			o.HeartbeatTimeout, interval)
-	}
-	if o.Respawn.AttemptTimeout != 0 || o.Respawn.Cooldown != 0 {
-		return fherr.Wrap(fherr.ErrInvalidParams,
-			"shard: Respawn.AttemptTimeout %v and Respawn.Cooldown %v mean nothing to the supervisor (a life is bounded by the heartbeat and shard deadlines, a retired slot stays retired)",
-			o.Respawn.AttemptTimeout, o.Respawn.Cooldown)
 	}
 	return nil
 }

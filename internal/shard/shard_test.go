@@ -142,7 +142,7 @@ func baseOpts(t *testing.T, env ...string) bitpacker.ShardOptions {
 		WorkerEnv:         env,
 		EngineWorkers:     2,
 		HeartbeatInterval: 25 * time.Millisecond,
-		Respawn:           bitpacker.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 5},
+		Respawn:           bitpacker.RespawnPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 5},
 		Logf:              t.Logf,
 	}
 }
@@ -327,7 +327,7 @@ func TestShardedBreakerExhaustion(t *testing.T) {
 	inputs := encryptBatch(t, ctx, 2, 49)
 	fault := chaos.ProcFault{Kind: chaos.ProcCrash, Shard: -1, Step: 0, Times: 1000}
 	opts := baseOpts(t, chaos.ProcFaultEnv+"="+fault.Encode())
-	opts.Respawn = bitpacker.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, BreakerThreshold: 1, Seed: 5}
+	opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, BreakerThreshold: 1, Seed: 5}
 	opts.DisableDegraded = true
 	_, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 	if err == nil {
@@ -382,7 +382,7 @@ func TestShardSoak(t *testing.T) {
 	var spawned []int     // every pid the supervisor ever started
 	opts := baseOpts(t)
 	opts.Workers = 3
-	opts.Respawn = bitpacker.RetryPolicy{MaxAttempts: 1000, BaseDelay: time.Millisecond, BreakerThreshold: 1000, Seed: 5}
+	opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 1000, BaseDelay: time.Millisecond, BreakerThreshold: 1000, Seed: 5}
 	opts.OnSpawn = func(slot, pid int) {
 		mu.Lock()
 		pids[slot] = pid

@@ -54,7 +54,7 @@ func fleetOpts(t *testing.T, n int) bitpacker.ShardOptions {
 		Addrs:             addrs,
 		EngineWorkers:     2,
 		HeartbeatInterval: 25 * time.Millisecond,
-		Respawn:           bitpacker.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 5},
+		Respawn:           bitpacker.RespawnPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 5},
 		Logf:              t.Logf,
 	}
 }
@@ -199,7 +199,7 @@ func TestTCPPartitionPastLease(t *testing.T) {
 		opts := fleetOpts(t, 2)
 		opts.HeartbeatTimeout = 150 * time.Millisecond
 		// Keep redialing through the partition instead of retiring.
-		opts.Respawn = bitpacker.RetryPolicy{MaxAttempts: 1000, BaseDelay: 20 * time.Millisecond, BreakerThreshold: 1000, Seed: 5}
+		opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 1000, BaseDelay: 20 * time.Millisecond, BreakerThreshold: 1000, Seed: 5}
 		got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -306,7 +306,7 @@ func TestTCPFullFleetLoss(t *testing.T) {
 			Addrs:             []string{dead, dead},
 			EngineWorkers:     2,
 			HeartbeatInterval: 25 * time.Millisecond,
-			Respawn:           bitpacker.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, BreakerThreshold: 1, Seed: 5},
+			Respawn:           bitpacker.RespawnPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, BreakerThreshold: 1, Seed: 5},
 			Logf:              t.Logf,
 		}
 		got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)

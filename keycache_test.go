@@ -10,8 +10,9 @@ import (
 )
 
 // End-to-end tests for the key-management configuration surface:
-// Config.CompressKeys and Config.KeyCacheBytes must be pure memory knobs
-// — every result bit-identical to the default eager dense path — and the
+// Config.KeyCacheBytes must be a pure memory knob — every result
+// bit-identical to the default closed key set, seed-compressed keys
+// included — the closed set must refuse what it does not hold, and the
 // cache must compose with the recovery ladder (a fault injected during
 // seed regeneration of a key's A half heals via Config.Retry).
 
@@ -45,31 +46,50 @@ func keyPipeline(c *Context, a, b *Ciphertext) []complex128 {
 	return c.MustDecrypt(c.MustMulRescale(outs[0], outs[1]))
 }
 
+// TestCompressKeysDifferentialE2E: a budget of half a dense key leaves
+// each key, once its first use releases it, resident in seeded form (B
+// plus the seeds of A) and too big to promote back, so every later
+// keyswitch with it regenerates A rows inside the dispatch. Those keys
+// must hold exactly half a dense key's bytes and switch bit-identically
+// to the dense closed set.
 func TestCompressKeysDifferentialE2E(t *testing.T) {
 	for _, scheme := range []Scheme{RNSCKKS, BitPacker} {
-		dense, err := New(keyCfg(scheme, []int{1, 3}))
+		dense, err := New(keyCfg(scheme, []int{1}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := keyCfg(scheme, []int{1, 3})
-		cfg.CompressKeys = true
+		oneKey := dense.ResidentKeyBytes() / 2 // relinearization plus rotation by 1
+		cfg := keyCfg(scheme, nil)
+		cfg.KeyCacheBytes = oneKey / 2
 		comp, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if db, cb := dense.ResidentKeyBytes(), comp.ResidentKeyBytes(); cb*2 != db {
-			t.Fatalf("%v: CompressKeys resident %d, want half of dense %d", scheme, cb, db)
-		}
-		if _, ok := comp.KeyCacheStats(); ok {
-			t.Fatalf("%v: CompressKeys alone should not report a cache", scheme)
 		}
 
 		rng := rand.New(rand.NewPCG(31, 32))
 		va := randComplex(dense.Slots(), rng)
 		vb := randComplex(dense.Slots(), rng)
-		want := keyPipeline(dense, dense.MustEncrypt(va), dense.MustEncrypt(vb))
-		got := keyPipeline(comp, comp.MustEncrypt(va), comp.MustEncrypt(vb))
-		slotsEqual(t, "compressed keys", got, want)
+		da, db := dense.MustEncrypt(va), dense.MustEncrypt(vb)
+		ca, cb := comp.MustEncrypt(va), comp.MustEncrypt(vb)
+		for _, op := range []struct {
+			name string
+			run  func(c *Context, a, b *Ciphertext) *Ciphertext
+		}{
+			{"Rotate", func(c *Context, a, _ *Ciphertext) *Ciphertext { return c.MustRotate(a, 1) }},
+			{"RotateHoisted", func(c *Context, a, _ *Ciphertext) *Ciphertext { return c.MustRotateHoisted(a, []int{0, 1})[1] }},
+			{"MulRescale", func(c *Context, a, b *Ciphertext) *Ciphertext { return c.MustMulRescale(a, b) }},
+		} {
+			op.run(comp, ca, cb) // first use: generated dense, demoted on release
+			if got := comp.ResidentKeyBytes(); got*2 != oneKey {
+				t.Fatalf("%v %s: seeded key holds %d bytes, want half of dense %d", scheme, op.name, got, oneKey)
+			}
+			want := dense.MustDecrypt(op.run(dense, da, db))
+			slotsEqual(t, op.name+" with seeded keys", comp.MustDecrypt(op.run(comp, ca, cb)), want)
+		}
+		st := comp.KeyCacheStats()
+		if st.Demotions == 0 || st.ARegens != 0 {
+			t.Fatalf("%v: keys were not used in seeded form: %+v", scheme, st)
+		}
 	}
 }
 
@@ -95,10 +115,7 @@ func TestKeyCacheDifferentialE2E(t *testing.T) {
 		got := keyPipeline(cached, cached.MustEncrypt(va), cached.MustEncrypt(vb))
 		slotsEqual(t, "key cache", got, want)
 
-		st, ok := cached.KeyCacheStats()
-		if !ok {
-			t.Fatalf("%v: KeyCacheBytes set but no cache reported", scheme)
-		}
+		st := cached.KeyCacheStats()
 		if st.KeyGens == 0 || st.Demotions+st.Evictions == 0 {
 			t.Fatalf("%v: tight budget produced no churn: %+v", scheme, st)
 		}
@@ -115,12 +132,12 @@ func TestKeyCacheDifferentialE2E(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, _ := cached.KeyCacheStats()
+		before := cached.KeyCacheStats()
 		for i := 0; i < 3; i++ {
 			cached.MustRotate(cached.MustEncrypt(va), 1)
 			cached.MustRotate(cached.MustEncrypt(va), 3)
 		}
-		after, _ := cached.KeyCacheStats()
+		after := cached.KeyCacheStats()
 		if after.KeyGens != before.KeyGens {
 			t.Fatalf("%v: pinned rotations regenerated keys: %+v -> %+v", scheme, before, after)
 		}
@@ -172,6 +189,27 @@ func TestKeyCacheTransformAndMissingKey(t *testing.T) {
 	}
 	if _, err := cached.Rotate(cached.MustEncrypt(randComplex(cached.Slots(), rng)), 9); err != nil {
 		t.Fatalf("cache failed to serve unregistered rotation: %v", err)
+	}
+}
+
+// TestPinRotationsClosedSet: without a key cache, PinRotations checks
+// the steps against the closed key set and refuses an unlisted one up
+// front, instead of letting the later Rotate fail.
+func TestPinRotationsClosedSet(t *testing.T) {
+	c, err := New(keyCfg(BitPacker, []int{1, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, err := c.PinRotations(1, 3, 0, c.Slots()) // zero and full-cycle steps need no key
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if _, err := c.PinRotations(1, 2); !errors.Is(err, ErrMissingKey) {
+		t.Fatalf("unlisted step: err = %v, want ErrMissingKey", err)
+	}
+	if st := c.KeyCacheStats(); st.KeyGens != 0 || st.ResidentBytes != c.ResidentKeyBytes() {
+		t.Fatalf("closed set generated a key: %+v", st)
 	}
 }
 

@@ -130,11 +130,11 @@ func (c *Context) PlanProgram(program []ShardStep, level int) (ProgramPlan, erro
 		if err != nil {
 			return ProgramPlan{}, fmt.Errorf("bitpacker: program step %d: %w", i, err)
 		}
-		if def.rotation && c.km == nil {
+		if def.rotation {
 			// Element 1 is the identity: a rotation by a multiple of the
 			// slot count needs no key.
 			el := ring.GaloisElementForRotation(int(st.Arg), c.params.N())
-			if _, ok := c.keys.Galois[el]; !ok && el != 1 {
+			if el != 1 && !c.km.Has(el) {
 				return ProgramPlan{}, fherr.Wrap(fherr.ErrMissingKey,
 					"bitpacker: program step %d: %s by %d has no Galois key (Config.Rotations)", i, st.Op, int(st.Arg))
 			}

@@ -96,6 +96,10 @@ func (c *Context) ExecShard(ctx context.Context, dir string, shardID, epoch int,
 // entries, ...), alongside KeyCacheStats in the observability surface.
 type SupervisorStats = shard.Stats
 
+// RespawnPolicy tunes the shard supervisor's per-worker recovery (see
+// ShardOptions.Respawn): the fields of RetryPolicy it reads.
+type RespawnPolicy = shard.RespawnPolicy
+
 // ShardOptions tunes RunSharded.
 type ShardOptions struct {
 	// Dir is the job exchange directory: inputs, outputs, per-shard
@@ -135,11 +139,9 @@ type ShardOptions struct {
 	HeartbeatTimeout  time.Duration
 	ShardDeadline     time.Duration
 	// Respawn is the per-worker crash/hang recovery policy with
-	// engine.Retrier semantics (backoff, attempt budget, circuit
-	// breaker). Zero values select the Retrier defaults; a non-zero
-	// AttemptTimeout or Cooldown, which the supervisor has no use for,
-	// is refused with ErrInvalidParams.
-	Respawn RetryPolicy
+	// Retrier semantics (backoff, attempt budget, circuit breaker).
+	// Zero values select the Retrier defaults.
+	Respawn RespawnPolicy
 	// ShardAttempts bounds re-dispatches of a shard a live worker reports
 	// as failed before the job fails (default 3).
 	ShardAttempts int
