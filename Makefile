@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate opgate keygate docs-check loc fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate opgate keygate framegate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -57,6 +57,18 @@ keygate:
 		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build)/' | grep -vE '^\./internal/ckks/(keycache|keys)\.go:'; true); \
 	if [ -n "$$bad" ]; then echo "switching key generated outside the key store:"; echo "$$bad"; exit 1; fi
 
+# One-frame gate: every stream and stored blob (serve's eval streams,
+# checkpoints, state batches, the shard wire and job file) is framed by
+# internal/frame, the one place that writes or parses a length, a kind
+# or a checksum. Non-test code elsewhere that imports encoding/binary, or
+# reads delimited input with ReadSlice/ReadString/ReadBytes or a
+# bufio.Scanner, is a second framing growing back. internal/ckks keeps
+# the ciphertext encoding and its cache keys; bench/ is frozen.
+framegate:
+	@bad=$$(grep -rnE '"encoding/binary"|\.(ReadSlice|ReadString|ReadBytes)\(|bufio\.(Scanner|NewScanner)' --include='*.go' . \
+		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build|internal/frame|internal/ckks)/'; true); \
+	if [ -n "$$bad" ]; then echo "framing outside internal/frame:"; echo "$$bad"; exit 1; fi
+
 # Stale-reference gate: the prose names commands, and a deleted target,
 # tool or flag otherwise lingers there unnoticed. Fails when README.md,
 # DESIGN.md, EXPERIMENTS.md or the verify skill mention a backticked
@@ -107,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzProgram -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWorkerMessage -fuzztime 20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzSupervisorMachine -fuzztime 20s ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime 20s ./internal/frame
 
 # Serving-layer smoke: 100 mixed-tenant requests through the full HTTP
 # stack under chaos bursts — zero 5xx, every answer verified, clean
@@ -124,9 +137,9 @@ chaos-soak:
 
 # Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
 # included), the parallel hot paths must be race-free, a program op must
-# have one definition, switching keys one source, and the docs may name
-# only commands that exist.
-check: build vet test bench-test race panicgate opgate keygate docs-check
+# have one definition, switching keys one source, streams and blobs one
+# frame format, and the docs may name only commands that exist.
+check: build vet test bench-test race panicgate opgate keygate framegate docs-check
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,6 @@
 // Command bpworker is the shard worker of the sharded execution layer:
 // a fleet member that supervisors dial, authenticate to with the job
-// fingerprint, and stream assign/beat/done/fail lines with over one
+// fingerprint, and stream assign/beat/done/fail messages with over one
 // socket. It keeps computing through disconnections and partitions.
 //
 // Fleet mode (-listen addr): serves a standing worker fleet. Supervisors
@@ -10,9 +10,10 @@
 //
 // Forked mode (no flags): the supervisor (Context.RunSharded) spawns it
 // with the job exchange directory in the environment. It is the same
-// member on a loopback port: it prints the address it bound on stdout
-// for the supervisor to dial, serves that one directory only, and exits
-// when its stdin closes. Not meant to be run by hand.
+// member on a loopback port: it announces the address it bound on stdout
+// (one internal/frame frame) for the supervisor to dial, serves that one
+// directory only, and exits when its stdin closes. Not meant to be run
+// by hand.
 //
 // See DESIGN.md "Sharded execution & supervision" and "Transports &
 // fencing".

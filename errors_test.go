@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/big"
 	"testing"
+
+	"bitpacker/internal/frame"
 )
 
 // errCtx builds a context wired for negative-path tests: invariant
@@ -177,13 +179,20 @@ func TestDecodeCiphertextsRejectsHostileBatch(t *testing.T) {
 	if back, err := ctx.DecodeCiphertexts(blob); err != nil || len(back) != 2 {
 		t.Fatalf("clean batch: %d ciphertexts, %v", len(back), err)
 	}
-	// count u32 | len u64 | "BPCT" version u8 level u32 | isNTT u8
-	const isNTT = 4 + 8 + 4 + 1 + 4
-	if blob[isNTT] != 1 {
-		t.Fatalf("byte %d of the batch is %d, not the first ciphertext's NTT flag", isNTT, blob[isNTT])
+	// A batch whose frames are intact but whose first ciphertext fails
+	// Validate: its NTT flag cleared ("BPCT" | version u8 | level u32 |
+	// isNTT u8), the frame's checksum recomputed over the edited bytes.
+	ctBlob, err := ctx.MarshalCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
 	}
-	blob[isNTT] = 0
-	if _, err := ctx.DecodeCiphertexts(blob); !errors.Is(err, ErrInvalidParams) {
+	const isNTT = 4 + 1 + 4
+	if ctBlob[isNTT] != 1 {
+		t.Fatalf("byte %d of the ciphertext is %d, not its NTT flag", isNTT, ctBlob[isNTT])
+	}
+	hostile := append([]byte(nil), ctBlob...)
+	hostile[isNTT] = 0
+	if _, err := ctx.DecodeCiphertexts(frame.Append(frame.Append(frame.Append(nil, frame.Ciphertext, hostile), frame.Ciphertext, ctBlob), frame.End, nil)); !errors.Is(err, ErrInvalidParams) {
 		t.Fatalf("hostile batch: %v, want ErrInvalidParams", err)
 	}
 	if _, err := ctx.DecodeCiphertexts(blob[:len(blob)-1]); !errors.Is(err, ErrInvalidParams) {

@@ -28,9 +28,6 @@ type RetryPolicy struct {
 	// factor in [0.5, 1.5) so synchronized retries decorrelate; the
 	// seeded generator keeps test runs reproducible.
 	Seed uint64
-	// AttemptTimeout, when positive, bounds each individual attempt with
-	// a context deadline derived from the threaded context.
-	AttemptTimeout time.Duration
 	// BreakerThreshold is the number of consecutive operations that must
 	// exhaust their retry budget before the breaker opens and operations
 	// fail fast with fherr.ErrCircuitOpen. Zero or negative selects the
@@ -135,7 +132,7 @@ func retryable(err error) bool {
 }
 
 // Do runs fn under the retry policy. op names the operation for error
-// context. fn receives the (possibly deadline-bounded) attempt context.
+// context. fn receives ctx.
 func (r *Retrier) Do(ctx context.Context, op string, fn func(context.Context) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -149,15 +146,7 @@ func (r *Retrier) Do(ctx context.Context, op string, fn func(context.Context) er
 		if err := ctx.Err(); err != nil {
 			return fherr.Wrap(fherr.ErrCanceled, "retry: %s attempt %d not started (%v)", op, attempt, err)
 		}
-		attemptCtx := ctx
-		var cancel context.CancelFunc
-		if r.policy.AttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, r.policy.AttemptTimeout)
-		}
-		err := fn(attemptCtx)
-		if cancel != nil {
-			cancel()
-		}
+		err := fn(ctx)
 		if err == nil {
 			r.success(attempt)
 			return nil

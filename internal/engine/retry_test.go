@@ -205,25 +205,6 @@ func TestRetryBreakerHalfOpen(t *testing.T) {
 	}
 }
 
-func TestRetryAttemptTimeout(t *testing.T) {
-	p := fastPolicy()
-	p.AttemptTimeout = 10 * time.Millisecond
-	r := NewRetrier(p)
-	var sawDeadline atomic.Bool
-	err := r.Do(context.Background(), "op", func(ctx context.Context) error {
-		if _, ok := ctx.Deadline(); ok {
-			sawDeadline.Store(true)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sawDeadline.Load() {
-		t.Fatal("attempt context carried no deadline despite AttemptTimeout")
-	}
-}
-
 // TestRetryHealsDroppedDispatch exercises the real fault path end to end:
 // the chaos hook drops an engine task, DispatchCtx reports ErrEngineFault,
 // and the retrier re-runs the dispatch after the fault clears.

@@ -11,12 +11,12 @@ package pipeline
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"bitpacker/internal/ckks"
 	"bitpacker/internal/engine"
 	"bitpacker/internal/fherr"
+	"bitpacker/internal/frame"
 )
 
 // Stage is one step of a pipeline. Run receives the state produced by
@@ -111,7 +111,7 @@ func (p *Pipeline) Run(ctx context.Context, initial []*ckks.Ciphertext) ([]*ckks
 			// Each attempt gets its own deep copy: a faulted attempt may
 			// have corrupted the working set, and the retry contract is a
 			// re-run from the retained input.
-			in := copyState(state)
+			in := ckks.CopyCiphertexts(state) // all rows in one batched fork/join
 			out, err := st.Run(attemptCtx, in)
 			if err != nil {
 				return err
@@ -183,24 +183,18 @@ func (p *Pipeline) resume() (stage int, state []*ckks.Ciphertext, ok bool) {
 	return 0, nil, false
 }
 
-func copyState(state []*ckks.Ciphertext) []*ckks.Ciphertext {
-	// All ciphertexts' rows copy in one batched fork/join.
-	return ckks.CopyCiphertexts(state)
-}
-
-// EncodeState serializes a state slice: count u32, then each
-// ciphertext's v2 blob length-prefixed with u64.
+// EncodeState serializes a state slice: one frame (internal/frame) per
+// ciphertext, carrying its v2 blob, then an End frame.
 func EncodeState(state []*ckks.Ciphertext) ([]byte, error) {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(state)))
+	var out []byte
 	for i, ct := range state {
 		blob, err := ct.MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: state ciphertext %d: %w", i, err)
 		}
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(blob)))
-		out = append(out, blob...)
+		out = frame.Append(out, frame.Ciphertext, blob)
 	}
-	return out, nil
+	return frame.Append(out, frame.End, nil), nil
 }
 
 // DecodeState reverses EncodeState, validating every ciphertext against
@@ -208,39 +202,29 @@ func EncodeState(state []*ckks.Ciphertext) ([]byte, error) {
 // carries one — a checkpoint load is a trusted point, exactly like a
 // fresh encryption.
 func DecodeState(params *ckks.Parameters, payload []byte) ([]*ckks.Ciphertext, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("pipeline: state payload truncated")
-	}
-	count := int(binary.LittleEndian.Uint32(payload))
-	if count < 0 || count > 1<<20 {
-		return nil, fmt.Errorf("pipeline: implausible state size %d", count)
-	}
-	off := 4
-	state := make([]*ckks.Ciphertext, count)
-	for i := 0; i < count; i++ {
-		if off+8 > len(payload) {
-			return nil, fmt.Errorf("pipeline: state payload truncated at ciphertext %d", i)
-		}
-		n := int(binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
-		if n < 0 || off+n > len(payload) {
-			return nil, fmt.Errorf("pipeline: ciphertext %d blob overruns payload", i)
-		}
-		ct, err := ckks.UnmarshalCiphertext(params, payload[off:off+n])
+	var state []*ckks.Ciphertext
+	for i := 0; ; i++ {
+		kind, blob, rest, err := frame.Cut(payload)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: state ciphertext %d: %w", i, err)
 		}
-		off += n
+		if kind == frame.End && len(blob) == 0 && len(rest) == 0 {
+			return state, nil
+		}
+		if kind != frame.Ciphertext {
+			return nil, fmt.Errorf("pipeline: state ciphertext %d: frame kind %d", i, kind)
+		}
+		payload = rest
+		ct, err := ckks.UnmarshalCiphertext(params, blob)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: state ciphertext %d: %w", i, err)
+		}
 		if err := ct.Validate(params); err != nil {
 			return nil, fmt.Errorf("pipeline: state ciphertext %d: %w", i, err)
 		}
 		if params.SpareModulus() != 0 {
 			ct.SeedSpare(params)
 		}
-		state[i] = ct
+		state = append(state, ct)
 	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("pipeline: %d trailing bytes in state payload", len(payload)-off)
-	}
-	return state, nil
 }

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"bitpacker/internal/core"
 	"bitpacker/internal/engine"
 	"bitpacker/internal/fherr"
+	"bitpacker/internal/frame"
 )
 
 var bothSchemes = []core.Scheme{core.RNSCKKS, core.BitPacker}
@@ -165,9 +168,8 @@ func TestDecodeStateRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Framing corruption (a wrong length prefix) is caught structurally.
-	// Payload-byte corruption inside a coefficient is the Store
-	// checksum's job — see TestDirStore and the resume fallback tests.
+	// A wrong length and a flipped coefficient byte both fail the frame's
+	// checksum (TestFramedBlobsRefuseEveryFlip flips every byte).
 	payload[4] ^= 0x40
 	if _, err := DecodeState(s.params, payload); err == nil {
 		t.Fatal("corrupted length prefix accepted")
@@ -267,6 +269,18 @@ func TestPipelineResume(t *testing.T) {
 	}
 }
 
+// corrupt flips a byte inside a stored checkpoint's payload region.
+func corrupt(s *MemStore, stage int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	blob, ok := s.blobs[stage]
+	if !ok || len(blob) < 32 {
+		return false
+	}
+	blob[len(blob)/2] ^= 0xff
+	return true
+}
+
 // TestPipelineFallsBackPastCorruptCheckpoint: the newest checkpoint is
 // corrupted on disk; resume detects it via the checksum and restarts
 // from the previous stage instead.
@@ -287,7 +301,7 @@ func TestPipelineFallsBackPastCorruptCheckpoint(t *testing.T) {
 	}
 	ref := s.dec.MustDecryptAndDecode(refOut[0], s.enc)
 
-	if !store.Corrupt(2) {
+	if !corrupt(store, 2) {
 		t.Fatal("could not corrupt stage-2 checkpoint")
 	}
 	final, report, err := p.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()})
@@ -300,6 +314,66 @@ func TestPipelineFallsBackPastCorruptCheckpoint(t *testing.T) {
 	got := s.dec.MustDecryptAndDecode(final[0], s.enc)
 	if e := maxErr(got, ref); e != 0 {
 		t.Fatalf("fallback run differs by %g", e)
+	}
+}
+
+// TestPipelineRefusesParentFormatCheckpoint: the newest checkpoint on disk
+// is in the previous release's format ("BPKP" header, FNV-64a trailer,
+// count- and length-prefixed state), intact by that format's own
+// checksum. There is no compatibility reader: it is refused like a
+// corrupt one and the run recomputes from the previous intact stage.
+func TestPipelineRefusesParentFormatCheckpoint(t *testing.T) {
+	s := newSetup(t, core.BitPacker, false)
+	rng := rand.New(rand.NewPCG(19, 20))
+	initial := s.encrypt(t, randVals(s.params.Slots(), rng))
+	dir := t.TempDir()
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(s.params, squareStages(s), Options{Store: store, Keep: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refOut, _, err := p.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := s.dec.MustDecryptAndDecode(refOut[0], s.enc)
+
+	ctBlob, err := refOut[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := binary.LittleEndian.AppendUint32(nil, 1)
+	state = binary.LittleEndian.AppendUint64(state, uint64(len(ctBlob)))
+	state = append(state, ctBlob...)
+	const stage, name = 2, "square-2"
+	old := append([]byte("BPKP"), 1)
+	old = binary.LittleEndian.AppendUint32(old, stage)
+	old = binary.LittleEndian.AppendUint32(old, uint32(len(name)))
+	old = append(old, name...)
+	old = binary.LittleEndian.AppendUint64(old, uint64(len(state)))
+	old = append(old, state...)
+	h := fnv.New64a()
+	h.Write(old)
+	old = binary.LittleEndian.AppendUint64(old, h.Sum64())
+	if err := os.WriteFile(DirStorePath(dir, stage), old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Get(stage); err == nil {
+		t.Fatal("parent-format checkpoint accepted")
+	}
+
+	final, report, err := p.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.ResumedFrom != 1 || report.StagesRun != 1 {
+		t.Fatalf("report = %+v, want ResumedFrom=1 StagesRun=1", report)
+	}
+	if e := maxErr(s.dec.MustDecryptAndDecode(final[0], s.enc), ref); e != 0 {
+		t.Fatalf("recomputed run differs by %g", e)
 	}
 }
 
@@ -460,15 +534,7 @@ func TestDecodeStateAcceptsV1Blobs(t *testing.T) {
 	v1 = append(v1, blob[18:]...)
 	v1[4] = 1
 
-	payload := []byte{1, 0, 0, 0} // count = 1
-	var lenBuf [8]byte
-	for i := 0; i < 8; i++ {
-		lenBuf[i] = byte(uint64(len(v1)) >> (8 * i))
-	}
-	payload = append(payload, lenBuf[:]...)
-	payload = append(payload, v1...)
-
-	state, err := DecodeState(s.params, payload)
+	state, err := DecodeState(s.params, frame.Append(frame.Append(nil, frame.Ciphertext, v1), frame.End, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

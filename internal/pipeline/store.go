@@ -1,15 +1,16 @@
 package pipeline
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"bitpacker/internal/durable"
+	"bitpacker/internal/frame"
 )
 
 // Store persists stage checkpoints. Implementations must make Put
@@ -30,63 +31,32 @@ type Store interface {
 	Clear() error
 }
 
-// Checkpoint blob framing (little-endian):
-//
-//	magic "BPKP" | version u8 | stage u32 | name len u32 | name bytes
-//	payload len u64 | payload | FNV-64a checksum u64 over all prior bytes
-//
-// The checksum turns silent disk or DRAM corruption of a checkpoint
-// into a detected one: resume skips the bad blob and falls back to the
-// previous stage instead of reviving corrupted ciphertext state.
-const (
-	ckptMagic   = "BPKP"
-	ckptVersion = 1
-)
-
-func frame(stage int, name string, payload []byte) []byte {
-	out := make([]byte, 0, 4+1+4+4+len(name)+8+len(payload)+8)
-	out = append(out, ckptMagic...)
-	out = append(out, ckptVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(stage))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(name)))
-	out = append(out, name...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	h := fnv.New64a()
-	h.Write(out)
-	return binary.LittleEndian.AppendUint64(out, h.Sum64())
+// A checkpoint blob is two frames (internal/frame): a Meta head, the
+// stage in decimal, a space and the stage's name, then a Body frame
+// carrying the payload. Each frame's CRC-32C turns silent disk or DRAM
+// corruption of a checkpoint into a detected one: resume skips the bad
+// blob and falls back to the previous stage instead of reviving corrupted
+// ciphertext state.
+func encodeCheckpoint(stage int, name string, payload []byte) []byte {
+	head := append(strconv.AppendInt(nil, int64(stage), 10), ' ')
+	head = append(head, name...)
+	out := make([]byte, 0, 2*frame.HeaderLen+len(head)+len(payload))
+	return frame.Append(frame.Append(out, frame.Meta, head), frame.Body, payload)
 }
 
-func unframe(stage int, blob []byte) (name string, payload []byte, err error) {
-	if len(blob) < 4+1+4+4+8+8 {
-		return "", nil, fmt.Errorf("pipeline: checkpoint truncated (%d bytes)", len(blob))
+func decodeCheckpoint(stage int, blob []byte) (name string, payload []byte, err error) {
+	kind, head, rest, err := frame.Cut(blob)
+	if err != nil {
+		return "", nil, fmt.Errorf("pipeline: checkpoint head: %w", err)
 	}
-	body, sum := blob[:len(blob)-8], binary.LittleEndian.Uint64(blob[len(blob)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
-		return "", nil, fmt.Errorf("pipeline: checkpoint checksum mismatch")
+	num, nameBytes, ok := bytes.Cut(head, []byte{' '})
+	if got, err := strconv.Atoi(string(num)); kind != frame.Meta || !ok || err != nil || got != stage {
+		return "", nil, fmt.Errorf("pipeline: checkpoint head %q stored under stage %d", num, stage)
 	}
-	if string(body[:4]) != ckptMagic {
-		return "", nil, fmt.Errorf("pipeline: bad checkpoint magic")
+	if payload, err = frame.Only(rest, frame.Body); err != nil {
+		return "", nil, fmt.Errorf("pipeline: checkpoint body: %w", err)
 	}
-	if body[4] != ckptVersion {
-		return "", nil, fmt.Errorf("pipeline: unsupported checkpoint version %d", body[4])
-	}
-	if got := int(binary.LittleEndian.Uint32(body[5:9])); got != stage {
-		return "", nil, fmt.Errorf("pipeline: checkpoint stage %d stored under stage %d", got, stage)
-	}
-	nameLen := int(binary.LittleEndian.Uint32(body[9:13]))
-	if 13+nameLen+8 > len(body) {
-		return "", nil, fmt.Errorf("pipeline: checkpoint name overruns blob")
-	}
-	name = string(body[13 : 13+nameLen])
-	plen := binary.LittleEndian.Uint64(body[13+nameLen : 13+nameLen+8])
-	payload = body[13+nameLen+8:]
-	if uint64(len(payload)) != plen {
-		return "", nil, fmt.Errorf("pipeline: checkpoint payload %d bytes, header says %d", len(payload), plen)
-	}
-	return name, payload, nil
+	return string(nameBytes), payload, nil
 }
 
 // DirStore keeps one checkpoint file per stage in a directory, written
@@ -120,7 +90,7 @@ func (s *DirStore) Put(stage int, name string, payload []byte) error {
 	if stage < 0 {
 		return fmt.Errorf("pipeline: negative stage %d", stage)
 	}
-	return durable.WriteFile(s.path(stage), frame(stage, name, payload), 0o600)
+	return durable.WriteFile(s.path(stage), encodeCheckpoint(stage, name, payload), 0o600)
 }
 
 // Get reads and verifies a stage's checkpoint.
@@ -129,7 +99,7 @@ func (s *DirStore) Get(stage int) (string, []byte, error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("pipeline: checkpoint read: %w", err)
 	}
-	return unframe(stage, blob)
+	return decodeCheckpoint(stage, blob)
 }
 
 // Stages scans the directory for checkpoint files.
@@ -180,9 +150,10 @@ func (s *MemStore) Put(stage int, name string, payload []byte) error {
 	if stage < 0 {
 		return fmt.Errorf("pipeline: negative stage %d", stage)
 	}
+	blob := encodeCheckpoint(stage, name, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blobs[stage] = frame(stage, name, payload)
+	s.blobs[stage] = blob
 	return nil
 }
 
@@ -193,7 +164,7 @@ func (s *MemStore) Get(stage int) (string, []byte, error) {
 	if !ok {
 		return "", nil, fmt.Errorf("pipeline: no checkpoint for stage %d", stage)
 	}
-	return unframe(stage, blob)
+	return decodeCheckpoint(stage, blob)
 }
 
 func (s *MemStore) Stages() ([]int, error) {
@@ -212,17 +183,4 @@ func (s *MemStore) Clear() error {
 	defer s.mu.Unlock()
 	s.blobs = map[int][]byte{}
 	return nil
-}
-
-// Corrupt flips a byte inside a stored checkpoint's payload region —
-// fault-injection support for resume tests.
-func (s *MemStore) Corrupt(stage int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	blob, ok := s.blobs[stage]
-	if !ok || len(blob) < 32 {
-		return false
-	}
-	blob[len(blob)/2] ^= 0xff
-	return true
 }

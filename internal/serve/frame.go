@@ -8,71 +8,25 @@
 package serve
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
+
+	"bitpacker/internal/frame"
 )
 
-// Frame types for the length-prefixed request/response streams. A frame
-// is: type u8 | length u32 LE | payload. Eval requests and responses are
-// a header frame (JSON metadata) followed by a blob frame (the v2
-// ciphertext encoding).
+// Frame kinds (internal/frame) of the eval and job streams: a header
+// frame, then a blob frame.
 const (
-	// FrameHeader carries JSON metadata (EvalHeader / EvalResult / JobSpec).
-	FrameHeader byte = 1
-	// FrameBlob carries a v2 ciphertext blob.
-	FrameBlob byte = 2
+	FrameHeader = frame.Meta       // JSON: EvalHeader / EvalResult / JobSpec
+	FrameBlob   = frame.Ciphertext // the v2 ciphertext encoding
 )
-
-// frameHeadLen is the fixed frame prefix: type byte plus u32 length.
-const frameHeadLen = 5
 
 // WriteFrame writes one frame to w.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	var head [frameHeadLen]byte
-	head[0] = typ
-	binary.LittleEndian.PutUint32(head[1:], uint32(len(payload)))
-	if _, err := w.Write(head[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	return frame.Write(w, typ, payload)
 }
 
 // ReadFrame reads one frame, rejecting declared lengths above maxLen
-// before any payload allocation. The payload buffer grows with the bytes
-// actually received — a declared length is never trusted to size an
-// allocation (strict pre-allocation validation: the declared size only
-// bounds the read, it never drives it).
+// before any payload allocation and a payload whose checksum fails.
 func ReadFrame(r io.Reader, maxLen uint32) (byte, []byte, error) {
-	var head [frameHeadLen]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(head[1:])
-	if n > maxLen {
-		return 0, nil, fmt.Errorf("serve: frame declares %d bytes, limit is %d", n, maxLen)
-	}
-	// io.ReadAll grows its buffer geometrically as data arrives, so a
-	// frame that lies about its length costs only the bytes it ships.
-	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err != nil {
-		return 0, nil, err
-	}
-	if uint32(len(payload)) != n {
-		return 0, nil, fmt.Errorf("serve: frame truncated: declared %d bytes, got %d", n, len(payload))
-	}
-	return head[0], payload, nil
-}
-
-// expectFrame reads one frame and checks its type.
-func expectFrame(r io.Reader, typ byte, maxLen uint32) ([]byte, error) {
-	got, payload, err := ReadFrame(r, maxLen)
-	if err != nil {
-		return nil, err
-	}
-	if got != typ {
-		return nil, fmt.Errorf("serve: expected frame type %d, got %d", typ, got)
-	}
-	return payload, nil
+	return frame.Read(r, maxLen)
 }

@@ -19,6 +19,7 @@ import (
 
 	"bitpacker"
 	"bitpacker/internal/chaos"
+	"bitpacker/internal/frame"
 )
 
 func drainTestConfig() bitpacker.Config {
@@ -101,7 +102,7 @@ func fetchResultBlob(t *testing.T, url, id string) []byte {
 		t.Fatal(err)
 	}
 	defer res.Body.Close()
-	blob, err := expectFrame(res.Body, FrameBlob, DefaultMaxBlobBytes)
+	blob, err := frame.Expect(res.Body, FrameBlob, DefaultMaxBlobBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"bitpacker"
 	"bitpacker/internal/chaos"
+	"bitpacker/internal/frame"
 	"bitpacker/internal/shard/worker"
 )
 
@@ -112,7 +113,7 @@ func TestJobShardedSurvivesWorkerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Body.Close()
-	outBlob, err := expectFrame(res.Body, FrameBlob, DefaultMaxBlobBytes)
+	outBlob, err := frame.Expect(res.Body, FrameBlob, DefaultMaxBlobBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"bitpacker"
+	"bitpacker/internal/frame"
 )
 
 // DefaultMaxBlobBytes bounds uploaded ciphertext blobs (and the frames
@@ -206,14 +207,14 @@ type EvalResult struct {
 // header into hdr, then the ciphertext blob.
 func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, hdr any) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, int64(s.maxBlob)+(1<<16))
-	headerJSON, err := expectFrame(body, FrameHeader, 1<<16)
+	headerJSON, err := frame.Expect(body, FrameHeader, 1<<16)
 	if err != nil {
 		return nil, err
 	}
 	if err := json.Unmarshal(headerJSON, hdr); err != nil {
 		return nil, fmt.Errorf("serve: bad request header: %w", err)
 	}
-	return expectFrame(body, FrameBlob, s.maxBlob)
+	return frame.Expect(body, FrameBlob, s.maxBlob)
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -245,8 +246,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	resHdr, _ := json.Marshal(EvalResult{Packed: packed, Level: out.Level(), Scale: out.ScaleLog2()})
 	w.Header().Set("Content-Type", "application/octet-stream")
-	WriteFrame(w, FrameHeader, resHdr)
-	WriteFrame(w, FrameBlob, outBlob)
+	frame.Write(w, FrameHeader, resHdr)
+	frame.Write(w, FrameBlob, outBlob)
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -302,7 +303,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	WriteFrame(w, FrameBlob, blob)
+	frame.Write(w, FrameBlob, blob)
 }
 
 // ProfileStats is one profile's /v1/stats entry.

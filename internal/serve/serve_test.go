@@ -17,6 +17,7 @@ import (
 
 	"bitpacker"
 	"bitpacker/internal/chaos"
+	"bitpacker/internal/frame"
 )
 
 // testServer builds a one-profile server for the HTTP tests.
@@ -93,7 +94,7 @@ func evalHTTP(t *testing.T, url string, hdr EvalHeader, blob []byte) (int, *Eval
 	if res.StatusCode != 200 {
 		return res.StatusCode, nil, nil
 	}
-	resHdrJSON, err := expectFrame(res.Body, FrameHeader, 1<<16)
+	resHdrJSON, err := frame.Expect(res.Body, FrameHeader, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func evalHTTP(t *testing.T, url string, hdr EvalHeader, blob []byte) (int, *Eval
 	if err := json.Unmarshal(resHdrJSON, &resHdr); err != nil {
 		t.Fatal(err)
 	}
-	outBlob, err := expectFrame(res.Body, FrameBlob, DefaultMaxBlobBytes)
+	outBlob, err := frame.Expect(res.Body, FrameBlob, DefaultMaxBlobBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Body.Close()
-	outBlob, err := expectFrame(res.Body, FrameBlob, DefaultMaxBlobBytes)
+	outBlob, err := frame.Expect(res.Body, FrameBlob, DefaultMaxBlobBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

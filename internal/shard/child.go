@@ -1,19 +1,20 @@
 package shard
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"strings"
 	"sync"
 	"time"
+
+	"bitpacker/internal/frame"
 )
 
 // child is a loopback fleet member the supervisor spawned for one slot:
 // WorkerCommand started with EnvDir in its environment binds
-// 127.0.0.1:0, prints the address on stdout, serves only that exchange
+// 127.0.0.1:0, announces the address on stdout as one Addr frame,
+// serves only that exchange
 // directory, and exits when its stdin closes — so it cannot outlive the
 // supervisor, even one that was killed. The supervisor talks to it over
 // the same dialed session as to any member; owning the process adds what
@@ -53,12 +54,11 @@ func startChild(opts Options, slot int) (*child, error) {
 		return nil, fmt.Errorf("shard: spawn worker %d (%q): %w", slot, argv[0], err)
 	}
 	go func() {
-		br := bufio.NewReader(stdout)
-		if line, err := readCappedLine(br); err == nil {
-			c.addr <- strings.TrimSpace(string(line))
+		if addr, err := frame.Expect(stdout, frame.Addr, 1<<10); err == nil {
+			c.addr <- string(addr)
 		}
 		close(c.addr)
-		io.Copy(io.Discard, br) // os/exec: never Wait while the stdout pipe is being read
+		io.Copy(io.Discard, stdout) // os/exec: never Wait while the stdout pipe is being read
 		c.err = cmd.Wait()
 		close(c.done)
 	}()

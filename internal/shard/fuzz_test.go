@@ -79,7 +79,7 @@ func FuzzDecodeWorkerMessage(f *testing.F) {
 // TestDecodeWorkerMessageOversized covers the length cap directly (the
 // fuzzer rarely generates megabyte inputs).
 func TestDecodeWorkerMessageOversized(t *testing.T) {
-	line := []byte(`{"t":"done","err":"` + strings.Repeat("y", shard.MaxLineBytes) + `"}`)
+	line := []byte(`{"t":"done","err":"` + strings.Repeat("y", shard.MaxMsgBytes) + `"}`)
 	if _, err := shard.DecodeWorkerMessage(line); err == nil {
 		t.Fatal("oversized line was accepted")
 	}

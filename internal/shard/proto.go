@@ -14,7 +14,7 @@
 // what lets a test explore its interleavings by the thousand. Run
 // (shard.go) is its driver: one loop that feeds it events and performs
 // its actions. There is one way to reach a worker — dial its address,
-// send hello, read lines (session.go) — and the address is either a
+// send hello, read frames (session.go) — and the address is either a
 // standing fleet member's (Options.Addrs) or that of a loopback member
 // spawned for the slot (Options.WorkerCommand, child.go).
 //
@@ -36,6 +36,7 @@ import (
 	"path/filepath"
 
 	"bitpacker/internal/durable"
+	"bitpacker/internal/frame"
 )
 
 // Environment keys. A process started with EnvDir in its environment is
@@ -52,8 +53,8 @@ const (
 	EnvWorkerBin = "BITPACKER_BPWORKER"
 )
 
-// Message types of the line-delimited JSON protocol. Every session is
-// one socket: the supervisor opens it with a hello handshake and both
+// Message types of the protocol: each message is one JSON object in one
+// Meta frame (internal/frame). Every session is one socket: the supervisor opens it with a hello handshake and both
 // directions ride it. Heartbeats share the stream with results, so the
 // socket closing is the complete disconnection signal.
 const (
@@ -78,7 +79,7 @@ const (
 	ClassFault    = "fault"
 )
 
-// Msg is one protocol line.
+// Msg is one protocol message.
 type Msg struct {
 	Type  string `json:"t"`
 	Shard int    `json:"shard,omitempty"`
@@ -96,36 +97,36 @@ type Msg struct {
 	BeatMs      int    `json:"beat_ms,omitempty"`
 }
 
-// MaxLineBytes bounds one protocol line. A peer that emits a longer line
-// is treated as dead: the limit keeps a hostile or corrupted stream from
-// ballooning supervisor memory.
-const MaxLineBytes = 1 << 20
+// MaxMsgBytes bounds one protocol message. A peer that declares a longer
+// one is treated as dead: the limit keeps a hostile or corrupted stream
+// from ballooning supervisor memory.
+const MaxMsgBytes = 1 << 20
 
 // maxShard and maxStep bound the index fields a decoded message may
 // carry. Jobs are partitioned into at most ~1M shards and programs are
-// short; anything past these is a corrupted or hostile line.
+// short; anything past these is a corrupted or hostile message.
 const (
 	maxShard = 1 << 20
 	maxStep  = 1 << 20
 )
 
-// maxErrBytes caps the error text a fail line may carry into supervisor
+// maxErrBytes caps the error text a fail message may carry into supervisor
 // logs and wrapped errors.
 const maxErrBytes = 4 << 10
 
-// DecodeWorkerMessage parses and validates one protocol line from a
-// worker. It is the supervisor's single entry point for bytes that
+// DecodeWorkerMessage parses and validates one protocol message (a
+// frame's payload) from a worker. It is the supervisor's single entry point for bytes that
 // crossed a process or network boundary: hostile, truncated, or
 // oversized input must come back as an error, never a panic, and
 // anything accepted carries only known message types with fields inside
 // their documented bounds.
-func DecodeWorkerMessage(line []byte) (Msg, error) {
-	if len(line) > MaxLineBytes {
-		return Msg{}, fmt.Errorf("shard: protocol line %d bytes exceeds limit %d", len(line), MaxLineBytes)
+func DecodeWorkerMessage(payload []byte) (Msg, error) {
+	if len(payload) > MaxMsgBytes {
+		return Msg{}, fmt.Errorf("shard: protocol message %d bytes exceeds limit %d", len(payload), MaxMsgBytes)
 	}
 	var m Msg
-	if err := json.Unmarshal(line, &m); err != nil {
-		return Msg{}, fmt.Errorf("shard: protocol line: %w", err)
+	if err := json.Unmarshal(payload, &m); err != nil {
+		return Msg{}, fmt.Errorf("shard: protocol message: %w", err)
 	}
 	switch m.Type {
 	case MsgReady, MsgBeat, MsgDone, MsgFail, MsgReject, MsgHello, MsgAssign, MsgDrain:
@@ -177,7 +178,8 @@ var ErrStaleEpoch = errors.New("stale lease epoch")
 // fault (chaos injection); any abnormal exit is treated the same way.
 const CrashExitCode = 13
 
-// JobFile is the durable job description at Dir/job.json. Config and
+// JobFile is the durable job description at Dir/job.json (JSON in one
+// Meta frame). Config and
 // Program are opaque to this package (the root package marshals its
 // Config and ShardStep program into them; the worker unmarshals both and
 // rebuilds a bit-identical Context from the same seed).
@@ -214,14 +216,14 @@ func jobFilePath(root string) string { return filepath.Join(root, "job.json") }
 
 // WriteJobFile publishes the job description durably (temp file, fsync,
 // rename, directory fsync — durable.WriteFile, like every other durable
-// artifact in the exchange directory): every fleet hello is authenticated
-// against this file, so a torn or vanished one fails the whole job.
+// artifact in the exchange directory): every fleet hello is
+// authenticated against this file, so a torn or corrupted one fails it.
 func WriteJobFile(root string, jf JobFile) error {
 	data, err := json.MarshalIndent(jf, "", "  ")
 	if err != nil {
 		return fmt.Errorf("shard: marshal job file: %w", err)
 	}
-	if err := durable.WriteFile(jobFilePath(root), data, 0o644); err != nil {
+	if err := durable.WriteFile(jobFilePath(root), frame.Append(nil, frame.Meta, data), 0o644); err != nil {
 		return fmt.Errorf("shard: publish job file: %w", err)
 	}
 	return nil
@@ -233,6 +235,9 @@ func ReadJobFile(root string) (JobFile, error) {
 	data, err := os.ReadFile(jobFilePath(root))
 	if err != nil {
 		return JobFile{}, err
+	}
+	if data, err = frame.Only(data, frame.Meta); err != nil {
+		return JobFile{}, fmt.Errorf("shard: job file: %w", err)
 	}
 	var jf JobFile
 	if err := json.Unmarshal(data, &jf); err != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"testing"
@@ -50,5 +51,38 @@ func TestWriteJobFileIsDurable(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Fatalf("exchange directory holds %v, want job.json alone", names)
+	}
+}
+
+// TestReadJobFileRefusesCorruptConfig: one digit of the stored seed
+// flipped on disk. The file still parses as JSON with the right version,
+// and its fingerprint field still matches every hello, so only the
+// frame's checksum stands between it and a fleet that builds other keys
+// and returns well-formed wrong ciphertexts.
+func TestReadJobFileRefusesCorruptConfig(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteJobFile(dir, JobFile{
+		Version:     JobFileVersion,
+		Fingerprint: 111,
+		Config:      []byte(`{"LogN":9,"Seed":12345}`),
+		Program:     []byte(`[{"op":"square"}]`),
+		Shards:      []int{1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(jobFilePath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("12345"))
+	if at < 0 {
+		t.Fatal("seed not found in the job file")
+	}
+	data[at] = '7'
+	if err := os.WriteFile(jobFilePath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if jf, err := ReadJobFile(dir); err == nil {
+		t.Fatalf("corrupted job file accepted, config %s", jf.Config)
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 
 	"bitpacker/internal/fherr"
+	"bitpacker/internal/frame"
 )
 
 // session is one authenticated supervisor->member connection. Its
@@ -18,7 +18,6 @@ import (
 // member's process (child) learns more.
 type session struct {
 	conn net.Conn
-	enc  *json.Encoder
 }
 
 // dial connects the slot to a member's address and sends the hello
@@ -32,7 +31,7 @@ func dial(ctx context.Context, opts Options, slot int, addr string) (*session, e
 	if err != nil {
 		return nil, fherr.Wrap(fherr.ErrEngineFault, "shard: dial worker %d: %v", slot, err)
 	}
-	sess := &session{conn: conn, enc: json.NewEncoder(conn)}
+	sess := &session{conn: conn}
 	if err := sess.send(Msg{
 		Type:        MsgHello,
 		Dir:         opts.Dir,
@@ -46,7 +45,7 @@ func dial(ctx context.Context, opts Options, slot int, addr string) (*session, e
 	return sess, nil
 }
 
-func (s *session) send(m Msg) error { return s.enc.Encode(m) }
+func (s *session) send(m Msg) error { return WriteMessage(s.conn, m) }
 
 // closeSend half-closes the supervisor->worker direction so a drained
 // worker can finish its exit path.
@@ -61,11 +60,10 @@ func (s *session) closeSend() {
 // is rejected.
 func (s *session) close() { s.conn.Close() }
 
-// read pumps length-capped protocol lines through the hardened decoder
-// into deliver until the stream ends, and returns why it did. A line that
-// fails DecodeWorkerMessage ends it too: a peer that emits garbage is
-// indistinguishable from a corrupt one, and the supervisor's death
-// handling takes over.
+// read pumps protocol frames through the hardened decoder into deliver
+// until the stream ends, and returns why it did. A frame that fails its
+// checksum or DecodeWorkerMessage ends it too: a peer that emits garbage
+// is indistinguishable from a corrupt one.
 func (s *session) read(deliver func(Msg)) error {
 	br := bufio.NewReaderSize(s.conn, 64<<10)
 	for {
@@ -77,42 +75,19 @@ func (s *session) read(deliver func(Msg)) error {
 	}
 }
 
-// ReadMessage reads one hardened protocol message from a line stream —
-// the same length cap and field validation on both ends of the socket: a
-// network-exposed listener must never trust its peer's framing.
-func ReadMessage(br *bufio.Reader) (Msg, error) {
-	for {
-		line, err := readCappedLine(br)
-		if err != nil {
-			return Msg{}, err
-		}
-		if len(line) == 0 {
-			continue
-		}
-		return DecodeWorkerMessage(line)
-	}
+// WriteMessage sends one protocol message as one Meta frame.
+func WriteMessage(w io.Writer, m Msg) error {
+	payload, _ := json.Marshal(m) // a Msg holds only strings and ints
+	return frame.Write(w, frame.Meta, payload)
 }
 
-// readCappedLine reads one newline-terminated line, failing once it
-// exceeds MaxLineBytes instead of buffering without bound.
-func readCappedLine(br *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := br.ReadSlice('\n')
-		line = append(line, chunk...)
-		if len(line) > MaxLineBytes {
-			return nil, fmt.Errorf("shard: protocol line exceeds %d bytes", MaxLineBytes)
-		}
-		switch err {
-		case nil:
-			return line[:len(line)-1], nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			if len(line) > 0 && err == io.EOF {
-				return nil, io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
+// ReadMessage reads one hardened protocol message — the same frame bound
+// and field validation on both ends of the socket: a network-exposed
+// listener must never trust its peer's framing.
+func ReadMessage(r io.Reader) (Msg, error) {
+	payload, err := frame.Expect(r, frame.Meta, MaxMsgBytes)
+	if err != nil {
+		return Msg{}, err
 	}
+	return DecodeWorkerMessage(payload)
 }

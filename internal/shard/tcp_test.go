@@ -14,16 +14,15 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"os"
 	"os/exec"
-	"strings"
 	"testing"
 	"time"
 
 	"bitpacker"
 	"bitpacker/internal/chaos"
+	"bitpacker/internal/frame"
 	"bitpacker/internal/shard"
 	"bitpacker/internal/shard/worker"
 )
@@ -388,7 +387,9 @@ func TestFleetRejectsBadFingerprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		fmt.Fprintf(conn, `{"t":"hello","dir":%q,"fp":%d,"worker":0,"beat_ms":50}`+"\n", dir, tc.helloFP)
+		if err := shard.WriteMessage(conn, shard.Msg{Type: shard.MsgHello, Dir: dir, Fingerprint: tc.helloFP, BeatMs: 50}); err != nil {
+			t.Fatal(err)
+		}
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 		br := bufio.NewReader(conn)
 		m, err := shard.ReadMessage(br)
@@ -424,16 +425,18 @@ func TestFleetSpawnedMemberServesOnlyItsDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cmd.Process.Kill()
-	addr, err := bufio.NewReader(stdout).ReadString('\n')
+	addr, err := frame.Expect(stdout, frame.Addr, 1<<10)
 	if err != nil {
 		t.Fatalf("spawned member announced no address: %v", err)
 	}
-	conn, err := net.Dial("tcp", strings.TrimSpace(addr))
+	conn, err := net.Dial("tcp", string(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, `{"t":"hello","dir":%q,"fp":1,"worker":0,"beat_ms":50}`+"\n", t.TempDir())
+	if err := shard.WriteMessage(conn, shard.Msg{Type: shard.MsgHello, Dir: t.TempDir(), Fingerprint: 1, BeatMs: 50}); err != nil {
+		t.Fatal(err)
+	}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	if m, err := shard.ReadMessage(bufio.NewReader(conn)); err != nil || m.Type != shard.MsgReject {
 		t.Fatalf("hello for a foreign directory answered with %q (%v), want reject", m.Type, err)

@@ -202,7 +202,7 @@ func (f *Fleet) handle(conn net.Conn) {
 	}
 	if err != nil {
 		f.logf("worker: fleet: reject %s: %v", conn.RemoteAddr(), err)
-		fmt.Fprintf(conn, `{"t":%q,"err":%q}`+"\n", shard.MsgReject, err.Error())
+		shard.WriteMessage(conn, shard.Msg{Type: shard.MsgReject, Err: err.Error()})
 		conn.Close()
 		return
 	}

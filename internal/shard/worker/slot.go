@@ -2,7 +2,6 @@ package worker
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"sync"
 	"time"
@@ -21,7 +20,6 @@ type fleetSlot struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	enc     *json.Encoder
 	greeted bool        // ready sent on conn: until then only beats may precede it
 	queued  []shard.Msg // done / non-canceled fail awaiting a greeted connection
 	inShard int
@@ -37,8 +35,8 @@ func (s *fleetSlot) send(m shard.Msg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	completion := m.Type == shard.MsgDone || m.Type == shard.MsgFail
-	if s.enc != nil && (s.greeted || !completion) {
-		if err := s.enc.Encode(m); err == nil {
+	if s.conn != nil && (s.greeted || !completion) {
+		if err := shard.WriteMessage(s.conn, m); err == nil {
 			return
 		}
 		s.disconnect()
@@ -55,7 +53,7 @@ func (s *fleetSlot) disconnect() {
 	if s.conn != nil {
 		s.conn.Close()
 	}
-	s.conn, s.enc, s.greeted = nil, nil, false
+	s.conn, s.greeted = nil, false
 }
 
 // attach adopts a new supervisor connection, superseding any previous
@@ -64,7 +62,7 @@ func (s *fleetSlot) attach(conn net.Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.disconnect()
-	s.conn, s.enc = conn, json.NewEncoder(conn)
+	s.conn = conn
 }
 
 // ready greets the attached supervisor once the job's runtime is built:
@@ -74,20 +72,20 @@ func (s *fleetSlot) attach(conn net.Conn) {
 func (s *fleetSlot) ready() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.enc == nil {
+	if s.conn == nil {
 		return
 	}
 	ready := shard.Msg{Type: shard.MsgReady}
 	if s.inEpoch > 0 {
 		ready.Shard, ready.Epoch = s.inShard, s.inEpoch
 	}
-	if err := s.enc.Encode(ready); err != nil {
+	if err := shard.WriteMessage(s.conn, ready); err != nil {
 		s.disconnect()
 		return
 	}
 	s.greeted = true
 	for i, q := range s.queued {
-		if err := s.enc.Encode(q); err != nil {
+		if err := shard.WriteMessage(s.conn, q); err != nil {
 			s.queued = s.queued[i:] // unsent reports stay queued
 			s.disconnect()
 			return

@@ -26,6 +26,7 @@ import (
 
 	"bitpacker"
 	"bitpacker/internal/chaos"
+	"bitpacker/internal/frame"
 	"bitpacker/internal/pipeline"
 	"bitpacker/internal/shard"
 )
@@ -225,8 +226,8 @@ func restampOutput(dir string, id, epoch int) {
 
 // Main is a spawned worker's whole life: a loopback fleet member for the
 // one exchange directory the supervisor put in its environment. It binds
-// 127.0.0.1:0, announces the address on stdout for the supervisor to
-// dial, and serves until stdin closes — the supervisor's drain, or its
+// 127.0.0.1:0, announces the address on stdout, as one Addr frame, for
+// the supervisor to dial, and serves until stdin closes — the supervisor's drain, or its
 // death: either way the pipe's EOF ends the process, so a worker never
 // outlives its supervisor. The return value is the process exit code.
 // Call only when IsWorker().
@@ -237,7 +238,8 @@ func Main() int {
 		return 1
 	}
 	fl.only = os.Getenv(shard.EnvDir)
-	fmt.Println(fl.Addr())
+	// A lost announcement is caught by the supervisor's start deadline.
+	_ = frame.Write(os.Stdout, frame.Addr, []byte(fl.Addr()))
 	served := make(chan error, 1)
 	go func() { served <- fl.Serve() }()
 	io.Copy(io.Discard, os.Stdin)
