@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate opgate keygate framegate docs-check loc fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate opgate keygate framegate puregate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -69,6 +69,19 @@ framegate:
 		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build|internal/frame|internal/ckks)/'; true); \
 	if [ -n "$$bad" ]; then echo "framing outside internal/frame:"; echo "$$bad"; exit 1; fi
 
+# Pure-core gate: the shard supervisor's state machine and the serving
+# scheduler's core make every decision and carry none out — no lock, no
+# process, file or socket, no clock, no goroutine — which is what lets
+# their tests search them in virtual time. An import of sync, os or net,
+# a clock or timer call of package time, or a go statement (comments
+# aside) in either file is the driver's work leaking into the core.
+PURE = internal/shard/machine.go internal/serve/core.go
+puregate:
+	@bad=$$(for f in $(PURE); do \
+		sed 's://.*$$::' $$f | grep -nE '"(sync|os|net)(/[^"]*)?"|time\.(Now|Since|Sleep|NewTimer|AfterFunc|NewTicker|After)\(|(^|[^[:alnum:]_.])go +[[:alnum:]_(]' | sed "s|^|$$f:|"; \
+	done); \
+	if [ -n "$$bad" ]; then echo "impure core:"; echo "$$bad"; exit 1; fi
+
 # Stale-reference gate: the prose names commands, and a deleted target,
 # tool or flag otherwise lingers there unnoticed. Fails when README.md,
 # DESIGN.md, EXPERIMENTS.md or the verify skill mention a backticked
@@ -110,8 +123,9 @@ loc:
 # campaign. Seed corpora live in testdata/fuzz/ next to each target;
 # the deserialization targets carry hostile-length corpus cases, and the
 # supervisor state machine's corpus holds one model-fleet schedule per
-# row of DESIGN.md's failure matrix (its seeded and exhaustive schedule
-# search runs in plain `go test`, which is what replaced the shard soak).
+# row of DESIGN.md's failure matrix, the scheduler core's one schedule
+# per batching outcome (both cores' seeded and exhaustive schedule
+# searches run in plain `go test`, which is what replaced the shard soak).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecode -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzParams -fuzztime 20s .
@@ -120,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWorkerMessage -fuzztime 20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzSupervisorMachine -fuzztime 20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime 20s ./internal/frame
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerCore -fuzztime 20s ./internal/serve
 
 # Serving-layer smoke: 100 mixed-tenant requests through the full HTTP
 # stack under chaos bursts — zero 5xx, every answer verified, clean
@@ -138,8 +153,9 @@ chaos-soak:
 # Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
 # included), the parallel hot paths must be race-free, a program op must
 # have one definition, switching keys one source, streams and blobs one
-# frame format, and the docs may name only commands that exist.
-check: build vet test bench-test race panicgate opgate keygate framegate docs-check
+# frame format, the state-machine cores stay pure, and the docs may name
+# only commands that exist.
+check: build vet test bench-test race panicgate opgate keygate framegate puregate docs-check
 
 clean:
 	$(GO) clean ./...

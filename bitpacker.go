@@ -360,19 +360,20 @@ func (c *Context) opCtx() context.Context {
 // the re-run usually succeeds. Without Config.Retry this is a plain
 // single attempt.
 func (c *Context) runOp(name string, op func() (*ckks.Ciphertext, error)) (*Ciphertext, error) {
+	return wrapCt(retried(c, name, op))
+}
+
+// retried is runOp for an operation of any result type.
+func retried[T any](c *Context, name string, op func() (T, error)) (T, error) {
 	if c.retrier == nil {
-		return wrapCt(op())
+		return op()
 	}
-	var out *ckks.Ciphertext
-	err := c.retrier.Do(c.opCtx(), name, func(context.Context) error {
-		var opErr error
+	var out T
+	err := c.retrier.Do(c.opCtx(), name, func(context.Context) (opErr error) {
 		out, opErr = op()
 		return opErr
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Ciphertext{ct: out}, nil
+	return out, err
 }
 
 // NoiseBudget returns the ciphertext's remaining noise budget in bits:
@@ -651,7 +652,9 @@ func (c *Context) Rotate(a *Ciphertext, steps int) (*Ciphertext, error) {
 // but are not bit-identical to them (the shared ModUp rounds differently;
 // see DESIGN.md).
 func (c *Context) RotateHoisted(a *Ciphertext, steps []int) ([]*Ciphertext, error) {
-	outs, err := c.eval.RotateHoisted(a.ct, steps)
+	outs, err := retried(c, "RotateHoisted", func() ([]*ckks.Ciphertext, error) {
+		return c.eval.RotateHoisted(a.ct, steps)
+	})
 	if err != nil {
 		return nil, err
 	}

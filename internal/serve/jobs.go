@@ -53,25 +53,15 @@ type jobRecord struct {
 }
 
 // JobShardOptions routes long jobs through fault-tolerant sharded
-// execution (Context.RunSharded): the job runs in supervised bpworker
-// processes with heartbeat failover and checkpointed re-dispatch, so a
-// crashed or hung worker no longer means a dead job. Workers <= 0 keeps
-// the single-process RunPipeline path.
+// execution (Context.RunSharded) when it names Workers or Addrs; without
+// either, jobs run in-process through the pipeline. Each field goes to
+// the bitpacker.ShardOptions field of the same name; the job manager
+// adds the per-job exchange directory and sets nothing else.
 type JobShardOptions struct {
-	// Workers is the worker-process count per job. With Addrs set it
-	// defaults to the fleet size.
-	Workers int
-	// WorkerCommand overrides worker-binary resolution (default: the
-	// BITPACKER_BPWORKER environment variable, then bpworker on PATH,
-	// else degraded in-process execution).
-	WorkerCommand []string
-	// WorkerEnv is appended to every worker's environment.
-	WorkerEnv []string
-	// Addrs routes jobs to a standing `bpworker -listen` fleet over TCP
-	// instead of forking local workers. The fleet must share the job
-	// directory filesystem. Full fleet loss degrades to in-process
-	// execution, same as the fork path.
-	Addrs []string
+	Workers       int      // worker processes per job; with Addrs, defaults to the fleet size
+	Addrs         []string // a standing `bpworker -listen` fleet sharing the job directory's filesystem
+	WorkerCommand []string // overrides worker-binary resolution (BITPACKER_BPWORKER, then bpworker on PATH)
+	WorkerEnv     []string // appended to every worker's environment
 }
 
 // JobManager runs long jobs with durable per-stage checkpoints: a job
@@ -242,12 +232,18 @@ func (jm *JobManager) run(rec *jobRecord) {
 	jm.persist(final)
 }
 
+// execute runs (or resumes) the job's steps from its input, then
+// publishes the output durably, which is what lets run() record it done.
+// A sharded job keeps its exchange directory inside the job directory,
+// so a server restart resumes from the finished shards' durable outputs;
+// an in-process one checkpoints after each stage.
 func (jm *JobManager) execute(rec *jobRecord) error {
 	p, err := jm.reg.profile(rec.Profile)
 	if err != nil {
 		return err
 	}
-	inputBlob, err := os.ReadFile(filepath.Join(jm.jobDir(rec.ID), "input.bin"))
+	dir := jm.jobDir(rec.ID)
+	inputBlob, err := os.ReadFile(filepath.Join(dir, "input.bin"))
 	if err != nil {
 		return err
 	}
@@ -255,61 +251,45 @@ func (jm *JobManager) execute(rec *jobRecord) error {
 	if err != nil {
 		return err
 	}
-	if jm.shard.Workers > 0 || len(jm.shard.Addrs) > 0 {
-		return jm.executeSharded(rec, p, initial)
+	in := []*bitpacker.Ciphertext{initial}
+	var final []*bitpacker.Ciphertext
+	if s := jm.shard; s.Workers > 0 || len(s.Addrs) > 0 {
+		var report bitpacker.ShardReport
+		final, report, err = p.ctx.RunSharded(jm.runCtx, rec.Steps, in, bitpacker.ShardOptions{
+			Dir:     filepath.Join(dir, "shards"),
+			Workers: s.Workers, Addrs: s.Addrs, WorkerCommand: s.WorkerCommand, WorkerEnv: s.WorkerEnv,
+		})
+		jm.mu.Lock()
+		rec.Shards = report.Shards
+		rec.Respawns = report.Stats.Respawns
+		rec.Redispatches = report.Stats.Redispatches
+		rec.DegradedShards = report.Stats.LocalShards
+		rec.StagesRun = len(rec.Steps)
+		jm.mu.Unlock()
+	} else {
+		var report bitpacker.PipelineReport
+		final, report, err = p.ctx.RunProgram(jm.runCtx, rec.Steps, in,
+			bitpacker.PipelineOptions{CheckpointDir: filepath.Join(dir, "checkpoints")}, nil)
+		jm.mu.Lock()
+		rec.ResumedFrom = report.ResumedFrom
+		rec.StagesRun = report.StagesRun
+		jm.mu.Unlock()
 	}
-	final, report, err := p.ctx.RunProgram(jm.runCtx, rec.Steps, []*bitpacker.Ciphertext{initial},
-		bitpacker.PipelineOptions{CheckpointDir: filepath.Join(jm.jobDir(rec.ID), "checkpoints")}, nil)
-	jm.mu.Lock()
-	rec.ResumedFrom = report.ResumedFrom
-	rec.StagesRun = report.StagesRun
-	jm.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return jm.publish(rec, p, final[0])
-}
-
-// errUnpublished marks a finished job whose output could not be written.
-var errUnpublished = errors.New("serve: output not published")
-
-// publish durably writes a finished job's output, which is what lets
-// run() record it done.
-func (jm *JobManager) publish(rec *jobRecord, p *profile, out *bitpacker.Ciphertext) error {
-	blob, err := p.ctx.MarshalCiphertext(out)
+	blob, err := p.ctx.MarshalCiphertext(final[0])
 	if err != nil {
 		return err
 	}
-	if err := durable.WriteFile(filepath.Join(jm.jobDir(rec.ID), "output.bin"), blob, 0o644); err != nil {
+	if err := durable.WriteFile(filepath.Join(dir, "output.bin"), blob, 0o644); err != nil {
 		return fmt.Errorf("%w: %v", errUnpublished, err)
 	}
 	return nil
 }
 
-// executeSharded runs the job's steps through supervised worker
-// processes. The exchange directory lives inside the job directory, so a
-// server restart resumes from the finished shards' durable outputs.
-func (jm *JobManager) executeSharded(rec *jobRecord, p *profile, initial *bitpacker.Ciphertext) error {
-	final, report, err := p.ctx.RunSharded(jm.runCtx, rec.Steps,
-		[]*bitpacker.Ciphertext{initial}, bitpacker.ShardOptions{
-			Dir:           filepath.Join(jm.jobDir(rec.ID), "shards"),
-			Workers:       jm.shard.Workers,
-			WorkerCommand: jm.shard.WorkerCommand,
-			WorkerEnv:     jm.shard.WorkerEnv,
-			Addrs:         jm.shard.Addrs,
-		})
-	jm.mu.Lock()
-	rec.Shards = report.Shards
-	rec.Respawns = report.Stats.Respawns
-	rec.Redispatches = report.Stats.Redispatches
-	rec.DegradedShards = report.Stats.LocalShards
-	rec.StagesRun = len(rec.Steps)
-	jm.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return jm.publish(rec, p, final[0])
-}
+// errUnpublished marks a finished job whose output could not be written.
+var errUnpublished = errors.New("serve: output not published")
 
 // Status returns a copy of the job's current record.
 func (jm *JobManager) Status(id string) (jobRecord, error) {

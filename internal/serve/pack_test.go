@@ -3,14 +3,17 @@ package serve
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"bitpacker"
+	"bitpacker/internal/chaos"
 )
 
 // packProfile builds a one-profile registry sized for the property
-// tests: 256 slots, 32-slot windows (8 tenants per packed ciphertext).
+// tests: 256 slots, 32-slot windows (8 tenants per packed ciphertext). A
+// batch submitted here flushes by filling, never by its deadline.
 func packProfile(t *testing.T, scheme bitpacker.Scheme) (*Registry, *profile) {
 	t.Helper()
 	reg, err := NewRegistry([]ProfileConfig{{
@@ -27,7 +30,7 @@ func packProfile(t *testing.T, scheme bitpacker.Scheme) (*Registry, *profile) {
 		},
 		Window:        32,
 		MaxBatch:      8,
-		FlushInterval: 50 * time.Millisecond,
+		FlushInterval: time.Minute,
 		QueueDepth:    64,
 		Packing:       true,
 	}})
@@ -132,40 +135,28 @@ func TestPackedMatchesSoloAndPlain(t *testing.T) {
 				}
 				inputs[5] = make([]float64, w) // the all-zeros tenant
 
-				// Packed path.
-				batch := buildBatch(t, p, op, args, inputs)
-				if err := p.sched.evalPacked(batch); err != nil {
-					t.Fatalf("evalPacked: %v", err)
+				// One batch of eight.
+				outs, err := p.sched.eval(buildBatch(t, p, op, args, inputs))
+				if err != nil {
+					t.Fatalf("packed eval: %v", err)
 				}
 				packed := make([][]float64, 8)
-				for ti, r := range batch {
-					out := <-r.done
-					if out.err != nil {
-						t.Fatalf("tenant %d: %v", ti, out.err)
-					}
-					if !out.packed {
-						t.Fatalf("tenant %d outcome not marked packed", ti)
-					}
-					vals, err := p.ctx.DecryptReal(out.ct)
-					if err != nil {
+				for ti, out := range outs {
+					if packed[ti], err = p.ctx.DecryptReal(out); err != nil {
 						t.Fatal(err)
 					}
-					packed[ti] = vals
 				}
 
-				// Solo path over fresh encryptions of the same inputs.
+				// Eight batches of one over fresh encryptions of the same inputs.
 				solo := make([][]float64, 8)
 				for ti, r := range buildBatch(t, p, op, args, inputs) {
-					p.sched.evalSolo(r)
-					out := <-r.done
-					if out.err != nil {
-						t.Fatalf("solo tenant %d: %v", ti, out.err)
-					}
-					vals, err := p.ctx.DecryptReal(out.ct)
+					outs, err := p.sched.eval([]*evalRequest{r})
 					if err != nil {
+						t.Fatalf("solo tenant %d: %v", ti, err)
+					}
+					if solo[ti], err = p.ctx.DecryptReal(outs[0]); err != nil {
 						t.Fatal(err)
 					}
-					solo[ti] = vals
 				}
 
 				for ti := 0; ti < 8; ti++ {
@@ -225,16 +216,12 @@ func TestPackedDeterministicAcrossWorkers(t *testing.T) {
 				args[ti] = 1
 				inputs[ti] = tenantValues(ti, p.cfg.Window)
 			}
-			batch := buildBatch(t, p, OpSquare, args, inputs)
-			if err := p.sched.evalPacked(batch); err != nil {
+			outs, err := p.sched.eval(buildBatch(t, p, OpSquare, args, inputs))
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range batch {
-				out := <-r.done
-				if out.err != nil {
-					t.Fatal(out.err)
-				}
-				blob, err := p.ctx.MarshalCiphertext(out.ct)
+			for _, out := range outs {
+				blob, err := p.ctx.MarshalCiphertext(out)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,6 +258,78 @@ func TestCompatibleRejectsWindowCollision(t *testing.T) {
 	} {
 		if compatible([]*evalRequest{a}, r) {
 			t.Fatalf("incompatible request coalesced: %+v", r)
+		}
+	}
+}
+
+// TestPackedBatchThroughScheduler: eight compatible requests submitted
+// concurrently through profile.Eval fill one batch, which is one shared
+// evaluation; every reply is right and marked packed.
+func TestPackedBatchThroughScheduler(t *testing.T) {
+	reg, p := packProfile(t, bitpacker.BitPacker)
+	defer reg.Close()
+	inputs, replies := evalSquares(t, p)
+	checkSquares(t, p, inputs, replies, true)
+	if s := p.sched.Stats(); s.PackedBatches != 1 || s.PackedReqs != 8 || s.SoloEvals != 0 || s.Fallbacks != 0 {
+		t.Fatalf("stats %+v: want one packed batch of eight and no solo evaluation", s)
+	}
+}
+
+// TestPackedFallback: a packed batch whose evaluation fails answers no
+// one; its members re-run alone, and every reply is still right. The
+// profile has no Retry, so the one dropped engine task fails the batch.
+func TestPackedFallback(t *testing.T) {
+	reg, p := packProfile(t, bitpacker.BitPacker)
+	defer reg.Close()
+	_, restore := chaos.New(7).Burst(0, 1)
+	defer restore()
+	inputs, replies := evalSquares(t, p)
+	restore()
+	checkSquares(t, p, inputs, replies, false)
+	if s := p.sched.Stats(); s.Fallbacks != 1 || s.SoloEvals != 8 || s.PackedBatches != 0 {
+		t.Fatalf("stats %+v: want one fallback and eight solo evaluations", s)
+	}
+}
+
+// evalSquares submits eight tenants' squares concurrently through
+// profile.Eval and returns their inputs and replies.
+func evalSquares(t *testing.T, p *profile) ([][]float64, []evalOutcome) {
+	t.Helper()
+	args, inputs := make([]float64, 8), make([][]float64, 8)
+	for ti := range inputs {
+		inputs[ti] = tenantValues(ti, p.cfg.Window)
+	}
+	batch := buildBatch(t, p, OpSquare, args, inputs)
+	replies := make([]evalOutcome, len(batch))
+	var wg sync.WaitGroup
+	for ti, r := range batch {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := &replies[ti]
+			out.ct, out.packed, out.err = p.Eval(r.tenant.name, OpSquare, 0, r.ct)
+		}()
+	}
+	wg.Wait()
+	return inputs, replies
+}
+
+// checkSquares asserts every reply decrypts to its tenant's squares and
+// carries the wanted packed flag.
+func checkSquares(t *testing.T, p *profile, inputs [][]float64, replies []evalOutcome, packed bool) {
+	t.Helper()
+	for ti, out := range replies {
+		if out.err != nil || out.packed != packed {
+			t.Fatalf("tenant %d: err %v, packed %v; want packed %v", ti, out.err, out.packed, packed)
+		}
+		got, err := p.ctx.DecryptReal(out.ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range expected(OpSquare, 0, inputs[ti]) {
+			if math.Abs(got[i]-want) > 1e-2 {
+				t.Fatalf("tenant %d slot %d: got %v, want %v", ti, i, got[i], want)
+			}
 		}
 	}
 }

@@ -40,11 +40,12 @@ type ProfileConfig struct {
 	// FlushInterval bounds how long the scheduler waits to fill a batch
 	// before evaluating what it has. Defaults to 3ms.
 	FlushInterval time.Duration
-	// QueueDepth bounds the request queue; a full queue rejects with
-	// ErrBusy (HTTP 429). Defaults to 64.
+	// QueueDepth bounds the requests waiting for evaluation, the open
+	// batch's included; a full queue rejects with ErrBusy (HTTP 429).
+	// Defaults to 64.
 	QueueDepth int
-	// Packing enables the slot-packing scheduler. Off, every request
-	// evaluates solo (the baseline the load generator compares against).
+	// Packing enables slot packing. Off, MaxBatch is 1: every request is
+	// a batch of one, evaluated alone.
 	Packing bool
 }
 
@@ -96,9 +97,9 @@ func (p *profile) lookup(name string) (*tenant, error) {
 	return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 }
 
-// Registry owns the server's profiles.
+// Registry owns the server's profiles. The map is built once by
+// NewRegistry and only read afterwards, so it needs no lock.
 type Registry struct {
-	mu       sync.Mutex
 	profiles map[string]*profile
 }
 
@@ -127,6 +128,9 @@ func NewRegistry(configs []ProfileConfig) (*Registry, error) {
 			return nil, fmt.Errorf("serve: profile %q: window %d does not divide %d slots",
 				cfg.Name, cfg.Window, slots)
 		}
+		if !cfg.Packing {
+			cfg.MaxBatch = 1
+		}
 		if cfg.MaxBatch <= 0 {
 			cfg.MaxBatch = slots / cfg.Window
 		}
@@ -145,8 +149,6 @@ func NewRegistry(configs []ProfileConfig) (*Registry, error) {
 
 // profile returns the named profile or ErrUnknownProfile.
 func (r *Registry) profile(name string) (*profile, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if p, ok := r.profiles[name]; ok {
 		return p, nil
 	}
@@ -156,13 +158,7 @@ func (r *Registry) profile(name string) (*profile, error) {
 // Close drains and stops every profile's scheduler. Queued requests are
 // still evaluated; new submissions fail with ErrShutdown.
 func (r *Registry) Close() {
-	r.mu.Lock()
-	profiles := make([]*profile, 0, len(r.profiles))
 	for _, p := range r.profiles {
-		profiles = append(profiles, p)
-	}
-	r.mu.Unlock()
-	for _, p := range profiles {
 		p.sched.Close()
 	}
 }

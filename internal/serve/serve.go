@@ -107,8 +107,8 @@ func (s *Server) Shutdown() {
 func (s *Server) FiveXX() int64 { return s.fiveXX.Load() }
 
 // httpError maps a serving-layer error to its status code and writes a
-// JSON error body. ErrBusy carries Retry-After: the client should back
-// off one flush interval and resubmit.
+// JSON error body. ErrBusy carries Retry-After: 1, asking the client to
+// back off one second and resubmit.
 func (s *Server) httpError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
@@ -318,13 +318,7 @@ type ProfileStats struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	out := map[string]ProfileStats{}
-	s.reg.mu.Lock()
-	profiles := make(map[string]*profile, len(s.reg.profiles))
 	for name, p := range s.reg.profiles {
-		profiles[name] = p
-	}
-	s.reg.mu.Unlock()
-	for name, p := range profiles {
 		p.mu.Lock()
 		tenants := len(p.tenants)
 		p.mu.Unlock()

@@ -147,6 +147,21 @@ func TestSelfHealDroppedTaskBurst(t *testing.T) {
 		}
 		equalSlots(t, "drop-task burst", c.MustDecrypt(healed), clean)
 
+		// RotateHoisted, the serving layer's extraction, is under the same rung.
+		cleanRot, err := c.RotateHoisted(in, rots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, restore = chaos.New(9).Burst(0, 2)
+		healedRot, err := c.RotateHoisted(in, rots)
+		restore()
+		if err != nil {
+			t.Fatalf("%v: retry did not heal a sub-budget burst in RotateHoisted: %v", scheme, err)
+		}
+		for i := range rots {
+			equalSlots(t, "drop-task burst, hoisted rotation", c.MustDecrypt(healedRot[i]), c.MustDecrypt(cleanRot[i]))
+		}
+
 		_, restore = chaos.New(8).Burst(0, 10) // outlasts the budget
 		_, err = c.Apply(in, tr)
 		restore()
