@@ -57,8 +57,9 @@ keygate:
 		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build)/' | grep -vE '^\./internal/ckks/(keycache|keys)\.go:'; true); \
 	if [ -n "$$bad" ]; then echo "switching key generated outside the key store:"; echo "$$bad"; exit 1; fi
 
-# One-frame gate: every stream and stored blob (serve's eval streams,
-# checkpoints, state batches, the shard wire and job file) is framed by
+# One-frame gate: every stream and stored blob (serve's eval streams and
+# job files, checkpoints, state batches, the shard wire with its batches
+# and the shard job file) is framed by
 # internal/frame, the one place that writes or parses a length, a kind
 # or a checksum. Non-test code elsewhere that imports encoding/binary, or
 # reads delimited input with ReadSlice/ReadString/ReadBytes or a
@@ -121,7 +122,8 @@ loc:
 
 # Short native-fuzz runs over every target: a smoke pass for CI, not a
 # campaign. Seed corpora live in testdata/fuzz/ next to each target;
-# the deserialization targets carry hostile-length corpus cases, and the
+# the deserialization targets (the shard wire's batch reader among them)
+# carry hostile-length corpus cases, and the
 # supervisor state machine's corpus holds one model-fleet schedule per
 # row of DESIGN.md's failure matrix, the scheduler core's one schedule
 # per batching outcome (both cores' seeded and exhaustive schedule
@@ -132,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalCiphertext -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzProgram -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWorkerMessage -fuzztime 20s ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzReadBatch -fuzztime 20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzSupervisorMachine -fuzztime 20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime 20s ./internal/frame
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerCore -fuzztime 20s ./internal/serve

@@ -5,8 +5,10 @@
 //
 // Fleet mode (-listen addr): serves a standing worker fleet. Supervisors
 // given fleet addresses (bpserve -shard-addrs, ShardOptions.Addrs) dial
-// out; fleet members need a filesystem shared with the supervisor (the
-// job exchange directory carries inputs, checkpoints, and outputs).
+// out. A shard's input batch arrives with its assign and its output
+// leaves with the done; fleet members still need a filesystem shared
+// with the supervisor, whose job exchange directory carries the job file
+// and the per-step checkpoints.
 //
 // Forked mode (no flags): the supervisor (Context.RunSharded) spawns it
 // with the job exchange directory in the environment. It is the same

@@ -11,9 +11,9 @@ import (
 )
 
 // TestFramedBlobsRefuseEveryFlip: a small checkpoint blob, a state batch
-// and a protocol message each refuse every single-byte flip and every
-// truncation — the three framings the library stores or sends, all
-// behind internal/frame's checksum.
+// and a protocol message (a done with its output batch) each refuse every
+// single-byte flip and every truncation — the three framings the library
+// stores or sends, all behind internal/frame's checksum.
 func TestFramedBlobsRefuseEveryFlip(t *testing.T) {
 	refuseAll := func(name string, blob []byte, accept func([]byte) error) {
 		t.Helper()
@@ -70,11 +70,12 @@ func TestFramedBlobsRefuseEveryFlip(t *testing.T) {
 	})
 
 	var msg bytes.Buffer
-	if err := shard.WriteMessage(&msg, shard.Msg{Type: shard.MsgDone, Shard: 3, Epoch: 7}); err != nil {
+	if err := shard.WriteMessage(&msg, shard.Msg{Type: shard.MsgDone, Shard: 1, Epoch: 7, Batch: batch}); err != nil {
 		t.Fatal(err)
 	}
+	lim := shard.Limit{Counts: []int{1, 2}, CiphertextBytes: ctx.MaxCiphertextBytes()}
 	refuseAll("protocol message", msg.Bytes(), func(b []byte) error {
-		_, err := shard.ReadMessage(bytes.NewReader(b))
+		_, err := shard.ReadMessage(bytes.NewReader(b), lim)
 		return err
 	})
 	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {

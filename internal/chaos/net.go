@@ -16,7 +16,7 @@ const NetFaultEnv = "BITPACKER_CHAOS_NET"
 
 // Network-level fault kinds. The first two only make sense on the TCP
 // transport (they act on the connection); the message faults
-// (duplicate/stale done, stale blob, beat delay) are transport-agnostic
+// (duplicate/stale done, beat delay) are transport-agnostic
 // protocol corruption that the supervisor must survive on both.
 const (
 	// NetConnDrop closes the worker's supervisor connection at the step
@@ -32,14 +32,10 @@ const (
 	// retransmitted done the supervisor must detect and apply once.
 	NetDupDone = "dup-done"
 	// NetStaleDone prefixes the real completion with a done stamped one
-	// epoch older — a zombie's late report the epoch fence must reject
+	// epoch older whose batch is not the output (the shard's input) — a
+	// zombie's late report the epoch fence must reject, batch and all,
 	// without disturbing the current lease.
 	NetStaleDone = "stale-done"
-	// NetStaleBlob re-stamps the durable output with the previous epoch
-	// before reporting done with the current one — a zombie overwrite of
-	// the output file. Output validation must reject the stale stamp and
-	// re-dispatch the shard.
-	NetStaleBlob = "stale-blob"
 	// NetBeatDelay suppresses heartbeats for DelayMs while compute and
 	// the connection stay up — transient network delay on the beat path.
 	// A delay below the supervisor's timeout must NOT break the lease.

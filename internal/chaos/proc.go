@@ -26,9 +26,10 @@ const (
 	// continues — a GC pause or scheduler stall. A delay below the
 	// supervisor's timeout must NOT kill the worker.
 	ProcBeatDelay = "beat-delay"
-	// ProcCorruptOut truncates-and-garbles the shard's durable output
-	// file after writing it, then exits abnormally — a torn write the
-	// checksum framing must reject on re-dispatch.
+	// ProcCorruptOut garbles a byte of the shard's output batch before
+	// the done that carries it is written, then exits abnormally — a
+	// corruption the batch's own frames must reject at the supervisor's
+	// verify, which re-queues the shard.
 	ProcCorruptOut = "corrupt-out"
 )
 
@@ -113,24 +114,4 @@ func claimToken(dir, key string, budget int) bool {
 		}
 	}
 	return false
-}
-
-// CorruptFile deterministically garbles a durable artifact in place:
-// XORs a byte in the middle and truncates the tail, modeling a torn
-// write that a checksum-framed reader must reject. The file keeps a
-// plausible size so only content validation can catch it.
-func CorruptFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("chaos: %s is empty", path)
-	}
-	data[len(data)/2] ^= 0xa5
-	keep := len(data) - len(data)/8
-	if keep < 1 {
-		keep = 1
-	}
-	return os.WriteFile(path, data[:keep], 0o644)
 }

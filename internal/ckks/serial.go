@@ -64,6 +64,15 @@ func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
+// MaxCiphertextBytes bounds MarshalBinary of any ciphertext of the
+// chain: the encoding of a top-level one, with one residue row's worth of
+// bytes for its scale's numerator and denominator — far more than any
+// scale the chain produces.
+func MaxCiphertextBytes(params *Parameters) int {
+	r, n := len(params.LevelModuli(params.MaxLevel())), params.N()
+	return 4 + 1 + 4 + 1 + 8 + 4 + 4 + 8*n + 4 + 4 + 8*r + 2*8*r*n
+}
+
 // UnmarshalCiphertext decodes a ciphertext serialized by MarshalBinary.
 // The parameters supply the ring context; the moduli are carried in the
 // encoding and validated against it.

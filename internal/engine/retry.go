@@ -35,8 +35,9 @@ type RetryPolicy struct {
 	BreakerThreshold int
 	// Cooldown is how long an open breaker stays closed to traffic.
 	// After it elapses one trial operation is admitted (half-open): its
-	// success closes the breaker, another exhaustion re-opens it. Zero
-	// means the breaker only closes via Reset.
+	// success closes the breaker, another exhaustion re-opens it. Zero or
+	// negative selects the default of 1s, the second a serving client's
+	// Retry-After already asks it to wait; Reset closes it at once.
 	Cooldown time.Duration
 }
 
@@ -53,6 +54,9 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 	}
 	if p.BreakerThreshold <= 0 {
 		p.BreakerThreshold = 5
+	}
+	if p.Cooldown <= 0 {
+		p.Cooldown = time.Second
 	}
 	return p
 }
@@ -178,7 +182,7 @@ func (r *Retrier) admit(op string) error {
 	if !r.open {
 		return nil
 	}
-	if r.policy.Cooldown > 0 && time.Since(r.openedAt) >= r.policy.Cooldown {
+	if time.Since(r.openedAt) >= r.policy.Cooldown {
 		// Half-open: admit this operation as the trial. Push the window
 		// forward so concurrent callers don't all rush in at once.
 		r.openedAt = time.Now()

@@ -1,7 +1,8 @@
 // Package frame is the library's one frame format. Every stream and
-// stored blob — serve's eval and job streams, pipeline checkpoints and
-// state batches, the shard protocol, a spawned worker's address and the
-// shard job file — is a sequence of frames:
+// stored blob — serve's eval and job streams and job files, pipeline
+// checkpoints and state batches, the shard protocol and the batches it
+// carries, a spawned worker's address and the shard job file — is a
+// sequence of frames:
 //
 //	kind u8 | len u32 LE | crc32c u32 LE | payload
 //
@@ -24,7 +25,7 @@ import (
 const (
 	Meta       byte = 1 // metadata: a serve header, protocol message or job file (JSON), a checkpoint head
 	Ciphertext byte = 2 // one ciphertext in the v2 encoding
-	Body       byte = 3 // a checkpoint's payload
+	Body       byte = 3 // a checkpoint's payload, or a shard's ciphertext batch on the worker wire
 	Addr       byte = 4 // the listen address a spawned worker announces
 	End        byte = 5 // closes a state batch, so one cut at a frame boundary is refused too
 )
@@ -88,6 +89,16 @@ func Expect(r io.Reader, kind byte, max uint32) ([]byte, error) {
 // payload and the bytes after it. The payload aliases b: a blob already
 // in memory is parsed without a copy.
 func Cut(b []byte) (kind byte, payload, rest []byte, err error) {
+	if kind, payload, rest, err = Split(b); err != nil {
+		return 0, nil, nil, err
+	}
+	return kind, payload, rest, verify(b[:HeaderLen], payload)
+}
+
+// Split is Cut without the checksum: it checks that the frame at the start
+// of b is whole and leaves its content to whoever verifies and decodes it
+// later — a reader that only checks the shape of a batch.
+func Split(b []byte) (kind byte, payload, rest []byte, err error) {
 	if len(b) < HeaderLen {
 		return 0, nil, nil, fmt.Errorf("frame: truncated: %d bytes, header is %d", len(b), HeaderLen)
 	}
@@ -95,8 +106,7 @@ func Cut(b []byte) (kind byte, payload, rest []byte, err error) {
 	if uint64(n) > uint64(len(b)-HeaderLen) {
 		return 0, nil, nil, fmt.Errorf("frame: truncated: declared %d bytes, got %d", n, len(b)-HeaderLen)
 	}
-	payload, rest = b[HeaderLen:HeaderLen+int(n)], b[HeaderLen+int(n):]
-	return b[0], payload, rest, verify(b[:HeaderLen], payload)
+	return b[0], b[HeaderLen : HeaderLen+int(n)], b[HeaderLen+int(n):], nil
 }
 
 // Only parses b as exactly one frame of the given kind.

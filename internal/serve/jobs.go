@@ -11,6 +11,7 @@ import (
 
 	"bitpacker"
 	"bitpacker/internal/durable"
+	"bitpacker/internal/frame"
 )
 
 // Job states reported by GET /v1/job/{id}.
@@ -33,7 +34,9 @@ type JobSpec struct {
 
 // jobRecord is the durable job.json — everything needed to resume the
 // job after a server restart (the input blob and checkpoints live next
-// to it in the job's directory).
+// to it in the job's directory). Like input.bin and output.bin it is
+// stored as one frame (internal/frame), so a flipped byte in any of the
+// three is refused when it is read back instead of acted on.
 type jobRecord struct {
 	ID      string    `json:"id"`
 	Tenant  string    `json:"tenant"`
@@ -68,7 +71,7 @@ type JobShardOptions struct {
 // interrupted by a crash or restart is rescanned at startup and resumed
 // from its latest intact checkpoint rather than recomputed. With
 // sharding enabled the stages execute in supervised worker processes
-// (Context.RunSharded); otherwise in-process via Context.RunPipeline.
+// (Context.RunSharded); otherwise in-process via Context.RunProgram.
 type JobManager struct {
 	dir   string
 	reg   *Registry
@@ -106,7 +109,7 @@ func NewJobManager(dir string, reg *Registry, shard JobShardOptions) (*JobManage
 		}
 		rec, err := jm.load(e.Name())
 		if err != nil {
-			continue // unreadable record: leave the directory for inspection
+			continue // unreadable or corrupt record: leave the directory for inspection
 		}
 		jm.jobs[rec.ID] = rec
 		if rec.State == JobRunning {
@@ -119,9 +122,28 @@ func NewJobManager(dir string, reg *Registry, shard JobShardOptions) (*JobManage
 
 func (jm *JobManager) jobDir(id string) string { return filepath.Join(jm.dir, id) }
 
+// writeFile durably replaces one of a job's files with data in one frame
+// of the given kind.
+func (jm *JobManager) writeFile(id, name string, kind byte, data []byte) error {
+	return durable.WriteFile(filepath.Join(jm.jobDir(id), name), frame.Append(nil, kind, data), 0o644)
+}
+
+// readFile reads one of a job's files back, refusing one whose frame
+// fails.
+func (jm *JobManager) readFile(id, name string, kind byte) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(jm.jobDir(id), name))
+	if err != nil {
+		return nil, err
+	}
+	if data, err = frame.Only(data, kind); err != nil {
+		return nil, fmt.Errorf("serve: job %s: %s: %w: %w", id, name, errCorrupt, err)
+	}
+	return data, nil
+}
+
 // load reads a job's durable record.
 func (jm *JobManager) load(id string) (*jobRecord, error) {
-	data, err := os.ReadFile(filepath.Join(jm.jobDir(id), "job.json"))
+	data, err := jm.readFile(id, "job.json", frame.Meta)
 	if err != nil {
 		return nil, err
 	}
@@ -137,15 +159,15 @@ func (jm *JobManager) load(id string) (*jobRecord, error) {
 
 // persist durably replaces the job record. Every file a job is
 // acknowledged by (input.bin, job.json, output.bin) reaches the disk
-// through durable.WriteFile: a crash or power loss leaves the
-// previous file or the new one, never a torn or empty one. persist takes
-// a copy, so the write and its two fsyncs need not happen under jm.mu.
+// through writeFile: a crash or power loss leaves the previous file or
+// the new one, never a torn or empty one. persist takes a copy, so the
+// write and its two fsyncs need not happen under jm.mu.
 func (jm *JobManager) persist(rec jobRecord) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
 	}
-	return durable.WriteFile(filepath.Join(jm.jobDir(rec.ID), "job.json"), data, 0o644)
+	return jm.writeFile(rec.ID, "job.json", frame.Meta, data)
 }
 
 // Submit durably records a new job and starts it. The input ciphertext
@@ -186,7 +208,7 @@ func (jm *JobManager) Submit(spec JobSpec, inputBlob []byte) (string, error) {
 	jm.mu.Unlock()
 
 	if err := os.MkdirAll(jm.jobDir(id), 0o755); err == nil {
-		err = durable.WriteFile(filepath.Join(jm.jobDir(id), "input.bin"), inputBlob, 0o644)
+		err = jm.writeFile(id, "input.bin", frame.Ciphertext, inputBlob)
 		if err == nil {
 			err = jm.persist(*rec)
 		}
@@ -235,15 +257,16 @@ func (jm *JobManager) run(rec *jobRecord) {
 // execute runs (or resumes) the job's steps from its input, then
 // publishes the output durably, which is what lets run() record it done.
 // A sharded job keeps its exchange directory inside the job directory,
-// so a server restart resumes from the finished shards' durable outputs;
-// an in-process one checkpoints after each stage.
+// so a server restart resumes from the shards' per-step checkpoints (a
+// finished shard's last one is its output); an in-process one
+// checkpoints after each stage.
 func (jm *JobManager) execute(rec *jobRecord) error {
 	p, err := jm.reg.profile(rec.Profile)
 	if err != nil {
 		return err
 	}
 	dir := jm.jobDir(rec.ID)
-	inputBlob, err := os.ReadFile(filepath.Join(dir, "input.bin"))
+	inputBlob, err := jm.readFile(rec.ID, "input.bin", frame.Ciphertext)
 	if err != nil {
 		return err
 	}
@@ -282,7 +305,7 @@ func (jm *JobManager) execute(rec *jobRecord) error {
 	if err != nil {
 		return err
 	}
-	if err := durable.WriteFile(filepath.Join(dir, "output.bin"), blob, 0o644); err != nil {
+	if err := jm.writeFile(rec.ID, "output.bin", frame.Ciphertext, blob); err != nil {
 		return fmt.Errorf("%w: %v", errUnpublished, err)
 	}
 	return nil
@@ -290,6 +313,9 @@ func (jm *JobManager) execute(rec *jobRecord) error {
 
 // errUnpublished marks a finished job whose output could not be written.
 var errUnpublished = errors.New("serve: output not published")
+
+// errCorrupt marks a job file whose frame failed when it was read back.
+var errCorrupt = errors.New("serve: stored file corrupt")
 
 // Status returns a copy of the job's current record.
 func (jm *JobManager) Status(id string) (jobRecord, error) {
@@ -302,7 +328,8 @@ func (jm *JobManager) Status(id string) (jobRecord, error) {
 	return *rec, nil
 }
 
-// Result returns a finished job's output ciphertext blob.
+// Result returns a finished job's output ciphertext blob. An output that
+// fails its frame is refused, never served as a result.
 func (jm *JobManager) Result(id string) ([]byte, error) {
 	rec, err := jm.Status(id)
 	if err != nil {
@@ -311,7 +338,7 @@ func (jm *JobManager) Result(id string) ([]byte, error) {
 	if rec.State != JobDone {
 		return nil, fmt.Errorf("serve: job %s is %s", id, rec.State)
 	}
-	return os.ReadFile(filepath.Join(jm.jobDir(id), "output.bin"))
+	return jm.readFile(id, "output.bin", frame.Ciphertext)
 }
 
 // Close stops intake and waits for in-flight jobs to finish (their

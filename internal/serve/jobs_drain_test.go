@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -134,12 +133,8 @@ func TestJobShardDrainResumesBitIdentical(t *testing.T) {
 
 	// The drained job must be durably recorded as still running — not
 	// failed — so the next process knows to pick it up.
-	data, err := os.ReadFile(filepath.Join(jobDir, id, "job.json"))
+	rec, err := srv.jobs.load(id)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var rec jobRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.State != JobRunning {

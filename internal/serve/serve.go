@@ -296,6 +296,10 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	blob, err := s.jobs.Result(r.PathValue("id"))
+	if errors.Is(err, errCorrupt) {
+		s.httpError(w, err) // the server's storage failed, not the client's request
+		return
+	}
 	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusNotFound)

@@ -372,10 +372,10 @@ func pollJob(t *testing.T, url, id string, timeout time.Duration) jobRecord {
 
 // orphanJob leaves job-000042 (scale by 2, negate) in jobDir the way a
 // dead process would: durable record in the running state and input blob,
-// no result. A context with the profile's exact parameters plays the dead
-// process, and the record is testdata/parent-job.json, written by the
-// commit before JobStep became bitpacker.ShardStep: the schema a restart
-// must keep reading.
+// each in its one frame, no result. A context with the profile's exact
+// parameters plays the dead process, and the record is
+// testdata/parent-job.json, written by the commit before JobStep became
+// bitpacker.ShardStep: the schema a restart must keep reading.
 func orphanJob(t *testing.T, jobDir string) (in []float64) {
 	t.Helper()
 	cfg := bitpacker.Config{
@@ -402,14 +402,14 @@ func orphanJob(t *testing.T, jobDir string) (in []float64) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "input.bin"), blob, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "input.bin"), frame.Append(nil, frame.Ciphertext, blob), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := os.ReadFile(filepath.Join("testdata", "parent-job.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "job.json"), rec, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "job.json"), frame.Append(nil, frame.Meta, rec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return in
@@ -445,6 +445,42 @@ func TestJobUnpublishedOutputStaysRunning(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) != 0 {
 		t.Fatalf("failed publish left temp files behind: %v", left)
+	}
+}
+
+// TestJobCorruptOutputRefused: a done job's output.bin with one flipped
+// byte is a storage fault. The result endpoint must refuse it (a 5xx), not
+// wrap the garbled blob in a fresh, valid frame and serve it as the
+// finished result.
+func TestJobCorruptOutputRefused(t *testing.T) {
+	jobDir := t.TempDir()
+	orphanJob(t, jobDir)
+	srv, _ := testServer(t, nil, jobDir)
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if rec := pollJob(t, ts.URL, "job-000042", 10*time.Second); rec.State != JobDone {
+		t.Fatalf("job ended %s: %s", rec.State, rec.Error)
+	}
+	path := filepath.Join(jobDir, "job-000042", "output.bin")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := http.Get(ts.URL + "/v1/job/job-000042/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	if res.StatusCode == http.StatusOK {
+		t.Fatal("a corrupted output was served as the job's result")
+	}
+	if res.StatusCode != http.StatusInternalServerError || srv.FiveXX() != 1 {
+		t.Fatalf("corrupted output answered %d (5xx count %d), want one 500", res.StatusCode, srv.FiveXX())
 	}
 }
 

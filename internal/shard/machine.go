@@ -12,7 +12,7 @@ import (
 
 // The supervisor's core. One machine value owns the whole ledger of a
 // Run — which shard is queued, leased to whom under which epoch, being
-// verified, healed or run locally, or done — plus one small record per
+// verified or run locally, or done — plus one small record per
 // worker slot, and advances only through step(event) -> actions. It
 // starts no goroutine, takes no lock, does no I/O and reads no clock
 // (every event carries the time it happened; backoff jitter comes from
@@ -24,8 +24,9 @@ import (
 //
 // The contract with whoever feeds it: an event about a slot's session or
 // child means the one the core last asked for — after a drop or a new
-// start/dial nothing more arrives from the old one — and verify, heal and
-// execLocal are each answered by exactly one event.
+// start/dial nothing more arrives from the old one — and verify and
+// execLocal are each answered by exactly one event. A done's output batch
+// passes through as opaque bytes, from the message into the verify.
 
 type eventKind uint8
 
@@ -36,7 +37,6 @@ const (
 	evClosed                       // the slot's session ended
 	evChildExited                  // the slot's own process is gone
 	evVerified                     // ShardDone returned for (shard, epoch)
-	evHealed                       // HealInput returned for shard
 	evLocalDone                    // ExecLocal returned for (shard, epoch)
 	evTick                         // time passed
 	evCancel                       // the job's context was canceled
@@ -46,8 +46,8 @@ type event struct {
 	kind         eventKind
 	now          time.Time
 	slot         int
-	msg          Msg    // evMsg
-	shard, epoch int    // evVerified, evHealed, evLocalDone
+	msg          Msg    // evMsg; a done carries its output batch
+	shard, epoch int    // evVerified, evLocalDone
 	err          error  // what failed, or the callback's verdict
 	terminal     bool   // evDialFailed: no worker can ever be started this way
 	peer         string // evAttached: who answered, for the log lines
@@ -60,9 +60,8 @@ const (
 	actDial                        // after the delay, dial the slot's member again
 	actSend                        // write msg on the slot's session (last: nothing follows, half-close)
 	actDrop                        // end the slot's session, pending start or dial, and child (stdin closed, SIGKILL after the delay)
-	actVerify                      // run ShardDone(shard, epoch)
-	actHeal                        // run HealInput(shard)
-	actExecLocal                   // run ExecLocal(shard, epoch)
+	actVerify                      // run ShardDone(shard, batch)
+	actExecLocal                   // run ExecLocal(shard)
 	actLog                         // one structured line
 	actFinish                      // the Run is over with err
 )
@@ -74,6 +73,7 @@ type action struct {
 	msg          Msg
 	last         bool
 	shard, epoch int
+	batch        []byte // actVerify: the output batch the done carried
 	text         string
 	err          error
 }
@@ -84,7 +84,6 @@ const (
 	shardPending   shardState = iota // in the queue
 	shardLeased                      // assigned to owner under epoch
 	shardVerifying                   // owner reported done under epoch; ShardDone is looking at the output
-	shardHealing                     // failed; HealInput republishes the input before it queues again
 	shardLocal                       // degraded mode is running it in-process under epoch
 	shardDone
 )
@@ -133,7 +132,7 @@ type machine struct {
 	shards    []shardRec
 	pending   []int
 	doneCount int
-	inflight  int // verify, heal and execLocal callbacks not yet answered
+	inflight  int // verify and execLocal callbacks not yet answered
 	slots     []slot
 	live      int // slots not retired
 	stats     Stats
@@ -216,12 +215,6 @@ func (m *machine) step(ev event) []action {
 		}
 	case evVerified:
 		m.verified(ev)
-	case evHealed:
-		if ev.err != nil {
-			m.note(nil, "shard: action=heal-input-failed shard=%d reason=%q", ev.shard, ev.err)
-		}
-		m.inflight--
-		m.queue(ev.shard)
 	case evLocalDone:
 		m.localDone(ev)
 	case evAttached:
@@ -294,7 +287,7 @@ func (m *machine) settle() []action {
 		err = fherr.Wrap(fherr.ErrCanceled, "shard: job canceled (%v)", m.canceled)
 	case m.doneCount == total:
 	case m.inflight > 0:
-		return m.take() // a verdict or a healed input may still finish or re-queue a shard
+		return m.take() // a verdict may still finish or re-queue a shard
 	case m.opts.DisableDegraded:
 		err = fmt.Errorf("shard: %d/%d shards unfinished with all workers retired: %w (last: %v)",
 			total-m.doneCount, total, fherr.ErrFaultUnrecovered, m.lastRetire)
@@ -542,10 +535,11 @@ func (m *machine) ready(sl *slot, ev event) {
 }
 
 // report handles a done or fail, and is the one place such a report is
-// compared against a lease. The slot's own lease ends with its report:
-// the slot is idle again at once and the output is validated off to the
-// side. Anything else is a duplicate or a fenced zombie — counted and
-// dropped, never applied — or a protocol violation.
+// compared against a lease — which is what fences a zombie's output
+// batch, since it rides its done. The slot's own lease ends with its
+// report: the slot is idle again at once and the output is validated off
+// to the side. Anything else is a duplicate or a fenced zombie — counted
+// and dropped, never applied — or a protocol violation.
 func (m *machine) report(sl *slot, ev event) {
 	msg := ev.msg
 	switch own := (sl.state == slotLeased || sl.state == slotFlushing) && msg.Shard == sl.shard && msg.Epoch == sl.epoch; {
@@ -584,19 +578,15 @@ func (m *machine) report(sl *slot, ev event) {
 	}
 	m.shards[shard].state = shardVerifying
 	m.inflight++
-	m.emit(action{kind: actVerify, shard: shard, epoch: epoch})
+	m.emit(action{kind: actVerify, shard: shard, epoch: epoch, batch: msg.Batch})
 }
 
-// verified: ShardDone looked at the output a worker reported done. Any
-// error turns the completion into a shard failure; a stale-epoch stamp is
-// additionally a fenced zombie write.
+// verified: ShardDone looked at the output batch a worker reported done.
+// Any error turns the completion into a shard failure.
 func (m *machine) verified(ev event) {
 	rec := &m.shards[ev.shard]
 	m.inflight--
 	switch {
-	case errors.Is(ev.err, ErrStaleEpoch):
-		m.note(&m.stats.StaleEpochRejects, "shard: action=stale-epoch-reject worker=%d shard=%d epoch=%d reason=%q", rec.owner, ev.shard, ev.epoch, ev.err)
-		m.shardFailed(ev.shard, ev.err)
 	case ev.err != nil:
 		m.note(nil, "shard: action=output-rejected worker=%d shard=%d reason=%q", rec.owner, ev.shard, ev.err)
 		m.shardFailed(ev.shard, ev.err)
@@ -615,16 +605,14 @@ func (m *machine) verified(ev event) {
 }
 
 // shardFailed handles a failure a live worker reported, or an output
-// ShardDone rejected: heal the input (a corrupted input file must not pin
-// the shard down) and queue the shard again, or fail the job once the
-// shard's attempt budget is spent.
+// ShardDone rejected: queue the shard again — its input is the
+// supervisor's own copy, which no disk can have corrupted — or fail the
+// job once the shard's attempt budget is spent.
 func (m *machine) shardFailed(shard int, cause error) {
 	rec := &m.shards[shard]
 	if rec.attempts++; rec.attempts < m.opts.ShardAttempts {
 		m.note(&m.stats.ShardRetries, "shard: action=shard-retry worker=%d shard=%d attempt=%d reason=%q", rec.owner, shard, rec.attempts, cause)
-		rec.state = shardHealing
-		m.inflight++
-		m.emit(action{kind: actHeal, shard: shard})
+		m.queue(shard)
 		return
 	}
 	m.note(nil, "shard: action=shard-exhausted worker=%d shard=%d attempts=%d reason=%q", rec.owner, shard, rec.attempts, cause)

@@ -41,7 +41,7 @@ const (
 func seededSchedule(seed uint64) []byte {
 	const (
 		benign = "wwwwdddddddttfffvvve"
-		faults = "xxxqqqppcccehDDDSSSBBCCFFRmmlHLZAkkk"
+		faults = "xxxqqqppcccehDDDSSSCCFFRmmlLZAkkk"
 		fatal  = "Kn"
 	)
 	rng := rand.New(rand.NewPCG(seed, 0x5eed))
@@ -123,7 +123,7 @@ func TestMachineExhaustiveSmall(t *testing.T) {
 		// Two slots, two shards: a partitioned lease re-dispatched to the
 		// other slot while the zombie finishes and reports.
 		{"zombie/fleet", "22f0" + "f0f1w0w0w1w1d0d1d0d1", []string{"w0", "d0", "d1", "p0", "f0", "v0", "t9"}, 5},
-		// Reported failure against ShardAttempts, heal, and the breaker.
+		// Reported failure against ShardAttempts, re-queue, and the breaker.
 		{"retry-budget/spawned", "12S0" + "f0w0w0d0F0", []string{"w0", "d0", "v0", "f0", "F0", "c0", "t9"}, 5},
 	}
 	runs := 0
@@ -194,7 +194,9 @@ var matrix = map[string]func(s Stats, err error) bool{
 	},
 	"duplicate-done":   func(s Stats, err error) bool { return err == nil && s.DuplicateDones == 1 && s.Crashes == 0 },
 	"stale-epoch-done": func(s Stats, err error) bool { return err == nil && s.StaleEpochRejects == 1 && s.ShardRetries == 0 },
-	"stale-epoch-blob": func(s Stats, err error) bool { return err == nil && s.StaleEpochRejects == 1 && s.ShardRetries == 1 },
+	"corrupt-output": func(s Stats, err error) bool {
+		return err == nil && s.ShardRetries == 1 && s.StaleEpochRejects == 0 && s.Redispatches == 0
+	},
 	"reported-fail-budget": func(s Stats, err error) bool {
 		return errors.Is(err, fherr.ErrFaultUnrecovered) && s.ShardRetries == 1 && s.Crashes == 0
 	},

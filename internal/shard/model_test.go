@@ -1,8 +1,8 @@
 package shard
 
 // A model fleet for the supervisor's core. world plays everything outside
-// machine.go — the driver, the network, the workers, the exchange
-// directory and the three callbacks — in virtual time, and checks the
+// machine.go — the driver, the network, the workers and the two
+// callbacks — in virtual time, and checks the
 // core's invariants after every step. A schedule is a byte string: a
 // four-byte header (slots, shards, lane, shards resumed) and then two-byte
 // ops (what happens, to which slot), so a seed, an enumerated small case, a fuzz
@@ -14,10 +14,11 @@ package shard
 // The workers follow internal/shard/worker: they beat from the hello on,
 // keep computing through a disconnection, queue completion reports while
 // not greeted and flush them after the ready, answer a superseding
-// assign by failing the old lease as canceled, and stamp the output blob
-// with the epoch of the assign.
+// assign by failing the old lease as canceled, and carry the output batch
+// in the done (a zombie's stale done carries the shard's input instead).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -82,7 +83,7 @@ func decodeHeader(b []byte) (modelCfg, []byte) {
 // Ops. Benign ones move the world forward; the rest are the injectors of
 // DESIGN.md's failure matrix.
 const benignOps = "wdtfve"
-const faultOps = "chxpqDSBCFRKmlHLZnAk"
+const faultOps = "chxpqDSCFRKmlLZnAk"
 
 func decodeOp(b byte) byte {
 	all := benignOps + faultOps
@@ -114,7 +115,7 @@ type mworker struct {
 	finished     int // shards completed in this life
 
 	// One-shot chaos.
-	staleBlob, corrupt, failNext, rejectNext bool
+	corrupt, failNext, rejectNext bool
 }
 
 type mtimer struct {
@@ -122,20 +123,14 @@ type mtimer struct {
 	start bool
 }
 
-type mblob struct {
-	present, corrupt bool
-	epoch            int
-}
-
 type world struct {
 	cfg   modelCfg
 	m     *machine
 	now   time.Time
 	ws    []*mworker
-	calls []event // callback verdicts not yet delivered
-	blobs []mblob
+	calls []event // callback verdicts not yet delivered; a verify's batch rides in msg.Batch
 
-	noBinary, healErr, localErr bool
+	noBinary, localErr bool
 
 	lastEpoch  []int
 	accepted   []int
@@ -168,7 +163,7 @@ func newWorld(cfg modelCfg) *world {
 		opts.WorkerCommand = []string{"model-worker"}
 	}
 	w := &world{cfg: cfg, now: time.Unix(1_000_000, 0),
-		blobs: make([]mblob, cfg.shards), lastEpoch: make([]int, cfg.shards), accepted: make([]int, cfg.shards)}
+		lastEpoch: make([]int, cfg.shards), accepted: make([]int, cfg.shards)}
 	m, first := newMachine(opts.withDefaults(), cfg.shards, cfg.done, w.now)
 	w.m = m
 	for range m.slots {
@@ -245,9 +240,7 @@ func (w *world) perform(acts []action) {
 			if a.epoch != w.lastEpoch[a.shard] {
 				w.failf("verify of shard %d under epoch %d, dispatched %d", a.shard, a.epoch, w.lastEpoch[a.shard])
 			}
-			w.calls = append(w.calls, event{kind: evVerified, shard: a.shard, epoch: a.epoch})
-		case actHeal:
-			w.calls = append(w.calls, event{kind: evHealed, shard: a.shard})
+			w.calls = append(w.calls, event{kind: evVerified, shard: a.shard, epoch: a.epoch, msg: Msg{Batch: a.batch}})
 		case actExecLocal:
 			w.dispatched(a.shard, a.epoch)
 			w.calls = append(w.calls, event{kind: evLocalDone, shard: a.shard, epoch: a.epoch})
@@ -276,6 +269,11 @@ func (w *world) dispatched(shard, epoch int) {
 
 func (w *world) preDone(shard int) bool { return shard < len(w.cfg.done) && w.cfg.done[shard] }
 
+// A shard's batches in the model: what its assign carries, and what a
+// worker's done carries once the shard is computed.
+func modelInput(shard int) []byte  { return []byte(fmt.Sprintf("in %d", shard)) }
+func modelOutput(shard int) []byte { return []byte(fmt.Sprintf("out %d", shard)) }
+
 // --- the worker -----------------------------------------------------------
 
 // restart replaces the worker behind the slot — a new process, a
@@ -283,7 +281,7 @@ func (w *world) preDone(shard int) bool { return shard < len(w.cfg.done) && w.cf
 // to the driver and the chaos still armed.
 func (wk *mworker) restart(proc bool) {
 	*wk = mworker{timer: wk.timer, linkUp: wk.linkUp, closing: wk.closing, wire: wk.wire, proc: proc, refuse: wk.refuse,
-		staleBlob: wk.staleBlob, corrupt: wk.corrupt, failNext: wk.failNext, rejectNext: wk.rejectNext}
+		corrupt: wk.corrupt, failNext: wk.failNext, rejectNext: wk.rejectNext}
 }
 
 func (wk *mworker) alive(fleet bool) bool { return (fleet || wk.proc) && !wk.hung }
@@ -374,9 +372,6 @@ func (w *world) op(code, arg byte) {
 			w.feed(event{kind: evCancel, err: errors.New("context canceled")})
 		}
 		return
-	case 'H':
-		w.healErr = true
-		return
 	case 'L':
 		w.localErr = true
 		return
@@ -437,14 +432,14 @@ func (w *world) op(code, arg byte) {
 		if wk.alive(w.cfg.fleet) {
 			switch {
 			case wk.epoch > 0:
-				wk.send(Msg{Type: MsgDone, Shard: wk.shard, Epoch: wk.epoch - 1})
+				wk.send(Msg{Type: MsgDone, Shard: wk.shard, Epoch: wk.epoch - 1, Batch: modelInput(wk.shard)})
 			case wk.lastDone != nil:
-				wk.send(Msg{Type: MsgDone, Shard: wk.lastDone.Shard, Epoch: wk.lastDone.Epoch - 1})
+				wk.send(Msg{Type: MsgDone, Shard: wk.lastDone.Shard, Epoch: wk.lastDone.Epoch - 1, Batch: modelInput(wk.lastDone.Shard)})
 			}
 		}
 	case 'Z':
 		if wk.alive(w.cfg.fleet) && wk.epoch > 0 {
-			wk.send(Msg{Type: MsgDone, Shard: wk.shard, Epoch: wk.epoch + 5})
+			wk.send(Msg{Type: MsgDone, Shard: wk.shard, Epoch: wk.epoch + 5, Batch: modelInput(wk.shard)})
 		}
 	case 'A':
 		if wk.alive(w.cfg.fleet) {
@@ -456,8 +451,6 @@ func (w *world) op(code, arg byte) {
 			wk.send(Msg{Type: MsgFail, Shard: wk.shard, Epoch: wk.epoch, Class: ClassCanceled, Err: "model: canceled"})
 			wk.shard, wk.epoch = 0, 0
 		}
-	case 'B':
-		wk.staleBlob = true
 	case 'C':
 		wk.corrupt = true
 	case 'F':
@@ -521,17 +514,15 @@ func (w *world) work(wk *mworker) {
 		if wk.left > 0 {
 			return
 		}
-		report := Msg{Type: MsgDone, Shard: wk.shard, Epoch: wk.epoch}
+		report := Msg{Type: MsgDone, Shard: wk.shard, Epoch: wk.epoch, Batch: modelOutput(wk.shard)}
 		if wk.failNext {
 			wk.failNext = false
 			report = Msg{Type: MsgFail, Shard: wk.shard, Epoch: wk.epoch, Class: ClassFault, Err: "model: injected shard failure"}
 		} else {
-			b := mblob{present: true, epoch: wk.epoch, corrupt: wk.corrupt}
-			if wk.staleBlob {
-				b.epoch--
+			if wk.corrupt {
+				wk.corrupt = false
+				report.Batch = append(report.Batch, " garbled"...)
 			}
-			wk.staleBlob, wk.corrupt = false, false
-			w.blobs[wk.shard] = b
 			wk.lastDone = &report
 			wk.finished++
 		}
@@ -551,8 +542,8 @@ func (w *world) advance(d time.Duration) {
 	w.feed(event{kind: evTick})
 }
 
-// callback delivers one of the outstanding verdicts, computed from the
-// exchange directory as it is now.
+// callback delivers one of the outstanding verdicts: a verify accepts
+// exactly the shard's output batch.
 func (w *world) callback(i int) {
 	if len(w.calls) == 0 {
 		return
@@ -562,25 +553,15 @@ func (w *world) callback(i int) {
 	w.calls = append(w.calls[:i], w.calls[i+1:]...)
 	switch ev.kind {
 	case evVerified:
-		switch b := w.blobs[ev.shard]; {
-		case !b.present:
-			ev.err = errors.New("model: no output")
-		case b.corrupt:
-			ev.err = errors.New("model: checksum mismatch")
-		case b.epoch != ev.epoch:
-			ev.err = fmt.Errorf("model: output stamped e%d, want e%d: %w", b.epoch, ev.epoch, ErrStaleEpoch)
-		default:
+		if batch := ev.msg.Batch; !bytes.Equal(batch, modelOutput(ev.shard)) {
+			ev.err = fmt.Errorf("model: batch %q is not shard %d's output (checksum mismatch)", batch, ev.shard)
+		} else {
 			w.accepted[ev.shard]++
-		}
-	case evHealed:
-		if w.healErr {
-			w.healErr, ev.err = false, errors.New("model: input republish failed")
 		}
 	case evLocalDone:
 		if w.localErr {
 			w.localErr, ev.err = false, errModelLocal
 		} else {
-			w.blobs[ev.shard] = mblob{present: true, epoch: ev.epoch}
 			w.accepted[ev.shard]++
 		}
 	}
@@ -671,7 +652,7 @@ func (w *world) invariants() {
 			wantQ = 1
 		case shardLeased:
 			wantH = 1
-		case shardVerifying, shardHealing, shardLocal:
+		case shardVerifying, shardLocal:
 			inflight++
 		case shardDone:
 			done++
@@ -738,8 +719,8 @@ func (w *world) oracle(ev event, before snap, acts []action) {
 	for _, a := range acts {
 		if a.kind == actVerify {
 			verifies++
-			if a.shard != msg.Shard || a.epoch != msg.Epoch {
-				w.failf("done for shard %d epoch %d led to verify of shard %d epoch %d", msg.Shard, msg.Epoch, a.shard, a.epoch)
+			if a.shard != msg.Shard || a.epoch != msg.Epoch || !bytes.Equal(a.batch, msg.Batch) {
+				w.failf("done for shard %d epoch %d (batch %q) led to verify of shard %d epoch %d (batch %q)", msg.Shard, msg.Epoch, msg.Batch, a.shard, a.epoch, a.batch)
 			}
 		}
 		if a.kind != actLog {
@@ -797,14 +778,14 @@ func (w *world) atEnd() {
 
 // --- printing -------------------------------------------------------------
 
-var eventNames = [...]string{"attached", "dial-failed", "msg", "closed", "child-exited", "verified", "healed", "local-done", "tick", "cancel"}
-var actionNames = [...]string{"start", "dial", "send", "drop", "verify", "heal", "exec-local", "log", "finish"}
+var eventNames = [...]string{"attached", "dial-failed", "msg", "closed", "child-exited", "verified", "local-done", "tick", "cancel"}
+var actionNames = [...]string{"start", "dial", "send", "drop", "verify", "exec-local", "log", "finish"}
 
 func describe(ev event) string {
 	switch ev.kind {
 	case evMsg:
 		return fmt.Sprintf("msg slot=%d %s shard=%d epoch=%d step=%d class=%s", ev.slot, ev.msg.Type, ev.msg.Shard, ev.msg.Epoch, ev.msg.Step, ev.msg.Class)
-	case evVerified, evHealed, evLocalDone:
+	case evVerified, evLocalDone:
 		return fmt.Sprintf("%s shard=%d epoch=%d err=%v", eventNames[ev.kind], ev.shard, ev.epoch, ev.err)
 	case evTick, evCancel:
 		return eventNames[ev.kind]
@@ -818,7 +799,7 @@ func kindName(a action) string {
 		return fmt.Sprintf("%s slot=%d after=%v", actionNames[a.kind], a.slot, a.after)
 	case actSend:
 		return fmt.Sprintf("send slot=%d %s shard=%d epoch=%d", a.slot, a.msg.Type, a.msg.Shard, a.msg.Epoch)
-	case actVerify, actHeal, actExecLocal:
+	case actVerify, actExecLocal:
 		return fmt.Sprintf("%s shard=%d epoch=%d", actionNames[a.kind], a.shard, a.epoch)
 	case actFinish:
 		return fmt.Sprintf("finish err=%v", a.err)

@@ -99,10 +99,10 @@ func TestRunRejectsInvalidOptions(t *testing.T) {
 		HeartbeatTimeout:  time.Millisecond,
 	}
 	cb := Callbacks{
-		ShardDone: func(int, int) error { return nil },
-		ExecLocal: func(context.Context, int, int) error { return nil },
+		ShardDone: func(int, []byte) error { return nil },
+		ExecLocal: func(context.Context, int) error { return nil },
 	}
-	stats, err := Run(context.Background(), opts, 1, nil, cb)
+	stats, err := Run(context.Background(), opts, [][]byte{nil}, Limit{}, nil, cb)
 	if err == nil || !errors.Is(err, fherr.ErrInvalidParams) {
 		t.Fatalf("Run accepted timeout < interval: %v", err)
 	}

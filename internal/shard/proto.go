@@ -18,20 +18,23 @@
 // standing fleet member's (Options.Addrs) or that of a loopback member
 // spawned for the slot (Options.WorkerCommand, child.go).
 //
-// The package is deliberately generic: it moves opaque shard IDs, not
-// ciphertexts. The caller supplies callbacks that validate a completed
-// shard's output, heal a shard's input, and execute a shard in-process
-// (degraded mode); the bitpacker root package wires those to the
-// checkpoint DirStore + v2 serialization substrate in Context.RunSharded,
-// and internal/shard/worker implements the worker side of the protocol.
-// Keeping ciphertext types out of this package is what lets the root
-// package import it without a cycle.
+// The package is deliberately generic: it moves shard IDs and opaque
+// batches, not ciphertexts. A shard's input batch rides its assign and
+// its output batch rides the done, each as one frame after the message;
+// the caller supplies the inputs and callbacks that validate a completed
+// shard's output and execute a shard in-process (degraded mode). The
+// bitpacker root package wires those to its ciphertext batch encoding and
+// per-step checkpoints in Context.RunSharded, and internal/shard/worker
+// implements the worker side of the protocol. Keeping ciphertext types
+// out of this package is what lets the root package import it without a
+// cycle.
 package shard
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -45,8 +48,8 @@ import (
 // main. Everything else a worker needs — slot index, beat period, job
 // fingerprint — arrives in the hello.
 const (
-	// EnvDir is the job exchange directory (holds job.json, in/, out/,
-	// ckpt/, chaos/).
+	// EnvDir is the job exchange directory (holds job.json, ckpt/ and,
+	// under chaos, chaos/).
 	EnvDir = "BITPACKER_SHARD_DIR"
 	// EnvWorkerBin, when set, names the worker executable Context.RunSharded
 	// spawns (checked before bpworker on PATH).
@@ -54,19 +57,21 @@ const (
 )
 
 // Message types of the protocol: each message is one JSON object in one
-// Meta frame (internal/frame). Every session is one socket: the supervisor opens it with a hello handshake and both
+// Meta frame (internal/frame); an assign and a done are followed by one
+// Body frame carrying the shard's batch (Msg.Batch). Every session is one
+// socket: the supervisor opens it with a hello handshake and both
 // directions ride it. Heartbeats share the stream with results, so the
 // socket closing is the complete disconnection signal.
 const (
 	// Supervisor -> worker.
 	MsgHello  = "hello"  // handshake: Dir/Fingerprint/Worker/BeatMs
-	MsgAssign = "assign" // run shard Msg.Shard under lease Msg.Epoch
+	MsgAssign = "assign" // run shard Msg.Shard under lease Msg.Epoch on the input batch that follows
 	MsgDrain  = "drain"  // finish nothing new, end the session
 
 	// Worker -> supervisor.
 	MsgReady  = "ready"  // context built; Shard/Epoch report any in-flight lease (Epoch 0 = idle)
 	MsgBeat   = "beat"   // liveness; Shard/Step report progress
-	MsgDone   = "done"   // shard Msg.Shard output durably written under Msg.Epoch
+	MsgDone   = "done"   // shard Msg.Shard finished under Msg.Epoch; its output batch follows
 	MsgFail   = "fail"   // shard Msg.Shard failed under Msg.Epoch with Class/Err
 	MsgReject = "reject" // handshake refused (fingerprint mismatch, foreign directory, unbuildable context); Err says why
 )
@@ -95,6 +100,57 @@ type Msg struct {
 	Fingerprint uint64 `json:"fp,omitempty"`
 	Worker      int    `json:"worker,omitempty"`
 	BeatMs      int    `json:"beat_ms,omitempty"`
+	Batch       []byte `json:"-"` // an assign's input or a done's output, in the frame after the message's
+}
+
+// carriesBatch reports whether a message of type t has a batch frame.
+func carriesBatch(t string) bool { return t == MsgAssign || t == MsgDone }
+
+// Limit bounds the batch frame that follows an assign or a done: shard
+// i's batch holds exactly Counts[i] ciphertexts (JobFile.Shards) of at
+// most CiphertextBytes each (the encoding of a top-level ciphertext of
+// the job's chain). Both ends work it out from the job, so it is no
+// option; the zero Limit admits no batch at all.
+type Limit struct {
+	Counts          []int
+	CiphertextBytes int
+}
+
+// ReadBatch reads the batch frame of shard's assign or done: one Body
+// frame, refused from its header when longer than Counts[shard]
+// ciphertexts can be, holding exactly that many Ciphertext frames and
+// then End. Only the outer checksum is checked here; the inner frames
+// guard the content where the batch is decoded.
+func (l Limit) ReadBatch(r io.Reader, shard int) ([]byte, error) {
+	if shard < 0 || shard >= len(l.Counts) {
+		return nil, fmt.Errorf("shard: batch for shard %d of %d", shard, len(l.Counts))
+	}
+	n := l.Counts[shard]
+	bound := int64(n)*int64(frame.HeaderLen+l.CiphertextBytes) + frame.HeaderLen
+	batch, err := frame.Expect(r, frame.Body, uint32(min(bound, math.MaxUint32)))
+	if err != nil {
+		return nil, fmt.Errorf("shard: shard %d batch: %w", shard, err)
+	}
+	rest := batch
+	for i := 0; ; i++ {
+		kind, ct, next, err := frame.Split(rest)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("shard: shard %d batch, frame %d: %w", shard, i, err)
+		case kind == frame.End && len(ct) == 0 && len(next) == 0:
+			if i != n {
+				return nil, fmt.Errorf("shard: shard %d batch holds %d ciphertexts, want %d", shard, i, n)
+			}
+			return batch, nil
+		case kind != frame.Ciphertext:
+			return nil, fmt.Errorf("shard: shard %d batch, frame %d: kind %d", shard, i, kind)
+		case i >= n:
+			return nil, fmt.Errorf("shard: shard %d batch holds more than %d ciphertexts", shard, n)
+		case len(ct) > l.CiphertextBytes:
+			return nil, fmt.Errorf("shard: shard %d batch, ciphertext %d: %d bytes, limit is %d", shard, i, len(ct), l.CiphertextBytes)
+		}
+		rest = next
+	}
 }
 
 // MaxMsgBytes bounds one protocol message. A peer that declares a longer
@@ -160,20 +216,6 @@ func DecodeWorkerMessage(payload []byte) (Msg, error) {
 // re-leased over a job's lifetime (epoch sanity ceiling, not a policy).
 const maxAttemptsPerShard = 1 << 20
 
-// OutputName is the stamp a worker writes into a shard's durable output
-// frame: the supervisor accepts a completion only when the stamp matches
-// the epoch it dispatched, which fences output files overwritten by a
-// zombie worker holding a broken lease.
-func OutputName(shard, epoch int) string {
-	return fmt.Sprintf("shard-%d-e%d", shard, epoch)
-}
-
-// ErrStaleEpoch marks a completion whose durable output carries an
-// older lease epoch than the supervisor dispatched — a fenced zombie
-// write. The supervisor counts it separately from ordinary corruption
-// and re-dispatches the shard.
-var ErrStaleEpoch = errors.New("stale lease epoch")
-
 // CrashExitCode is the exit status a worker uses for an induced fatal
 // fault (chaos injection); any abnormal exit is treated the same way.
 const CrashExitCode = 13
@@ -202,11 +244,9 @@ type JobFile struct {
 // JobFileVersion is the current JobFile schema version.
 const JobFileVersion = 1
 
-// Exchange-directory layout helpers. Inputs and outputs are
-// pipeline.DirStore checkpoint files keyed by shard ID; ckpt/ holds one
-// per-shard checkpoint directory the worker's pipeline resumes from.
-func InDir(root string) string  { return filepath.Join(root, "in") }
-func OutDir(root string) string { return filepath.Join(root, "out") }
+// Exchange-directory layout helpers. ckpt/ holds one per-shard
+// checkpoint directory the worker's pipeline resumes from; a finished
+// shard's last checkpoint is its output, which is what a rerun resumes.
 func CkptDir(root string, shard int) string {
 	return filepath.Join(root, "ckpt", fmt.Sprintf("shard-%04d", shard))
 }

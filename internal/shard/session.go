@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"time"
 
 	"bitpacker/internal/fherr"
 	"bitpacker/internal/frame"
@@ -17,7 +18,8 @@ import (
 // re-adopts leases whose epoch still matches. Only a slot that owns its
 // member's process (child) learns more.
 type session struct {
-	conn net.Conn
+	conn    net.Conn
+	timeout time.Duration // how long one send may take: a peer that reads nothing is as good as silent
 }
 
 // dial connects the slot to a member's address and sends the hello
@@ -31,7 +33,7 @@ func dial(ctx context.Context, opts Options, slot int, addr string) (*session, e
 	if err != nil {
 		return nil, fherr.Wrap(fherr.ErrEngineFault, "shard: dial worker %d: %v", slot, err)
 	}
-	sess := &session{conn: conn}
+	sess := &session{conn: conn, timeout: opts.HeartbeatTimeout}
 	if err := sess.send(Msg{
 		Type:        MsgHello,
 		Dir:         opts.Dir,
@@ -45,7 +47,10 @@ func dial(ctx context.Context, opts Options, slot int, addr string) (*session, e
 	return sess, nil
 }
 
-func (s *session) send(m Msg) error { return WriteMessage(s.conn, m) }
+func (s *session) send(m Msg) error {
+	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
+	return WriteMessage(s.conn, m)
+}
 
 // closeSend half-closes the supervisor->worker direction so a drained
 // worker can finish its exit path.
@@ -56,18 +61,18 @@ func (s *session) closeSend() {
 }
 
 // close drops the connection, which also ends read. It kills nothing: a
-// fenced member that keeps computing is harmless — its stale-epoch output
-// is rejected.
+// fenced member that keeps computing is harmless — its stale-epoch done,
+// batch and all, is dropped by the core.
 func (s *session) close() { s.conn.Close() }
 
 // read pumps protocol frames through the hardened decoder into deliver
 // until the stream ends, and returns why it did. A frame that fails its
-// checksum or DecodeWorkerMessage ends it too: a peer that emits garbage
-// is indistinguishable from a corrupt one.
-func (s *session) read(deliver func(Msg)) error {
+// checksum, DecodeWorkerMessage or the job's batch limit ends it too: a
+// peer that emits garbage is indistinguishable from a corrupt one.
+func (s *session) read(lim Limit, deliver func(Msg)) error {
 	br := bufio.NewReaderSize(s.conn, 64<<10)
 	for {
-		m, err := ReadMessage(br)
+		m, err := ReadMessage(br, lim)
 		if err != nil {
 			return err
 		}
@@ -75,19 +80,30 @@ func (s *session) read(deliver func(Msg)) error {
 	}
 }
 
-// WriteMessage sends one protocol message as one Meta frame.
+// WriteMessage sends one protocol message as one Meta frame, and an
+// assign's or a done's batch as the Body frame after it, in a single
+// Write so that concurrent writers of whole messages cannot interleave.
 func WriteMessage(w io.Writer, m Msg) error {
-	payload, _ := json.Marshal(m) // a Msg holds only strings and ints
-	return frame.Write(w, frame.Meta, payload)
+	payload, _ := json.Marshal(m) // a Msg holds only strings and ints; Batch is not marshalled
+	out := frame.Append(nil, frame.Meta, payload)
+	if carriesBatch(m.Type) {
+		out = frame.Append(out, frame.Body, m.Batch)
+	}
+	_, err := w.Write(out)
+	return err
 }
 
-// ReadMessage reads one hardened protocol message — the same frame bound
-// and field validation on both ends of the socket: a network-exposed
-// listener must never trust its peer's framing.
-func ReadMessage(r io.Reader) (Msg, error) {
+// ReadMessage reads one hardened protocol message, with its batch under
+// lim — the same frame bounds and field validation on both ends of the
+// socket: a network-exposed listener must never trust its peer's framing.
+func ReadMessage(r io.Reader, lim Limit) (Msg, error) {
 	payload, err := frame.Expect(r, frame.Meta, MaxMsgBytes)
 	if err != nil {
 		return Msg{}, err
 	}
-	return DecodeWorkerMessage(payload)
+	m, err := DecodeWorkerMessage(payload)
+	if err == nil && carriesBatch(m.Type) {
+		m.Batch, err = lim.ReadBatch(r, m.Shard)
+	}
+	return m, err
 }

@@ -179,7 +179,8 @@ type Stats struct {
 	Redispatches int64
 	LeasesStolen int64
 	// ShardRetries counts re-dispatches after a live worker reported a
-	// shard failure (distinct from broken leases).
+	// shard failure or ShardDone rejected the output batch of its done
+	// (distinct from broken leases).
 	ShardRetries int64
 	// WorkersRetired counts slots whose circuit breaker opened (or whose
 	// spawn failed terminally); DegradedEntries counts falls back to
@@ -192,49 +193,43 @@ type Stats struct {
 	// or a duplicated/reordered done on the wire) — detected and
 	// ignored, never double-applied.
 	DuplicateDones int64
-	// StaleEpochRejects counts fenced zombie writes: done reports or
-	// durable output stamps carrying an older lease epoch than the
-	// supervisor dispatched. Rejected and (for a stamped output under
-	// the current done) re-dispatched, never applied.
+	// StaleEpochRejects counts fenced zombie reports: done reports, output
+	// batch and all, carrying an older lease epoch than the supervisor
+	// dispatched. Dropped, never applied.
 	StaleEpochRejects int64
 }
 
 // Callbacks connect the generic supervisor to the caller's shard
 // payloads.
 type Callbacks struct {
-	// ShardDone validates and collects a completed shard's durable
-	// output. epoch is the lease epoch the supervisor dispatched; the
-	// callback must reject an output stamped with any other epoch by
-	// returning an error wrapping ErrStaleEpoch (epoch < 0 accepts any
-	// stamp — the resume scan). Any error (missing, corrupt, stale, or
-	// undecodable output) turns the completion report into a shard
-	// failure.
-	ShardDone func(shard, epoch int) error
-	// HealInput, when non-nil, republishes a shard's input before a
-	// re-dispatch, so a corrupted input file cannot pin a shard down.
-	HealInput func(shard int) error
-	// ExecLocal runs one shard in-process — degraded mode's executor,
-	// publishing its output under the given lease epoch. It must be
-	// resumable from the shard's durable checkpoints, exactly like a
-	// worker.
-	ExecLocal func(ctx context.Context, shard, epoch int) error
+	// ShardDone validates and collects the output batch a worker's done
+	// carried for the lease the supervisor dispatched. Any error (a
+	// corrupt or undecodable batch) turns the completion report into a
+	// shard failure.
+	ShardDone func(shard int, output []byte) error
+	// ExecLocal runs one shard in-process and collects its output —
+	// degraded mode's executor. It must be resumable from the shard's
+	// durable checkpoints, exactly like a worker.
+	ExecLocal func(ctx context.Context, shard int) error
 }
 
-// Run executes shards [0, total) across worker sessions. done marks
-// shards already completed by a previous attempt (may be nil). Run
-// returns when every shard is complete, the job fails with a typed
-// error, or ctx is canceled.
+// Run executes one shard per input batch across worker sessions: every
+// assign of shard i carries inputs[i], and every batch on the wire is
+// read under lim. done marks shards already completed by a previous
+// attempt (may be nil). Run returns when every shard is complete, the
+// job fails with a typed error, or ctx is canceled.
 //
 // Run is the driver of the state machine in machine.go: one loop that
 // feeds it what happened and performs what it answers. Whatever the
 // driver starts (timers, dials, session readers, child watchers, the
-// three callbacks) runs off the loop and comes back through the inbox, so
+// two callbacks) runs off the loop and comes back through the inbox, so
 // the driver's tables need no lock, and nothing it starts outlives Run.
-func Run(ctx context.Context, opts Options, total int, done []bool, cb Callbacks) (Stats, error) {
+func Run(ctx context.Context, opts Options, inputs [][]byte, lim Limit, done []bool, cb Callbacks) (Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return Stats{}, err
 	}
 	opts = opts.withDefaults()
+	total := len(inputs)
 	if total <= 0 {
 		return Stats{}, fherr.Wrap(fherr.ErrInvalidParams, "shard: no shards")
 	}
@@ -244,11 +239,8 @@ func Run(ctx context.Context, opts Options, total int, done []bool, cb Callbacks
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cb.HealInput == nil {
-		cb.HealInput = func(int) error { return nil }
-	}
 	m, first := newMachine(opts, total, done, time.Now())
-	d := &driver{opts: opts, cb: cb, ctx: ctx, m: m, inbox: make(chan func()), ports: make([]port, len(m.slots))}
+	d := &driver{opts: opts, cb: cb, ctx: ctx, m: m, inputs: inputs, lim: lim, inbox: make(chan func()), ports: make([]port, len(m.slots))}
 	var stop context.CancelFunc
 	d.quit, stop = context.WithCancel(context.Background())
 	d.perform(first)
@@ -285,10 +277,12 @@ func Run(ctx context.Context, opts Options, total int, done []bool, cb Callbacks
 // slot (port.gen), and that a dead child's exit is reported only after
 // what the child had written to its session.
 type driver struct {
-	opts Options
-	cb   Callbacks
-	ctx  context.Context // the caller's: what ExecLocal runs under
-	m    *machine
+	opts   Options
+	cb     Callbacks
+	ctx    context.Context // the caller's: what ExecLocal runs under
+	m      *machine
+	inputs [][]byte // what each shard's assign carries
+	lim    Limit    // what a batch on the wire may be
 
 	inbox chan func()     // what happened off the loop, to be run on it
 	quit  context.Context // ends with the loop: dials and timers stop waiting
@@ -334,9 +328,15 @@ func (d *driver) perform(actions []action) {
 			d.connect(a.slot, a.after, a.kind == actStart)
 		case actSend:
 			if sess := d.ports[a.slot].sess; sess != nil {
-				if err := sess.send(a.msg); err != nil {
-					// The read side sees the drop; the core takes it from there.
-					d.opts.Logf("shard: action=%s-write-failed worker=%d shard=%d reason=%q", a.msg.Type, a.slot, a.msg.Shard, err.Error())
+				msg := a.msg
+				if msg.Type == MsgAssign {
+					msg.Batch = d.inputs[msg.Shard]
+				}
+				if err := sess.send(msg); err != nil {
+					// Closed here, the read side sees the drop and the core
+					// takes it from there.
+					d.opts.Logf("shard: action=%s-write-failed worker=%d shard=%d reason=%q", msg.Type, a.slot, msg.Shard, err.Error())
+					sess.close()
 				}
 				if a.last {
 					sess.closeSend()
@@ -345,11 +345,9 @@ func (d *driver) perform(actions []action) {
 		case actDrop:
 			d.drop(a.slot, a.after)
 		case actVerify:
-			d.call(event{kind: evVerified, shard: a.shard, epoch: a.epoch}, func() error { return d.cb.ShardDone(a.shard, a.epoch) })
-		case actHeal:
-			d.call(event{kind: evHealed, shard: a.shard}, func() error { return d.cb.HealInput(a.shard) })
+			d.call(event{kind: evVerified, shard: a.shard, epoch: a.epoch}, func() error { return d.cb.ShardDone(a.shard, a.batch) })
 		case actExecLocal:
-			d.call(event{kind: evLocalDone, shard: a.shard, epoch: a.epoch}, func() error { return d.cb.ExecLocal(d.ctx, a.shard, a.epoch) })
+			d.call(event{kind: evLocalDone, shard: a.shard, epoch: a.epoch}, func() error { return d.cb.ExecLocal(d.ctx, a.shard) })
 		case actLog:
 			d.opts.Logf("%s", a.text)
 		case actFinish:
@@ -460,7 +458,7 @@ func (d *driver) attach(slot, gen int, life bool) {
 			}
 			d.feed(event{kind: evAttached, slot: slot, peer: peer})
 		}
-		err = sess.read(func(m Msg) { d.inbox <- func() { d.deliver(slot, gen, event{kind: evMsg, msg: m}) } })
+		err = sess.read(d.lim, func(m Msg) { d.inbox <- func() { d.deliver(slot, gen, event{kind: evMsg, msg: m}) } })
 		return func() {
 			if p.gen != gen {
 				return

@@ -1,8 +1,8 @@
 package shard_test
 
 // Network fault-tolerance tests: every network fault class (conn drop
-// mid-shard, partition past the lease, duplicate done, stale-epoch
-// zombie writes at both the message and the blob layer, full fleet loss)
+// mid-shard, partition past the lease, duplicate done, a stale-epoch
+// zombie done carrying a batch that is not the output, full fleet loss)
 // must leave the job's output bit-identical to the unsharded in-process
 // run, with the recovery visible in the supervisor's counters. Fleet
 // members run in-process (worker.Listen on a loopback port) so they
@@ -17,12 +17,16 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bitpacker"
 	"bitpacker/internal/chaos"
+	"bitpacker/internal/durable"
 	"bitpacker/internal/frame"
+	"bitpacker/internal/pipeline"
 	"bitpacker/internal/shard"
 	"bitpacker/internal/shard/worker"
 )
@@ -239,9 +243,11 @@ func TestTCPDuplicateDone(t *testing.T) {
 }
 
 // TestTCPStaleEpochDone replays a done stamped with the previous lease
-// epoch ahead of the real one — the fencing test at the message layer.
-// The supervisor must reject the stale report (counted) and accept only
-// the correctly-stamped one.
+// epoch ahead of the real one, carrying the shard's input as its batch —
+// the fencing test, at the one layer a zombie's output now reaches. The
+// supervisor must reject the stale report (counted) and accept only the
+// correctly-stamped one: had the fence let it through, the input would
+// stand in for the output and the bit-identity check would fail.
 func TestTCPStaleEpochDone(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
 	inputs := encryptBatch(t, ctx, 6, 66)
@@ -256,33 +262,6 @@ func TestTCPStaleEpochDone(t *testing.T) {
 	if report.Stats.StaleEpochRejects == 0 {
 		t.Fatalf("stale-epoch done was not rejected: %+v", report.Stats)
 	}
-}
-
-// TestTCPStaleEpochBlob overwrites the shard's durable output with a
-// stamp from the previous epoch while reporting done under the current
-// one — the fencing test at the blob layer (a zombie's file write).
-// Output validation must reject the stale stamp, count it, and
-// re-dispatch the shard until a correctly-stamped output lands.
-func TestTCPStaleEpochBlob(t *testing.T) {
-	forBothSchemes(t, func(t *testing.T, scheme bitpacker.Scheme) {
-		ctx := testCtx(t, scheme)
-		inputs := encryptBatch(t, ctx, 6, 67)
-		want := unshardedRun(t, ctx, testProgram, inputs)
-		fault := chaos.NetFault{Kind: chaos.NetStaleBlob, Shard: 1, Step: 0, Times: 1}
-		t.Setenv(chaos.NetFaultEnv, fault.Encode())
-		got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, fleetOpts(t, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, ctx, "stale-blob", got, want)
-		st := report.Stats
-		if st.StaleEpochRejects == 0 {
-			t.Fatalf("stale-epoch blob was not rejected: %+v", st)
-		}
-		if st.ShardRetries == 0 {
-			t.Fatalf("stale-epoch blob did not force a re-dispatch: %+v", st)
-		}
-	})
 }
 
 // TestTCPFullFleetLoss points the supervisor at dead addresses: every
@@ -354,6 +333,177 @@ func TestTCPFleetResume(t *testing.T) {
 	}
 }
 
+// TestTCPFleetResumeDamaged reruns a kept job after one shard's
+// checkpoint directory was deleted and a byte of another's final-stage
+// checkpoint flipped: every other shard resumes from its final checkpoint,
+// the deleted one is recomputed, the damaged one resumes from its previous
+// step's checkpoint (which the rerun leaves as it was) — and the outputs
+// are still bit-identical to the serial run.
+func TestTCPFleetResumeDamaged(t *testing.T) {
+	ctx := testCtx(t, bitpacker.BitPacker)
+	inputs := encryptBatch(t, ctx, 6, 71)
+	want := unshardedRun(t, ctx, testProgram, inputs)
+	opts := fleetOpts(t, 2)
+	opts.Keep = true
+	got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, ctx, "first run", got, want)
+	last := len(testProgram) - 1
+	if err := os.RemoveAll(shard.CkptDir(opts.Dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	final := pipeline.DirStorePath(shard.CkptDir(opts.Dir, 3), last)
+	data, err := os.ReadFile(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(final, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	previous := pipeline.DirStorePath(shard.CkptDir(opts.Dir, 3), last-1)
+	before, err := os.Stat(previous)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got2, report2, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, ctx, "damaged resume", got2, want)
+	if report2.Resumed != report.Shards-2 {
+		t.Fatalf("rerun resumed %d of %d shards, want all but the two damaged", report2.Resumed, report2.Shards)
+	}
+	if after, err := os.Stat(previous); err != nil || !os.SameFile(before, after) {
+		t.Fatalf("the damaged shard's step %d checkpoint was rewritten (%v): it did not resume from it", last-1, err)
+	}
+}
+
+// TestShardedDurableWrites counts the directory fsyncs of one kept job at
+// the benchmark's shape — 4 shards through 6 steps, on in-process fleet
+// members so every write happens here — and checks what is left: the job
+// file and one checkpoint per shard and step are all the job makes
+// durable, and all the exchange directory holds. Inputs and outputs
+// travel on the sessions.
+func TestShardedDurableWrites(t *testing.T) {
+	ctx := testCtx(t, bitpacker.BitPacker)
+	program := []bitpacker.ShardStep{
+		{Op: bitpacker.ShardOpSquare},
+		{Op: bitpacker.ShardOpOffset, Arg: 0.5},
+		{Op: bitpacker.ShardOpNegate},
+		{Op: bitpacker.ShardOpOffset, Arg: 1},
+		{Op: bitpacker.ShardOpNegate},
+		{Op: bitpacker.ShardOpOffset, Arg: 0.25},
+	}
+	const shards = 4
+	inputs := encryptBatch(t, ctx, 2*shards, 72)
+	want := unshardedRun(t, ctx, program, inputs)
+	opts := fleetOpts(t, 2)
+	opts.ShardSize, opts.Keep = 2, true
+
+	var syncs atomic.Int64
+	syncDir := durable.SyncDir
+	durable.SyncDir = func(dir string) error { syncs.Add(1); return syncDir(dir) }
+	defer func() { durable.SyncDir = syncDir }()
+	got, report, err := ctx.RunSharded(context.Background(), program, inputs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, ctx, "durable writes", got, want)
+	if report.Shards != shards {
+		t.Fatalf("%d shards, want %d", report.Shards, shards)
+	}
+	if n, want := syncs.Load(), int64(1+shards*len(program)); n != want {
+		t.Fatalf("one job made %d directory fsyncs, want %d: the job file and one per shard and step", n, want)
+	}
+	entries, err := os.ReadDir(opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "ckpt job.json" {
+		t.Fatalf("the kept exchange directory holds %v, want only ckpt and job.json", names)
+	}
+}
+
+// TestTCPAssignToStalledPeer points the supervisor at a member that
+// answers the handshake and then reads nothing more — a frozen process,
+// or a peer behind a link that drops packets silently. The assign's
+// batch is larger than the socket buffers take, so without a deadline on
+// the send the driver's loop would block in the write for good, and with
+// it no tick would ever reach the core. The send must give up instead:
+// the session ends, the slot is spent and the job finishes degraded,
+// bit-identical.
+func TestTCPAssignToStalledPeer(t *testing.T) {
+	ctx := testCtx(t, bitpacker.BitPacker)
+	program := []bitpacker.ShardStep{{Op: bitpacker.ShardOpNegate}}
+	inputs := encryptBatch(t, ctx, 1, 73)
+	for len(inputs) < 16<<20/ctx.MaxCiphertextBytes() { // a 16 MiB batch
+		inputs = append(inputs, inputs[0])
+	}
+	want := unshardedRun(t, ctx, program, inputs)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		var held []net.Conn // open, never read past the hello
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, conn)
+			if _, err := shard.ReadMessage(conn, shard.Limit{}); err == nil {
+				shard.WriteMessage(conn, shard.Msg{Type: shard.MsgReady})
+			}
+		}
+	}()
+	opts := bitpacker.ShardOptions{
+		Dir:               t.TempDir(),
+		Addrs:             []string{ln.Addr().String()},
+		ShardSize:         len(inputs),
+		HeartbeatInterval: 25 * time.Millisecond,
+		HeartbeatTimeout:  150 * time.Millisecond,
+		Respawn:           bitpacker.RespawnPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, BreakerThreshold: 1, Seed: 5},
+		Logf:              t.Logf,
+	}
+	type result struct {
+		got    []*bitpacker.Ciphertext
+		report bitpacker.ShardReport
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		got, report, err := ctx.RunSharded(context.Background(), program, inputs, opts)
+		done <- result{got, report, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		assertBitIdentical(t, ctx, "stalled peer", r.got, want)
+		if r.report.Stats.DegradedEntries != 1 {
+			t.Fatalf("the stalled member's shard was not run degraded: %+v", r.report.Stats)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the supervisor is stuck writing an assign to a member that reads nothing")
+	}
+}
+
 // TestFleetRejectsBadFingerprint dials a fleet directly with a hello the
 // job file on disk does not back: a fingerprint that does not match it,
 // or a matching one for a program the op table refuses. The fleet must
@@ -392,9 +542,9 @@ func TestFleetRejectsBadFingerprint(t *testing.T) {
 		}
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 		br := bufio.NewReader(conn)
-		m, err := shard.ReadMessage(br)
+		m, err := shard.ReadMessage(br, shard.Limit{})
 		for err == nil && m.Type == shard.MsgBeat { // beats precede the context build
-			m, err = shard.ReadMessage(br)
+			m, err = shard.ReadMessage(br, shard.Limit{})
 		}
 		if err != nil {
 			t.Fatalf("%s: no reject answer: %v", tc.name, err)
@@ -438,7 +588,7 @@ func TestFleetSpawnedMemberServesOnlyItsDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	if m, err := shard.ReadMessage(bufio.NewReader(conn)); err != nil || m.Type != shard.MsgReject {
+	if m, err := shard.ReadMessage(bufio.NewReader(conn), shard.Limit{}); err != nil || m.Type != shard.MsgReject {
 		t.Fatalf("hello for a foreign directory answered with %q (%v), want reject", m.Type, err)
 	}
 	stdin.Close()

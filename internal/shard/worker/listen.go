@@ -187,7 +187,7 @@ func (f *Fleet) handle(conn net.Conn) {
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	hello, err := shard.ReadMessage(br)
+	hello, err := shard.ReadMessage(br, shard.Limit{}) // no batch before the job is known
 	if err != nil || hello.Type != shard.MsgHello {
 		f.logf("worker: fleet: bad handshake from %s: %v", conn.RemoteAddr(), err)
 		conn.Close()
@@ -221,14 +221,14 @@ func (f *Fleet) handle(conn net.Conn) {
 	sl.ready()
 	f.logf("worker: fleet: supervisor %s attached (dir=%s worker=%d)", conn.RemoteAddr(), hello.Dir, hello.Worker)
 	for {
-		m, err := shard.ReadMessage(br)
+		m, err := shard.ReadMessage(br, sl.job.rt.lim)
 		if err != nil {
 			sl.detach(conn)
 			return
 		}
 		switch m.Type {
 		case shard.MsgAssign:
-			sl.assign(m.Shard, m.Epoch)
+			sl.assign(m.Shard, m.Epoch, m.Batch)
 		case shard.MsgDrain:
 			f.release(sl)
 			return

@@ -21,7 +21,7 @@ type fleetSlot struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	greeted bool        // ready sent on conn: until then only beats may precede it
-	queued  []shard.Msg // done / non-canceled fail awaiting a greeted connection
+	queued  []shard.Msg // done (with its batch) / non-canceled fail awaiting a greeted connection
 	inShard int
 	inEpoch int // 0 = idle
 	cancel  context.CancelFunc
@@ -104,10 +104,11 @@ func (s *fleetSlot) detach(conn net.Conn) {
 	}
 }
 
-// assign starts computing a shard under its lease epoch, superseding (by
-// cancellation) whatever stale lease was still in flight. A duplicate
-// assign for the exact lease already running is ignored.
-func (s *fleetSlot) assign(id, epoch int) {
+// assign starts computing a shard's input batch under its lease epoch,
+// superseding (by cancellation) whatever stale lease was still in
+// flight. A duplicate assign for the exact lease already running is
+// ignored.
+func (s *fleetSlot) assign(id, epoch int, input []byte) {
 	s.mu.Lock()
 	if s.inEpoch == epoch && s.inShard == id {
 		s.mu.Unlock()
@@ -122,7 +123,7 @@ func (s *fleetSlot) assign(id, epoch int) {
 	s.mu.Unlock()
 	go func() {
 		defer cancel()
-		s.job.rt.runShard(ctx, id, epoch, s)
+		s.job.rt.runShard(ctx, id, epoch, input, s)
 		s.mu.Lock()
 		if s.inShard == id && s.inEpoch == epoch {
 			s.inShard, s.inEpoch = 0, 0

@@ -3,15 +3,16 @@
 // authenticates each hello by job fingerprint, rebuilds a bit-identical
 // FHE context from the job file's Config (deterministic seeded keygen
 // makes every process derive the same keys), and serves shard
-// assignments — executing each through the checkpointed ExecShard path
-// and publishing durable outputs stamped with the dispatch's lease epoch
-// — while a per-slot goroutine heartbeats on the same socket. It keeps
-// computing through disconnections: completions are queued while the
-// socket is down and flushed when the supervisor reconnects. There is one
-// loop that reads assign/drain (Fleet.handle); a process the supervisor
-// forked (BITPACKER_SHARD_DIR in its environment, Main) is the same
-// member on a loopback port, serving that one directory until its stdin
-// closes.
+// assignments — executing the input batch each assign carries through
+// the checkpointed ExecShard path and answering with a done that carries
+// the output batch, echoing the dispatch's lease epoch — while a
+// per-slot goroutine heartbeats on the same socket. It keeps computing
+// through disconnections: completions, batches included, are queued
+// while the socket is down and flushed when the supervisor reconnects.
+// There is one loop that reads assign/drain (Fleet.handle); a process the
+// supervisor forked (BITPACKER_SHARD_DIR in its environment, Main) is the
+// same member on a loopback port, serving that one directory until its
+// stdin closes.
 package worker
 
 import (
@@ -27,7 +28,6 @@ import (
 	"bitpacker"
 	"bitpacker/internal/chaos"
 	"bitpacker/internal/frame"
-	"bitpacker/internal/pipeline"
 	"bitpacker/internal/shard"
 )
 
@@ -91,13 +91,14 @@ func (b *beater) pause(d time.Duration) {
 
 func (b *beater) halt() { b.once.Do(func() { close(b.stop) }) }
 
-// runtime is one job's loaded execution state: the rebuilt FHE context
-// and the declarative program, shared by every slot the member runs for
-// that job.
+// runtime is one job's loaded execution state: the rebuilt FHE context,
+// the declarative program and the bound on the job's batches, shared by
+// every slot the member runs for that job.
 type runtime struct {
 	fhe     *bitpacker.Context
 	dir     string
 	program []bitpacker.ShardStep
+	lim     shard.Limit
 }
 
 // newRuntime rebuilds the job's bit-identical FHE context (deterministic
@@ -125,18 +126,18 @@ func newRuntime(dir string, jf shard.JobFile) (*runtime, error) {
 	if _, err := fhe.PlanProgram(program, fhe.MaxLevel()); err != nil {
 		return nil, fmt.Errorf("worker: job program: %w", err)
 	}
-	return &runtime{fhe: fhe, dir: dir, program: program}, nil
+	lim := shard.Limit{Counts: jf.Shards, CiphertextBytes: fhe.MaxCiphertextBytes()}
+	return &runtime{fhe: fhe, dir: dir, program: program, lim: lim}, nil
 }
 
-// runShard executes one assigned shard under its lease epoch and reports
-// done or fail through the slot. Chaos faults specified in the
-// environment (process-level and network-level) are enacted at the
-// hook's step boundaries.
-func (rt *runtime) runShard(ctx context.Context, id, epoch int, sl *fleetSlot) {
+// runShard executes one assigned shard's input batch under its lease
+// epoch and reports done, with the output batch, or fail through the
+// slot. Chaos faults specified in the environment (process-level and
+// network-level) are enacted at the hook's step boundaries.
+func (rt *runtime) runShard(ctx context.Context, id, epoch int, input []byte, sl *fleetSlot) {
 	corruptOut := false
 	dupDone := false
 	staleDone := false
-	staleBlob := false
 	hook := func(step int) {
 		sl.b.progress(id, step)
 		sl.send(shard.Msg{Type: shard.MsgBeat, Shard: id, Step: step})
@@ -169,14 +170,12 @@ func (rt *runtime) runShard(ctx context.Context, id, epoch int, sl *fleetSlot) {
 				dupDone = true
 			case chaos.NetStaleDone:
 				staleDone = true
-			case chaos.NetStaleBlob:
-				staleBlob = true
 			case chaos.NetBeatDelay:
 				sl.b.pause(time.Duration(f.DelayMs) * time.Millisecond)
 			}
 		}
 	}
-	err := rt.fhe.ExecShard(ctx, rt.dir, id, epoch, rt.program, hook)
+	out, err := rt.fhe.ExecShard(ctx, rt.dir, id, input, rt.program, hook)
 	if err != nil {
 		class := shard.ClassFault
 		if errors.Is(err, bitpacker.ErrCanceled) {
@@ -186,42 +185,24 @@ func (rt *runtime) runShard(ctx context.Context, id, epoch int, sl *fleetSlot) {
 		return
 	}
 	if corruptOut {
-		// Torn-write model: garble the just-published output, report done
-		// anyway, and die — the supervisor's output validation must reject
-		// the file and re-dispatch the shard.
-		_ = chaos.CorruptFile(bitpacker.ShardOutputPath(rt.dir, id))
-		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch})
+		// Corrupt-output model: garble the last byte of the last
+		// ciphertext before the batch's wire frame is written, report done,
+		// and die. The wire's checksum passes; the ciphertext's own frame
+		// fails at the supervisor's verify, which re-queues the shard.
+		out[len(out)-frame.HeaderLen-1] ^= 0xa5
+		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch, Batch: out})
 		os.Exit(shard.CrashExitCode)
 	}
-	if staleBlob {
-		// Zombie-overwrite model: re-stamp the durable output with the
-		// previous epoch, then report done with the current one — output
-		// validation must reject the stale stamp and re-dispatch.
-		restampOutput(rt.dir, id, epoch-1)
-	}
 	if staleDone {
-		// Zombie-report model: a done carrying the previous epoch precedes
-		// the real one — the epoch fence must drop it.
-		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch - 1})
+		// Zombie-report model: a done carrying the previous epoch, and a
+		// batch that is not the output (the shard's input), precedes the
+		// real one — the epoch fence must drop both.
+		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch - 1, Batch: input})
 	}
-	sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch})
+	sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch, Batch: out})
 	if dupDone {
-		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch})
+		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch, Batch: out})
 	}
-}
-
-// restampOutput rewrites a shard's durable output frame under a
-// different epoch stamp (chaos only: models a zombie's overwrite).
-func restampOutput(dir string, id, epoch int) {
-	st, err := pipeline.NewDirStore(shard.OutDir(dir))
-	if err != nil {
-		return
-	}
-	_, blob, err := st.Get(id)
-	if err != nil {
-		return
-	}
-	_ = st.Put(id, shard.OutputName(id, epoch), blob)
 }
 
 // Main is a spawned worker's whole life: a loopback fleet member for the

@@ -189,15 +189,15 @@ func (c *Context) ApplyShardStep(step ShardStep, state []*Ciphertext) ([]*Cipher
 type ShardHook func(step int)
 
 // RunProgram runs a program as a checkpointed pipeline, one stage per
-// step (RunPipeline's options and report). Stage i is named "%02d-<op>",
-// which is what a checkpoint directory is resumed by. Whoever accepts a
+// step (RunPipeline's options and report). Stage i is named
+// stageName(i, step), which is what a checkpoint directory is resumed by. Whoever accepts a
 // program from outside calls PlanProgram first; a step it would have
 // refused fails here with the same typed error, at its stage.
 func (c *Context) RunProgram(ctx context.Context, program []ShardStep, state []*Ciphertext, opts PipelineOptions, hook ShardHook) ([]*Ciphertext, PipelineReport, error) {
 	stages := make([]PipelineStage, len(program))
 	for i, st := range program {
 		stages[i] = PipelineStage{
-			Name: fmt.Sprintf("%02d-%s", i, st.Op),
+			Name: stageName(i, st),
 			Run: func(ctx context.Context, state []*Ciphertext) ([]*Ciphertext, error) {
 				if hook != nil {
 					hook(i)
@@ -208,3 +208,6 @@ func (c *Context) RunProgram(ctx context.Context, program []ShardStep, state []*
 	}
 	return c.RunPipeline(ctx, stages, state, opts)
 }
+
+// stageName is the pipeline stage name of a program's step i: "%02d-<op>".
+func stageName(i int, st ShardStep) string { return fmt.Sprintf("%02d-%s", i, st.Op) }

@@ -217,6 +217,47 @@ func TestSelfHealCircuitBreaker(t *testing.T) {
 	}
 }
 
+// TestSelfHealBreakerCoolsDown: a Context's breaker closes again on its
+// own. No Cooldown is set, and Reset is out of reach from the root API,
+// so once a persistent fault has opened the breaker only the default
+// cooldown can let the next operation through after the fault is gone.
+func TestSelfHealBreakerCoolsDown(t *testing.T) {
+	c := healCtx(t, BitPacker, &RetryPolicy{MaxAttempts: 1, BreakerThreshold: 2}, []int{1, 2, 3})
+	const dim = 4
+	mat := make([][]complex128, dim)
+	for i := range mat {
+		mat[i] = make([]complex128, dim)
+		for j := range mat[i] {
+			mat[i][j] = complex(float64(i+2*j)/8, 0)
+		}
+	}
+	tr, err := c.NewMatrixTransform(mat, c.MaxLevel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := c.MustEncrypt(c.Replicate(randComplex(dim, rand.New(rand.NewPCG(17, 18))), dim))
+	_, restore := chaos.New(19).Burst(0, 100) // persistent fault source
+	for i := 0; i < 2; i++ {
+		if _, err := c.Apply(in, tr); !errors.Is(err, ErrFaultUnrecovered) {
+			restore()
+			t.Fatalf("op %d: err = %v, want ErrFaultUnrecovered", i, err)
+		}
+	}
+	if _, err := c.Apply(in, tr); !errors.Is(err, ErrCircuitOpen) {
+		restore()
+		t.Fatalf("breaker did not open: %v", err)
+	}
+	restore() // fault source fixed
+	time.Sleep(1100 * time.Millisecond)
+	out, err := c.Apply(in, tr)
+	if err != nil {
+		t.Fatalf("past the default cooldown: %v", err)
+	}
+	if err := c.Validate(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSelfHealMetadataFaults: metadata corruption (scale skew, noise
 // laundering) and in-range payload tampering poison the working copy of
 // a pipeline stage; the retry rung discards the poisoned attempt and

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"bitpacker/internal/ckks"
 	"bitpacker/internal/fherr"
 	"bitpacker/internal/pipeline"
 	"bitpacker/internal/shard"
@@ -40,55 +41,38 @@ func (c *Context) DecodeCiphertexts(data []byte) ([]*Ciphertext, error) {
 	return wrapState(inner), nil
 }
 
-// ShardOutputPath returns the durable output file of one shard inside a
-// job exchange directory (for inspection and fault injection).
-func ShardOutputPath(dir string, shardID int) string {
-	return pipeline.DirStorePath(shard.OutDir(dir), shardID)
-}
+// MaxCiphertextBytes bounds the encoding of any ciphertext of the
+// context's chain (MarshalCiphertext): a top-level one's size. Times a
+// shard's ciphertext count, it is what both ends of the shard wire accept
+// as that shard's batch.
+func (c *Context) MaxCiphertextBytes() int { return ckks.MaxCiphertextBytes(c.params) }
 
-// ExecShard executes one shard of a sharded job from its durable input
-// to its durable output: reads the shard's input batch from the exchange
-// directory, runs the program through the checkpointed pipeline (per-step
-// checkpoints under the shard's checkpoint directory — a re-dispatched
-// shard resumes from its last durable step instead of recomputing), and
-// atomically publishes the checksummed output stamped with the lease
-// epoch the dispatch carried (shard.OutputName), which is how the
-// supervisor fences output files overwritten by zombie workers holding
-// broken leases. Worker processes, fleet members, and the supervisor's
-// degraded in-process fallback all run shards through this one code
-// path, which is what makes every execution mode bit-identical. hook, if
-// not nil, is RunProgram's, and is called once more with len(program)
-// when the last step is done.
-func (c *Context) ExecShard(ctx context.Context, dir string, shardID, epoch int, program []ShardStep, hook ShardHook) error {
-	inStore, err := pipeline.NewDirStore(shard.InDir(dir))
+// ExecShard executes one shard of a sharded job: decodes its input batch
+// (an EncodeCiphertexts batch, as its assign carried it), runs the
+// program through the checkpointed pipeline and returns the output
+// batch. Every step is checkpointed under the shard's directory in the
+// exchange directory dir, and the checkpoints are kept: a re-dispatched
+// shard resumes from its last durable step instead of recomputing, and
+// the last one is the shard's output, which a rerun of the job resumes
+// from. Worker processes, fleet members, and the supervisor's degraded
+// in-process fallback all run shards through this one code path, which
+// is what makes every execution mode bit-identical. hook, if not nil, is
+// RunProgram's, and is called once more with len(program) when the last
+// step is done.
+func (c *Context) ExecShard(ctx context.Context, dir string, shardID int, input []byte, program []ShardStep, hook ShardHook) ([]byte, error) {
+	state, err := c.DecodeCiphertexts(input)
 	if err != nil {
-		return err
-	}
-	_, blob, err := inStore.Get(shardID)
-	if err != nil {
-		return fmt.Errorf("bitpacker: shard %d input: %w", shardID, err)
-	}
-	state, err := c.DecodeCiphertexts(blob)
-	if err != nil {
-		return fmt.Errorf("bitpacker: shard %d input: %w", shardID, err)
+		return nil, fmt.Errorf("bitpacker: shard %d input: %w", shardID, err)
 	}
 	final, _, err := c.RunProgram(ctx, program, state,
 		PipelineOptions{CheckpointDir: shard.CkptDir(dir, shardID), Keep: true}, hook)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if hook != nil {
 		hook(len(program))
 	}
-	out, err := c.EncodeCiphertexts(final)
-	if err != nil {
-		return err
-	}
-	outStore, err := pipeline.NewDirStore(shard.OutDir(dir))
-	if err != nil {
-		return err
-	}
-	return outStore.Put(shardID, shard.OutputName(shardID, epoch), out)
+	return c.EncodeCiphertexts(final)
 }
 
 // SupervisorStats counts the shard supervisor's recovery actions
@@ -102,9 +86,10 @@ type RespawnPolicy = shard.RespawnPolicy
 
 // ShardOptions tunes RunSharded.
 type ShardOptions struct {
-	// Dir is the job exchange directory: inputs, outputs, per-shard
-	// checkpoints and the job description live under it, and a rerun over
-	// the same directory resumes (finished shards are not recomputed; a
+	// Dir is the job exchange directory: the job description and the
+	// per-shard checkpoints live under it (inputs and outputs travel on
+	// the worker sessions), and a rerun over the same directory resumes
+	// (a shard whose final checkpoint is intact is not recomputed; a
 	// different job's leftovers are detected by fingerprint and cleared).
 	// Empty uses a private temporary directory (no cross-run resume).
 	Dir string
@@ -171,8 +156,8 @@ type ShardReport struct {
 	// model-planned serial/sharded ratio for this partition and fleet.
 	PredictedMicrosPerCt float64
 	PredictedSpeedup     float64
-	// Resumed counts shards whose intact outputs from a previous run were
-	// accepted without recomputation.
+	// Resumed counts shards whose intact final checkpoints from a previous
+	// run were accepted without recomputation.
 	Resumed int
 	// Stats are the supervisor's recovery counters.
 	Stats SupervisorStats
@@ -227,25 +212,22 @@ func planSpeedup(sizes []int, workers int) float64 {
 // clearExchange removes a stale job's artifacts from an exchange
 // directory.
 func clearExchange(dir string) error {
-	for _, sub := range []string{shard.InDir(dir), shard.OutDir(dir), filepath.Join(dir, "ckpt"), shard.ChaosDir(dir)} {
-		if err := os.RemoveAll(sub); err != nil {
+	for _, p := range []string{filepath.Join(dir, "ckpt"), shard.ChaosDir(dir), filepath.Join(dir, "job.json")} {
+		if err := os.RemoveAll(p); err != nil {
 			return err
 		}
-	}
-	if err := os.Remove(filepath.Join(dir, "job.json")); err != nil && !os.IsNotExist(err) {
-		return err
 	}
 	return nil
 }
 
 // RunSharded executes a declarative program over a ciphertext batch
 // across supervised worker processes, surviving worker crashes and
-// hangs: the batch is partitioned into shards, each shard's input is
-// durably published through the checkpoint store, workers lease shards
-// and checkpoint every step, and a dead worker's shards are
-// re-dispatched to survivors from their last durable checkpoint. The
-// result is bit-identical to running the program in-process. See
-// DESIGN.md "Sharded execution & supervision" for the failure matrix.
+// hangs: the batch is partitioned into shards, each shard's input rides
+// its assign and its output the worker's done, workers checkpoint every
+// step, and a dead worker's shards are re-dispatched to survivors, who
+// resume from their last durable checkpoint. The result is bit-identical
+// to running the program in-process. See DESIGN.md "Sharded execution &
+// supervision" for the failure matrix.
 func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []*Ciphertext, opts ShardOptions) ([]*Ciphertext, ShardReport, error) {
 	report := ShardReport{}
 	if len(inputs) == 0 {
@@ -287,36 +269,24 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		return nil, report, fmt.Errorf("bitpacker: shard exchange dir: %w", err)
 	}
 
-	// Partition into contiguous shards.
+	// Partition into contiguous shards, each encoded once: the batch its
+	// every assign carries.
 	shardSize := opts.ShardSize
 	if shardSize <= 0 {
-		shardSize = len(inputs) / (4 * workers)
-		if shardSize < 1 {
-			shardSize = 1
-		}
+		shardSize = max(1, len(inputs)/(4*workers))
 	}
-	var chunks [][]*Ciphertext
+	var sizes []int
+	var blobs [][]byte
 	for at := 0; at < len(inputs); at += shardSize {
-		end := at + shardSize
-		if end > len(inputs) {
-			end = len(inputs)
-		}
-		chunks = append(chunks, inputs[at:end])
-	}
-	total := len(chunks)
-	report.Shards = total
-	report.Workers = workers
-	sizes := make([]int, total)
-	blobs := make([][]byte, total)
-	for i, chunk := range chunks {
-		sizes[i] = len(chunk)
+		chunk := inputs[at:min(at+shardSize, len(inputs))]
 		blob, err := c.EncodeCiphertexts(chunk)
 		if err != nil {
 			return nil, report, err
 		}
-		blobs[i] = blob
+		sizes, blobs = append(sizes, len(chunk)), append(blobs, blob)
 	}
-	report.ShardSizes = sizes
+	total := len(sizes)
+	report.Shards, report.Workers, report.ShardSizes = total, workers, sizes
 	report.PredictedSpeedup = planSpeedup(sizes, workers)
 
 	cfgJSON, err := json.Marshal(c.cfg)
@@ -335,42 +305,18 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 	}
 	fingerprint := h.Sum64()
 
-	// A different job's leftovers in the exchange directory must not be
-	// mistaken for resumable state.
-	if prev, err := shard.ReadJobFile(dir); err == nil {
-		if prev.Fingerprint != fingerprint {
-			if err := clearExchange(dir); err != nil {
-				return nil, report, fmt.Errorf("bitpacker: clear stale exchange dir: %w", err)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		// Unreadable or wrong-version job file: same treatment.
+	// A different job's leftovers in the exchange directory — or an
+	// unreadable or wrong-version job file — must not be mistaken for
+	// resumable state.
+	if prev, err := shard.ReadJobFile(dir); (err == nil && prev.Fingerprint != fingerprint) || (err != nil && !os.IsNotExist(err)) {
 		if err := clearExchange(dir); err != nil {
 			return nil, report, fmt.Errorf("bitpacker: clear stale exchange dir: %w", err)
 		}
 	}
 
-	// Publish inputs (always rewritten: heals a corrupted input file from
-	// a previous attempt) and the job description.
-	inStore, err := pipeline.NewDirStore(shard.InDir(dir))
-	if err != nil {
-		return nil, report, err
-	}
-	outStore, err := pipeline.NewDirStore(shard.OutDir(dir))
-	if err != nil {
-		return nil, report, err
-	}
-	for i, blob := range blobs {
-		if err := inStore.Put(i, fmt.Sprintf("shard-%d", i), blob); err != nil {
-			return nil, report, err
-		}
-	}
 	engineWorkers := opts.EngineWorkers
 	if engineWorkers <= 0 {
-		engineWorkers = runtime.NumCPU() / workers
-		if engineWorkers < 1 {
-			engineWorkers = 1
-		}
+		engineWorkers = max(1, runtime.NumCPU()/workers)
 	}
 	if err := shard.WriteJobFile(dir, shard.JobFile{
 		Version:       shard.JobFileVersion,
@@ -383,25 +329,15 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		return nil, report, err
 	}
 
-	// Collect results as shards complete; accept intact outputs left by a
-	// previous run up front. The epoch check is the fencing half of
-	// output validation: a durable output whose stamp is not the epoch
-	// the supervisor dispatched was written by a zombie holding a broken
-	// lease and must be rejected even if its checksum and contents are
-	// intact. epoch < 0 (the resume scan) accepts any stamp — a finished
-	// shard from a previous run is valid whatever lease produced it.
+	// Collect results as shards complete. A shard whose final checkpoint
+	// a previous run of this job left intact is done already: the
+	// fingerprint check above has cleared any other job's. A damaged or
+	// missing one is dispatched as usual and resumes from the latest
+	// checkpoint that is intact.
 	results := make([][]*Ciphertext, total)
 	var resMu sync.Mutex
-	collect := func(sh, epoch int) error {
-		name, blob, err := outStore.Get(sh)
-		if err != nil {
-			return err
-		}
-		if epoch >= 0 && name != shard.OutputName(sh, epoch) {
-			return fmt.Errorf("bitpacker: shard %d output stamped %q, want %q: %w",
-				sh, name, shard.OutputName(sh, epoch), shard.ErrStaleEpoch)
-		}
-		cts, err := c.DecodeCiphertexts(blob)
+	collect := func(sh int, batch []byte) error {
+		cts, err := c.DecodeCiphertexts(batch)
 		if err != nil {
 			return err
 		}
@@ -414,12 +350,15 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		return nil
 	}
 	preDone := make([]bool, total)
-	if stages, err := outStore.Stages(); err == nil {
-		for _, sh := range stages {
-			if sh < total && collect(sh, -1) == nil {
-				preDone[sh] = true
-				report.Resumed++
-			}
+	last := len(program) - 1
+	for sh := range preDone {
+		store, err := pipeline.NewDirStore(shard.CkptDir(dir, sh))
+		if err != nil {
+			continue
+		}
+		if name, batch, err := store.Get(last); err == nil && name == stageName(last, program[last]) && collect(sh, batch) == nil {
+			preDone[sh] = true
+			report.Resumed++
 		}
 	}
 
@@ -438,16 +377,14 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		DisableDegraded:   opts.DisableDegraded,
 		Logf:              opts.Logf,
 		OnSpawn:           opts.OnSpawn,
-	}, total, preDone, shard.Callbacks{
+	}, blobs, shard.Limit{Counts: sizes, CiphertextBytes: c.MaxCiphertextBytes()}, preDone, shard.Callbacks{
 		ShardDone: collect,
-		HealInput: func(sh int) error {
-			return inStore.Put(sh, fmt.Sprintf("shard-%d", sh), blobs[sh])
-		},
-		ExecLocal: func(ctx context.Context, sh, epoch int) error {
-			if err := c.ExecShard(ctx, dir, sh, epoch, program, nil); err != nil {
+		ExecLocal: func(ctx context.Context, sh int) error {
+			out, err := c.ExecShard(ctx, dir, sh, blobs[sh], program, nil)
+			if err != nil {
 				return err
 			}
-			return collect(sh, epoch)
+			return collect(sh, out)
 		},
 	})
 	report.Stats = stats
