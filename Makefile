@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate opgate keygate framegate puregate docs-check loc fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate opgate keygate jobgate framegate puregate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -56,6 +56,16 @@ keygate:
 	@bad=$$(grep -rnE '\.(Gen(Relin|Galois)|[Gg]enSwitching)Key\(' --include='*.go' . \
 		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build)/' | grep -vE '^\./internal/ckks/(keycache|keys)\.go:'; true); \
 	if [ -n "$$bad" ]; then echo "switching key generated outside the key store:"; echo "$$bad"; exit 1; fi
+
+# One-job gate: a served long job is one Context.RunSharded call, whose
+# in-process route is its "no fleet" case. Non-test code in
+# internal/serve that names RunProgram, RunPipeline or PipelineOptions is
+# a second durable route (its own checkpoint directory and resume rule)
+# growing back.
+jobgate:
+	@bad=$$(grep -rnE 'RunProgram|RunPipeline|PipelineOptions' --include='*.go' internal/serve \
+		| grep -v _test.go; true); \
+	if [ -n "$$bad" ]; then echo "second durable job route in internal/serve:"; echo "$$bad"; exit 1; fi
 
 # One-frame gate: every stream and stored blob (serve's eval streams and
 # job files, checkpoints, state batches, the shard wire with its batches
@@ -155,10 +165,10 @@ chaos-soak:
 
 # Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
 # included), the parallel hot paths must be race-free, a program op must
-# have one definition, switching keys one source, streams and blobs one
-# frame format, the state-machine cores stay pure, and the docs may name
-# only commands that exist.
-check: build vet test bench-test race panicgate opgate keygate framegate puregate docs-check
+# have one definition, switching keys one source, a served long job one
+# route, streams and blobs one frame format, the state-machine cores
+# stay pure, and the docs may name only commands that exist.
+check: build vet test bench-test race panicgate opgate keygate jobgate framegate puregate docs-check
 
 clean:
 	$(GO) clean ./...

@@ -77,7 +77,7 @@ func main() {
 			Packing:       !*noPack,
 		}},
 		JobDir: *jobDir,
-		Shard:  serve.JobShardOptions{Workers: *shardWorkers, Addrs: splitAddrs(*shardAddrs)},
+		Shard:  bitpacker.ShardOptions{Workers: *shardWorkers, Addrs: splitAddrs(*shardAddrs)},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -3,8 +3,8 @@
 // registry, streaming v2 ciphertext framing, bounded request queues
 // with backpressure, and a slot-packing batch scheduler that coalesces
 // compatible small requests into shared ciphertexts so one keyswitch
-// amortizes across tenants. Long jobs run through Context.RunProgram
-// (or Context.RunSharded) and checkpoint/resume across server restarts.
+// amortizes across tenants. Long jobs run through Context.RunSharded,
+// in-process or on a worker fleet, and resume across server restarts.
 package serve
 
 import (

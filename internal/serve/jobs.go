@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -33,10 +34,11 @@ type JobSpec struct {
 }
 
 // jobRecord is the durable job.json — everything needed to resume the
-// job after a server restart (the input blob and checkpoints live next
-// to it in the job's directory). Like input.bin and output.bin it is
-// stored as one frame (internal/frame), so a flipped byte in any of the
-// three is refused when it is read back instead of acted on.
+// job after a server restart (the input blob and the shard exchange
+// directory live next to it in the job's directory). Like input.bin and
+// output.bin it is stored as one frame (internal/frame), so a flipped
+// byte in any of the three is refused when it is read back instead of
+// acted on.
 type jobRecord struct {
 	ID      string    `json:"id"`
 	Tenant  string    `json:"tenant"`
@@ -44,38 +46,24 @@ type jobRecord struct {
 	Steps   []JobStep `json:"steps"`
 	State   string    `json:"state"`
 	Error   string    `json:"error,omitempty"`
-	// ResumedFrom and StagesRun echo the last run's PipelineReport.
-	ResumedFrom int `json:"resumed_from"`
-	StagesRun   int `json:"stages_run"`
-	// Sharded-execution summary (present when the manager runs jobs
-	// through supervised worker processes).
+	// StagesRun counts the steps of the last run; the rest echo its
+	// ShardReport (the supervisor's counters stay zero in-process).
+	StagesRun      int   `json:"stages_run"`
 	Shards         int   `json:"shards,omitempty"`
 	Respawns       int64 `json:"respawns,omitempty"`
 	Redispatches   int64 `json:"redispatches,omitempty"`
 	DegradedShards int64 `json:"degraded_shards,omitempty"`
 }
 
-// JobShardOptions routes long jobs through fault-tolerant sharded
-// execution (Context.RunSharded) when it names Workers or Addrs; without
-// either, jobs run in-process through the pipeline. Each field goes to
-// the bitpacker.ShardOptions field of the same name; the job manager
-// adds the per-job exchange directory and sets nothing else.
-type JobShardOptions struct {
-	Workers       int      // worker processes per job; with Addrs, defaults to the fleet size
-	Addrs         []string // a standing `bpworker -listen` fleet sharing the job directory's filesystem
-	WorkerCommand []string // overrides worker-binary resolution (BITPACKER_BPWORKER, then bpworker on PATH)
-	WorkerEnv     []string // appended to every worker's environment
-}
-
-// JobManager runs long jobs with durable per-stage checkpoints: a job
-// interrupted by a crash or restart is rescanned at startup and resumed
-// from its latest intact checkpoint rather than recomputed. With
-// sharding enabled the stages execute in supervised worker processes
-// (Context.RunSharded); otherwise in-process via Context.RunProgram.
+// JobManager runs every long job as one Context.RunSharded call with
+// its exchange directory inside the job's directory: a job interrupted
+// by a crash or restart is rescanned at startup and resumed from its
+// shards' intact checkpoints rather than recomputed. Whether the shards
+// run in-process or on a worker fleet is the ShardOptions' choice.
 type JobManager struct {
 	dir   string
 	reg   *Registry
-	shard JobShardOptions
+	shard bitpacker.ShardOptions
 
 	// runCtx is canceled by Shutdown to drain in-flight jobs: pipelines
 	// and shard supervisors observe the cancellation at their next
@@ -92,8 +80,9 @@ type JobManager struct {
 }
 
 // NewJobManager opens (or creates) the job state directory and resumes
-// any job left in the running state by a previous process.
-func NewJobManager(dir string, reg *Registry, shard JobShardOptions) (*JobManager, error) {
+// any job left in the running state by a previous process. Every job
+// runs under shard, with Dir and Keep set by the manager.
+func NewJobManager(dir string, reg *Registry, shard bitpacker.ShardOptions) (*JobManager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -196,43 +185,50 @@ func (jm *JobManager) Submit(spec JobSpec, inputBlob []byte) (string, error) {
 		jm.mu.Unlock()
 		return "", ErrShutdown
 	}
-	jm.seq++
-	id := fmt.Sprintf("job-%06d", jm.seq)
-	for jm.jobs[id] != nil { // skip ids recovered from a previous process
+	// An id is claimed by creating its directory: one that exists —
+	// a recovered job's, or one the startup scan could not load — is
+	// skipped, never written into.
+	var id string
+	for {
 		jm.seq++
 		id = fmt.Sprintf("job-%06d", jm.seq)
+		if err = os.Mkdir(jm.jobDir(id), 0o755); !errors.Is(err, fs.ErrExist) {
+			break
+		}
+	}
+	if err != nil {
+		jm.mu.Unlock()
+		return "", err
 	}
 	rec := &jobRecord{ID: id, Tenant: spec.Tenant, Profile: spec.Profile, Steps: spec.Steps, State: JobRunning}
 	jm.jobs[id] = rec
 	jm.wg.Add(1)
 	jm.mu.Unlock()
 
-	if err := os.MkdirAll(jm.jobDir(id), 0o755); err == nil {
-		err = jm.writeFile(id, "input.bin", frame.Ciphertext, inputBlob)
-		if err == nil {
-			err = jm.persist(*rec)
-		}
+	err = jm.writeFile(id, "input.bin", frame.Ciphertext, inputBlob)
+	if err == nil {
+		err = jm.persist(*rec)
 	}
-	jm.mu.Lock()
 	if err != nil {
+		jm.mu.Lock()
 		delete(jm.jobs, id)
 		jm.mu.Unlock()
+		os.RemoveAll(jm.jobDir(id))
 		jm.wg.Done()
 		return "", err
 	}
-	jm.mu.Unlock()
 	go jm.run(rec)
 	return id, nil
 }
 
-// run executes (or resumes) one job: stages from the durable spec,
+// run executes (or resumes) one job: steps from the durable spec,
 // checkpoints in the job directory, the result blob written on success.
 func (jm *JobManager) run(rec *jobRecord) {
 	defer jm.wg.Done()
 	err := jm.execute(rec)
 	jm.mu.Lock()
 	switch {
-	case err != nil && errors.Is(err, bitpacker.ErrCanceled) && jm.runCtx.Err() != nil:
+	case errors.Is(err, bitpacker.ErrCanceled) && jm.runCtx.Err() != nil:
 		// Shutdown drain, not a failure: the job's checkpoints are
 		// durable, so leave it recorded as running and the next process
 		// resumes it from the latest intact checkpoint.
@@ -240,14 +236,19 @@ func (jm *JobManager) run(rec *jobRecord) {
 		// The result exists but could not be made durable: a storage
 		// fault, not a job fault. The record must not say done for an
 		// output a power loss could tear; it stays running, and the next
-		// process republishes from the final checkpoint.
+		// process republishes from the shards' kept final checkpoints.
 		rec.Error = err.Error()
 	case err != nil:
 		rec.State = JobFailed
 		rec.Error = err.Error()
 	default:
+		// Published: the exchange directory has served its purpose.
+		// Failing to clear it costs disk, not the result.
 		rec.State = JobDone
 		rec.Error = ""
+		if err := os.RemoveAll(filepath.Join(jm.jobDir(rec.ID), "shards")); err != nil {
+			rec.Error = fmt.Sprintf("serve: clear exchange directory: %v", err)
+		}
 	}
 	final := *rec
 	jm.mu.Unlock()
@@ -256,16 +257,15 @@ func (jm *JobManager) run(rec *jobRecord) {
 
 // execute runs (or resumes) the job's steps from its input, then
 // publishes the output durably, which is what lets run() record it done.
-// A sharded job keeps its exchange directory inside the job directory,
-// so a server restart resumes from the shards' per-step checkpoints (a
-// finished shard's last one is its output); an in-process one
-// checkpoints after each stage.
+// The exchange directory is shards/ inside the job directory and is
+// kept through the run, so a server restart resumes from the shards'
+// per-step checkpoints and a failed publish from their final ones (a
+// finished shard's last checkpoint is its output).
 func (jm *JobManager) execute(rec *jobRecord) error {
 	p, err := jm.reg.profile(rec.Profile)
 	if err != nil {
 		return err
 	}
-	dir := jm.jobDir(rec.ID)
 	inputBlob, err := jm.readFile(rec.ID, "input.bin", frame.Ciphertext)
 	if err != nil {
 		return err
@@ -274,30 +274,16 @@ func (jm *JobManager) execute(rec *jobRecord) error {
 	if err != nil {
 		return err
 	}
-	in := []*bitpacker.Ciphertext{initial}
-	var final []*bitpacker.Ciphertext
-	if s := jm.shard; s.Workers > 0 || len(s.Addrs) > 0 {
-		var report bitpacker.ShardReport
-		final, report, err = p.ctx.RunSharded(jm.runCtx, rec.Steps, in, bitpacker.ShardOptions{
-			Dir:     filepath.Join(dir, "shards"),
-			Workers: s.Workers, Addrs: s.Addrs, WorkerCommand: s.WorkerCommand, WorkerEnv: s.WorkerEnv,
-		})
-		jm.mu.Lock()
-		rec.Shards = report.Shards
-		rec.Respawns = report.Stats.Respawns
-		rec.Redispatches = report.Stats.Redispatches
-		rec.DegradedShards = report.Stats.LocalShards
-		rec.StagesRun = len(rec.Steps)
-		jm.mu.Unlock()
-	} else {
-		var report bitpacker.PipelineReport
-		final, report, err = p.ctx.RunProgram(jm.runCtx, rec.Steps, in,
-			bitpacker.PipelineOptions{CheckpointDir: filepath.Join(dir, "checkpoints")}, nil)
-		jm.mu.Lock()
-		rec.ResumedFrom = report.ResumedFrom
-		rec.StagesRun = report.StagesRun
-		jm.mu.Unlock()
-	}
+	opts := jm.shard
+	opts.Dir, opts.Keep = filepath.Join(jm.jobDir(rec.ID), "shards"), true
+	final, report, err := p.ctx.RunSharded(jm.runCtx, rec.Steps, []*bitpacker.Ciphertext{initial}, opts)
+	jm.mu.Lock()
+	rec.StagesRun = len(rec.Steps)
+	rec.Shards = report.Shards
+	rec.Respawns = report.Stats.Respawns
+	rec.Redispatches = report.Stats.Redispatches
+	rec.DegradedShards = report.Stats.LocalShards
+	jm.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -353,8 +339,8 @@ func (jm *JobManager) Close() {
 
 // Shutdown stops intake and drains in-flight jobs instead of waiting
 // them out: each running job is cut at its next checkpoint boundary
-// (sharded jobs drain their worker fleet through the supervisor's
-// cancellation path) and stays durably recorded as running, so the next
+// (a job on a fleet drains it through the supervisor's cancellation
+// path) and stays durably recorded as running, so the next
 // process resumes it from the latest intact checkpoint. This is the
 // SIGTERM path; Close is the wait-for-completion path.
 func (jm *JobManager) Shutdown() {

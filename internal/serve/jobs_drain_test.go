@@ -43,7 +43,7 @@ func drainTestServer(t *testing.T, jobDir string, workerEnv []string) (*Server, 
 	srv, err := NewServer(Options{
 		Profiles: []ProfileConfig{{Name: "p", Params: drainTestConfig(), Window: 32}},
 		JobDir:   jobDir,
-		Shard: JobShardOptions{
+		Shard: bitpacker.ShardOptions{
 			Workers:       2,
 			WorkerCommand: []string{exe},
 			WorkerEnv:     workerEnv,

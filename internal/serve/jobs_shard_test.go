@@ -51,7 +51,7 @@ func TestJobShardedSurvivesWorkerCrash(t *testing.T) {
 			Window: 32,
 		}},
 		JobDir: t.TempDir(),
-		Shard: JobShardOptions{
+		Shard: bitpacker.ShardOptions{
 			Workers:       2,
 			WorkerCommand: []string{exe},
 			WorkerEnv:     []string{chaos.ProcFaultEnv + "=" + fault.Encode()},

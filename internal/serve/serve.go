@@ -25,10 +25,11 @@ type Options struct {
 	// MaxBlobBytes bounds a single uploaded ciphertext blob. Defaults
 	// to DefaultMaxBlobBytes.
 	MaxBlobBytes uint32
-	// Shard routes long jobs through fault-tolerant sharded execution
-	// across supervised worker processes (see JobShardOptions). Zero
-	// value keeps the in-process pipeline path.
-	Shard JobShardOptions
+	// Shard is what every long job runs under: one Context.RunSharded
+	// call, with Dir and Keep set by the job manager. The zero value
+	// (Workers 0, no Addrs) runs a job's shards in-process; Workers or
+	// Addrs put them on a supervised worker fleet.
+	Shard bitpacker.ShardOptions
 }
 
 // Server is the multi-tenant FHE serving layer: tenant registration,

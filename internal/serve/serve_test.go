@@ -12,12 +12,16 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bitpacker"
 	"bitpacker/internal/chaos"
+	"bitpacker/internal/durable"
 	"bitpacker/internal/frame"
+	"bitpacker/internal/pipeline"
+	"bitpacker/internal/shard"
 )
 
 // testServer builds a one-profile server for the HTTP tests.
@@ -419,10 +423,13 @@ func orphanJob(t *testing.T, jobDir string) (in []float64) {
 // its output is durable. When publishing output.bin fails (here: a
 // non-empty directory squats on the name, so the rename cannot land) the
 // record — in memory and on disk — must still say running, with no result
-// served and no temp file left, so that the next process republishes.
+// served and no temp file left, and the shards' final checkpoints must
+// still be there, so that the next process republishes. With the squatter
+// gone, the next process does: the job is done with the right values and
+// its exchange directory is cleared.
 func TestJobUnpublishedOutputStaysRunning(t *testing.T) {
 	jobDir := t.TempDir()
-	orphanJob(t, jobDir)
+	in := orphanJob(t, jobDir)
 	dir := filepath.Join(jobDir, "job-000042")
 	if err := os.MkdirAll(filepath.Join(dir, "output.bin", "squatter"), 0o755); err != nil {
 		t.Fatal(err)
@@ -445,6 +452,155 @@ func TestJobUnpublishedOutputStaysRunning(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) != 0 {
 		t.Fatalf("failed publish left temp files behind: %v", left)
+	}
+	exchange := filepath.Join(dir, "shards")
+	final := pipeline.DirStorePath(shard.CkptDir(exchange, 0), len(rec.Steps)-1)
+	if _, err := os.Stat(final); err != nil {
+		t.Fatalf("after a failed publish shard 0's final checkpoint is gone (%v): the next process would recompute the job", err)
+	}
+
+	if err := os.RemoveAll(filepath.Join(dir, "output.bin")); err != nil {
+		t.Fatal(err)
+	}
+	srv2, p := testServer(t, nil, jobDir)
+	srv2.Close()
+	if rec, err := srv2.jobs.Status("job-000042"); err != nil || rec.State != JobDone || rec.Error != "" {
+		t.Fatalf("republished job: %+v, %v; want done with no error", rec, err)
+	}
+	outBlob, err := srv2.jobs.Result("job-000042")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.ctx.UnmarshalCiphertext(outBlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := p.ctx.DecryptReal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		if math.Abs(vals[i]-(-2*in[i])) > 1e-2 {
+			t.Fatalf("slot %d: got %v, want %v", i, vals[i], -2*in[i])
+		}
+	}
+	if _, err := os.Stat(exchange); !os.IsNotExist(err) {
+		t.Fatalf("a published job's exchange directory was kept (%v)", err)
+	}
+}
+
+// TestJobSubmitSkipsUnloadableDirectory: a job directory the startup scan
+// could not load is left for inspection, so its id is not free. A new
+// submission must take the next id and leave every byte of that
+// directory as it was.
+func TestJobSubmitSkipsUnloadableDirectory(t *testing.T) {
+	jobDir := t.TempDir()
+	orphanJob(t, jobDir)
+	foreign := filepath.Join(jobDir, "job-000001")
+	if err := os.Rename(filepath.Join(jobDir, "job-000042"), foreign); err != nil {
+		t.Fatal(err)
+	}
+	record := filepath.Join(foreign, "job.json")
+	data, err := os.ReadFile(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(record, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]string {
+		files := map[string]string{}
+		filepath.WalkDir(foreign, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.IsDir() {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[path] = string(b)
+			}
+			return nil
+		})
+		return files
+	}
+	before := snapshot()
+
+	srv, p := testServer(t, nil, jobDir)
+	p.register("alice")
+	ct, err := p.ctx.EncryptReal(make([]float64, p.ctx.Slots()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := p.ctx.MarshalCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := srv.jobs.Submit(JobSpec{Tenant: "alice", Profile: "p", Steps: []JobStep{{Op: OpScale, Arg: 2}, {Op: OpNegate}}}, blob)
+	srv.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "job-000002" {
+		t.Fatalf("submission took id %s, want job-000002 past the unloadable job-000001", id)
+	}
+	if _, err := srv.jobs.Status("job-000001"); err == nil {
+		t.Fatal("a record whose frame fails was loaded at startup")
+	}
+	if rec, err := srv.jobs.Status(id); err != nil || rec.State != JobDone {
+		t.Fatalf("job %s: %+v, %v; want done", id, rec, err)
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatal("a submission wrote into the directory of a job the startup scan could not load")
+	}
+}
+
+// TestJobDurableWrites counts the directory fsyncs of one in-process job
+// from submission to done: input.bin, job.json at submission and at the
+// end, the exchange directory's job.json, one checkpoint per step and
+// output.bin. What stays in the job's directory is the record and the
+// two blobs.
+func TestJobDurableWrites(t *testing.T) {
+	jobDir := t.TempDir()
+	srv, p := testServer(t, nil, jobDir)
+	p.register("alice")
+	ct, err := p.ctx.EncryptReal(make([]float64, p.ctx.Slots()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := p.ctx.MarshalCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []JobStep{{Op: OpScale, Arg: 2}, {Op: OpOffset, Arg: 0.5}, {Op: OpNegate}}
+
+	var syncs atomic.Int64
+	syncDir := durable.SyncDir
+	durable.SyncDir = func(dir string) error { syncs.Add(1); return syncDir(dir) }
+	defer func() { durable.SyncDir = syncDir }()
+	id, err := srv.jobs.Submit(JobSpec{Tenant: "alice", Profile: "p", Steps: steps}, blob)
+	srv.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := srv.jobs.Status(id); err != nil || rec.State != JobDone {
+		t.Fatalf("job %s: %+v, %v; want done", id, rec, err)
+	}
+	if n, want := syncs.Load(), int64(5+len(steps)); n != want {
+		t.Fatalf("one in-process job made %d directory fsyncs, want %d", n, want)
+	}
+	entries, err := os.ReadDir(filepath.Join(jobDir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "input.bin job.json output.bin" {
+		t.Fatalf("a done job's directory holds %v, want input.bin, job.json and output.bin", names)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"sync"
 	"syscall"
 	"testing"
@@ -366,6 +367,46 @@ func TestShardedResume(t *testing.T) {
 	if report2.Stats.Spawns != 0 {
 		t.Fatalf("fully-resumed run spawned %d workers", report2.Stats.Spawns)
 	}
+}
+
+// TestShardedForeignExchangeCleared reruns the in-process route over an
+// exchange directory holding another job's kept checkpoints — the same
+// program, so the stage names match, on other inputs — and then over its
+// own kept directory with a byte of the job file flipped. Only the
+// fingerprint tells either from resumable state: both reruns must clear
+// the directory and recompute every shard, bit-identical, where an
+// untouched rerun resumes them all.
+func TestShardedForeignExchangeCleared(t *testing.T) {
+	ctx := testCtx(t, bitpacker.BitPacker)
+	opts := bitpacker.ShardOptions{Dir: t.TempDir(), ShardSize: 1, Keep: true}
+	if _, _, err := ctx.RunSharded(context.Background(), testProgram, encryptBatch(t, ctx, 3, 74), opts); err != nil {
+		t.Fatal(err)
+	}
+	inputs := encryptBatch(t, ctx, 3, 75)
+	want := unshardedRun(t, ctx, testProgram, inputs)
+	run := func(what string, resumed int) {
+		t.Helper()
+		got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, ctx, what, got, want)
+		if report.Resumed != resumed {
+			t.Fatalf("%s resumed %d of %d shards, want %d", what, report.Resumed, report.Shards, resumed)
+		}
+	}
+	run("over a foreign job's directory", 0)
+	run("untouched rerun", len(inputs))
+	job := filepath.Join(opts.Dir, "job.json")
+	data, err := os.ReadFile(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(job, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run("over a damaged job file", 0)
 }
 
 // TestShardSoak kills random live workers throughout the job and gates

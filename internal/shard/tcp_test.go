@@ -383,11 +383,12 @@ func TestTCPFleetResumeDamaged(t *testing.T) {
 }
 
 // TestShardedDurableWrites counts the directory fsyncs of one kept job at
-// the benchmark's shape — 4 shards through 6 steps, on in-process fleet
-// members so every write happens here — and checks what is left: the job
-// file and one checkpoint per shard and step are all the job makes
-// durable, and all the exchange directory holds. Inputs and outputs
-// travel on the sessions.
+// the benchmark's shape — 4 shards through 6 steps — on both routes: on
+// in-process fleet members, so every write happens here, and with no
+// fleet at all. It checks what is left: the job file and one checkpoint
+// per shard and step are all the job makes durable, and all the exchange
+// directory holds. On the fleet, inputs and outputs travel on the
+// sessions; with none, they never leave the process.
 func TestShardedDurableWrites(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
 	program := []bitpacker.ShardStep{
@@ -401,34 +402,46 @@ func TestShardedDurableWrites(t *testing.T) {
 	const shards = 4
 	inputs := encryptBatch(t, ctx, 2*shards, 72)
 	want := unshardedRun(t, ctx, program, inputs)
-	opts := fleetOpts(t, 2)
-	opts.ShardSize, opts.Keep = 2, true
-
-	var syncs atomic.Int64
-	syncDir := durable.SyncDir
-	durable.SyncDir = func(dir string) error { syncs.Add(1); return syncDir(dir) }
-	defer func() { durable.SyncDir = syncDir }()
-	got, report, err := ctx.RunSharded(context.Background(), program, inputs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, ctx, "durable writes", got, want)
-	if report.Shards != shards {
-		t.Fatalf("%d shards, want %d", report.Shards, shards)
-	}
-	if n, want := syncs.Load(), int64(1+shards*len(program)); n != want {
-		t.Fatalf("one job made %d directory fsyncs, want %d: the job file and one per shard and step", n, want)
-	}
-	entries, err := os.ReadDir(opts.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if strings.Join(names, " ") != "ckpt job.json" {
-		t.Fatalf("the kept exchange directory holds %v, want only ckpt and job.json", names)
+	for _, route := range []struct {
+		name string
+		opts bitpacker.ShardOptions
+	}{
+		{"fleet", fleetOpts(t, 2)},
+		{"in-process", bitpacker.ShardOptions{Dir: t.TempDir()}},
+	} {
+		t.Run(route.name, func(t *testing.T) {
+			opts := route.opts
+			opts.ShardSize, opts.Keep = 2, true
+			var syncs atomic.Int64
+			syncDir := durable.SyncDir
+			durable.SyncDir = func(dir string) error { syncs.Add(1); return syncDir(dir) }
+			defer func() { durable.SyncDir = syncDir }()
+			got, report, err := ctx.RunSharded(context.Background(), program, inputs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, ctx, "durable writes", got, want)
+			if report.Shards != shards {
+				t.Fatalf("%d shards, want %d", report.Shards, shards)
+			}
+			if len(opts.Addrs) == 0 && (report.Workers != 0 || report.PredictedSpeedup != 1 || report.Stats != (bitpacker.SupervisorStats{})) {
+				t.Fatalf("the in-process route reported %d workers, speedup %g, stats %+v; want 0, 1 and none", report.Workers, report.PredictedSpeedup, report.Stats)
+			}
+			if n, want := syncs.Load(), int64(1+shards*len(program)); n != want {
+				t.Fatalf("one job made %d directory fsyncs, want %d: the job file and one per shard and step", n, want)
+			}
+			entries, err := os.ReadDir(opts.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			if strings.Join(names, " ") != "ckpt job.json" {
+				t.Fatalf("the kept exchange directory holds %v, want only ckpt and job.json", names)
+			}
+		})
 	}
 }
 

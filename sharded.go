@@ -1,6 +1,7 @@
 package bitpacker
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -54,9 +55,9 @@ func (c *Context) MaxCiphertextBytes() int { return ckks.MaxCiphertextBytes(c.pa
 // exchange directory dir, and the checkpoints are kept: a re-dispatched
 // shard resumes from its last durable step instead of recomputing, and
 // the last one is the shard's output, which a rerun of the job resumes
-// from. Worker processes, fleet members, and the supervisor's degraded
-// in-process fallback all run shards through this one code path, which
-// is what makes every execution mode bit-identical. hook, if not nil, is
+// from. Worker processes, fleet members, RunSharded's in-process route
+// and the supervisor's degraded pass all run shards through this one
+// code path, which is what makes every execution mode bit-identical. hook, if not nil, is
 // RunProgram's, and is called once more with len(program) when the last
 // step is done.
 func (c *Context) ExecShard(ctx context.Context, dir string, shardID int, input []byte, program []ShardStep, hook ShardHook) ([]byte, error) {
@@ -93,7 +94,10 @@ type ShardOptions struct {
 	// different job's leftovers are detected by fingerprint and cleared).
 	// Empty uses a private temporary directory (no cross-run resume).
 	Dir string
-	// Workers is the worker-process count (default 2).
+	// Workers is the worker-process count. Zero with no Addrs means no
+	// fleet: RunSharded runs every shard in-process, one after another,
+	// through the same ExecShard path and checkpoints (it used to mean
+	// two workers). With Addrs it defaults to len(Addrs).
 	Workers int
 	// ShardSize is the number of ciphertexts per shard. Zero picks a
 	// default that keeps at least ~4 shards per worker for re-dispatch
@@ -147,7 +151,7 @@ type ShardOptions struct {
 // ShardReport describes what a RunSharded call did and predicted.
 type ShardReport struct {
 	// Shards and ShardSizes describe the partition; Workers is the
-	// requested fleet size.
+	// requested fleet size (0 for the in-process route).
 	Shards     int
 	ShardSizes []int
 	Workers    int
@@ -220,14 +224,18 @@ func clearExchange(dir string) error {
 	return nil
 }
 
-// RunSharded executes a declarative program over a ciphertext batch
-// across supervised worker processes, surviving worker crashes and
-// hangs: the batch is partitioned into shards, each shard's input rides
-// its assign and its output the worker's done, workers checkpoint every
-// step, and a dead worker's shards are re-dispatched to survivors, who
-// resume from their last durable checkpoint. The result is bit-identical
-// to running the program in-process. See DESIGN.md "Sharded execution &
-// supervision" for the failure matrix.
+// RunSharded executes a declarative program over a ciphertext batch as
+// a durable job: the batch is partitioned into shards, every shard
+// checkpoints every step under the exchange directory, and a rerun over
+// the same directory accepts the shards whose final checkpoint is
+// intact. With no fleet (Workers 0, no Addrs) the shards run in-process,
+// in order, through ExecShard. Otherwise supervised worker processes run
+// them, surviving worker crashes and hangs: each shard's input rides its
+// assign and its output the worker's done, and a dead worker's shards
+// are re-dispatched to survivors, who resume from their last durable
+// checkpoint. Either route is bit-identical to running the program
+// in-process. See DESIGN.md "Sharded execution & supervision" for the
+// failure matrix.
 func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []*Ciphertext, opts ShardOptions) ([]*Ciphertext, ShardReport, error) {
 	report := ShardReport{}
 	if len(inputs) == 0 {
@@ -248,14 +256,7 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		ctx = c.opCtx()
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		if len(opts.Addrs) > 0 {
-			workers = len(opts.Addrs)
-		} else {
-			workers = 2
-		}
-	}
+	workers := cmp.Or(max(opts.Workers, 0), len(opts.Addrs))
 	dir := opts.Dir
 	temp := false
 	if dir == "" {
@@ -273,7 +274,7 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 	// every assign carries.
 	shardSize := opts.ShardSize
 	if shardSize <= 0 {
-		shardSize = max(1, len(inputs)/(4*workers))
+		shardSize = max(1, len(inputs)/(4*max(workers, 1)))
 	}
 	var sizes []int
 	var blobs [][]byte
@@ -316,7 +317,7 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 
 	engineWorkers := opts.EngineWorkers
 	if engineWorkers <= 0 {
-		engineWorkers = max(1, runtime.NumCPU()/workers)
+		engineWorkers = max(1, runtime.NumCPU()/max(workers, 1))
 	}
 	if err := shard.WriteJobFile(dir, shard.JobFile{
 		Version:       shard.JobFileVersion,
@@ -362,7 +363,25 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		}
 	}
 
-	stats, err := shard.Run(ctx, shard.Options{
+	// The one shard path in this process: the in-process route's, and the
+	// supervisor's degraded pass after fleet loss.
+	execLocal := func(ctx context.Context, sh int) error {
+		out, err := c.ExecShard(ctx, dir, sh, blobs[sh], program, nil)
+		if err != nil {
+			return err
+		}
+		return collect(sh, out)
+	}
+	if workers == 0 {
+		for sh, done := range preDone {
+			if done {
+				continue
+			}
+			if err := execLocal(ctx, sh); err != nil {
+				return nil, report, err
+			}
+		}
+	} else if report.Stats, err = shard.Run(ctx, shard.Options{
 		Dir:               dir,
 		Workers:           workers,
 		WorkerCommand:     resolveWorkerCommand(opts),
@@ -379,16 +398,8 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		OnSpawn:           opts.OnSpawn,
 	}, blobs, shard.Limit{Counts: sizes, CiphertextBytes: c.MaxCiphertextBytes()}, preDone, shard.Callbacks{
 		ShardDone: collect,
-		ExecLocal: func(ctx context.Context, sh int) error {
-			out, err := c.ExecShard(ctx, dir, sh, blobs[sh], program, nil)
-			if err != nil {
-				return err
-			}
-			return collect(sh, out)
-		},
-	})
-	report.Stats = stats
-	if err != nil {
+		ExecLocal: execLocal,
+	}); err != nil {
 		return nil, report, err
 	}
 
