@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBatch -fuzztime 20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzSupervisorMachine -fuzztime 20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime 20s ./internal/frame
+	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 20s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerCore -fuzztime 20s ./internal/serve
 
 # Serving-layer smoke: 100 mixed-tenant requests through the full HTTP

@@ -168,6 +168,15 @@ func (ct *Ciphertext) seal() { ct.meta = ct.metaTag() }
 // evaluator entry points; it costs O(R·N) and is meant for debugging,
 // canaries, and fault-tolerant deployments.
 func (ct *Ciphertext) Validate(params *Parameters) error {
+	if err := ct.validateStructure(params); err != nil {
+		return err
+	}
+	return ct.validateCoeffs(params)
+}
+
+// validateStructure is Validate without the coefficient scans: shape,
+// moduli, scale and metadata tag.
+func (ct *Ciphertext) validateStructure(params *Parameters) error {
 	if ct == nil {
 		return fherr.Wrap(fherr.ErrInvariant, "ckks: nil ciphertext")
 	}
@@ -199,6 +208,10 @@ func (ct *Ciphertext) Validate(params *Parameters) error {
 	if ct.meta != ct.metaTag() {
 		return fherr.Wrap(fherr.ErrInvariant, "ckks: metadata tag mismatch (level/scale/noise bookkeeping tampered)")
 	}
+	return nil
+}
+
+func (ct *Ciphertext) validateCoeffs(params *Parameters) error {
 	for pi, p := range []*ring.Poly{ct.C0, ct.C1} {
 		for i, q := range p.Moduli {
 			for k, c := range p.Coeffs[i] {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 
+	"bitpacker/internal/fherr"
 	"bitpacker/internal/ring"
 )
 
@@ -24,18 +26,32 @@ const ctVersion = 2
 
 // MarshalBinary encodes the ciphertext.
 func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
+	return ct.AppendBinary(nil)
+}
+
+// BinarySize is the length of the ciphertext's encoding, so a caller can
+// size a buffer for AppendBinary exactly (0 for an incomplete one).
+func (ct *Ciphertext) BinarySize() int {
+	if ct.C0 == nil || ct.C1 == nil {
+		return 0
+	}
+	num, den := scaleParts(ct.Scale)
+	r, n := ct.C0.R(), ct.C0.N()
+	return 4 + 1 + 4 + 1 + 8 + 4 + byteLen(num) + 4 + byteLen(den) + 4 + 4 + 8*r + 2*8*r*n
+}
+
+// AppendBinary appends the ciphertext's encoding to dst, growing it at
+// most once, and returns the extended slice.
+func (ct *Ciphertext) AppendBinary(dst []byte) ([]byte, error) {
 	if ct.C0 == nil || ct.C1 == nil {
 		return nil, fmt.Errorf("ckks: marshal of incomplete ciphertext")
 	}
 	if ct.C0.IsNTT != ct.C1.IsNTT || ct.C0.R() != ct.C1.R() {
 		return nil, fmt.Errorf("ckks: inconsistent ciphertext polynomials")
 	}
-	r := ct.C0.R()
-	n := ct.C0.N()
-	numB := ct.Scale.Num().Bytes()
-	denB := ct.Scale.Denom().Bytes()
-	size := 4 + 1 + 4 + 1 + 8 + 4 + len(numB) + 4 + len(denB) + 4 + 4 + 8*r + 2*8*r*n
-	out := make([]byte, 0, size)
+	r, n := ct.C0.R(), ct.C0.N()
+	num, den := scaleParts(ct.Scale)
+	out := slices.Grow(dst, ct.BinarySize())
 	out = append(out, ctMagic...)
 	out = append(out, ctVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(ct.Level))
@@ -45,10 +61,8 @@ func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 	}
 	out = append(out, ntt)
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ct.NoiseBits))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(numB)))
-	out = append(out, numB...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(denB)))
-	out = append(out, denB...)
+	out = appendNat(out, num)
+	out = appendNat(out, den)
 	out = binary.LittleEndian.AppendUint32(out, uint32(r))
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
 	for _, q := range ct.C0.Moduli {
@@ -64,6 +78,28 @@ func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
+var bigOne = big.NewInt(1)
+
+// scaleParts returns the scale's numerator and denominator without the
+// allocation Rat.Denom makes for an integer scale.
+func scaleParts(s *big.Rat) (num, den *big.Int) {
+	if s.IsInt() {
+		return s.Num(), bigOne
+	}
+	return s.Num(), s.Denom()
+}
+
+func byteLen(x *big.Int) int { return (x.BitLen() + 7) / 8 }
+
+// appendNat appends |x| as a u32 length and its big-endian bytes — what
+// x.Bytes() holds, written in place.
+func appendNat(out []byte, x *big.Int) []byte {
+	k := byteLen(x)
+	out = binary.LittleEndian.AppendUint32(out, uint32(k))
+	x.FillBytes(out[len(out) : len(out)+k])
+	return out[:len(out)+k]
+}
+
 // MaxCiphertextBytes bounds MarshalBinary of any ciphertext of the
 // chain: the encoding of a top-level one, with one residue row's worth of
 // bytes for its scale's numerator and denominator — far more than any
@@ -73,9 +109,32 @@ func MaxCiphertextBytes(params *Parameters) int {
 	return 4 + 1 + 4 + 1 + 8 + 4 + 4 + 8*n + 4 + 4 + 8*r + 2*8*r*n
 }
 
-// UnmarshalCiphertext decodes a ciphertext serialized by MarshalBinary.
-// The parameters supply the ring context; the moduli are carried in the
-// encoding and validated against it.
+// DecodeCiphertext is the decode of a trusted point: UnmarshalCiphertext,
+// then Validate's structural, moduli, scale and metadata checks (the
+// unmarshal has just range-checked every coefficient, so Validate's own
+// coefficient scan is not repeated), then the RRNS spare channel seeded
+// when the chain carries one — like a fresh encryption. Every ciphertext
+// that enters the library from bytes (a served blob, a shard batch, a
+// checkpoint) comes through here. A parse error wraps ErrInvalidParams;
+// a failed check is Validate's ErrInvariant.
+func DecodeCiphertext(params *Parameters, data []byte) (*Ciphertext, error) {
+	ct, err := UnmarshalCiphertext(params, data)
+	if err != nil {
+		return nil, fherr.Wrap(fherr.ErrInvalidParams, "%v", err)
+	}
+	if err := ct.validateStructure(params); err != nil {
+		return nil, err
+	}
+	if params.SpareModulus() != 0 {
+		ct.SeedSpare(params)
+	}
+	return ct, nil
+}
+
+// UnmarshalCiphertext decodes a ciphertext serialized by MarshalBinary,
+// range-checking every coefficient against its modulus. The parameters
+// supply the ring context; the moduli are carried in the encoding and
+// validated against it.
 func UnmarshalCiphertext(params *Parameters, data []byte) (*Ciphertext, error) {
 	rd := reader{buf: data}
 	if string(rd.take(4)) != ctMagic {
@@ -139,14 +198,15 @@ func UnmarshalCiphertext(params *Parameters, data []byte) (*Ciphertext, error) {
 	for pi := range polys {
 		p := ring.NewPoly(params.Ctx, moduli)
 		p.IsNTT = isNTT
-		for i := 0; i < r; i++ {
+		for i, row := range p.Coeffs {
 			q := moduli[i]
-			for k := 0; k < n; k++ {
-				c := rd.u64()
+			src := rd.take(8 * len(row))
+			for k := range row {
+				c := binary.LittleEndian.Uint64(src[8*k:])
 				if c >= q {
 					return nil, fmt.Errorf("ckks: residue out of range")
 				}
-				p.Coeffs[i][k] = c
+				row[k] = c
 			}
 		}
 		polys[pi] = p

@@ -25,20 +25,25 @@ var SyncDir = func(dir string) error {
 }
 
 // WriteFile is os.WriteFile for what is acknowledged as stored: it
-// replaces the file at path so that a crash or power loss at any point
-// leaves either the previous content or the new, never a torn or empty
-// file — the full publication sequence of temp file in the same
-// directory, fsync, rename over path, fsync of the directory.
-func WriteFile(path string, data []byte, perm os.FileMode) error {
+// replaces the file at path with the concatenation of pieces so that a
+// crash or power loss at any point leaves either the previous content or
+// the new, never a torn or empty file — the full publication sequence of
+// temp file in the same directory, fsync, rename over path, fsync of the
+// directory. The pieces are written one after another, so a caller whose
+// file is a header and a payload it already holds (a frame, a checkpoint)
+// never joins them into a copy first.
+func WriteFile(path string, perm os.FileMode, pieces ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("durable: temp file for %s: %w", path, err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("durable: write %s: %w", path, err)
+	for _, piece := range pieces {
+		if _, err := tmp.Write(piece); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return fmt.Errorf("durable: write %s: %w", path, err)
+		}
 	}
 	if err := tmp.Chmod(perm); err != nil { // CreateTemp made it 0600
 		tmp.Close()

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"slices"
 )
 
 // Kinds. A reader names the kind it expects, so a frame written for one
@@ -39,41 +41,95 @@ func checksum(head, payload []byte) uint32 {
 	return crc32.Update(crc32.Update(0, castagnoli, head[:5]), castagnoli, payload)
 }
 
-// Append appends one frame to dst and returns the extended slice.
-func Append(dst []byte, kind byte, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(append(dst, kind), uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, checksum(dst[len(dst)-5:], payload))
-	return append(dst, payload...)
+// Begin reserves a frame header at the end of dst and returns the
+// extended slice. Append the payload to it, then Finish the frame at
+// len(dst): a payload marshalled straight into its frame is never copied.
+func Begin(dst []byte) []byte {
+	return append(dst, make([]byte, HeaderLen)...)
 }
 
-// Write writes one frame to w in a single Write, so concurrent writers
-// of whole frames on one connection cannot interleave.
+// Finish fills in the header of the frame Begin reserved at b[at:],
+// whose payload is everything after the header.
+func Finish(b []byte, at int, kind byte) {
+	seal(b[at:at+HeaderLen], kind, b[at+HeaderLen:])
+}
+
+func seal(head []byte, kind byte, payload []byte) {
+	head[0] = kind
+	binary.LittleEndian.PutUint32(head[1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(head[5:], checksum(head, payload))
+}
+
+// Append appends one frame to dst and returns the extended slice.
+func Append(dst []byte, kind byte, payload []byte) []byte {
+	out := append(Begin(slices.Grow(dst, HeaderLen+len(payload))), payload...)
+	Finish(out, len(dst), kind)
+	return out
+}
+
+// Header returns the header of the frame carrying payload, for a writer
+// that sends the two without joining them.
+func Header(kind byte, payload []byte) [HeaderLen]byte {
+	var head [HeaderLen]byte
+	seal(head[:], kind, payload)
+	return head
+}
+
+// Write writes one frame to w without copying its payload: header and
+// payload go out as one vectored write (net.Buffers), which on a socket
+// is a single writev under the connection's write lock, so concurrent
+// writers of whole frames cannot interleave. Any other writer gets one
+// Write per piece and must not be shared without a lock.
 func Write(w io.Writer, kind byte, payload []byte) error {
-	_, err := w.Write(Append(make([]byte, 0, HeaderLen+len(payload)), kind, payload))
+	head := Header(kind, payload)
+	_, err := (&net.Buffers{head[:], payload}).WriteTo(w)
 	return err
 }
 
+// growFrom is the most Read allocates before the payload's bytes arrive.
+const growFrom = 64 << 10
+
 // Read reads one frame, refusing a declared length above max before any
-// payload allocation. The payload buffer grows with the bytes actually
-// received (io.ReadAll over a LimitReader), so a frame that lies about
-// its length costs only the bytes it ships. A stream that ends between
-// frames returns io.EOF.
+// payload allocation. Under the bound the payload buffer starts at no
+// more than 64 KiB and doubles, capped at the declared length, only as
+// the bytes arrive — the first size is the declared length halved until
+// it fits, so the doubling lands on it exactly. A frame that lies about
+// its length therefore holds at most twice the bytes it ships (or
+// 64 KiB), and an honest one allocates under twice its payload in all,
+// copying each byte at most once per doubling. A stream that ends
+// between frames returns io.EOF.
 func Read(r io.Reader, max uint32) (kind byte, payload []byte, err error) {
 	var head [HeaderLen]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(head[1:])
-	if n > max {
-		return 0, nil, fmt.Errorf("frame: declares %d bytes, limit is %d", n, max)
+	declared := binary.LittleEndian.Uint32(head[1:])
+	if declared > max {
+		return 0, nil, fmt.Errorf("frame: declares %d bytes, limit is %d", declared, max)
 	}
-	if payload, err = io.ReadAll(io.LimitReader(r, int64(n))); err != nil {
-		return 0, nil, err
+	n := int(declared)
+	size := n
+	for size > growFrom {
+		size = (size + 1) / 2
 	}
-	if uint32(len(payload)) != n {
-		return 0, nil, fmt.Errorf("frame: truncated: declared %d bytes, got %d: %w", n, len(payload), io.ErrUnexpectedEOF)
+	payload = make([]byte, size)
+	got := 0
+	for {
+		m, err := io.ReadFull(r, payload[got:])
+		got += m
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return 0, nil, fmt.Errorf("frame: truncated: declared %d bytes, got %d: %w", n, got, io.ErrUnexpectedEOF)
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		if got == n {
+			return head[0], payload, verify(head[:], payload)
+		}
+		grown := make([]byte, min(2*len(payload), n))
+		copy(grown, payload)
+		payload = grown
 	}
-	return head[0], payload, verify(head[:], payload)
 }
 
 // Expect reads one frame and checks its kind.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,43 @@ func TestFrameRejectsOversizeDeclaration(t *testing.T) {
 	r := io.MultiReader(bytes.NewReader(head[:]), neverReader{})
 	if _, _, err := Read(r, 1<<20); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversize declaration: got %v", err)
+	}
+}
+
+// TestReadGrowsWithBytesReceived: under the bound, Read's buffer grows
+// only as bytes arrive. A frame that declares 16 MiB and ships 100 KiB
+// gets its truncation error having allocated no more than twice what it
+// shipped plus the first 64 KiB; honest frames at and around the growth
+// steps read back whole, in place and in a Begin/Finish frame.
+func TestReadGrowsWithBytesReceived(t *testing.T) {
+	head := Header(Body, make([]byte, 16<<20))
+	shipped := bytes.Repeat([]byte{7}, 100<<10)
+	liar := io.MultiReader(bytes.NewReader(head[:]), bytes.NewReader(shipped))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Read(liar, 32<<20)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("lying frame: %v, want a truncation", err)
+	}
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(2*len(shipped)+growFrom+4096); got > ceiling {
+		t.Fatalf("lying frame cost %d bytes for %d shipped; ceiling %d", got, len(shipped), ceiling)
+	}
+	for _, n := range []int{0, 1, growFrom - 1, growFrom, growFrom + 1, 3*growFrom + 5, 1 << 20} {
+		payload := bytes.Repeat([]byte{byte(n)}, n)
+		for i := range payload {
+			payload[i] ^= byte(i)
+		}
+		framed := Append(nil, Ciphertext, payload)
+		inPlace := append(Begin([]byte("x")), payload...)
+		Finish(inPlace, 1, Ciphertext)
+		if !bytes.Equal(inPlace[1:], framed) {
+			t.Fatalf("%d bytes: Begin/Finish differs from Append", n)
+		}
+		kind, got, err := Read(bytes.NewReader(framed), uint32(n))
+		if err != nil || kind != Ciphertext || !bytes.Equal(got, payload) {
+			t.Fatalf("%d bytes: read back %d bytes, kind %d, %v", n, len(got), kind, err)
+		}
 	}
 }
 
@@ -138,4 +176,18 @@ func FuzzFrameRead(f *testing.F) {
 			t.Fatal("accepted frame does not re-encode to its bytes")
 		}
 	})
+}
+
+// BenchmarkRead reads one 2 MiB frame — a shard batch's size — off a
+// stream.
+func BenchmarkRead(b *testing.B) {
+	framed := Append(nil, Body, make([]byte, 2<<20))
+	r := bytes.NewReader(framed)
+	b.SetBytes(int64(len(framed)))
+	for i := 0; i < b.N; i++ {
+		r.Reset(framed)
+		if _, _, err := Read(r, uint32(len(framed))); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

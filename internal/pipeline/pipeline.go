@@ -87,15 +87,26 @@ func New(params *ckks.Parameters, stages []Stage, opts Options) (*Pipeline, erro
 // Options.Keep is set; on failure the checkpoints of the completed
 // stages remain, so a later Run picks up where this one stopped.
 func (p *Pipeline) Run(ctx context.Context, initial []*ckks.Ciphertext) ([]*ckks.Ciphertext, Report, error) {
+	state, _, report, err := p.RunStored(ctx, initial)
+	return state, report, err
+}
+
+// RunStored is Run that also returns the payload of the last checkpoint:
+// the one the last stage stored, or the one the run resumed from when
+// every stage was done already. It is EncodeState of the final state, so
+// a caller that ships the result as bytes need not encode it a second
+// time. Nil without a Store.
+func (p *Pipeline) RunStored(ctx context.Context, initial []*ckks.Ciphertext) ([]*ckks.Ciphertext, []byte, Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	report := Report{ResumedFrom: -1}
 	state := initial
+	var stored []byte
 	start := 0
 	if p.opts.Store != nil {
-		if s, restored, ok := p.resume(); ok {
-			state, start, report.ResumedFrom = restored, s+1, s
+		if s, restored, payload, ok := p.resume(); ok {
+			state, stored, start, report.ResumedFrom = restored, payload, s+1, s
 		}
 	}
 
@@ -133,34 +144,33 @@ func (p *Pipeline) Run(ctx context.Context, initial []*ckks.Ciphertext) ([]*ckks
 			}
 		}
 		if err != nil {
-			return nil, report, fmt.Errorf("pipeline: stage %d (%q): %w", i, st.Name, err)
+			return nil, nil, report, fmt.Errorf("pipeline: stage %d (%q): %w", i, st.Name, err)
 		}
 		state = next
 		report.StagesRun++
 		if p.opts.Store != nil {
-			payload, err := EncodeState(state)
-			if err != nil {
-				return nil, report, fmt.Errorf("pipeline: checkpoint stage %d (%q): %w", i, st.Name, err)
+			if stored, err = EncodeState(state); err != nil {
+				return nil, nil, report, fmt.Errorf("pipeline: checkpoint stage %d (%q): %w", i, st.Name, err)
 			}
-			if err := p.opts.Store.Put(i, st.Name, payload); err != nil {
-				return nil, report, err
+			if err := p.opts.Store.Put(i, st.Name, stored); err != nil {
+				return nil, nil, report, err
 			}
 		}
 	}
 	if p.opts.Store != nil && !p.opts.Keep {
 		if err := p.opts.Store.Clear(); err != nil {
-			return nil, report, err
+			return nil, nil, report, err
 		}
 	}
-	return state, report, nil
+	return state, stored, report, nil
 }
 
 // resume finds the latest checkpoint that survives integrity checks and
 // decodes, falling back past corrupt ones stage by stage.
-func (p *Pipeline) resume() (stage int, state []*ckks.Ciphertext, ok bool) {
+func (p *Pipeline) resume() (stage int, state []*ckks.Ciphertext, payload []byte, ok bool) {
 	stages, err := p.opts.Store.Stages()
 	if err != nil {
-		return 0, nil, false
+		return 0, nil, nil, false
 	}
 	for i := len(stages) - 1; i >= 0; i-- {
 		s := stages[i]
@@ -178,29 +188,36 @@ func (p *Pipeline) resume() (stage int, state []*ckks.Ciphertext, ok bool) {
 		if err != nil {
 			continue
 		}
-		return s, restored, true
+		return s, restored, payload, true
 	}
-	return 0, nil, false
+	return 0, nil, nil, false
 }
 
 // EncodeState serializes a state slice: one frame (internal/frame) per
-// ciphertext, carrying its v2 blob, then an End frame.
+// ciphertext, carrying its v2 blob, then an End frame. The batch is sized
+// exactly up front and every ciphertext is marshalled straight into its
+// frame: one allocation, one copy of each coefficient.
 func EncodeState(state []*ckks.Ciphertext) ([]byte, error) {
-	var out []byte
+	size := frame.HeaderLen
+	for _, ct := range state {
+		size += frame.HeaderLen + ct.BinarySize()
+	}
+	out := make([]byte, 0, size)
 	for i, ct := range state {
-		blob, err := ct.MarshalBinary()
-		if err != nil {
+		at := len(out)
+		var err error
+		if out, err = ct.AppendBinary(frame.Begin(out)); err != nil {
 			return nil, fmt.Errorf("pipeline: state ciphertext %d: %w", i, err)
 		}
-		out = frame.Append(out, frame.Ciphertext, blob)
+		frame.Finish(out, at, frame.Ciphertext)
 	}
 	return frame.Append(out, frame.End, nil), nil
 }
 
-// DecodeState reverses EncodeState, validating every ciphertext against
-// the parameters and reseeding the RRNS spare channel when the chain
-// carries one — a checkpoint load is a trusted point, exactly like a
-// fresh encryption.
+// DecodeState reverses EncodeState through ckks.DecodeCiphertext: every
+// ciphertext is validated against the parameters and has its RRNS spare
+// channel reseeded when the chain carries one — a checkpoint load is a
+// trusted point, exactly like a fresh encryption.
 func DecodeState(params *ckks.Parameters, payload []byte) ([]*ckks.Ciphertext, error) {
 	var state []*ckks.Ciphertext
 	for i := 0; ; i++ {
@@ -215,15 +232,9 @@ func DecodeState(params *ckks.Parameters, payload []byte) ([]*ckks.Ciphertext, e
 			return nil, fmt.Errorf("pipeline: state ciphertext %d: frame kind %d", i, kind)
 		}
 		payload = rest
-		ct, err := ckks.UnmarshalCiphertext(params, blob)
+		ct, err := ckks.DecodeCiphertext(params, blob)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: state ciphertext %d: %w", i, err)
-		}
-		if err := ct.Validate(params); err != nil {
-			return nil, fmt.Errorf("pipeline: state ciphertext %d: %w", i, err)
-		}
-		if params.SpareModulus() != 0 {
-			ct.SeedSpare(params)
 		}
 		state = append(state, ct)
 	}

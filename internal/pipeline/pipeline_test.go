@@ -30,10 +30,14 @@ type setup struct {
 
 func newSetup(t testing.TB, scheme core.Scheme, rrns bool) *setup {
 	t.Helper()
+	return newSetupLogN(t, scheme, rrns, 9)
+}
+
+func newSetupLogN(t testing.TB, scheme core.Scheme, rrns bool, logN int) *setup {
+	t.Helper()
 	const (
 		levels    = 3
 		scaleBits = 40.0
-		logN      = 9
 	)
 	targets := make([]float64, levels+1)
 	for i := range targets {

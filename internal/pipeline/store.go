@@ -36,12 +36,10 @@ type Store interface {
 // carrying the payload. Each frame's CRC-32C turns silent disk or DRAM
 // corruption of a checkpoint into a detected one: resume skips the bad
 // blob and falls back to the previous stage instead of reviving corrupted
-// ciphertext state.
-func encodeCheckpoint(stage int, name string, payload []byte) []byte {
+// ciphertext state. checkpointHead is the Meta frame.
+func checkpointHead(stage int, name string) []byte {
 	head := append(strconv.AppendInt(nil, int64(stage), 10), ' ')
-	head = append(head, name...)
-	out := make([]byte, 0, 2*frame.HeaderLen+len(head)+len(payload))
-	return frame.Append(frame.Append(out, frame.Meta, head), frame.Body, payload)
+	return frame.Append(nil, frame.Meta, append(head, name...))
 }
 
 func decodeCheckpoint(stage int, blob []byte) (name string, payload []byte, err error) {
@@ -90,7 +88,10 @@ func (s *DirStore) Put(stage int, name string, payload []byte) error {
 	if stage < 0 {
 		return fmt.Errorf("pipeline: negative stage %d", stage)
 	}
-	return durable.WriteFile(s.path(stage), encodeCheckpoint(stage, name, payload), 0o600)
+	// The payload goes to the file as it is, behind its frame header: a
+	// checkpoint costs its bytes one write, not a copy and a write.
+	body := frame.Header(frame.Body, payload)
+	return durable.WriteFile(s.path(stage), 0o600, checkpointHead(stage, name), body[:], payload)
 }
 
 // Get reads and verifies a stage's checkpoint.
@@ -150,7 +151,7 @@ func (s *MemStore) Put(stage int, name string, payload []byte) error {
 	if stage < 0 {
 		return fmt.Errorf("pipeline: negative stage %d", stage)
 	}
-	blob := encodeCheckpoint(stage, name, payload)
+	blob := frame.Append(checkpointHead(stage, name), frame.Body, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.blobs[stage] = blob

@@ -134,7 +134,7 @@ func TestDirStorePutSyncsParentDir(t *testing.T) {
 	for name, write := range map[string]func(n int) error{
 		"DirStore.Put": func(n int) error { return store.Put(n, "writer", []byte("payload")) },
 		"durable.WriteFile": func(n int) error {
-			return durable.WriteFile(filepath.Join(dir, fmt.Sprintf("job-%d.json", n)), []byte("{}"), 0o644)
+			return durable.WriteFile(filepath.Join(dir, fmt.Sprintf("job-%d.json", n)), 0o644, []byte("{}"))
 		},
 	} {
 		var synced []string

@@ -114,7 +114,8 @@ func (jm *JobManager) jobDir(id string) string { return filepath.Join(jm.dir, id
 // writeFile durably replaces one of a job's files with data in one frame
 // of the given kind.
 func (jm *JobManager) writeFile(id, name string, kind byte, data []byte) error {
-	return durable.WriteFile(filepath.Join(jm.jobDir(id), name), frame.Append(nil, kind, data), 0o644)
+	head := frame.Header(kind, data)
+	return durable.WriteFile(filepath.Join(jm.jobDir(id), name), 0o644, head[:], data)
 }
 
 // readFile reads one of a job's files back, refusing one whose frame

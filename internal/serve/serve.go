@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync/atomic"
 
@@ -23,7 +24,8 @@ type Options struct {
 	// durable checkpoint state rooted there.
 	JobDir string
 	// MaxBlobBytes bounds a single uploaded ciphertext blob. Defaults
-	// to DefaultMaxBlobBytes.
+	// to DefaultMaxBlobBytes. A request's blob is also bounded by the
+	// largest ciphertext of the profile its header names.
 	MaxBlobBytes uint32
 	// Shard is what every long job runs under: one Context.RunSharded
 	// call, with Dir and Keep set by the job manager. The zero value
@@ -205,29 +207,40 @@ type EvalResult struct {
 }
 
 // readRequest reads the two frames of an eval or job request: the JSON
-// header into hdr, then the ciphertext blob.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, hdr any) ([]byte, error) {
+// header into hdr, then the ciphertext blob under the bound of the
+// profile the header names (*name, a field of hdr) — the largest
+// ciphertext its chain has, capped by MaxBlobBytes. The profile is
+// resolved before any blob byte is read, so an unknown one is answered
+// from the header alone and a blob frame declaring more than one
+// ciphertext of the profile is refused from its header. On failure the
+// error response is written and ok is false.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, hdr any, name *string) (p *profile, blob []byte, ok bool) {
 	body := http.MaxBytesReader(w, r.Body, int64(s.maxBlob)+(1<<16))
 	headerJSON, err := frame.Expect(body, FrameHeader, 1<<16)
 	if err != nil {
-		return nil, err
+		s.badRequest(w, err)
+		return nil, nil, false
 	}
 	if err := json.Unmarshal(headerJSON, hdr); err != nil {
-		return nil, fmt.Errorf("serve: bad request header: %w", err)
+		s.badRequest(w, fmt.Errorf("serve: bad request header: %w", err))
+		return nil, nil, false
 	}
-	return frame.Expect(body, FrameBlob, s.maxBlob)
+	if p, err = s.reg.profile(*name); err != nil {
+		s.httpError(w, err)
+		return nil, nil, false
+	}
+	bound := min(s.maxBlob, uint32(min(int64(p.ctx.MaxCiphertextBytes()), math.MaxUint32)))
+	if blob, err = frame.Expect(body, FrameBlob, bound); err != nil {
+		s.badRequest(w, err)
+		return nil, nil, false
+	}
+	return p, blob, true
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	var hdr EvalHeader
-	blob, err := s.readRequest(w, r, &hdr)
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	p, err := s.reg.profile(hdr.Profile)
-	if err != nil {
-		s.httpError(w, err)
+	p, blob, ok := s.readRequest(w, r, &hdr, &hdr.Profile)
+	if !ok {
 		return
 	}
 	ct, err := p.ctx.UnmarshalCiphertext(blob)
@@ -257,9 +270,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	blob, err := s.readRequest(w, r, &spec)
-	if err != nil {
-		s.badRequest(w, err)
+	_, blob, ok := s.readRequest(w, r, &spec, &spec.Profile)
+	if !ok {
 		return
 	}
 	id, err := s.jobs.Submit(spec, blob)

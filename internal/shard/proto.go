@@ -263,7 +263,7 @@ func WriteJobFile(root string, jf JobFile) error {
 	if err != nil {
 		return fmt.Errorf("shard: marshal job file: %w", err)
 	}
-	if err := durable.WriteFile(jobFilePath(root), frame.Append(nil, frame.Meta, data), 0o644); err != nil {
+	if err := durable.WriteFile(jobFilePath(root), 0o644, frame.Append(nil, frame.Meta, data)); err != nil {
 		return fmt.Errorf("shard: publish job file: %w", err)
 	}
 	return nil

@@ -81,15 +81,18 @@ func (s *session) read(lim Limit, deliver func(Msg)) error {
 }
 
 // WriteMessage sends one protocol message as one Meta frame, and an
-// assign's or a done's batch as the Body frame after it, in a single
-// Write so that concurrent writers of whole messages cannot interleave.
+// assign's or a done's batch as the Body frame after it. The batch is
+// not copied: message, batch header and batch go out as one vectored
+// write, a single writev on a socket, so concurrent writers of whole
+// messages on one connection cannot interleave.
 func WriteMessage(w io.Writer, m Msg) error {
 	payload, _ := json.Marshal(m) // a Msg holds only strings and ints; Batch is not marshalled
-	out := frame.Append(nil, frame.Meta, payload)
+	out := net.Buffers{frame.Append(nil, frame.Meta, payload)}
 	if carriesBatch(m.Type) {
-		out = frame.Append(out, frame.Body, m.Batch)
+		head := frame.Header(frame.Body, m.Batch)
+		out = append(out, head[:], m.Batch)
 	}
-	_, err := w.Write(out)
+	_, err := out.WriteTo(w)
 	return err
 }
 

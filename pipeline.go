@@ -50,11 +50,19 @@ type PipelineReport = pipeline.Report
 // On success the checkpoints are cleared unless Keep is set; on failure
 // they remain for the next attempt.
 func (c *Context) RunPipeline(ctx context.Context, stages []PipelineStage, initial []*Ciphertext, opts PipelineOptions) ([]*Ciphertext, PipelineReport, error) {
+	final, _, report, err := c.runPipeline(ctx, stages, initial, opts)
+	return final, report, err
+}
+
+// runPipeline is RunPipeline that also returns the payload of the last
+// checkpoint (pipeline.RunStored): the final state's encoding, nil
+// without CheckpointDir.
+func (c *Context) runPipeline(ctx context.Context, stages []PipelineStage, initial []*Ciphertext, opts PipelineOptions) ([]*Ciphertext, []byte, PipelineReport, error) {
 	inner := make([]pipeline.Stage, len(stages))
 	for i, st := range stages {
 		run := st.Run
 		if run == nil {
-			return nil, PipelineReport{ResumedFrom: -1}, fherr.Wrap(fherr.ErrInvalidParams,
+			return nil, nil, PipelineReport{ResumedFrom: -1}, fherr.Wrap(fherr.ErrInvalidParams,
 				"bitpacker: pipeline stage %d (%q) has no Run", i, st.Name)
 		}
 		inner[i] = pipeline.Stage{
@@ -72,7 +80,7 @@ func (c *Context) RunPipeline(ctx context.Context, stages []PipelineStage, initi
 	if opts.CheckpointDir != "" {
 		ds, err := pipeline.NewDirStore(opts.CheckpointDir)
 		if err != nil {
-			return nil, PipelineReport{ResumedFrom: -1}, err
+			return nil, nil, PipelineReport{ResumedFrom: -1}, err
 		}
 		store = ds
 	}
@@ -87,20 +95,20 @@ func (c *Context) RunPipeline(ctx context.Context, stages []PipelineStage, initi
 	}
 	p, err := pipeline.New(c.params, inner, pipeline.Options{Store: store, Retry: retryCopy, Keep: opts.Keep})
 	if err != nil {
-		return nil, PipelineReport{ResumedFrom: -1}, err
+		return nil, nil, PipelineReport{ResumedFrom: -1}, err
 	}
 	init, err := unwrapState(initial)
 	if err != nil {
-		return nil, PipelineReport{ResumedFrom: -1}, err
+		return nil, nil, PipelineReport{ResumedFrom: -1}, err
 	}
 	if ctx == nil {
 		ctx = c.opCtx()
 	}
-	final, report, err := p.Run(ctx, init)
+	final, stored, report, err := p.RunStored(ctx, init)
 	if err != nil {
-		return nil, report, err
+		return nil, nil, report, err
 	}
-	return wrapState(final), report, nil
+	return wrapState(final), stored, report, nil
 }
 
 func wrapState(state []*ckks.Ciphertext) []*Ciphertext {
@@ -133,15 +141,9 @@ func (c *Context) MarshalCiphertext(ct *Ciphertext) ([]byte, error) {
 // when Config.RedundantResidue is on — seeds its RRNS spare channel
 // (deserialization is a trusted point, like a fresh encryption).
 func (c *Context) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
-	ct, err := ckks.UnmarshalCiphertext(c.params, data)
+	ct, err := ckks.DecodeCiphertext(c.params, data)
 	if err != nil {
-		return nil, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: %v", err)
-	}
-	if err := ct.Validate(c.params); err != nil {
 		return nil, err
-	}
-	if c.params.SpareModulus() != 0 {
-		ct.SeedSpare(c.params)
 	}
 	return &Ciphertext{ct: ct}, nil
 }

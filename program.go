@@ -194,6 +194,13 @@ type ShardHook func(step int)
 // program from outside calls PlanProgram first; a step it would have
 // refused fails here with the same typed error, at its stage.
 func (c *Context) RunProgram(ctx context.Context, program []ShardStep, state []*Ciphertext, opts PipelineOptions, hook ShardHook) ([]*Ciphertext, PipelineReport, error) {
+	final, _, report, err := c.runProgram(ctx, program, state, opts, hook)
+	return final, report, err
+}
+
+// runProgram is RunProgram that also returns the payload of the last
+// checkpoint (runPipeline).
+func (c *Context) runProgram(ctx context.Context, program []ShardStep, state []*Ciphertext, opts PipelineOptions, hook ShardHook) ([]*Ciphertext, []byte, PipelineReport, error) {
 	stages := make([]PipelineStage, len(program))
 	for i, st := range program {
 		stages[i] = PipelineStage{
@@ -206,7 +213,7 @@ func (c *Context) RunProgram(ctx context.Context, program []ShardStep, state []*
 			},
 		}
 	}
-	return c.RunPipeline(ctx, stages, state, opts)
+	return c.runPipeline(ctx, stages, state, opts)
 }
 
 // stageName is the pipeline stage name of a program's step i: "%02d-<op>".

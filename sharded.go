@@ -54,18 +54,21 @@ func (c *Context) MaxCiphertextBytes() int { return ckks.MaxCiphertextBytes(c.pa
 // batch. Every step is checkpointed under the shard's directory in the
 // exchange directory dir, and the checkpoints are kept: a re-dispatched
 // shard resumes from its last durable step instead of recomputing, and
-// the last one is the shard's output, which a rerun of the job resumes
-// from. Worker processes, fleet members, RunSharded's in-process route
-// and the supervisor's degraded pass all run shards through this one
-// code path, which is what makes every execution mode bit-identical. hook, if not nil, is
-// RunProgram's, and is called once more with len(program) when the last
-// step is done.
+// the last one is the shard's output — the returned batch is the very
+// payload it stored — which a rerun of the job resumes from. Worker
+// processes, fleet members, RunSharded's in-process route and the
+// supervisor's degraded pass all run shards through this one code path,
+// which is what makes every execution mode bit-identical. hook, if not
+// nil, is RunProgram's, and is called once more with len(program) when
+// the last step is done.
 func (c *Context) ExecShard(ctx context.Context, dir string, shardID int, input []byte, program []ShardStep, hook ShardHook) ([]byte, error) {
 	state, err := c.DecodeCiphertexts(input)
 	if err != nil {
 		return nil, fmt.Errorf("bitpacker: shard %d input: %w", shardID, err)
 	}
-	final, _, err := c.RunProgram(ctx, program, state,
+	// The output is the payload the last step's checkpoint stored (or the
+	// run resumed from): the final state's encoding, not encoded again.
+	_, output, _, err := c.runProgram(ctx, program, state,
 		PipelineOptions{CheckpointDir: shard.CkptDir(dir, shardID), Keep: true}, hook)
 	if err != nil {
 		return nil, err
@@ -73,7 +76,7 @@ func (c *Context) ExecShard(ctx context.Context, dir string, shardID int, input 
 	if hook != nil {
 		hook(len(program))
 	}
-	return c.EncodeCiphertexts(final)
+	return output, nil
 }
 
 // SupervisorStats counts the shard supervisor's recovery actions
