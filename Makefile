@@ -80,13 +80,14 @@ framegate:
 		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build|internal/frame|internal/ckks)/'; true); \
 	if [ -n "$$bad" ]; then echo "framing outside internal/frame:"; echo "$$bad"; exit 1; fi
 
-# Pure-core gate: the shard supervisor's state machine and the serving
-# scheduler's core make every decision and carry none out — no lock, no
-# process, file or socket, no clock, no goroutine — which is what lets
-# their tests search them in virtual time. An import of sync, os or net,
-# a clock or timer call of package time, or a go statement (comments
-# aside) in either file is the driver's work leaking into the core.
-PURE = internal/shard/machine.go internal/serve/core.go
+# Pure-core gate: three cores — the shard supervisor's state machine, the
+# shard worker's (one per fleet slot) and the serving scheduler's — make
+# every decision and carry none out — no lock, no process, file or
+# socket, no clock, no goroutine — which is what lets their tests search
+# them in virtual time. An import of sync, os or net, a clock or timer
+# call of package time, or a go statement (comments aside) in any of the
+# three files is the driver's work leaking into the core.
+PURE = internal/shard/machine.go internal/shard/member.go internal/serve/core.go
 puregate:
 	@bad=$$(for f in $(PURE); do \
 		sed 's://.*$$::' $$f | grep -nE '"(sync|os|net)(/[^"]*)?"|time\.(Now|Since|Sleep|NewTimer|AfterFunc|NewTicker|After)\(|(^|[^[:alnum:]_.])go +[[:alnum:]_(]' | sed "s|^|$$f:|"; \
@@ -138,6 +139,8 @@ loc:
 # row of DESIGN.md's failure matrix, the scheduler core's one schedule
 # per batching outcome (both cores' seeded and exhaustive schedule
 # searches run in plain `go test`, which is what replaced the shard soak).
+# FuzzSupervisorMachine steps the worker's core too: every model worker
+# is a member.go Member under the supervisor's machine.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecode -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzParams -fuzztime 20s .

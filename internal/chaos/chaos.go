@@ -9,7 +9,11 @@
 //
 // Injectors mutate state out-of-band on purpose: they model faults, not
 // API misuse, so they bypass the library's bookkeeping exactly like a
-// DRAM bit flip or a dropped DMA descriptor would.
+// DRAM bit flip or a dropped DMA descriptor would. For shard workers the
+// package carries the process faults only (proc.go: crash, hang, corrupt
+// output), which a worker enacts because only its own process can; a
+// fault of the network between supervisor and worker is injected by the
+// link, not by either end.
 package chaos
 
 import (

@@ -10,8 +10,12 @@ import (
 // ProcFaultEnv is the environment variable carrying a process-level
 // fault specification to shard workers. The supervisor's tests set it in
 // the workers' environment; a worker consults FireProc at every step
-// boundary and enacts the returned fault (crash, hang, heartbeat delay,
-// output corruption) at exactly the specified point.
+// boundary and enacts the returned fault (crash, hang, output
+// corruption) at exactly the specified point. These are the faults only
+// the worker's own process can carry out — an exit status, a wedged
+// process the supervisor must SIGKILL, bytes that go through a real
+// decode. A slow, cut, partitioned or replaying link is a link's to
+// inject, and the shard package's tests do it with a relay.
 const ProcFaultEnv = "BITPACKER_CHAOS_PROC"
 
 // Process-level fault kinds.
@@ -22,10 +26,6 @@ const (
 	// ProcHang wedges the worker: compute stops AND heartbeats stop, so
 	// only the supervisor's deadline can recover the shard.
 	ProcHang = "hang"
-	// ProcBeatDelay suppresses heartbeats for DelayMs while compute
-	// continues — a GC pause or scheduler stall. A delay below the
-	// supervisor's timeout must NOT kill the worker.
-	ProcBeatDelay = "beat-delay"
 	// ProcCorruptOut garbles a byte of the shard's output batch before
 	// the done that carries it is written, then exits abnormally — a
 	// corruption the batch's own frames must reject at the supervisor's
@@ -46,8 +46,6 @@ type ProcFault struct {
 	Step int `json:"step"`
 	// Times is the total firing budget (default 1).
 	Times int `json:"times,omitempty"`
-	// DelayMs is the heartbeat suppression span for ProcBeatDelay.
-	DelayMs int `json:"delay_ms,omitempty"`
 }
 
 // Encode serializes the fault for ProcFaultEnv.

@@ -437,9 +437,9 @@ func (m *machine) lost(sl *slot, ev event) {
 	}
 }
 
-// tick checks the slot's deadline. The worker's beater starts with the
-// hello, before the context build, so one deadline covers startup, idling
-// and compute; a drop inherits what is left of it.
+// tick checks the slot's deadline. A worker beats from the hello on,
+// before the context build, so one deadline covers startup, idling and
+// compute; a drop inherits what is left of it.
 func (m *machine) tick(sl *slot, now time.Time) {
 	late, hbt := !now.Before(sl.deadline), m.opts.HeartbeatTimeout
 	switch sl.state {

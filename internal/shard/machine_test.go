@@ -61,13 +61,17 @@ func seededSchedule(seed uint64) []byte {
 }
 
 // failOn reports an invariant violation with the command that replays
-// it. A scripted scenario, a corpus row and a fuzz input replay under
-// their own test name; a searched schedule is first filed in the corpus
-// under the name given.
+// it and the trace of its last steps. A scripted scenario, a corpus row
+// and a fuzz input replay under their own test name; a searched schedule
+// is first filed in the corpus under the name given. An untraced run of
+// a schedule is replayed traced for the report.
 func failOn(t testing.TB, w *world, sched []byte, fileAs string) {
 	t.Helper()
 	if w.fail == "" {
 		return
+	}
+	if !w.traced && sched != nil {
+		w = runSchedule(sched, true)
 	}
 	run := t.Name()
 	if fileAs != "" {
@@ -94,7 +98,7 @@ func TestMachineSeededSearch(t *testing.T) {
 	var reached Stats
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		sched := seededSchedule(seed)
-		w := runSchedule(sched)
+		w := runSchedule(sched, false)
 		failOn(t, w, sched, fmt.Sprintf("search-seed-%d", seed))
 		steps += w.steps
 		orStats(&reached, w.m.stats)
@@ -138,7 +142,7 @@ func TestMachineExhaustiveSmall(t *testing.T) {
 			for _, i := range idx {
 				sched = append(sched, tc.alphabet[i]...)
 			}
-			failOn(t, runSchedule(sched), sched, "interleaving-"+string(sched))
+			failOn(t, runSchedule(sched, false), sched, "interleaving-"+string(sched))
 			runs++
 			// Odometer.
 			p := depth - 1
@@ -166,7 +170,7 @@ func FuzzSupervisorMachine(f *testing.F) {
 		if len(sched) > 4096 {
 			return
 		}
-		failOn(t, runSchedule(sched), nil, "")
+		failOn(t, runSchedule(sched, false), sched, "")
 	})
 }
 
@@ -184,6 +188,11 @@ var matrix = map[string]func(s Stats, err error) bool{
 	},
 	"shard-deadline": func(s Stats, err error) bool { return err == nil && s.Hangs == 1 && s.HeartbeatMisses == 0 },
 	"conn-drop-readopt": func(s Stats, err error) bool {
+		return err == nil && s.ConnDrops == 1 && s.Readopts == 1 && s.Redispatches == 0 && s.Crashes == 0
+	},
+	// The same drop for a member the supervisor spawned: the child lives
+	// on behind the dropped session, and is re-adopted like a standing one.
+	"conn-drop-readopt-spawned": func(s Stats, err error) bool {
 		return err == nil && s.ConnDrops == 1 && s.Readopts == 1 && s.Redispatches == 0 && s.Crashes == 0
 	},
 	"reconnect-flush": func(s Stats, err error) bool {
@@ -230,8 +239,8 @@ func TestMachineCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := runSchedule(sched)
-			failOn(t, w, nil, "")
+			w := runSchedule(sched, true)
+			failOn(t, w, sched, "")
 			orStats(&reached, w.m.stats)
 			if want := matrix[e.Name()]; want != nil {
 				seen[e.Name()] = true
@@ -309,7 +318,7 @@ func fairRun(t *testing.T, w *world, inject func(round int)) {
 // whose worker dies after every second shard must still carry a 64-shard
 // job to the end on workers alone.
 func TestMachineProductiveSlotKeepsItsBudget(t *testing.T) {
-	w := newWorld(modelCfg{slots: 1, shards: 64, shardAttempts: 3})
+	w := newWorld(modelCfg{slots: 1, shards: 64, shardAttempts: 3}, true)
 	fairRun(t, w, func(int) {
 		if w.ws[0].finished >= 2 {
 			w.op('c', '0')
@@ -333,9 +342,9 @@ func TestMachineUnproductiveSlotExhausts(t *testing.T) {
 		{MaxAttempts: 2, BaseDelay: time.Millisecond, BreakerThreshold: 1},
 		{BaseDelay: time.Millisecond}, // defaults: 3 x 5
 	} {
-		w := newWorld(modelCfg{slots: 1, shards: 2, noDegrade: true, respawn: p, shardAttempts: 3})
+		w := newWorld(modelCfg{slots: 1, shards: 2, noDegrade: true, respawn: p, shardAttempts: 3}, true)
 		fairRun(t, w, func(int) {
-			if w.ws[0].epoch > 0 {
+			if w.ws[0].run != nil {
 				w.op('c', '0')
 			}
 		})

@@ -1,9 +1,13 @@
 package shard
 
 // A model fleet for the supervisor's core. world plays everything outside
-// machine.go — the driver, the network, the workers and the two
-// callbacks — in virtual time, and checks the
-// core's invariants after every step. A schedule is a byte string: a
+// machine.go and member.go — the supervisor's driver, the network, the
+// worker processes with their compute, and the two callbacks — in
+// virtual time, and checks the supervisor core's invariants after every
+// step. Each slot's worker is a real Member (member.go) that the world
+// feeds as internal/shard/worker's driver does: the worker's rules for
+// beats, greeting, queueing, flushing and supersession are the core's,
+// not a copy of them here. A schedule is a byte string: a
 // four-byte header (slots, shards, lane, shards resumed) and then two-byte
 // ops (what happens, to which slot), so a seed, an enumerated small case, a fuzz
 // input and a checked-in corpus row are all the same thing and replay
@@ -11,11 +15,15 @@ package shard
 // nothing; when the ops run out the world goes quiet — no more faults,
 // everything in flight is delivered fairly — and the Run must finish.
 //
-// The workers follow internal/shard/worker: they beat from the hello on,
-// keep computing through a disconnection, queue completion reports while
-// not greeted and flush them after the ready, answer a superseding
-// assign by failing the old lease as canceled, and carry the output batch
-// in the done (a zombie's stale done carries the shard's input instead).
+// The ops split the way the faults do in the real world: c, h, l and e
+// are the process (a crash, a hang, a stall, the exit the supervisor
+// sees); C, F, R and k are compute outcomes fed to the member (a garbled
+// output, a failed shard, a refused runtime, the compute's context
+// canceled under it); D, S, Z, A, x, p, q and m are faults of the wire
+// between the two cores (a done sent twice, a zombie's done one epoch
+// older carrying the shard's input, a report from the future, a message
+// no worker sends, a cut, a cut with refused redials long or short, and
+// beats held back).
 
 import (
 	"bytes"
@@ -94,29 +102,37 @@ func decodeOp(b byte) byte {
 }
 
 type mworker struct {
-	// What the driver would hold for the slot.
+	slot int
+
+	// What the supervisor's driver would hold for the slot.
 	timer   *mtimer // the pending start or dial
-	linkUp  bool    // a session the core has been told about
+	linkUp  bool    // a session the supervisor's core has been told about
 	closing bool    // ... whose far end is gone: closed follows the wire
 	wire    []Msg   // worker -> supervisor, in flight
 	exiting bool    // child-exited not yet delivered
 
-	// The worker itself.
-	proc         bool // spawned lane: the process exists
-	built        bool // context built (survives reconnects, not restarts)
-	build        int  // work units until it is
-	up, greeted  bool // its view of the session
-	shard, epoch int  // in-flight compute; epoch 0 is idle
-	left         int
-	queued       []Msg
-	lastDone     *Msg
-	hung, slow   bool
-	mute, refuse time.Time
-	finished     int // shards completed in this life
+	// The wire between the two cores.
+	gen     int       // the session on it, as the member's driver names it
+	carried *Msg      // the last done it carried from the worker: D sends it again, S one epoch older
+	mute    time.Time // m: beats are held back until then
+	refuse  time.Time // p, q: dials are refused until then
 
-	// One-shot chaos.
+	// The worker process: its member core, and what the member's driver
+	// runs for it.
+	core       Member
+	proc       bool     // spawned lane: the process exists
+	built      bool     // runtime built (survives reconnects, not restarts)
+	build      int      // work units until it is
+	run        *compute // the compute the member last started, until it answers
+	hung, slow bool
+	finished   int // shards completed in this life
+
+	// One-shot compute outcomes.
 	corrupt, failNext, rejectNext bool
 }
+
+// compute is one exec in progress: what ExecShard's goroutine holds.
+type compute struct{ shard, epoch, left int }
 
 type mtimer struct {
 	due   time.Time
@@ -138,6 +154,7 @@ type world struct {
 	finished   bool
 	err        error
 	steps      int
+	traced     bool
 	trace      []string
 	fail       string
 }
@@ -147,9 +164,14 @@ type cancelSnap struct {
 	budget [][2]int
 }
 
-var errModelLocal = fherr.Wrap(fherr.ErrEngineFault, "model: local execution failed")
+var (
+	errModelLocal  = fherr.Wrap(fherr.ErrEngineFault, "model: local execution failed")
+	errModelReject = errors.New("model: fingerprint mismatch")
+	errModelFail   = errors.New("model: injected shard failure")
+	errModelCancel = errors.New("model: canceled")
+)
 
-func newWorld(cfg modelCfg) *world {
+func newWorld(cfg modelCfg, traced bool) *world {
 	opts := Options{
 		Dir: "/model", Workers: cfg.slots,
 		HeartbeatInterval: modelInterval, HeartbeatTimeout: modelTimeout, ShardDeadline: modelDeadline,
@@ -162,12 +184,12 @@ func newWorld(cfg modelCfg) *world {
 	} else {
 		opts.WorkerCommand = []string{"model-worker"}
 	}
-	w := &world{cfg: cfg, now: time.Unix(1_000_000, 0),
+	w := &world{cfg: cfg, now: time.Unix(1_000_000, 0), traced: traced,
 		lastEpoch: make([]int, cfg.shards), accepted: make([]int, cfg.shards)}
 	m, first := newMachine(opts.withDefaults(), cfg.shards, cfg.done, w.now)
 	w.m = m
-	for range m.slots {
-		w.ws = append(w.ws, &mworker{})
+	for i := range m.slots {
+		w.ws = append(w.ws, &mworker{slot: i})
 	}
 	w.perform(first)
 	w.invariants()
@@ -180,6 +202,9 @@ func (w *world) failf(format string, args ...any) {
 	}
 }
 
+// note adds a line to the trace. Only a traced world keeps one: the
+// search runs untraced, and a failure is replayed traced (a schedule
+// replays exactly), so the millions of steps that pass format nothing.
 func (w *world) note(format string, args ...any) {
 	w.trace = append(w.trace, fmt.Sprintf("%6dms ", w.now.Sub(time.Unix(1_000_000, 0)).Milliseconds())+fmt.Sprintf(format, args...))
 	if len(w.trace) > 400 {
@@ -195,7 +220,9 @@ func (w *world) feed(ev event) {
 	ev.now = w.now
 	w.steps++
 	before := w.snapshot(ev)
-	w.note("event %s", describe(ev))
+	if w.traced {
+		w.note("event %s", describe(ev))
+	}
 	acts := w.m.step(ev)
 	w.perform(acts)
 	w.invariants()
@@ -224,13 +251,19 @@ func (w *world) perform(acts []action) {
 			if a.msg.Type == MsgAssign {
 				w.dispatched(a.msg.Shard, a.msg.Epoch)
 			}
-			if wk.up && !wk.hung {
-				wk.receive(a.msg)
+			if wk.core.gen == wk.gen && wk.gen != 0 && !wk.hung {
+				switch a.msg.Type {
+				case MsgAssign:
+					// The driver adds the shard's input, as Run's does.
+					w.member(wk, MemberEvent{Kind: MemberAssign, Gen: wk.gen, Shard: a.msg.Shard, Epoch: a.msg.Epoch, Batch: modelInput(a.msg.Shard)})
+				case MsgDrain:
+					w.member(wk, MemberEvent{Kind: MemberDrain})
+				}
 			}
 		case actDrop:
 			wk := w.ws[a.slot]
 			wk.timer, wk.linkUp, wk.closing, wk.wire = nil, false, false, nil
-			wk.up, wk.greeted = false, false
+			w.member(wk, MemberEvent{Kind: MemberClosed, Gen: wk.gen})
 			if !w.cfg.fleet {
 				// The grace of a drained child's stop is the driver's to
 				// wait out; nothing comes back from it either way.
@@ -244,13 +277,15 @@ func (w *world) perform(acts []action) {
 		case actExecLocal:
 			w.dispatched(a.shard, a.epoch)
 			w.calls = append(w.calls, event{kind: evLocalDone, shard: a.shard, epoch: a.epoch})
-		case actLog:
-			w.note("  %s", a.text)
 		case actFinish:
 			w.finished, w.err = true, a.err
 		}
-		if a.kind != actLog {
-			w.note("  -> %s", kindName(a))
+		if w.traced {
+			if a.kind == actLog {
+				w.note("  %s", a.text)
+			} else {
+				w.note("  -> %s", kindName(a))
+			}
 		}
 	}
 }
@@ -278,40 +313,58 @@ func modelOutput(shard int) []byte { return []byte(fmt.Sprintf("out %d", shard))
 
 // restart replaces the worker behind the slot — a new process, a
 // restarted member, or (proc false) nothing at all — keeping what belongs
-// to the driver and the chaos still armed.
+// to the driver and the wire and the outcomes still armed.
 func (wk *mworker) restart(proc bool) {
-	*wk = mworker{timer: wk.timer, linkUp: wk.linkUp, closing: wk.closing, wire: wk.wire, proc: proc, refuse: wk.refuse,
-		corrupt: wk.corrupt, failNext: wk.failNext, rejectNext: wk.rejectNext}
+	*wk = mworker{slot: wk.slot, timer: wk.timer, linkUp: wk.linkUp, closing: wk.closing, wire: wk.wire, gen: wk.gen, refuse: wk.refuse,
+		proc: proc, corrupt: wk.corrupt, failNext: wk.failNext, rejectNext: wk.rejectNext}
 }
 
 func (wk *mworker) alive(fleet bool) bool { return (fleet || wk.proc) && !wk.hung }
 
-// send is fleetSlot.send: completion reports wait for a greeted session,
-// beats are dropped without one, canceled fails are never queued.
-func (wk *mworker) send(m Msg) {
-	completion := m.Type == MsgDone || m.Type == MsgFail
-	if wk.up && (wk.greeted || !completion) {
-		wk.wire = append(wk.wire, m)
-		return
+// member steps the slot's worker core and plays its driver: writes go on
+// the wire (beats held back while it is muted), exec starts the compute,
+// a cancel has the compute answer at once as canceled, close ends the
+// session from the worker's side, release leaves a fresh slot for the
+// next hello.
+func (w *world) member(wk *mworker, ev MemberEvent) {
+	if w.traced {
+		w.note("  worker %d: %s", wk.slot, describeMember(ev))
 	}
-	if completion && m.Class != ClassCanceled {
-		wk.queued = append(wk.queued, m)
+	var answer *MemberEvent
+	for _, a := range wk.core.Step(ev) {
+		switch a.Kind {
+		case MemberWrite:
+			if a.Gen != wk.gen || !wk.linkUp || wk.closing {
+				w.failf("member wrote %s on session %d, the wire carries %d (up %v, closing %v)", a.Msg.Type, a.Gen, wk.gen, wk.linkUp, wk.closing)
+			}
+			if a.Msg.Type == MsgBeat && w.now.Before(wk.mute) {
+				continue
+			}
+			if a.Msg.Type == MsgDone {
+				done := a.Msg
+				wk.carried = &done
+			}
+			wk.wire = append(wk.wire, a.Msg)
+		case MemberExec:
+			if !bytes.Equal(a.Batch, modelInput(a.Shard)) {
+				w.failf("member computes shard %d on batch %q", a.Shard, a.Batch)
+			}
+			wk.run = &compute{shard: a.Shard, epoch: a.Epoch, left: modelWork}
+		case MemberCancel:
+			if r := wk.run; r != nil {
+				answer = &MemberEvent{Kind: MemberComputed, Shard: r.shard, Epoch: r.epoch, Err: errModelCancel, Class: ClassCanceled}
+				wk.run = nil
+			}
+		case MemberClose:
+			if a.Gen == wk.gen {
+				wk.drop()
+			}
+		case MemberRelease:
+			wk.core, wk.run, answer = Member{}, nil, nil
+		}
 	}
-}
-
-func (wk *mworker) receive(m Msg) {
-	switch m.Type {
-	case MsgAssign:
-		if wk.epoch == m.Epoch && wk.shard == m.Shard {
-			return
-		}
-		if wk.epoch > 0 {
-			wk.send(Msg{Type: MsgFail, Shard: wk.shard, Epoch: wk.epoch, Class: ClassCanceled, Err: "superseded"})
-		}
-		wk.shard, wk.epoch, wk.left = m.Shard, m.Epoch, modelWork
-	case MsgDrain:
-		wk.shard, wk.epoch, wk.queued = 0, 0, nil
-		wk.drop()
+	if answer != nil {
+		w.member(wk, *answer)
 	}
 }
 
@@ -321,22 +374,31 @@ func (wk *mworker) drop() {
 	if wk.linkUp && !wk.closing {
 		wk.closing = true
 	}
-	wk.up, wk.greeted = false, false
 }
 
-// greet ends the worker's side of a handshake: ready with the in-flight
-// lease, then the queued reports — or a reject.
-func (wk *mworker) greet() {
-	if wk.rejectNext {
-		wk.rejectNext = false
-		wk.wire = append(wk.wire, Msg{Type: MsgReject, Err: "model: fingerprint mismatch"})
-		wk.drop()
-		return
+// cut breaks the link: what it was carrying is lost, the supervisor
+// reads the end of the stream and the worker's session ends now. (A cut
+// after the wire has been read dry is the lossless one.)
+func (w *world) cut(wk *mworker) {
+	wk.drop()
+	wk.wire = nil
+	w.member(wk, MemberEvent{Kind: MemberClosed, Gen: wk.gen})
+}
+
+// inject puts a message on the wire that the worker did not write.
+func (w *world) inject(wk *mworker, m Msg) {
+	if wk.linkUp && !wk.closing {
+		wk.wire = append(wk.wire, m)
 	}
-	wk.wire = append(wk.wire, Msg{Type: MsgReady, Shard: wk.shard, Epoch: wk.epoch})
-	wk.greeted = true
-	wk.wire = append(wk.wire, wk.queued...)
-	wk.queued = nil
+}
+
+// runtime answers the member's build: refused once after R.
+func (wk *mworker) runtime() MemberEvent {
+	ev := MemberEvent{Kind: MemberBuilt}
+	if wk.rejectNext {
+		wk.rejectNext, ev.Err = false, errModelReject
+	}
+	return ev
 }
 
 // --- ops ------------------------------------------------------------------
@@ -416,40 +478,40 @@ func (w *world) op(code, arg byte) {
 			wk.hung = true
 		}
 	case 'x':
-		wk.drop()
+		w.cut(wk)
 	case 'p', 'q':
-		wk.drop()
+		w.cut(wk)
 		d := 3 * modelTimeout / 2
 		if code == 'q' {
 			d = modelTimeout / 4
 		}
 		wk.refuse = w.now.Add(d)
 	case 'D':
-		if wk.lastDone != nil && wk.alive(w.cfg.fleet) {
-			wk.send(*wk.lastDone)
+		if wk.carried != nil && wk.alive(w.cfg.fleet) {
+			w.inject(wk, *wk.carried)
 		}
 	case 'S':
 		if wk.alive(w.cfg.fleet) {
 			switch {
-			case wk.epoch > 0:
-				wk.send(Msg{Type: MsgDone, Shard: wk.shard, Epoch: wk.epoch - 1, Batch: modelInput(wk.shard)})
-			case wk.lastDone != nil:
-				wk.send(Msg{Type: MsgDone, Shard: wk.lastDone.Shard, Epoch: wk.lastDone.Epoch - 1, Batch: modelInput(wk.lastDone.Shard)})
+			case wk.core.epoch > 0:
+				w.inject(wk, Msg{Type: MsgDone, Shard: wk.core.shard, Epoch: wk.core.epoch - 1, Batch: modelInput(wk.core.shard)})
+			case wk.carried != nil:
+				w.inject(wk, Msg{Type: MsgDone, Shard: wk.carried.Shard, Epoch: wk.carried.Epoch - 1, Batch: modelInput(wk.carried.Shard)})
 			}
 		}
 	case 'Z':
-		if wk.alive(w.cfg.fleet) && wk.epoch > 0 {
-			wk.send(Msg{Type: MsgDone, Shard: wk.shard, Epoch: wk.epoch + 5, Batch: modelInput(wk.shard)})
+		if wk.alive(w.cfg.fleet) && wk.core.epoch > 0 {
+			w.inject(wk, Msg{Type: MsgDone, Shard: wk.core.shard, Epoch: wk.core.epoch + 5, Batch: modelInput(wk.core.shard)})
 		}
 	case 'A':
 		if wk.alive(w.cfg.fleet) {
-			wk.send(Msg{Type: MsgAssign, Shard: wk.shard, Epoch: wk.epoch}) // not a worker's message
+			w.inject(wk, Msg{Type: MsgAssign, Shard: wk.core.shard, Epoch: wk.core.epoch}) // not a worker's message
 		}
 	case 'k':
-		// The worker's own operation context is canceled under it.
-		if wk.alive(w.cfg.fleet) && wk.epoch > 0 {
-			wk.send(Msg{Type: MsgFail, Shard: wk.shard, Epoch: wk.epoch, Class: ClassCanceled, Err: "model: canceled"})
-			wk.shard, wk.epoch = 0, 0
+		// The compute's own context is canceled under it.
+		if r := wk.run; wk.alive(w.cfg.fleet) && r != nil {
+			wk.run = nil
+			w.member(wk, MemberEvent{Kind: MemberComputed, Shard: r.shard, Epoch: r.epoch, Err: errModelCancel, Class: ClassCanceled})
 		}
 	case 'C':
 		wk.corrupt = true
@@ -482,16 +544,20 @@ func (w *world) fire(slot int, wk *mworker) {
 		w.feed(event{kind: evDialFailed, slot: slot, err: fherr.Wrap(fherr.ErrEngineFault, "model: connection refused")})
 		return
 	}
-	// fleetSlot.attach: the new connection supersedes; beats flow at once,
-	// completions wait for the ready.
+	// The member takes the hello, and answers it once its runtime is
+	// built: at once for a slot that has it, after the build for one that
+	// does not.
 	wk.linkUp, wk.closing, wk.wire = true, false, nil
-	wk.up, wk.greeted = true, false
+	wk.gen++
 	if !wk.built && wk.build == 0 {
 		wk.build = modelBuild
 	}
+	if !wk.hung {
+		w.member(wk, MemberEvent{Kind: MemberAttached, Gen: wk.gen})
+	}
 	w.feed(event{kind: evAttached, slot: slot, peer: fmt.Sprintf("model-%d", slot)})
-	if wk.built && wk.up && !wk.hung {
-		wk.greet()
+	if wk.built && !wk.hung && !wk.core.built {
+		w.member(wk, wk.runtime())
 	}
 }
 
@@ -500,43 +566,44 @@ func (w *world) work(wk *mworker) {
 	if !wk.alive(w.cfg.fleet) {
 		return
 	}
-	switch {
+	switch r := wk.run; {
 	case wk.build > 0:
 		if wk.build--; wk.build == 0 {
 			wk.built = true
-			if wk.up && !wk.greeted {
-				wk.greet()
+			if wk.core.gen != 0 {
+				w.member(wk, wk.runtime())
 			}
 		}
-	case wk.epoch > 0 && !wk.slow:
-		wk.left--
-		wk.send(Msg{Type: MsgBeat, Shard: wk.shard, Step: modelWork - wk.left})
-		if wk.left > 0 {
+	case r != nil && !wk.slow:
+		r.left--
+		w.member(wk, MemberEvent{Kind: MemberProgress, Shard: r.shard, Step: modelWork - r.left})
+		if r.left > 0 {
 			return
 		}
-		report := Msg{Type: MsgDone, Shard: wk.shard, Epoch: wk.epoch, Batch: modelOutput(wk.shard)}
-		if wk.failNext {
+		wk.run = nil
+		out := MemberEvent{Kind: MemberComputed, Shard: r.shard, Epoch: r.epoch, Batch: modelOutput(r.shard)}
+		switch {
+		case wk.failNext:
 			wk.failNext = false
-			report = Msg{Type: MsgFail, Shard: wk.shard, Epoch: wk.epoch, Class: ClassFault, Err: "model: injected shard failure"}
-		} else {
-			if wk.corrupt {
-				wk.corrupt = false
-				report.Batch = append(report.Batch, " garbled"...)
-			}
-			wk.lastDone = &report
+			out.Batch, out.Err, out.Class = nil, errModelFail, ClassFault
+		case wk.corrupt:
+			wk.corrupt = false
+			out.Batch = append(out.Batch, " garbled"...)
+			fallthrough
+		default:
 			wk.finished++
 		}
-		wk.shard, wk.epoch = 0, 0
-		wk.send(report)
+		w.member(wk, out)
 	}
 }
 
-// advance moves the clock: healthy workers beat, the core ticks.
+// advance moves the clock: live workers' beat periods pass, the
+// supervisor ticks.
 func (w *world) advance(d time.Duration) {
 	w.now = w.now.Add(d)
 	for _, wk := range w.ws {
-		if wk.alive(w.cfg.fleet) && !w.now.Before(wk.mute) {
-			wk.send(Msg{Type: MsgBeat, Shard: wk.shard})
+		if wk.alive(w.cfg.fleet) {
+			w.member(wk, MemberEvent{Kind: MemberTick})
 		}
 	}
 	w.feed(event{kind: evTick})
@@ -593,9 +660,9 @@ func (w *world) settle() {
 }
 
 // runSchedule plays header+ops, then lets the world settle.
-func runSchedule(schedule []byte) *world {
+func runSchedule(schedule []byte, traced bool) *world {
 	cfg, ops := decodeHeader(schedule)
-	w := newWorld(cfg)
+	w := newWorld(cfg, traced)
 	for i := 0; i+1 < len(ops); i += 2 {
 		w.op(decodeOp(ops[i]), ops[i+1])
 	}
@@ -779,6 +846,22 @@ func (w *world) atEnd() {
 // --- printing -------------------------------------------------------------
 
 var eventNames = [...]string{"attached", "dial-failed", "msg", "closed", "child-exited", "verified", "local-done", "tick", "cancel"}
+var memberEventNames = [...]string{"attached", "built", "assign", "drain", "progress", "computed", "tick", "closed"}
+
+func describeMember(ev MemberEvent) string {
+	switch ev.Kind {
+	case MemberAttached, MemberClosed:
+		return fmt.Sprintf("%s gen=%d", memberEventNames[ev.Kind], ev.Gen)
+	case MemberBuilt:
+		return fmt.Sprintf("built err=%v", ev.Err)
+	case MemberAssign, MemberComputed:
+		return fmt.Sprintf("%s shard=%d epoch=%d err=%v", memberEventNames[ev.Kind], ev.Shard, ev.Epoch, ev.Err)
+	case MemberProgress:
+		return fmt.Sprintf("progress shard=%d step=%d", ev.Shard, ev.Step)
+	}
+	return memberEventNames[ev.Kind]
+}
+
 var actionNames = [...]string{"start", "dial", "send", "drop", "verify", "exec-local", "log", "finish"}
 
 func describe(ev event) string {

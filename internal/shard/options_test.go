@@ -76,6 +76,7 @@ func TestOptionsValidate(t *testing.T) {
 		{HeartbeatTimeout: 100 * time.Millisecond},                                    // below the default 250ms interval
 		{HeartbeatInterval: time.Second, HeartbeatTimeout: 100 * time.Millisecond},    // below explicit interval
 		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Nanosecond}, // pathological
+		{HeartbeatInterval: 500 * time.Microsecond},                                   // the hello would carry 0 ms: beats at a period the member refuses
 	}
 	for i, o := range bad {
 		err := o.Validate()

@@ -18,6 +18,12 @@
 // standing fleet member's (Options.Addrs) or that of a loopback member
 // spawned for the slot (Options.WorkerCommand, child.go).
 //
+// The worker side's decisions are made here too: member.go is the pure
+// core of one fleet slot (Member), which internal/shard/worker drives
+// with sockets, a ticker and the compute, and which the tests' model
+// fleet steps under the supervisor's core, so a schedule search covers
+// both ends of the protocol as they ship.
+//
 // The package is deliberately generic: it moves shard IDs and opaque
 // batches, not ciphertexts. A shard's input batch rides its assign and
 // its output batch rides the done, each as one frame after the message;
@@ -25,7 +31,7 @@
 // shard's output and execute a shard in-process (degraded mode). The
 // bitpacker root package wires those to its ciphertext batch encoding and
 // per-step checkpoints in Context.RunSharded, and internal/shard/worker
-// implements the worker side of the protocol. Keeping ciphertext types
+// drives the worker side of the protocol. Keeping ciphertext types
 // out of this package is what lets the root package import it without a
 // cycle.
 package shard

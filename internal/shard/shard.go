@@ -35,7 +35,8 @@ type Options struct {
 	// the job file in Dir and rejects a mismatch, so a supervisor cannot
 	// adopt a fleet that is serving a different job.
 	Fingerprint uint64
-	// HeartbeatInterval is the worker beat period (default 250ms);
+	// HeartbeatInterval is the worker beat period (default 250ms, at
+	// least MinBeat and at most MaxBeat);
 	// HeartbeatTimeout is the deadline after which a silent worker is
 	// declared hung — fenced and re-dispatched, and SIGKILLed when the
 	// supervisor spawned it (default 8x the interval). A dropped
@@ -132,11 +133,17 @@ func (o Options) withDefaults() Options {
 // Validate rejects contradictory tuning before any worker is spawned.
 // Zero and negative durations are not errors — they select defaults —
 // but an explicit heartbeat timeout below the beat interval would kill
-// every worker on its first deadline check and can only be a mistake.
+// every worker on its first deadline check and can only be a mistake,
+// and so is an interval a hello cannot carry: it goes in whole
+// milliseconds, and a member refuses one outside [MinBeat, MaxBeat].
 func (o Options) Validate() error {
 	interval := o.HeartbeatInterval
 	if interval <= 0 {
 		interval = defaultHeartbeatInterval
+	}
+	if interval < MinBeat || interval > MaxBeat {
+		return fherr.Wrap(fherr.ErrInvalidParams,
+			"shard: heartbeat interval %v outside [%v, %v] (a member beats in whole milliseconds)", interval, MinBeat, MaxBeat)
 	}
 	if o.HeartbeatTimeout > 0 && o.HeartbeatTimeout < interval {
 		return fherr.Wrap(fherr.ErrInvalidParams,

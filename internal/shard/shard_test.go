@@ -1,8 +1,8 @@
 package shard_test
 
 // Fault-tolerance tests for sharded execution: every process-level fault
-// class (crash, hang, delayed heartbeat, corrupt output, cancellation,
-// missing worker binary) must leave the job's output bit-identical to
+// class (crash, hang, corrupt output, cancellation, missing worker
+// binary) must leave the job's output bit-identical to
 // the unsharded in-process run on both backends, with typed errors only
 // on breaker/budget exhaustion. Worker processes are this test binary
 // re-exec'd: TestMain routes a process spawned with the shard
@@ -222,26 +222,6 @@ func TestShardedWorkerHang(t *testing.T) {
 			t.Fatalf("hung worker's shard was not re-dispatched: %+v", report.Stats)
 		}
 	})
-}
-
-// TestShardedBeatDelay stalls heartbeats for less than the hang
-// deadline: the worker must NOT be killed and the job completes without
-// recovery actions.
-func TestShardedBeatDelay(t *testing.T) {
-	ctx := testCtx(t, bitpacker.BitPacker)
-	inputs := encryptBatch(t, ctx, 4, 45)
-	want := unshardedRun(t, ctx, testProgram, inputs)
-	fault := chaos.ProcFault{Kind: chaos.ProcBeatDelay, Shard: 1, Step: 1, Times: 1, DelayMs: 120}
-	opts := baseOpts(t, chaos.ProcFaultEnv+"="+fault.Encode())
-	opts.HeartbeatTimeout = 600 * time.Millisecond
-	got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, ctx, "beat-delay", got, want)
-	if report.Stats.Hangs != 0 || report.Stats.Crashes != 0 {
-		t.Fatalf("sub-deadline heartbeat delay killed a worker: %+v", report.Stats)
-	}
 }
 
 // TestShardedCorruptOutput has a worker publish a torn (corrupted)

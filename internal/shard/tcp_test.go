@@ -1,14 +1,16 @@
 package shard_test
 
 // Network fault-tolerance tests: every network fault class (conn drop
-// mid-shard, partition past the lease, duplicate done, a stale-epoch
-// zombie done carrying a batch that is not the output, full fleet loss)
-// must leave the job's output bit-identical to the unsharded in-process
-// run, with the recovery visible in the supervisor's counters. Fleet
-// members run in-process (worker.Listen on a loopback port) so they
-// carry the same -race instrumentation as the supervisor; the cases that
-// pin the two address sources to one lane run a second time against
-// members the supervisor spawns (this binary re-exec'd).
+// mid-shard, partition past the lease, held beats, duplicate done, a
+// stale-epoch zombie done carrying a batch that is not the output, full
+// fleet loss) must leave the job's output bit-identical to the unsharded
+// in-process run, with the recovery visible in the supervisor's
+// counters. Fleet members run in-process (worker.Listen on a loopback
+// port) so they carry the same -race instrumentation as the supervisor;
+// the link faults are injected by the relay of relay_test.go in front of
+// them. The cases that pin the two address sources to one lane run a
+// second time against members the supervisor spawns (this binary
+// re-exec'd).
 
 import (
 	"bufio"
@@ -23,7 +25,6 @@ import (
 	"time"
 
 	"bitpacker"
-	"bitpacker/internal/chaos"
 	"bitpacker/internal/durable"
 	"bitpacker/internal/frame"
 	"bitpacker/internal/pipeline"
@@ -94,18 +95,19 @@ func lanes(t *testing.T, f func(t *testing.T, opts bitpacker.ShardOptions)) {
 	t.Run("spawned", func(t *testing.T) { f(t, baseOpts(t)) })
 }
 
-// TestTCPConnDropReadopt drops the supervisor connection mid-shard while
+// TestTCPConnDropReadopt cuts the supervisor connection mid-shard while
 // the fleet member keeps computing. The supervisor must treat it as a
 // heartbeat miss — reconnect with backoff and re-adopt (or collect the
-// flushed completion), never re-dispatch, never count a crash.
+// flushed completion), never re-dispatch, never count a crash. (The
+// relay cannot sit in front of a spawned member's announced address: the
+// model's conn-drop-readopt-spawned schedule is that lane.)
 func TestTCPConnDropReadopt(t *testing.T) {
 	forBothSchemes(t, func(t *testing.T, scheme bitpacker.Scheme) {
-		lanes(t, func(t *testing.T, opts bitpacker.ShardOptions) {
+		t.Run("fleet", func(t *testing.T) {
 			ctx := testCtx(t, scheme)
 			inputs := encryptBatch(t, ctx, 6, 62)
 			want := unshardedRun(t, ctx, testProgram, inputs)
-			fault := chaos.NetFault{Kind: chaos.NetConnDrop, Shard: 2, Step: 1, Times: 1}
-			t.Setenv(chaos.NetFaultEnv, fault.Encode()) // reaches an in-process fleet directly, a spawned member by inheritance
+			opts := relayedOpts(t, 2, ctx, linkFault{kind: linkCut, shard: 2, step: 1})
 			got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -128,15 +130,15 @@ func TestTCPConnDropReadopt(t *testing.T) {
 	})
 }
 
-// TestTCPBeatDelay suppresses fleet heartbeats for less than the
-// deadline: the lease must survive untouched.
+// TestTCPBeatDelay holds a member's heartbeats back on the link for less
+// than the deadline: the lease must survive untouched. (A process that
+// stalls its beats and a link that delays them look the same to the
+// supervisor; this is the one injector for both.)
 func TestTCPBeatDelay(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
 	inputs := encryptBatch(t, ctx, 4, 63)
 	want := unshardedRun(t, ctx, testProgram, inputs)
-	fault := chaos.NetFault{Kind: chaos.NetBeatDelay, Shard: 1, Step: 1, Times: 1, DelayMs: 120}
-	t.Setenv(chaos.NetFaultEnv, fault.Encode())
-	opts := fleetOpts(t, 2)
+	opts := relayedOpts(t, 2, ctx, linkFault{kind: linkHold, shard: 1, step: 1, span: 120 * time.Millisecond})
 	opts.HeartbeatTimeout = 600 * time.Millisecond
 	got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 	if err != nil {
@@ -197,9 +199,7 @@ func TestTCPPartitionPastLease(t *testing.T) {
 		ctx := testCtx(t, scheme)
 		inputs := encryptBatch(t, ctx, 6, 64)
 		want := unshardedRun(t, ctx, testProgram, inputs)
-		fault := chaos.NetFault{Kind: chaos.NetPartition, Shard: 1, Step: 1, Times: 1, DelayMs: 700}
-		t.Setenv(chaos.NetFaultEnv, fault.Encode())
-		opts := fleetOpts(t, 2)
+		opts := relayedOpts(t, 2, ctx, linkFault{kind: linkPartition, shard: 1, step: 1, span: 700 * time.Millisecond})
 		opts.HeartbeatTimeout = 150 * time.Millisecond
 		// Keep redialing through the partition instead of retiring.
 		opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 1000, BaseDelay: 20 * time.Millisecond, BreakerThreshold: 1000, Seed: 5}
@@ -221,15 +221,14 @@ func TestTCPPartitionPastLease(t *testing.T) {
 	})
 }
 
-// TestTCPDuplicateDone has the worker report a completion twice: the
+// TestTCPDuplicateDone has the link deliver a completion twice: the
 // supervisor must apply it once and count the duplicate.
 func TestTCPDuplicateDone(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
 	inputs := encryptBatch(t, ctx, 6, 65)
 	want := unshardedRun(t, ctx, testProgram, inputs)
-	fault := chaos.NetFault{Kind: chaos.NetDupDone, Shard: 1, Step: 0, Times: 1}
-	t.Setenv(chaos.NetFaultEnv, fault.Encode())
-	got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, fleetOpts(t, 2))
+	opts := relayedOpts(t, 2, ctx, linkFault{kind: linkDupDone, shard: 1, step: 0})
+	got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +251,8 @@ func TestTCPStaleEpochDone(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
 	inputs := encryptBatch(t, ctx, 6, 66)
 	want := unshardedRun(t, ctx, testProgram, inputs)
-	fault := chaos.NetFault{Kind: chaos.NetStaleDone, Shard: 2, Step: 0, Times: 1}
-	t.Setenv(chaos.NetFaultEnv, fault.Encode())
-	got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, fleetOpts(t, 2))
+	opts := relayedOpts(t, 2, ctx, linkFault{kind: linkStaleDone, shard: 2, step: 0})
+	got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,9 +517,11 @@ func TestTCPAssignToStalledPeer(t *testing.T) {
 
 // TestFleetRejectsBadFingerprint dials a fleet directly with a hello the
 // job file on disk does not back: a fingerprint that does not match it,
-// or a matching one for a program the op table refuses. The fleet must
-// answer with a reject at the handshake, not serve the job (and fail
-// every shard of it ShardAttempts times).
+// a matching one for a program the op table refuses, or a matching one
+// asking for a beat period no ticker can have (as a Duration, 1<<62 ms
+// overflows). The fleet must answer with a reject at the handshake, not
+// serve the job (and fail every shard of it ShardAttempts times), and
+// must still be there to answer the next row.
 func TestFleetRejectsBadFingerprint(t *testing.T) {
 	cfgJSON, err := json.Marshal(testConfig(bitpacker.BitPacker))
 	if err != nil {
@@ -531,9 +531,11 @@ func TestFleetRejectsBadFingerprint(t *testing.T) {
 	for _, tc := range []struct {
 		name, program string
 		helloFP       uint64
+		beatMs        int
 	}{
-		{"fingerprint mismatch", `[{"op":"square"}]`, 222},
-		{"unknown op", `[{"op":"square"},{"op":"cube"}]`, 111},
+		{"beat period overflow", `[{"op":"square"}]`, 111, 1 << 62},
+		{"fingerprint mismatch", `[{"op":"square"}]`, 222, 50},
+		{"unknown op", `[{"op":"square"},{"op":"cube"}]`, 111, 50},
 	} {
 		dir := t.TempDir()
 		if err := shard.WriteJobFile(dir, shard.JobFile{
@@ -550,7 +552,7 @@ func TestFleetRejectsBadFingerprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := shard.WriteMessage(conn, shard.Msg{Type: shard.MsgHello, Dir: dir, Fingerprint: tc.helloFP, BeatMs: 50}); err != nil {
+		if err := shard.WriteMessage(conn, shard.Msg{Type: shard.MsgHello, Dir: dir, Fingerprint: tc.helloFP, BeatMs: tc.beatMs}); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second))

@@ -18,16 +18,13 @@ import (
 // supervisor that tries to adopt it for a different job), then serves the
 // ordinary assign/beat/done/fail protocol on the socket.
 //
-// A fleet member outlives its connection: a dropped socket does not
-// cancel in-flight compute. Completions reached while disconnected are
-// queued on the slot and flushed — after a ready message reporting the
-// slot's in-flight lease (epoch 0 = idle) — when the supervisor
-// reconnects. Stale assignments (a lease the supervisor re-dispatched
-// while partitioned) are simply superseded: a new assign cancels the old
-// compute, and any late report from it carries the old epoch, which the
-// supervisor's fence drops. A drain ends the slot: it is released, and
-// the job's context with its last slot, so a standing member holds
-// nothing for jobs that are over.
+// Each slot is one core (shard.Member: its rules are in member.go) under
+// one loop (fleetSlot). A fleet member outlives its connection: a dropped
+// socket does not cancel in-flight compute, completions reached while
+// disconnected are held and flushed after the ready that answers the
+// supervisor's reconnect, and a new assign supersedes a stale one. A
+// drain ends the slot: it is released, and the job's context with its
+// last slot, so a standing member holds nothing for jobs that are over.
 type Fleet struct {
 	ln   net.Listener
 	logf func(format string, args ...any)
@@ -36,13 +33,13 @@ type Fleet struct {
 	// hello for any other, whoever finds its loopback port.
 	only string
 
-	mu          sync.Mutex
-	jobs        map[string]*jobEntry  // "dir|fp" -> runtime, built once, held while a slot refers to it
-	slots       map[string]*fleetSlot // "dir|fp|worker" -> slot state
-	refuseUntil time.Time             // chaos partition: refuse handshakes until then
-	closed      bool
+	mu     sync.Mutex
+	jobs   map[string]*jobEntry  // "dir|fp" -> runtime, built once, held while a slot refers to it
+	slots  map[string]*fleetSlot // "dir|fp|worker" -> slot
+	gen    int                   // the last session generation handed out
+	closed bool
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // connection handlers, slot loops and their computes
 }
 
 // jobEntry is one job's runtime, shared by the member's slots for that
@@ -99,8 +96,9 @@ func (f *Fleet) Serve() error {
 	}
 }
 
-// Close stops accepting, drops every live connection, cancels in-flight
-// compute, and waits for connection handlers to finish.
+// Close stops accepting, ends every slot as a drain would — compute
+// canceled, sessions closed — and waits for the connection handlers, the
+// slots' loops and their computes to finish.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	f.closed = true
@@ -111,36 +109,24 @@ func (f *Fleet) Close() error {
 	f.mu.Unlock()
 	err := f.ln.Close()
 	for _, sl := range slots {
-		sl.shutdown()
+		sl.postEvent(shard.MemberEvent{Kind: shard.MemberDrain})
 	}
 	f.wg.Wait()
 	return err
 }
 
-// refuse makes the fleet drop incoming handshakes for d (the chaos
-// partition injector).
-func (f *Fleet) refuse(d time.Duration) {
-	f.mu.Lock()
-	until := time.Now().Add(d)
-	if until.After(f.refuseUntil) {
-		f.refuseUntil = until
-	}
-	f.mu.Unlock()
-}
-
-func (f *Fleet) refusing() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return time.Now().Before(f.refuseUntil)
-}
-
-// slot returns the slot state for the hello's (dir, fingerprint,
-// worker), creating it — beater already ticking — on first use.
-func (f *Fleet) slot(hello shard.Msg) *fleetSlot {
+// slot returns the slot for the hello's (dir, fingerprint, worker),
+// creating it — its loop already beating at the hello's period — on
+// first use, and a fresh generation for the hello's session. It returns
+// nil once the fleet is closed.
+func (f *Fleet) slot(hello shard.Msg) (*fleetSlot, int) {
 	jobKey := fmt.Sprintf("%s|%d", hello.Dir, hello.Fingerprint)
 	key := fmt.Sprintf("%s|%d", jobKey, hello.Worker)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return nil, 0
+	}
 	sl := f.slots[key]
 	if sl == nil {
 		e := f.jobs[jobKey]
@@ -149,42 +135,33 @@ func (f *Fleet) slot(hello shard.Msg) *fleetSlot {
 			f.jobs[jobKey] = e
 		}
 		e.refs++
-		sl = &fleetSlot{fleet: f, key: key, job: e}
-		beatMs := hello.BeatMs
-		if beatMs <= 0 {
-			beatMs = 250
-		}
-		sl.b = newBeater(sl, time.Duration(beatMs)*time.Millisecond)
+		sl = newSlot(f, key, e)
 		f.slots[key] = sl
+		f.wg.Add(1)
+		go sl.run(time.Duration(hello.BeatMs) * time.Millisecond)
 	}
-	return sl
+	f.gen++
+	return sl, f.gen
 }
 
-// release ends a slot (drained, or rejected after attaching): compute
-// canceled, beater halted, connection closed, entry deleted, and the
-// job's runtime dropped with its last slot.
+// release forgets a slot its core has released (drained, rejected, or
+// the fleet closed), and the job's runtime with its last slot.
 func (f *Fleet) release(sl *fleetSlot) {
-	sl.shutdown()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.slots[sl.key] != sl {
-		return
-	}
 	delete(f.slots, sl.key)
 	if sl.job.refs--; sl.job.refs == 0 {
 		delete(f.jobs, sl.job.key)
 	}
 }
 
-// handle runs one supervisor connection: hardened hello handshake,
-// fingerprint check, slot attach, context build, then the assign/drain
-// read loop. The connection ending never cancels compute — only a drain
-// or a superseding assign does.
+// handle runs one supervisor connection: hardened hello handshake, beat
+// period, directory and fingerprint checks, then the session is the
+// slot's — attached, answered once the runtime is built — and this
+// goroutine reads assign/drain off it until it ends. The connection
+// ending never cancels compute: only a drain or a superseding assign
+// does.
 func (f *Fleet) handle(conn net.Conn) {
-	if f.refusing() {
-		conn.Close()
-		return
-	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	hello, err := shard.ReadMessage(br, shard.Limit{}) // no batch before the job is known
@@ -195,7 +172,10 @@ func (f *Fleet) handle(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	var jf shard.JobFile
-	if f.only != "" && hello.Dir != f.only {
+	if ms := hello.BeatMs; ms < int(shard.MinBeat/time.Millisecond) || ms > int(shard.MaxBeat/time.Millisecond) {
+		// Compared in milliseconds: as a Duration a hostile period overflows.
+		err = fmt.Errorf("worker: beat period of %d ms outside [%v, %v]", hello.BeatMs, shard.MinBeat, shard.MaxBeat)
+	} else if f.only != "" && hello.Dir != f.only {
 		err = fmt.Errorf("worker: spawned for %s, not %s", f.only, hello.Dir)
 	} else if jf, err = shard.ReadJobFile(hello.Dir); err == nil && jf.Fingerprint != hello.Fingerprint {
 		err = fmt.Errorf("worker: job fingerprint %d on disk, supervisor claims %d", jf.Fingerprint, hello.Fingerprint)
@@ -206,32 +186,38 @@ func (f *Fleet) handle(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	// Beats before the build: the slot's beater is ticking and attach hands
-	// it the connection, so a cold member whose keygen outlasts the
-	// heartbeat timeout cannot look like a hang.
-	sl := f.slot(hello)
-	sl.attach(conn)
-	sl.job.once.Do(func() { sl.job.rt, sl.job.err = newRuntime(hello.Dir, jf) })
-	if err := sl.job.err; err != nil {
-		f.logf("worker: fleet: reject %s: %v", conn.RemoteAddr(), err)
-		sl.send(shard.Msg{Type: shard.MsgReject, Err: err.Error()})
-		f.release(sl)
+	// Beats before the build: the slot's loop is ticking and the session
+	// is attached before the build starts, so a cold member whose keygen
+	// outlasts the heartbeat timeout cannot look like a hang.
+	sl, gen := f.slot(hello)
+	if sl == nil || !sl.post(func() {
+		sl.conns[gen] = conn
+		sl.feed(shard.MemberEvent{Kind: shard.MemberAttached, Gen: gen})
+	}) {
+		conn.Close()
 		return
 	}
-	sl.ready()
+	sl.job.once.Do(func() { sl.job.rt, sl.job.err = newRuntime(hello.Dir, jf) })
+	err = sl.job.err
+	if !sl.postEvent(shard.MemberEvent{Kind: shard.MemberBuilt, Err: err}) {
+		return
+	}
+	if err != nil {
+		f.logf("worker: fleet: reject %s: %v", conn.RemoteAddr(), err)
+		return
+	}
 	f.logf("worker: fleet: supervisor %s attached (dir=%s worker=%d)", conn.RemoteAddr(), hello.Dir, hello.Worker)
 	for {
 		m, err := shard.ReadMessage(br, sl.job.rt.lim)
 		if err != nil {
-			sl.detach(conn)
+			sl.postEvent(shard.MemberEvent{Kind: shard.MemberClosed, Gen: gen})
 			return
 		}
 		switch m.Type {
 		case shard.MsgAssign:
-			sl.assign(m.Shard, m.Epoch, m.Batch)
+			sl.postEvent(shard.MemberEvent{Kind: shard.MemberAssign, Gen: gen, Shard: m.Shard, Epoch: m.Epoch, Batch: m.Batch})
 		case shard.MsgDrain:
-			f.release(sl)
-			return
+			sl.postEvent(shard.MemberEvent{Kind: shard.MemberDrain})
 		}
 	}
 }

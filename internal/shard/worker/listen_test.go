@@ -12,7 +12,7 @@ import (
 // TestFleetReleasesDrainedJobs runs several distinct jobs through one
 // standing member, two slots each, and requires it to hold nothing for
 // them afterwards: no slot, no runtime (a job's full FHE context), no
-// ticking beater. A member that only ever adds to its tables grows by a
+// slot loop still ticking. A member that only ever adds to its tables grows by a
 // context and a goroutine per slot per job until it is closed.
 func TestFleetReleasesDrainedJobs(t *testing.T) {
 	fl, err := Listen("127.0.0.1:0", nil)

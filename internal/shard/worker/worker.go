@@ -1,18 +1,20 @@
-// Package worker is the worker side of the shard protocol: a fleet
-// member (Listen / `bpworker -listen`) accepts dialing supervisors,
-// authenticates each hello by job fingerprint, rebuilds a bit-identical
-// FHE context from the job file's Config (deterministic seeded keygen
-// makes every process derive the same keys), and serves shard
-// assignments — executing the input batch each assign carries through
-// the checkpointed ExecShard path and answering with a done that carries
-// the output batch, echoing the dispatch's lease epoch — while a
-// per-slot goroutine heartbeats on the same socket. It keeps computing
-// through disconnections: completions, batches included, are queued
-// while the socket is down and flushed when the supervisor reconnects.
-// There is one loop that reads assign/drain (Fleet.handle); a process the
-// supervisor forked (BITPACKER_SHARD_DIR in its environment, Main) is the
-// same member on a loopback port, serving that one directory until its
-// stdin closes.
+// Package worker is the driver of the worker side of the shard protocol,
+// whose decisions are the core's (shard.Member, internal/shard/member.go).
+// A fleet member (Listen / `bpworker -listen`) accepts dialing
+// supervisors, checks each hello's beat period, directory and job
+// fingerprint, rebuilds a bit-identical FHE context from the job file's
+// Config (deterministic seeded keygen makes every process derive the
+// same keys), and runs each worker slot as one loop over an inbox and a
+// ticker at the hello's beat period: the loop feeds the slot's core the
+// hellos, reads, build, progress and results, and performs what it
+// answers — beats and reports written on the socket, the input batch of
+// each assign executed through the checkpointed ExecShard path off the
+// loop, compute canceled, sessions closed. A process the supervisor
+// forked (BITPACKER_SHARD_DIR in its environment, Main) is the same
+// member on a loopback port, serving that one directory until its stdin
+// closes. The process faults of internal/chaos (crash, hang, corrupt
+// output) are carried out here, because only the OS can: faults of the
+// link are a link's to inject.
 package worker
 
 import (
@@ -22,7 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
+	"syscall"
 	"time"
 
 	"bitpacker"
@@ -35,61 +37,6 @@ import (
 // Host binaries (bpworker, and any binary that opts into self-exec
 // workers) check it first thing in main.
 func IsWorker() bool { return os.Getenv(shard.EnvDir) != "" }
-
-// beater emits liveness beats every interval, carrying the current
-// shard/step so the supervisor can track progress. It can be paused (the
-// beat-delay chaos faults) or stopped permanently (the hang fault).
-type beater struct {
-	out      *fleetSlot
-	interval time.Duration
-
-	mu          sync.Mutex
-	shard, step int
-	pausedUntil time.Time
-
-	stop chan struct{}
-	once sync.Once
-}
-
-func newBeater(out *fleetSlot, interval time.Duration) *beater {
-	b := &beater{out: out, interval: interval, stop: make(chan struct{})}
-	go b.loop()
-	return b
-}
-
-func (b *beater) loop() {
-	t := time.NewTicker(b.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-b.stop:
-			return
-		case <-t.C:
-			b.mu.Lock()
-			paused := time.Now().Before(b.pausedUntil)
-			sh, st := b.shard, b.step
-			b.mu.Unlock()
-			if paused {
-				continue
-			}
-			b.out.send(shard.Msg{Type: shard.MsgBeat, Shard: sh, Step: st})
-		}
-	}
-}
-
-func (b *beater) progress(sh, st int) {
-	b.mu.Lock()
-	b.shard, b.step = sh, st
-	b.mu.Unlock()
-}
-
-func (b *beater) pause(d time.Duration) {
-	b.mu.Lock()
-	b.pausedUntil = time.Now().Add(d)
-	b.mu.Unlock()
-}
-
-func (b *beater) halt() { b.once.Do(func() { close(b.stop) }) }
 
 // runtime is one job's loaded execution state: the rebuilt FHE context,
 // the declarative program and the bound on the job's batches, shared by
@@ -131,78 +78,53 @@ func newRuntime(dir string, jf shard.JobFile) (*runtime, error) {
 }
 
 // runShard executes one assigned shard's input batch under its lease
-// epoch and reports done, with the output batch, or fail through the
-// slot. Chaos faults specified in the environment (process-level and
-// network-level) are enacted at the hook's step boundaries.
-func (rt *runtime) runShard(ctx context.Context, id, epoch int, input []byte, sl *fleetSlot) {
+// epoch, off the slot's loop, and answers the slot's core with what it
+// computed. The process faults specified in the environment are carried
+// out at the hook's step boundaries.
+func (rt *runtime) runShard(ctx context.Context, cancel context.CancelFunc, id, epoch int, input []byte, sl *fleetSlot) {
+	defer cancel()
 	corruptOut := false
-	dupDone := false
-	staleDone := false
 	hook := func(step int) {
-		sl.b.progress(id, step)
-		sl.send(shard.Msg{Type: shard.MsgBeat, Shard: id, Step: step})
+		sl.postEvent(shard.MemberEvent{Kind: shard.MemberProgress, Shard: id, Step: step})
 		if f := chaos.FireProc(shard.ChaosDir(rt.dir), id, step); f != nil {
 			switch f.Kind {
 			case chaos.ProcCrash:
 				os.Exit(shard.CrashExitCode)
 			case chaos.ProcHang:
-				// Wedge: compute and heartbeats both stop. Sleep rather than
-				// block on channels so the runtime's deadlock detector cannot
-				// turn the hang into an exit; only the supervisor's SIGKILL
-				// ends it.
-				sl.b.halt()
+				// Wedge: the whole process stops, beats and all, until the
+				// supervisor's SIGKILL. Should it be continued, it stays
+				// wedged: sleeping, so the runtime's deadlock detector cannot
+				// turn the hang into an exit.
+				syscall.Kill(os.Getpid(), syscall.SIGSTOP)
 				for {
 					time.Sleep(time.Hour)
 				}
-			case chaos.ProcBeatDelay:
-				sl.b.pause(time.Duration(f.DelayMs) * time.Millisecond)
 			case chaos.ProcCorruptOut:
 				corruptOut = true
 			}
 		}
-		if f := chaos.FireNet(shard.ChaosDir(rt.dir), id, step); f != nil {
-			switch f.Kind {
-			case chaos.NetConnDrop:
-				sl.dropConn()
-			case chaos.NetPartition:
-				sl.partition(time.Duration(f.DelayMs) * time.Millisecond)
-			case chaos.NetDupDone:
-				dupDone = true
-			case chaos.NetStaleDone:
-				staleDone = true
-			case chaos.NetBeatDelay:
-				sl.b.pause(time.Duration(f.DelayMs) * time.Millisecond)
-			}
-		}
 	}
 	out, err := rt.fhe.ExecShard(ctx, rt.dir, id, input, rt.program, hook)
-	if err != nil {
-		class := shard.ClassFault
+	ev := shard.MemberEvent{Kind: shard.MemberComputed, Shard: id, Epoch: epoch, Batch: out, Err: err}
+	switch {
+	case err != nil:
+		ev.Class = shard.ClassFault
 		if errors.Is(err, bitpacker.ErrCanceled) {
-			class = shard.ClassCanceled
+			ev.Class = shard.ClassCanceled
 		}
-		sl.send(shard.Msg{Type: shard.MsgFail, Shard: id, Epoch: epoch, Class: class, Err: err.Error()})
-		return
-	}
-	if corruptOut {
+	case corruptOut:
 		// Corrupt-output model: garble the last byte of the last
 		// ciphertext before the batch's wire frame is written, report done,
 		// and die. The wire's checksum passes; the ciphertext's own frame
 		// fails at the supervisor's verify, which re-queues the shard.
 		out[len(out)-frame.HeaderLen-1] ^= 0xa5
-		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch, Batch: out})
-		os.Exit(shard.CrashExitCode)
+		sl.post(func() {
+			sl.feed(ev)
+			os.Exit(shard.CrashExitCode)
+		})
+		return
 	}
-	if staleDone {
-		// Zombie-report model: a done carrying the previous epoch, and a
-		// batch that is not the output (the shard's input), precedes the
-		// real one — the epoch fence must drop both.
-		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch - 1, Batch: input})
-	}
-	sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch, Batch: out})
-	if dupDone {
-		sl.send(shard.Msg{Type: shard.MsgDone, Shard: id, Epoch: epoch, Batch: out})
-	}
+	sl.postEvent(ev)
 }
 
 // Main is a spawned worker's whole life: a loopback fleet member for the
