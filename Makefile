@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate opgate keygate jobgate framegate puregate docs-check loc fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate opgate keygate jobgate routegate framegate puregate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -66,6 +66,17 @@ jobgate:
 	@bad=$$(grep -rnE 'RunProgram|RunPipeline|PipelineOptions' --include='*.go' internal/serve \
 		| grep -v _test.go; true); \
 	if [ -n "$$bad" ]; then echo "second durable job route in internal/serve:"; echo "$$bad"; exit 1; fi
+
+# Two-route gate: a sharded job has RunSharded's two routes — its
+# in-process loop (no fleet, or the shards a lost fleet left unfinished)
+# or a fleet member — and each runs a shard through ExecShard. A call of
+# ExecShard in non-test code anywhere but sharded.go and
+# internal/shard/worker is a third in-process route growing back. bench/
+# is frozen and calls RunSharded only.
+routegate:
+	@bad=$$(grep -rn 'ExecShard(' --include='*.go' . \
+		| grep -v _test.go | grep -vE '^\./(bench|\.bench_build)/' | grep -vE '^\./(sharded\.go|internal/shard/worker/[^/]+\.go):'; true); \
+	if [ -n "$$bad" ]; then echo "shard run outside RunSharded's two routes:"; echo "$$bad"; exit 1; fi
 
 # One-frame gate: every stream and stored blob (serve's eval streams and
 # job files, checkpoints, state batches, the shard wire with its batches
@@ -170,9 +181,9 @@ chaos-soak:
 # Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
 # included), the parallel hot paths must be race-free, a program op must
 # have one definition, switching keys one source, a served long job one
-# route, streams and blobs one frame format, the state-machine cores
+# route, a shard two routes, streams and blobs one frame format, the state-machine cores
 # stay pure, and the docs may name only commands that exist.
-check: build vet test bench-test race panicgate opgate keygate jobgate framegate puregate docs-check
+check: build vet test bench-test race panicgate opgate keygate jobgate routegate framegate puregate docs-check
 
 clean:
 	$(GO) clean ./...

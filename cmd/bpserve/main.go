@@ -77,7 +77,7 @@ func main() {
 			Packing:       !*noPack,
 		}},
 		JobDir: *jobDir,
-		Shard:  bitpacker.ShardOptions{Workers: *shardWorkers, Addrs: splitAddrs(*shardAddrs)},
+		Shard:  bitpacker.ShardOptions{Workers: *shardWorkers, Addrs: splitAddrs(*shardAddrs), Logf: log.Printf},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

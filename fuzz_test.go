@@ -210,7 +210,7 @@ func FuzzProgram(f *testing.F) {
 			}
 			return
 		}
-		out, _, err := ctx.RunProgram(context.Background(), program, []*Ciphertext{in}, PipelineOptions{}, nil)
+		out, _, _, err := ctx.runProgram(context.Background(), program, []*Ciphertext{in}, PipelineOptions{}, nil)
 		if err != nil {
 			if !isTyped(err) {
 				t.Fatalf("accepted program %s failed with an untyped error: %v", data, err)

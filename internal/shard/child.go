@@ -33,8 +33,8 @@ type child struct {
 
 // startChild spawns the slot's worker process. An error is a terminal
 // environment problem (missing binary, not executable): deliberately NOT
-// an engine fault, so the slot retires unretried, straight into degraded
-// mode.
+// an engine fault, so the slot retires unretried; with every slot
+// retired, the fleet is handed back (ErrFleetLost).
 func startChild(opts Options, slot int) (*child, error) {
 	argv := opts.WorkerCommand
 	cmd := exec.Command(argv[0], argv[1:]...)

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"bitpacker/internal/engine"
@@ -12,8 +11,8 @@ import (
 
 // The supervisor's core. One machine value owns the whole ledger of a
 // Run — which shard is queued, leased to whom under which epoch, being
-// verified or run locally, or done — plus one small record per
-// worker slot, and advances only through step(event) -> actions. It
+// verified, or done — plus one small record per worker slot, and
+// advances only through step(event) -> actions. It
 // starts no goroutine, takes no lock, does no I/O and reads no clock
 // (every event carries the time it happened; backoff jitter comes from
 // the policy's seeded PRNG), so an interleaving of worker, network and
@@ -24,9 +23,12 @@ import (
 //
 // The contract with whoever feeds it: an event about a slot's session or
 // child means the one the core last asked for — after a drop or a new
-// start/dial nothing more arrives from the old one — and verify and
-// execLocal are each answered by exactly one event. A done's output batch
-// passes through as opaque bytes, from the message into the verify.
+// start/dial nothing more arrives from the old one — and a verify is
+// answered by exactly one event. A done's output batch passes through as
+// opaque bytes, from the message into the verify. The machine runs no
+// shard itself: once every slot is retired with shards unfinished it
+// finishes with ErrFleetLost, and the caller decides what happens to
+// them.
 
 type eventKind uint8
 
@@ -36,8 +38,7 @@ const (
 	evMsg                          // the slot's session delivered a protocol message
 	evClosed                       // the slot's session ended
 	evChildExited                  // the slot's own process is gone
-	evVerified                     // ShardDone returned for (shard, epoch)
-	evLocalDone                    // ExecLocal returned for (shard, epoch)
+	evVerified                     // collect returned for (shard, epoch)
 	evTick                         // time passed
 	evCancel                       // the job's context was canceled
 )
@@ -47,7 +48,7 @@ type event struct {
 	now          time.Time
 	slot         int
 	msg          Msg    // evMsg; a done carries its output batch
-	shard, epoch int    // evVerified, evLocalDone
+	shard, epoch int    // evVerified
 	err          error  // what failed, or the callback's verdict
 	terminal     bool   // evDialFailed: no worker can ever be started this way
 	peer         string // evAttached: who answered, for the log lines
@@ -56,14 +57,13 @@ type event struct {
 type actionKind uint8
 
 const (
-	actStart     actionKind = iota // after the delay, begin a life: spawn the child if slots own one, then dial
-	actDial                        // after the delay, dial the slot's member again
-	actSend                        // write msg on the slot's session (last: nothing follows, half-close)
-	actDrop                        // end the slot's session, pending start or dial, and child (stdin closed, SIGKILL after the delay)
-	actVerify                      // run ShardDone(shard, batch)
-	actExecLocal                   // run ExecLocal(shard)
-	actLog                         // one structured line
-	actFinish                      // the Run is over with err
+	actStart  actionKind = iota // after the delay, begin a life: spawn the child if slots own one, then dial
+	actDial                     // after the delay, dial the slot's member again
+	actSend                     // write msg on the slot's session (last: nothing follows, half-close)
+	actDrop                     // end the slot's session, pending start or dial, and child (stdin closed, SIGKILL after the delay)
+	actVerify                   // run collect(shard, batch)
+	actLog                      // one structured line
+	actFinish                   // the Run is over with err
 )
 
 type action struct {
@@ -83,16 +83,15 @@ type shardState uint8
 const (
 	shardPending   shardState = iota // in the queue
 	shardLeased                      // assigned to owner under epoch
-	shardVerifying                   // owner reported done under epoch; ShardDone is looking at the output
-	shardLocal                       // degraded mode is running it in-process under epoch
+	shardVerifying                   // owner reported done under epoch; collect is looking at the output
 	shardDone
 )
 
 type shardRec struct {
 	state    shardState
-	epoch    int // lease fencing token: increments per dispatch, worker assign or local
+	epoch    int // lease fencing token: increments per dispatch
 	owner    int // slot of the current or last lease
-	attempts int // failures a live worker reported (or ShardDone found); broken leases are free
+	attempts int // failures a live worker reported (or collect found); broken leases are free
 	brokenBy int // 1 + the slot that last lost this shard's lease
 }
 
@@ -132,7 +131,7 @@ type machine struct {
 	shards    []shardRec
 	pending   []int
 	doneCount int
-	inflight  int // verify and execLocal callbacks not yet answered
+	inflight  int // verifies not yet answered
 	slots     []slot
 	live      int // slots not retired
 	stats     Stats
@@ -168,10 +167,6 @@ func newMachine(opts Options, total int, done []bool, now time.Time) (*machine, 
 		}
 	}
 	m.live = min(opts.Workers, len(m.pending))
-	if len(opts.Addrs) == 0 && len(opts.WorkerCommand) == 0 {
-		// No way to reach workers at all: straight to degraded mode.
-		m.live, m.lastRetire = 0, errors.New("shard: no worker command or fleet address")
-	}
 	m.slots = make([]slot, m.live)
 	for i := range m.slots {
 		m.slots[i] = slot{id: i, shard: -1}
@@ -215,8 +210,6 @@ func (m *machine) step(ev event) []action {
 		}
 	case evVerified:
 		m.verified(ev)
-	case evLocalDone:
-		m.localDone(ev)
 	case evAttached:
 		m.attached(&m.slots[ev.slot], ev)
 	case evDialFailed, evClosed:
@@ -253,19 +246,14 @@ func (m *machine) dispatch(now time.Time) {
 			m.emit(action{kind: actSend, slot: sl.id, msg: Msg{Type: MsgDrain}, last: true})
 		case !m.stopping && sl.state == slotIdle && len(m.pending) > 0:
 			sl.state, sl.leaseStart = slotLeased, now
-			sl.shard, sl.epoch = m.lease(shardLeased, sl.id)
+			// The next queued shard, under a fresh fencing epoch.
+			sl.shard, m.pending = m.pending[0], m.pending[1:]
+			rec := &m.shards[sl.shard]
+			rec.epoch++
+			rec.state, rec.owner, sl.epoch = shardLeased, sl.id, rec.epoch
 			m.emit(action{kind: actSend, slot: sl.id, msg: Msg{Type: MsgAssign, Shard: sl.shard, Epoch: sl.epoch}})
 		}
 	}
-}
-
-// lease takes the next queued shard under a fresh fencing epoch.
-func (m *machine) lease(as shardState, owner int) (shard, epoch int) {
-	shard, m.pending = m.pending[0], m.pending[1:]
-	rec := &m.shards[shard]
-	rec.epoch++
-	rec.state, rec.owner = as, owner
-	return shard, rec.epoch
 }
 
 func (m *machine) queue(shard int) {
@@ -273,9 +261,9 @@ func (m *machine) queue(shard int) {
 	m.pending = append(m.pending, shard)
 }
 
-// settle ends the step. Once no slot is left the Run is over, or the
-// shards nobody could be kept alive for run in-process, one at a time in
-// shard order.
+// settle ends the step. Once no slot is left and no verdict is in flight
+// the Run is over: done, failed, canceled, or — shards unfinished — the
+// fleet is lost, which is handed back to the caller.
 func (m *machine) settle() []action {
 	var err error
 	switch total := len(m.shards); {
@@ -288,18 +276,9 @@ func (m *machine) settle() []action {
 	case m.doneCount == total:
 	case m.inflight > 0:
 		return m.take() // a verdict may still finish or re-queue a shard
-	case m.opts.DisableDegraded:
-		err = fmt.Errorf("shard: %d/%d shards unfinished with all workers retired: %w (last: %v)",
-			total-m.doneCount, total, fherr.ErrFaultUnrecovered, m.lastRetire)
 	default:
-		if m.stats.DegradedEntries == 0 {
-			sort.Ints(m.pending)
-			m.note(&m.stats.DegradedEntries, "shard: action=degraded remaining=%d reason=%q", len(m.pending), fmt.Sprint(m.lastRetire))
-		}
-		m.inflight++
-		shard, epoch := m.lease(shardLocal, 0)
-		m.emit(action{kind: actExecLocal, shard: shard, epoch: epoch})
-		return m.take()
+		err = fmt.Errorf("shard: %d/%d shards unfinished: %w: %w (last: %v)",
+			total-m.doneCount, total, ErrFleetLost, fherr.ErrFaultUnrecovered, m.lastRetire)
 	}
 	m.finished = true
 	m.emit(action{kind: actFinish, err: err})
@@ -380,7 +359,8 @@ func (m *machine) fail(sl *slot, counter *int64, kind string, cause error, now t
 
 // retire gives up on a slot: its breaker opened, or what failed cannot be
 // fixed by trying again (no binary, a rejected handshake) — deliberately
-// not a fault, so there are no retries and the job degrades.
+// not a fault, so there are no retries. The last slot retired hands the
+// fleet back (settle).
 func (m *machine) retire(sl *slot, cause error) {
 	m.lastRetire = cause
 	m.note(&m.stats.WorkersRetired, "shard: action=retire worker=%d reason=%q", sl.id, cause)
@@ -581,7 +561,7 @@ func (m *machine) report(sl *slot, ev event) {
 	m.emit(action{kind: actVerify, shard: shard, epoch: epoch, batch: msg.Batch})
 }
 
-// verified: ShardDone looked at the output batch a worker reported done.
+// verified: collect looked at the output batch a worker reported done.
 // Any error turns the completion into a shard failure.
 func (m *machine) verified(ev event) {
 	rec := &m.shards[ev.shard]
@@ -605,7 +585,7 @@ func (m *machine) verified(ev event) {
 }
 
 // shardFailed handles a failure a live worker reported, or an output
-// ShardDone rejected: queue the shard again — its input is the
+// collect rejected: queue the shard again — its input is the
 // supervisor's own copy, which no disk can have corrupted — or fail the
 // job once the shard's attempt budget is spent.
 func (m *machine) shardFailed(shard int, cause error) {
@@ -621,16 +601,4 @@ func (m *machine) shardFailed(shard int, cause error) {
 	if m.jobErr == nil {
 		m.jobErr = fmt.Errorf("shard: shard %d failed %d times: %w (last: %w)", shard, rec.attempts, fherr.ErrFaultUnrecovered, cause)
 	}
-}
-
-func (m *machine) localDone(ev event) {
-	m.inflight--
-	if ev.err != nil {
-		m.queue(ev.shard)
-		m.jobErr = fmt.Errorf("shard: degraded shard %d: %w", ev.shard, ev.err)
-		return
-	}
-	m.shards[ev.shard].state = shardDone
-	m.doneCount++
-	m.note(&m.stats.LocalShards, "shard: action=local-complete shard=%d epoch=%d", ev.shard, ev.epoch)
 }

@@ -2,7 +2,7 @@ package shard
 
 // A model fleet for the supervisor's core. world plays everything outside
 // machine.go and member.go — the supervisor's driver, the network, the
-// worker processes with their compute, and the two callbacks — in
+// worker processes with their compute, and the collect callback — in
 // virtual time, and checks the supervisor core's invariants after every
 // step. Each slot's worker is a real Member (member.go) that the world
 // feeds as internal/shard/worker's driver does: the worker's rules for
@@ -48,7 +48,6 @@ const (
 type modelCfg struct {
 	slots, shards int
 	fleet         bool // standing members (state survives a supervisor hang-up) instead of spawned children
-	noDegrade     bool
 	respawn       RespawnPolicy
 	shardAttempts int
 	done          []bool
@@ -56,7 +55,8 @@ type modelCfg struct {
 
 // decodeHeader reads slots (1-3), shards (1-6), the lane and how many
 // shards a previous run left done (0-2) from the first four bytes;
-// printable digits and s/f/S/F mean what they say.
+// printable digits mean what they say, and s/S (spawned) and f/F (fleet)
+// name the lane.
 func decodeHeader(b []byte) (modelCfg, []byte) {
 	var h [4]byte
 	copy(h[:], b)
@@ -66,18 +66,13 @@ func decodeHeader(b []byte) (modelCfg, []byte) {
 		respawn:       RespawnPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, BreakerThreshold: 2},
 		shardAttempts: 2,
 	}
-	lane := int(h[2]) % 4
 	switch h[2] {
-	case 's':
-		lane = 0
-	case 'f':
-		lane = 1
-	case 'S':
-		lane = 2
-	case 'F':
-		lane = 3
+	case 's', 'S':
+	case 'f', 'F':
+		cfg.fleet = true
+	default:
+		cfg.fleet = h[2]&1 == 1
 	}
-	cfg.fleet, cfg.noDegrade = lane&1 == 1, lane&2 == 2
 	cfg.done = make([]bool, cfg.shards)
 	for i := 0; i < int(h[3])%3 && i < cfg.shards; i++ {
 		cfg.done[i] = true
@@ -91,7 +86,7 @@ func decodeHeader(b []byte) (modelCfg, []byte) {
 // Ops. Benign ones move the world forward; the rest are the injectors of
 // DESIGN.md's failure matrix.
 const benignOps = "wdtfve"
-const faultOps = "chxpqDSCFRKmlLZnAk"
+const faultOps = "chxpqDSCFRKmlZnAk"
 
 func decodeOp(b byte) byte {
 	all := benignOps + faultOps
@@ -146,7 +141,7 @@ type world struct {
 	ws    []*mworker
 	calls []event // callback verdicts not yet delivered; a verify's batch rides in msg.Batch
 
-	noBinary, localErr bool
+	noBinary bool
 
 	lastEpoch  []int
 	accepted   []int
@@ -165,7 +160,6 @@ type cancelSnap struct {
 }
 
 var (
-	errModelLocal  = fherr.Wrap(fherr.ErrEngineFault, "model: local execution failed")
 	errModelReject = errors.New("model: fingerprint mismatch")
 	errModelFail   = errors.New("model: injected shard failure")
 	errModelCancel = errors.New("model: canceled")
@@ -175,7 +169,7 @@ func newWorld(cfg modelCfg, traced bool) *world {
 	opts := Options{
 		Dir: "/model", Workers: cfg.slots,
 		HeartbeatInterval: modelInterval, HeartbeatTimeout: modelTimeout, ShardDeadline: modelDeadline,
-		Respawn: cfg.respawn, ShardAttempts: cfg.shardAttempts, DisableDegraded: cfg.noDegrade,
+		Respawn: cfg.respawn, ShardAttempts: cfg.shardAttempts,
 	}
 	if cfg.fleet {
 		for i := 0; i < cfg.slots; i++ {
@@ -274,9 +268,6 @@ func (w *world) perform(acts []action) {
 				w.failf("verify of shard %d under epoch %d, dispatched %d", a.shard, a.epoch, w.lastEpoch[a.shard])
 			}
 			w.calls = append(w.calls, event{kind: evVerified, shard: a.shard, epoch: a.epoch, msg: Msg{Batch: a.batch}})
-		case actExecLocal:
-			w.dispatched(a.shard, a.epoch)
-			w.calls = append(w.calls, event{kind: evLocalDone, shard: a.shard, epoch: a.epoch})
 		case actFinish:
 			w.finished, w.err = true, a.err
 		}
@@ -433,9 +424,6 @@ func (w *world) op(code, arg byte) {
 			w.afterCancl = snap
 			w.feed(event{kind: evCancel, err: errors.New("context canceled")})
 		}
-		return
-	case 'L':
-		w.localErr = true
 		return
 	case 'n':
 		w.noBinary = true
@@ -618,19 +606,10 @@ func (w *world) callback(i int) {
 	i %= len(w.calls)
 	ev := w.calls[i]
 	w.calls = append(w.calls[:i], w.calls[i+1:]...)
-	switch ev.kind {
-	case evVerified:
-		if batch := ev.msg.Batch; !bytes.Equal(batch, modelOutput(ev.shard)) {
-			ev.err = fmt.Errorf("model: batch %q is not shard %d's output (checksum mismatch)", batch, ev.shard)
-		} else {
-			w.accepted[ev.shard]++
-		}
-	case evLocalDone:
-		if w.localErr {
-			w.localErr, ev.err = false, errModelLocal
-		} else {
-			w.accepted[ev.shard]++
-		}
+	if batch := ev.msg.Batch; !bytes.Equal(batch, modelOutput(ev.shard)) {
+		ev.err = fmt.Errorf("model: batch %q is not shard %d's output (checksum mismatch)", batch, ev.shard)
+	} else {
+		w.accepted[ev.shard]++
 	}
 	w.feed(ev)
 }
@@ -719,7 +698,7 @@ func (w *world) invariants() {
 			wantQ = 1
 		case shardLeased:
 			wantH = 1
-		case shardVerifying, shardLocal:
+		case shardVerifying:
 			inflight++
 		case shardDone:
 			done++
@@ -834,7 +813,14 @@ func (w *world) atEnd() {
 		if w.afterCancl == nil {
 			w.failf("ErrCanceled without a cancellation: %v", w.err)
 		}
-	case errors.Is(w.err, fherr.ErrFaultUnrecovered), errors.Is(w.err, errModelLocal):
+	case errors.Is(w.err, ErrFleetLost):
+		// The hand-back: the caller runs what is unfinished, so no slot may
+		// still be running a shard and no verdict may still be coming.
+		if w.m.live != 0 || w.m.inflight != 0 || w.m.doneCount == len(w.m.shards) || !errors.Is(w.err, fherr.ErrFaultUnrecovered) {
+			w.failf("fleet handed back with %d live slots, %d verdicts in flight, %d/%d shards done: %v",
+				w.m.live, w.m.inflight, w.m.doneCount, len(w.m.shards), w.err)
+		}
+	case errors.Is(w.err, fherr.ErrFaultUnrecovered):
 	default:
 		w.failf("run ended with an untyped error: %v", w.err)
 	}
@@ -845,7 +831,7 @@ func (w *world) atEnd() {
 
 // --- printing -------------------------------------------------------------
 
-var eventNames = [...]string{"attached", "dial-failed", "msg", "closed", "child-exited", "verified", "local-done", "tick", "cancel"}
+var eventNames = [...]string{"attached", "dial-failed", "msg", "closed", "child-exited", "verified", "tick", "cancel"}
 var memberEventNames = [...]string{"attached", "built", "assign", "drain", "progress", "computed", "tick", "closed"}
 
 func describeMember(ev MemberEvent) string {
@@ -862,13 +848,13 @@ func describeMember(ev MemberEvent) string {
 	return memberEventNames[ev.Kind]
 }
 
-var actionNames = [...]string{"start", "dial", "send", "drop", "verify", "exec-local", "log", "finish"}
+var actionNames = [...]string{"start", "dial", "send", "drop", "verify", "log", "finish"}
 
 func describe(ev event) string {
 	switch ev.kind {
 	case evMsg:
 		return fmt.Sprintf("msg slot=%d %s shard=%d epoch=%d step=%d class=%s", ev.slot, ev.msg.Type, ev.msg.Shard, ev.msg.Epoch, ev.msg.Step, ev.msg.Class)
-	case evVerified, evLocalDone:
+	case evVerified:
 		return fmt.Sprintf("%s shard=%d epoch=%d err=%v", eventNames[ev.kind], ev.shard, ev.epoch, ev.err)
 	case evTick, evCancel:
 		return eventNames[ev.kind]
@@ -882,7 +868,7 @@ func kindName(a action) string {
 		return fmt.Sprintf("%s slot=%d after=%v", actionNames[a.kind], a.slot, a.after)
 	case actSend:
 		return fmt.Sprintf("send slot=%d %s shard=%d epoch=%d", a.slot, a.msg.Type, a.msg.Shard, a.msg.Epoch)
-	case actVerify, actExecLocal:
+	case actVerify:
 		return fmt.Sprintf("%s shard=%d epoch=%d", actionNames[a.kind], a.shard, a.epoch)
 	case actFinish:
 		return fmt.Sprintf("finish err=%v", a.err)

@@ -26,8 +26,8 @@ func TestOptionsWithDefaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := tc.in.withDefaults()
-			if o.Workers != 2 {
-				t.Errorf("Workers default = %d, want 2", o.Workers)
+			if o.Workers != tc.in.Workers {
+				t.Errorf("Workers %d became %d: RunSharded resolves it, Run takes it as given", tc.in.Workers, o.Workers)
 			}
 			if o.HeartbeatInterval != 250*time.Millisecond {
 				t.Errorf("HeartbeatInterval default = %v, want 250ms", o.HeartbeatInterval)
@@ -42,17 +42,6 @@ func TestOptionsWithDefaults(t *testing.T) {
 				t.Error("Logf not defaulted")
 			}
 		})
-	}
-}
-
-func TestOptionsWorkersDefaultFollowsFleet(t *testing.T) {
-	o := Options{Addrs: []string{"a:1", "b:2", "c:3"}}.withDefaults()
-	if o.Workers != 3 {
-		t.Fatalf("Workers = %d with 3 fleet addresses, want 3", o.Workers)
-	}
-	o = Options{Addrs: []string{"a:1"}, Workers: 5}.withDefaults()
-	if o.Workers != 5 {
-		t.Fatalf("explicit Workers overridden to %d", o.Workers)
 	}
 }
 
@@ -91,23 +80,25 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestRunRejectsInvalidOptions pins that Run enforces Validate before
-// spawning anything.
+// spawning anything, and takes no fleet it cannot reach: no slot, or
+// neither a worker command nor an address (RunSharded resolves both, and
+// routes a job without them in-process).
 func TestRunRejectsInvalidOptions(t *testing.T) {
-	opts := Options{
-		Dir:               t.TempDir(),
-		WorkerCommand:     []string{"/bin/true"},
-		HeartbeatInterval: time.Second,
-		HeartbeatTimeout:  time.Millisecond,
-	}
-	cb := Callbacks{
-		ShardDone: func(int, []byte) error { return nil },
-		ExecLocal: func(context.Context, int) error { return nil },
-	}
-	stats, err := Run(context.Background(), opts, [][]byte{nil}, Limit{}, nil, cb)
-	if err == nil || !errors.Is(err, fherr.ErrInvalidParams) {
-		t.Fatalf("Run accepted timeout < interval: %v", err)
-	}
-	if stats.Spawns != 0 {
-		t.Fatalf("invalid options still spawned %d workers", stats.Spawns)
+	valid := Options{Dir: t.TempDir(), Workers: 1, WorkerCommand: []string{"/bin/true"}}
+	collect := func(int, []byte) error { return nil }
+	for name, mutate := range map[string]func(*Options){
+		"timeout < interval": func(o *Options) { o.HeartbeatInterval, o.HeartbeatTimeout = time.Second, time.Millisecond },
+		"no slot":            func(o *Options) { o.Workers = 0 },
+		"no command":         func(o *Options) { o.WorkerCommand = nil },
+	} {
+		opts := valid
+		mutate(&opts)
+		stats, err := Run(context.Background(), opts, 1, [][]byte{nil}, Limit{}, nil, collect)
+		if !errors.Is(err, fherr.ErrInvalidParams) {
+			t.Fatalf("%s: Run returned %v, want ErrInvalidParams", name, err)
+		}
+		if stats.Spawns != 0 {
+			t.Fatalf("%s: invalid options still spawned %d workers", name, stats.Spawns)
+		}
 	}
 }

@@ -5,8 +5,9 @@
 // SIGKILLed, dropped connections are redialed and their leases
 // re-adopted, and a lost worker's leased shards are re-dispatched to
 // survivors, who resume from the shard's last durable checkpoint. When
-// no worker can be kept alive the supervisor degrades to in-process
-// execution rather than failing the job.
+// no worker can be kept alive the supervisor hands the job back
+// (ErrFleetLost) with the shards it did not finish: it runs no shard
+// itself, and the caller fails the job or runs them in-process.
 //
 // Every one of those decisions is made in one place: machine.go, a pure
 // step(event) -> actions state machine that owns the ledger and the slot
@@ -27,10 +28,12 @@
 // The package is deliberately generic: it moves shard IDs and opaque
 // batches, not ciphertexts. A shard's input batch rides its assign and
 // its output batch rides the done, each as one frame after the message;
-// the caller supplies the inputs and callbacks that validate a completed
-// shard's output and execute a shard in-process (degraded mode). The
-// bitpacker root package wires those to its ciphertext batch encoding and
-// per-step checkpoints in Context.RunSharded, and internal/shard/worker
+// the caller supplies the inputs and the callback that validates and
+// keeps a completed shard's output. Its options are the caller's too:
+// Options is bitpacker.ShardOptions. The bitpacker root package wires
+// Run to its ciphertext batch encoding and per-step checkpoints in
+// Context.RunSharded, whose in-process route runs a job with no fleet and
+// the shards a lost one left unfinished, and internal/shard/worker
 // drives the worker side of the protocol. Keeping ciphertext types
 // out of this package is what lets the root package import it without a
 // cycle.

@@ -27,7 +27,7 @@ type session struct {
 // timed-out dial during a partition should be backed off and retried,
 // not treated as a missing binary. ctx cuts a dial short when the Run is
 // over.
-func dial(ctx context.Context, opts Options, slot int, addr string) (*session, error) {
+func dial(ctx context.Context, opts Options, fingerprint uint64, slot int, addr string) (*session, error) {
 	dialer := net.Dialer{Timeout: dialTimeoutFactor * opts.HeartbeatTimeout}
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -37,7 +37,7 @@ func dial(ctx context.Context, opts Options, slot int, addr string) (*session, e
 	if err := sess.send(Msg{
 		Type:        MsgHello,
 		Dir:         opts.Dir,
-		Fingerprint: opts.Fingerprint,
+		Fingerprint: fingerprint,
 		Worker:      slot,
 		BeatMs:      int(opts.HeartbeatInterval.Milliseconds()),
 	}); err != nil {

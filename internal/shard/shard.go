@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,17 +11,35 @@ import (
 	"bitpacker/internal/fherr"
 )
 
-// Options tunes a supervised run.
+// Options tunes a sharded job. It is declared once, here, and is
+// bitpacker.ShardOptions: RunSharded reads all of it and routes the job —
+// in-process, or across a fleet — and hands Run a copy with Dir, Workers
+// and WorkerCommand resolved. Run reads only the fleet's part; ShardSize,
+// EngineWorkers, DisableDegraded and Keep are RunSharded's alone.
 type Options struct {
-	// Dir is the job exchange directory (required). Every hello names it;
-	// a spawned worker also gets it as EnvDir and serves nothing else.
+	// Dir is the job exchange directory: the job description and the
+	// per-shard checkpoints live under it (inputs and outputs travel on
+	// the worker sessions), and a rerun over the same directory resumes
+	// (a shard whose final checkpoint is intact is not recomputed; a
+	// different job's leftovers are detected by fingerprint and cleared).
+	// Empty uses a private temporary directory (no cross-run resume).
+	// Every hello names it; a spawned worker also gets it as EnvDir and
+	// serves nothing else.
 	Dir string
-	// Workers is the worker-slot count. Default: one slot per fleet
-	// address when Addrs is set, else 2. The supervisor never runs more
-	// slots than there are shards.
+	// Workers is the worker-slot count. Zero with no Addrs means no
+	// fleet: RunSharded runs every shard in-process, one after another,
+	// through the same ExecShard path and checkpoints. With Addrs it
+	// defaults to len(Addrs). The supervisor never runs more slots than
+	// there are shards.
 	Workers int
-	// WorkerCommand is the argv of a worker process (the caller resolves
-	// bpworker/self-exec before calling Run). When Addrs is empty the
+	// ShardSize is the number of ciphertexts per shard. Zero picks a
+	// default that keeps at least ~4 shards per worker for re-dispatch
+	// granularity (minimum 1 ciphertext).
+	ShardSize int
+	// WorkerCommand is the argv of a worker process. When empty,
+	// RunSharded tries the BITPACKER_BPWORKER environment variable, then
+	// bpworker on PATH; with none available the job runs degraded
+	// in-process (or fails if DisableDegraded). When Addrs is empty the
 	// supervisor spawns one per slot as a loopback fleet member and dials
 	// the address it announces.
 	WorkerCommand []string
@@ -29,12 +48,13 @@ type Options struct {
 	WorkerEnv []string
 	// Addrs lists standing fleet endpoints (`bpworker -listen`). When
 	// non-empty the supervisor spawns nothing: slot i dials
-	// Addrs[i%len(Addrs)].
+	// Addrs[i%len(Addrs)], authenticated with the job fingerprint.
+	// Workers defaults to len(Addrs).
 	Addrs []string
-	// Fingerprint authenticates sessions: the member compares it against
-	// the job file in Dir and rejects a mismatch, so a supervisor cannot
-	// adopt a fleet that is serving a different job.
-	Fingerprint uint64
+	// EngineWorkers caps each worker process's execution-engine
+	// parallelism (default: NumCPU / Workers, minimum 1) so the fleet
+	// does not oversubscribe the host.
+	EngineWorkers int
 	// HeartbeatInterval is the worker beat period (default 250ms, at
 	// least MinBeat and at most MaxBeat);
 	// HeartbeatTimeout is the deadline after which a silent worker is
@@ -58,9 +78,14 @@ type Options struct {
 	// re-dispatched before the job fails with ErrFaultUnrecovered
 	// (default 3). Broken leases never count against this budget.
 	ShardAttempts int
-	// DisableDegraded fails the job when every worker slot has been
-	// retired instead of falling back to in-process execution.
+	// DisableDegraded fails the job with ErrFaultUnrecovered when every
+	// worker slot has been retired with shards unfinished, instead of
+	// running them in-process.
 	DisableDegraded bool
+	// Keep leaves the exchange directory's artifacts in place after a
+	// successful run (default: cleared; a failed run always keeps them
+	// for resume).
+	Keep bool
 	// Logf, when non-nil, receives one structured line per recovery
 	// action (spawn, respawn, hang kill, conn drop, readopt, partition,
 	// stale-epoch reject, re-dispatch, degraded entry).
@@ -108,13 +133,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		if len(o.Addrs) > 0 {
-			o.Workers = len(o.Addrs)
-		} else {
-			o.Workers = 2
-		}
-	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = defaultHeartbeatInterval
 	}
@@ -186,12 +204,14 @@ type Stats struct {
 	Redispatches int64
 	LeasesStolen int64
 	// ShardRetries counts re-dispatches after a live worker reported a
-	// shard failure or ShardDone rejected the output batch of its done
+	// shard failure or collect rejected the output batch of its done
 	// (distinct from broken leases).
 	ShardRetries int64
 	// WorkersRetired counts slots whose circuit breaker opened (or whose
-	// spawn failed terminally); DegradedEntries counts falls back to
-	// in-process execution, and LocalShards the shards completed there.
+	// spawn failed terminally). DegradedEntries and LocalShards are
+	// RunSharded's, not Run's: a job that lost its fleet (ErrFleetLost)
+	// and fell back to in-process execution, and the shards it then ran
+	// there.
 	WorkersRetired  int64
 	DegradedEntries int64
 	LocalShards     int64
@@ -206,48 +226,44 @@ type Stats struct {
 	StaleEpochRejects int64
 }
 
-// Callbacks connect the generic supervisor to the caller's shard
-// payloads.
-type Callbacks struct {
-	// ShardDone validates and collects the output batch a worker's done
-	// carried for the lease the supervisor dispatched. Any error (a
-	// corrupt or undecodable batch) turns the completion report into a
-	// shard failure.
-	ShardDone func(shard int, output []byte) error
-	// ExecLocal runs one shard in-process and collects its output —
-	// degraded mode's executor. It must be resumable from the shard's
-	// durable checkpoints, exactly like a worker.
-	ExecLocal func(ctx context.Context, shard int) error
-}
+// ErrFleetLost is Run's hand-back: every worker slot was retired with
+// shards unfinished and no verdict in flight. The error Run returns wraps
+// it and fherr.ErrFaultUnrecovered; every shard it did not collect is
+// unfinished, and the caller fails the job or runs those itself.
+var ErrFleetLost = errors.New("all workers retired")
 
 // Run executes one shard per input batch across worker sessions: every
-// assign of shard i carries inputs[i], and every batch on the wire is
-// read under lim. done marks shards already completed by a previous
-// attempt (may be nil). Run returns when every shard is complete, the
-// job fails with a typed error, or ctx is canceled.
+// assign of shard i carries inputs[i], every batch on the wire is read
+// under lim, and every session is authenticated with the job's
+// fingerprint. done marks shards already completed by a previous attempt
+// (may be nil). collect validates and keeps the output batch a worker's
+// done carried for the lease the supervisor dispatched; any error (a
+// corrupt or undecodable batch) turns the completion report into a shard
+// failure. Run returns when every shard is complete, the fleet is lost
+// (ErrFleetLost), the job fails with a typed error, or ctx is canceled.
 //
 // Run is the driver of the state machine in machine.go: one loop that
 // feeds it what happened and performs what it answers. Whatever the
-// driver starts (timers, dials, session readers, child watchers, the
-// two callbacks) runs off the loop and comes back through the inbox, so
-// the driver's tables need no lock, and nothing it starts outlives Run.
-func Run(ctx context.Context, opts Options, inputs [][]byte, lim Limit, done []bool, cb Callbacks) (Stats, error) {
+// driver starts (timers, dials, session readers, child watchers,
+// collect) runs off the loop and comes back through the inbox, so the
+// driver's tables need no lock, and nothing it starts outlives Run.
+func Run(ctx context.Context, opts Options, fingerprint uint64, inputs [][]byte, lim Limit, done []bool, collect func(shard int, output []byte) error) (Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return Stats{}, err
 	}
 	opts = opts.withDefaults()
 	total := len(inputs)
-	if total <= 0 {
+	switch {
+	case total <= 0:
 		return Stats{}, fherr.Wrap(fherr.ErrInvalidParams, "shard: no shards")
-	}
-	if cb.ShardDone == nil || cb.ExecLocal == nil {
-		return Stats{}, fherr.Wrap(fherr.ErrInvalidParams, "shard: ShardDone and ExecLocal callbacks required")
+	case opts.Workers <= 0 || (len(opts.Addrs) == 0 && len(opts.WorkerCommand) == 0):
+		return Stats{}, fherr.Wrap(fherr.ErrInvalidParams, "shard: no fleet to supervise (%d workers, addresses %q, worker command %q)", opts.Workers, opts.Addrs, opts.WorkerCommand)
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	m, first := newMachine(opts, total, done, time.Now())
-	d := &driver{opts: opts, cb: cb, ctx: ctx, m: m, inputs: inputs, lim: lim, inbox: make(chan func()), ports: make([]port, len(m.slots))}
+	d := &driver{opts: opts, fingerprint: fingerprint, collect: collect, m: m, inputs: inputs, lim: lim, inbox: make(chan func()), ports: make([]port, len(m.slots))}
 	var stop context.CancelFunc
 	d.quit, stop = context.WithCancel(context.Background())
 	d.perform(first)
@@ -284,12 +300,12 @@ func Run(ctx context.Context, opts Options, inputs [][]byte, lim Limit, done []b
 // slot (port.gen), and that a dead child's exit is reported only after
 // what the child had written to its session.
 type driver struct {
-	opts   Options
-	cb     Callbacks
-	ctx    context.Context // the caller's: what ExecLocal runs under
-	m      *machine
-	inputs [][]byte // what each shard's assign carries
-	lim    Limit    // what a batch on the wire may be
+	opts        Options
+	fingerprint uint64 // what every hello carries
+	collect     func(shard int, output []byte) error
+	m           *machine
+	inputs      [][]byte // what each shard's assign carries
+	lim         Limit    // what a batch on the wire may be
 
 	inbox chan func()     // what happened off the loop, to be run on it
 	quit  context.Context // ends with the loop: dials and timers stop waiting
@@ -352,24 +368,17 @@ func (d *driver) perform(actions []action) {
 		case actDrop:
 			d.drop(a.slot, a.after)
 		case actVerify:
-			d.call(event{kind: evVerified, shard: a.shard, epoch: a.epoch}, func() error { return d.cb.ShardDone(a.shard, a.batch) })
-		case actExecLocal:
-			d.call(event{kind: evLocalDone, shard: a.shard, epoch: a.epoch}, func() error { return d.cb.ExecLocal(d.ctx, a.shard) })
+			answer := event{kind: evVerified, shard: a.shard, epoch: a.epoch}
+			d.async(func() func() {
+				answer.err = d.collect(a.shard, a.batch)
+				return func() { d.feed(answer) }
+			})
 		case actLog:
 			d.opts.Logf("%s", a.text)
 		case actFinish:
 			d.finished, d.err = true, a.err
 		}
 	}
-}
-
-// call runs one of the caller's callbacks off the loop and answers the
-// core with its verdict.
-func (d *driver) call(answer event, callback func() error) {
-	d.async(func() func() {
-		answer.err = callback()
-		return func() { d.feed(answer) }
-	})
 }
 
 // connect gives the slot a session once the delay is over, unless the
@@ -445,7 +454,7 @@ func (d *driver) attach(slot, gen int, life bool) {
 				return nil // stdout ended first: the exit, or the start deadline, says why
 			}
 		}
-		sess, err := dial(d.quit, d.opts, slot, addr)
+		sess, err := dial(d.quit, d.opts, d.fingerprint, slot, addr)
 		if err != nil {
 			return func() { d.deliver(slot, gen, event{kind: evDialFailed, err: err}) }
 		}

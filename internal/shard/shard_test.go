@@ -13,9 +13,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -297,6 +299,47 @@ func TestShardedDegradedNoBinary(t *testing.T) {
 			t.Fatalf("spawn-failed slots were not retired: %+v", report.Stats)
 		}
 	})
+}
+
+// TestShardedFleetLostMidJob loses the fleet after it has finished part
+// of the job: one worker, whose every attempt at shard 2 crashes, and a
+// breaker that opens after one exhausted round. The supervisor hands the
+// job back, and RunSharded runs in-process exactly the shard no worker
+// finished — bit-identical, one degraded entry, and none of the shards a
+// worker's done delivered computed again.
+func TestShardedFleetLostMidJob(t *testing.T) {
+	ctx := testCtx(t, bitpacker.BitPacker)
+	inputs := encryptBatch(t, ctx, 4, 53)
+	want := unshardedRun(t, ctx, testProgram, inputs)
+	fault := chaos.ProcFault{Kind: chaos.ProcCrash, Shard: 2, Step: 0, Times: 1000}
+	opts := baseOpts(t, chaos.ProcFaultEnv+"="+fault.Encode())
+	opts.Workers, opts.ShardSize = 1, 1
+	opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, BreakerThreshold: 1, Seed: 5}
+	var mu sync.Mutex
+	var local []string
+	opts.Logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		if strings.Contains(line, "action=local-complete") {
+			mu.Lock()
+			local = append(local, line)
+			mu.Unlock()
+		}
+		t.Log(line)
+	}
+	got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, ctx, "fleet lost mid-job", got, want)
+	st := report.Stats
+	if st.DegradedEntries != 1 || st.WorkersRetired != 1 || st.Crashes == 0 {
+		t.Fatalf("want one retired worker and one degraded entry, got %+v", st)
+	}
+	// Shard 2 is the only one a worker never finished: the others came back
+	// on a done, and only shard 2 may run in-process.
+	if st.LocalShards != 1 || len(local) != 1 || !strings.HasSuffix(local[0], "shard=2") {
+		t.Fatalf("in-process route ran %d shards (%q), want only shard 2", st.LocalShards, local)
+	}
 }
 
 // TestShardedBreakerExhaustion crashes every worker at every attempt

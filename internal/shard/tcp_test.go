@@ -63,6 +63,34 @@ func fleetOpts(t *testing.T, n int) bitpacker.ShardOptions {
 	}
 }
 
+// TestOptionsWorkersDefaultFollowsFleet: RunSharded resolves Workers.
+// Zero with no addresses is the in-process route (no slot at all); zero
+// with fleet addresses is one slot per address; an explicit count wins,
+// several slots sharing one member.
+func TestOptionsWorkersDefaultFollowsFleet(t *testing.T) {
+	ctx := testCtx(t, bitpacker.BitPacker)
+	inputs := encryptBatch(t, ctx, 4, 76)
+	oneAddr := fleetOpts(t, 1)
+	oneAddr.Workers = 2
+	for _, tc := range []struct {
+		name  string
+		opts  bitpacker.ShardOptions
+		slots int
+	}{
+		{"no fleet", bitpacker.ShardOptions{Dir: t.TempDir()}, 0},
+		{"three addresses", fleetOpts(t, 3), 3},
+		{"two slots on one address", oneAddr, 2},
+	} {
+		_, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if report.Workers != tc.slots || report.Stats.Spawns != int64(tc.slots) {
+			t.Fatalf("%s: %d workers, %d sessions, want %d of each", tc.name, report.Workers, report.Stats.Spawns, tc.slots)
+		}
+	}
+}
+
 // TestTCPShardedBitIdentical is the fault-free fleet baseline: remote
 // execution over TCP equals the unsharded in-process run exactly, on
 // both backends, with zero recovery actions.

@@ -30,10 +30,6 @@ type PipelineOptions struct {
 	// Keep leaves the checkpoints in place after a successful run
 	// (default: cleared on success).
 	Keep bool
-	// Retry, when non-nil, re-runs a faulted stage (ErrInvariant,
-	// ErrEngineFault) from its retained input under the policy before
-	// failing the run. Defaults to the context's Config.Retry.
-	Retry *RetryPolicy
 }
 
 // PipelineReport describes what a RunPipeline call actually did:
@@ -84,13 +80,11 @@ func (c *Context) runPipeline(ctx context.Context, stages []PipelineStage, initi
 		}
 		store = ds
 	}
-	retry := opts.Retry
-	if retry == nil {
-		retry = c.cfg.Retry
-	}
+	// A faulted stage (ErrInvariant, ErrEngineFault) is re-run from its
+	// retained input under the context's Config.Retry, if any.
 	var retryCopy *engine.RetryPolicy
-	if retry != nil {
-		policy := *retry
+	if c.cfg.Retry != nil {
+		policy := *c.cfg.Retry
 		retryCopy = &policy
 	}
 	p, err := pipeline.New(c.params, inner, pipeline.Options{Store: store, Retry: retryCopy, Keep: opts.Keep})

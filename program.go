@@ -182,24 +182,19 @@ func (c *Context) ApplyShardStep(step ShardStep, state []*Ciphertext) ([]*Cipher
 	return out, nil
 }
 
-// ShardHook observes a program's step boundaries inside RunProgram: it is
+// ShardHook observes a program's step boundaries inside ExecShard: it is
 // called with the step index before each step runs (skipped for steps
 // restored from a checkpoint). The shard worker uses it for progress
 // heartbeats and chaos injection points.
 type ShardHook func(step int)
 
-// RunProgram runs a program as a checkpointed pipeline, one stage per
-// step (RunPipeline's options and report). Stage i is named
-// stageName(i, step), which is what a checkpoint directory is resumed by. Whoever accepts a
-// program from outside calls PlanProgram first; a step it would have
-// refused fails here with the same typed error, at its stage.
-func (c *Context) RunProgram(ctx context.Context, program []ShardStep, state []*Ciphertext, opts PipelineOptions, hook ShardHook) ([]*Ciphertext, PipelineReport, error) {
-	final, _, report, err := c.runProgram(ctx, program, state, opts, hook)
-	return final, report, err
-}
-
-// runProgram is RunProgram that also returns the payload of the last
-// checkpoint (runPipeline).
+// runProgram runs a program as a checkpointed pipeline, one stage per
+// step (RunPipeline's options and report), and also returns the payload
+// of the last checkpoint (runPipeline). Stage i is named stageName(i,
+// step), which is what a checkpoint directory is resumed by. Whoever
+// accepts a program from outside calls PlanProgram first; a step it would
+// have refused fails here with the same typed error, at its stage. Its
+// one caller is ExecShard: a durable program is a RunSharded job.
 func (c *Context) runProgram(ctx context.Context, program []ShardStep, state []*Ciphertext, opts PipelineOptions, hook ShardHook) ([]*Ciphertext, []byte, PipelineReport, error) {
 	stages := make([]PipelineStage, len(program))
 	for i, st := range program {

@@ -256,8 +256,8 @@ func TestPlanProgramRefusals(t *testing.T) {
 	// A program run without having been planned fails at the stage the plan
 	// would have named, with the same typed error.
 	tooDeep := []ShardStep{{Op: ShardOpSquare}, {Op: ShardOpSquare}, {Op: ShardOpSquare}}
-	if _, report, err := ctx.RunProgram(context.Background(), tooDeep, []*Ciphertext{in}, PipelineOptions{}, nil); !errors.Is(err, ErrChainExhausted) || report.StagesRun != 2 {
-		t.Fatalf("RunProgram of a too-deep program: %v after %d stages, want ErrChainExhausted after 2", err, report.StagesRun)
+	if _, _, report, err := ctx.runProgram(context.Background(), tooDeep, []*Ciphertext{in}, PipelineOptions{}, nil); !errors.Is(err, ErrChainExhausted) || report.StagesRun != 2 {
+		t.Fatalf("runProgram of a too-deep program: %v after %d stages, want ErrChainExhausted after 2", err, report.StagesRun)
 	}
 
 	// Rotation amounts normalise as Rotate's do; a multiple of the slot
@@ -267,7 +267,7 @@ func TestPlanProgramRefusals(t *testing.T) {
 		if _, err := ctx.PlanProgram(program, top); err != nil {
 			t.Fatalf("rotate by %d refused: %v", tc.arg, err)
 		}
-		got, _, err := ctx.RunProgram(context.Background(), program, []*Ciphertext{in}, PipelineOptions{}, nil)
+		got, _, _, err := ctx.runProgram(context.Background(), program, []*Ciphertext{in}, PipelineOptions{}, nil)
 		if err != nil {
 			t.Fatalf("rotate by %d: %v", tc.arg, err)
 		}

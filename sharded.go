@@ -4,14 +4,15 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
-	"time"
 
 	"bitpacker/internal/ckks"
 	"bitpacker/internal/fherr"
@@ -55,12 +56,13 @@ func (c *Context) MaxCiphertextBytes() int { return ckks.MaxCiphertextBytes(c.pa
 // exchange directory dir, and the checkpoints are kept: a re-dispatched
 // shard resumes from its last durable step instead of recomputing, and
 // the last one is the shard's output — the returned batch is the very
-// payload it stored — which a rerun of the job resumes from. Worker
-// processes, fleet members, RunSharded's in-process route and the
-// supervisor's degraded pass all run shards through this one code path,
-// which is what makes every execution mode bit-identical. hook, if not
-// nil, is RunProgram's, and is called once more with len(program) when
-// the last step is done.
+// payload it stored — which a rerun of the job resumes from. Fleet
+// members and RunSharded's in-process route (a job with no fleet, or the
+// shards a lost fleet left unfinished) run shards through this one code
+// path, which is what makes every execution mode bit-identical. hook, if
+// not nil, is called with the step index before each step runs (skipped
+// for steps restored from a checkpoint), and once more with
+// len(program) when the last step is done.
 func (c *Context) ExecShard(ctx context.Context, dir string, shardID int, input []byte, program []ShardStep, hook ShardHook) ([]byte, error) {
 	state, err := c.DecodeCiphertexts(input)
 	if err != nil {
@@ -88,68 +90,10 @@ type SupervisorStats = shard.Stats
 // ShardOptions.Respawn): the fields of RetryPolicy it reads.
 type RespawnPolicy = shard.RespawnPolicy
 
-// ShardOptions tunes RunSharded.
-type ShardOptions struct {
-	// Dir is the job exchange directory: the job description and the
-	// per-shard checkpoints live under it (inputs and outputs travel on
-	// the worker sessions), and a rerun over the same directory resumes
-	// (a shard whose final checkpoint is intact is not recomputed; a
-	// different job's leftovers are detected by fingerprint and cleared).
-	// Empty uses a private temporary directory (no cross-run resume).
-	Dir string
-	// Workers is the worker-process count. Zero with no Addrs means no
-	// fleet: RunSharded runs every shard in-process, one after another,
-	// through the same ExecShard path and checkpoints (it used to mean
-	// two workers). With Addrs it defaults to len(Addrs).
-	Workers int
-	// ShardSize is the number of ciphertexts per shard. Zero picks a
-	// default that keeps at least ~4 shards per worker for re-dispatch
-	// granularity (minimum 1 ciphertext).
-	ShardSize int
-	// WorkerCommand overrides worker-binary resolution (argv). When
-	// empty, the BITPACKER_BPWORKER environment variable is tried, then
-	// bpworker on PATH; with none available the job runs degraded
-	// in-process (or fails if DisableDegraded).
-	WorkerCommand []string
-	// WorkerEnv is appended to every worker's environment.
-	WorkerEnv []string
-	// Addrs lists standing fleet endpoints (`bpworker -listen`). When
-	// non-empty the supervisor dials them instead of the loopback
-	// members it would otherwise spawn from WorkerCommand — the same
-	// sessions, authenticated with the job fingerprint, and no local
-	// worker processes. Workers defaults to len(Addrs). If every fleet
-	// member is lost the job degrades to in-process execution (or fails,
-	// if DisableDegraded).
-	Addrs []string
-	// EngineWorkers caps each worker process's execution-engine
-	// parallelism (default: NumCPU / Workers, minimum 1) so the fleet
-	// does not oversubscribe the host.
-	EngineWorkers int
-	// HeartbeatInterval / HeartbeatTimeout / ShardDeadline configure hang
-	// detection (see shard.Options).
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	ShardDeadline     time.Duration
-	// Respawn is the per-worker crash/hang recovery policy with
-	// Retrier semantics (backoff, attempt budget, circuit breaker).
-	// Zero values select the Retrier defaults.
-	Respawn RespawnPolicy
-	// ShardAttempts bounds re-dispatches of a shard a live worker reports
-	// as failed before the job fails (default 3).
-	ShardAttempts int
-	// DisableDegraded fails the job instead of falling back to
-	// in-process execution when no worker can be kept alive.
-	DisableDegraded bool
-	// Keep leaves the exchange directory's artifacts in place after a
-	// successful run (default: cleared; a failed run always keeps them
-	// for resume).
-	Keep bool
-	// Logf receives one structured line per recovery action.
-	Logf func(format string, args ...any)
-	// OnSpawn observes every worker session start (slot, pid; pid 0 for
-	// a standing fleet member) — TestShardSoak's random killer hooks it.
-	OnSpawn func(worker, pid int)
-}
+// ShardOptions tunes RunSharded: where the job's exchange directory is,
+// whether a fleet runs it and how that fleet is supervised. It is declared
+// once, as shard.Options; the field docs are there.
+type ShardOptions = shard.Options
 
 // ShardReport describes what a RunSharded call did and predicted.
 type ShardReport struct {
@@ -236,9 +180,11 @@ func clearExchange(dir string) error {
 // them, surviving worker crashes and hangs: each shard's input rides its
 // assign and its output the worker's done, and a dead worker's shards
 // are re-dispatched to survivors, who resume from their last durable
-// checkpoint. Either route is bit-identical to running the program
-// in-process. See DESIGN.md "Sharded execution & supervision" for the
-// failure matrix.
+// checkpoint. A fleet lost altogether leaves the shards it did not finish
+// to the in-process route (DegradedEntries, LocalShards), or fails the job
+// with ErrFaultUnrecovered under DisableDegraded. Either route is
+// bit-identical to running the program in-process. See DESIGN.md
+// "Sharded execution & supervision" for the failure matrix.
 func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []*Ciphertext, opts ShardOptions) ([]*Ciphertext, ShardReport, error) {
 	report := ShardReport{}
 	if len(inputs) == 0 {
@@ -366,44 +312,53 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		}
 	}
 
-	// The one shard path in this process: the in-process route's, and the
-	// supervisor's degraded pass after fleet loss.
-	execLocal := func(ctx context.Context, sh int) error {
-		out, err := c.ExecShard(ctx, dir, sh, blobs[sh], program, nil)
-		if err != nil {
-			return err
+	// The in-process route runs every shard not yet done, in order, through
+	// ExecShard: all of them with no fleet, none after a fleet that
+	// completed the job. A lost fleet hands the job back
+	// (shard.ErrFleetLost), which fails it or — degraded — leaves the
+	// shards the fleet did not finish to this route.
+	var todo []int
+	for sh, done := range preDone {
+		if !done {
+			todo = append(todo, sh)
 		}
-		return collect(sh, out)
 	}
-	if workers == 0 {
-		for sh, done := range preDone {
-			if done {
-				continue
-			}
-			if err := execLocal(ctx, sh); err != nil {
-				return nil, report, err
-			}
+	logf := opts.Logf
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	if workers > 0 && len(todo) > 0 {
+		fleet := opts
+		fleet.Dir, fleet.Workers, fleet.WorkerCommand = dir, workers, resolveWorkerCommand(opts)
+		var err error
+		if len(fleet.Addrs) == 0 && len(fleet.WorkerCommand) == 0 {
+			err = fmt.Errorf("bitpacker: no worker command or fleet address: %w: %w", shard.ErrFleetLost, fherr.ErrFaultUnrecovered)
+		} else {
+			report.Stats, err = shard.Run(ctx, fleet, fingerprint, blobs, shard.Limit{Counts: sizes, CiphertextBytes: c.MaxCiphertextBytes()}, preDone, collect)
 		}
-	} else if report.Stats, err = shard.Run(ctx, shard.Options{
-		Dir:               dir,
-		Workers:           workers,
-		WorkerCommand:     resolveWorkerCommand(opts),
-		WorkerEnv:         opts.WorkerEnv,
-		Addrs:             opts.Addrs,
-		Fingerprint:       fingerprint,
-		HeartbeatInterval: opts.HeartbeatInterval,
-		HeartbeatTimeout:  opts.HeartbeatTimeout,
-		ShardDeadline:     opts.ShardDeadline,
-		Respawn:           opts.Respawn,
-		ShardAttempts:     opts.ShardAttempts,
-		DisableDegraded:   opts.DisableDegraded,
-		Logf:              opts.Logf,
-		OnSpawn:           opts.OnSpawn,
-	}, blobs, shard.Limit{Counts: sizes, CiphertextBytes: c.MaxCiphertextBytes()}, preDone, shard.Callbacks{
-		ShardDone: collect,
-		ExecLocal: execLocal,
-	}); err != nil {
-		return nil, report, err
+		switch {
+		case err == nil:
+			todo = nil
+		case opts.DisableDegraded || !errors.Is(err, shard.ErrFleetLost):
+			return nil, report, err
+		default:
+			todo = slices.DeleteFunc(todo, func(sh int) bool { return results[sh] != nil })
+			report.Stats.DegradedEntries++
+			logf("shard: action=degraded remaining=%d reason=%q", len(todo), err)
+		}
+	}
+	for _, sh := range todo {
+		out, err := c.ExecShard(ctx, dir, sh, blobs[sh], program, nil)
+		if err == nil {
+			err = collect(sh, out)
+		}
+		if err != nil {
+			return nil, report, err
+		}
+		if report.Stats.DegradedEntries > 0 {
+			report.Stats.LocalShards++
+			logf("shard: action=local-complete shard=%d", sh)
+		}
 	}
 
 	out := make([]*Ciphertext, 0, len(inputs))
