@@ -105,12 +105,15 @@ puregate:
 	done); \
 	if [ -n "$$bad" ]; then echo "impure core:"; echo "$$bad"; exit 1; fi
 
-# Stale-reference gate: the prose names commands, and a deleted target,
-# tool or flag otherwise lingers there unnoticed. Fails when README.md,
-# DESIGN.md, EXPERIMENTS.md or the verify skill mention a backticked
-# `make <target>` absent from this Makefile, a `go run ./<dir>` whose
-# directory does not exist, or a `bpbench -<flag>` that cmd/bpbench does
-# not define.
+# Stale-reference gate: the prose names commands and knobs, and a
+# deleted target, tool, flag, variable or option otherwise lingers there
+# unnoticed. Fails when README.md, DESIGN.md, EXPERIMENTS.md or the verify
+# skill mention a backticked `make <target>` absent from this Makefile, a
+# `go run ./<dir>` whose directory does not exist, a `bpbench -<flag>`
+# that cmd/bpbench does not define, a BITPACKER_* environment variable
+# that no non-test Go file names, or a `ShardOptions.<Field>` that the
+# declaration go doc prints does not list (ShardOptions is an alias of
+# shard.Options, whose declaration carries the fields).
 DOCS = README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
 docs-check:
 	@bad=$$( \
@@ -122,6 +125,13 @@ docs-check:
 	done; \
 	for f in $$(grep -ohE 'bpbench( +-[a-z][a-z-]*( +[^-` #][^` ]*)?)+' $(DOCS) | grep -oE ' -[a-z][a-z-]*' | sed 's/^ -//' | sort -u); do \
 		grep -q "flag\.[A-Za-z0-9]*(\"$$f\"" cmd/bpbench/*.go || echo "  bpbench -$$f: no such flag"; \
+	done; \
+	for v in $$(grep -ohE 'BITPACKER_[A-Z_]+' $(DOCS) | sort -u); do \
+		grep -rlF "$$v" --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go$$' | grep -q . || echo "  $$v: no non-test Go file names it"; \
+	done; \
+	fields=$$($(GO) doc ./internal/shard.Options | sed -n '/^type Options struct/,/^}/p' | grep -oE '^	[A-Z][A-Za-z0-9]*' | tr -d '\t'); \
+	for f in $$(grep -ohE 'ShardOptions\.[A-Z][A-Za-z0-9]*' $(DOCS) | cut -d. -f2 | sort -u); do \
+		echo "$$fields" | grep -qx "$$f" || echo "  ShardOptions.$$f: no such field"; \
 	done); \
 	if [ -n "$$bad" ]; then echo "stale reference in $(DOCS):"; echo "$$bad"; exit 1; fi
 

@@ -82,8 +82,7 @@ type Config struct {
 	Workers int
 	// CheckInvariants validates ciphertext structural invariants (level,
 	// residues, scale, NTT domain, metadata tag, coefficient ranges) at
-	// every evaluator entry point. O(R*N) per operation; also enabled by
-	// the BITPACKER_CHECK_INVARIANTS environment variable.
+	// every evaluator entry point. O(R*N) per operation.
 	CheckInvariants bool
 	// NoiseGuardBits, when nonzero, makes operations fail with
 	// ErrNoiseBudget once a result's estimated noise budget (log2 scale
@@ -532,16 +531,6 @@ func (c *Context) PinRotations(steps ...int) (func(), error) {
 	}
 	return c.eval.PinGaloisKeys("PinRotations", els)
 }
-
-// SetFused toggles the fused per-residue kernel paths at runtime. Off,
-// every hot operation runs stage by stage (each kernel as its own full
-// pass over all residues); the two settings produce bit-identical
-// results, and the staged one exists as the differential-testing and
-// benchmark baseline.
-func (c *Context) SetFused(on bool) { c.eval.SetFused(on) }
-
-// Fused reports whether the fused kernel paths are active.
-func (c *Context) Fused() bool { return c.eval.Fused() }
 
 // Plain is a reusable encoded plaintext, bound to one level of the
 // chain. Encoding is an O(N log N) transform — callers that apply the

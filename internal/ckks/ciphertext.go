@@ -163,8 +163,7 @@ func (ct *Ciphertext) seal() { ct.meta = ct.metaTag() }
 //   - the metadata tag consistent, so any out-of-band mutation of
 //     level/scale/noise bookkeeping — even by one ulp — is detected.
 //
-// Validate is wired behind Config.CheckInvariants (or the
-// BITPACKER_CHECK_INVARIANTS environment variable) and called at
+// Validate is wired behind Config.CheckInvariants and called at
 // evaluator entry points; it costs O(R·N) and is meant for debugging,
 // canaries, and fault-tolerant deployments.
 func (ct *Ciphertext) Validate(params *Parameters) error {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/big"
-	"os"
 	"slices"
 	"sync"
 
@@ -87,16 +86,14 @@ func cached[V any](cc *evalCaches, m map[string]V, key []byte, build func() (V, 
 }
 
 // NewEvaluator creates an evaluator drawing its switching keys from km.
-// Invariant checking starts enabled when the BITPACKER_CHECK_INVARIANTS
-// environment variable is non-empty; the fused hot paths start enabled
-// (see SetFused).
+// Invariant checking starts disabled (see SetInvariantChecks); the fused
+// hot paths start enabled (see SetFused).
 func NewEvaluator(params *Parameters, km *KeyManager) *Evaluator {
 	return &Evaluator{
-		params:          params,
-		km:              km,
-		nm:              NewNoiseModel(params),
-		checkInvariants: os.Getenv("BITPACKER_CHECK_INVARIANTS") != "",
-		fused:           true,
+		params: params,
+		km:     km,
+		nm:     NewNoiseModel(params),
+		fused:  true,
 		caches: &evalCaches{
 			lvCache: map[string]*levelPlan{},
 			ksCache: map[string]*ksPlan{},

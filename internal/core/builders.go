@@ -21,10 +21,6 @@ type Options struct {
 	// NTT-friendly primes is sparse enough that up to five are needed to
 	// cover every target remainder. Defaults to 5.
 	MaxTerminals int
-	// TerminalCandidates is the number of log-spaced candidate terminal
-	// primes sampled when exhaustive enumeration is too large (paper uses
-	// 500). Defaults to 500.
-	TerminalCandidates int
 	// RedundantResidue reserves one extra NTT-friendly prime (the RRNS
 	// spare channel, Chain.Spare) before any live modulus is chosen. The
 	// spare is taken first so it is the largest prime below the word
@@ -37,9 +33,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxTerminals == 0 {
 		o.MaxTerminals = 5
-	}
-	if o.TerminalCandidates == 0 {
-		o.TerminalCandidates = 500
 	}
 	return o
 }
@@ -192,7 +185,7 @@ func BuildRNSCKKS(prog ProgramSpec, sec SecuritySpec, hw HWSpec, opts Options) (
 
 	// Candidate primes, sorted descending, filtered against pool usage on
 	// every pick.
-	allCands := terminalCandidates(pool, w, opts.TerminalCandidates)
+	allCands := terminalCandidates(pool, w)
 	// nearestByBits returns the available prime whose size is closest to
 	// bits. RNS-CKKS has no 0.5-bit matching guarantee (that is
 	// BitPacker's contribution); real libraries take the nearest prime
@@ -389,9 +382,14 @@ func greedyDFS(target float64, cands []termCand, maxDepth int, tol float64) []ui
 	return nil
 }
 
+// sampledTerminals is how many log-spaced candidate terminal primes are
+// sampled when exhaustive enumeration is too large: the paper's 500.
+const sampledTerminals = 500
+
 // terminalCandidates samples candidate terminal primes: exhaustive when the
-// word size is small (w <= 36 as in the paper), else count log-spaced picks.
-func terminalCandidates(pp *primePool, w int, count int) []uint64 {
+// word size is small (w <= 36 as in the paper), else sampledTerminals
+// log-spaced picks.
+func terminalCandidates(pp *primePool, w int) []uint64 {
 	minBits := pp.minPrimeBits()
 	seen := map[uint64]bool{}
 	var out []uint64
@@ -409,7 +407,7 @@ func terminalCandidates(pp *primePool, w int, count int) []uint64 {
 			add(p)
 		}
 	} else {
-		step := (float64(w) - minBits) / float64(count)
+		step := (float64(w) - minBits) / sampledTerminals
 		for b := float64(w); b > minBits; b -= step {
 			target := uint64(math.Exp2(b))
 			add(nt.PreviousNTTPrime(target, pp.m))
@@ -476,7 +474,7 @@ func BuildBitPacker(prog ProgramSpec, sec SecuritySpec, hw HWSpec, opts Options)
 		}
 		nonTerminals = append(nonTerminals, p)
 	}
-	cands := terminalCandidates(pool, w, opts.TerminalCandidates)
+	cands := terminalCandidates(pool, w)
 
 	ch := &Chain{Scheme: BitPacker, N: n, WordBits: hw.WordBits, Special: special, Spare: spare}
 	ch.Levels = make([]*Level, prog.MaxLevel+1)

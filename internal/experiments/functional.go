@@ -156,19 +156,6 @@ func precisionRun(s *funcSetup, depth int, seed uint64) (mean, worst float64) {
 		for i := range ref {
 			ref[i] += origRef[i]
 		}
-		// Renormalize both to keep magnitudes ~1 (plain scalar multiply).
-		var mx float64
-		for _, v := range ref {
-			if a := cmplx.Abs(v); a > mx {
-				mx = a
-			}
-		}
-		if mx > 2 {
-			// Halve values: multiply ciphertext by 1/2 exactly is not an
-			// integer op; instead scale the reference comparison only.
-			// (Magnitudes up to 2^depth stay well inside the modulus.)
-			_ = mx
-		}
 		if ct.Level == 0 {
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -46,7 +47,7 @@ func requestHead(t *testing.T, hdr any, blobLen int) (headerFrame, blobHead []by
 
 // TestServeBlobBoundIsPerProfile: eval and job submission read the blob
 // under the bound of the profile the header names — its largest
-// ciphertext — not the server-wide 64 MiB. A blob frame declaring one
+// ciphertext — and nothing else. A blob frame declaring one
 // byte more is a 400 from its header alone; one declaring exactly the
 // bound is read. An unknown profile is the 404 it always was, answered
 // without reading past the header frame.
@@ -55,7 +56,7 @@ func TestServeBlobBoundIsPerProfile(t *testing.T) {
 	defer srv.Close()
 	bound := p.ctx.MaxCiphertextBytes()
 	if bound >= DefaultMaxBlobBytes {
-		t.Fatalf("profile bound %d is not below the server's %d: the test shows nothing", bound, DefaultMaxBlobBytes)
+		t.Fatalf("profile bound %d is not below the old 64 MiB cap %d: the test cannot tell them apart", bound, DefaultMaxBlobBytes)
 	}
 	requests := []struct {
 		path string
@@ -87,5 +88,24 @@ func TestServeBlobBoundIsPerProfile(t *testing.T) {
 		if code := send(req.path, &headerOnlyBody{t: t, r: bytes.NewReader(headerFrame)}); code != http.StatusNotFound {
 			t.Errorf("%s: unknown profile: status %d, want 404", req.path, code)
 		}
+	}
+}
+
+// TestBlobBoundAbove64MiB: a profile's blob bound is its largest
+// ciphertext, however large — a LogN 17 chain with 32 top-level residues
+// holds 2·2^17·32·8 B = 64 MiB of coefficients alone, and its top-level
+// ciphertext is a valid upload — clamped only where a frame length can
+// say no more.
+func TestBlobBoundAbove64MiB(t *testing.T) {
+	const n, r = 1 << 17, 32
+	top := 2*8*r*n + 8*n + 8*r + 64 // coefficients, plus metadata of the order of the encoding's
+	if top <= DefaultMaxBlobBytes {
+		t.Fatalf("chain of %d bytes is not above 64 MiB: the test shows nothing", top)
+	}
+	if got := blobBound(top); got != uint32(top) {
+		t.Errorf("blobBound(%d) = %d, want the ciphertext size", top, got)
+	}
+	if got := blobBound(math.MaxUint32 + 1); got != math.MaxUint32 {
+		t.Errorf("blobBound(2^32) = %d, want %d", got, uint32(math.MaxUint32))
 	}
 }

@@ -34,7 +34,10 @@ func drainTestConfig() bitpacker.Config {
 	}
 }
 
-func drainTestServer(t *testing.T, jobDir string, workerEnv []string) (*Server, *httptest.Server) {
+// drainTestServer runs its long jobs on two spawned workers, which
+// inherit the test's environment: a process fault reaches them through
+// t.Setenv of chaos.ProcFaultEnv.
+func drainTestServer(t *testing.T, jobDir string) (*Server, *httptest.Server) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -46,7 +49,6 @@ func drainTestServer(t *testing.T, jobDir string, workerEnv []string) (*Server, 
 		Shard: bitpacker.ShardOptions{
 			Workers:       2,
 			WorkerCommand: []string{exe},
-			WorkerEnv:     workerEnv,
 		},
 	})
 	if err != nil {
@@ -110,7 +112,7 @@ func fetchResultBlob(t *testing.T, url, id string) []byte {
 
 func TestJobShardDrainResumesBitIdentical(t *testing.T) {
 	// Baseline: the same job run to completion with no interruption.
-	baseSrv, baseTS := drainTestServer(t, t.TempDir(), nil)
+	baseSrv, baseTS := drainTestServer(t, t.TempDir())
 	defer baseSrv.Close()
 	defer baseTS.Close()
 	baseID := submitDrainJob(t, baseSrv, baseTS.URL)
@@ -125,7 +127,8 @@ func TestJobShardDrainResumesBitIdentical(t *testing.T) {
 	// threshold — and cuts it through the supervisor's cancellation path.
 	jobDir := t.TempDir()
 	fault := chaos.ProcFault{Kind: chaos.ProcHang, Shard: -1, Step: 1, Times: 1}
-	srv, ts := drainTestServer(t, jobDir, []string{chaos.ProcFaultEnv + "=" + fault.Encode()})
+	t.Setenv(chaos.ProcFaultEnv, fault.Encode())
+	srv, ts := drainTestServer(t, jobDir)
 	id := submitDrainJob(t, srv, ts.URL)
 	time.Sleep(400 * time.Millisecond) // let shard 0's first step checkpoint
 	ts.Close()
@@ -141,8 +144,10 @@ func TestJobShardDrainResumesBitIdentical(t *testing.T) {
 		t.Fatalf("drained job durably recorded %q (error %q), want %q", rec.State, rec.Error, JobRunning)
 	}
 
-	// A fresh server over the same directory resumes it to done.
-	srv2, ts2 := drainTestServer(t, jobDir, nil)
+	// A fresh server over the same directory, its workers fault-free,
+	// resumes it to done.
+	t.Setenv(chaos.ProcFaultEnv, "")
+	srv2, ts2 := drainTestServer(t, jobDir)
 	defer srv2.Close()
 	defer ts2.Close()
 	final := pollJob(t, ts2.URL, id, 30*time.Second)

@@ -35,6 +35,7 @@ func TestJobShardedSurvivesWorkerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault := chaos.ProcFault{Kind: chaos.ProcCrash, Shard: -1, Step: 1, Times: 1}
+	t.Setenv(chaos.ProcFaultEnv, fault.Encode()) // the spawned workers inherit it
 	srv, err := NewServer(Options{
 		Profiles: []ProfileConfig{{
 			Name: "p",
@@ -54,7 +55,6 @@ func TestJobShardedSurvivesWorkerCrash(t *testing.T) {
 		Shard: bitpacker.ShardOptions{
 			Workers:       2,
 			WorkerCommand: []string{exe},
-			WorkerEnv:     []string{chaos.ProcFaultEnv + "=" + fault.Encode()},
 		},
 	})
 	if err != nil {

@@ -12,9 +12,18 @@ import (
 	"bitpacker/internal/frame"
 )
 
-// DefaultMaxBlobBytes bounds uploaded ciphertext blobs (and the frames
-// that carry them). 64 MiB covers LogN=17 at full depth with headroom.
+// DefaultMaxBlobBytes is the clients' default read bound for a blob
+// frame the server answers with. The server itself bounds an uploaded
+// blob by its profile's largest ciphertext (blobBound), whatever its size.
 const DefaultMaxBlobBytes = 64 << 20
+
+// maxHeaderBytes bounds a request's header frame.
+const maxHeaderBytes = 64 << 10
+
+// blobBound is the largest blob frame a request may carry for a profile
+// whose largest ciphertext encodes to n bytes: n, clamped to what a frame
+// length can say.
+func blobBound(n int) uint32 { return uint32(min(int64(n), math.MaxUint32)) }
 
 // Options configures a Server.
 type Options struct {
@@ -23,10 +32,6 @@ type Options struct {
 	// JobDir, when non-empty, enables the long-job endpoints with
 	// durable checkpoint state rooted there.
 	JobDir string
-	// MaxBlobBytes bounds a single uploaded ciphertext blob. Defaults
-	// to DefaultMaxBlobBytes. A request's blob is also bounded by the
-	// largest ciphertext of the profile its header names.
-	MaxBlobBytes uint32
 	// Shard is what every long job runs under: one Context.RunSharded
 	// call, with Dir and Keep set by the job manager. The zero value
 	// (Workers 0, no Addrs) runs a job's shards in-process; Workers or
@@ -41,7 +46,7 @@ type Server struct {
 	reg     *Registry
 	jobs    *JobManager
 	mux     *http.ServeMux
-	maxBlob uint32
+	maxBody int64        // a request body: the header frame and the largest profile's blob
 	fiveXX  atomic.Int64 // count of 5xx responses, exported via /v1/stats
 }
 
@@ -55,10 +60,11 @@ func NewServer(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{reg: reg, mux: http.NewServeMux(), maxBlob: opts.MaxBlobBytes}
-	if s.maxBlob == 0 {
-		s.maxBlob = DefaultMaxBlobBytes
+	s := &Server{reg: reg, mux: http.NewServeMux()}
+	for _, p := range reg.profiles {
+		s.maxBody = max(s.maxBody, int64(blobBound(p.ctx.MaxCiphertextBytes())))
 	}
+	s.maxBody += maxHeaderBytes
 	if opts.JobDir != "" {
 		jm, err := NewJobManager(opts.JobDir, reg, opts.Shard)
 		if err != nil {
@@ -209,14 +215,14 @@ type EvalResult struct {
 // readRequest reads the two frames of an eval or job request: the JSON
 // header into hdr, then the ciphertext blob under the bound of the
 // profile the header names (*name, a field of hdr) — the largest
-// ciphertext its chain has, capped by MaxBlobBytes. The profile is
+// ciphertext its chain has (blobBound). The profile is
 // resolved before any blob byte is read, so an unknown one is answered
 // from the header alone and a blob frame declaring more than one
 // ciphertext of the profile is refused from its header. On failure the
 // error response is written and ok is false.
 func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, hdr any, name *string) (p *profile, blob []byte, ok bool) {
-	body := http.MaxBytesReader(w, r.Body, int64(s.maxBlob)+(1<<16))
-	headerJSON, err := frame.Expect(body, FrameHeader, 1<<16)
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	headerJSON, err := frame.Expect(body, FrameHeader, maxHeaderBytes)
 	if err != nil {
 		s.badRequest(w, err)
 		return nil, nil, false
@@ -229,8 +235,7 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, hdr any, na
 		s.httpError(w, err)
 		return nil, nil, false
 	}
-	bound := min(s.maxBlob, uint32(min(int64(p.ctx.MaxCiphertextBytes()), math.MaxUint32)))
-	if blob, err = frame.Expect(body, FrameBlob, bound); err != nil {
+	if blob, err = frame.Expect(body, FrameBlob, blobBound(p.ctx.MaxCiphertextBytes())); err != nil {
 		s.badRequest(w, err)
 		return nil, nil, false
 	}

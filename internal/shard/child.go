@@ -38,7 +38,7 @@ type child struct {
 func startChild(opts Options, slot int) (*child, error) {
 	argv := opts.WorkerCommand
 	cmd := exec.Command(argv[0], argv[1:]...)
-	cmd.Env = append(append(os.Environ(), opts.WorkerEnv...), EnvDir+"="+opts.Dir)
+	cmd.Env = append(os.Environ(), EnvDir+"="+opts.Dir)
 	c := &child{cmd: cmd, addr: make(chan string, 1), done: make(chan struct{})}
 	cmd.Stderr = &c.stderr
 	stdin, err := cmd.StdinPipe()

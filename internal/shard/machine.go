@@ -112,7 +112,7 @@ type slot struct {
 	id           int
 	state        slotState
 	shard, epoch int       // the lease; (-1, 0) is none
-	deadline     time.Time // attached: last message + HeartbeatTimeout; else when the state itself gives up
+	deadline     time.Time // attached: last message + the heartbeat deadline; else when the state itself gives up
 	leaseStart   time.Time // ShardDeadline runs from here; progress beats push it
 	attempt      int       // lives that ended badly in the current respawn round
 	rounds       int       // consecutive exhausted rounds; BreakerThreshold of them retire the slot
@@ -242,7 +242,7 @@ func (m *machine) dispatch(now time.Time) {
 			// then told to exit. A lease cut short by the end of the job
 			// is not a re-dispatch.
 			m.release(sl, false)
-			sl.state, sl.deadline = slotDraining, now.Add(m.opts.HeartbeatTimeout)
+			sl.state, sl.deadline = slotDraining, now.Add(m.opts.heartbeatDeadline())
 			m.emit(action{kind: actSend, slot: sl.id, msg: Msg{Type: MsgDrain}, last: true})
 		case !m.stopping && sl.state == slotIdle && len(m.pending) > 0:
 			sl.state, sl.leaseStart = slotLeased, now
@@ -295,7 +295,7 @@ func (m *machine) start(sl *slot, after time.Duration, now time.Time) {
 	// Binding precedes everything slow in a child, so its session is due
 	// within the deadline any other silence gets. A dial to a standing
 	// member is bounded by the driver's dial timeout instead.
-	sl.state, sl.deadline = slotStarting, now.Add(after+m.opts.HeartbeatTimeout)
+	sl.state, sl.deadline = slotStarting, now.Add(after+m.opts.heartbeatDeadline())
 	m.emit(action{kind: actStart, slot: sl.id, after: after})
 }
 
@@ -371,7 +371,7 @@ func (m *machine) attached(sl *slot, ev event) {
 	if sl.state != slotStarting {
 		return // a redial connected: the lease's fate waits for the ready
 	}
-	sl.state, sl.deadline, sl.peer = slotHandshaking, ev.now.Add(m.opts.HeartbeatTimeout), ev.peer
+	sl.state, sl.deadline, sl.peer = slotHandshaking, ev.now.Add(m.opts.heartbeatDeadline()), ev.peer
 	m.stats.Spawns++
 	if sl.lives++; sl.lives == 1 {
 		m.note(nil, "shard: action=spawn worker=%d peer=%s", sl.id, ev.peer)
@@ -413,7 +413,7 @@ func (m *machine) lost(sl *slot, ev event) {
 		m.fail(sl, &m.stats.Crashes, "crash", errors.New("reconnected session closed before flushing completion"), ev.now)
 	case slotDraining:
 		m.note(nil, "shard: action=drain worker=%d peer=%s", sl.id, sl.peer)
-		m.leave(sl, false, m.opts.HeartbeatTimeout)
+		m.leave(sl, false, m.opts.heartbeatDeadline())
 	}
 }
 
@@ -421,7 +421,7 @@ func (m *machine) lost(sl *slot, ev event) {
 // before the context build, so one deadline covers startup, idling and
 // compute; a drop inherits what is left of it.
 func (m *machine) tick(sl *slot, now time.Time) {
-	late, hbt := !now.Before(sl.deadline), m.opts.HeartbeatTimeout
+	late, hbt := !now.Before(sl.deadline), m.opts.heartbeatDeadline()
 	switch sl.state {
 	case slotStarting:
 		if late && m.spawns {
@@ -458,7 +458,7 @@ func (m *machine) tick(sl *slot, now time.Time) {
 func (m *machine) message(sl *slot, ev event) {
 	switch sl.state {
 	case slotHandshaking, slotIdle, slotLeased:
-		sl.deadline = ev.now.Add(m.opts.HeartbeatTimeout)
+		sl.deadline = ev.now.Add(m.opts.heartbeatDeadline())
 	case slotRedialing, slotFlushing:
 		// The budget was fixed when the connection dropped.
 	default:
@@ -500,7 +500,7 @@ func (m *machine) ready(sl *slot, ev event) {
 	case sl.state != slotRedialing:
 		// A re-handshake mid-life says nothing new.
 	case sl.epoch == 0 || (msg.Shard == sl.shard && msg.Epoch == sl.epoch):
-		sl.state, sl.deadline = slotIdle, ev.now.Add(m.opts.HeartbeatTimeout)
+		sl.state, sl.deadline = slotIdle, ev.now.Add(m.opts.heartbeatDeadline())
 		if sl.epoch > 0 {
 			sl.state = slotLeased
 			m.stats.Readopts++
@@ -539,7 +539,7 @@ func (m *machine) report(sl *slot, ev event) {
 		return
 	}
 	if sl.state == slotFlushing {
-		sl.deadline = ev.now.Add(m.opts.HeartbeatTimeout)
+		sl.deadline = ev.now.Add(m.opts.heartbeatDeadline())
 		m.note(&m.stats.Reconnects, "shard: action=reconnect-flush worker=%d peer=%s shard=%d epoch=%d type=%s", sl.id, sl.peer, sl.shard, sl.epoch, msg.Type)
 	}
 	sl.state = slotIdle

@@ -39,10 +39,10 @@ import (
 
 const (
 	modelInterval = 25 * time.Millisecond
-	modelTimeout  = 200 * time.Millisecond
-	modelDeadline = 300 * time.Millisecond // ShardDeadline
-	modelBuild    = 2                      // work units a cold worker spends before ready
-	modelWork     = 2                      // work units per shard
+	modelTimeout  = timeoutBeats * modelInterval // the heartbeat deadline the machine derives
+	modelDeadline = 300 * time.Millisecond       // ShardDeadline
+	modelBuild    = 2                            // work units a cold worker spends before ready
+	modelWork     = 2                            // work units per shard
 )
 
 type modelCfg struct {
@@ -168,7 +168,7 @@ var (
 func newWorld(cfg modelCfg, traced bool) *world {
 	opts := Options{
 		Dir: "/model", Workers: cfg.slots,
-		HeartbeatInterval: modelInterval, HeartbeatTimeout: modelTimeout, ShardDeadline: modelDeadline,
+		HeartbeatInterval: modelInterval, ShardDeadline: modelDeadline,
 		Respawn: cfg.respawn, ShardAttempts: cfg.shardAttempts,
 	}
 	if cfg.fleet {

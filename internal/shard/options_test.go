@@ -1,14 +1,16 @@
 package shard
 
 // White-box coverage for Options defaulting and validation: zero and
-// negative tuning values select documented defaults, while an explicit
-// heartbeat timeout below the beat interval — which would declare every
-// worker hung at its first deadline check — is rejected with the typed
-// parameter error before any worker is spawned.
+// negative tuning values select documented defaults, a beat interval a
+// hello cannot carry is rejected with the typed parameter error before
+// any worker is spawned, and every heartbeat deadline is derived from the
+// interval.
 
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -21,7 +23,7 @@ func TestOptionsWithDefaults(t *testing.T) {
 		in   Options
 	}{
 		{"zero", Options{}},
-		{"negative", Options{Workers: -3, HeartbeatInterval: -time.Second, HeartbeatTimeout: -time.Second, ShardAttempts: -1}},
+		{"negative", Options{Workers: -3, HeartbeatInterval: -time.Second, ShardAttempts: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,9 +33,6 @@ func TestOptionsWithDefaults(t *testing.T) {
 			}
 			if o.HeartbeatInterval != 250*time.Millisecond {
 				t.Errorf("HeartbeatInterval default = %v, want 250ms", o.HeartbeatInterval)
-			}
-			if o.HeartbeatTimeout != 8*o.HeartbeatInterval {
-				t.Errorf("HeartbeatTimeout default = %v, want %v", o.HeartbeatTimeout, 8*o.HeartbeatInterval)
 			}
 			if o.ShardAttempts != 3 {
 				t.Errorf("ShardAttempts default = %d, want 3", o.ShardAttempts)
@@ -48,12 +47,10 @@ func TestOptionsWithDefaults(t *testing.T) {
 func TestOptionsValidate(t *testing.T) {
 	ok := []Options{
 		{}, // all defaults
-		{HeartbeatInterval: 50 * time.Millisecond},                                          // timeout defaulted from interval
-		{HeartbeatTimeout: time.Second},                                                     // above the default interval
-		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Second},           // explicit, ordered
-		{HeartbeatInterval: -time.Second, HeartbeatTimeout: 300 * time.Millisecond},         // negative interval defaults to 250ms, below timeout
-		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: -3 * time.Second},      // negative timeout defaults
-		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 50 * time.Millisecond}, // equal is allowed
+		{HeartbeatInterval: 50 * time.Millisecond},
+		{HeartbeatInterval: -time.Second}, // negative interval defaults to 250ms
+		{HeartbeatInterval: MinBeat},
+		{HeartbeatInterval: MaxBeat},
 		{Respawn: RespawnPolicy{MaxAttempts: 2, BreakerThreshold: 1}},
 	}
 	for i, o := range ok {
@@ -62,19 +59,17 @@ func TestOptionsValidate(t *testing.T) {
 		}
 	}
 	bad := []Options{
-		{HeartbeatTimeout: 100 * time.Millisecond},                                    // below the default 250ms interval
-		{HeartbeatInterval: time.Second, HeartbeatTimeout: 100 * time.Millisecond},    // below explicit interval
-		{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Nanosecond}, // pathological
-		{HeartbeatInterval: 500 * time.Microsecond},                                   // the hello would carry 0 ms: beats at a period the member refuses
+		{HeartbeatInterval: 500 * time.Microsecond}, // the hello would carry 0 ms: beats at a period the member refuses
+		{HeartbeatInterval: MaxBeat + time.Millisecond},
 	}
 	for i, o := range bad {
 		err := o.Validate()
 		if err == nil {
-			t.Errorf("contradictory options %d accepted", i)
+			t.Errorf("invalid options %d accepted", i)
 			continue
 		}
 		if !errors.Is(err, fherr.ErrInvalidParams) {
-			t.Errorf("contradictory options %d: %v, want ErrInvalidParams", i, err)
+			t.Errorf("invalid options %d: %v, want ErrInvalidParams", i, err)
 		}
 	}
 }
@@ -87,9 +82,9 @@ func TestRunRejectsInvalidOptions(t *testing.T) {
 	valid := Options{Dir: t.TempDir(), Workers: 1, WorkerCommand: []string{"/bin/true"}}
 	collect := func(int, []byte) error { return nil }
 	for name, mutate := range map[string]func(*Options){
-		"timeout < interval": func(o *Options) { o.HeartbeatInterval, o.HeartbeatTimeout = time.Second, time.Millisecond },
-		"no slot":            func(o *Options) { o.Workers = 0 },
-		"no command":         func(o *Options) { o.WorkerCommand = nil },
+		"sub-ms interval": func(o *Options) { o.HeartbeatInterval = 500 * time.Microsecond },
+		"no slot":         func(o *Options) { o.Workers = 0 },
+		"no command":      func(o *Options) { o.WorkerCommand = nil },
 	} {
 		opts := valid
 		mutate(&opts)
@@ -100,5 +95,56 @@ func TestRunRejectsInvalidOptions(t *testing.T) {
 		if stats.Spawns != 0 {
 			t.Fatalf("%s: invalid options still spawned %d workers", name, stats.Spawns)
 		}
+	}
+}
+
+// TestHeartbeatDeadlineDerived pins the one heartbeat deadline, eight
+// intervals, at every use: with a 40 ms interval the machine arms the
+// handshake deadline 320 ms after the attach and the lease's 320 ms after
+// the worker's last message, a session's send may take 320 ms, and one
+// dial 640 ms.
+func TestHeartbeatDeadlineDerived(t *testing.T) {
+	opts := Options{Dir: "/d", Workers: 1, WorkerCommand: []string{"w"}, HeartbeatInterval: 40 * time.Millisecond}.withDefaults()
+	const want = 320 * time.Millisecond
+	t0 := time.Unix(1_000_000, 0)
+	m, _ := newMachine(opts, 1, nil, t0)
+	sl := &m.slots[0]
+	at := t0.Add(10 * time.Millisecond)
+	m.step(event{kind: evAttached, now: at, peer: "p"})
+	if sl.state != slotHandshaking || sl.deadline != at.Add(want) {
+		t.Fatalf("after attach: state %v, deadline %v after the attach; want handshaking, %v", sl.state, sl.deadline.Sub(at), want)
+	}
+	at = at.Add(50 * time.Millisecond)
+	m.step(event{kind: evMsg, now: at, msg: Msg{Type: MsgReady, Shard: -1}})
+	if sl.state != slotLeased || sl.deadline != at.Add(want) {
+		t.Fatalf("after ready: state %v, deadline %v after the ready; want leased, %v", sl.state, sl.deadline.Sub(at), want)
+	}
+	at = at.Add(70 * time.Millisecond)
+	m.step(event{kind: evMsg, now: at, msg: Msg{Type: MsgBeat, Shard: sl.shard, Epoch: sl.epoch}})
+	if sl.deadline != at.Add(want) {
+		t.Fatalf("after a beat: deadline %v after it, want %v", sl.deadline.Sub(at), want)
+	}
+
+	if got := opts.dialTimeout(); got != 2*want {
+		t.Errorf("dial timeout %v, want %v", got, 2*want)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			io.Copy(io.Discard, c) // until the session closes
+			c.Close()
+		}
+	}()
+	sess, err := dial(context.Background(), opts, 1, 0, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.close()
+	if sess.timeout != want {
+		t.Errorf("session send timeout %v, want %v", sess.timeout, want)
 	}
 }

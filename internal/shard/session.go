@@ -28,12 +28,12 @@ type session struct {
 // not treated as a missing binary. ctx cuts a dial short when the Run is
 // over.
 func dial(ctx context.Context, opts Options, fingerprint uint64, slot int, addr string) (*session, error) {
-	dialer := net.Dialer{Timeout: dialTimeoutFactor * opts.HeartbeatTimeout}
+	dialer := net.Dialer{Timeout: opts.dialTimeout()}
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fherr.Wrap(fherr.ErrEngineFault, "shard: dial worker %d: %v", slot, err)
 	}
-	sess := &session{conn: conn, timeout: opts.HeartbeatTimeout}
+	sess := &session{conn: conn, timeout: opts.heartbeatDeadline()}
 	if err := sess.send(Msg{
 		Type:        MsgHello,
 		Dir:         opts.Dir,

@@ -15,7 +15,11 @@ import (
 // bitpacker.ShardOptions: RunSharded reads all of it and routes the job —
 // in-process, or across a fleet — and hands Run a copy with Dir, Workers
 // and WorkerCommand resolved. Run reads only the fleet's part; ShardSize,
-// EngineWorkers, DisableDegraded and Keep are RunSharded's alone.
+// EngineWorkers, DisableDegraded and Keep are RunSharded's alone. Each
+// field has a setter — a deployment flag, bench/ or a test seam — named
+// in DESIGN.md's options ledger; the heartbeat deadline and the dial and
+// redial timing, which nobody tuned apart from the beat period, derive
+// from HeartbeatInterval.
 type Options struct {
 	// Dir is the job exchange directory: the job description and the
 	// per-shard checkpoints live under it (inputs and outputs travel on
@@ -41,11 +45,9 @@ type Options struct {
 	// bpworker on PATH; with none available the job runs degraded
 	// in-process (or fails if DisableDegraded). When Addrs is empty the
 	// supervisor spawns one per slot as a loopback fleet member and dials
-	// the address it announces.
+	// the address it announces; a spawned worker inherits the
+	// supervisor's environment, plus EnvDir.
 	WorkerCommand []string
-	// WorkerEnv is appended to the inherited environment of every spawned
-	// worker.
-	WorkerEnv []string
 	// Addrs lists standing fleet endpoints (`bpworker -listen`). When
 	// non-empty the supervisor spawns nothing: slot i dials
 	// Addrs[i%len(Addrs)], authenticated with the job fingerprint.
@@ -56,16 +58,14 @@ type Options struct {
 	// does not oversubscribe the host.
 	EngineWorkers int
 	// HeartbeatInterval is the worker beat period (default 250ms, at
-	// least MinBeat and at most MaxBeat);
-	// HeartbeatTimeout is the deadline after which a silent worker is
-	// declared hung — fenced and re-dispatched, and SIGKILLed when the
-	// supervisor spawned it (default 8x the interval). A dropped
-	// connection spends the same deadline: the supervisor reconnects with
-	// backoff and re-adopts the lease if the worker still holds it; a
-	// partition that outlives the deadline breaks the lease exactly like
-	// a crash.
+	// least MinBeat and at most MaxBeat). Eight intervals of silence make
+	// the heartbeat deadline, after which a worker is declared hung —
+	// fenced and re-dispatched, and SIGKILLed when the supervisor spawned
+	// it. A dropped connection spends the same deadline: the supervisor
+	// reconnects with backoff and re-adopts the lease if the worker still
+	// holds it; a partition that outlives the deadline breaks the lease
+	// exactly like a crash.
 	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
 	// ShardDeadline, when positive, bounds the wall time of one shard
 	// lease: a worker that heartbeats but makes no progress past it is
 	// treated exactly like a hang. Zero disables the bound.
@@ -88,12 +88,10 @@ type Options struct {
 	Keep bool
 	// Logf, when non-nil, receives one structured line per recovery
 	// action (spawn, respawn, hang kill, conn drop, readopt, partition,
-	// stale-epoch reject, re-dispatch, degraded entry).
+	// stale-epoch reject, re-dispatch, degraded entry). A spawn or respawn
+	// line names its peer: "pid N at ADDR" for a spawned worker, the
+	// address alone for a standing member.
 	Logf func(format string, args ...any)
-	// OnSpawn, when non-nil, observes every worker session start —
-	// monitoring hooks and TestShardSoak's random killer use it. pid is
-	// 0 for standing fleet members (there is no local process to signal).
-	OnSpawn func(worker, pid int)
 }
 
 // RespawnPolicy is the supervisor's per-slot recovery policy: the fields
@@ -118,13 +116,13 @@ func (p RespawnPolicy) retry() engine.RetryPolicy {
 		Seed: p.Seed, BreakerThreshold: p.BreakerThreshold}.WithDefaults()
 }
 
-// Heartbeat defaults, and the fixed policy that hangs off them. No caller
-// ever tuned the dial and redial values separately from the heartbeat,
-// so they are not options.
+// The heartbeat default, and the fixed policy that hangs off the
+// interval. No caller ever tuned the deadline, the dial or the redial
+// values separately from the heartbeat, so they are not options.
 const (
 	defaultHeartbeatInterval = 250 * time.Millisecond
-	defaultTimeoutBeats      = 8 // HeartbeatTimeout default, in intervals
-	// One connection attempt may take this many heartbeat timeouts.
+	timeoutBeats             = 8 // the heartbeat deadline, in intervals
+	// One connection attempt may take this many heartbeat deadlines.
 	dialTimeoutFactor = 2
 	// In-lease redials of a dropped connection back off from
 	// redialBaseDelay up to one heartbeat interval until the heartbeat
@@ -136,9 +134,6 @@ func (o Options) withDefaults() Options {
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = defaultHeartbeatInterval
 	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = defaultTimeoutBeats * o.HeartbeatInterval
-	}
 	if o.ShardAttempts <= 0 {
 		o.ShardAttempts = 3
 	}
@@ -148,11 +143,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Validate rejects contradictory tuning before any worker is spawned.
-// Zero and negative durations are not errors — they select defaults —
-// but an explicit heartbeat timeout below the beat interval would kill
-// every worker on its first deadline check and can only be a mistake,
-// and so is an interval a hello cannot carry: it goes in whole
+// heartbeatDeadline is the deadline after which a silent worker is
+// declared hung, and what one send may take.
+func (o Options) heartbeatDeadline() time.Duration { return timeoutBeats * o.HeartbeatInterval }
+
+// dialTimeout is what one connection attempt may take.
+func (o Options) dialTimeout() time.Duration { return dialTimeoutFactor * o.heartbeatDeadline() }
+
+// Validate rejects tuning no worker can follow before any is spawned.
+// Zero and negative intervals are not errors — they select the default —
+// but an interval a hello cannot carry is: it goes in whole
 // milliseconds, and a member refuses one outside [MinBeat, MaxBeat].
 func (o Options) Validate() error {
 	interval := o.HeartbeatInterval
@@ -162,11 +162,6 @@ func (o Options) Validate() error {
 	if interval < MinBeat || interval > MaxBeat {
 		return fherr.Wrap(fherr.ErrInvalidParams,
 			"shard: heartbeat interval %v outside [%v, %v] (a member beats in whole milliseconds)", interval, MinBeat, MaxBeat)
-	}
-	if o.HeartbeatTimeout > 0 && o.HeartbeatTimeout < interval {
-		return fherr.Wrap(fherr.ErrInvalidParams,
-			"shard: heartbeat timeout %v below interval %v (every worker would be declared hung at its first check)",
-			o.HeartbeatTimeout, interval)
 	}
 	return nil
 }
@@ -408,8 +403,7 @@ func (d *driver) deliver(slot, gen int, ev event) {
 
 // attach dials the slot's member. A new life first gets its address — the
 // one thing Addrs vs WorkerCommand decides: a standing member's, or that
-// of a child spawned now, which announces where it listens — and its
-// first session is what OnSpawn observes.
+// of a child spawned now, which announces where it listens.
 func (d *driver) attach(slot, gen int, life bool) {
 	p := &d.ports[slot]
 	if p.gen != gen {
@@ -464,13 +458,9 @@ func (d *driver) attach(slot, gen int, life bool) {
 				return
 			}
 			p.sess, p.addr = sess, addr
-			peer, pid := addr, 0 // pid 0: a standing member, nothing local to signal
+			peer := addr // a standing member: nothing local to signal
 			if ch != nil {
-				pid = ch.cmd.Process.Pid
-				peer = fmt.Sprintf("pid %d at %s", pid, addr)
-			}
-			if life && d.opts.OnSpawn != nil {
-				d.opts.OnSpawn(slot, pid)
+				peer = fmt.Sprintf("pid %d at %s", ch.cmd.Process.Pid, addr)
 			}
 			d.feed(event{kind: evAttached, slot: slot, peer: peer})
 		}

@@ -17,6 +17,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -126,6 +128,24 @@ func assertBitIdentical(t *testing.T, ctx *bitpacker.Context, label string, got,
 	}
 }
 
+// spawnLine is the supervisor's log line for a worker it spawned: the
+// slot and the pid its peer names.
+var spawnLine = regexp.MustCompile(`action=(?:re)?spawn worker=(\d+) peer=pid (\d+) at `)
+
+// onSpawn wraps opts.Logf so that f observes every worker session start
+// of a spawned fleet, as its spawn or respawn line reports it.
+func onSpawn(opts *bitpacker.ShardOptions, f func(slot, pid int)) {
+	logf := opts.Logf
+	opts.Logf = func(format string, args ...any) {
+		if m := spawnLine.FindStringSubmatch(fmt.Sprintf(format, args...)); m != nil {
+			slot, _ := strconv.Atoi(m[1])
+			pid, _ := strconv.Atoi(m[2])
+			f(slot, pid)
+		}
+		logf(format, args...)
+	}
+}
+
 func forBothSchemes(t *testing.T, f func(t *testing.T, scheme bitpacker.Scheme)) {
 	for _, sc := range []struct {
 		name   string
@@ -136,13 +156,14 @@ func forBothSchemes(t *testing.T, f func(t *testing.T, scheme bitpacker.Scheme))
 	}
 }
 
-// baseOpts are fast-failover supervisor options for tests.
-func baseOpts(t *testing.T, env ...string) bitpacker.ShardOptions {
+// baseOpts are fast-failover supervisor options for tests. A process
+// fault reaches the spawned workers through the environment they inherit
+// (t.Setenv of chaos.ProcFaultEnv).
+func baseOpts(t *testing.T) bitpacker.ShardOptions {
 	return bitpacker.ShardOptions{
 		Dir:               t.TempDir(),
 		Workers:           2,
 		WorkerCommand:     selfExec(t),
-		WorkerEnv:         env,
 		EngineWorkers:     2,
 		HeartbeatInterval: 25 * time.Millisecond,
 		Respawn:           bitpacker.RespawnPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 5},
@@ -183,7 +204,8 @@ func TestShardedWorkerCrash(t *testing.T) {
 		inputs := encryptBatch(t, ctx, 6, 43)
 		want := unshardedRun(t, ctx, testProgram, inputs)
 		fault := chaos.ProcFault{Kind: chaos.ProcCrash, Shard: 2, Step: 1, Times: 1}
-		opts := baseOpts(t, chaos.ProcFaultEnv+"="+fault.Encode())
+		t.Setenv(chaos.ProcFaultEnv, fault.Encode())
+		opts := baseOpts(t)
 		got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -210,8 +232,9 @@ func TestShardedWorkerHang(t *testing.T) {
 		inputs := encryptBatch(t, ctx, 4, 44)
 		want := unshardedRun(t, ctx, testProgram, inputs)
 		fault := chaos.ProcFault{Kind: chaos.ProcHang, Shard: 1, Step: 1, Times: 1}
-		opts := baseOpts(t, chaos.ProcFaultEnv+"="+fault.Encode())
-		opts.HeartbeatTimeout = 250 * time.Millisecond
+		t.Setenv(chaos.ProcFaultEnv, fault.Encode())
+		opts := baseOpts(t)
+		opts.HeartbeatInterval = 250 * time.Millisecond / 8 // a 250 ms heartbeat deadline
 		got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +260,8 @@ func TestShardedCorruptOutput(t *testing.T) {
 		inputs := encryptBatch(t, ctx, 4, 46)
 		want := unshardedRun(t, ctx, testProgram, inputs)
 		fault := chaos.ProcFault{Kind: chaos.ProcCorruptOut, Shard: 1, Step: 0, Times: 1}
-		opts := baseOpts(t, chaos.ProcFaultEnv+"="+fault.Encode())
+		t.Setenv(chaos.ProcFaultEnv, fault.Encode())
+		opts := baseOpts(t)
 		got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -259,9 +283,9 @@ func TestShardedCancelNotACrash(t *testing.T) {
 	defer cancel()
 	opts := baseOpts(t)
 	var once sync.Once
-	opts.OnSpawn = func(worker, pid int) {
+	onSpawn(&opts, func(slot, pid int) {
 		once.Do(cancel) // cancel the job as soon as the first worker is up
-	}
+	})
 	_, report, err := ctx.RunSharded(runCtx, testProgram, inputs, opts)
 	if err == nil {
 		t.Fatal("canceled job reported success")
@@ -312,7 +336,8 @@ func TestShardedFleetLostMidJob(t *testing.T) {
 	inputs := encryptBatch(t, ctx, 4, 53)
 	want := unshardedRun(t, ctx, testProgram, inputs)
 	fault := chaos.ProcFault{Kind: chaos.ProcCrash, Shard: 2, Step: 0, Times: 1000}
-	opts := baseOpts(t, chaos.ProcFaultEnv+"="+fault.Encode())
+	t.Setenv(chaos.ProcFaultEnv, fault.Encode())
+	opts := baseOpts(t)
 	opts.Workers, opts.ShardSize = 1, 1
 	opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, BreakerThreshold: 1, Seed: 5}
 	var mu sync.Mutex
@@ -350,7 +375,8 @@ func TestShardedBreakerExhaustion(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
 	inputs := encryptBatch(t, ctx, 2, 49)
 	fault := chaos.ProcFault{Kind: chaos.ProcCrash, Shard: -1, Step: 0, Times: 1000}
-	opts := baseOpts(t, chaos.ProcFaultEnv+"="+fault.Encode())
+	t.Setenv(chaos.ProcFaultEnv, fault.Encode())
+	opts := baseOpts(t)
 	opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, BreakerThreshold: 1, Seed: 5}
 	opts.DisableDegraded = true
 	_, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
@@ -447,12 +473,12 @@ func TestShardSoak(t *testing.T) {
 	opts := baseOpts(t)
 	opts.Workers = 3
 	opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 1000, BaseDelay: time.Millisecond, BreakerThreshold: 1000, Seed: 5}
-	opts.OnSpawn = func(slot, pid int) {
+	onSpawn(&opts, func(slot, pid int) {
 		mu.Lock()
 		pids[slot] = pid
 		spawned = append(spawned, pid)
 		mu.Unlock()
-	}
+	})
 
 	stop := make(chan struct{})
 	var killer sync.WaitGroup
@@ -568,7 +594,7 @@ func TestShardedTypedErrors(t *testing.T) {
 	// input is published or a worker started.
 	opts := baseOpts(t)
 	opts.WorkerCommand = selfExec(t)
-	opts.OnSpawn = func(worker, pid int) { t.Errorf("worker %d (pid %d) started for a refused job", worker, pid) }
+	onSpawn(&opts, func(slot, pid int) { t.Errorf("worker %d (pid %d) started for a refused job", slot, pid) })
 	tooDeep := []bitpacker.ShardStep{{Op: bitpacker.ShardOpQuartic}, {Op: bitpacker.ShardOpSquare}, {Op: bitpacker.ShardOpSquare}}
 	if _, _, err := ctx.RunSharded(context.Background(), tooDeep, inputs, opts); !errors.Is(err, bitpacker.ErrChainExhausted) {
 		t.Fatalf("too-deep program: %v, want ErrChainExhausted", err)

@@ -167,7 +167,7 @@ func TestTCPBeatDelay(t *testing.T) {
 	inputs := encryptBatch(t, ctx, 4, 63)
 	want := unshardedRun(t, ctx, testProgram, inputs)
 	opts := relayedOpts(t, 2, ctx, linkFault{kind: linkHold, shard: 1, step: 1, span: 120 * time.Millisecond})
-	opts.HeartbeatTimeout = 600 * time.Millisecond
+	opts.HeartbeatInterval = 600 * time.Millisecond / 8 // a 600 ms heartbeat deadline
 	got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestTCPBeatsPrecedeContextBuild(t *testing.T) {
 	lanes(t, func(t *testing.T, opts bitpacker.ShardOptions) {
 		opts.Workers = 1
 		opts.Addrs = opts.Addrs[:min(1, len(opts.Addrs))]
-		opts.HeartbeatTimeout = timeout
+		opts.HeartbeatInterval = timeout / 8
 		got, report, err := ctx.RunSharded(context.Background(), program, inputs, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +228,7 @@ func TestTCPPartitionPastLease(t *testing.T) {
 		inputs := encryptBatch(t, ctx, 6, 64)
 		want := unshardedRun(t, ctx, testProgram, inputs)
 		opts := relayedOpts(t, 2, ctx, linkFault{kind: linkPartition, shard: 1, step: 1, span: 700 * time.Millisecond})
-		opts.HeartbeatTimeout = 150 * time.Millisecond
+		opts.HeartbeatInterval = 150 * time.Millisecond / 8 // a 150 ms heartbeat deadline
 		// Keep redialing through the partition instead of retiring.
 		opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 1000, BaseDelay: 20 * time.Millisecond, BreakerThreshold: 1000, Seed: 5}
 		got, report, err := ctx.RunSharded(context.Background(), testProgram, inputs, opts)
@@ -514,8 +514,7 @@ func TestTCPAssignToStalledPeer(t *testing.T) {
 		Dir:               t.TempDir(),
 		Addrs:             []string{ln.Addr().String()},
 		ShardSize:         len(inputs),
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  150 * time.Millisecond,
+		HeartbeatInterval: 150 * time.Millisecond / 8, // a 150 ms heartbeat deadline
 		Respawn:           bitpacker.RespawnPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, BreakerThreshold: 1, Seed: 5},
 		Logf:              t.Logf,
 	}

@@ -96,8 +96,8 @@ func TestSelfHealFusedKernels(t *testing.T) {
 		b := c.MustEncrypt(randComplex(c.Slots(), rng))
 
 		run := func(fused, corrupt bool, seed uint64) []complex128 {
-			c.SetFused(fused)
-			defer c.SetFused(true)
+			c.eval.SetFused(fused)
+			defer c.eval.SetFused(true)
 			ca, cb := a.Copy(), b.Copy()
 			if corrupt {
 				chaos.New(seed).CorruptResidueWord(ca.ct)

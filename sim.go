@@ -100,15 +100,10 @@ func DescribeChain(ch *core.Chain) string {
 	for l := ch.MaxLevel(); l >= 0; l-- {
 		lv := ch.Levels[l]
 		fmt.Fprintf(&sb, "  L%-3d R=%-3d logQ=%7.1f  scale=2^%-6.2f  overhead=%4.1f%%  (%d non-terminal + %d terminal)\n",
-			l, lv.R(), lv.QBits, ratLog2Pub(lv), 100*ch.PackingOverhead(l), lv.NonTerminal, lv.Terminal)
+			l, lv.R(), lv.QBits, core.RatLog2(lv.Scale), 100*ch.PackingOverhead(l), lv.NonTerminal, lv.Terminal)
 	}
 	fmt.Fprintf(&sb, "  special primes: %d\n", len(ch.Special))
 	return sb.String()
-}
-
-func ratLog2Pub(lv *core.Level) float64 {
-	// Scale bits via the level's own bookkeeping.
-	return core.RatLog2(lv.Scale)
 }
 
 // ExperimentIDs lists the reproducible paper experiments.
