@@ -173,6 +173,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime 20s ./internal/frame
 	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 20s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerCore -fuzztime 20s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s ./internal/ckks
 
 # Serving-layer smoke: 100 mixed-tenant requests through the full HTTP
 # stack under chaos bursts — zero 5xx, every answer verified, clean

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/big"
+	"slices"
 
 	"bitpacker/internal/ckks"
 	"bitpacker/internal/core"
@@ -537,7 +538,9 @@ func (c *Context) PinRotations(steps ...int) (func(), error) {
 // same constant vector to many ciphertexts (masks, fixed weights)
 // should encode once with EncodePlain and reuse the Plain instead of
 // paying the transform inside every MulConst call. It is kept in the
-// evaluation (NTT) domain, the form MulPlain reads.
+// evaluation (NTT) domain over the level's moduli and the special
+// primes: MulPlain reads the level's rows, RotateHoistedMulRescale all
+// of them.
 type Plain struct {
 	pt *ckks.Plaintext
 }
@@ -552,12 +555,13 @@ func (c *Context) EncodePlain(values []complex128, level int) (*Plain, error) {
 	if level < 0 || level > c.params.MaxLevel() {
 		return nil, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: level %d outside [0, %d]", level, c.params.MaxLevel())
 	}
-	pt, err := c.encode(values, level, c.params.DefaultScale(level))
+	scale := c.params.DefaultScale(level)
+	val, err := c.encoder.Encode(values, scale, append(slices.Clone(c.params.LevelModuli(level)), c.params.Chain.Special...))
 	if err != nil {
 		return nil, err
 	}
-	pt.Value.NTT() // once here instead of a copy and R transforms per use
-	return &Plain{pt: pt}, nil
+	val.NTT() // once here instead of a copy and R transforms per use
+	return &Plain{pt: &ckks.Plaintext{Value: val, Level: level, Scale: scale}}, nil
 }
 
 // encode encodes a slot vector for one level of the chain at a scale.
@@ -641,9 +645,30 @@ func (c *Context) Rotate(a *Ciphertext, steps int) (*Ciphertext, error) {
 // but are not bit-identical to them (the shared ModUp rounds differently;
 // see DESIGN.md).
 func (c *Context) RotateHoisted(a *Ciphertext, steps []int) ([]*Ciphertext, error) {
-	outs, err := retried(c, "RotateHoisted", func() ([]*ckks.Ciphertext, error) {
+	return wrapAll(retried(c, "RotateHoisted", func() ([]*ckks.Ciphertext, error) {
 		return c.eval.RotateHoisted(a.ct, steps)
-	})
+	}))
+}
+
+// RotateHoistedMulRescale returns, for every amount in steps, the
+// rotation of a multiplied by p and rescaled: in value,
+// Rescale(MulPlain(RotateHoisted(a, steps)[i], p)), one level down. It
+// divides once per output where that sequence divides twice, and shares
+// one decomposition across the steps. The outputs decrypt as the
+// sequence's do but are not bit-identical to them (see DESIGN.md). A
+// level mismatch between a and p fails with ErrLevelMismatch.
+func (c *Context) RotateHoistedMulRescale(a *Ciphertext, steps []int, p *Plain) ([]*Ciphertext, error) {
+	if a.ct.Level != p.pt.Level {
+		return nil, fherr.Wrap(fherr.ErrLevelMismatch,
+			"bitpacker: RotateHoistedMulRescale ciphertext at level %d, plaintext encoded for %d", a.ct.Level, p.pt.Level)
+	}
+	return wrapAll(retried(c, "RotateHoistedMulRescale", func() ([]*ckks.Ciphertext, error) {
+		return c.eval.RotateHoistedMulRescale(a.ct, steps, p.pt)
+	}))
+}
+
+// wrapAll wraps a multi-output operation's results.
+func wrapAll(outs []*ckks.Ciphertext, err error) ([]*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}

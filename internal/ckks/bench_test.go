@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -50,4 +51,39 @@ func BenchmarkDivideOnce(b *testing.B) {
 			})
 		}
 	}
+}
+
+// encoderBench runs op over a LogN 12 RNS-CKKS chain's top moduli cut
+// to 1 and 3 residues, at the top level's scale.
+func encoderBench(b *testing.B, op func(b *testing.B, s *testSetup, vals []complex128, moduli []uint64)) {
+	s := newTestSetup(b, core.RNSCKKS, 2, 40, 61, 12, 3, nil)
+	vals := randomValues(s.params.Slots(), rand.New(rand.NewPCG(507, 508)))
+	for _, r := range []int{1, 3} {
+		moduli := s.params.LevelModuli(s.params.MaxLevel())[:r]
+		b.Run(fmt.Sprintf("R%d", r), func(b *testing.B) { op(b, s, vals, moduli) })
+	}
+}
+
+// BenchmarkEncode times Encode at LogN 12 over 1 and 3 residues.
+func BenchmarkEncode(b *testing.B) {
+	encoderBench(b, func(b *testing.B, s *testSetup, vals []complex128, moduli []uint64) {
+		scale := s.params.DefaultScale(s.params.MaxLevel())
+		for i := 0; i < b.N; i++ {
+			s.enc.MustEncode(vals, scale, moduli)
+		}
+	})
+}
+
+// BenchmarkDecode times Decode at LogN 12 over 1 and 3 residues, on an
+// encoded vector (coefficients of decryption size).
+func BenchmarkDecode(b *testing.B) {
+	encoderBench(b, func(b *testing.B, s *testSetup, vals []complex128, moduli []uint64) {
+		scale := s.params.DefaultScale(s.params.MaxLevel())
+		pt := s.enc.MustEncode(vals, scale, moduli)
+		basis := s.dec.MustBasis(moduli)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.enc.Decode(pt, basis, scale)
+		}
+	})
 }

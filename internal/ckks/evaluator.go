@@ -283,15 +283,21 @@ func (ev *Evaluator) polyPairLike(ct *Ciphertext) (*ring.Poly, *ring.Poly) {
 	return c0, c1
 }
 
-// plainOperand returns pt's polynomial in the NTT domain: a zero-copy
-// alias when it is already transformed (a plaintext encoded for reuse
-// is), a pooled fused copy+NTT otherwise. release reports
-// whether the caller must PutPoly the result.
-func (ev *Evaluator) plainOperand(pt *Plaintext) (m *ring.Poly, release bool) {
-	if pt.Value.IsNTT {
-		return pt.Value, false
+// plainOperand returns pt's rows over moduli in the NTT domain: a
+// zero-copy alias when it is already transformed (a plaintext encoded
+// for reuse is), a pooled fused copy+NTT otherwise — a view of the
+// leading rows when pt carries more (a plaintext encoded over
+// live++special read at live width). release reports whether the caller
+// must PutPoly the result.
+func (ev *Evaluator) plainOperand(pt *Plaintext, moduli []uint64) (m *ring.Poly, release bool) {
+	m = pt.Value
+	if len(m.Moduli) != len(moduli) {
+		m = m.RestrictView(moduli)
 	}
-	return pt.Value.ScratchCopyNTT(), true
+	if m.IsNTT {
+		return m, false
+	}
+	return m.ScratchCopyNTT(), true
 }
 
 // Add returns a + b (same level and scale required; use Adjust otherwise).
@@ -351,7 +357,7 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 		return nil, fherr.Wrap(fherr.ErrScaleMismatch, "ckks: AddPlain: plaintext scale 2^%.3f vs ciphertext 2^%.3f",
 			core.RatLog2(pt.Scale), core.RatLog2(ct.Scale))
 	}
-	m, release := ev.plainOperand(pt)
+	m, release := ev.plainOperand(pt, ct.C0.Moduli)
 	c0, c1 := ev.polyPairLike(ct)
 	// Only C0 changes; C1 is copied in the same fork/join. The spare
 	// channel is not tracked across plaintext addition, so the output
@@ -373,7 +379,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	if pt.Level != ct.Level {
 		return nil, fherr.Wrap(fherr.ErrLevelMismatch, "ckks: MulPlain: plaintext level %d vs ciphertext %d", pt.Level, ct.Level)
 	}
-	m, release := ev.plainOperand(pt)
+	m, release := ev.plainOperand(pt, ct.C0.Moduli)
 	c0, c1 := ev.polyPairLike(ct)
 	// Both pointwise products share one fork/join; the NTT products are
 	// not tracked by the spare algebra, so the output starts stale.
@@ -388,8 +394,13 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 // scale. pt·e_ct dominates the noise; the encoding rounding of pt is
 // amplified by the ciphertext's scale.
 func (ev *Evaluator) plainProduct(ct *Ciphertext, c0, c1 *ring.Poly, ptScale *big.Rat) *Ciphertext {
-	noise := addNoiseBits(ct.NoiseBits+core.RatLog2(ptScale), core.RatLog2(ct.Scale)+ev.nm.EncodingBits())
-	return newCiphertext(c0, c1, ct.Level, new(big.Rat).Mul(ct.Scale, ptScale), noise)
+	return newCiphertext(c0, c1, ct.Level, new(big.Rat).Mul(ct.Scale, ptScale), ev.plainProductNoise(ct.Scale, ct.NoiseBits, ptScale))
+}
+
+// plainProductNoise is plainProduct's noise estimate for a ciphertext of
+// the given scale and noise.
+func (ev *Evaluator) plainProductNoise(ctScale *big.Rat, ctNoise float64, ptScale *big.Rat) float64 {
+	return addNoiseBits(ctNoise+core.RatLog2(ptScale), core.RatLog2(ctScale)+ev.nm.EncodingBits())
 }
 
 // constOperand is the prologue of the scalar operations: begin, then what
@@ -543,9 +554,10 @@ type HoistedDecomp struct {
 	live   []uint64
 	ext    []uint64
 	digits []*ring.Poly // indexed by digit; nil when the digit has no rows
-	// c0 is the input ciphertext's C0 in the coefficient domain (only set
-	// by DecomposeModUp), so each hoisted rotation pays one automorphism
-	// plus one NTT for the non-switched half instead of INTT+NTT.
+	// c0 is the non-switched half each hoisted rotation permutes: the
+	// input's C0 as DecomposeModUp snapshots it, or P·C0 over the
+	// extended basis for RotateHoistedMulRescale. Decompositions of other
+	// polynomials leave it nil.
 	c0    *ring.Poly
 	level int
 	scale *big.Rat
@@ -1000,60 +1012,147 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 	if err := ev.begin("RotateHoisted", ct); err != nil {
 		return nil, err
 	}
-	slots := ev.params.Slots()
-
-	// Dedupe the normalized nonzero steps, preserving first-seen order.
-	var uniq []int
-	index := map[int]int{} // normalized step -> position in uniq
-	for _, s := range steps {
-		n := normalizeSteps(s, slots)
-		if _, seen := index[n]; n != 0 && !seen {
-			index[n] = len(uniq)
-			uniq = append(uniq, n)
+	decompose := func() (*HoistedDecomp, error) { return ev.DecomposeModUp(ct) }
+	return ev.hoisted("RotateHoisted", ct, steps, decompose, func(hd *HoistedDecomp, step int) (*Ciphertext, error) {
+		if step == 0 {
+			return ct.CopyNew(), nil
 		}
-	}
+		return ev.rotateHoisted(hd, step)
+	})
+}
 
-	var rotated []*Ciphertext
-	if len(uniq) > 0 {
+// RotateHoistedMulRescale returns, for every amount in steps,
+// Rescale(MulPlain(rot(ct, step), pt)) — the extraction of a packed
+// reply — dividing once per output where the two-step path divides
+// twice (a ModDown by P, then the rescale). The nonzero steps share one
+// ModUp and stop before their ModDown: P·φ(c0) plus the keyswitch
+// output, in the extended basis live++special, is multiplied there by
+// pt and carried to the level below by one transition that sheds P with
+// the level's retired moduli. A zero step is MulPlain+Rescale itself.
+// pt must be at ct's level and carry rows over live++special
+// (bitpacker's EncodePlain stores them); MulPlain reads its live rows.
+//
+// Steps are normalized and deduplicated as RotateHoisted's. The outputs
+// are value-equivalent to the two-step path's — same level, scale and
+// noise bound — but not bit-identical: the division by P rounds inside
+// the rescale's. Each output's extended-width scratch is back in the
+// pool before the next output starts.
+func (ev *Evaluator) RotateHoistedMulRescale(ct *Ciphertext, steps []int, pt *Plaintext) ([]*Ciphertext, error) {
+	const op = "RotateHoistedMulRescale"
+	if err := ev.begin(op, ct); err != nil {
+		return nil, err
+	}
+	if pt.Level != ct.Level {
+		return nil, fherr.Wrap(fherr.ErrLevelMismatch, "ckks: %s: plaintext level %d vs ciphertext %d", op, pt.Level, ct.Level)
+	}
+	if ct.Level <= 0 {
+		return nil, fherr.Wrap(fherr.ErrChainExhausted, "ckks: Rescale at level 0")
+	}
+	ctx, live := ev.params.Ctx, ct.C0.Moduli
+	ks := ev.ksPlan(live)
+	if !slices.Equal(pt.Value.Moduli, ks.ext) {
+		return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: %s: plaintext rows are not the level's moduli ++ special", op)
+	}
+	down, err := ev.levelPlan(live, ct.Level-1)
+	if err != nil {
+		return nil, err
+	}
+	extDown, err := ev.levelPlan(ks.ext, ct.Level-1)
+	if err != nil {
+		return nil, err
+	}
+	m, release := ev.plainOperand(pt, ks.ext)
+	if release {
+		defer ctx.PutPoly(m)
+	}
+	mLive := m.RestrictView(live)
+	scale := new(big.Rat).Mul(ct.Scale, pt.Scale)
+	noise := ev.plainProductNoise(ct.Scale, ct.NoiseBits, pt.Scale)
+	// The extended pair is P·rot(ct)·pt: its scale and noise carry P.
+	pScale := new(big.Rat).SetInt(ks.modDown.P)
+	extScale := new(big.Rat).Mul(scale, pScale)
+	extNoise := ev.plainProductNoise(ct.Scale, addNoiseBits(ct.NoiseBits, ev.nm.KeySwitchBits()), pt.Scale) + core.RatLog2(pScale)
+	// The decomposition's C0 is P·c0: φ_g of it is the C0 half of
+	// P·rot(ct, g) before the keyswitch output is added.
+	decompose := func() (*HoistedDecomp, error) {
+		hd := ev.decomposePoly(ct.C1)
+		hd.c0 = ev.lift(ct.C0)[0]
+		return hd, nil
+	}
+	return ev.hoisted(op, ct, steps, decompose, func(hd *HoistedDecomp, step int) (*Ciphertext, error) {
+		if step == 0 {
+			c0, c1 := ev.polyPairLike(ct)
+			ring.MulCoeffsPair(c0, ct.C0, c1, ct.C1, mLive)
+			return ev.transition(down, c0, c1, true, nil, scale, noise, nil)
+		}
+		galEl := ring.GaloisElementForRotation(step, ev.params.N())
+		swk, releaseKey, err := ev.km.Acquire(ev.ctx, op, galEl)
+		if err != nil {
+			return nil, err
+		}
+		defer releaseKey()
+		e0, e1 := ev.keySwitchExt(hd, swk, galEl)
+		c0 := ev.permuteAdd(hd.c0, galEl, e0)
+		ctx.PutPoly(e0)
+		ring.MulCoeffsPair(c0, c0, e1, e1, m)
+		return ev.transition(extDown, c0, e1, true, nil, extScale, extNoise, nil)
+	})
+}
+
+// hoisted is the body RotateHoisted and RotateHoistedMulRescale share:
+// normalize and dedupe steps, pin the nonzero steps' keys and decompose
+// once when any is nonzero, run one(hd, step) per distinct step as one
+// fan-out (hd nil when every step is zero), and hand the results out in
+// steps' order — a duplicate step an independent copy.
+func (ev *Evaluator) hoisted(op string, ct *Ciphertext, steps []int, decompose func() (*HoistedDecomp, error), one func(hd *HoistedDecomp, step int) (*Ciphertext, error)) ([]*Ciphertext, error) {
+	slots := ev.params.Slots()
+	var uniq []int
+	at := make([]int, len(steps)) // steps[i] is uniq[at[i]]
+	index := map[int]int{}
+	var els []uint64
+	for i, s := range steps {
+		n := normalizeSteps(s, slots)
+		u, seen := index[n]
+		if !seen {
+			u = len(uniq)
+			index[n] = u
+			uniq = append(uniq, n)
+			if n != 0 {
+				els = append(els, ring.GaloisElementForRotation(n, ev.params.N()))
+			}
+		}
+		at[i] = u
+	}
+	var hd *HoistedDecomp
+	if len(els) > 0 {
 		// Declare the whole rotation-key demand before the fan-out: with a
 		// key manager the working set is pinned resident across all the
 		// rotations instead of being acquired (and possibly evicted and
 		// regenerated) once per step.
-		els := make([]uint64, len(uniq))
-		for i, n := range uniq {
-			els[i] = ring.GaloisElementForRotation(n, ev.params.N())
-		}
-		releaseKeys, err := ev.PinGaloisKeys("RotateHoisted", els)
+		releaseKeys, err := ev.PinGaloisKeys(op, els)
 		if err != nil {
 			return nil, err
 		}
 		defer releaseKeys()
-		hd, err := ev.DecomposeModUp(ct)
-		if err != nil {
+		if hd, err = decompose(); err != nil {
 			return nil, err
 		}
 		defer hd.Free(ev.params.Ctx)
-		rotated = make([]*Ciphertext, len(uniq))
-		if err := ev.fanOut(len(uniq), hd.live, func(i int) (err error) {
-			rotated[i], err = ev.rotateHoisted(hd, uniq[i])
-			return err
-		}); err != nil {
-			return nil, err
-		}
+	}
+	results := make([]*Ciphertext, len(uniq))
+	if err := ev.fanOut(len(uniq), ct.C0.Moduli, func(i int) (err error) {
+		results[i], err = one(hd, uniq[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	out := make([]*Ciphertext, len(steps))
 	used := make([]bool, len(uniq))
-	for i, s := range steps {
-		n := normalizeSteps(s, slots)
-		switch u := index[n]; {
-		case n == 0:
-			out[i] = ct.CopyNew()
-		case !used[u]:
-			out[i] = rotated[u]
-			used[u] = true
-		default: // duplicate step: hand out an independent copy
-			out[i] = rotated[u].CopyNew()
+	for i, u := range at {
+		if out[i] = results[u]; used[u] {
+			out[i] = results[u].CopyNew()
 		}
+		used[u] = true
 	}
 	return out, nil
 }

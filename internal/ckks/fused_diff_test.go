@@ -126,27 +126,44 @@ func TestFusedMulRescaleMatchesTwoCall(t *testing.T) {
 }
 
 // TestFusedDifferentialRotateHoisted: the shared-decomposition rotation
-// fan-out (one fork/join across all steps) vs the staged serial path,
-// including a duplicate and a zero step.
+// fan-out (one fork/join across all steps) and the one-division
+// extraction built on it vs the staged serial path, including a
+// duplicate and a zero step; and the same outputs at workers 1 and 4.
 func TestFusedDifferentialRotateHoisted(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.BitPacker, core.RNSCKKS} {
 		s := newTestSetup(t, scheme, 3, 40, 61, 9, 8, []int{1, 3})
 		rng := rand.New(rand.NewPCG(205, 206))
 		ct := s.encryptValues(randomValues(s.params.Slots(), rng))
+		pt := s.encodeExt(extractionMask(s.params.Slots()), ct.Level)
 		steps := []int{3, 1, 0, 3}
-		for _, workers := range []int{1, 4} {
-			engine.SetWorkers(workers)
-			engine.SetMinParallelOps(1)
-			s.ev.SetFused(true)
-			fused := s.ev.MustRotateHoisted(ct, steps)
-			s.ev.SetFused(false)
-			staged := s.ev.MustRotateHoisted(ct, steps)
-			s.ev.SetFused(true)
-			engine.SetWorkers(0)
-			engine.SetMinParallelOps(0)
-			for i := range steps {
-				if !ctEqualNoise(fused[i], staged[i]) {
-					t.Fatalf("%v workers=%d: hoisted rotation by %d differs fused vs staged", scheme, workers, steps[i])
+		for _, op := range []struct {
+			name string
+			run  func() []*Ciphertext
+		}{
+			{"RotateHoisted", func() []*Ciphertext { return s.ev.MustRotateHoisted(ct, steps) }},
+			{"RotateHoistedMulRescale", func() []*Ciphertext { return s.ev.MustRotateHoistedMulRescale(ct, steps, pt) }},
+		} {
+			var first []*Ciphertext
+			for _, workers := range []int{1, 4} {
+				engine.SetWorkers(workers)
+				engine.SetMinParallelOps(1)
+				s.ev.SetFused(true)
+				fused := op.run()
+				s.ev.SetFused(false)
+				staged := op.run()
+				s.ev.SetFused(true)
+				engine.SetWorkers(0)
+				engine.SetMinParallelOps(0)
+				if first == nil {
+					first = fused
+				}
+				for i := range steps {
+					if !ctEqualNoise(fused[i], staged[i]) {
+						t.Fatalf("%v workers=%d: %s by %d differs fused vs staged", scheme, workers, op.name, steps[i])
+					}
+					if !ctEqualNoise(fused[i], first[i]) {
+						t.Fatalf("%v: %s by %d differs between workers 1 and %d", scheme, op.name, steps[i], workers)
+					}
 				}
 			}
 		}
@@ -326,6 +343,7 @@ func TestFusedDifferentialWordSizes(t *testing.T) {
 					t.Fatalf("%s: dense transform did not take the BSGS path", tag)
 				}
 				blocks := s.encryptValues(ReplicateBlocks(randomValues(dim, rng), dim, slots))
+				mask := s.encodeExt(extractionMask(slots), a.Level)
 
 				one := func(ct *Ciphertext) []*Ciphertext { return []*Ciphertext{ct} }
 				ops := []struct {
@@ -339,6 +357,9 @@ func TestFusedDifferentialWordSizes(t *testing.T) {
 					{"Rotate", func(x, y *Ciphertext) []*Ciphertext { return one(s.ev.MustRotate(x, 3)) }},
 					{"RotateHoisted", func(x, y *Ciphertext) []*Ciphertext { return s.ev.MustRotateHoisted(x, []int{3, 1, 0, 3}) }},
 					{"BSGS", func(x, y *Ciphertext) []*Ciphertext { return one(s.ev.MustApplyLinearTransform(blocks, lt)) }},
+					{"RotateHoistedMulRescale", func(x, y *Ciphertext) []*Ciphertext {
+						return s.ev.MustRotateHoistedMulRescale(x, []int{3, 1, 0, 3}, mask)
+					}},
 				}
 				run := func(workers int, fused bool, f func() []*Ciphertext) (outs []*Ciphertext) {
 					runWithWorkers(t, workers, func() *Ciphertext {
@@ -410,8 +431,11 @@ func TestWideChainsHaveNoNarrowModulus(t *testing.T) {
 // 16-diagonal transform (n1 = 8 under the cost rule: seven baby rotations
 // and one giant, keys from lt.Rotations()) reads 1,801; rebuilding its
 // step lists from maps per application cost about 30 more (1,732 against
-// 1,759 at the old n1 = 4), so the ceiling is 1,830. The collector is
-// held off because a collection empties the scratch pools mid-run.
+// 1,759 at the old n1 = 4), so the ceiling is 1,830. A one-division
+// extraction of two replies (steps 1 and 0) reads 695, against 841 for
+// RotateHoisted with MulPlain+Rescale per reply; its ceiling is 760.
+// The collector is held off because a collection empties the scratch
+// pools mid-run.
 func TestFusedHotPathAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -423,6 +447,7 @@ func TestFusedHotPathAllocCeiling(t *testing.T) {
 	rng := rand.New(rand.NewPCG(217, 218))
 	a := s.encryptValues(randomValues(s.params.Slots(), rng))
 	b := s.encryptValues(randomValues(s.params.Slots(), rng))
+	mask := s.encodeExt(extractionMask(s.params.Slots()), a.Level)
 	lt, blocks, _ := denseTestTransform(t, s, 16, 219)
 	s.addRotationKeys(lt.Rotations())
 	cheb7 := []float64{0.1, 0.8, -0.3, 0.05, 0.12, -0.05, 0.03, 0.02}
@@ -439,6 +464,7 @@ func TestFusedHotPathAllocCeiling(t *testing.T) {
 			}
 		}},
 		{"ApplyLinearTransform", 1830, func() { s.ev.MustApplyLinearTransform(blocks, lt) }},
+		{"RotateHoistedMulRescale", 760, func() { s.ev.MustRotateHoistedMulRescale(a, []int{1, 0}, mask) }},
 	} {
 		if got := testing.AllocsPerRun(10, op.run); got > op.ceiling {
 			t.Errorf("fused %s: %.0f allocations per call, ceiling %.0f", op.name, got, op.ceiling)

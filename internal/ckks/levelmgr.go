@@ -106,8 +106,10 @@ func (pl *levelPlan) canonical(ps ...*ring.Poly) {
 // none) folded with the scale-up constant into one Shoup multiply per
 // row, scale up by every modulus the level introduces, then one division
 // by every modulus of the pair's basis the level does not use. The pair
-// is only read; inScale/inNoise describe the (virtual) input after
-// premultiplication.
+// is only read — and, when owned (pooled scratch of the caller's),
+// returned to the pool as soon as it has been, so its rows are free
+// again before the division's outputs are taken. inScale/inNoise
+// describe the (virtual) input after premultiplication.
 //
 // Without a spare channel nothing leaves the evaluation domain but the
 // shed rows: scale-up is a scalar multiply plus zero rows in either
@@ -117,12 +119,12 @@ func (pl *levelPlan) canonical(ps ...*ring.Poly) {
 // A redundant-residue chain needs coefficient residues at both ends —
 // the input for the cross-check of checked's spare (nil: no check), the
 // output to seed the next spare — and takes that route.
-func (ev *Evaluator) transition(pl *levelPlan, c0, c1 *ring.Poly, pre *big.Int, inScale *big.Rat, inNoise float64, checked *Ciphertext) (*Ciphertext, error) {
+func (ev *Evaluator) transition(pl *levelPlan, c0, c1 *ring.Poly, owned bool, pre *big.Int, inScale *big.Rat, inNoise float64, checked *Ciphertext) (*Ciphertext, error) {
 	divide := ev.divide
 	if !ev.fused {
 		divide = ev.divideUnfused
 	}
-	outs, spares, err := divide(pl, c0, c1, pre, checked)
+	outs, spares, err := divide(pl, c0, c1, owned, pre, checked)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +146,7 @@ func (ev *Evaluator) transition(pl *levelPlan, c0, c1 *ring.Poly, pre *big.Int, 
 // divide is transition's polynomial work on the fused kernels: the
 // pooled output pair in the target's row order and, on a
 // redundant-residue chain, the spare channels seeded from it.
-func (ev *Evaluator) divide(pl *levelPlan, c0, c1 *ring.Poly, pre *big.Int, checked *Ciphertext) ([]*ring.Poly, [][]uint64, error) {
+func (ev *Evaluator) divide(pl *levelPlan, c0, c1 *ring.Poly, owned bool, pre *big.Int, checked *Ciphertext) ([]*ring.Poly, [][]uint64, error) {
 	ctx := ev.params.Ctx
 	rrns := ev.rrnsEnabled()
 	mul := pl.upK
@@ -156,7 +158,7 @@ func (ev *Evaluator) divide(pl *levelPlan, c0, c1 *ring.Poly, pre *big.Int, chec
 		}
 	}
 
-	cs, owned := []*ring.Poly{c0, c1}, false
+	cs := []*ring.Poly{c0, c1}
 	free := func() {
 		if owned {
 			ctx.PutPoly(cs[0])
@@ -164,7 +166,9 @@ func (ev *Evaluator) divide(pl *levelPlan, c0, c1 *ring.Poly, pre *big.Int, chec
 		}
 	}
 	if rrns {
-		cs, owned = []*ring.Poly{c0.ScratchCopyINTT(), c1.ScratchCopyINTT()}, true
+		x := []*ring.Poly{c0.ScratchCopyINTT(), c1.ScratchCopyINTT()}
+		free()
+		cs, owned = x, true
 		if checked != nil && checked.SpareDepth > 0 {
 			if err := ev.checkSpare("Rescale", checked, cs[0], cs[1]); err != nil {
 				free()
@@ -211,7 +215,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ev.transition(pl, ct.C0, ct.C1, nil, ct.Scale, ct.NoiseBits, ct)
+	return ev.transition(pl, ct.C0, ct.C1, false, nil, ct.Scale, ct.NoiseBits, ct)
 }
 
 // Adjust moves ct one level down without changing the encrypted value:
@@ -272,7 +276,7 @@ func (ev *Evaluator) adjust(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if kInt.Cmp(big.NewInt(1)) > 0 {
 		noise += core.RatLog2(new(big.Rat).SetInt(kInt))
 	}
-	out, err := ev.transition(pl, ct.C0, ct.C1, kInt, new(big.Rat).Mul(ct.Scale, k), noise, nil)
+	out, err := ev.transition(pl, ct.C0, ct.C1, false, kInt, new(big.Rat).Mul(ct.Scale, k), noise, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -322,17 +326,15 @@ func (ev *Evaluator) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	ev.addPair(d0, d1, ks0, ks1)
 	ctx.PutPoly(ks0)
 	ctx.PutPoly(ks1)
-	defer func() {
-		ctx.PutPoly(d0)
-		ctx.PutPoly(d1)
-	}()
 	pl, err := ev.levelPlan(d0.Moduli, a.Level-1)
 	if err != nil {
+		ctx.PutPoly(d0)
+		ctx.PutPoly(d1)
 		return nil, err
 	}
 	// A fresh product carries no spare channel, so there is nothing to
 	// cross-check before the transition.
-	return ev.transition(pl, d0, d1, nil, scale, noise, nil)
+	return ev.transition(pl, d0, d1, true, nil, scale, noise, nil)
 }
 
 // roundRat rounds a rational to the nearest integer.

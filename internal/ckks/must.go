@@ -77,6 +77,11 @@ func (ev *Evaluator) MustRotateHoisted(ct *Ciphertext, steps []int) []*Ciphertex
 	return must(ev.RotateHoisted(ct, steps))
 }
 
+// MustRotateHoistedMulRescale is RotateHoistedMulRescale, panicking on error.
+func (ev *Evaluator) MustRotateHoistedMulRescale(ct *Ciphertext, steps []int, pt *Plaintext) []*Ciphertext {
+	return must(ev.RotateHoistedMulRescale(ct, steps, pt))
+}
+
 // MustModRaise is ModRaise, panicking on error.
 func (ev *Evaluator) MustModRaise(ct *Ciphertext, toLevel int) *Ciphertext {
 	return must(ev.ModRaise(ct, toLevel))

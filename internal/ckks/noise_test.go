@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
@@ -60,8 +61,10 @@ func TestNoiseModelIsAnEnvelope(t *testing.T) {
 // apply against the formula that charged every baby a floored keyswitch,
 // MulRescale against MulRelin+Rescale, AdjustTo against chained one-level
 // adjusts, the degree-7 series against the NoiseBits the parent recorded
-// at 7e1f31d for these inputs (the bookkeeping is data-independent). The
-// apply, MulRescale and the series decrypt inside the tracked bound with
+// at 7e1f31d for these inputs (the bookkeeping is data-independent) —
+// and the one-division extraction against RotateHoisted with
+// MulPlain+Rescale per reply, held to 1 bit. The apply, MulRescale, the
+// extraction and the series decrypt inside the tracked bound with
 // PR 19's 16× allowance. AdjustTo of a fresh top-level input does not,
 // and neither did the chained adjusts: a division by k moduli falls short
 // by k/2 per coefficient on average, which NoiseBits does not model and
@@ -111,6 +114,24 @@ func TestNoiseModelCoversDivisionPoints(t *testing.T) {
 			sq[i] = vals[i] * vals[i]
 		}
 		check("MulRescale", s.ev.MustMulRescale(ct, ct), sq, s.ev.MustRescale(s.ev.MustMulRelin(ct, ct)).NoiseBits, true)
+
+		// The one-division extraction: no looser than the two-step
+		// bookkeeping by more than 1 bit, for a zero, a duplicated and a
+		// nonzero step.
+		s.addRotationKeys([]int{1})
+		steps, mask := []int{1, 0, 1}, extractionMask(slots)
+		pt := s.encodeExt(mask, ct.Level)
+		twoStep := s.twoStepExtract(ct, steps, pt)
+		for i, out := range s.ev.MustRotateHoistedMulRescale(ct, steps, pt) {
+			want := make([]complex128, slots)
+			for k := range want {
+				want[k] = vals[(k+steps[i])%slots] * mask[k]
+			}
+			check(fmt.Sprintf("RotateHoistedMulRescale step %d", steps[i]), out, want, twoStep[i].NoiseBits, true)
+			if out.NoiseBits > twoStep[i].NoiseBits+1 {
+				t.Errorf("%v RotateHoistedMulRescale step %d: estimate %.2f bits, two-step %.2f", c.scheme, steps[i], out.NoiseBits, twoStep[i].NoiseBits)
+			}
+		}
 
 		chained := ct
 		for chained.Level > 1 {

@@ -89,9 +89,13 @@ func (ev *Evaluator) modDownUnfused(live []uint64, ps []*ring.Poly) []*ring.Poly
 // divideUnfused is divide's staged twin: copy, inverse transform, spare
 // check, premultiply, scale up, divide, reorder, reseed and forward
 // transform each run as their own full pass.
-func (ev *Evaluator) divideUnfused(pl *levelPlan, c0, c1 *ring.Poly, pre *big.Int, checked *Ciphertext) ([]*ring.Poly, [][]uint64, error) {
+func (ev *Evaluator) divideUnfused(pl *levelPlan, c0, c1 *ring.Poly, owned bool, pre *big.Int, checked *Ciphertext) ([]*ring.Poly, [][]uint64, error) {
 	ctx := ev.params.Ctx
 	x0, x1 := c0.ScratchCopy(), c1.ScratchCopy()
+	if owned {
+		ctx.PutPoly(c0)
+		ctx.PutPoly(c1)
+	}
 	x0.INTT()
 	x1.INTT()
 	// RRNS cross-check at the point where the live residues are in the

@@ -8,6 +8,7 @@ package ring
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 
 	"bitpacker/internal/ntt"
@@ -200,6 +201,10 @@ func (p *Poly) RestrictView(moduli []uint64) *Poly { return p.restrictView("Rest
 
 // restrictView is RestrictView, panicking in the name of entry point who.
 func (p *Poly) restrictView(who string, moduli []uint64) *Poly {
+	if n := len(moduli); n <= len(p.Moduli) && slices.Equal(p.Moduli[:n], moduli) {
+		// A prefix (live rows of an extended-basis polynomial): slice it.
+		return &Poly{ctx: p.ctx, Moduli: p.Moduli[:n:n], Coeffs: p.Coeffs[:n:n], IsNTT: p.IsNTT, shared: true}
+	}
 	rowOf := make(map[uint64]int, len(p.Moduli))
 	for i, q := range p.Moduli {
 		rowOf[q] = i

@@ -386,3 +386,49 @@ func TestConvDeferredRowWorstCase(t *testing.T) {
 		}
 	}
 }
+
+// TestComposeCenteredWordMatchesBig: the machine-word composition agrees
+// with ComposeCentered whenever it answers, answers for every value of
+// decryption size, and refuses values past 62 bits and residues that are
+// not below their modulus — on bases from one 28-bit residue (Q < 2^63,
+// exact mod Q) to fourteen (composition mod 2^64 plus the residue check).
+func TestComposeCenteredWordMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for _, c := range []struct {
+		bits  uint
+		count int
+	}{{28, 1}, {61, 1}, {28, 2}, {31, 2}, {61, 2}, {36, 3}, {61, 3}, {28, 14}} {
+		b, err := NewBasis(64, primes(t, c.bits, 128, c.count))
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := new(big.Int).Rsh(b.Q, 1)
+		lim := new(big.Int).Lsh(big.NewInt(1), 62)
+		var values []*big.Int
+		for _, v := range []int64{0, 1, -1, 1<<62 - 1, -(1<<62 - 1), 1 << 62, -(1 << 62), 1<<63 - 1, -1 << 63} {
+			values = append(values, big.NewInt(v))
+		}
+		values = append(values, half, new(big.Int).Neg(half), new(big.Int).Sub(half, big.NewInt(1)), new(big.Int).Add(new(big.Int).Neg(half), big.NewInt(1)))
+		for i := 0; i < 2000; i++ {
+			small := big.NewInt(rng.Int64N(1<<50) - 1<<49)
+			values = append(values, small, new(big.Int).Sub(randBig(rng, b.Q), half))
+		}
+		for _, x := range values {
+			xs := b.Decompose(x)
+			want := b.ComposeCentered(xs)
+			got, ok := b.ComposeCenteredWord(xs)
+			fits := new(big.Int).Abs(want).Cmp(lim) < 0
+			switch {
+			case ok && (!fits || got != want.Int64()):
+				t.Fatalf("%d×%d-bit: %v composed to %d, want %v", c.count, c.bits, x, got, want)
+			case !ok && want.BitLen() <= 50:
+				t.Fatalf("%d×%d-bit: %v refused though it has %d bits", c.count, c.bits, want, want.BitLen())
+			}
+		}
+		hostile := b.Decompose(big.NewInt(3))
+		hostile[len(hostile)-1] += b.Moduli[len(hostile)-1]
+		if _, ok := b.ComposeCenteredWord(hostile); ok {
+			t.Fatalf("%d×%d-bit: a residue at or above its modulus was composed", c.count, c.bits)
+		}
+	}
+}

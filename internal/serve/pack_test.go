@@ -14,7 +14,7 @@ import (
 // packProfile builds a one-profile registry sized for the property
 // tests: 256 slots, 32-slot windows (8 tenants per packed ciphertext). A
 // batch submitted here flushes by filling, never by its deadline.
-func packProfile(t *testing.T, scheme bitpacker.Scheme) (*Registry, *profile) {
+func packProfile(t testing.TB, scheme bitpacker.Scheme) (*Registry, *profile) {
 	t.Helper()
 	reg, err := NewRegistry([]ProfileConfig{{
 		Name: "p",
@@ -67,7 +67,7 @@ func tenantValues(ti, n int) []float64 {
 
 // buildBatch registers tenants 0..n-1, encrypts each one's input, and
 // returns the requests ready for the scheduler's internal entry points.
-func buildBatch(t *testing.T, p *profile, op string, args []float64, inputs [][]float64) []*evalRequest {
+func buildBatch(t testing.TB, p *profile, op string, args []float64, inputs [][]float64) []*evalRequest {
 	t.Helper()
 	batch := make([]*evalRequest, len(inputs))
 	for ti, in := range inputs {
@@ -189,6 +189,25 @@ func TestPackedMatchesSoloAndPlain(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkEvalBatch times one packed evaluation of six tenants'
+// quartic requests — the packing adds, the op, and the one-division
+// extraction of six replies — on the packing profile (BitPacker, LogN 9).
+func BenchmarkEvalBatch(b *testing.B) {
+	reg, p := packProfile(b, bitpacker.BitPacker)
+	defer reg.Close()
+	args, inputs := make([]float64, 6), make([][]float64, 6)
+	for ti := range inputs {
+		inputs[ti] = tenantValues(ti, p.cfg.Window)
+	}
+	batch := buildBatch(b, p, OpQuartic, args, inputs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.sched.eval(batch); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

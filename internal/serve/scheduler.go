@@ -153,9 +153,10 @@ func (s *scheduler) Close() {
 
 // eval is the one evaluation of a batch, whatever its size: pack the
 // members by adds (none for a batch of one), apply the op once, then
-// extract every member's window with one hoisted rotation over the
-// window offsets — RotateHoisted pins exactly those keys for its
-// fan-out — and the cached mask. It returns the replies in batch order.
+// extract every member's window in one hoisted pass over the window
+// offsets — RotateHoistedMulRescale pins exactly those keys for its
+// fan-out and multiplies by the cached mask before its one division
+// per reply. It returns the replies in batch order.
 func (s *scheduler) eval(batch []*evalRequest) ([]*bitpacker.Ciphertext, error) {
 	fhe := s.p.ctx
 	packed := batch[0].ct
@@ -173,16 +174,11 @@ func (s *scheduler) eval(batch []*evalRequest) ([]*bitpacker.Ciphertext, error) 
 	for i, r := range batch {
 		steps[i] = r.tenant.window * s.p.cfg.Window
 	}
-	outs, err := fhe.RotateHoisted(result, steps)
+	mask, err := s.mask(result.Level())
 	if err != nil {
 		return nil, err
 	}
-	for i, ct := range outs {
-		if outs[i], err = s.mask(ct); err != nil {
-			return nil, err
-		}
-	}
-	return outs, nil
+	return fhe.RotateHoistedMulRescale(result, steps, mask)
 }
 
 // applyOp performs the batch's single shared evaluation: the op table's
@@ -223,28 +219,22 @@ func (s *scheduler) combined(batch []*evalRequest) []complex128 {
 	return vec
 }
 
-// mask zeroes every slot outside [0, Window). The mask vector never
-// changes, so each level pays its encode transform once, not once per
-// request.
-func (s *scheduler) mask(ct *bitpacker.Ciphertext) (*bitpacker.Ciphertext, error) {
-	fhe := s.p.ctx
-	pl, ok := s.masks[ct.Level()]
-	if !ok {
-		vec := make([]complex128, fhe.Slots())
-		for i := 0; i < s.p.cfg.Window; i++ {
-			vec[i] = 1
-		}
-		var err error
-		if pl, err = fhe.EncodePlain(vec, ct.Level()); err != nil {
-			return nil, err
-		}
-		s.masks[ct.Level()] = pl
+// mask is the plaintext that zeroes every slot outside [0, Window) at
+// a level. The vector never changes, so each level pays its encode
+// transform once, not once per request.
+func (s *scheduler) mask(level int) (*bitpacker.Plain, error) {
+	if pl, ok := s.masks[level]; ok {
+		return pl, nil
 	}
-	out, err := fhe.MulPlain(ct, pl)
-	if err != nil {
-		return nil, err
+	vec := make([]complex128, s.p.ctx.Slots())
+	for i := 0; i < s.p.cfg.Window; i++ {
+		vec[i] = 1
 	}
-	return fhe.Rescale(out)
+	pl, err := s.p.ctx.EncodePlain(vec, level)
+	if err == nil {
+		s.masks[level] = pl
+	}
+	return pl, err
 }
 
 // Eval is the synchronous front door the HTTP layer calls: validate,

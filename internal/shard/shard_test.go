@@ -461,7 +461,10 @@ func TestShardedForeignExchangeCleared(t *testing.T) {
 // TestShardSoak kills random live workers throughout the job and gates
 // on zero lost or duplicated shards: the output must be exactly the
 // unsharded batch, in order, bit-identical — every killed worker's
-// shards recovered, none applied twice.
+// shards recovered, none applied twice. The first kill fires on the
+// first spawn the supervisor logs (the job can end before any timer
+// would), the rest every 150–300 ms, and the report must count a crash:
+// a soak that killed nothing proves nothing.
 func TestShardSoak(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
 	inputs := encryptBatch(t, ctx, 10, 51)
@@ -470,13 +473,16 @@ func TestShardSoak(t *testing.T) {
 	var mu sync.Mutex
 	pids := map[int]int{} // slot -> live pid
 	var spawned []int     // every pid the supervisor ever started
+	first := make(chan struct{})
 	opts := baseOpts(t)
 	opts.Workers = 3
 	opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 1000, BaseDelay: time.Millisecond, BreakerThreshold: 1000, Seed: 5}
 	onSpawn(&opts, func(slot, pid int) {
 		mu.Lock()
 		pids[slot] = pid
-		spawned = append(spawned, pid)
+		if spawned = append(spawned, pid); len(spawned) == 1 {
+			close(first)
+		}
 		mu.Unlock()
 	})
 
@@ -486,12 +492,16 @@ func TestShardSoak(t *testing.T) {
 	go func() {
 		defer killer.Done()
 		rng := rand.New(rand.NewPCG(99, 7))
-		for i := 0; ; i++ {
+		spawn, wait := (<-chan struct{})(first), (<-chan time.Time)(nil)
+		for {
 			select {
 			case <-stop:
 				return
-			case <-time.After(time.Duration(150+rng.IntN(150)) * time.Millisecond):
+			case <-spawn:
+				spawn = nil // fire once, now
+			case <-wait:
 			}
+			wait = time.After(time.Duration(150+rng.IntN(150)) * time.Millisecond)
 			mu.Lock()
 			var live []int
 			for _, pid := range pids {
@@ -516,6 +526,9 @@ func TestShardSoak(t *testing.T) {
 	}
 	assertBitIdentical(t, ctx, "soak", got, want)
 	t.Logf("soak stats: %+v", report.Stats)
+	if report.Stats.Crashes == 0 {
+		t.Fatalf("soak killed no worker: %+v", report.Stats)
+	}
 	if len(got) != len(inputs) {
 		t.Fatalf("soak lost or duplicated shards: %d outputs for %d inputs", len(got), len(inputs))
 	}
