@@ -7,8 +7,13 @@ all: check
 build:
 	$(GO) build ./...
 
+# Vet, plus the formatting gate: gofmt must leave every Go file outside
+# the benchmark's build directory as it is (gofmt -l lists the files it
+# would rewrite, doc comments included).
 vet:
 	$(GO) vet ./...
+	@bad=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$bad" ]; then echo "gofmt would rewrite:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...

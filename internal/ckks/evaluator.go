@@ -608,11 +608,11 @@ func (ev *Evaluator) decomposePoly(c2 *ring.Poly) *HoistedDecomp {
 // NTT(INTT(c2n)) = c2n bit for bit, the transforms being exact inverses —
 // and only the converted rows are transformed, |ext|−|own| per digit
 // instead of |ext|. Fused consumers want exactly that: a Galois
-// automorphism is then a pure permutation of evaluation points
-// (ring.PermuteNTT), so every hoisted rotation reuses the digits with
-// zero transforms and the galEl==1 inner product aliases them with zero
-// copies. With c2n nil (staged evaluator) the digits stay in the
-// coefficient domain. Both inputs are only read.
+// automorphism is then a pure permutation of evaluation points, which
+// the inner product (ring.InnerProduct) reads in place, so every hoisted
+// rotation reuses the digits with zero transforms and zero copies. With
+// c2n nil (staged evaluator) the digits stay in the coefficient domain.
+// Both inputs are only read.
 func (ev *Evaluator) decompose(c2c, c2n *ring.Poly) *HoistedDecomp {
 	ctx := ev.params.Ctx
 	pl := ev.ksPlan(c2c.Moduli)
@@ -714,81 +714,57 @@ func (ev *Evaluator) keySwitchExt(hd *HoistedDecomp, swk *SwitchingKey, galEl ui
 	return ev.keySwitchExtUnfused(hd, swk, galEl)
 }
 
-// keySwitchExtFused is the fused twin of keySwitchExtUnfused: each digit
-// is consumed in the evaluation domain (pre-transformed once by the fused
-// decomposition, so galEl==1 aliases it copy-free and a Galois map is a
-// pure permutation of evaluation points), and both inner-product halves
-// share one fork/join against the accumulator pair. Bit-identical to the
-// staged pipeline — the first digit writes the accumulators directly
-// (AddMod with a zero accumulator is the identity), every later stage
-// preserves canonical residues, and the transforms are exactly linear.
+// keySwitchExtFused is the fused twin of keySwitchExtUnfused: every
+// digit's products with the key go into one inner product
+// (ring.InnerProduct), one fork/join over the extended rows that sums
+// the raw products and reduces each coefficient once per group of digits
+// instead of once per digit. A pre-transformed digit is read in place —
+// under a Galois map through the gather table — so no digit is copied;
+// a seed-compressed key's A rows are regenerated inside the same kernel,
+// row by row, and never materialize. Bit-identical to the staged
+// pipeline: both are the canonical residues of the same sums.
 func (ev *Evaluator) keySwitchExtFused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
-	p := ev.params
+	ctx := ev.params.Ctx
 	ext := hd.ext
-
-	acc0 := p.Ctx.GetPoly(ext)
-	acc0.IsNTT = true
-	acc1 := p.Ctx.GetPoly(ext)
-	acc1.IsNTT = true
-
-	first := true
-	for d := 0; d < p.Dnum; d++ {
-		if hd.digits[d] == nil {
+	terms := make([]ring.Term, 0, len(hd.digits))
+	var owned []*ring.Poly
+	k := galEl
+	for d, src := range hd.digits {
+		if src == nil {
 			continue
 		}
-		var digit *ring.Poly
-		owned := true
-		switch src := hd.digits[d]; {
-		case src.IsNTT && galEl == 1:
-			// Pre-transformed digit, identity map: the inner product only
-			// reads its rows, so alias it instead of copying.
-			digit = src
-			owned = false
-		case src.IsNTT:
-			digit = src.PermuteNTT(galEl)
-		case galEl == 1:
+		digit := src
+		if !src.IsNTT {
 			// Coefficient-domain digit (staged decomposition consumed
-			// under a fused evaluator): legacy copy+NTT per use.
-			digit = src.ScratchCopyNTT()
-		default:
-			digit = src.AutomorphismNTT(galEl)
+			// under a fused evaluator): the map and the transform are
+			// applied to a copy, and the inner product reads it as is.
+			if galEl == 1 {
+				digit = src.ScratchCopyNTT()
+			} else {
+				digit = src.AutomorphismNTT(galEl)
+			}
+			owned = append(owned, digit)
+			k = 1
 		}
 		// The key rows are only read: alias them instead of copying the
-		// whole switching key per digit.
-		kb := swk.B[d].RestrictView(ext)
-		if swk.A[d] == nil {
-			// Seed-compressed key: the uniform A rows are regenerated from
-			// the digit's seed inside the fused dispatch, one residue row
-			// at a time — row content depends only on (seed, modulus), so
-			// the regenerated sub-basis matches the dense key's restricted
-			// rows bit for bit, and A never materializes.
-			if first {
-				ring.MulCoeffsPairIntoSeeded(acc0, acc1, digit, kb, swk.ASeeds[d])
-				first = false
-			} else {
-				ring.MulCoeffsPairAddSeeded(acc0, acc1, digit, kb, swk.ASeeds[d])
-			}
-		} else if first {
-			ring.MulCoeffsPairInto(acc0, acc1, digit, kb, swk.A[d].RestrictView(ext))
-			first = false
+		// whole switching key per digit. Row content of a seed-compressed
+		// A depends only on (seed, modulus), so the rows regenerated over
+		// ext match the dense key's restricted rows bit for bit.
+		t := ring.Term{X: digit, Y0: swk.B[d].RestrictView(ext)}
+		if swk.A[d] != nil {
+			t.Y1 = swk.A[d].RestrictView(ext)
 		} else {
-			ring.MulCoeffsPairAdd(acc0, acc1, digit, kb, swk.A[d].RestrictView(ext))
+			t.Seed = swk.ASeeds[d]
 		}
-		if owned {
-			p.Ctx.PutPoly(digit)
-		}
+		terms = append(terms, t)
 	}
-	if first {
-		// No live digit (cannot happen for a well-formed chain, but the
-		// pooled accumulators are not zeroed — make the degenerate case
-		// match the zero-initialized legacy path).
-		for _, a := range []*ring.Poly{acc0, acc1} {
-			for _, row := range a.Coeffs {
-				for k := range row {
-					row[k] = 0
-				}
-			}
-		}
+	acc0 := ctx.GetPoly(ext)
+	acc0.IsNTT = true
+	acc1 := ctx.GetPoly(ext)
+	acc1.IsNTT = true
+	ring.InnerProduct(acc0, acc1, k, terms)
+	for _, d := range owned {
+		ctx.PutPoly(d)
 	}
 	return acc0, acc1
 }

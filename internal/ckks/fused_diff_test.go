@@ -417,25 +417,30 @@ func TestWideChainsHaveNoNarrowModulus(t *testing.T) {
 // ops every program leans on. The conversion matrix is column-major and
 // the per-basis keyswitch layout (digit rows, conversions, ModDown
 // transition) is cached, so a keyswitch no longer rebuilds maps, modulus
-// lists, weight columns or cache-key strings; what remains is pooled
+// lists or cache-key strings; what remains is pooled
 // polynomial headers, dispatch closures and big.Int bookkeeping. The
 // ceilings sit between the counts with and without those rebuilds
 // (MulRescale 513 vs 553, Rotate 290 vs 350 at this shape when they were
-// set; MulRescale reads 472 since its transition's moduli lists, scale
-// factor and division come from one cached plan). A degree-7
-// EvalChebyshev rides along for its constants: applied as scalars the
-// series cost 6281 allocations, and each constant that went through the
-// encoder again would add about 1,900 (27,005 with all eleven encoded);
-// with one rescale per linear combination, adjusted babies shared and
-// the products through MulRescale it reads 3,976, pinned at 4,300. A
-// 16-diagonal transform (n1 = 8 under the cost rule: seven baby rotations
-// and one giant, keys from lt.Rotations()) reads 1,801; rebuilding its
-// step lists from maps per application cost about 30 more (1,732 against
-// 1,759 at the old n1 = 4), so the ceiling is 1,830. A one-division
-// extraction of two replies (steps 1 and 0) reads 695, against 841 for
-// RotateHoisted with MulPlain+Rescale per reply; its ceiling is 760.
-// The collector is held off because a collection empties the scratch
-// pools mid-run.
+// set; MulRescale read 472 once its transition's moduli lists, scale
+// factor and division came from one cached plan). Since the keyswitch
+// is one inner product over all digits, reading a Galois map in place,
+// MulRescale reads 462 (ceiling 490) and Rotate 284 (ceiling 300). A
+// degree-7 EvalChebyshev rides along for its constants: applied as
+// scalars the series cost 6281 allocations, and each constant that went
+// through the encoder again would add about 1,900 (27,005 with all
+// eleven encoded); with one rescale per linear combination, adjusted
+// babies shared and the products through MulRescale it read 3,976, and
+// 3,936 with the one-pass keyswitch, pinned at 4,260. A 16-diagonal
+// transform (n1 = 8 under the cost rule: seven baby rotations and one
+// giant, keys from lt.Rotations()) read 1,801 with a permuted copy per
+// digit and a product pass per diagonal, and reads 1,091 with one inner
+// product per keyswitch and per giant; rebuilding its step lists from
+// maps per application cost about 30 more (1,732 against 1,759 at the
+// old n1 = 4), so the ceiling is 1,120. A one-division extraction of two
+// replies (steps 1 and 0) reads 638 (695 before the one-pass keyswitch),
+// against 841 for RotateHoisted with MulPlain+Rescale per reply; its
+// ceiling is 700. The collector is held off because a collection
+// empties the scratch pools mid-run.
 func TestFusedHotPathAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -456,15 +461,15 @@ func TestFusedHotPathAllocCeiling(t *testing.T) {
 		ceiling float64
 		run     func()
 	}{
-		{"MulRescale", 500, func() { s.ev.MustMulRescale(a, b) }},
-		{"Rotate", 310, func() { s.ev.MustRotate(a, 1) }},
-		{"EvalChebyshev", 4300, func() {
+		{"MulRescale", 490, func() { s.ev.MustMulRescale(a, b) }},
+		{"Rotate", 300, func() { s.ev.MustRotate(a, 1) }},
+		{"EvalChebyshev", 4260, func() {
 			if _, err := s.ev.EvalChebyshev(s.enc, a, cheb7); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"ApplyLinearTransform", 1830, func() { s.ev.MustApplyLinearTransform(blocks, lt) }},
-		{"RotateHoistedMulRescale", 760, func() { s.ev.MustRotateHoistedMulRescale(a, []int{1, 0}, mask) }},
+		{"ApplyLinearTransform", 1120, func() { s.ev.MustApplyLinearTransform(blocks, lt) }},
+		{"RotateHoistedMulRescale", 700, func() { s.ev.MustRotateHoistedMulRescale(a, []int{1, 0}, mask) }},
 	} {
 		if got := testing.AllocsPerRun(10, op.run); got > op.ceiling {
 			t.Errorf("fused %s: %.0f allocations per call, ceiling %.0f", op.name, got, op.ceiling)

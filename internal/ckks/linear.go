@@ -67,8 +67,9 @@ type giantStep struct {
 
 // babyTerm is one stored diagonal, in the NTT domain: over the level's
 // moduli followed by the special primes when its baby step is nonzero —
-// it multiplies a baby rotation still in the extended basis — and over
-// the level's moduli alone when it multiplies the input itself.
+// it multiplies a baby rotation still in the extended basis — and, times
+// P, over the level's moduli alone when it multiplies the input itself
+// (the live rows of P·ct; its special rows are zero).
 type babyTerm struct {
 	baby int // index into LinearTransform.babies
 	pt   *ring.Poly
@@ -116,6 +117,11 @@ const nttPasses = 6
 //	  inner product and permutations, C0 permutation 3·d·e + e
 //	closing ModDown                                  ntt·2e
 //	diagonal: product and accumulation               2e, or 2r at baby 0
+//
+// The weights count the passes of the per-term kernels the plans were
+// chosen under. The inner products now read the digit permutations in
+// place and sum a giant's diagonals in one pass; the weights are kept,
+// so no transform's plan (and so none of its output bits) moves.
 func (sh applyShape) cost(nb, ng, nz, z int) int {
 	e := sh.r + sh.s
 	de := sh.d * e
@@ -188,6 +194,10 @@ func NewLinearTransformFromDiags(params *Parameters, enc *Encoder, diags map[int
 	n1 := bsgsPlan(ds, slots, newApplyShape(params, level))
 	live := params.LevelModuli(level)
 	ext := append(slices.Clone(live), params.Chain.Special...)
+	p := big.NewInt(1)
+	for _, q := range params.Chain.Special {
+		p.Mul(p, new(big.Int).SetUint64(q))
+	}
 	lt := &LinearTransform{Level: level, Scale: scale, Slots: slots, N1: n1, diags: len(ds)}
 	for _, d := range ds {
 		lt.babies = append(lt.babies, d%n1)
@@ -214,6 +224,12 @@ func NewLinearTransformFromDiags(params *Parameters, enc *Encoder, diags map[int
 		}
 		pt := enc.MustEncode(rotated, scale, moduli)
 		pt.NTT()
+		if b == 0 {
+			// The input it multiplies is at live width, where P·ct is
+			// P times it: storing P·diag lets the product join the
+			// giant's extended-basis sum with no lift.
+			pt.MulScalarBig(pt, p)
+		}
 		bi, _ := slices.BinarySearch(lt.babies, b)
 		last := &lt.giants[len(lt.giants)-1]
 		last.terms = append(last.terms, babyTerm{baby: bi, pt: pt})
@@ -379,8 +395,9 @@ func (x extPair) free(ctx *ring.Context) {
 // The evaluation is baby-step/giant-step, double-hoisted: the nonzero
 // baby rotations share one ModUp and stop before their ModDown, each
 // P·φ_b(ct) plus its keyswitch output in the extended basis, where the
-// extended-width diagonals multiply them; baby-0 products are taken on
-// the input at live width and lifted by P. A nonzero giant ModDowns only
+// extended-width diagonals multiply them; a baby-0 diagonal, stored times
+// P, multiplies the input at live width, and all of a giant's products
+// are one inner product (fused). A nonzero giant ModDowns only
 // its C1 accumulator, for its decomposition, and permutes its C0
 // accumulator where it lies; the giants' extended-basis results are
 // summed and one ModDown ends the apply. An unfactored transform is the
@@ -491,36 +508,41 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 }
 
 // giantStep evaluates one inner sum of the factorization and, for a
-// nonzero giant g, rotates it by g, all in the extended basis: the
-// nonzero-baby diagonals multiply their baby rotations, the baby-0
-// diagonal multiplies the input at live width and is lifted by P, and
-// the rotation ModDowns only the C1 accumulator — the one it decomposes
-// — while the C0 accumulator is permuted in place.
+// nonzero giant g, rotates it by g, all in the extended basis: each
+// diagonal multiplies its baby rotation — the baby-0 diagonal, stored
+// times P at live width, multiplies the input itself, which lands on the
+// live rows of P·ct — and the rotation ModDowns only the C1 accumulator,
+// the one it decomposes, while the C0 accumulator is permuted in place.
+// Fused, the diagonals' products are one inner product, reduced once per
+// coefficient; staged, each is its own product pass.
 func (ev *Evaluator) giantStep(ct *Ciphertext, lt *LinearTransform, giant *giantStep, babies []extPair) (extPair, error) {
 	ctx := ev.params.Ctx
-	var acc, acc0 extPair // extended basis; baby 0 at live width
-	for _, term := range giant.terms {
+	live := ct.C0.Moduli
+	ext := ev.ksPlan(live).ext
+	var acc extPair
+	operands := func(term babyTerm) (x0, x1 *ring.Poly) {
 		if lt.babies[term.baby] == 0 {
-			acc0 = extPair{ctx.GetPoly(ct.C0.Moduli), ctx.GetPoly(ct.C1.Moduli)}
-			ev.mulPlainInto(acc0, true, term.pt, ct.C0, ct.C1)
-			continue
+			return ct.C0, ct.C1
 		}
-		in := babies[term.baby]
-		if acc.c0 == nil {
-			acc = extPair{ctx.GetPoly(in.c0.Moduli), ctx.GetPoly(in.c1.Moduli)}
-			ev.mulPlainInto(acc, true, term.pt, in.c0, in.c1)
-		} else {
-			ev.mulPlainInto(acc, false, term.pt, in.c0, in.c1)
-		}
+		return babies[term.baby].c0, babies[term.baby].c1
 	}
-	if acc0.c0 != nil {
-		x := ev.lift(acc0.c0, acc0.c1)
-		acc0.free(ctx)
-		if acc.c0 != nil {
-			ev.addPair(x[0], x[1], acc.c0, acc.c1)
-			acc.free(ctx)
+	if ev.fused {
+		acc = extPair{ctx.GetPoly(ext), ctx.GetPoly(ext)}
+		acc.c0.IsNTT, acc.c1.IsNTT = true, true
+		terms := make([]ring.Term, len(giant.terms))
+		for i, term := range giant.terms {
+			x0, x1 := operands(term)
+			terms[i] = ring.Term{X: term.pt, Y0: x0, Y1: x1}
 		}
-		acc = extPair{x[0], x[1]}
+		ring.InnerProduct(acc.c0, acc.c1, 1, terms)
+	} else {
+		acc = extPair{ctx.GetPolyZero(ext), ctx.GetPolyZero(ext)}
+		acc.c0.IsNTT, acc.c1.IsNTT = true, true
+		for _, term := range giant.terms {
+			x0, x1 := operands(term)
+			acc.c0.RestrictView(term.pt.Moduli).MulCoeffsAdd(x0, term.pt)
+			acc.c1.RestrictView(term.pt.Moduli).MulCoeffsAdd(x1, term.pt)
+		}
 	}
 	if giant.g == 0 {
 		return acc, nil
@@ -532,7 +554,7 @@ func (ev *Evaluator) giantStep(ct *Ciphertext, lt *LinearTransform, giant *giant
 		return extPair{}, err
 	}
 	defer releaseKey()
-	c1 := ev.modDown(ct.C0.Moduli, acc.c1)[0]
+	c1 := ev.modDown(live, acc.c1)[0]
 	hd := ev.decomposePoly(c1)
 	ctx.PutPoly(c1)
 	e0, e1 := ev.keySwitchExt(hd, swk, galEl)
@@ -541,26 +563,6 @@ func (ev *Evaluator) giantStep(ct *Ciphertext, lt *LinearTransform, giant *giant
 	ctx.PutPoly(acc.c0)
 	ctx.PutPoly(e0)
 	return out, nil
-}
-
-// mulPlainInto sets (first) or accumulates into o the products of the
-// NTT-domain plaintext pt with x0 and x1; o is NTT-domain scratch of
-// their shape.
-func (ev *Evaluator) mulPlainInto(o extPair, first bool, pt, x0, x1 *ring.Poly) {
-	o.c0.IsNTT, o.c1.IsNTT = true, true
-	switch {
-	case ev.fused && first:
-		// Both halves share the diagonal operand in one fork/join.
-		ring.MulCoeffsPairInto(o.c0, o.c1, pt, x0, x1)
-	case ev.fused:
-		ring.MulCoeffsPairAdd(o.c0, o.c1, pt, x0, x1)
-	case first:
-		o.c0.MulCoeffs(x0, pt)
-		o.c1.MulCoeffs(x1, pt)
-	default:
-		o.c0.MulCoeffsAdd(x0, pt)
-		o.c1.MulCoeffsAdd(x1, pt)
-	}
 }
 
 // ReplicateBlocks repeats the first dim entries of values across the whole

@@ -249,11 +249,11 @@ func (ev *Evaluator) scanRepair(op string, cts ...*Ciphertext) error {
 //
 // Integer view per coefficient: X = x̃ + m·Q with |m| <= d-1, where x̃
 // is the canonical lift of the live residues and Q the level modulus.
-// Shifting by (d-1)·Q makes X'' = X + (d-1)·Q a nonnegative integer
+// Shifting by (d-1)·Q makes Xs = X + (d-1)·Q a nonnegative integer
 // below (2d-1)·Q = (2d-1)·q_bad·Q' (Q' the product of the good moduli),
-// so X'' is uniquely determined by its residues over
+// so Xs is uniquely determined by its residues over
 // {good moduli} ∪ {q_s} whenever (2d-1)·q_bad <= q_s — and
-// X'' ≡ X (mod q_bad) because (d-1)·Q vanishes there. At depth 1 (the
+// Xs ≡ X (mod q_bad) because (d-1)·Q vanishes there. At depth 1 (the
 // common case: a fault between a seed point and the next op) the shift
 // is zero and the bound is q_bad <= q_s, which holds by construction.
 // Deeper windows over near-word-size moduli can exceed the bound; those

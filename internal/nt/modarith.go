@@ -90,26 +90,72 @@ func BarrettConstant(q uint64) (hi, lo uint64) {
 }
 
 // MulModBarrett returns (x * y) mod q where (bhi, blo) = BarrettConstant(q).
-// Unlike MulMod it never divides: the quotient floor(x*y/q) is estimated
-// from the top 128 bits of the 256-bit product (x*y) * floor(2^128/q),
-// which undershoots by at most one, so a single conditional subtraction
-// finishes the reduction. Requires x, y < q < 2^63.
+// Unlike MulMod it never divides: it is ReduceWide of the 128-bit
+// product. Requires x, y < q < 2^63.
 func MulModBarrett(x, y, q, bhi, blo uint64) uint64 {
-	ahi, alo := bits.Mul64(x, y)
+	hi, lo := bits.Mul64(x, y)
+	return ReduceWide(hi, lo, q, bhi, blo)
+}
+
+// ReduceWide returns (hi·2^64 + lo) mod q where (bhi, blo) =
+// BarrettConstant(q). The quotient floor(a/q) of the 128-bit a is
+// estimated from the top 128 bits of the 256-bit product a·floor(2^128/q),
+// which undershoots by at most one (a·floor(2^128/q)/2^128 > a/q − a/2^128
+// > a/q − 1), so a single conditional subtraction finishes the reduction.
+// Requires hi < q < 2^63, i.e. a < q·2^64: the quotient then fits one
+// word. A product of two residues qualifies, and so does a sum of up to
+// WideTerms(q) of them (see there).
+func ReduceWide(hi, lo, q, bhi, blo uint64) uint64 {
 	// t = floor(a*b / 2^128), computed exactly: sum the 2^64-column
 	// partial products (carries propagate into the 2^128 column) and the
-	// 2^128-column partials. t <= a/q < q, so it fits in 64 bits.
-	c1hi, _ := bits.Mul64(alo, blo)
-	c2hi, c2lo := bits.Mul64(alo, bhi)
-	c3hi, c3lo := bits.Mul64(ahi, blo)
+	// 2^128-column partials. t <= a/q < 2^64.
+	c1hi, _ := bits.Mul64(lo, blo)
+	c2hi, c2lo := bits.Mul64(lo, bhi)
+	c3hi, c3lo := bits.Mul64(hi, blo)
 	mid, carry1 := bits.Add64(c1hi, c2lo, 0)
 	_, carry2 := bits.Add64(mid, c3lo, 0)
-	t := ahi*bhi + c2hi + c3hi + carry1 + carry2
-	r := alo - t*q
+	t := hi*bhi + c2hi + c3hi + carry1 + carry2
+	r := lo - t*q
 	if r >= q {
 		r -= q
 	}
 	return r
+}
+
+// Unreduced sums of products. An inner product Σ x_t·y_t of residues mod
+// q need not reduce each product: the raw products are added into an
+// accumulator and the sum is reduced once, as long as the accumulator
+// cannot overflow. A sum longer than that is taken in groups: at the end
+// of a group the accumulator is reduced to its residue r < q and the next
+// group adds onto r. Each product is at most (q−1)², so a group of n
+// terms started from a carried residue is safe when
+//
+//	n·(q−1)² + (q−1) < W
+//
+// with W the accumulator's bound: 2^64 for one word (NarrowTerms, and
+// ReduceWord), q·2^64 for two words (WideTerms, and ReduceWide).
+
+// NarrowTerms returns how many products of residues mod q one 64-bit
+// accumulator takes between reductions by ReduceWord: the largest n with
+// n·(q−1)² + (q−1) < 2^64. It is 1 just below q = 2^32 and at least 256
+// below 2^28. Requires 2 < q < 2^32.
+func NarrowTerms(q uint64) int {
+	m := q - 1
+	return int((^uint64(0) - m) / (m * m))
+}
+
+// WideTerms returns how many products of residues mod q a two-word
+// (128-bit) accumulator takes between reductions by ReduceWide:
+// floor((2^64−1)/q), which keeps n·(q−1)² + (q−1) < q·2^64 since
+// n·(q−1) + 1 <= n·q <= 2^64 − 1: 8 just below 2^61, 4 just below 2^62.
+// That is ReduceWide's contract, a quotient that fits one word. Its
+// arithmetic would in fact stay exact up to 2^128 (the quotient is only
+// used mod 2^64, and the estimate stays within one of it), but at the
+// benchmark's shapes no sum exceeds a group (three keyswitch digits,
+// eight diagonals per BSGS giant), so the wider bound would buy nothing
+// there. Requires 1 < q < 2^63.
+func WideTerms(q uint64) int {
+	return int(^uint64(0) / q)
 }
 
 // WordBarrett returns floor(2^64 / q), the one-word Barrett constant

@@ -85,6 +85,96 @@ func TestReduceWord(t *testing.T) {
 	}
 }
 
+// TestReduceWideAgainstBig: the 128-bit Barrett reduction must agree
+// with math/big over its whole domain hi < q, in particular at the top
+// (hi = q−1, lo = 2^64−1, the largest sum an accumulator may hold) and
+// at multiples of q, where an estimate one short leaves exactly q.
+func TestReduceWideAgainstBig(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 10))
+	for _, q := range []uint64{3, 97, 1<<32 + 15, 1<<45 - 55, testPrime, 1<<62 - 57} {
+		bhi, blo := BarrettConstant(q)
+		bq := new(big.Int).SetUint64(q)
+		check := func(hi, lo uint64) {
+			a := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+			a.Add(a, new(big.Int).SetUint64(lo))
+			if got, want := ReduceWide(hi, lo, q, bhi, blo), new(big.Int).Mod(a, bq).Uint64(); got != want {
+				t.Fatalf("q=%d ReduceWide(%d, %d)=%d want %d", q, hi, lo, got, want)
+			}
+		}
+		for _, hi := range []uint64{0, 1, q / 2, q - 1} {
+			for _, lo := range []uint64{0, 1, q - 1, q, ^uint64(0), ^uint64(0) - q} {
+				check(hi, lo)
+			}
+			// A multiple of q: (hi·2^64 + lo) = m·q for m = floor(hi·2^64/q)+1.
+			m := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+			m.Div(m, bq).Add(m, big.NewInt(1)).Mul(m, bq)
+			if m.BitLen() <= 128 {
+				mlo := new(big.Int).And(m, new(big.Int).SetUint64(^uint64(0))).Uint64()
+				if mhi := new(big.Int).Rsh(m, 64).Uint64(); mhi < q {
+					check(mhi, mlo)
+					check(mhi, mlo-1)
+				}
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			check(rng.Uint64N(q), rng.Uint64())
+		}
+	}
+}
+
+// TestSumHeadroomAgainstBig pins the group lengths of unreduced sums at
+// the headroom boundaries: a group of n maximal products (q−1)², started
+// from a carried residue q−1, stays below the accumulator's bound — 2^64
+// for NarrowTerms, q·2^64 for WideTerms — and for NarrowTerms one more
+// product does not, so the length is the largest safe one. Moduli: just
+// below 2^32 (one term per group), below 2^28 (at least 256), and just
+// below 2^61 and 2^62 (eight and four).
+func TestSumHeadroomAgainstBig(t *testing.T) {
+	sum := func(q uint64, n int) *big.Int {
+		m := new(big.Int).SetUint64(q - 1)
+		s := new(big.Int).Mul(m, m)
+		s.Mul(s, big.NewInt(int64(n)))
+		return s.Add(s, m)
+	}
+	word := new(big.Int).Lsh(big.NewInt(1), 64)
+	for _, c := range []struct {
+		q    uint64
+		want int // 0: only the lower bound below is asserted
+		min  int
+	}{{1<<32 - 5, 1, 1}, {1<<32 - 99, 1, 1}, {1<<28 - 57, 0, 256}, {1<<20 - 3, 0, 1 << 24}} {
+		n := NarrowTerms(c.q)
+		if n < c.min || c.want != 0 && n != c.want {
+			t.Fatalf("NarrowTerms(%d) = %d, want %d (at least %d)", c.q, n, c.want, c.min)
+		}
+		if sum(c.q, n).Cmp(word) >= 0 {
+			t.Fatalf("q=%d: %d products and a carry overflow one word", c.q, n)
+		}
+		if sum(c.q, n+1).Cmp(word) < 0 {
+			t.Fatalf("q=%d: %d products and a carry still fit one word: NarrowTerms is not the largest", c.q, n+1)
+		}
+	}
+	for _, c := range []struct {
+		q    uint64
+		want int
+	}{{testPrime, 8}, {1<<61 - 1, 8}, {1<<62 - 57, 4}, {1<<62 - 1<<40 + 1, 4}} {
+		n := WideTerms(c.q)
+		if n != c.want {
+			t.Fatalf("WideTerms(%d) = %d, want %d", c.q, n, c.want)
+		}
+		bound := new(big.Int).Mul(new(big.Int).SetUint64(c.q), word)
+		if sum(c.q, n).Cmp(bound) >= 0 {
+			t.Fatalf("q=%d: %d products and a carry reach q·2^64", c.q, n)
+		}
+		// One more maximal product (no carry) is already past the bound:
+		// a group one term longer would overflow the quotient word.
+		over := sum(c.q, n+1)
+		over.Sub(over, new(big.Int).SetUint64(c.q-1))
+		if over.Cmp(bound) < 0 {
+			t.Fatalf("q=%d: %d maximal products stay below q·2^64", c.q, n+1)
+		}
+	}
+}
+
 func TestBarrettConstantAgainstBig(t *testing.T) {
 	for _, q := range []uint64{3, 97, 1<<30 - 35, testPrime, 1<<62 - 57} {
 		want := new(big.Int).Lsh(big.NewInt(1), 128)

@@ -19,6 +19,7 @@ package ntt
 import (
 	"fmt"
 	"math/bits"
+	"math/rand/v2"
 	"sync"
 
 	"bitpacker/internal/nt"
@@ -48,6 +49,10 @@ type Table struct {
 	// residues then fits one word and the pointwise kernels reduce it
 	// with nt.ReduceWord. Zero selects the two-word Barrett path.
 	mu uint64
+	// group is how many raw products the sums of InnerProduct and
+	// MulCoeffsCross accumulate between reductions: nt.NarrowTerms(q) in
+	// one word when mu is set, nt.WideTerms(q) in two words otherwise.
+	group int
 	// lazyMu = nt.WordBarrett(q), set only when 2N·q < 2^64 (every
 	// q < 2^32 qualifies): it selects the correction-free regime of
 	// Forward and Inverse and finishes Forward's outputs. Zero selects
@@ -103,7 +108,9 @@ func NewTable(q uint64, n int) (*Table, error) {
 	}
 	t.brHi, t.brLo = nt.BarrettConstant(q)
 	if q < 1<<32 {
-		t.mu = nt.WordBarrett(q)
+		t.mu, t.group = nt.WordBarrett(q), nt.NarrowTerms(q)
+	} else {
+		t.group = nt.WideTerms(q)
 	}
 	if hi, _ := bits.Mul64(uint64(2*n), q); hi == 0 {
 		t.lazyMu = nt.WordBarrett(q)
@@ -483,25 +490,149 @@ func (t *Table) MulCoeffsAdd(out, a, b []uint64) {
 // MulCoeffsCross stores the cross product out[i] = a0[i]*b1[i] +
 // a1[i]*b0[i] mod q (all NTT domain) — the middle term of a degree-1
 // ciphertext product, computed in one pass instead of a MulCoeffs
-// followed by a MulCoeffsAdd.
+// followed by a MulCoeffsAdd. It is a two-term inner product and follows
+// InnerProduct's rule: both raw products are summed and reduced once,
+// unless one word cannot hold two (a modulus just below 2^32), in which
+// case the first is reduced before the second joins it.
 func (t *Table) MulCoeffsCross(out, a0, b1, a1, b0 []uint64) {
 	q, bhi, blo := t.Q, t.brHi, t.brLo
 	a0 = a0[:len(out)]
 	b1 = b1[:len(out)]
 	a1 = a1[:len(out)]
 	b0 = b0[:len(out)]
-	if mu := t.mu; mu != 0 {
-		// Two raw products can exceed one word at 32 bits, so the first
-		// is reduced before it joins the second.
+	switch mu := t.mu; {
+	case mu != 0 && t.group >= 2:
+		for i := range out {
+			out[i] = nt.ReduceWord(a0[i]*b1[i]+a1[i]*b0[i], q, mu)
+		}
+	case mu != 0:
 		for i := range out {
 			out[i] = nt.ReduceWord(a1[i]*b0[i]+nt.ReduceWord(a0[i]*b1[i], q, mu), q, mu)
 		}
-		return
+	default:
+		for i := range out {
+			hi, lo := bits.Mul64(a0[i], b1[i])
+			h, l := bits.Mul64(a1[i], b0[i])
+			lo, c := bits.Add64(lo, l, 0)
+			out[i] = nt.ReduceWide(hi+h+c, lo, q, bhi, blo)
+		}
 	}
-	for i := range out {
-		x := nt.MulModBarrett(a0[i], b1[i], q, bhi, blo)
-		y := nt.MulModBarrett(a1[i], b0[i], q, bhi, blo)
-		out[i] = nt.AddMod(x, y, q)
+}
+
+// Term is one summand of InnerProduct: X·Y0 goes to the first output and
+// X·Y1 to the second. A nil Y1 is drawn from Stream instead — word k of
+// the row is the k-th Stream.Uint64N(q) — so a seed-compressed operand
+// (the A half of a switching key) is regenerated as it is consumed and
+// never materializes.
+type Term struct {
+	X, Y0, Y1 []uint64
+	Stream    *rand.Rand
+}
+
+// ipBlock is how many coefficients InnerProduct accumulates at a time:
+// the accumulators (four words per coefficient in the wide regime), a
+// gathered X block and a streamed Y1 block stay in L1 across the terms.
+const ipBlock = 128
+
+// InnerProduct sets o0[k] = Σ_t X_t[j]·Y0_t[k] and o1[k] = Σ_t
+// X_t[j]·Y1_t[k] mod q (NTT domain), with j = gather[k] — a Galois
+// automorphism read in place, the table of AutomorphismNTTTable — or j = k
+// when gather is nil. Raw products are accumulated unreduced: in one word
+// when q < 2^32, in two words (bits.Mul64, bits.Add64) above, and each
+// sum is reduced once per coefficient per group of t.group terms
+// (nt.NarrowTerms, nt.WideTerms), the next group adding onto the reduced
+// residue. The outputs are canonical residues of the exact sums, so they
+// are bit-identical to a MulCoeffs followed by one MulCoeffsAdd per
+// further term. With no terms the outputs are zero. All slices have
+// length len(o0); an output may alias a Y operand, or an X operand when
+// gather is nil, but not an X operand under a gather.
+func (t *Table) InnerProduct(o0, o1, gather []uint64, terms []Term) {
+	n := len(o0)
+	o1 = o1[:n]
+	for b := 0; b < n; b += ipBlock {
+		m := min(ipBlock, n-b)
+		if t.mu != 0 {
+			t.innerNarrow(o0[b:b+m], o1[b:b+m], gather, terms, b)
+		} else {
+			t.innerWide(o0[b:b+m], o1[b:b+m], gather, terms, b)
+		}
+	}
+}
+
+// operands returns term tm's rows for the block of len(xb) coefficients
+// at offset b: X gathered into xb under a map, Y1 streamed into yb when
+// the term carries no Y1 row.
+func (t *Table) operands(tm *Term, gather []uint64, b int, xb, yb []uint64) (x, y0, y1 []uint64) {
+	m := len(xb)
+	x, y0, y1 = tm.X[b:b+m], tm.Y0[b:b+m], tm.Y1
+	if gather != nil {
+		for k, j := range gather[b : b+m] {
+			xb[k] = tm.X[j]
+		}
+		x = xb
+	}
+	if y1 == nil {
+		for k := range yb {
+			yb[k] = tm.Stream.Uint64N(t.Q)
+		}
+		return x, y0, yb
+	}
+	return x, y0, y1[b : b+m]
+}
+
+// innerNarrow is InnerProduct's block kernel for q < 2^32: a product of
+// residues fits one word, and so does a group of them.
+func (t *Table) innerNarrow(o0, o1, gather []uint64, terms []Term, b int) {
+	var acc0, acc1, xbuf, ybuf [ipBlock]uint64
+	m := len(o0)
+	o1, a0, a1, xb, yb := o1[:m], acc0[:m], acc1[:m], xbuf[:m], ybuf[:m]
+	q, mu := t.Q, t.mu
+	for i := range terms {
+		x, y0, y1 := t.operands(&terms[i], gather, b, xb, yb)
+		x, y0, y1 = x[:m], y0[:m], y1[:m]
+		for k, xv := range x {
+			a0[k] += xv * y0[k]
+			a1[k] += xv * y1[k]
+		}
+		if (i+1)%t.group == 0 && i+1 < len(terms) {
+			for k := range a0 {
+				a0[k], a1[k] = nt.ReduceWord(a0[k], q, mu), nt.ReduceWord(a1[k], q, mu)
+			}
+		}
+	}
+	for k := range o0 {
+		o0[k], o1[k] = nt.ReduceWord(a0[k], q, mu), nt.ReduceWord(a1[k], q, mu)
+	}
+}
+
+// innerWide is InnerProduct's block kernel for q >= 2^32: each sum is a
+// (hi, lo) word pair below q·2^64 until its group is reduced.
+func (t *Table) innerWide(o0, o1, gather []uint64, terms []Term, b int) {
+	var lo0, hi0, lo1, hi1, xbuf, ybuf [ipBlock]uint64
+	m := len(o0)
+	o1, l0, h0, l1, h1, xb, yb := o1[:m], lo0[:m], hi0[:m], lo1[:m], hi1[:m], xbuf[:m], ybuf[:m]
+	q, bhi, blo := t.Q, t.brHi, t.brLo
+	for i := range terms {
+		x, y0, y1 := t.operands(&terms[i], gather, b, xb, yb)
+		x, y0, y1 = x[:m], y0[:m], y1[:m]
+		for k, xv := range x {
+			hi, lo := bits.Mul64(xv, y0[k])
+			var c uint64
+			l0[k], c = bits.Add64(l0[k], lo, 0)
+			h0[k] += hi + c
+			hi, lo = bits.Mul64(xv, y1[k])
+			l1[k], c = bits.Add64(l1[k], lo, 0)
+			h1[k] += hi + c
+		}
+		if (i+1)%t.group == 0 && i+1 < len(terms) {
+			for k := range l0 {
+				l0[k], h0[k] = nt.ReduceWide(h0[k], l0[k], q, bhi, blo), 0
+				l1[k], h1[k] = nt.ReduceWide(h1[k], l1[k], q, bhi, blo), 0
+			}
+		}
+	}
+	for k := range o0 {
+		o0[k], o1[k] = nt.ReduceWide(h0[k], l0[k], q, bhi, blo), nt.ReduceWide(h1[k], l1[k], q, bhi, blo)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"math/big"
 	"math/bits"
 	"math/rand/v2"
 	"testing"
@@ -411,6 +412,100 @@ func TestPointwiseKernelsMatchMulMod(t *testing.T) {
 			x, y := nt.MulMod(a0[i], b1[i], q), nt.MulMod(a1[i], b0[i], q)
 			if mul[i] != x || add[i] != nt.AddMod(acc[i], x, q) || cross[i] != nt.AddMod(x, y, q) {
 				t.Fatalf("%d-bit prime, coeff %d: kernels disagree with nt.MulMod", c.bits, i)
+			}
+		}
+	}
+}
+
+// TestInnerProductHeadroom checks InnerProduct against math/big at the
+// headroom boundaries of its unreduced sums: a prime just below 2^32
+// (one product per one-word group), one below 2^28 (a group of at least
+// 256, here exceeded twice), and primes just below 2^61 and 2^62 (two-word
+// groups of eight and four, so the sums fold). A wide sum takes enough
+// terms to pass 2^128 unfolded: ReduceWide's result is exact for any
+// 128-bit word pair (its quotient is only needed mod 2^64), so only an
+// overflow of the pair itself can show a missing fold. Every word of
+// every operand is q−1 in one pass — the largest sums the bound admits —
+// and random in the other; X is read directly and through a gather, and
+// every other term streams its Y1.
+func TestInnerProductHeadroom(t *testing.T) {
+	const n = 2*ipBlock + 64 // two full blocks and a partial one
+	for _, c := range []struct {
+		bits  int
+		group int // 0: at least 256
+	}{{32, 1}, {28, 0}, {61, 8}, {62, 4}} {
+		q := nt.PreviousNTTPrime(1<<c.bits, 2*512)
+		tab := testTable(t, q, 512)
+		if c.group != 0 && tab.group != c.group || c.group == 0 && tab.group < 256 {
+			t.Fatalf("%d-bit prime %d: group %d, want %d", c.bits, q, tab.group, c.group)
+		}
+		terms := 2*tab.group + 1
+		if tab.mu == 0 {
+			sq := new(big.Int).SetUint64(q - 1)
+			sq.Mul(sq, sq)
+			unfolded := new(big.Int).Lsh(big.NewInt(1), 128)
+			terms = max(terms, int(unfolded.Div(unfolded, sq).Int64())+1)
+		}
+		gather := make([]uint64, n)
+		for k := range gather {
+			gather[k] = uint64(k*5) % n
+		}
+		bq := new(big.Int).SetUint64(q)
+		rng := rand.New(rand.NewPCG(uint64(c.bits), 27))
+		for _, maximal := range []bool{true, false} {
+			word := func() uint64 {
+				if maximal {
+					return q - 1
+				}
+				return rng.Uint64N(q)
+			}
+			row := func() []uint64 {
+				r := make([]uint64, n)
+				for k := range r {
+					r[k] = word()
+				}
+				return r
+			}
+			ts := make([]Term, terms)
+			y1s := make([][]uint64, terms) // what each term's Y1 is, streamed or not
+			for i := range ts {
+				ts[i] = Term{X: row(), Y0: row()}
+				if i%2 == 0 {
+					ts[i].Y1 = row()
+					y1s[i] = ts[i].Y1
+				} else {
+					y1s[i] = make([]uint64, n)
+					ref := rand.New(rand.NewPCG(uint64(i), 1))
+					for k := range y1s[i] {
+						y1s[i][k] = ref.Uint64N(q)
+					}
+				}
+			}
+			for _, g := range [][]uint64{nil, gather} {
+				for i := range ts {
+					if ts[i].Y1 == nil {
+						ts[i].Stream = rand.New(rand.NewPCG(uint64(i), 1))
+					}
+				}
+				o0, o1 := make([]uint64, n), make([]uint64, n)
+				tab.InnerProduct(o0, o1, g, ts)
+				for k := 0; k < n; k++ {
+					j := k
+					if g != nil {
+						j = int(g[k])
+					}
+					s0, s1, p := new(big.Int), new(big.Int), new(big.Int)
+					for i, tm := range ts {
+						x := new(big.Int).SetUint64(tm.X[j])
+						s0.Add(s0, p.Mul(x, new(big.Int).SetUint64(tm.Y0[k])))
+						s1.Add(s1, p.Mul(x, new(big.Int).SetUint64(y1s[i][k])))
+					}
+					w0, w1 := s0.Mod(s0, bq).Uint64(), s1.Mod(s1, bq).Uint64()
+					if o0[k] != w0 || o1[k] != w1 {
+						t.Fatalf("%d-bit q=%d, %d terms, maximal=%v, gather=%v, coeff %d: got (%d, %d), math/big says (%d, %d)",
+							c.bits, q, terms, maximal, g != nil, k, o0[k], o1[k], w0, w1)
+					}
+				}
 			}
 		}
 	}

@@ -64,20 +64,6 @@ func MulRelinProducts(d0, d1, d2, a0, a1, b0, b1 *Poly) {
 	fused(mulOp(who, d0, a0, b0), crossOp(who, d1, a0, b1, a1, b0), mulOp(who, d2, a1, b1))
 }
 
-// MulCoeffsPairInto sets o0 = x⊙y0 and o1 = x⊙y1 in one fused pass per
-// row, reading the shared operand x once per residue (NTT domain).
-func MulCoeffsPairInto(o0, o1, x, y0, y1 *Poly) {
-	const who = "MulCoeffsPairInto"
-	fused(mulOp(who, o0, x, y0), mulOp(who, o1, x, y1))
-}
-
-// MulCoeffsPairAdd accumulates o0 += x⊙y0 and o1 += x⊙y1 in one fused
-// pass per row (NTT domain).
-func MulCoeffsPairAdd(o0, o1, x, y0, y1 *Poly) {
-	const who = "MulCoeffsPairAdd"
-	fused(mulAddOp(who, o0, x, y0), mulAddOp(who, o1, x, y1))
-}
-
 // AddPair sets o0 = a0 + b0 and o1 = a1 + b1, batching both component
 // sums (2R rows) into one fork/join. Aliasing within a component is fine.
 func AddPair(o0, a0, b0, o1, a1, b1 *Poly) { perRow(addOp(o0, a0, b0), addOp(o1, a1, b1)) }
@@ -143,4 +129,27 @@ func AutomorphismFromNTTBatch(k uint64, ps ...*Poly) []*Poly {
 	tmp := in.lent()
 	fused(borrow(tmp), copyOp(tmp, in), inverseOp(tmp), permuteOp(who, out, tmp, k), release(tmp))
 	return outs
+}
+
+// Term is one summand of InnerProduct: X⊙Y0 into the first output, X⊙Y1
+// into the second. A nil Y1 stands for the seed-compressed uniform
+// polynomial of Seed (UniformPolyFromSeed over X's moduli), regenerated
+// row by row inside the kernel: it never materializes.
+type Term struct {
+	X, Y0, Y1 *Poly
+	Seed      Seed
+}
+
+// InnerProduct sets o0 = Σ_t φ_k(X_t)⊙Y0_t and o1 = Σ_t φ_k(X_t)⊙Y1_t in
+// one fork/join over the outputs' rows (NTT domain; k = 1 is the
+// identity): the keyswitch's digit sum, a BSGS giant's diagonal sum.
+// Products accumulate unreduced and each coefficient is reduced once per
+// group of terms (ntt.Table.InnerProduct), and φ_k is read in place, so
+// no permuted copy of an X is made. A term may cover a prefix of the
+// outputs' moduli; the rows past it get nothing from that term. The
+// outputs are pre-shaped (pooled, uninitialized is fine: every word is
+// written), bit-identical to a MulCoeffs plus one MulCoeffsAdd per
+// further term on φ_k(X_t), and must not alias an X when k != 1.
+func InnerProduct(o0, o1 *Poly, k uint64, terms []Term) {
+	each(innerOp("InnerProduct", o0, o1, k, terms))
 }

@@ -142,17 +142,19 @@ func TestPairKernelsMatchStaged(t *testing.T) {
 		mustEqual(t, "MulCoeffsPair/0", o0, w0)
 		mustEqual(t, "MulCoeffsPair/1", o1, w1)
 
-		MulCoeffsPairInto(o0, o1, a0, b0, b1)
-		w0.MulCoeffs(a0, b0)
-		w1.MulCoeffs(a0, b1)
-		mustEqual(t, "MulCoeffsPairInto/0", o0, w0)
-		mustEqual(t, "MulCoeffsPairInto/1", o1, w1)
-
-		MulCoeffsPairAdd(o0, o1, a1, b0, b1)
-		w0.MulCoeffsAdd(a1, b0)
-		w1.MulCoeffsAdd(a1, b1)
-		mustEqual(t, "MulCoeffsPairAdd/0", o0, w0)
-		mustEqual(t, "MulCoeffsPairAdd/1", o1, w1)
+		// The inner product against its staged composition: a product
+		// pass, then one accumulate pass per further term, on the
+		// permuted operands.
+		for _, k := range []uint64{1, GaloisElementForRotation(3, ctx.N)} {
+			InnerProduct(o0, o1, k, []Term{{X: a0, Y0: b0, Y1: b1}, {X: a1, Y0: b1, Y1: b0}})
+			x0, x1 := a0.PermuteNTT(k), a1.PermuteNTT(k)
+			w0.MulCoeffs(x0, b0)
+			w1.MulCoeffs(x0, b1)
+			w0.MulCoeffsAdd(x1, b1)
+			w1.MulCoeffsAdd(x1, b0)
+			mustEqual(t, "InnerProduct/0", o0, w0)
+			mustEqual(t, "InnerProduct/1", o1, w1)
+		}
 	})
 }
 

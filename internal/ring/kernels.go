@@ -2,6 +2,7 @@ package ring
 
 import (
 	"math/big"
+	"slices"
 
 	"bitpacker/internal/engine"
 	"bitpacker/internal/nt"
@@ -201,7 +202,8 @@ func zeroOp(o *Poly) rowOp {
 }
 
 // Pointwise products, evaluation domain only (where the pointwise product
-// is ring multiplication): o = a⊙b, o += a⊙b, o = a0⊙b1 + a1⊙b0. The
+// is ring multiplication): o = a⊙b, o += a⊙b, o = a0⊙b1 + a1⊙b0, and the
+// inner products o0 = Σ φ(x_t)⊙y0_t, o1 = Σ φ(x_t)⊙y1_t. The
 // per-coefficient loops are the NTT table's, which reduce through its
 // Barrett constants rather than a hardware divide per coefficient.
 
@@ -229,6 +231,49 @@ func crossOp(who string, o, a0, b1, a1, b0 *Poly) rowOp {
 	return o.op(func(i int) {
 		o.table(i).MulCoeffsCross(o.Coeffs[i], a0.Coeffs[i], b1.Coeffs[i], a1.Coeffs[i], b0.Coeffs[i])
 	})
+}
+
+// innerOp sets o0 = Σ_t φ_k(X_t)⊙Y0_t and o1 = Σ_t φ_k(X_t)⊙Y1_t row by
+// row through the table's InnerProduct: one reduction per coefficient
+// per group of terms instead of one per product. A term's operands share
+// their moduli, which are a prefix of the outputs' (a live-width term
+// adds nothing to an extended output's special rows); a term without Y1
+// draws it from the row stream of its seed. The Galois map is read in
+// place, so no output may alias an X when k != 1.
+func innerOp(who string, o0, o1 *Poly, k uint64, terms []Term) rowOp {
+	sameShape(o0, o1)
+	needNTT(who, o0, true)
+	for _, tm := range terms {
+		needNTT(who, tm.X, true)
+		sameShape(tm.X, tm.Y0)
+		if tm.Y1 != nil {
+			sameShape(tm.X, tm.Y1)
+		}
+		if len(tm.X.Moduli) > len(o0.Moduli) || !slices.Equal(tm.X.Moduli, o0.Moduli[:len(tm.X.Moduli)]) {
+			panic("ring: " + who + ": term moduli are not a prefix of the output's")
+		}
+	}
+	var gather []uint64
+	if k != 1 {
+		gather = o0.ctx.AutomorphismNTTTable(k)
+	}
+	return rowOp{len(o0.Coeffs), o0.ctx.N * max(len(terms), 1), func(i int) {
+		var buf [8]ntt.Term // a keyswitch's digits or a giant's diagonals; more go to the heap
+		ts := buf[:0]
+		for _, tm := range terms {
+			if i >= len(tm.X.Coeffs) {
+				continue
+			}
+			r := ntt.Term{X: tm.X.Coeffs[i], Y0: tm.Y0.Coeffs[i]}
+			if tm.Y1 != nil {
+				r.Y1 = tm.Y1.Coeffs[i]
+			} else {
+				r.Stream = rowStream(o0.Moduli[i], tm.Seed)
+			}
+			ts = append(ts, r)
+		}
+		o0.table(i).InnerProduct(o0.Coeffs[i], o1.Coeffs[i], gather, ts)
+	}}
 }
 
 // reduceBig reduces an arbitrary (possibly negative) integer modulo each

@@ -220,6 +220,7 @@ func TestEntryPointsMatchIndependentReference(t *testing.T) {
 				e.permutations()
 				e.levels()
 				e.seeded(alias)
+				e.inner(alias)
 			}
 		}
 	}
@@ -297,8 +298,8 @@ func (e *refEnv) pointwise(alias bool) {
 func (e *refEnv) products(alias bool) {
 	m := e.moduli
 	a0, a1, b0, b1 := e.poly(m, true), e.poly(m, true), e.poly(m, true), e.poly(m, true)
-	acc0, acc1 := e.poly(m, true), e.poly(m, true)
-	ra0, ra1, rb0, rb1, rc0, rc1 := rows(a0), rows(a1), rows(b0), rows(b1), rows(acc0), rows(acc1)
+	acc0 := e.poly(m, true)
+	ra0, ra1, rb0, rb1, rc0 := rows(a0), rows(a1), rows(b0), rows(b1), rows(acc0)
 	cp := func() (x0, x1 *Poly) { return a0.Copy(), a1.Copy() }
 
 	x0, _ := cp()
@@ -335,19 +336,6 @@ func (e *refEnv) products(alias bool) {
 	AddScalarBigCopyPair(d0, x0, d1, x1, c)
 	e.check("AddScalarBigCopyPair/0", d0, m, zip(m, refAdd, ra0, e.fwd(m, rc)), true)
 	e.check("AddScalarBigCopyPair/1", d1, m, ra1, true)
-
-	// x⊙y0, x⊙y1 with x shared: only the second output may alias x, the
-	// first is written before x's last read.
-	x0, _ = cp()
-	d0, d1 = e.dst(b0.Copy(), false), e.dst(x0, alias)
-	MulCoeffsPairInto(d0, d1, x0, b0, b1)
-	e.check("MulCoeffsPairInto/0", d0, m, zip(m, refProd, ra0, rb0), true)
-	e.check("MulCoeffsPairInto/1", d1, m, zip(m, refProd, ra0, rb1), true)
-
-	c0, c1 := acc0.Copy(), acc1.Copy()
-	MulCoeffsPairAdd(c0, c1, a0, b0, b1)
-	e.check("MulCoeffsPairAdd/0", c0, m, zip(m, refMulAdd, rc0, ra0, rb0), true)
-	e.check("MulCoeffsPairAdd/1", c1, m, zip(m, refMulAdd, rc1, ra0, rb1), true)
 
 	// d0 = a0⊙b0, d1 = a0⊙b1 + a1⊙b0, d2 = a1⊙b1; the last output may
 	// alias an input, the first two are written while inputs are live.
@@ -499,17 +487,60 @@ func (e *refEnv) seeded(alias bool) {
 	e.check("UniformPolyFromSeed", UniformPolyFromSeed(e.ctx, m, seed), m, u, true)
 	e.check("GetUniformPolyFromSeed", GetUniformPolyFromSeed(e.ctx, m, seed), m, u, true)
 	e.check("UniformPolyFromSeed (sub-basis)", UniformPolyFromSeed(e.ctx, m[1:], seed), m[1:], u[1:], true)
+}
 
-	x, y, acc0, acc1 := e.poly(m, true), e.poly(m, true), e.poly(m, true), e.poly(m, true)
-	rx, ry, rc0, rc1 := rows(x), rows(y), rows(acc0), rows(acc1)
-	d0, d1 := e.dst(y.Copy(), false), e.dst(x, alias)
-	MulCoeffsPairIntoSeeded(d0, d1, x, y, seed)
-	e.check("MulCoeffsPairIntoSeeded/0", d0, m, zip(m, refProd, rx, ry), true)
-	e.check("MulCoeffsPairIntoSeeded/1", d1, m, zip(m, refProd, rx, u), true)
-
-	x = e.poly(m, true)
-	rx = rows(x)
-	MulCoeffsPairAddSeeded(acc0, acc1, x, y, seed)
-	e.check("MulCoeffsPairAddSeeded/0", acc0, m, zip(m, refMulAdd, rc0, rx, ry), true)
-	e.check("MulCoeffsPairAddSeeded/1", acc1, m, zip(m, refMulAdd, rc1, rx, u), true)
+// inner checks InnerProduct on ten terms — more than a 61-bit modulus's
+// group of eight, so the wide sum folds — with dense and seed-compressed
+// Y1 rows and one term over a prefix of the outputs' moduli, under the
+// identity and two Galois maps. The reference gathers each X by the
+// definition's index map (the evaluation-domain image of shift's
+// automorphism) and sums products mod q one at a time.
+func (e *refEnv) inner(alias bool) {
+	m := e.moduli
+	const terms = 10
+	seed := Seed{0x1eed, uint64(len(e.tag))}
+	for _, k := range []uint64{1, GaloisElementForRotation(5, refN), GaloisElementForConjugation(refN)} {
+		ts := make([]Term, terms)
+		for t := range ts {
+			mt := m
+			if t == 3 {
+				mt = m[:2]
+			}
+			ts[t] = Term{X: e.poly(mt, true), Y0: e.poly(mt, true), Y1: e.poly(mt, true)}
+			if t%4 == 1 {
+				ts[t].Y1, ts[t].Seed = nil, seed.Derive(uint64(t))
+			}
+		}
+		want0, want1 := make([][]uint64, len(m)), make([][]uint64, len(m))
+		for i, q := range m {
+			want0[i], want1[i] = make([]uint64, refN), make([]uint64, refN)
+			for _, tm := range ts {
+				if i >= len(tm.X.Moduli) {
+					continue
+				}
+				x := e.fwd(m[i:i+1], shift(m[i:i+1], e.inv(m[i:i+1], [][]uint64{tm.X.Coeffs[i]}), func(j uint64) uint64 { return j * k }))[0]
+				y1 := make([]uint64, refN)
+				if tm.Y1 != nil {
+					copy(y1, tm.Y1.Coeffs[i])
+				} else {
+					UniformRowFromSeed(y1, q, tm.Seed)
+				}
+				for c := range x {
+					want0[i][c] = (want0[i][c] + refMul(x[c], tm.Y0.Coeffs[i][c], q)) % q
+					want1[i][c] = (want1[i][c] + refMul(x[c], y1[c], q)) % q
+				}
+			}
+		}
+		o0, o1 := e.poly(m, true), e.poly(m, true)
+		if alias {
+			// An output may alias a Y operand; under the identity, an X.
+			o0 = ts[terms-2].Y1
+			if k == 1 {
+				o1 = ts[0].X
+			}
+		}
+		InnerProduct(o0, o1, k, ts)
+		e.check(fmt.Sprintf("InnerProduct(k=%d)/0", k), o0, m, want0, true)
+		e.check(fmt.Sprintf("InnerProduct(k=%d)/1", k), o1, m, want1, true)
+	}
 }

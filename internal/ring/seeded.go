@@ -45,11 +45,17 @@ func (s Seed) Derive(labels ...uint64) Seed {
 // the same (seed, q) always reproduces the same words, regardless of
 // what other rows exist.
 func UniformRowFromSeed(dst []uint64, q uint64, seed Seed) {
-	rs := seed.Derive(q)
-	rng := rand.New(rand.NewPCG(rs[0], rs[1]))
+	rng := rowStream(q, seed)
 	for k := range dst {
 		dst[k] = rng.Uint64N(q)
 	}
+}
+
+// rowStream is the generator of the row for (seed, q): word k of the row
+// is its k-th Uint64N(q). InnerProduct consumes it a block at a time.
+func rowStream(q uint64, seed Seed) *rand.Rand {
+	rs := seed.Derive(q)
+	return rand.New(rand.NewPCG(rs[0], rs[1]))
 }
 
 // UniformPolyFromSeed returns a freshly allocated uniform polynomial over
@@ -71,25 +77,4 @@ func GetUniformPolyFromSeed(ctx *Context, moduli []uint64, seed Seed) *Poly {
 	p.IsNTT = true
 	each(uniformOp(p, seed))
 	return p
-}
-
-// MulCoeffsPairIntoSeeded sets o0 = x⊙y0 and o1 = x⊙U in one fused pass
-// per residue row, where U is the seed-compressed uniform polynomial:
-// row i of U is regenerated from (seed, x.Moduli[i]) into pooled scratch,
-// consumed while cache-hot, and released — U never materializes. All
-// polys NTT domain; bit-identical to MulCoeffsPairInto against the dense
-// UniformPolyFromSeed(.., seed) restricted to x's moduli.
-func MulCoeffsPairIntoSeeded(o0, o1, x, y0 *Poly, seed Seed) {
-	const who = "MulCoeffsPairIntoSeeded"
-	u := x.lent()
-	fused(mulOp(who, o0, x, y0), borrow(u), uniformOp(u, seed), mulOp(who, o1, x, u), release(u))
-}
-
-// MulCoeffsPairAddSeeded accumulates o0 += x⊙y0 and o1 += x⊙U with U
-// seed-regenerated per row (NTT domain) — the accumulate twin of
-// MulCoeffsPairIntoSeeded.
-func MulCoeffsPairAddSeeded(o0, o1, x, y0 *Poly, seed Seed) {
-	const who = "MulCoeffsPairAddSeeded"
-	u := x.lent()
-	fused(mulAddOp(who, o0, x, y0), borrow(u), uniformOp(u, seed), mulAddOp(who, o1, x, u), release(u))
 }

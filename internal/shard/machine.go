@@ -251,6 +251,7 @@ func (m *machine) dispatch(now time.Time) {
 			rec := &m.shards[sl.shard]
 			rec.epoch++
 			rec.state, rec.owner, sl.epoch = shardLeased, sl.id, rec.epoch
+			m.note(nil, "shard: action=assign worker=%d peer=%s shard=%d epoch=%d", sl.id, sl.peer, sl.shard, sl.epoch)
 			m.emit(action{kind: actSend, slot: sl.id, msg: Msg{Type: MsgAssign, Shard: sl.shard, Epoch: sl.epoch}})
 		}
 	}

@@ -129,21 +129,33 @@ func assertBitIdentical(t *testing.T, ctx *bitpacker.Context, label string, got,
 }
 
 // spawnLine is the supervisor's log line for a worker it spawned: the
-// slot and the pid its peer names.
-var spawnLine = regexp.MustCompile(`action=(?:re)?spawn worker=(\d+) peer=pid (\d+) at `)
+// slot and the pid its peer names. assignLine is its line for a lease:
+// the slot, the pid and the shard.
+var (
+	spawnLine  = regexp.MustCompile(`action=(?:re)?spawn worker=(\d+) peer=pid (\d+) at `)
+	assignLine = regexp.MustCompile(`action=assign worker=(\d+) peer=pid (\d+) at \S+ shard=(\d+) `)
+)
 
-// onSpawn wraps opts.Logf so that f observes every worker session start
-// of a spawned fleet, as its spawn or respawn line reports it.
-func onSpawn(opts *bitpacker.ShardOptions, f func(slot, pid int)) {
+// onLine wraps opts.Logf so that f observes the integer submatches of
+// every supervisor log line re matches.
+func onLine(opts *bitpacker.ShardOptions, re *regexp.Regexp, f func(n []int)) {
 	logf := opts.Logf
 	opts.Logf = func(format string, args ...any) {
-		if m := spawnLine.FindStringSubmatch(fmt.Sprintf(format, args...)); m != nil {
-			slot, _ := strconv.Atoi(m[1])
-			pid, _ := strconv.Atoi(m[2])
-			f(slot, pid)
+		if m := re.FindStringSubmatch(fmt.Sprintf(format, args...)); m != nil {
+			n := make([]int, len(m)-1)
+			for i, s := range m[1:] {
+				n[i], _ = strconv.Atoi(s)
+			}
+			f(n)
 		}
 		logf(format, args...)
 	}
+}
+
+// onSpawn has f observe every worker session start of a spawned fleet,
+// as its spawn or respawn line reports it.
+func onSpawn(opts *bitpacker.ShardOptions, f func(slot, pid int)) {
+	onLine(opts, spawnLine, func(n []int) { f(n[0], n[1]) })
 }
 
 func forBothSchemes(t *testing.T, f func(t *testing.T, scheme bitpacker.Scheme)) {
@@ -462,28 +474,33 @@ func TestShardedForeignExchangeCleared(t *testing.T) {
 // on zero lost or duplicated shards: the output must be exactly the
 // unsharded batch, in order, bit-identical — every killed worker's
 // shards recovered, none applied twice. The first kill fires on the
-// first spawn the supervisor logs (the job can end before any timer
-// would), the rest every 150–300 ms, and the report must count a crash:
-// a soak that killed nothing proves nothing.
+// first lease the supervisor logs, at the worker holding it (the job can
+// end before any timer would), the rest every 150–300 ms at a random
+// live worker, and the report must count a crash and a re-dispatch: a
+// soak that killed nothing, or no worker with a shard, proves nothing.
 func TestShardSoak(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
 	inputs := encryptBatch(t, ctx, 10, 51)
 	want := unshardedRun(t, ctx, testProgram, inputs)
 
 	var mu sync.Mutex
-	pids := map[int]int{} // slot -> live pid
-	var spawned []int     // every pid the supervisor ever started
-	first := make(chan struct{})
+	pids := map[int]int{}      // slot -> live pid
+	var spawned []int          // every pid the supervisor ever started
+	first := make(chan int, 1) // the pid of the first lease
 	opts := baseOpts(t)
 	opts.Workers = 3
 	opts.Respawn = bitpacker.RespawnPolicy{MaxAttempts: 1000, BaseDelay: time.Millisecond, BreakerThreshold: 1000, Seed: 5}
 	onSpawn(&opts, func(slot, pid int) {
 		mu.Lock()
 		pids[slot] = pid
-		if spawned = append(spawned, pid); len(spawned) == 1 {
-			close(first)
-		}
+		spawned = append(spawned, pid)
 		mu.Unlock()
+	})
+	onLine(&opts, assignLine, func(n []int) {
+		select {
+		case first <- n[1]:
+		default:
+		}
 	})
 
 	stop := make(chan struct{})
@@ -492,28 +509,30 @@ func TestShardSoak(t *testing.T) {
 	go func() {
 		defer killer.Done()
 		rng := rand.New(rand.NewPCG(99, 7))
-		spawn, wait := (<-chan struct{})(first), (<-chan time.Time)(nil)
+		var victim int
+		select {
+		case <-stop:
+			return
+		case victim = <-first:
+		}
 		for {
+			if p, err := os.FindProcess(victim); victim > 0 && err == nil {
+				p.Kill() // the process may already be gone; that's fine
+			}
 			select {
 			case <-stop:
 				return
-			case <-spawn:
-				spawn = nil // fire once, now
-			case <-wait:
+			case <-time.After(time.Duration(150+rng.IntN(150)) * time.Millisecond):
 			}
-			wait = time.After(time.Duration(150+rng.IntN(150)) * time.Millisecond)
 			mu.Lock()
 			var live []int
 			for _, pid := range pids {
 				live = append(live, pid)
 			}
 			mu.Unlock()
-			if len(live) == 0 {
-				continue
-			}
-			victim := live[rng.IntN(len(live))]
-			if p, err := os.FindProcess(victim); err == nil {
-				p.Kill() // the process may already be gone; that's fine
+			victim = 0 // no live worker: nobody to kill this round
+			if len(live) > 0 {
+				victim = live[rng.IntN(len(live))]
 			}
 		}
 	}()
@@ -526,8 +545,8 @@ func TestShardSoak(t *testing.T) {
 	}
 	assertBitIdentical(t, ctx, "soak", got, want)
 	t.Logf("soak stats: %+v", report.Stats)
-	if report.Stats.Crashes == 0 {
-		t.Fatalf("soak killed no worker: %+v", report.Stats)
+	if report.Stats.Crashes == 0 || report.Stats.Redispatches == 0 {
+		t.Fatalf("soak killed no worker holding a shard: %+v", report.Stats)
 	}
 	if len(got) != len(inputs) {
 		t.Fatalf("soak lost or duplicated shards: %d outputs for %d inputs", len(got), len(inputs))
