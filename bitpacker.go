@@ -491,10 +491,10 @@ func (c *Context) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 }
 
 // MulRescale multiplies (with relinearization) and rescales as one fused
-// macro operation: the tensor product, keyswitch and level transition
-// share intermediates, so the product never materializes as a full
-// ciphertext between the two steps. Bit-identical to Mul followed by
-// Rescale.
+// macro operation that divides once: the relinearized product stays in
+// the extended basis and one level change sheds the special primes with
+// the retired moduli. It decrypts as Mul followed by Rescale does (same
+// level, scale and noise estimate) but is not bit-identical to it.
 func (c *Context) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	return c.runOp("MulRescale", func() (*ckks.Ciphertext, error) { return c.eval.MulRescale(a.ct, b.ct) })
 }

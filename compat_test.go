@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io/fs"
+	"math/cmplx"
 	"os"
 	"path/filepath"
 	"testing"
@@ -108,8 +109,12 @@ func TestParentFormatReencodes(t *testing.T) {
 
 // TestParentExchangeResumes reruns the job of a kept exchange directory
 // the parent wrote: every shard's final checkpoint is accepted as it is
-// (nothing recomputed), and the outputs are bit-identical to both the
-// parent's stored results and a fresh in-process run.
+// (nothing recomputed), so the outputs are bit-identical to the parent's
+// stored results, and a fresh in-process run decrypts to the same values
+// within 2^-24 (they read about 2^-30 apart). The fresh run's words
+// differ from the stored ones since the division rounds and MulRescale
+// (the square) divides once: the checkpoints pin the layout, not the
+// arithmetic.
 func TestParentExchangeResumes(t *testing.T) {
 	ctx := parentFormatCtx(t)
 	inputs, err := ctx.DecodeCiphertexts(readParentFormat(t, "batch3.bin"))
@@ -168,9 +173,14 @@ func TestParentExchangeResumes(t *testing.T) {
 	for i := range got {
 		g, _ := ctx.MarshalCiphertext(got[i])
 		s, _ := ctx.MarshalCiphertext(stored[i])
-		f, _ := ctx.MarshalCiphertext(fresh[i])
-		if !bytes.Equal(g, s) || !bytes.Equal(g, f) {
-			t.Fatalf("output %d: not bit-identical to the parent's checkpoint and a fresh run", i)
+		if !bytes.Equal(g, s) {
+			t.Fatalf("output %d: not bit-identical to the parent's checkpoint", i)
+		}
+		want, got := ctx.MustDecrypt(stored[i]), ctx.MustDecrypt(fresh[i])
+		for k := range want {
+			if d := cmplx.Abs(got[k] - want[k]); d > 0x1p-24 {
+				t.Fatalf("output %d slot %d: a fresh run decrypts %.3g away from the parent's checkpoint", i, k, d)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package bitpacker
 
-import "bitpacker/internal/fherr"
+import (
+	"bitpacker/internal/ckks"
+	"bitpacker/internal/fherr"
+)
 
 // Higher-level helpers built on the primitive homomorphic operations.
 // All of them propagate the typed errors of the primitives they compose.
@@ -57,24 +60,12 @@ func (c *Context) Power(ct *Ciphertext, k int) (*Ciphertext, error) {
 }
 
 // InnerSum folds the first n slots (n a power of two, n <= Slots()) so
-// that slot 0 holds their sum, using rotate-and-add. The context must have
-// Galois keys for rotations 1, 2, 4, ..., n/2 (Config.Rotations).
+// that slot 0 holds their sum, using rotate-and-add with one division of
+// the first component for the whole sum (see DESIGN.md). The context
+// must have Galois keys for rotations 1, 2, 4, ..., n/2
+// (Config.Rotations).
 func (c *Context) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
-	if n <= 0 || n&(n-1) != 0 || n > c.Slots() {
-		return nil, fherr.Wrap(fherr.ErrInvalidParams,
-			"bitpacker: InnerSum width %d must be a power of two <= %d", n, c.Slots())
-	}
-	out := ct
-	for s := 1; s < n; s <<= 1 {
-		rot, err := c.Rotate(out, s)
-		if err != nil {
-			return nil, err
-		}
-		if out, err = c.Add(out, rot); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return c.runOp("InnerSum", func() (*ckks.Ciphertext, error) { return c.eval.InnerSum(ct.ct, n) })
 }
 
 // EvalPolynomial evaluates sum_i coeffs[i] * x^i homomorphically (Horner's

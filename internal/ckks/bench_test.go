@@ -10,9 +10,10 @@ import (
 
 // BenchmarkDivideOnce times the operations whose divisions moved — the
 // BSGS apply of a dense 32×32 matrix (32 diagonals), MulRescale,
-// AdjustTo from the top level to level 1 and a degree-7 Chebyshev series
-// — at logN 12 on the benchmark's two configurations (BitPacker at 28-bit
-// words, RNS-CKKS at 61; 8 levels of 40-bit scale, 3 digits). CI runs it
+// AdjustTo from the top level to level 1, a degree-7 Chebyshev series
+// and a 32-slot InnerSum — at logN 12 on the benchmark's two
+// configurations (BitPacker at 28-bit words, RNS-CKKS at 61; 8 levels
+// of 40-bit scale, 3 digits). CI runs it
 // once as a smoke (-benchtime 1x); for numbers, build the parent's and
 // the change's test binaries and alternate them pinned (verify skill).
 func BenchmarkDivideOnce(b *testing.B) {
@@ -29,7 +30,7 @@ func BenchmarkDivideOnce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.addRotationKeys(lt.Rotations())
+		s.addRotationKeys(append(lt.Rotations(), 16))
 		cheb7 := []float64{0.1, 0.8, -0.3, 0.05, 0.12, -0.05, 0.03, 0.02}
 		for _, op := range []struct {
 			name string
@@ -43,6 +44,7 @@ func BenchmarkDivideOnce(b *testing.B) {
 					b.Fatal(err)
 				}
 			}},
+			{"InnerSum32", func() { innerSum(b, s, ct, 32) }},
 		} {
 			b.Run(c.name+"/"+op.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

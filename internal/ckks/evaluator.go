@@ -818,10 +818,9 @@ func (ev *Evaluator) addPair(a0, a1, b0, b1 *ring.Poly) {
 // Hybrid keyswitching: decompose c2 into Dnum digits (grouped by the
 // parameter layout), extend each digit from its live moduli to the full
 // live+special basis (ModUp, approximate), inner-multiply with the key,
-// and divide the accumulated pair by P (ModDown, exact up to the floor
-// error) to land back on the live moduli. The two halves are split so
-// rotation-heavy kernels can hoist the decomposition (DecomposeModUp)
-// across many keys.
+// and divide the accumulated pair by P (ModDown, rounded) to land back
+// on the live moduli. The two halves are split so rotation-heavy kernels
+// can hoist the decomposition (DecomposeModUp) across many keys.
 func (ev *Evaluator) keySwitch(c2 *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
 	hd := ev.decomposePoly(c2)
 	out0, out1 := ev.keySwitchHoisted(hd, swk, 1)
@@ -1073,6 +1072,57 @@ func (ev *Evaluator) RotateHoistedMulRescale(ct *Ciphertext, steps []int, pt *Pl
 		ring.MulCoeffsPair(c0, c0, e1, e1, m)
 		return ev.transition(extDown, c0, e1, true, nil, extScale, extNoise, nil)
 	})
+}
+
+// InnerSum folds the first n slots (n a power of two, n ≤ Slots()) so
+// that slot i holds the sum of slots i … i+n−1: log2(n) steps adding the
+// running sum rotated by 1, 2, 4, … to itself, with one division of C0.
+// A step ModDowns only its C1 output, which the next decomposition needs;
+// C0 stays in the extended basis as P·c0, where each step adds its
+// rotation (permuted in place) and the keyswitch output, and one ModDown
+// ends the sum. Value-equivalent to log2(n) Rotate+Add pairs (same level,
+// scale and noise bound), not bit-identical: C0 rounds once.
+func (ev *Evaluator) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
+	if err := ev.begin("InnerSum", ct); err != nil {
+		return nil, err
+	}
+	if n <= 0 || n&(n-1) != 0 || n > ev.params.Slots() {
+		return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: InnerSum width %d must be a power of two <= %d", n, ev.params.Slots())
+	}
+	if n == 1 {
+		return ct, nil
+	}
+	var els []uint64
+	for s := 1; s < n; s <<= 1 {
+		els = append(els, ring.GaloisElementForRotation(s, ev.params.N()))
+	}
+	releaseKeys, err := ev.PinGaloisKeys("InnerSum", els)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseKeys()
+	ctx, live := ev.params.Ctx, ct.C0.Moduli
+	x0, c1 := ev.lift(ct.C0)[0], ct.C1.ScratchCopy()
+	noise := ct.NoiseBits
+	for _, galEl := range els {
+		swk, releaseKey, err := ev.km.Acquire(ev.ctx, "InnerSum", galEl)
+		if err != nil {
+			ctx.PutPoly(x0)
+			ctx.PutPoly(c1)
+			return nil, err
+		}
+		hd := ev.decomposePoly(c1)
+		e0, e1 := ev.keySwitchExt(hd, swk, galEl)
+		releaseKey()
+		hd.Free(ctx)
+		r0, r1 := ev.permuteAdd(x0, galEl, e0), ev.modDown(live, e1)[0]
+		ctx.PutPoly(e0)
+		ev.addPair(x0, c1, r0, r1)
+		ctx.PutPoly(r0)
+		ctx.PutPoly(r1)
+		noise = addNoiseBits(noise, addNoiseBits(noise, ev.nm.KeySwitchBits()))
+	}
+	return newCiphertext(ev.modDown(live, x0)[0], c1, ct.Level, new(big.Rat).Set(ct.Scale), noise), nil
 }
 
 // hoisted is the body RotateHoisted and RotateHoistedMulRescale share:

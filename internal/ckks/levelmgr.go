@@ -285,18 +285,13 @@ func (ev *Evaluator) adjust(ct *Ciphertext, level int) (*Ciphertext, error) {
 	return out, nil
 }
 
-// MulRescale computes Rescale(MulRelin(a, b)) as one macro op: the
-// tensor product, relinearization and level transition share their
-// intermediate polynomials, so the product pair never round-trips
-// through a full-size ciphertext copy — the keyswitch corrections are
-// added in the evaluation domain and the transition consumes the pair
-// where it lies. Bit-identical to the two-call sequence.
-//
-// The relinearization keeps its own ModDown: shedding the special primes
-// in the rescale's division instead saves 2R transforms, but a division
-// by k moduli falls short by k/2 per coefficient on average (the floor
-// plus the fast conversion's overshoot), and at the result's scale that
-// bias costs 0.5-1.5 bits per product (DESIGN.md, "Double hoisting").
+// MulRescale computes Rescale(MulRelin(a, b)) dividing once: the
+// keyswitch output plus P·(d0, d1), in the extended basis live++special,
+// goes to the level below in one transition that sheds the special
+// primes with the retired moduli — 2R forward transforms fewer than a
+// ModDown and a rescale. The division rounds (rns.ExactDiv), so this
+// costs no precision: the result is value-equivalent to the two calls
+// (same level, scale and noise bound) but not bit-identical.
 func (ev *Evaluator) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := ev.begin("MulRelin", a, b); err != nil {
 		return nil, err
@@ -318,23 +313,27 @@ func (ev *Evaluator) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	if a.Level <= 0 {
 		return nil, fherr.Wrap(fherr.ErrChainExhausted, "ckks: Rescale at level 0")
 	}
-	ctx := ev.params.Ctx
-
-	d0, d1, d2 := ev.tensor(a, b)
-	ks0, ks1 := ev.keySwitch(d2, rlk)
-	ctx.PutPoly(d2)
-	ev.addPair(d0, d1, ks0, ks1)
-	ctx.PutPoly(ks0)
-	ctx.PutPoly(ks1)
-	pl, err := ev.levelPlan(d0.Moduli, a.Level-1)
+	ks := ev.ksPlan(a.C0.Moduli)
+	pl, err := ev.levelPlan(ks.ext, a.Level-1)
 	if err != nil {
-		ctx.PutPoly(d0)
-		ctx.PutPoly(d1)
 		return nil, err
 	}
-	// A fresh product carries no spare channel, so there is nothing to
-	// cross-check before the transition.
-	return ev.transition(pl, d0, d1, true, nil, scale, noise, nil)
+	ctx := ev.params.Ctx
+	d0, d1, d2 := ev.tensor(a, b)
+	hd := ev.decomposePoly(d2)
+	ctx.PutPoly(d2)
+	e0, e1 := ev.keySwitchExt(hd, rlk, 1)
+	hd.Free(ctx)
+	lifted := ev.lift(d0, d1)
+	ctx.PutPoly(d0)
+	ctx.PutPoly(d1)
+	ev.addPair(e0, e1, lifted[0], lifted[1])
+	ctx.PutPoly(lifted[0])
+	ctx.PutPoly(lifted[1])
+	// The pair is P times the product (scale and noise carry P) and has
+	// no spare channel to cross-check.
+	p := new(big.Rat).SetInt(ks.modDown.P)
+	return ev.transition(pl, e0, e1, true, nil, new(big.Rat).Mul(p, scale), noise+core.RatLog2(p), nil)
 }
 
 // roundRat rounds a rational to the nearest integer.

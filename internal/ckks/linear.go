@@ -373,7 +373,7 @@ func (ev *Evaluator) ApplyLinearTransformNaive(enc *Encoder, ct *Ciphertext, dia
 		return ev.zeroTransformResult(ct, scale), nil
 	}
 	// Every rotation divides by P before its product: the whole keyswitch
-	// noise, floor included, reaches each term.
+	// noise, rounding included, reaches each term.
 	acc.NoiseBits = ev.transformNoise(ct, scale, len(ds), ev.nm.KeySwitchBits())
 	acc.seal()
 	return acc, nil
@@ -499,7 +499,7 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 	parts[0] = extPair{}
 	outs := ev.modDown(live, sum.c0, sum.c1)
 	// A baby rotation reaches its products before any division: only its
-	// inner-product noise is multiplied by the diagonals. The floor is
+	// inner-product noise is multiplied by the diagonals. The rounding is
 	// paid once, by the closing ModDown, and the giants' keyswitches act
 	// on the products' sum; both land at the output unamplified.
 	nm := ev.nm

@@ -283,7 +283,10 @@ func checkAgainstParent(t *testing.T, tag string, s *testSetup, got, parent *Cip
 // re-recorded when the apply went double-hoisted: baby rotations in the
 // extended basis, a ModDown only for each giant's C1 and one to close,
 // n1 chosen by cost (the first pins, from before the single stored form
-// at 1f9a2a3, held until then).
+// at 1f9a2a3, held until then), and again when every division started
+// rounding (rns.ExactDiv), after the math/big references of the division
+// (internal/rns TestExactDivRoundsAgainstBig, internal/ring
+// TestEntryPointsMatchIndependentReference) passed.
 func TestDenseTransformMatchesParentBytes(t *testing.T) {
 	const dim = 16
 	rots := make([]int, 0, dim-1)
@@ -295,10 +298,10 @@ func TestDenseTransformMatchesParentBytes(t *testing.T) {
 		w      int
 		sha    string
 	}{
-		{core.BitPacker, 28, "aaacf41f40ab8df50bb6e71e4ba9677cf74edc63092962441a42c29d8d471f24"},
-		{core.BitPacker, 61, "1b8ead015e3b89fc2f4fc60fc541b07f10d886c7394c9e6d0c3918f98c0898e0"},
-		{core.RNSCKKS, 28, "5a6bae95f0c79fddad8f2f1eca75637cb232f6b21f3a34a314971cab07804116"},
-		{core.RNSCKKS, 61, "faa9a9a6999923845fd269e35335a79c4386e2a7fb7acd6dfd685367fa8bf66d"},
+		{core.BitPacker, 28, "294fb9f7a91e8628eba4fd5cfe81edf18e996c5845bc67e95752d83a84e519af"},
+		{core.BitPacker, 61, "10d5a56c164ab319bd445cbba4db6e5d0e0793b28fd002cff0e4e6093c428308"},
+		{core.RNSCKKS, 28, "09d5868a08e7ee3110c282dcfed49c2f4633423fa1e6750329316599a79390d5"},
+		{core.RNSCKKS, 61, "658a560bb918afe95e190b363d475114058bf92b881b436e2a79a9bb036ed3eb"},
 	} {
 		s := newTestSetup(t, c.scheme, 2, 40, c.w, 9, 8, rots)
 		lt, ct, _ := denseTestTransform(t, s, dim, 81)

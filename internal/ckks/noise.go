@@ -36,9 +36,10 @@ func (nm *NoiseModel) FreshBits() float64 {
 	return math.Log2(8 * sigma * math.Sqrt(nm.n()))
 }
 
-// RescaleFloorBits is the rounding noise added by one rescale: the exact
-// division floors, adding an error of magnitude ~sqrt(N/12)*(1+|s|_1/N)
-// per polynomial; with ternary s this is ~sqrt(N/3).
+// RescaleFloorBits is the rounding noise of one division (rescale,
+// adjust, ModDown): it rounds (rns.ExactDiv), leaving a zero-mean error
+// of variance k/12 per coefficient for k shed moduli, seen through
+// e0 + e1·s; with ternary s and a few moduli this is ~sqrt(N/3).
 func (nm *NoiseModel) RescaleFloorBits() float64 {
 	return math.Log2(math.Sqrt(nm.n() / 3))
 }
@@ -53,7 +54,7 @@ func (nm *NoiseModel) EncodingBits() float64 {
 // KeySwitchBits is the additive noise of one hybrid keyswitch: the
 // inner-product noise dnum*N*sigma*B_digit scaled down by P. With the
 // digit products matched to P it is ~sqrt(dnum*N)*sigma plus the ModDown
-// floor.
+// rounding.
 func (nm *NoiseModel) KeySwitchBits() float64 {
 	d := float64(nm.params.Dnum)
 	return math.Log2(4*nm.params.Sigma*math.Sqrt(d*nm.n())) + nm.RescaleFloorBits()
@@ -80,7 +81,7 @@ func (nm *NoiseModel) EstimateSquaringChain(depth int) float64 {
 	for d := 0; d < depth && lvl > 0; d++ {
 		// Square: scale doubles, noise ~ S*e (values <= 1).
 		noise = nm.MulBits(scale, noise, scale, noise)
-		// Rescale: divide by ~S, add floor noise.
+		// Rescale: divide by ~S, add the rounding noise.
 		shed := nm.shedBits(lvl)
 		noise = math.Max(noise-shed, nm.RescaleFloorBits())
 		lvl--

@@ -59,17 +59,18 @@ func TestNoiseModelIsAnEnvelope(t *testing.T) {
 // 28-bit words, RNS-CKKS at 61). Each estimate is no looser than the
 // parent's bookkeeping for the same op by more than 2 bits — the BSGS
 // apply against the formula that charged every baby a floored keyswitch,
-// MulRescale against MulRelin+Rescale, AdjustTo against chained one-level
+// MulRescale against MulRelin+Rescale, InnerSum against Rotate+Add
+// pairs, AdjustTo against chained one-level
 // adjusts, the degree-7 series against the NoiseBits the parent recorded
 // at 7e1f31d for these inputs (the bookkeeping is data-independent) —
 // and the one-division extraction against RotateHoisted with
-// MulPlain+Rescale per reply, held to 1 bit. The apply, MulRescale, the
-// extraction and the series decrypt inside the tracked bound with
-// PR 19's 16× allowance. AdjustTo of a fresh top-level input does not,
-// and neither did the chained adjusts: a division by k moduli falls short
-// by k/2 per coefficient on average, which NoiseBits does not model and
-// which dominates when the input carries only encryption noise. It must
-// decrypt no more than 0.5 bit worse than the chained adjusts.
+// MulPlain+Rescale per reply, held to 1 bit. Every op decrypts inside
+// the tracked bound with PR 19's 16× allowance — AdjustTo of a fresh
+// top-level input too, since the division rounds: floored, it fell short
+// by k/2 per coefficient, which NoiseBits does not model and which
+// dominated an input carrying only encryption noise, 1.2 bits outside.
+// AdjustTo must also decrypt no more than 0.5 bit worse than the chained
+// adjusts.
 func TestNoiseModelCoversDivisionPoints(t *testing.T) {
 	for _, c := range []struct {
 		scheme      core.Scheme
@@ -91,11 +92,11 @@ func TestNoiseModelCoversDivisionPoints(t *testing.T) {
 			}
 			return math.Log2(maxErr(got, want))
 		}
-		check := func(op string, out *Ciphertext, want []complex128, parentNoise float64, enveloped bool) float64 {
+		check := func(op string, out *Ciphertext, want []complex128, parentNoise float64) float64 {
 			t.Helper()
 			e, bound := errBits(out, want), 4-s.ev.NoiseBudget(out)
 			t.Logf("%v %s: error 2^%.2f, tracked bound 2^%.2f, estimate %.2f bits (parent's %.2f)", c.scheme, op, e, bound, out.NoiseBits, parentNoise)
-			if enveloped && e > bound {
+			if e > bound {
 				t.Errorf("%v %s: error 2^%.2f above the tracked bound 2^%.2f", c.scheme, op, e, bound)
 			}
 			if out.NoiseBits > parentNoise+2 {
@@ -107,13 +108,25 @@ func TestNoiseModelCoversDivisionPoints(t *testing.T) {
 		lt, in, want := denseTestTransform(t, s, 32, 313)
 		s.addRotationKeys(lt.Rotations())
 		check("BSGS apply", s.ev.MustApplyLinearTransform(in, lt), want,
-			s.ev.transformNoise(in, lt.Scale, lt.diags, s.ev.nm.KeySwitchBits()), true)
+			s.ev.transformNoise(in, lt.Scale, lt.diags, s.ev.nm.KeySwitchBits()))
+
+		sums := make([]complex128, slots)
+		for i := range sums {
+			for j := range 16 {
+				sums[i] += vals[(i+j)%slots]
+			}
+		}
+		chain := ct
+		for r := 1; r < 16; r <<= 1 {
+			chain = s.ev.MustAdd(chain, s.ev.MustRotate(chain, r))
+		}
+		check("InnerSum(16)", innerSum(t, s, ct, 16), sums, chain.NoiseBits)
 
 		sq := make([]complex128, slots)
 		for i := range sq {
 			sq[i] = vals[i] * vals[i]
 		}
-		check("MulRescale", s.ev.MustMulRescale(ct, ct), sq, s.ev.MustRescale(s.ev.MustMulRelin(ct, ct)).NoiseBits, true)
+		check("MulRescale", s.ev.MustMulRescale(ct, ct), sq, s.ev.MustRescale(s.ev.MustMulRelin(ct, ct)).NoiseBits)
 
 		// The one-division extraction: no looser than the two-step
 		// bookkeeping by more than 1 bit, for a zero, a duplicated and a
@@ -127,7 +140,7 @@ func TestNoiseModelCoversDivisionPoints(t *testing.T) {
 			for k := range want {
 				want[k] = vals[(k+steps[i])%slots] * mask[k]
 			}
-			check(fmt.Sprintf("RotateHoistedMulRescale step %d", steps[i]), out, want, twoStep[i].NoiseBits, true)
+			check(fmt.Sprintf("RotateHoistedMulRescale step %d", steps[i]), out, want, twoStep[i].NoiseBits)
 			if out.NoiseBits > twoStep[i].NoiseBits+1 {
 				t.Errorf("%v RotateHoistedMulRescale step %d: estimate %.2f bits, two-step %.2f", c.scheme, steps[i], out.NoiseBits, twoStep[i].NoiseBits)
 			}
@@ -137,7 +150,7 @@ func TestNoiseModelCoversDivisionPoints(t *testing.T) {
 		for chained.Level > 1 {
 			chained = s.ev.MustAdjust(chained)
 		}
-		if e, eParent := check("AdjustTo(top → 1)", s.ev.MustAdjustTo(ct, 1), vals, chained.NoiseBits, false), errBits(chained, vals); e > eParent+0.5 {
+		if e, eParent := check("AdjustTo(top → 1)", s.ev.MustAdjustTo(ct, 1), vals, chained.NoiseBits), errBits(chained, vals); e > eParent+0.5 {
 			t.Errorf("%v AdjustTo(top → 1): error 2^%.2f, chained adjusts 2^%.2f", c.scheme, e, eParent)
 		}
 
@@ -150,7 +163,7 @@ func TestNoiseModelCoversDivisionPoints(t *testing.T) {
 		for i := range exact {
 			exact[i] = complex(chebyshevRef(cheb7, real(vals[i])), 0)
 		}
-		check("degree-7 Chebyshev", series, exact, c.parentCheb7, true)
+		check("degree-7 Chebyshev", series, exact, c.parentCheb7)
 	}
 }
 

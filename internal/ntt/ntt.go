@@ -21,9 +21,17 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 
 	"bitpacker/internal/nt"
 )
+
+// transforms counts Forward and Inverse calls process-wide (one atomic
+// add each): a work count that reads the same on every host.
+var transforms atomic.Uint64
+
+// Transforms returns the number of Forward and Inverse calls so far.
+func Transforms() uint64 { return transforms.Load() }
 
 // Table holds the precomputed twiddle factors for one (q, N) pair.
 // Tables are immutable after creation and safe for concurrent use.
@@ -170,6 +178,7 @@ func (t *Table) Forward(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")
 	}
+	transforms.Add(1)
 	if t.lazyMu != 0 {
 		forward[correctionFree](t, a)
 	} else {
@@ -320,6 +329,7 @@ func (t *Table) Inverse(a []uint64) {
 	if len(a) != t.N {
 		panic("ntt: length mismatch")
 	}
+	transforms.Add(1)
 	if t.lazyMu != 0 {
 		inverse[correctionFree](t, a)
 	} else {

@@ -123,14 +123,15 @@ func (params *ScaleDownParams) split(p *Poly, wantNTT bool) (shed, kept [][]uint
 	return shed, kept
 }
 
-// ScaleDown divides p by the product of the shed moduli (flooring, with
-// the < k additive error analyzed in rns.ExactDiv) and sheds them.
+// ScaleDown divides p by the product of the shed moduli (rounded, within
+// ±⌈k/2⌉ of the nearest integer with a zero-mean error, rns.ExactDiv) and
+// sheds them.
 // p must be in the coefficient domain and its moduli must match params.
 // The result keeps the surviving moduli in their original order.
 func (p *Poly) ScaleDown(params *ScaleDownParams) *Poly {
 	shed, kept := params.split(p, false)
 	out := p.ctx.view(params.div.Kept, kept, false).ScratchCopy()
-	params.div.Apply(out.Coeffs, shed)
+	params.div.ApplyBatch([]rns.DivBatchTarget{{Shed: shed, Kept: out.Coeffs, Out: out.Coeffs}})
 	return out
 }
 

@@ -433,7 +433,25 @@ func (e *refEnv) levels() {
 	// rns.ExactDiv.ApplyScalar over the shed residues in basis order — the
 	// scalar reference of the basis conversion, which belongs to
 	// internal/rns and shares nothing with the copy/transform kernels
-	// exercised here.
+	// exercised here — held first to the division's rule against
+	// math/big: within ±1 (⌈k/2⌉, k = 2) of round(x/P).
+	allQ, keptQ, p := big.NewInt(1), big.NewInt(1), new(big.Int).Mul(new(big.Int).SetUint64(e.all[1]), new(big.Int).SetUint64(e.all[4]))
+	for i, q := range e.all {
+		allQ.Mul(allQ, new(big.Int).SetUint64(q))
+		if i != 1 && i != 4 {
+			keptQ.Mul(keptQ, new(big.Int).SetUint64(q))
+		}
+	}
+	crt := func(moduli []uint64, res []uint64, prod *big.Int) *big.Int {
+		x := new(big.Int)
+		for i, q := range moduli {
+			bq := new(big.Int).SetUint64(q)
+			m := new(big.Int).Div(prod, bq)
+			inv := new(big.Int).ModInverse(new(big.Int).Mod(m, bq), bq)
+			x.Add(x, m.Mul(m, inv.Mul(inv, new(big.Int).SetUint64(res[i]))))
+		}
+		return x.Mod(x, prod)
+	}
 	for _, shedPos := range [][]int{{1, 4}, {4, 1}} {
 		tag := fmt.Sprintf("shed %v", shedPos)
 		params := NewScaleDownParams(e.all, shedPos)
@@ -442,6 +460,12 @@ func (e *refEnv) levels() {
 			out := [][]uint64{make([]uint64, refN), make([]uint64, refN), make([]uint64, refN)}
 			for k := 0; k < refN; k++ {
 				res := params.div.ApplyScalar([]uint64{r[0][k], r[2][k], r[3][k]}, []uint64{r[1][k], r[4][k]})
+				x := crt(e.all, []uint64{r[0][k], r[1][k], r[2][k], r[3][k], r[4][k]}, allQ)
+				diff := x.Div(x.Add(x, new(big.Int).Rsh(p, 1)), p) // round(x/P)
+				diff.Sub(crt(kept, res, keptQ), diff).Mod(diff, keptQ)
+				if diff.Cmp(big.NewInt(1)) > 0 && diff.Cmp(new(big.Int).Sub(keptQ, big.NewInt(1))) < 0 {
+					e.t.Fatalf("%s %s coefficient %d: ApplyScalar − round(x/P) = %v mod Q, outside ±1", e.tag, tag, k, diff)
+				}
 				for j := range out {
 					out[j][k] = res[j]
 				}

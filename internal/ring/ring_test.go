@@ -169,8 +169,8 @@ func TestScaleUpScaleDownRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Scale back down by the added moduli: must recover p exactly up to
-	// the < k floor error.
+	// Scale back down by the added moduli: must recover p up to the
+	// rounded division's ±⌈k/2⌉ (k = 2).
 	params := NewScaleDownParams(up.Moduli, []int{3, 4})
 	down := up.ScaleDown(params)
 	if down.R() != 3 {
@@ -179,9 +179,8 @@ func TestScaleUpScaleDownRoundTrip(t *testing.T) {
 	for k := 0; k < n; k++ {
 		orig := p.CoeffBig(basis, k)
 		got := down.CoeffBig(basis, k)
-		diff := new(big.Int).Sub(orig, got)
-		diff.Mod(diff, basis.Q)
-		if diff.Cmp(big.NewInt(2)) >= 0 {
+		diff := basis.ComposeCentered(basis.Decompose(orig.Sub(orig, got)))
+		if diff.CmpAbs(big.NewInt(1)) > 0 {
 			t.Fatalf("coeff %d: roundtrip error %v", k, diff)
 		}
 	}

@@ -100,23 +100,33 @@ func NewConv(src, dst []uint64) *Conv {
 	return c
 }
 
-// scale fills y[i] = [x_i · pHatInv_i]_{p_i} for source residue i — the
-// first half of every conversion.
-func (c *Conv) scale(y, x []uint64, i int) {
+// scale fills y[i] = [x_i · pHatInv_i + add]_{p_i} for source residue
+// i — the first half of every conversion. add is 0 for a plain
+// conversion (and then costs nothing); ExactDiv folds its rounding
+// constant in here.
+func (c *Conv) scale(y, x []uint64, i int, add uint64) {
 	p, w, ws := c.Src[i], c.pHatInv[i], c.pHatInvSh[i]
+	if add == 0 {
+		for k, v := range x {
+			y[k] = nt.MulModShoup(v, w, ws, p)
+		}
+		return
+	}
 	for k, v := range x {
-		y[k] = nt.MulModShoup(v, w, ws, p)
+		y[k] = nt.AddMod(nt.MulModShoup(v, w, ws, p), add, p)
 	}
 }
 
-// row fills dst with target j's conversion row, Σ_i y_i · col[j][i] mod
-// t_j, from the scaled source rows y. Either branch emits the canonical
+// row fills dst with target j's conversion row, Σ_i y_i · col[j][i] − sub
+// mod t_j, from the scaled source rows y (sub is 0 for a plain
+// conversion; ExactDiv folds its rounding constant in here, in the loop
+// that reduces or opens the sum). Either branch emits the canonical
 // residue of the same integer sum, so the two are bit-identical and so
 // is every worker count. With sumMu[j] set the loop is the CRB unit's
 // multiply-accumulate: one raw product per term, swept row-wise so every
 // access is sequential, and a single reduction at the end; otherwise
 // every term is reduced (Shoup) and added mod t_j.
-func (c *Conv) row(dst []uint64, y [][]uint64, j int) {
+func (c *Conv) row(dst []uint64, y [][]uint64, j int, sub uint64) {
 	t, w := c.Dst[j], c.col[j]
 	if mu := c.sumMu[j]; mu != 0 {
 		// Two terms per sweep halve the traffic on dst; an odd count
@@ -141,8 +151,14 @@ func (c *Conv) row(dst []uint64, y [][]uint64, j int) {
 				dst[k] += ya[k]*wa + yb[k]*wb
 			}
 		}
+		if sub == 0 {
+			for k := range dst {
+				dst[k] = nt.ReduceWord(dst[k], t, mu)
+			}
+			return
+		}
 		for k := range dst {
-			dst[k] = nt.ReduceWord(dst[k], t, mu)
+			dst[k] = nt.SubMod(nt.ReduceWord(dst[k], t, mu), sub, t)
 		}
 		return
 	}
@@ -152,7 +168,7 @@ func (c *Conv) row(dst []uint64, y [][]uint64, j int) {
 		yi = yi[:len(dst)]
 		if i == 0 {
 			for k := range dst {
-				dst[k] = nt.MulModShoup(yi[k], wi, wsi, t)
+				dst[k] = nt.SubMod(nt.MulModShoup(yi[k], wi, wsi, t), sub, t)
 			}
 			continue
 		}
@@ -174,40 +190,36 @@ func (c *Conv) Convert(out, src [][]uint64) {
 	for i := range y {
 		y[i] = getVec(n)
 	}
-	engine.Dispatch(len(c.Src), n, func(i int) { c.scale(y[i], src[i], i) })
+	engine.Dispatch(len(c.Src), n, func(i int) { c.scale(y[i], src[i], i, 0) })
 	// Target rows are independent and each keeps its i-order, so results
 	// are identical at every worker count.
-	engine.Dispatch(len(out), n*len(y), func(j int) { c.row(out[j], y, j) })
+	engine.Dispatch(len(out), n*len(y), func(j int) { c.row(out[j], y, j, 0) })
 	for i := range y {
 		putVec(y[i])
 	}
 }
 
-// ConvertScalar converts a single coefficient (residues xs over Src) to the
-// target moduli. Used by tests and scalar precomputations.
-func (c *Conv) ConvertScalar(xs []uint64) []uint64 {
-	out := make([]uint64, len(c.Dst))
-	for j, t := range c.Dst {
-		var acc uint64
-		for i, x := range xs {
-			y := nt.MulModShoup(x, c.pHatInv[i], c.pHatInvSh[i], c.Src[i])
-			acc = nt.AddMod(acc, nt.MulModShoup(y, c.col[j][i], c.colSh[j][i], t), t)
-		}
-		out[j] = acc
-	}
-	return out
-}
-
 // ExactDiv is the precomputed state for the paper's scaleDown (Listing 5):
-// dividing an RNS integer by P = Π shed moduli — flooring, up to a small
-// additive error < k — and shedding those moduli.
+// dividing an RNS integer x by P = Π shed moduli, rounded, and shedding
+// them. With H = ⌊k·P/2⌋ for k shed moduli and y_i the scaled shed
+// residues of x + H, the result is exactly (x + H)/P − Σ_i y_i/p_i:
 //
-// kept_j = (x_j − Conv_{shed→kept}(x mod P)_j) · P^{-1} mod q_j
+//	kept_j = (x_j + H − Conv_{shed→kept}(x + H mod P)_j) · P^{-1} mod q_j.
+//
+// Each y_i/p_i spreads evenly over [0, 1), so H cancels the sum's mean
+// k/2 and the result is x/P plus a zero-mean error in (−k/2, k/2]; a
+// floor (H = 0) falls short by k/2 on average. An exact multiple of P
+// comes out shifted by a constant of at most k/2. H costs no pass of its
+// own: Conv.scale adds its shed part and Conv.row subtracts its kept part
+// before the conversion row's forward transform (the constant sits in
+// every coefficient, so it cannot be added after the transform).
 type ExactDiv struct {
 	Conv   *Conv    // shed -> kept conversion
 	Kept   []uint64 // kept moduli (same as Conv.Dst)
 	invP   []uint64 // P^{-1} mod q_j
 	invPSh []uint64
+	hShed  []uint64 // [H · (P/p_i)^{-1}]_{p_i}: H's scaled shed residues
+	hKept  []uint64 // H mod q_j
 }
 
 // NewExactDiv precomputes division by the product of shed within a basis
@@ -217,51 +229,39 @@ func NewExactDiv(shed, kept []uint64) *ExactDiv {
 		Conv: NewConv(shed, kept),
 		Kept: append([]uint64(nil), kept...),
 	}
+	c := d.Conv
+	h := new(big.Int).Mul(c.P, big.NewInt(int64(len(shed))))
+	h.Rsh(h, 1)
+	mod := func(q uint64) uint64 { return new(big.Int).Mod(h, new(big.Int).SetUint64(q)).Uint64() }
+	d.hShed = make([]uint64, len(shed))
+	for i, p := range shed {
+		d.hShed[i] = nt.MulModShoup(mod(p), c.pHatInv[i], c.pHatInvSh[i], p)
+	}
 	d.invP = make([]uint64, len(kept))
 	d.invPSh = make([]uint64, len(kept))
+	d.hKept = make([]uint64, len(kept))
 	tmp := new(big.Int)
 	for j, q := range kept {
-		r := new(big.Int).Mod(d.Conv.P, tmp.SetUint64(q)).Uint64()
+		r := new(big.Int).Mod(c.P, tmp.SetUint64(q)).Uint64()
 		d.invP[j] = nt.InvMod(r, q)
 		d.invPSh[j] = nt.ShoupPrecomp(d.invP[j], q)
+		d.hKept[j] = mod(q)
 	}
 	return d
 }
 
-// Apply computes the scaled-down residues. shedRes[i] are the
-// coefficient-domain residues mod shed_i; keptRes[j] are the residues mod
-// kept_j, updated in place.
-func (d *ExactDiv) Apply(keptRes, shedRes [][]uint64) {
-	n := len(shedRes[0])
-	sub := make([][]uint64, len(d.Kept))
-	for j := range sub {
-		sub[j] = getVec(n)
-	}
-	d.Conv.Convert(sub, shedRes)
-	engine.Dispatch(len(d.Kept), n, func(j int) {
-		q := d.Kept[j]
-		w, ws := d.invP[j], d.invPSh[j]
-		kj, sj := keptRes[j], sub[j]
-		for k := range kj {
-			kj[k] = nt.MulModShoup(nt.SubMod(kj[k], sj[k], q), w, ws, q)
-		}
-	})
-	for j := range sub {
-		putVec(sub[j])
-	}
-}
-
-// DivBatchTarget is one polynomial's worth of work for ApplyBatch.
+// DivBatchTarget is one polynomial's worth of work for ApplyBatch: the
+// scaled-down residues of the integer with residues Shed (mod Conv.Src)
+// and Kept (mod Kept) go to Out.
 type DivBatchTarget struct {
 	Shed [][]uint64 // coefficient-domain residues mod Conv.Src (read-only)
 	Kept [][]uint64 // residues mod Kept (read-only; Out may alias it)
 	Out  [][]uint64 // receives the scaled-down rows
 }
 
-// ApplyBatch runs Apply over several polynomials as two fork/joins total
-// (instead of three per polynomial). The conversion rows come from
-// Conv.row exactly as in Apply, so results are bit-identical to
-// per-polynomial Apply calls at every worker count.
+// ApplyBatch divides several polynomials as two fork/joins total. Each
+// target's rows depend on that target alone, so results are
+// bit-identical to one call per polynomial at every worker count.
 func (d *ExactDiv) ApplyBatch(targets []DivBatchTarget) {
 	d.ApplyBatchNTT(targets, nil)
 }
@@ -292,9 +292,9 @@ func (d *ExactDiv) ApplyBatchNTT(targets []DivBatchTarget, fwd func(j int, row [
 	}
 	engine.Dispatch(len(y), n, func(ti int) {
 		t, i := ti/nSrc, ti%nSrc
-		c.scale(y[ti], targets[t].Shed[i], i)
+		c.scale(y[ti], targets[t].Shed[i], i, d.hShed[i])
 	})
-	// Stage B: per kept row, the conversion row into scratch, its
+	// Stage B: per kept row, the conversion row less H into scratch, its
 	// forward transform, then subtract and divide by P.
 	engine.Dispatch(len(targets)*nKept, n*(nSrc+16), func(tj int) {
 		t, j := tj/nKept, tj%nKept
@@ -303,7 +303,7 @@ func (d *ExactDiv) ApplyBatchNTT(targets []DivBatchTarget, fwd func(j int, row [
 		wp, wps := d.invP[j], d.invPSh[j]
 		kj := tgt.Kept[j]
 		conv := getVec(len(kj))
-		c.row(conv, y[t*nSrc:(t+1)*nSrc], j)
+		c.row(conv, y[t*nSrc:(t+1)*nSrc], j, d.hKept[j])
 		if fwd != nil {
 			fwd(j, conv)
 		}
@@ -320,12 +320,18 @@ func (d *ExactDiv) ApplyBatchNTT(targets []DivBatchTarget, fwd func(j int, row [
 	}
 }
 
-// ApplyScalar is the single-coefficient variant of Apply, for tests.
+// ApplyScalar is the single-coefficient variant of Apply, written out
+// per term (Shoup products, no deferred sum, no batching), for tests.
 func (d *ExactDiv) ApplyScalar(kept, shed []uint64) []uint64 {
-	sub := d.Conv.ConvertScalar(shed)
+	c := d.Conv
 	out := make([]uint64, len(kept))
 	for j, q := range d.Kept {
-		out[j] = nt.MulModShoup(nt.SubMod(kept[j], sub[j], q), d.invP[j], d.invPSh[j], q)
+		acc := (q - d.hKept[j]) % q
+		for i, p := range c.Src {
+			y := nt.AddMod(nt.MulModShoup(shed[i], c.pHatInv[i], c.pHatInvSh[i], p), d.hShed[i], p)
+			acc = nt.AddMod(acc, nt.MulModShoup(y, c.col[j][i], c.colSh[j][i], q), q)
+		}
+		out[j] = nt.MulModShoup(nt.SubMod(kept[j], acc, q), d.invP[j], d.invPSh[j], q)
 	}
 	return out
 }

@@ -58,7 +58,7 @@ func TestQuickConvOvershootBound(t *testing.T) {
 	f := func(seed1, seed2 uint64) bool {
 		rng := rand.New(rand.NewPCG(seed1, seed2))
 		x := randBig(rng, srcBasis.Q)
-		out := c.ConvertScalar(srcBasis.Decompose(x))
+		out := convertScalar(c, srcBasis.Decompose(x))
 		// Reconstruct the converted value mod dstQ and check congruence
 		// to x + e*P for some 0 <= e < len(src).
 		got := dstBasis.Compose(out)
@@ -77,8 +77,8 @@ func TestQuickConvOvershootBound(t *testing.T) {
 	}
 }
 
-// Property: exact division floors within the k-unit error bound for
-// arbitrary inputs, including values smaller than P.
+// Property: exact division rounds within ±⌈k/2⌉ for arbitrary inputs,
+// including values smaller than P.
 func TestQuickExactDivBound(t *testing.T) {
 	shed := primes(t, 30, 256, 3)
 	kept := primes(t, 50, 256, 3)
@@ -86,17 +86,17 @@ func TestQuickExactDivBound(t *testing.T) {
 	full := append(append([]uint64(nil), kept...), shed...)
 	fb, _ := NewBasis(64, full)
 	keptBasis, _ := NewBasis(64, kept)
-	bound := big.NewInt(int64(len(shed)))
+	bound := big.NewInt(int64(len(shed)+1) / 2)
+	half := new(big.Int).Rsh(d.Conv.P, 1)
 	f := func(seed1, seed2 uint64) bool {
 		rng := rand.New(rand.NewPCG(seed1, seed2))
 		x := randBig(rng, fb.Q)
 		xs := fb.Decompose(x)
 		out := d.ApplyScalar(xs[:len(kept)], xs[len(kept):])
 		got := keptBasis.Compose(out)
-		want := new(big.Int).Div(x, d.Conv.P)
-		diff := new(big.Int).Sub(want, got)
-		diff.Mod(diff, keptBasis.Q)
-		return diff.Cmp(bound) < 0
+		want := new(big.Int).Div(x.Add(x, half), d.Conv.P)
+		diff := keptBasis.ComposeCentered(keptBasis.Decompose(want.Sub(got, want)))
+		return diff.CmpAbs(bound) <= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
 package rns
 
 import (
+	"math"
 	"math/big"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"bitpacker/internal/engine"
@@ -73,7 +75,7 @@ func TestConvApproximate(t *testing.T) {
 	k := new(big.Int).SetInt64(int64(len(src)))
 	for i := 0; i < 200; i++ {
 		x := randBig(rng, srcBasis.Q)
-		out := c.ConvertScalar(srcBasis.Decompose(x))
+		out := convertScalar(c, srcBasis.Decompose(x))
 		// The converted value must equal (x + e*P) mod t_j with 0 <= e < k,
 		// and e must be consistent across target moduli.
 		matched := false
@@ -99,26 +101,77 @@ func TestConvApproximate(t *testing.T) {
 	}
 }
 
-func TestExactDivFloors(t *testing.T) {
-	shed := primes(t, 35, 128, 2)
-	kept := primes(t, 45, 128, 3)
-	d := NewExactDiv(shed, kept)
-	full := append(append([]uint64(nil), kept...), shed...)
-	fb, _ := NewBasis(64, full)
-	keptBasis, _ := NewBasis(64, kept)
-	rng := rand.New(rand.NewPCG(3, 3))
-	maxErr := int64(len(shed)) // e < k
-	for i := 0; i < 200; i++ {
-		x := randBig(rng, fb.Q)
-		xs := fb.Decompose(x)
-		out := d.ApplyScalar(xs[:len(kept)], xs[len(kept):])
-		got := keptBasis.Compose(out)
-		want := new(big.Int).Div(x, d.Conv.P) // floor, x >= 0
-		// got = want - e mod Qkept with 0 <= e < k.
-		diff := new(big.Int).Sub(want, got)
-		diff.Mod(diff, keptBasis.Q)
-		if diff.Cmp(big.NewInt(maxErr)) >= 0 {
-			t.Fatalf("x=%v: floor error %v >= %d", x, diff, maxErr)
+// TestExactDivRoundsAgainstBig: the division against math/big. For k
+// shed primes just below 2^28 and 2^61, k ∈ {1, 2, 5, 7}, and x uniform
+// over the whole basis, every output of ApplyBatch (the row kernels)
+// and of ApplyScalar (the per-term scalar form) equals round(x/P) within
+// ±⌈k/2⌉, and over 10^4 coefficients the mean of that difference is
+// within ±0.05: the conversion's overshoot is cancelled, not left as a
+// k/2 shortfall. Dropping either rounding fold fails here — the shed one
+// leaves x + H − conv off a multiple of P for odd k (garbage), the kept
+// one moves the mean by k/2.
+func TestExactDivRoundsAgainstBig(t *testing.T) {
+	const n = 10000
+	for _, bits := range []uint{28, 61} {
+		for _, k := range []int{1, 2, 5, 7} {
+			ps := primes(t, bits, 64, k+3)
+			shed, kept := ps[3:], ps[:3]
+			d := NewExactDiv(shed, kept)
+			fb, _ := NewBasis(64, append(slices.Clone(kept), shed...))
+			keptBasis, _ := NewBasis(64, kept)
+			rng := rand.New(rand.NewPCG(uint64(bits), uint64(k)))
+			keptRes, shedRes := make([][]uint64, len(kept)), make([][]uint64, k)
+			for j := range keptRes {
+				keptRes[j] = make([]uint64, n)
+			}
+			for i := range shedRes {
+				shedRes[i] = make([]uint64, n)
+			}
+			xs := make([]*big.Int, n)
+			for c := range xs {
+				xs[c] = randBig(rng, fb.Q)
+				res := fb.Decompose(xs[c])
+				for j := range keptRes {
+					keptRes[j][c] = res[j]
+				}
+				for i := range shedRes {
+					shedRes[i][c] = res[len(kept)+i]
+				}
+			}
+			scalar := make([][]uint64, n)
+			for c := range scalar {
+				col := func(rows [][]uint64) []uint64 {
+					v := make([]uint64, len(rows))
+					for r := range rows {
+						v[r] = rows[r][c]
+					}
+					return v
+				}
+				scalar[c] = d.ApplyScalar(col(keptRes), col(shedRes))
+			}
+			apply(d, keptRes, shedRes)
+			bound := int64((k + 1) / 2)
+			half := new(big.Int).Rsh(d.Conv.P, 1)
+			sum := 0.0
+			for c, x := range xs {
+				want := new(big.Int).Add(x, half)
+				want.Div(want, d.Conv.P) // round(x/P), x ≥ 0
+				out := make([]uint64, len(kept))
+				for j := range out {
+					out[j] = keptRes[j][c]
+					if out[j] != scalar[c][j] {
+						t.Fatalf("w=%d k=%d coeff %d row %d: ApplyBatch %d, ApplyScalar %d", bits, k, c, j, out[j], scalar[c][j])
+					}
+				}
+				diff := keptBasis.ComposeCentered(keptBasis.Decompose(new(big.Int).Sub(keptBasis.Compose(out), want)))
+				if !diff.IsInt64() || diff.Int64() < -bound || diff.Int64() > bound {
+					t.Fatalf("w=%d k=%d coeff %d: output − round(x/P) = %v, outside ±%d", bits, k, c, diff, bound)
+				}
+				sum += float64(diff.Int64())
+			}
+			if mean := sum / n; math.Abs(mean) > 0.05 {
+				t.Errorf("w=%d k=%d: mean of output − round(x/P) is %.4f over %d coefficients", bits, k, mean, n)
+			}
 		}
 	}
 }
@@ -144,14 +197,14 @@ func TestExactDivVector(t *testing.T) {
 			shedRes[j][k] = xs[2+j]
 		}
 	}
-	d.Apply(keptRes, shedRes)
+	apply(d, keptRes, shedRes)
+	half := new(big.Int).Rsh(d.Conv.P, 1)
 	for k := 0; k < n; k++ {
 		got := keptBasis.Compose([]uint64{keptRes[0][k], keptRes[1][k]})
-		want := new(big.Int).Div(vals[k], d.Conv.P)
-		diff := new(big.Int).Sub(want, got)
-		diff.Mod(diff, keptBasis.Q)
-		if diff.Cmp(big.NewInt(2)) >= 0 {
-			t.Fatalf("coeff %d: floor error %v", k, diff)
+		want := new(big.Int).Div(new(big.Int).Add(vals[k], half), d.Conv.P)
+		diff := keptBasis.ComposeCentered(keptBasis.Decompose(want.Sub(got, want)))
+		if diff.CmpAbs(big.NewInt(1)) > 0 {
+			t.Fatalf("coeff %d: rounding error %v", k, diff)
 		}
 	}
 }
@@ -166,9 +219,9 @@ func randBig(rng *rand.Rand, max *big.Int) *big.Int {
 	return v.Mod(v, max)
 }
 
-// TestApplyBatchMatchesApply checks the fused-batched scaleDown against
-// per-target Apply, bit for bit, at workers 1 and 4, including the fused
-// epilogue hook.
+// TestApplyBatchMatchesApply checks the batched scaleDown of two targets
+// against one ApplyBatch call per target, bit for bit, at workers 1 and
+// 4, including the fused epilogue hook.
 func TestApplyBatchMatchesApply(t *testing.T) {
 	shed := primes(t, 30, 128, 2)
 	kept := primes(t, 40, 128, 3)
@@ -205,8 +258,8 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 	shed1, kept1 := mkTarget()
 
 	want0, want1 := clone(kept0), clone(kept1)
-	d.Apply(want0, shed0)
-	d.Apply(want1, shed1)
+	apply(d, want0, shed0)
+	apply(d, want1, shed1)
 
 	engine.SetMinParallelOps(1)
 	defer func() {
@@ -241,6 +294,26 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 			}
 		}
 	}
+}
+
+// apply divides one polynomial: keptRes is updated in place.
+func apply(d *ExactDiv, keptRes, shedRes [][]uint64) {
+	d.ApplyBatch([]DivBatchTarget{{Shed: shedRes, Kept: keptRes, Out: keptRes}})
+}
+
+// convertScalar converts a single coefficient (residues xs over Src) to
+// the target moduli term by term, the scalar form of Conv.Convert.
+func convertScalar(c *Conv, xs []uint64) []uint64 {
+	out := make([]uint64, len(c.Dst))
+	for j, t := range c.Dst {
+		var acc uint64
+		for i, x := range xs {
+			y := nt.MulModShoup(x, c.pHatInv[i], c.pHatInvSh[i], c.Src[i])
+			acc = nt.AddMod(acc, nt.MulModShoup(y, c.col[j][i], c.colSh[j][i], t), t)
+		}
+		out[j] = acc
+	}
+	return out
 }
 
 // convReference computes Conv's defining sum over math/big for one
@@ -321,7 +394,7 @@ func TestConvDeferredBoundCountsEverySource(t *testing.T) {
 				xs[i] = src[i][k]
 			}
 			want := convReference(cv, xs)
-			scalar := cv.ConvertScalar(xs)
+			scalar := convertScalar(cv, xs)
 			for j := range c.dst {
 				if out[j][k] != want[j] || scalar[j] != want[j] {
 					t.Fatalf("%s coeff %d target %d: Convert %d, ConvertScalar %d, math/big %d", c.name, k, j, out[j][k], scalar[j], want[j])
@@ -375,10 +448,10 @@ func TestConvDeferredRowWorstCase(t *testing.T) {
 		}
 		want := new(big.Int).Mod(worst(k), new(big.Int).SetUint64(tgt)).Uint64()
 		got := make([]uint64, n)
-		cv.row(got, y, 0)
+		cv.row(got, y, 0, 0)
 		cv.sumMu[0] = 0 // the per-term path must agree on the same sum
 		perTerm := make([]uint64, n)
-		cv.row(perTerm, y, 0)
+		cv.row(perTerm, y, 0, 0)
 		for kk := range got {
 			if got[kk] != want || perTerm[kk] != want {
 				t.Fatalf("%d terms, coeff %d: deferred %d, per-term %d, math/big %d", k, kk, got[kk], perTerm[kk], want)
