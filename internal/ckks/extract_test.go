@@ -130,13 +130,15 @@ func TestRotateHoistedMulRescaleMatchesTwoStep(t *testing.T) {
 // schemes at 28- and 61-bit words and on a redundant-residue chain. In
 // the slots the mask zeroes the two-step path keeps only its rescale's
 // rounding (its ModDown's error is multiplied by the mask's zero), while
-// the one division sheds k = S + D moduli at once. The division rounds,
-// so what is left is its fast conversion's zero-mean error, of variance
-// k/12 per coefficient against D/12: the zeroed slots are held to
-// ½·log2((S+D)/D) + 0.1 bit over the two-step path (0.39-0.76 here; they
-// read within 0.03 of the ratio). A floored division added its k/2 bias
-// there, and they read up to 1.4 bits noisier (DESIGN.md, "One division
-// per reply").
+// the one division sheds k = S + D moduli at once (S special primes, D
+// retired by the level change). The division rounds, so what is left is
+// its fast conversion's zero-mean error, of variance k/12 per
+// coefficient against D/12: the zeroed slots are held to
+// ½·log2((S+D)/D) + 0.1 bit over the two-step path, from each case's
+// pinned S and D (0.39-0.76 bit; they read within 0.03 of the ratio). A
+// level plan that sheds other counts fails the test rather than moving
+// the allowance. A floored division added its k/2 bias there, and they
+// read up to 1.4 bits noisier (DESIGN.md, "One division per reply").
 func TestRotateHoistedMulRescalePrecision(t *testing.T) {
 	if testing.Short() {
 		t.Skip("LogN 12 keys")
@@ -145,7 +147,14 @@ func TestRotateHoistedMulRescalePrecision(t *testing.T) {
 		scheme core.Scheme
 		w      int
 		rrns   bool
-	}{{core.BitPacker, 28, false}, {core.BitPacker, 61, false}, {core.RNSCKKS, 28, false}, {core.RNSCKKS, 61, false}, {core.BitPacker, 61, true}} {
+		s, d   int // special primes; moduli the level change retires
+	}{
+		{core.BitPacker, 28, false, 2, 2},
+		{core.BitPacker, 61, false, 1, 2},
+		{core.RNSCKKS, 28, false, 3, 2},
+		{core.RNSCKKS, 61, false, 1, 1},
+		{core.BitPacker, 61, true, 1, 2},
+	} {
 		setup := newTestSetup
 		if c.rrns {
 			setup = newRRNSSetup
@@ -171,7 +180,11 @@ func TestRotateHoistedMulRescalePrecision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allow := 0.5*math.Log2(float64(len(one.sd.ShedPos))/float64(len(two.sd.ShedPos))) + 0.1; zm > z2+allow {
+		if len(s.params.Chain.Special) != c.s || len(one.sd.ShedPos) != c.s+c.d || len(two.sd.ShedPos) != c.d {
+			t.Fatalf("%v w=%d rrns=%v: %d special primes, the divisions shed %d and %d moduli; pinned S=%d, D=%d",
+				c.scheme, c.w, c.rrns, len(s.params.Chain.Special), len(one.sd.ShedPos), len(two.sd.ShedPos), c.s, c.d)
+		}
+		if allow := 0.5*math.Log2(float64(c.s+c.d)/float64(c.d)) + 0.1; zm > z2+allow {
 			t.Errorf("%v w=%d rrns=%v: zeroed-slot error 2^%.2f, two-step 2^%.2f, allowance %.2f bit", c.scheme, c.w, c.rrns, zm, z2, allow)
 		}
 	}

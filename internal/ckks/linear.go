@@ -69,7 +69,8 @@ type giantStep struct {
 // moduli followed by the special primes when its baby step is nonzero —
 // it multiplies a baby rotation still in the extended basis — and, times
 // P, over the level's moduli alone when it multiplies the input itself
-// (the live rows of P·ct; its special rows are zero).
+// (the live rows of P·ct; its special rows are zero). Diagonal 0 alone is
+// a plaintext product and is stored as it is.
 type babyTerm struct {
 	baby int // index into LinearTransform.babies
 	pt   *ring.Poly
@@ -224,7 +225,7 @@ func NewLinearTransformFromDiags(params *Parameters, enc *Encoder, diags map[int
 		}
 		pt := enc.MustEncode(rotated, scale, moduli)
 		pt.NTT()
-		if b == 0 {
+		if b == 0 && len(ds) > 1 {
 			// The input it multiplies is at live width, where P·ct is
 			// P times it: storing P·diag lets the product join the
 			// giant's extended-basis sum with no lift.
@@ -401,11 +402,12 @@ func (x extPair) free(ctx *ring.Context) {
 // its C1 accumulator, for its decomposition, and permutes its C0
 // accumulator where it lies; the giants' extended-basis results are
 // summed and one ModDown ends the apply. An unfactored transform is the
-// same with a single giant step, 0. The result is value-equivalent to
-// ApplyLinearTransformNaive — same level, scale and noise bound — but
-// not bit-identical: hoisting reorders the approximate-ModUp rounding
-// and the single division rounds once where the naive path rounds per
-// rotation (see DESIGN.md).
+// same with a single giant step, 0; diagonal 0 alone is a plaintext
+// product, with no keyswitch and no division. The result is
+// value-equivalent to ApplyLinearTransformNaive — same level, scale and
+// noise bound — but not bit-identical: hoisting reorders the
+// approximate-ModUp rounding and the single division rounds once where
+// the naive path rounds per rotation (see DESIGN.md).
 //
 // The baby rotations and the per-giant accumulations are independent
 // and fan out across the execution engine (honoring the evaluator's
@@ -426,6 +428,14 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 	}
 	if lt.diags == 0 {
 		return ev.zeroTransformResult(ct, lt.Scale), nil
+	}
+	if len(lt.galEls) == 0 {
+		// Diagonal 0 alone: P·diag·ct would reach the closing ModDown an
+		// exact multiple of P, which the rounded division shifts by a
+		// constant in every coefficient. A plaintext product divides nothing.
+		c0, c1 := ev.polyPairLike(ct)
+		ring.MulCoeffsPair(c0, ct.C0, c1, ct.C1, lt.giants[0].terms[0].pt)
+		return ev.plainProduct(ct, c0, c1, lt.Scale), nil
 	}
 	// Declare the plan's whole key demand up front: with a key manager
 	// the transform's rotation keys are pinned resident for the duration

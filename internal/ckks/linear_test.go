@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -31,6 +32,15 @@ func TestLinearTransformIdentity(t *testing.T) {
 	got := s.dec.MustDecryptAndDecode(out, s.enc)
 	if e := maxErr(got, vals); e > 1e-5 {
 		t.Fatalf("identity transform error %g", e)
+	}
+	// Diagonal 0 alone is a plaintext product, fused and staged: no
+	// keyswitch, and no division of an exact multiple of P.
+	pt := &Plaintext{Value: s.enc.MustEncode(ones(slots), lt.Scale, s.params.LevelModuli(ct.Level)), Level: ct.Level, Scale: lt.Scale}
+	want := marshalCt(t, s.ev.MustMulPlain(ct, pt))
+	for _, fused := range []bool{true, false} {
+		if got := withFused(s, fused, func() *Ciphertext { return s.ev.MustApplyLinearTransform(ct, lt) }); !bytes.Equal(marshalCt(t, got), want) {
+			t.Errorf("fused=%v: identity transform differs from MulPlain by the diagonal", fused)
+		}
 	}
 }
 

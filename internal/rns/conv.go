@@ -102,16 +102,9 @@ func NewConv(src, dst []uint64) *Conv {
 
 // scale fills y[i] = [x_i · pHatInv_i + add]_{p_i} for source residue
 // i — the first half of every conversion. add is 0 for a plain
-// conversion (and then costs nothing); ExactDiv folds its rounding
-// constant in here.
+// conversion; ExactDiv folds its rounding constant in here.
 func (c *Conv) scale(y, x []uint64, i int, add uint64) {
 	p, w, ws := c.Src[i], c.pHatInv[i], c.pHatInvSh[i]
-	if add == 0 {
-		for k, v := range x {
-			y[k] = nt.MulModShoup(v, w, ws, p)
-		}
-		return
-	}
 	for k, v := range x {
 		y[k] = nt.AddMod(nt.MulModShoup(v, w, ws, p), add, p)
 	}
@@ -150,12 +143,6 @@ func (c *Conv) row(dst []uint64, y [][]uint64, j int, sub uint64) {
 			for k := range dst {
 				dst[k] += ya[k]*wa + yb[k]*wb
 			}
-		}
-		if sub == 0 {
-			for k := range dst {
-				dst[k] = nt.ReduceWord(dst[k], t, mu)
-			}
-			return
 		}
 		for k := range dst {
 			dst[k] = nt.SubMod(nt.ReduceWord(dst[k], t, mu), sub, t)
@@ -320,7 +307,7 @@ func (d *ExactDiv) ApplyBatchNTT(targets []DivBatchTarget, fwd func(j int, row [
 	}
 }
 
-// ApplyScalar is the single-coefficient variant of Apply, written out
+// ApplyScalar is the single-coefficient variant of ApplyBatch, written out
 // per term (Shoup products, no deferred sum, no batching), for tests.
 func (d *ExactDiv) ApplyScalar(kept, shed []uint64) []uint64 {
 	c := d.Conv

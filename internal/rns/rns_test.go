@@ -172,6 +172,38 @@ func TestExactDivRoundsAgainstBig(t *testing.T) {
 			if mean := sum / n; math.Abs(mean) > 0.05 {
 				t.Errorf("w=%d k=%d: mean of output − round(x/P) is %.4f over %d coefficients", bits, k, mean, n)
 			}
+			// The one input the rounding does not centre: an exact
+			// multiple m·P has zero shed rows, so the output is m plus the
+			// same constant in every coefficient — k/2 for an even k, at
+			// most k/2 otherwise. The evaluator never divides one (a
+			// transform holding only diagonal 0 is a plaintext product).
+			for i := range shedRes {
+				clear(shedRes[i])
+			}
+			for c := range xs {
+				xs[c] = randBig(rng, keptBasis.Q)
+				res := keptBasis.Decompose(new(big.Int).Mul(xs[c], d.Conv.P))
+				for j := range keptRes {
+					keptRes[j][c] = res[j]
+				}
+			}
+			apply(d, keptRes, shedRes)
+			var shift *big.Int
+			for c, m := range xs {
+				out := make([]uint64, len(kept))
+				for j := range out {
+					out[j] = keptRes[j][c]
+				}
+				diff := keptBasis.ComposeCentered(keptBasis.Decompose(new(big.Int).Sub(keptBasis.Compose(out), m)))
+				if shift == nil {
+					shift = diff
+				} else if diff.Cmp(shift) != 0 {
+					t.Fatalf("w=%d k=%d multiple %d: output − m = %v, the first read %v", bits, k, c, diff, shift)
+				}
+			}
+			if s := 2 * shift.Int64(); s > int64(k) || s < -int64(k) || (k%2 == 0 && s != int64(k)) {
+				t.Errorf("w=%d k=%d: exact multiples of P come out shifted by %v", bits, k, shift)
+			}
 		}
 	}
 }
