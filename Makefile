@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate opgate keygate jobgate routegate framegate puregate docs-check loc fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate opgate keygate jobgate routegate framegate puregate rotgate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -110,6 +110,23 @@ puregate:
 	done); \
 	if [ -n "$$bad" ]; then echo "impure core:"; echo "$$bad"; exit 1; fi
 
+# One-rotation gate: every rotation (Rotate, Conjugate, RotateHoisted,
+# the extraction, the BSGS babies and giants, InnerSum's steps) is
+# internal/ckks's rotateExt, P·φ(ct) undivided in the extended basis,
+# and callers differ only in the decomposition they hand it and the
+# division they follow it with. Non-test internal/ckks code (comments
+# aside) that calls keySwitchExt( outside rotateExt and the
+# relinearization prefix relinExt, or PermuteNTTAdd( outside rotateExt,
+# is a second rotation route growing back.
+rotgate:
+	@bad=$$(for f in $$(ls internal/ckks/*.go | grep -v _test.go); do \
+		sed 's://.*$$::' $$f | awk -v f=$$f ' \
+			/^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn) } \
+			/keySwitchExt\(/ && !/^func / && fn != "rotateExt" && fn != "relinExt" { print f ":" NR ": " fn ": " $$0 } \
+			/PermuteNTTAdd\(/ && fn != "rotateExt" { print f ":" NR ": " fn ": " $$0 }'; \
+	done); \
+	if [ -n "$$bad" ]; then echo "rotation or keyswitch outside the one rotation route:"; echo "$$bad"; exit 1; fi
+
 # Stale-reference gate: the prose names commands and knobs, and a
 # deleted target, tool, flag, variable or option otherwise lingers there
 # unnoticed. Fails when README.md, DESIGN.md, EXPERIMENTS.md or the verify
@@ -198,8 +215,8 @@ chaos-soak:
 # included), the parallel hot paths must be race-free, a program op must
 # have one definition, switching keys one source, a served long job one
 # route, a shard two routes, streams and blobs one frame format, the state-machine cores
-# stay pure, and the docs may name only commands that exist.
-check: build vet test bench-test race panicgate opgate keygate jobgate routegate framegate puregate docs-check
+# stay pure, a rotation one route, and the docs may name only commands that exist.
+check: build vet test bench-test race panicgate opgate keygate jobgate routegate framegate puregate rotgate docs-check
 
 clean:
 	$(GO) clean ./...

@@ -641,9 +641,8 @@ func (c *Context) Rotate(a *Ciphertext, steps int) (*Ciphertext, error) {
 // single keyswitch decomposition (ModUp) across all of them — much
 // cheaper than calling Rotate per step when rotating the same input many
 // ways. Results align with steps; duplicate or zero steps are handled
-// without extra keyswitches. The outputs decrypt identically to Rotate's
-// but are not bit-identical to them (the shared ModUp rounds differently;
-// see DESIGN.md).
+// without extra keyswitches. Each output is bit-identical to Rotate's for
+// its step: Rotate is the one-step case of the same route (DESIGN.md).
 func (c *Context) RotateHoisted(a *Ciphertext, steps []int) ([]*Ciphertext, error) {
 	return wrapAll(retried(c, "RotateHoisted", func() ([]*ckks.Ciphertext, error) {
 		return c.eval.RotateHoisted(a.ct, steps)

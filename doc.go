@@ -27,7 +27,7 @@
 //		WordBits:  28,
 //	})
 //	ct, _ := ctx.EncryptReal([]float64{1.5, 2.5})
-//	sq := ctx.Rescale(ctx.Mul(ct, ct))
+//	sq, _ := ctx.MulRescale(ct, ct)
 //	vals, _ := ctx.DecryptReal(sq)
 //
 // This is a research artifact reproducing a paper, not a production

@@ -9,21 +9,22 @@ import (
 // All of them propagate the typed errors of the primitives they compose.
 
 // Power raises a ciphertext to an integer power k >= 1 by square-and-
-// multiply, rescaling after every multiplication and adjusting operands to
-// matching levels. It consumes ceil(log2(k)) + popcount-related levels.
+// multiply, every multiplication a MulRescale (one division) and operands
+// adjusted to matching levels. It consumes ceil(log2(k)) +
+// popcount-related levels.
 func (c *Context) Power(ct *Ciphertext, k int) (*Ciphertext, error) {
 	if k < 1 {
 		return nil, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: power %d < 1", k)
 	}
 	var acc *Ciphertext // product of selected squarings
 	cur := ct
+	var err error
 	for {
 		if k&1 == 1 {
 			if acc == nil {
 				acc = cur
 			} else {
 				a, b := acc, cur
-				var err error
 				if a.Level() > b.Level() {
 					if a, err = c.Adjust(a, b.Level()); err != nil {
 						return nil, err
@@ -33,11 +34,7 @@ func (c *Context) Power(ct *Ciphertext, k int) (*Ciphertext, error) {
 						return nil, err
 					}
 				}
-				prod, err := c.Mul(a, b)
-				if err != nil {
-					return nil, err
-				}
-				if acc, err = c.Rescale(prod); err != nil {
+				if acc, err = c.MulRescale(a, b); err != nil {
 					return nil, err
 				}
 			}
@@ -49,11 +46,7 @@ func (c *Context) Power(ct *Ciphertext, k int) (*Ciphertext, error) {
 		if cur.Level() == 0 {
 			return nil, fherr.Wrap(fherr.ErrChainExhausted, "bitpacker: chain too shallow for requested power")
 		}
-		sq, err := c.Mul(cur, cur)
-		if err != nil {
-			return nil, err
-		}
-		if cur, err = c.Rescale(sq); err != nil {
+		if cur, err = c.MulRescale(cur, cur); err != nil {
 			return nil, err
 		}
 	}
@@ -69,7 +62,7 @@ func (c *Context) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
 }
 
 // EvalPolynomial evaluates sum_i coeffs[i] * x^i homomorphically (Horner's
-// method), rescaling after each step. coeffs[0] is the constant term. The
+// method), each step's product a MulRescale (one division). coeffs[0] is the constant term. The
 // ciphertext must have enough levels (one per multiplication, i.e.
 // len(coeffs)-1).
 func (c *Context) EvalPolynomial(x *Ciphertext, coeffs []float64) (*Ciphertext, error) {
@@ -105,10 +98,7 @@ func (c *Context) EvalPolynomial(x *Ciphertext, coeffs []float64) (*Ciphertext, 
 		if err != nil {
 			return nil, err
 		}
-		if prod, err = c.Mul(acc, xa); err != nil {
-			return nil, err
-		}
-		if acc, err = c.Rescale(prod); err != nil {
+		if acc, err = c.MulRescale(acc, xa); err != nil {
 			return nil, err
 		}
 		if acc, err = c.addScalar(acc, coeffs[i]); err != nil {

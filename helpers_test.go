@@ -97,7 +97,8 @@ func TestEvalPolynomial(t *testing.T) {
 // TestEvalPolynomialScalarsMatchEncoderPath runs EvalPolynomial, whose
 // coefficients reach the evaluator as scalars, beside the same Horner
 // scheme over MulConst/AddConst of the replicated, encoded coefficient —
-// the path it took before — at a narrow and a wide word, with negative
+// the path it took before, its products through MulRescale as
+// EvalPolynomial's are, so only the constants differ — at a narrow and a wide word, with negative
 // and zero coefficients: within 2^-25 of each other, and within the
 // precision the result's own noise budget promises (the fuzz target's
 // 16× allowance) of the exact polynomial.
@@ -133,7 +134,7 @@ func TestEvalPolynomialScalarsMatchEncoderPath(t *testing.T) {
 		ref := must(ctx.Rescale(must(ctx.MulConst(ct, cvec(coeffs[d])))))
 		ref = must(ctx.AddConst(ref, cvec(coeffs[d-1])))
 		for i := d - 2; i >= 0; i-- {
-			ref = must(ctx.Rescale(must(ctx.Mul(ref, must(ctx.Adjust(ct, ref.Level()))))))
+			ref = must(ctx.MulRescale(ref, must(ctx.Adjust(ct, ref.Level()))))
 			ref = must(ctx.AddConst(ref, cvec(coeffs[i])))
 		}
 

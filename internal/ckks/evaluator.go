@@ -205,12 +205,14 @@ func moduliKey(buf []byte, a, b []uint64) []byte {
 
 // ksPlan is the layout of a hybrid keyswitch over one live basis: the
 // extended basis live++special, each digit's rows and ModUp conversion,
-// and the ModDown transition back to live. It depends on nothing but the
-// basis, so it is built once and shared by every keyswitch at that level.
+// the ModDown transition back to live, and P's residues over live, which
+// lift multiplies by. It depends on nothing but the basis, so it is built
+// once and shared by every keyswitch at that level.
 type ksPlan struct {
 	ext     []uint64
 	digits  []ksDigit // indexed by digit; conv is nil when it has no live rows
 	modDown *ring.ScaleDownParams
+	pLive   []uint64 // P mod each live modulus
 }
 
 type ksDigit struct {
@@ -253,6 +255,7 @@ func (ev *Evaluator) ksPlan(live []uint64) *ksPlan {
 			shedPos[i] = len(live) + i
 		}
 		pl.modDown = ring.NewScaleDownParams(pl.ext, shedPos)
+		pl.pLive = residues(pl.modDown.P, live)
 		return pl, nil
 	})
 	return pl
@@ -476,19 +479,14 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := checkCompatible("MulRelin", a, b); err != nil {
 		return nil, err
 	}
-	rlk, releaseKey, err := ev.km.Acquire(ev.ctx, "MulRelin", RelinKeyID)
+	d0, d1, e, err := ev.relinExt(a, b)
 	if err != nil {
 		return nil, err
 	}
-	defer releaseKey()
-	p := ev.params
-
-	d0, d1, d2 := ev.tensor(a, b)
-	ks0, ks1 := ev.keySwitch(d2, rlk)
-	p.Ctx.PutPoly(d2)
-	ev.addPair(d0, d1, ks0, ks1)
-	p.Ctx.PutPoly(ks0)
-	p.Ctx.PutPoly(ks1)
+	ks := ev.modDown(a.C0.Moduli, e.c0, e.c1)
+	ev.addPair(d0, d1, ks[0], ks[1])
+	ev.params.Ctx.PutPoly(ks[0])
+	ev.params.Ctx.PutPoly(ks[1])
 
 	scale, noise := ev.productBookkeeping(a, b)
 	out := newCiphertext(d0, d1, a.Level, scale, noise)
@@ -496,6 +494,27 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// relinExt is the product MulRelin and MulRescale share: the tensor
+// (d0, d1, d2) of a and b, d0 and d1 at live width, and d2 switched by
+// the relinearization key and left undivided — in the extended basis
+// live++special, scaled by P. MulRelin divides the keyswitch output and
+// adds it to (d0, d1); MulRescale lifts (d0, d1) and divides the sum
+// once. Everything returned is pooled; the caller owns it.
+func (ev *Evaluator) relinExt(a, b *Ciphertext) (d0, d1 *ring.Poly, e extPair, err error) {
+	rlk, releaseKey, err := ev.km.Acquire(ev.ctx, "MulRelin", RelinKeyID)
+	if err != nil {
+		return nil, nil, extPair{}, err
+	}
+	defer releaseKey()
+	ctx := ev.params.Ctx
+	d0, d1, d2 := ev.tensor(a, b)
+	hd := ev.decomposePoly(d2)
+	ctx.PutPoly(d2)
+	e.c0, e.c1 = ev.keySwitchExt(hd, rlk, 1)
+	hd.Free(ctx)
+	return d0, d1, e, nil
 }
 
 // productBookkeeping is the scale and noise of the product of a and b.
@@ -539,33 +558,30 @@ func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) {
 	return ev.MulRelin(ct, ct)
 }
 
-// HoistedDecomp is the reusable first half of a hybrid keyswitch: the
-// digit decomposition of a polynomial, basis-extended (ModUp) from its
-// live moduli to live+special. Producing it costs one INTT plus one
-// approximate basis conversion per digit — the dominant O(R²·N) part of a
-// keyswitch — and it can then be consumed by many switching keys and
-// Galois automorphisms (hoisting, HS18 / ARK-style inter-op reuse).
+// HoistedDecomp is a ciphertext ready to be rotated any number of ways.
+// Its C1 is held as the reusable first half of a hybrid keyswitch: the
+// digit decomposition, basis-extended (ModUp) from the live moduli to
+// live++special. Producing it costs one INTT plus one approximate basis
+// conversion per digit — the dominant O(R²·N) part of a keyswitch — and
+// every rotation then reuses it (hoisting, HS18 / ARK-style inter-op
+// reuse). Its C0 is carried as P·c0 in the same extended basis, where
+// each rotation permutes it (rotateExt).
 //
-// The digits are kept in the coefficient domain so a Galois automorphism
-// (a signed coefficient permutation, which commutes with the per-residue
-// digit selection) can still be applied per rotation before the NTT and
-// inner product.
+// Fused, the digits are in the evaluation domain: a Galois automorphism
+// is then a permutation of evaluation points, which the inner product
+// reads in place. Staged, they stay in the coefficient domain and each
+// rotation permutes and transforms a copy.
 type HoistedDecomp struct {
-	live   []uint64
 	ext    []uint64
 	digits []*ring.Poly // indexed by digit; nil when the digit has no rows
-	// c0 is the non-switched half each hoisted rotation permutes: the
-	// input's C0 as DecomposeModUp snapshots it, or P·C0 over the
-	// extended basis for RotateHoistedMulRescale. Decompositions of other
-	// polynomials leave it nil.
-	c0    *ring.Poly
-	level int
-	scale *big.Rat
-	noise float64
+	// c0 is P·c0 over the extended basis: the lifted input (hoist), or
+	// an accumulator already there (a BSGS giant's, InnerSum's). It is
+	// nil in a decomposition only relinearization reads.
+	c0 *ring.Poly
 }
 
-// Free returns the decomposition's scratch polynomials to the context
-// pool. The decomposition must not be used afterwards.
+// Free returns the decomposition's scratch polynomials, c0 included, to
+// the context pool. The decomposition must not be used afterwards.
 func (hd *HoistedDecomp) Free(ctx *ring.Context) {
 	for _, d := range hd.digits {
 		if d != nil {
@@ -580,8 +596,8 @@ func (hd *HoistedDecomp) Free(ctx *ring.Context) {
 }
 
 // decomposePoly computes the digit decomposition + ModUp of c2 (NTT domain
-// over the current level moduli). This is the per-input half of keySwitch;
-// keySwitchHoisted is the per-key half.
+// over the current level moduli): the per-input half of a keyswitch,
+// keySwitchExt being the per-key half. c2 is only read.
 func (ev *Evaluator) decomposePoly(c2 *ring.Poly) *HoistedDecomp {
 	var hd *HoistedDecomp
 	var c2c *ring.Poly
@@ -602,22 +618,17 @@ func (ev *Evaluator) decomposePoly(c2 *ring.Poly) *HoistedDecomp {
 // ModUp conversion of those rows onto every other row of live++special.
 //
 // c2n, when non-nil, is the same polynomial in the evaluation domain (the
-// fused paths have it at hand: the keyswitch input itself, or its
-// PermuteNTT image on the Galois path), and the digits come out in the
-// evaluation domain: a digit's own rows are copied from c2n — they are
-// NTT(INTT(c2n)) = c2n bit for bit, the transforms being exact inverses —
-// and only the converted rows are transformed, |ext|−|own| per digit
-// instead of |ext|. Fused consumers want exactly that: a Galois
-// automorphism is then a pure permutation of evaluation points, which
-// the inner product (ring.InnerProduct) reads in place, so every hoisted
-// rotation reuses the digits with zero transforms and zero copies. With
-// c2n nil (staged evaluator) the digits stay in the coefficient domain.
-// Both inputs are only read.
+// fused decomposePoly has it at hand: the keyswitch input itself), and
+// the digits come out in the evaluation domain: a digit's own rows are
+// copied from c2n — they are NTT(INTT(c2n)) = c2n bit for bit, the
+// transforms being exact inverses — and only the converted rows are
+// transformed, |ext|−|own| per digit instead of |ext|. With c2n nil
+// (staged evaluator) the digits stay in the coefficient domain. Both
+// inputs are only read.
 func (ev *Evaluator) decompose(c2c, c2n *ring.Poly) *HoistedDecomp {
 	ctx := ev.params.Ctx
 	pl := ev.ksPlan(c2c.Moduli)
 	hd := &HoistedDecomp{
-		live:   append([]uint64(nil), c2c.Moduli...),
 		ext:    pl.ext,
 		digits: make([]*ring.Poly, len(pl.digits)),
 	}
@@ -665,48 +676,19 @@ func (ev *Evaluator) decompose(c2c, c2n *ring.Poly) *HoistedDecomp {
 	return hd
 }
 
-// DecomposeModUp computes the hoisted decomposition of ct's C1 (plus a
-// coefficient-domain copy of C0), ready to be consumed by RotateHoisted
-// or keySwitchHoisted any number of times. Release it with Free.
-func (ev *Evaluator) DecomposeModUp(ct *Ciphertext) (*HoistedDecomp, error) {
-	if err := ev.begin("DecomposeModUp", ct); err != nil {
-		return nil, err
-	}
+// hoist is the decomposition every rotation of ct starts from: the digits
+// of its C1 and P·c0.
+func (ev *Evaluator) hoist(ct *Ciphertext) *HoistedDecomp {
 	hd := ev.decomposePoly(ct.C1)
-	var c0 *ring.Poly
-	if ev.fused {
-		// Evaluation-domain snapshot: each hoisted rotation permutes it in
-		// place of an automorphism+NTT — zero transforms per rotation.
-		c0 = ct.C0.ScratchCopy()
-	} else {
-		c0 = ct.C0.ScratchCopy()
-		c0.INTT()
-	}
-	hd.c0 = c0
-	hd.level = ct.Level
-	hd.scale = new(big.Rat).Set(ct.Scale)
-	hd.noise = ct.NoiseBits
-	return hd, nil
+	hd.c0 = ev.lift(ct.C0)[0]
+	return hd
 }
 
-// keySwitchHoisted is the per-key half of a hybrid keyswitch: apply the
-// Galois automorphism galEl (1 = identity) to each pre-extended digit,
-// inner-multiply with the key, and ModDown (divide the accumulated pair
-// by P) back to the live moduli. With galEl == 1 this is bit-identical to
-// the unsplit keyswitch. Outputs are in the NTT domain.
-func (ev *Evaluator) keySwitchHoisted(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
-	e0, e1 := ev.keySwitchExt(hd, swk, galEl)
-	outs := ev.modDown(hd.live, e0, e1)
-	return outs[0], outs[1]
-}
-
-// keySwitchExt is the inner-product half of a keyswitch: the accumulated
-// pair still in the extended (live+special) basis and the NTT domain,
-// scaled by P — no ModDown. A caller about to multiply or sum keyswitch
-// outputs (the BSGS apply's babies and giants) keeps them there and
-// divides once: mod-q products and sums are exact, so the regrouping is
-// value-safe, and one rounding replaces one per term. The returned polys
-// are pooled; the caller owns them.
+// keySwitchExt is the inner-product half of a keyswitch of the
+// polynomial hd decomposes, under the Galois map galEl (1 = identity):
+// the accumulated pair in the extended (live+special) basis and the NTT
+// domain, scaled by P — no ModDown. The returned polys are pooled; the
+// caller owns them.
 func (ev *Evaluator) keySwitchExt(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
 	if ev.fused {
 		return ev.keySwitchExtFused(hd, swk, galEl)
@@ -718,33 +700,18 @@ func (ev *Evaluator) keySwitchExt(hd *HoistedDecomp, swk *SwitchingKey, galEl ui
 // digit's products with the key go into one inner product
 // (ring.InnerProduct), one fork/join over the extended rows that sums
 // the raw products and reduces each coefficient once per group of digits
-// instead of once per digit. A pre-transformed digit is read in place —
-// under a Galois map through the gather table — so no digit is copied;
-// a seed-compressed key's A rows are regenerated inside the same kernel,
-// row by row, and never materialize. Bit-identical to the staged
+// instead of once per digit. The evaluation-domain digits are read in
+// place — under a Galois map through the gather table — so no digit is
+// copied; a seed-compressed key's A rows are regenerated inside the same
+// kernel, row by row, and never materialize. Bit-identical to the staged
 // pipeline: both are the canonical residues of the same sums.
 func (ev *Evaluator) keySwitchExtFused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
 	ctx := ev.params.Ctx
 	ext := hd.ext
 	terms := make([]ring.Term, 0, len(hd.digits))
-	var owned []*ring.Poly
-	k := galEl
-	for d, src := range hd.digits {
-		if src == nil {
+	for d, digit := range hd.digits {
+		if digit == nil {
 			continue
-		}
-		digit := src
-		if !src.IsNTT {
-			// Coefficient-domain digit (staged decomposition consumed
-			// under a fused evaluator): the map and the transform are
-			// applied to a copy, and the inner product reads it as is.
-			if galEl == 1 {
-				digit = src.ScratchCopyNTT()
-			} else {
-				digit = src.AutomorphismNTT(galEl)
-			}
-			owned = append(owned, digit)
-			k = 1
 		}
 		// The key rows are only read: alias them instead of copying the
 		// whole switching key per digit. Row content of a seed-compressed
@@ -762,10 +729,7 @@ func (ev *Evaluator) keySwitchExtFused(hd *HoistedDecomp, swk *SwitchingKey, gal
 	acc0.IsNTT = true
 	acc1 := ctx.GetPoly(ext)
 	acc1.IsNTT = true
-	ring.InnerProduct(acc0, acc1, k, terms)
-	for _, d := range owned {
-		ctx.PutPoly(d)
-	}
+	ring.InnerProduct(acc0, acc1, galEl, terms)
 	return acc0, acc1
 }
 
@@ -774,6 +738,10 @@ func (ev *Evaluator) keySwitchExtFused(hd *HoistedDecomp, swk *SwitchingKey, gal
 // all in the NTT domain — the live rows stay put; only the special rows
 // are inverse-transformed and only the conversion rows transformed
 // forward. It consumes its inputs (returned to the pool).
+//
+// A ModDown reads only the shed rows, which are zero in P·a, so
+// ModDown(P·a + e) = a + ModDown(e) word for word: carrying P·c0 to the
+// division moves no bit against adding c0 after it.
 func (ev *Evaluator) modDown(live []uint64, ps ...*ring.Poly) []*ring.Poly {
 	if !ev.fused {
 		return ev.modDownUnfused(live, ps)
@@ -799,7 +767,7 @@ func (ev *Evaluator) lift(ps ...*ring.Poly) []*ring.Poly {
 		}
 		return outs
 	}
-	return ev.params.Ctx.ScaleUpBatch(ps, special, ev.ksPlan(ps[0].Moduli).modDown.P)
+	return ev.params.Ctx.ScaleUpBatch(ps, special, ev.ksPlan(ps[0].Moduli).pLive)
 }
 
 // addPair sets a0 += b0 and a1 += b1.
@@ -810,22 +778,6 @@ func (ev *Evaluator) addPair(a0, a1, b0, b1 *ring.Poly) {
 	}
 	a0.Add(a0, b0)
 	a1.Add(a1, b1)
-}
-
-// keySwitch applies swk to c2 (NTT domain over the current level moduli),
-// returning the two correction polynomials over the same moduli.
-//
-// Hybrid keyswitching: decompose c2 into Dnum digits (grouped by the
-// parameter layout), extend each digit from its live moduli to the full
-// live+special basis (ModUp, approximate), inner-multiply with the key,
-// and divide the accumulated pair by P (ModDown, rounded) to land back
-// on the live moduli. The two halves are split so rotation-heavy kernels
-// can hoist the decomposition (DecomposeModUp) across many keys.
-func (ev *Evaluator) keySwitch(c2 *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
-	hd := ev.decomposePoly(c2)
-	out0, out1 := ev.keySwitchHoisted(hd, swk, 1)
-	hd.Free(ev.params.Ctx)
-	return out0, out1
 }
 
 // ---------------------------------------------------------------------------
@@ -842,104 +794,71 @@ func (ev *Evaluator) PinGaloisKeys(op string, els []uint64) (func(), error) {
 	return ev.km.Pin(ev.ctx, op, els)
 }
 
-// applyGalois maps both ciphertext polys through X -> X^galEl and switches
-// the key back to s.
-//
-// Fused path: only C1 leaves the evaluation domain — its permuted
-// coefficient form feeds the digit conversions (skipping the legacy
-// NTT→INTT round trip, which is exact and therefore bit-identical), its
-// permuted evaluation form supplies each digit's own rows. C0 never
-// transforms at all: in the NTT domain the automorphism is a pure
-// permutation of evaluation points, and the keyswitch corrections come
-// back NTT-domain (NTT ModDown), so the fold is a single gather+add.
-func (ev *Evaluator) applyGalois(op string, ct *Ciphertext, galEl uint64) (*Ciphertext, error) {
-	swk, releaseKey, err := ev.km.Acquire(ev.ctx, op, galEl)
-	if err != nil {
-		return nil, err
-	}
-	defer releaseKey()
-	if !ev.fused {
-		return ev.applyGaloisUnfused(ct, swk, galEl)
-	}
-	ctx := ev.params.Ctx
-	a1c := ring.AutomorphismFromNTTBatch(galEl, ct.C1)[0]
-	a1n := ct.C1.PermuteNTT(galEl)
-	hd := ev.decompose(a1c, a1n)
-	ctx.PutPoly(a1c)
-	ctx.PutPoly(a1n)
-	ks0, ks1 := ev.keySwitchHoisted(hd, swk, 1)
-	hd.Free(ctx)
-	// φ(c0) + ks0 computed as one evaluation-domain gather+add: equal
-	// bit-for-bit to permuting in the coefficient domain and transforming,
-	// because the transform is exactly linear on canonical residues.
-	c0 := ct.C0.PermuteNTTAdd(galEl, ks0)
-	ctx.PutPoly(ks0)
-	noise := addNoiseBits(ct.NoiseBits, ev.nm.KeySwitchBits())
-	return newCiphertext(c0, ks1, ct.Level, new(big.Rat).Set(ct.Scale), noise), nil
-}
-
-// normalizeSteps reduces a rotation amount into [0, slots).
-func normalizeSteps(steps, slots int) int {
-	return ((steps % slots) + slots) % slots
-}
-
-// Rotate rotates the encrypted slot vector left by steps. A rotation by a
+// Rotate rotates the encrypted slot vector left by steps: the one-step
+// case of RotateHoisted, and bit-identical to it. A rotation by a
 // multiple of the slot count is the identity and returns a copy without
 // performing (or requiring a key for) a keyswitch.
 func (ev *Evaluator) Rotate(ct *Ciphertext, steps int) (*Ciphertext, error) {
 	if err := ev.begin("Rotate", ct); err != nil {
 		return nil, err
 	}
-	if normalizeSteps(steps, ev.params.Slots()) == 0 {
-		return ct.CopyNew(), nil
-	}
-	return ev.applyGalois("Rotate", ct, ring.GaloisElementForRotation(steps, ev.params.N()))
+	return ev.rotateOne("Rotate", ct, ring.GaloisElementForRotation(steps, ev.params.N()))
 }
 
-// Conjugate conjugates the encrypted slots.
+// Conjugate conjugates the encrypted slots: a one-step hoisted rotation
+// by the conjugation element.
 func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 	if err := ev.begin("Conjugate", ct); err != nil {
 		return nil, err
 	}
-	return ev.applyGalois("Conjugate", ct, ring.GaloisElementForConjugation(ev.params.N()))
+	return ev.rotateOne("Conjugate", ct, ring.GaloisElementForConjugation(ev.params.N()))
 }
 
-// rotateHoisted applies one rotation (galEl for nonzero normalized steps)
-// to a pre-decomposed ciphertext. The fused path is double-hoisted: the
-// digits were transformed once at decomposition, so a rotation is a pure
-// evaluation-domain permutation of each digit + inner product + NTT
-// ModDown, and the C0 half is a single gather+add — the per-rotation
-// transform count drops from O(dnum·ext) to just the ModDown's
-// special-row INTTs and conversion-row NTTs.
-func (ev *Evaluator) rotateHoisted(hd *HoistedDecomp, steps int) (*Ciphertext, error) {
-	galEl := ring.GaloisElementForRotation(steps, ev.params.N())
-	swk, releaseKey, err := ev.km.Acquire(ev.ctx, "RotateHoisted", galEl)
+// rotateOne is rotations for a single Galois element.
+func (ev *Evaluator) rotateOne(op string, ct *Ciphertext, galEl uint64) (*Ciphertext, error) {
+	outs, err := ev.rotations(op, ct, []uint64{galEl})
 	if err != nil {
 		return nil, err
 	}
-	defer releaseKey()
-	ks0, ks1 := ev.keySwitchHoisted(hd, swk, galEl)
-	c0 := ev.permuteAdd(hd.c0, galEl, ks0)
-	ev.params.Ctx.PutPoly(ks0)
-	noise := addNoiseBits(hd.noise, ev.nm.KeySwitchBits())
-	return newCiphertext(c0, ks1, hd.level, new(big.Rat).Set(hd.scale), noise), nil
+	return outs[0], nil
 }
 
-// permuteAdd returns φ_galEl(a) + b for b in the NTT domain, pooled: one
-// evaluation-domain gather+add when a is in the NTT domain too (a
-// decomposition's C0 snapshot, a BSGS accumulator), a fused
-// permute+transform when it is not (a staged-produced snapshot consumed
-// under a fused evaluator).
-func (ev *Evaluator) permuteAdd(a *ring.Poly, galEl uint64, b *ring.Poly) *ring.Poly {
-	switch {
-	case !ev.fused:
-		return ev.permuteAddUnfused(a, galEl, b)
-	case a.IsNTT:
-		return a.PermuteNTTAdd(galEl, b)
+// rotateExt is the one rotation: P·φ_g(ct) for the ciphertext hd holds,
+// undivided in the extended basis — φ_g(P·c0), permuted in place, plus
+// the keyswitch of φ_g(c1) read from hd's digits — with g's key acquired
+// for the duration. Every rotation is this followed by one division,
+// which is where callers differ: a modDown (Rotate, Conjugate,
+// RotateHoisted, InnerSum's C1), a transition that sheds P with a
+// level's retired moduli (RotateHoistedMulRescale), or, for the BSGS
+// babies and giants and InnerSum's C0, the modDown that ends the whole
+// sum. hd.c0 is only read; the returned pair is pooled and the caller's.
+func (ev *Evaluator) rotateExt(op string, hd *HoistedDecomp, galEl uint64) (extPair, error) {
+	swk, releaseKey, err := ev.km.Acquire(ev.ctx, op, galEl)
+	if err != nil {
+		return extPair{}, err
 	}
-	out := a.AutomorphismNTT(galEl)
-	out.Add(out, b)
-	return out
+	defer releaseKey()
+	e0, e1 := ev.keySwitchExt(hd, swk, galEl)
+	var c0 *ring.Poly
+	if ev.fused {
+		// One evaluation-domain gather+add: in the NTT domain the
+		// automorphism is a pure permutation of evaluation points.
+		c0 = hd.c0.PermuteNTTAdd(galEl, e0)
+	} else {
+		c0 = ev.permuteAddUnfused(hd.c0, galEl, e0)
+	}
+	ev.params.Ctx.PutPoly(e0)
+	return extPair{c0, e1}, nil
+}
+
+// extPair is a ciphertext's two components in the extended basis
+// live++special, scaled by P: what a rotation or a keyswitch leaves
+// before its division.
+type extPair struct{ c0, c1 *ring.Poly }
+
+func (x extPair) free(ctx *ring.Context) {
+	ctx.PutPoly(x.c0)
+	ctx.PutPoly(x.c1)
 }
 
 // fanOut is the one keyswitch fan-out (hoisted rotations, BSGS baby and
@@ -973,27 +892,45 @@ func (ev *Evaluator) fanOut(n int, live []uint64, f func(i int) error) error {
 
 // RotateHoisted rotates ct by every amount in steps, sharing one digit
 // decomposition (ModUp) across all of them: n rotations of the same
-// ciphertext cost 1 ModUp + n (automorphism + inner product + ModDown)
-// instead of n full keyswitches. Steps are normalized modulo the slot
-// count and deduplicated internally; the returned slice is indexed like
-// steps, with each entry an independent ciphertext. Rotations by zero (or
-// a multiple of the slot count) are plain copies.
-//
-// The hoisted results are value-equivalent to Rotate's (same level, scale
-// and noise bound) but not bit-identical: the approximate ModUp error is
-// computed before the automorphism instead of after, which permutes the
-// sub-noise rounding. See DESIGN.md.
+// ciphertext cost 1 ModUp + n (inner product + ModDown) instead of n
+// full keyswitches. Steps are normalized modulo the slot count and
+// deduplicated internally; the returned slice is indexed like steps,
+// with each entry an independent ciphertext. Rotations by zero (or a
+// multiple of the slot count) are plain copies. Each output is
+// bit-identical to Rotate's for its step.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, error) {
 	if err := ev.begin("RotateHoisted", ct); err != nil {
 		return nil, err
 	}
-	decompose := func() (*HoistedDecomp, error) { return ev.DecomposeModUp(ct) }
-	return ev.hoisted("RotateHoisted", ct, steps, decompose, func(hd *HoistedDecomp, step int) (*Ciphertext, error) {
-		if step == 0 {
+	return ev.rotations("RotateHoisted", ct, ev.galoisElements(steps))
+}
+
+// rotations is the body of Rotate, Conjugate and RotateHoisted: one
+// hoisted rotation of ct per Galois element (1, the identity, a copy),
+// each divided by one modDown.
+func (ev *Evaluator) rotations(op string, ct *Ciphertext, els []uint64) ([]*Ciphertext, error) {
+	noise := addNoiseBits(ct.NoiseBits, ev.nm.KeySwitchBits())
+	return ev.hoisted(op, ct, els, func(hd *HoistedDecomp, galEl uint64) (*Ciphertext, error) {
+		if galEl == 1 {
 			return ct.CopyNew(), nil
 		}
-		return ev.rotateHoisted(hd, step)
+		x, err := ev.rotateExt(op, hd, galEl)
+		if err != nil {
+			return nil, err
+		}
+		outs := ev.modDown(ct.C0.Moduli, x.c0, x.c1)
+		return newCiphertext(outs[0], outs[1], ct.Level, new(big.Rat).Set(ct.Scale), noise), nil
 	})
+}
+
+// galoisElements maps slot rotation amounts to their Galois elements; a
+// multiple of the slot count maps to 1.
+func (ev *Evaluator) galoisElements(steps []int) []uint64 {
+	els := make([]uint64, len(steps))
+	for i, s := range steps {
+		els[i] = ring.GaloisElementForRotation(s, ev.params.N())
+	}
+	return els
 }
 
 // RotateHoistedMulRescale returns, for every amount in steps,
@@ -1047,30 +984,18 @@ func (ev *Evaluator) RotateHoistedMulRescale(ct *Ciphertext, steps []int, pt *Pl
 	pScale := new(big.Rat).SetInt(ks.modDown.P)
 	extScale := new(big.Rat).Mul(scale, pScale)
 	extNoise := ev.plainProductNoise(ct.Scale, addNoiseBits(ct.NoiseBits, ev.nm.KeySwitchBits()), pt.Scale) + core.RatLog2(pScale)
-	// The decomposition's C0 is P·c0: φ_g of it is the C0 half of
-	// P·rot(ct, g) before the keyswitch output is added.
-	decompose := func() (*HoistedDecomp, error) {
-		hd := ev.decomposePoly(ct.C1)
-		hd.c0 = ev.lift(ct.C0)[0]
-		return hd, nil
-	}
-	return ev.hoisted(op, ct, steps, decompose, func(hd *HoistedDecomp, step int) (*Ciphertext, error) {
-		if step == 0 {
+	return ev.hoisted(op, ct, ev.galoisElements(steps), func(hd *HoistedDecomp, galEl uint64) (*Ciphertext, error) {
+		if galEl == 1 {
 			c0, c1 := ev.polyPairLike(ct)
 			ring.MulCoeffsPair(c0, ct.C0, c1, ct.C1, mLive)
 			return ev.transition(down, c0, c1, true, nil, scale, noise, nil)
 		}
-		galEl := ring.GaloisElementForRotation(step, ev.params.N())
-		swk, releaseKey, err := ev.km.Acquire(ev.ctx, op, galEl)
+		x, err := ev.rotateExt(op, hd, galEl)
 		if err != nil {
 			return nil, err
 		}
-		defer releaseKey()
-		e0, e1 := ev.keySwitchExt(hd, swk, galEl)
-		c0 := ev.permuteAdd(hd.c0, galEl, e0)
-		ctx.PutPoly(e0)
-		ring.MulCoeffsPair(c0, c0, e1, e1, m)
-		return ev.transition(extDown, c0, e1, true, nil, extScale, extNoise, nil)
+		ring.MulCoeffsPair(x.c0, x.c0, x.c1, x.c1, m)
+		return ev.transition(extDown, x.c0, x.c1, true, nil, extScale, extNoise, nil)
 	})
 }
 
@@ -1078,10 +1003,10 @@ func (ev *Evaluator) RotateHoistedMulRescale(ct *Ciphertext, steps []int, pt *Pl
 // that slot i holds the sum of slots i … i+n−1: log2(n) steps adding the
 // running sum rotated by 1, 2, 4, … to itself, with one division of C0.
 // A step ModDowns only its C1 output, which the next decomposition needs;
-// C0 stays in the extended basis as P·c0, where each step adds its
-// rotation (permuted in place) and the keyswitch output, and one ModDown
-// ends the sum. Value-equivalent to log2(n) Rotate+Add pairs (same level,
-// scale and noise bound), not bit-identical: C0 rounds once.
+// C0 stays in the extended basis as P·c0, the accumulator each step's
+// rotation permutes and adds to, and one ModDown ends the sum.
+// Value-equivalent to log2(n) Rotate+Add pairs (same level, scale and
+// noise bound), not bit-identical: C0 rounds once.
 func (ev *Evaluator) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
 	if err := ev.begin("InnerSum", ct); err != nil {
 		return nil, err
@@ -1105,64 +1030,55 @@ func (ev *Evaluator) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
 	x0, c1 := ev.lift(ct.C0)[0], ct.C1.ScratchCopy()
 	noise := ct.NoiseBits
 	for _, galEl := range els {
-		swk, releaseKey, err := ev.km.Acquire(ev.ctx, "InnerSum", galEl)
+		hd := ev.decomposePoly(c1)
+		hd.c0 = x0
+		r, err := ev.rotateExt("InnerSum", hd, galEl)
 		if err != nil {
-			ctx.PutPoly(x0)
+			hd.Free(ctx)
 			ctx.PutPoly(c1)
 			return nil, err
 		}
-		hd := ev.decomposePoly(c1)
-		e0, e1 := ev.keySwitchExt(hd, swk, galEl)
-		releaseKey()
-		hd.Free(ctx)
-		r0, r1 := ev.permuteAdd(x0, galEl, e0), ev.modDown(live, e1)[0]
-		ctx.PutPoly(e0)
-		ev.addPair(x0, c1, r0, r1)
-		ctx.PutPoly(r0)
+		r1 := ev.modDown(live, r.c1)[0]
+		ev.addPair(r.c0, c1, x0, r1)
+		hd.Free(ctx) // x0 with it: r.c0 is the running sum now
 		ctx.PutPoly(r1)
+		x0 = r.c0
 		noise = addNoiseBits(noise, addNoiseBits(noise, ev.nm.KeySwitchBits()))
 	}
 	return newCiphertext(ev.modDown(live, x0)[0], c1, ct.Level, new(big.Rat).Set(ct.Scale), noise), nil
 }
 
-// hoisted is the body RotateHoisted and RotateHoistedMulRescale share:
-// normalize and dedupe steps, pin the nonzero steps' keys and decompose
-// once when any is nonzero, run one(hd, step) per distinct step as one
-// fan-out (hd nil when every step is zero), and hand the results out in
-// steps' order — a duplicate step an independent copy.
-func (ev *Evaluator) hoisted(op string, ct *Ciphertext, steps []int, decompose func() (*HoistedDecomp, error), one func(hd *HoistedDecomp, step int) (*Ciphertext, error)) ([]*Ciphertext, error) {
-	slots := ev.params.Slots()
-	var uniq []int
-	at := make([]int, len(steps)) // steps[i] is uniq[at[i]]
-	index := map[int]int{}
-	var els []uint64
-	for i, s := range steps {
-		n := normalizeSteps(s, slots)
-		u, seen := index[n]
-		if !seen {
-			u = len(uniq)
-			index[n] = u
-			uniq = append(uniq, n)
-			if n != 0 {
-				els = append(els, ring.GaloisElementForRotation(n, ev.params.N()))
+// hoisted is the body every rotation shares: dedupe the Galois elements
+// els (1 is the identity), decompose ct once (hoist) when any element is
+// not 1, run one(hd, galEl) per distinct element as one fan-out (hd nil
+// when every element is 1), and hand the results out in els' order — a
+// duplicate an independent copy. A demand of several keys is pinned
+// before the fan-out; a single key is acquired once, by its rotation.
+func (ev *Evaluator) hoisted(op string, ct *Ciphertext, els []uint64, one func(hd *HoistedDecomp, galEl uint64) (*Ciphertext, error)) ([]*Ciphertext, error) {
+	uniq := make([]uint64, 0, len(els))
+	keys := 0
+	for _, g := range els {
+		if !slices.Contains(uniq, g) {
+			uniq = append(uniq, g)
+			if g != 1 {
+				keys++
 			}
 		}
-		at[i] = u
 	}
 	var hd *HoistedDecomp
-	if len(els) > 0 {
-		// Declare the whole rotation-key demand before the fan-out: with a
-		// key manager the working set is pinned resident across all the
-		// rotations instead of being acquired (and possibly evicted and
-		// regenerated) once per step.
-		releaseKeys, err := ev.PinGaloisKeys(op, els)
-		if err != nil {
-			return nil, err
+	if keys > 0 {
+		if keys > 1 {
+			// Declare the whole rotation-key demand before the fan-out:
+			// with a key manager the working set is pinned resident
+			// across all the rotations instead of being acquired (and
+			// possibly evicted and regenerated) once per step.
+			releaseKeys, err := ev.PinGaloisKeys(op, slices.DeleteFunc(slices.Clone(uniq), func(g uint64) bool { return g == 1 }))
+			if err != nil {
+				return nil, err
+			}
+			defer releaseKeys()
 		}
-		defer releaseKeys()
-		if hd, err = decompose(); err != nil {
-			return nil, err
-		}
+		hd = ev.hoist(ct)
 		defer hd.Free(ev.params.Ctx)
 	}
 	results := make([]*Ciphertext, len(uniq))
@@ -1172,13 +1088,14 @@ func (ev *Evaluator) hoisted(op string, ct *Ciphertext, steps []int, decompose f
 	}); err != nil {
 		return nil, err
 	}
-	out := make([]*Ciphertext, len(steps))
-	used := make([]bool, len(uniq))
-	for i, u := range at {
-		if out[i] = results[u]; used[u] {
-			out[i] = results[u].CopyNew()
+	if len(uniq) == len(els) {
+		return results, nil
+	}
+	out := make([]*Ciphertext, len(els))
+	for i, g := range els {
+		if out[i] = results[slices.Index(uniq, g)]; slices.Index(els, g) < i {
+			out[i] = out[i].CopyNew()
 		}
-		used[u] = true
 	}
 	return out, nil
 }

@@ -475,7 +475,11 @@ func TestWideChainsHaveNoNarrowModulus(t *testing.T) {
 // old n1 = 4), so the ceiling is 1,120. A one-division extraction of two
 // replies (steps 1 and 0) reads 638 (695 before the one-pass keyswitch),
 // against 841 for RotateHoisted with MulPlain+Rescale per reply; its
-// ceiling is 700. The collector is held off because a collection
+// ceiling is 700. Once lift read P's residues from the keyswitch plan
+// instead of reducing P per call, and Rotate became the one-step hoisted
+// rotation, MulRescale read 444 (515 before), Rotate 289 (286 on the
+// deleted permute-first route), the extraction 554 and InnerSum(16) 971;
+// no ceiling moved. The collector is held off because a collection
 // empties the scratch pools mid-run.
 func TestFusedHotPathAllocCeiling(t *testing.T) {
 	if raceEnabled {

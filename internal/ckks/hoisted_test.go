@@ -1,24 +1,25 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
 	"testing"
 
 	"bitpacker/internal/core"
+	"bitpacker/internal/ring"
 )
 
-// Differential coverage for the hoisted keyswitching fast paths: hoisted
-// vs. per-rotation keyswitching, BSGS vs. naive linear transforms, and
-// Paterson–Stockmeyer vs. three-term-recurrence Chebyshev evaluation.
+// Differential coverage for the hoisted keyswitching paths: the one
+// rotation route (Rotate and Conjugate are its one-step case), BSGS vs.
+// naive linear transforms, and Paterson–Stockmeyer vs.
+// three-term-recurrence Chebyshev evaluation.
 //
-// Hoisted and unhoisted rotations are NOT bit-identical by design: the
-// approximate ModUp basis extension does not commute with the Galois
-// automorphism's sign flips (see DESIGN.md), so the two paths produce
-// different — equally valid — representatives of the same plaintext. The
-// tests therefore assert matching level/scale plus decryption agreement,
-// and separately that each path is bit-identical across worker counts.
+// Where two paths round differently (BSGS against the per-diagonal
+// reference, which divides every rotation), the tests assert matching
+// level/scale plus decryption agreement, and separately that each path is
+// bit-identical across worker counts.
 
 func TestRotateZeroStepNoKeySwitch(t *testing.T) {
 	// The setup deliberately has no rotation keys: if the zero-step
@@ -40,6 +41,9 @@ func TestRotateZeroStepNoKeySwitch(t *testing.T) {
 	}
 }
 
+// TestRotateHoistedMatchesRotate: every hoisted rotation and a
+// conjugation decrypt to the rotated (conjugated) slots. Their bytes are
+// TestRotateIsOneStepHoisted's.
 func TestRotateHoistedMatchesRotate(t *testing.T) {
 	steps := []int{1, 2, 5}
 	for _, scheme := range []core.Scheme{core.BitPacker, core.RNSCKKS} {
@@ -54,19 +58,66 @@ func TestRotateHoistedMatchesRotate(t *testing.T) {
 			t.Fatalf("%v: got %d results for %d steps", scheme, len(hoisted), len(steps))
 		}
 		for i, st := range steps {
-			ref := s.ev.MustRotate(ct, st)
-			if hoisted[i].Level != ref.Level || hoisted[i].Scale.Cmp(ref.Scale) != 0 {
-				t.Fatalf("%v steps=%d: level/scale mismatch vs Rotate", scheme, st)
+			if hoisted[i].Level != ct.Level || hoisted[i].Scale.Cmp(ct.Scale) != 0 {
+				t.Fatalf("%v steps=%d: level/scale moved", scheme, st)
 			}
-			gotH := s.dec.MustDecryptAndDecode(hoisted[i], s.enc)
-			gotR := s.dec.MustDecryptAndDecode(ref, s.enc)
-			for j := range gotH {
-				want := vals[(j+st)%slots]
-				if e := cmplx.Abs(gotH[j] - want); e > 1e-5 {
+			got := s.dec.MustDecryptAndDecode(hoisted[i], s.enc)
+			for j := range got {
+				if e := cmplx.Abs(got[j] - vals[(j+st)%slots]); e > 1e-5 {
 					t.Fatalf("%v steps=%d slot %d: hoisted err %g", scheme, st, j, e)
 				}
-				if e := cmplx.Abs(gotH[j] - gotR[j]); e > 1e-5 {
-					t.Fatalf("%v steps=%d slot %d: hoisted vs unhoisted differ by %g", scheme, st, j, e)
+			}
+		}
+		got := s.dec.MustDecryptAndDecode(s.ev.MustConjugate(ct), s.enc)
+		for j := range got {
+			if e := cmplx.Abs(got[j] - cmplx.Conj(vals[j])); e > 1e-5 {
+				t.Fatalf("%v: conjugate slot %d: err %g", scheme, j, e)
+			}
+		}
+	}
+}
+
+// TestRotateIsOneStepHoisted: Rotate and Conjugate are the one-step case
+// of the hoisted rotation — byte-equal to RotateHoisted(ct, {k})[0] and
+// to the hoisted route over the conjugation element — fused and staged,
+// at workers 1 and 4, on both schemes at 28- and 61-bit words.
+func TestRotateIsOneStepHoisted(t *testing.T) {
+	for _, scheme := range []core.Scheme{core.BitPacker, core.RNSCKKS} {
+		for _, w := range []int{28, 61} {
+			s := newTestSetup(t, scheme, 3, 40, w, 9, 3, []int{1, 5, -3})
+			ct := s.encryptValues(randomValues(s.params.Slots(), rand.New(rand.NewPCG(79, uint64(w)))))
+			conj := ring.GaloisElementForConjugation(s.params.N())
+			var want []*Ciphertext // fused at one worker
+			for _, workers := range []int{1, 4} {
+				for _, fused := range []bool{true, false} {
+					var got []*Ciphertext
+					runWithWorkers(t, workers, func() *Ciphertext {
+						return withFused(s, fused, func() *Ciphertext {
+							for _, k := range []int{1, 5, -3} {
+								got = append(got, s.ev.MustRotate(ct, k), s.ev.MustRotateHoisted(ct, []int{k})[0])
+							}
+							hoisted, err := s.ev.rotations("Conjugate", ct, []uint64{conj})
+							if err != nil {
+								t.Fatal(err)
+							}
+							got = append(got, s.ev.MustConjugate(ct), hoisted[0])
+							return nil
+						})
+					})
+					tag := fmt.Sprintf("%v w=%d workers=%d fused=%v", scheme, w, workers, fused)
+					for i := 0; i < len(got); i += 2 {
+						if !ctEqualNoise(got[i], got[i+1]) {
+							t.Errorf("%s: one-step op %d differs from its hoisted route", tag, i/2)
+						}
+					}
+					if want == nil {
+						want = got
+					}
+					for i := range got {
+						if !ctEqualNoise(got[i], want[i]) {
+							t.Errorf("%s: output %d differs from fused at one worker", tag, i)
+						}
+					}
 				}
 			}
 		}

@@ -501,6 +501,36 @@ func TestKeyManagerStatesAndPins(t *testing.T) {
 	}
 }
 
+// TestOneKeyRotationAcquiresOnce: a hoisted op whose demand is one key
+// acquires it once, by its rotation, and pins nothing beforehand, so on a
+// budgeted store a cold rotation is one miss and a warm one one hit (a
+// pin counts one Acquire of its own, and a pinned key is not promoted).
+// A demand of two keys is pinned first: two acquires per key.
+func TestOneKeyRotationAcquiresOnce(t *testing.T) {
+	s := newTestSetup(t, core.BitPacker, 2, 40, 61, 9, 3, nil)
+	km := NewKeyManager(s.params, s.kg, s.sk, 1<<30)
+	s.ev.SetKeyManager(km)
+	ct := s.encryptValues(randomValues(s.params.Slots(), rand.New(rand.NewPCG(611, 612))))
+	acquires := func() int64 { st := km.Stats(); return st.Hits + st.Misses }
+	for _, c := range []struct {
+		name string
+		run  func()
+		want int64
+	}{
+		{"cold Rotate", func() { s.ev.MustRotate(ct, 1) }, 1},
+		{"warm Rotate", func() { s.ev.MustRotate(ct, 1) }, 1},
+		{"Conjugate", func() { s.ev.MustConjugate(ct) }, 1},
+		{"RotateHoisted one step", func() { s.ev.MustRotateHoisted(ct, []int{1, 0, 1}) }, 1},
+		{"RotateHoisted two steps", func() { s.ev.MustRotateHoisted(ct, []int{1, 2}) }, 4},
+	} {
+		before := acquires()
+		c.run()
+		if got := acquires() - before; got != c.want {
+			t.Errorf("%s: Hits+Misses moved by %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestKeyManagerHammer exercises the manager from many goroutines with a
 // budget small enough that keys constantly bounce between all three
 // states. Run under -race (make race covers this package), and every

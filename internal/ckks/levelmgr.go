@@ -177,7 +177,7 @@ func (ev *Evaluator) divide(pl *levelPlan, c0, c1 *ring.Poly, owned bool, pre *b
 		}
 	}
 	if mul != nil {
-		up := ctx.ScaleUpBatch(cs, pl.up, mul)
+		up := ctx.ScaleUpBatch(cs, pl.up, residues(mul, cs[0].Moduli))
 		free()
 		cs, owned = up, true
 	}
@@ -299,11 +299,6 @@ func (ev *Evaluator) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := checkCompatible("MulRelin", a, b); err != nil {
 		return nil, err
 	}
-	rlk, releaseKey, err := ev.km.Acquire(ev.ctx, "MulRelin", RelinKeyID)
-	if err != nil {
-		return nil, err
-	}
-	defer releaseKey()
 	scale, noise := ev.productBookkeeping(a, b)
 	// Guard the (never materialized) product ciphertext exactly as
 	// MulRelin would have before rescaling.
@@ -318,22 +313,31 @@ func (ev *Evaluator) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
+	d0, d1, e, err := ev.relinExt(a, b)
+	if err != nil {
+		return nil, err
+	}
 	ctx := ev.params.Ctx
-	d0, d1, d2 := ev.tensor(a, b)
-	hd := ev.decomposePoly(d2)
-	ctx.PutPoly(d2)
-	e0, e1 := ev.keySwitchExt(hd, rlk, 1)
-	hd.Free(ctx)
 	lifted := ev.lift(d0, d1)
 	ctx.PutPoly(d0)
 	ctx.PutPoly(d1)
-	ev.addPair(e0, e1, lifted[0], lifted[1])
+	ev.addPair(e.c0, e.c1, lifted[0], lifted[1])
 	ctx.PutPoly(lifted[0])
 	ctx.PutPoly(lifted[1])
 	// The pair is P times the product (scale and noise carry P) and has
 	// no spare channel to cross-check.
 	p := new(big.Rat).SetInt(ks.modDown.P)
-	return ev.transition(pl, e0, e1, true, nil, new(big.Rat).Mul(p, scale), noise+core.RatLog2(p), nil)
+	return ev.transition(pl, e.c0, e.c1, true, nil, new(big.Rat).Mul(p, scale), noise+core.RatLog2(p), nil)
+}
+
+// residues returns c mod q for every q in moduli.
+func residues(c *big.Int, moduli []uint64) []uint64 {
+	ws := make([]uint64, len(moduli))
+	r, q := new(big.Int), new(big.Int)
+	for i, m := range moduli {
+		ws[i] = r.Mod(c, q.SetUint64(m)).Uint64()
+	}
+	return ws
 }
 
 // roundRat rounds a rational to the nearest integer.

@@ -161,6 +161,11 @@ func bsgsPlan(ds []int, slots int, sh applyShape) int {
 	return best
 }
 
+// normalizeSteps reduces a rotation amount into [0, slots).
+func normalizeSteps(steps, slots int) int {
+	return ((steps % slots) + slots) % slots
+}
+
 // NewLinearTransformFromDiags encodes the given nonzero diagonals
 // (diags[d][i] multiplies slot (i+d) mod slots of the input) at the given
 // level with the level's canonical scale, in the BSGS factorization whose
@@ -380,15 +385,6 @@ func (ev *Evaluator) ApplyLinearTransformNaive(enc *Encoder, ct *Ciphertext, dia
 	return acc, nil
 }
 
-// extPair is a ciphertext's two components in the extended basis
-// live++special, scaled by P: what a keyswitch leaves before its ModDown.
-type extPair struct{ c0, c1 *ring.Poly }
-
-func (x extPair) free(ctx *ring.Context) {
-	ctx.PutPoly(x.c0)
-	ctx.PutPoly(x.c1)
-}
-
 // ApplyLinearTransform computes M·v for the encrypted vector v. The input
 // must be at lt.Level with the canonical scale; the output carries scale
 // ct.Scale * lt.Scale and should be rescaled by the caller.
@@ -462,23 +458,12 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 		first = 1
 	}
 	if nb := len(lt.babies) - first; nb > 0 {
-		hd := ev.decomposePoly(ct.C1)
+		hd := ev.hoist(ct)
 		defer hd.Free(ctx)
-		// φ_b(P·c0) is the C0 half of P·rot(ct, b) before the keyswitch
-		// output is added.
-		pc0 := ev.lift(ct.C0)[0]
-		defer ctx.PutPoly(pc0)
-		if err := ev.fanOut(nb, live, func(i int) error {
-			galEl := lt.galEls[i] // the nonzero babies lead lt.rotations
-			swk, releaseKey, err := ev.km.Acquire(ev.ctx, "ApplyLinearTransform", galEl)
-			if err != nil {
-				return err
-			}
-			defer releaseKey()
-			e0, e1 := ev.keySwitchExt(hd, swk, galEl)
-			babies[first+i] = extPair{ev.permuteAdd(pc0, galEl, e0), e1}
-			ctx.PutPoly(e0)
-			return nil
+		if err := ev.fanOut(nb, live, func(i int) (err error) {
+			// The nonzero babies lead lt.galEls.
+			babies[first+i], err = ev.rotateExt("ApplyLinearTransform", hd, lt.galEls[i])
+			return err
 		}); err != nil {
 			return nil, err
 		}
@@ -522,7 +507,8 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 // diagonal multiplies its baby rotation — the baby-0 diagonal, stored
 // times P at live width, multiplies the input itself, which lands on the
 // live rows of P·ct — and the rotation ModDowns only the C1 accumulator,
-// the one it decomposes, while the C0 accumulator is permuted in place.
+// the one it decomposes, while the C0 accumulator is the decomposition's
+// P·c0, which rotateExt permutes where it lies.
 // Fused, the diagonals' products are one inner product, reduced once per
 // coefficient; staged, each is its own product pass.
 func (ev *Evaluator) giantStep(ct *Ciphertext, lt *LinearTransform, giant *giantStep, babies []extPair) (extPair, error) {
@@ -557,22 +543,12 @@ func (ev *Evaluator) giantStep(ct *Ciphertext, lt *LinearTransform, giant *giant
 	if giant.g == 0 {
 		return acc, nil
 	}
-	galEl := ring.GaloisElementForRotation(giant.g, ev.params.N())
-	swk, releaseKey, err := ev.km.Acquire(ev.ctx, "ApplyLinearTransform", galEl)
-	if err != nil {
-		acc.free(ctx)
-		return extPair{}, err
-	}
-	defer releaseKey()
 	c1 := ev.modDown(live, acc.c1)[0]
 	hd := ev.decomposePoly(c1)
 	ctx.PutPoly(c1)
-	e0, e1 := ev.keySwitchExt(hd, swk, galEl)
-	hd.Free(ctx)
-	out := extPair{ev.permuteAdd(acc.c0, galEl, e0), e1}
-	ctx.PutPoly(acc.c0)
-	ctx.PutPoly(e0)
-	return out, nil
+	hd.c0 = acc.c0
+	defer hd.Free(ctx)
+	return ev.rotateExt("ApplyLinearTransform", hd, ring.GaloisElementForRotation(giant.g, ev.params.N()))
 }
 
 // ReplicateBlocks repeats the first dim entries of values across the whole

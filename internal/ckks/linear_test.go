@@ -169,8 +169,8 @@ func TestLinearTransformErrors(t *testing.T) {
 // parentHoistedApply is the per-diagonal hoisted evaluator the unfactored
 // case had to itself before ApplyLinearTransform had one body, kept here
 // (with the un-rotated encoding it read) as the value oracle: one
-// decomposition, then rotate (a ModDown each), MulPlain and add per
-// diagonal in ascending order.
+// decomposition shared by the rotations (RotateHoisted, a ModDown each),
+// then MulPlain and add per diagonal in ascending order.
 func parentHoistedApply(t *testing.T, s *testSetup, ct *Ciphertext, diags map[int][]complex128, level int) *Ciphertext {
 	t.Helper()
 	ev, scale := s.ev, s.params.DefaultScale(level)
@@ -179,24 +179,14 @@ func parentHoistedApply(t *testing.T, s *testSetup, ct *Ciphertext, diags map[in
 		ds = append(ds, d)
 	}
 	sort.Ints(ds)
-	hd, err := ev.DecomposeModUp(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hd.Free(s.params.Ctx)
+	terms := ev.MustRotateHoisted(ct, ds)
 	var acc *Ciphertext
-	for _, d := range ds {
+	for i, d := range ds {
 		padded := make([]complex128, s.params.Slots())
 		copy(padded, diags[d])
 		pt := &Plaintext{Value: s.enc.MustEncode(padded, scale, s.params.LevelModuli(level)), Level: level, Scale: scale}
 		pt.Value.NTT()
-		term := ct
-		if d != 0 {
-			if term, err = ev.rotateHoisted(hd, d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		term = ev.MustMulPlain(term, pt)
+		term := ev.MustMulPlain(terms[i], pt)
 		if acc == nil {
 			acc = term
 		} else {
@@ -297,6 +287,11 @@ func checkAgainstParent(t *testing.T, tag string, s *testSetup, got, parent *Cip
 // rounding (rns.ExactDiv), after the math/big references of the division
 // (internal/rns TestExactDivRoundsAgainstBig, internal/ring
 // TestEntryPointsMatchIndependentReference) passed.
+//
+// The other rows pin the keyswitching ops on the same input, recorded
+// before every rotation became the one extended-basis route: a ModDown
+// reads only the shed rows, which are zero in P·a, so carrying P·φ(c0)
+// to the division instead of adding φ(c0) after it moves no word.
 func TestDenseTransformMatchesParentBytes(t *testing.T) {
 	const dim = 16
 	rots := make([]int, 0, dim-1)
@@ -306,18 +301,62 @@ func TestDenseTransformMatchesParentBytes(t *testing.T) {
 	for _, c := range []struct {
 		scheme core.Scheme
 		w      int
-		sha    string
+		sha    map[string]string
 	}{
-		{core.BitPacker, 28, "294fb9f7a91e8628eba4fd5cfe81edf18e996c5845bc67e95752d83a84e519af"},
-		{core.BitPacker, 61, "10d5a56c164ab319bd445cbba4db6e5d0e0793b28fd002cff0e4e6093c428308"},
-		{core.RNSCKKS, 28, "09d5868a08e7ee3110c282dcfed49c2f4633423fa1e6750329316599a79390d5"},
-		{core.RNSCKKS, 61, "658a560bb918afe95e190b363d475114058bf92b881b436e2a79a9bb036ed3eb"},
+		{core.BitPacker, 28, map[string]string{
+			"ApplyLinearTransform":    "294fb9f7a91e8628eba4fd5cfe81edf18e996c5845bc67e95752d83a84e519af",
+			"MulRelin":                "9cf152707edbc9bd8d6c99c0f39bd6c3fdd7c8ca02940983f648802915aef95a",
+			"MulRescale":              "9ba2c6ccb3a87ea55e05932a57e77ffcf9aff10e48768a425e002bb77137bc35",
+			"RotateHoisted":           "8448967c33d1278c32caa44df70c673ac268e7a4564bd5105092bc90c9895021",
+			"RotateHoistedMulRescale": "630ca8f0d7f9e9da6d08d6a8a87520f8e7d6f2a7536495d4504483aa8d7f61aa",
+			"InnerSum":                "7a401fb0dc1913284d6b5af164b067619345c3698445ba0d9d155ae21e2aa43a",
+		}},
+		{core.BitPacker, 61, map[string]string{
+			"ApplyLinearTransform":    "10d5a56c164ab319bd445cbba4db6e5d0e0793b28fd002cff0e4e6093c428308",
+			"MulRelin":                "537021d591c0b7a159d34939672cc565c451994a2ae1f324a244ea01aff8d042",
+			"MulRescale":              "086410c6e16f5c58747eccc77ca9220ec86db55eecc7fc1b1e5a33a08821d056",
+			"RotateHoisted":           "d335864fc323fe25b7d274fac43d7752928f32550bbe4ec18a3a4116454b42a6",
+			"RotateHoistedMulRescale": "856bcb4236afc9e8c9ef5fbff09693f5d4b27aa3ccf837fd8adde44ee3e0b143",
+			"InnerSum":                "53948f1d7913a6e6b4db92ce3de9202a1dae6a094cf0ad07792f9cef690985a8",
+		}},
+		{core.RNSCKKS, 28, map[string]string{
+			"ApplyLinearTransform":    "09d5868a08e7ee3110c282dcfed49c2f4633423fa1e6750329316599a79390d5",
+			"MulRelin":                "70b2ec1904701fde19a14ee5297586304b36d8c05c2f6a2ae797b23d0666bc8f",
+			"MulRescale":              "0b903bf60f302d3f010f89d91bdd420144f1a28a7edcbbc3c3e55b263df5bc65",
+			"RotateHoisted":           "06f92fb9191f79bcf73b4c0f62de401700b4beb37f804f1e43a5d6d405990c3f",
+			"RotateHoistedMulRescale": "e6786b81709c1bcdb130356e4d1a9820401ea7899f277d3e02ecc75040aa1bfd",
+			"InnerSum":                "723ad7442b073ae6163ef9b59ab43ade0000b9a121be74ab4b68aca0afbd605c",
+		}},
+		{core.RNSCKKS, 61, map[string]string{
+			"ApplyLinearTransform":    "658a560bb918afe95e190b363d475114058bf92b881b436e2a79a9bb036ed3eb",
+			"MulRelin":                "0f1793f2dec1cf6e0b95df2ff67863b9fd644dd4215323422753f47421bdccd9",
+			"MulRescale":              "247da0517a0a2a3812df815ec63bc3c61a48d6b6800786e0909cb753f911c731",
+			"RotateHoisted":           "2fbb053316e908cdc39f9e99d88c2b6eaa3332f3356a5fd9ca48dd0bbe9d068e",
+			"RotateHoistedMulRescale": "acd266cb9bda74d714427b91eef9f9e4b922af191166ff468d907801970f7853",
+			"InnerSum":                "fbdfee485a15f5e1671a51fa5c9bc4aff360d0908ca2fbb3415a0565d8622282",
+		}},
 	} {
 		s := newTestSetup(t, c.scheme, 2, 40, c.w, 9, 8, rots)
 		lt, ct, _ := denseTestTransform(t, s, dim, 81)
-		out := s.ev.MustRescale(s.ev.MustApplyLinearTransform(ct, lt))
-		if got := fmt.Sprintf("%x", sha256.Sum256(marshalCt(t, out))); got != c.sha {
-			t.Errorf("%v w=%d: dense transform output digest %s, recorded %s", c.scheme, c.w, got, c.sha)
+		mask := s.encodeExt(extractionMask(s.params.Slots()), ct.Level)
+		ev := s.ev
+		for op, run := range map[string]func() []*Ciphertext{
+			"ApplyLinearTransform": func() []*Ciphertext {
+				return []*Ciphertext{ev.MustRescale(ev.MustApplyLinearTransform(ct, lt))}
+			},
+			"MulRelin":                func() []*Ciphertext { return []*Ciphertext{ev.MustMulRelin(ct, ct)} },
+			"MulRescale":              func() []*Ciphertext { return []*Ciphertext{ev.MustMulRescale(ct, ct)} },
+			"RotateHoisted":           func() []*Ciphertext { return ev.MustRotateHoisted(ct, []int{1, 5}) },
+			"RotateHoistedMulRescale": func() []*Ciphertext { return ev.MustRotateHoistedMulRescale(ct, []int{1, 0}, mask) },
+			"InnerSum":                func() []*Ciphertext { return []*Ciphertext{innerSum(t, s, ct, 8)} },
+		} {
+			h := sha256.New()
+			for _, out := range run() {
+				h.Write(marshalCt(t, out))
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.sha[op] {
+				t.Errorf("%v w=%d: %s output digest %s, recorded %s", c.scheme, c.w, op, got, c.sha[op])
+			}
 		}
 	}
 }

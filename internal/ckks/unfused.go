@@ -17,7 +17,8 @@ import (
 // keySwitchExtUnfused is the staged inner-product half: it stops before
 // the ModDown, returning the accumulated pair in the extended basis (NTT
 // domain). The staged twin of keySwitchExtFused — same values, one full
-// pass per kernel.
+// pass per kernel: each coefficient-domain digit is permuted (galEl 1 is
+// the identity) and transformed into a copy before its products.
 func (ev *Evaluator) keySwitchExtUnfused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
 	p := ev.params
 	ext := hd.ext
@@ -27,29 +28,12 @@ func (ev *Evaluator) keySwitchExtUnfused(hd *HoistedDecomp, swk *SwitchingKey, g
 	acc1 := p.Ctx.GetPolyZero(ext)
 	acc1.IsNTT = true
 
-	for d := 0; d < p.Dnum; d++ {
-		if hd.digits[d] == nil {
+	for d, src := range hd.digits {
+		if src == nil {
 			continue
 		}
-		// A fused-produced decomposition carries evaluation-domain digits;
-		// bring them back to the coefficient domain before the staged
-		// permute+transform sequence so either producer works here.
-		var digit *ring.Poly
-		switch src := hd.digits[d]; {
-		case src.IsNTT && galEl == 1:
-			digit = src.ScratchCopy()
-		case src.IsNTT:
-			tmp := src.ScratchCopyINTT()
-			digit = tmp.Automorphism(galEl)
-			p.Ctx.PutPoly(tmp)
-			digit.NTT()
-		case galEl == 1:
-			digit = src.ScratchCopy()
-			digit.NTT()
-		default:
-			digit = src.Automorphism(galEl)
-			digit.NTT()
-		}
+		digit := src.Automorphism(galEl)
+		digit.NTT()
 
 		// The key rows are only read: alias them instead of copying the
 		// whole switching key per digit.
@@ -132,41 +116,14 @@ func (ev *Evaluator) divideUnfused(pl *levelPlan, c0, c1 *ring.Poly, owned bool,
 	return []*ring.Poly{s0, s1}, spares, nil
 }
 
-// applyGaloisUnfused runs the Galois map with staged kernels: each
-// component is copied, inverse-transformed, permuted and re-transformed
-// in separate passes, and the keyswitch correction is added in the NTT
-// domain.
-func (ev *Evaluator) applyGaloisUnfused(ct *Ciphertext, swk *SwitchingKey, galEl uint64) (*Ciphertext, error) {
-	ctx := ev.params.Ctx
-	t0 := ct.C0.ScratchCopy()
-	t0.INTT()
-	c0 := t0.Automorphism(galEl)
-	ctx.PutPoly(t0)
-	c0.NTT()
-	t1 := ct.C1.ScratchCopy()
-	t1.INTT()
-	c1 := t1.Automorphism(galEl)
-	ctx.PutPoly(t1)
-	c1.NTT()
-
-	ks0, ks1 := ev.keySwitch(c1, swk)
-	ctx.PutPoly(c1)
-	ks0.Add(ks0, c0)
-	ctx.PutPoly(c0)
-	noise := addNoiseBits(ct.NoiseBits, ev.nm.KeySwitchBits())
-	return newCiphertext(ks0, ks1, ct.Level, new(big.Rat).Set(ct.Scale), noise), nil
-}
-
-// permuteAddUnfused returns φ(a) + b with staged kernels: a (either
-// domain) is brought to the coefficient domain, permuted and transformed
-// back in separate passes, then b (NTT domain) is added.
+// permuteAddUnfused returns φ(a) + b (both NTT domain) with staged
+// kernels: a is inverse-transformed into a copy, permuted and transformed
+// back in separate passes, then b is added.
 func (ev *Evaluator) permuteAddUnfused(a *ring.Poly, galEl uint64, b *ring.Poly) *ring.Poly {
-	base := a
-	if base.IsNTT {
-		base = a.ScratchCopyINTT()
-		defer ev.params.Ctx.PutPoly(base)
-	}
+	base := a.ScratchCopy()
+	base.INTT()
 	out := base.Automorphism(galEl)
+	ev.params.Ctx.PutPoly(base)
 	out.NTT()
 	out.Add(out, b)
 	return out

@@ -100,37 +100,6 @@ func MulScalarBigPair(o0, a0, o1, a1 *Poly, c *big.Int) {
 	perRow(scalarOp(o0, a0, ws), scalarOp(o1, a1, ws))
 }
 
-// AutomorphismNTT returns NTT(φ_k(p)) for coefficient-domain p, fusing
-// the permutation with the forward transform per row — the permuted row
-// is transformed while still cache-resident instead of after a full
-// second pass. Bit-identical to p.Automorphism(k) followed by NTT().
-func (p *Poly) AutomorphismNTT(k uint64) *Poly {
-	out := p.scratchLike()
-	fused(permuteOp("AutomorphismNTT", out, p, k), forwardOp(out))
-	return out
-}
-
-// AutomorphismFromNTTBatch returns φ_k applied to each NTT-domain input,
-// as pooled coefficient-domain polynomials. Per row the chain
-// copy→inverse-NTT→permute runs as one work item, and all polynomials'
-// rows share a single fork/join. Bit-identical to
-// ScratchCopy+INTT+Automorphism per polynomial.
-func AutomorphismFromNTTBatch(k uint64, ps ...*Poly) []*Poly {
-	const who = "AutomorphismFromNTTBatch"
-	outs := make([]*Poly, len(ps))
-	for i, p := range ps {
-		needNTT(who, p, true)
-		outs[i] = p.ctx.GetPoly(p.Moduli)
-	}
-	if len(ps) == 0 {
-		return outs
-	}
-	in, out := concat(ps...), concat(outs...)
-	tmp := in.lent()
-	fused(borrow(tmp), copyOp(tmp, in), inverseOp(tmp), permuteOp(who, out, tmp, k), release(tmp))
-	return outs
-}
-
 // Term is one summand of InnerProduct: X⊙Y0 into the first output, X⊙Y1
 // into the second. A nil Y1 stands for the seed-compressed uniform
 // polynomial of Seed (UniformPolyFromSeed over X's moduli), regenerated

@@ -158,35 +158,6 @@ func TestPairKernelsMatchStaged(t *testing.T) {
 	})
 }
 
-func TestAutomorphismFusedMatchesStaged(t *testing.T) {
-	n := 128
-	ctx := testCtx(t, n)
-	moduli := testModuli(t, n, 55, 3)
-	rng := rand.New(rand.NewPCG(13, 14))
-	galEl := GaloisElementForRotation(3, n)
-
-	withWorkers(t, func() {
-		p := randPoly(ctx, moduli, rng)
-		want := p.Automorphism(galEl)
-		want.NTT()
-		mustEqual(t, "AutomorphismNTT", p.AutomorphismNTT(galEl), want)
-
-		q := randPoly(ctx, moduli, rng)
-		q.IsNTT = true
-		r := randPoly(ctx, moduli, rng)
-		r.IsNTT = true
-		wantQ := q.ScratchCopy()
-		wantQ.INTT()
-		wantQ = wantQ.Automorphism(galEl)
-		wantR := r.ScratchCopy()
-		wantR.INTT()
-		wantR = wantR.Automorphism(galEl)
-		outs := AutomorphismFromNTTBatch(galEl, q, r)
-		mustEqual(t, "AutomorphismFromNTTBatch/0", outs[0], wantQ)
-		mustEqual(t, "AutomorphismFromNTTBatch/1", outs[1], wantR)
-	})
-}
-
 func TestTransformAddFusionsMatchStaged(t *testing.T) {
 	n := 128
 	ctx := testCtx(t, n)
@@ -244,7 +215,7 @@ func TestRescalePrepAndScaleDownBatchMatchStaged(t *testing.T) {
 				want[i] = m.ScaleUp(up)
 			}
 			// Fused: one pass with the folded premultiplier kInt·Πup.
-			got := ctx.ScaleUpBatch(in, up, kBig)
+			got := ctx.ScaleUpBatch(in, up, reduceBig(kBig, in[0].Moduli))
 			mustEqual(t, "ScaleUpBatch/0", got[0], want[0])
 			mustEqual(t, "ScaleUpBatch/1", got[1], want[1])
 			if !intt {

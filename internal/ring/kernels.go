@@ -90,44 +90,12 @@ func (c *Context) view(moduli []uint64, rows [][]uint64, isNTT bool) *Poly {
 	return &Poly{ctx: c, Moduli: moduli, Coeffs: rows, IsNTT: isNTT, shared: true}
 }
 
-// concat views the rows of several polynomials as one long polynomial,
-// so a fused chain covers a whole batch in a single fork/join. The view
-// aliases its inputs; it carries the first one's domain.
-func concat(ps ...*Poly) *Poly {
-	if len(ps) == 1 {
-		return ps[0]
-	}
-	v := ps[0].ctx.view(nil, nil, ps[0].IsNTT)
-	for _, p := range ps {
-		v.Moduli = append(v.Moduli, p.Moduli...)
-		v.Coeffs = append(v.Coeffs, p.Coeffs...)
-	}
-	return v
-}
-
 // scratchLike returns a pooled polynomial of p's shape and domain with
 // unspecified coefficients; release with Context.PutPoly.
 func (p *Poly) scratchLike() *Poly {
 	q := p.ctx.GetPoly(p.Moduli)
 	q.IsNTT = p.IsNTT
 	return q
-}
-
-// lent returns a polynomial of p's shape and domain that owns no rows:
-// borrow binds row i to a pooled vector and release returns it, inside
-// one fused chain. The vector a worker releases is the one it picks up
-// for its next row, so the temporary stays cache-hot and at most one per
-// worker is ever live — the operand never materializes.
-func (p *Poly) lent() *Poly {
-	return p.ctx.view(p.Moduli, make([][]uint64, len(p.Moduli)), p.IsNTT)
-}
-
-func borrow(tmp *Poly) rowOp {
-	return tmp.op(func(i int) { tmp.Coeffs[i] = tmp.ctx.GetVec() })
-}
-
-func release(tmp *Poly) rowOp {
-	return tmp.op(func(i int) { tmp.ctx.PutVec(tmp.Coeffs[i]); tmp.Coeffs[i] = nil })
 }
 
 // sameShape panics unless a and b have identical moduli and domain.

@@ -30,18 +30,21 @@ func (p *Poly) ScaleUp(newModuli []uint64) *Poly {
 }
 
 // ScaleUpBatch is the fused scaleUp of bpRescale/bpAdjust: for each input
-// polynomial it returns a pooled copy multiplied by mul and extended with
-// zero rows for the up moduli, in the input's own domain — a scalar
-// multiple and an all-zero row read the same on either side of the
-// transform. Per original row copy→multiply is one pass, and all
-// polynomials' rows share a single fork/join.
+// polynomial it returns a pooled copy multiplied by an integer and
+// extended with zero rows for the up moduli, in the input's own domain —
+// a scalar multiple and an all-zero row read the same on either side of
+// the transform. The inputs share their moduli, and mul[i] is the
+// integer's residue modulo the i-th of them: the caller reduces it once
+// (a keyswitch's P, per basis) instead of per call. Per original row
+// copy→multiply is one pass, and all polynomials' rows share a single
+// fork/join.
 //
 // Bit-identical to ScratchCopy+MulScalarBig+ScaleUp composed stepwise:
 // Shoup scalar multiplication of canonical inputs is canonical, and when
-// mul folds several legacy scalar multiplies into one (Adjust's k times
-// ScaleUp's K) canonical multiplies compose exactly:
+// the integer folds several legacy scalar multiplies into one (Adjust's k
+// times ScaleUp's K) canonical multiplies compose exactly:
 // (x·a mod q)·b mod q = x·(ab mod q).
-func (c *Context) ScaleUpBatch(ps []*Poly, up []uint64, mul *big.Int) []*Poly {
+func (c *Context) ScaleUpBatch(ps []*Poly, up []uint64, mul []uint64) []*Poly {
 	outs := make([]*Poly, len(ps))
 	ops := make([]rowOp, 0, 2*len(ps))
 	for pi, p := range ps {
@@ -52,7 +55,7 @@ func (c *Context) ScaleUpBatch(ps []*Poly, up []uint64, mul *big.Int) []*Poly {
 		// through a shared view; the appended rows are cleared.
 		r := len(p.Moduli)
 		ops = append(ops,
-			scalarOp(c.view(out.Moduli[:r], out.Coeffs[:r], out.IsNTT), p, reduceBig(mul, p.Moduli)),
+			scalarOp(c.view(out.Moduli[:r], out.Coeffs[:r], out.IsNTT), p, mul),
 			zeroOp(c.view(out.Moduli[r:], out.Coeffs[r:], out.IsNTT)))
 	}
 	perRow(ops...)
@@ -172,8 +175,8 @@ func (params *ScaleDownParams) ScaleDownNTTBatch(ps []*Poly) []*Poly {
 	ctx, ns := ps[0].ctx, len(params.ShedPos)
 	outs := make([]*Poly, len(ps))
 	targets := make([]rns.DivBatchTarget, len(ps))
-	// in views every polynomial's shed rows as one polynomial (concat's
-	// job, done in place: the rows are not polynomials yet).
+	// in views every polynomial's shed rows as one polynomial, so one
+	// fork/join covers the whole batch.
 	in := ctx.view(make([]uint64, 0, ns*len(ps)), make([][]uint64, 0, ns*len(ps)), true)
 	for pi, p := range ps {
 		shed, kept := params.split(p, true)

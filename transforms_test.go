@@ -21,21 +21,25 @@ import (
 // the division sheds fewer rows (bp28's top MulRescale reads 99 at
 // LogN 12). With MulRescale and InnerSum dividing once, bp28 reads 1,349
 // per unit (1,481 when each divided per step, MulRescale at the top 129)
-// and rns61 762 (842).
+// and rns61 762 (842). The top-level rows other than MulRescale were
+// recorded before Rotate and Conjugate became the one-step hoisted
+// rotation, which runs the same transforms.
 func TestTransformCountsPerOp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("key generation for two chains")
 	}
 	ops := []string{"apply", "rescale", "chebyshev", "apply2", "rescale2", "mulrescale", "adjust", "add", "innersum"}
 	for _, c := range []struct {
-		name          string
-		scheme        Scheme
-		w             int
-		mulRescaleTop uint64
-		unit          []uint64 // per op, in ops order
+		name   string
+		scheme Scheme
+		w      int
+		top    map[string]uint64 // per top-level op
+		unit   []uint64          // per op, in ops order
 	}{
-		{"bp28", BitPacker, 28, 101, []uint64{323, 34, 499, 204, 16, 54, 30, 0, 189}},
-		{"rns61", RNSCKKS, 61, 60, []uint64{204, 18, 287, 119, 8, 30, 16, 0, 80}},
+		{"bp28", BitPacker, 28, map[string]uint64{"mulRescaleTop": 101, "mulRelinTop": 95, "rotateTop": 95, "conjugateTop": 95, "rotateHoisted8Top": 361},
+			[]uint64{323, 34, 499, 204, 16, 54, 30, 0, 189}},
+		{"rns61", RNSCKKS, 61, map[string]uint64{"mulRescaleTop": 60, "mulRelinTop": 60, "rotateTop": 60, "conjugateTop": 60, "rotateHoisted8Top": 228},
+			[]uint64{204, 18, 287, 119, 8, 30, 16, 0, 80}},
 	} {
 		runtime.GC() // the previous chain's keys and diagonals
 		cfg := Config{Scheme: c.scheme, LogN: 13, Levels: 8, ScaleBits: 40, WordBits: c.w, Seed: 1, KeyCacheBytes: 256 << 20}
@@ -106,12 +110,27 @@ func TestTransformCountsPerOp(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d transforms per unit %v", c.name, total, got)
-		before := ntt.Transforms()
-		if _, err := ctx.MulRescale(in, in); err != nil {
-			t.Fatal(err)
-		}
-		if n := ntt.Transforms() - before; n != c.mulRescaleTop {
-			t.Errorf("%s MulRescale at the top level: %d transforms, pinned %d", c.name, n, c.mulRescaleTop)
+		eight := []int{1, 2, 3, 4, 5, 6, 7, 8}
+		for name, op := range map[string]func() error{
+			"mulRescaleTop": func() error { _, err := ctx.MulRescale(in, in); return err },
+			"mulRelinTop":   func() error { _, err := ctx.Mul(in, in); return err },
+			"rotateTop":     func() error { _, err := ctx.Rotate(in, 1); return err },
+			"conjugateTop":  func() error { _, err := ctx.Conjugate(in); return err },
+			"rotateHoisted8Top": func() error {
+				_, err := ctx.RotateHoisted(in, eight)
+				return err
+			},
+		} {
+			// The first call generates the op's keys into the cache.
+			for run := 0; run < 2; run++ {
+				before := ntt.Transforms()
+				if err := op(); err != nil {
+					t.Fatal(err)
+				}
+				if n := ntt.Transforms() - before; run == 1 && n != c.top[name] {
+					t.Errorf("%s %s: %d transforms, pinned %d", c.name, name, n, c.top[name])
+				}
+			}
 		}
 	}
 }
