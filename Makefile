@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate opgate keygate jobgate routegate framegate puregate rotgate docs-check loc fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate opgate keygate jobgate routegate framegate puregate rotgate divgate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -112,12 +112,12 @@ puregate:
 
 # One-rotation gate: every rotation (Rotate, Conjugate, RotateHoisted,
 # the extraction, the BSGS babies and giants, InnerSum's steps) is
-# internal/ckks's rotateExt, P·φ(ct) undivided in the extended basis,
-# and callers differ only in the decomposition they hand it and the
-# division they follow it with. Non-test internal/ckks code (comments
-# aside) that calls keySwitchExt( outside rotateExt and the
-# relinearization prefix relinExt, or PermuteNTTAdd( outside rotateExt,
-# is a second rotation route growing back.
+# internal/ckks's rotateExt, P·φ(ct) pending in the extended basis, and
+# callers differ only in the decomposition they hand it; its division is
+# whichever settle its consumer runs (divgate). Non-test internal/ckks
+# code (comments aside) that calls keySwitchExt( outside rotateExt and
+# the relinearization product relinExt, or PermuteNTTAdd( outside
+# rotateExt, is a second rotation route growing back.
 rotgate:
 	@bad=$$(for f in $$(ls internal/ckks/*.go | grep -v _test.go); do \
 		sed 's://.*$$::' $$f | awk -v f=$$f ' \
@@ -126,6 +126,20 @@ rotgate:
 			/PermuteNTTAdd\(/ && fn != "rotateExt" { print f ":" NR ": " fn ": " $$0 }'; \
 	done); \
 	if [ -n "$$bad" ]; then echo "rotation or keyswitch outside the one rotation route:"; echo "$$bad"; exit 1; fi
+
+# One-division gate: a pending component (P·c in the extended basis) is
+# a state of the ciphertext, and every division — Rescale, AdjustTo, a
+# keyswitch's ModDown, a decomposition's C1, Settle for a reader outside
+# the evaluator — is internal/ckks's settle. Non-test internal/ckks code
+# (comments aside) that calls transition(, ScaleDownNTTBatch( or
+# ScaleDownBatch( outside settle is a second division route growing back.
+divgate:
+	@bad=$$(for f in $$(ls internal/ckks/*.go | grep -v _test.go); do \
+		sed 's://.*$$::' $$f | awk -v f=$$f ' \
+			/^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn); next } \
+			/(transition|ScaleDownNTTBatch|ScaleDownBatch)\(/ && fn != "settle" { print f ":" NR ": " fn ": " $$0 }'; \
+	done); \
+	if [ -n "$$bad" ]; then echo "division outside the one settle:"; echo "$$bad"; exit 1; fi
 
 # Stale-reference gate: the prose names commands and knobs, and a
 # deleted target, tool, flag, variable or option otherwise lingers there
@@ -216,7 +230,7 @@ chaos-soak:
 # have one definition, switching keys one source, a served long job one
 # route, a shard two routes, streams and blobs one frame format, the state-machine cores
 # stay pure, a rotation one route, and the docs may name only commands that exist.
-check: build vet test bench-test race panicgate opgate keygate jobgate routegate framegate puregate rotgate docs-check
+check: build vet test bench-test race panicgate opgate keygate jobgate routegate framegate puregate rotgate divgate docs-check
 
 clean:
 	$(GO) clean ./...

@@ -363,6 +363,20 @@ func (c *Context) runOp(name string, op func() (*ckks.Ciphertext, error)) (*Ciph
 	return wrapCt(retried(c, name, op))
 }
 
+// runSettled is runOp for a keyswitching operation whose output is read
+// as a value: it is settled — divided by the keyswitch's special modulus
+// — before it is handed out. Apply alone hands its output out pending,
+// so that the Rescale every program follows it with divides once.
+func (c *Context) runSettled(name string, op func() (*ckks.Ciphertext, error)) (*Ciphertext, error) {
+	return c.runOp(name, func() (*ckks.Ciphertext, error) {
+		ct, err := op()
+		if err != nil {
+			return nil, err
+		}
+		return c.eval.Settle(ct)
+	})
+}
+
 // retried is runOp for an operation of any result type.
 func retried[T any](c *Context, name string, op func() (T, error)) (T, error) {
 	if c.retrier == nil {
@@ -444,7 +458,11 @@ func (c *Context) EncryptReal(values []float64) (*Ciphertext, error) {
 
 // Decrypt returns all slots of a ciphertext.
 func (c *Context) Decrypt(ct *Ciphertext) ([]complex128, error) {
-	return c.dec.DecryptAndDecode(ct.ct, c.encoder)
+	settled, err := c.eval.Settle(ct.ct)
+	if err != nil {
+		return nil, err
+	}
+	return c.dec.DecryptAndDecode(settled, c.encoder)
 }
 
 // DecryptReal returns the real parts of all slots.
@@ -487,14 +505,15 @@ func (c *Context) Neg(a *Ciphertext) (*Ciphertext, error) {
 // Mul multiplies two ciphertexts (with relinearization). The result's
 // scale is the product of the operand scales; follow with Rescale.
 func (c *Context) Mul(a, b *Ciphertext) (*Ciphertext, error) {
-	return c.runOp("Mul", func() (*ckks.Ciphertext, error) { return c.eval.MulRelin(a.ct, b.ct) })
+	return c.runSettled("Mul", func() (*ckks.Ciphertext, error) { return c.eval.MulRelin(a.ct, b.ct) })
 }
 
-// MulRescale multiplies (with relinearization) and rescales as one fused
-// macro operation that divides once: the relinearized product stays in
-// the extended basis and one level change sheds the special primes with
-// the retired moduli. It decrypts as Mul followed by Rescale does (same
-// level, scale and noise estimate) but is not bit-identical to it.
+// MulRescale multiplies (with relinearization) and rescales, dividing
+// once: the relinearized product stays in the extended basis and one
+// level change sheds the special primes with the retired moduli. It
+// decrypts as Mul followed by Rescale does (same level, scale and noise
+// estimate) but is not bit-identical to it: Mul divides its output
+// first.
 func (c *Context) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
 	return c.runOp("MulRescale", func() (*ckks.Ciphertext, error) { return c.eval.MulRescale(a.ct, b.ct) })
 }
@@ -634,7 +653,7 @@ func (c *Context) Adjust(a *Ciphertext, level int) (*Ciphertext, error) {
 // Rotate rotates the slot vector left by steps. A missing Galois key
 // (see Config.Rotations) fails with ErrMissingKey.
 func (c *Context) Rotate(a *Ciphertext, steps int) (*Ciphertext, error) {
-	return c.runOp("Rotate", func() (*ckks.Ciphertext, error) { return c.eval.Rotate(a.ct, steps) })
+	return c.runSettled("Rotate", func() (*ckks.Ciphertext, error) { return c.eval.Rotate(a.ct, steps) })
 }
 
 // RotateHoisted rotates one ciphertext by several step amounts, sharing a
@@ -645,15 +664,22 @@ func (c *Context) Rotate(a *Ciphertext, steps int) (*Ciphertext, error) {
 // its step: Rotate is the one-step case of the same route (DESIGN.md).
 func (c *Context) RotateHoisted(a *Ciphertext, steps []int) ([]*Ciphertext, error) {
 	return wrapAll(retried(c, "RotateHoisted", func() ([]*ckks.Ciphertext, error) {
-		return c.eval.RotateHoisted(a.ct, steps)
+		outs, err := c.eval.RotateHoisted(a.ct, steps)
+		for i := range outs {
+			if err == nil {
+				outs[i], err = c.eval.Settle(outs[i])
+			}
+		}
+		return outs, err
 	}))
 }
 
 // RotateHoistedMulRescale returns, for every amount in steps, the
 // rotation of a multiplied by p and rescaled: in value,
 // Rescale(MulPlain(RotateHoisted(a, steps)[i], p)), one level down. It
-// divides once per output where that sequence divides twice, and shares
-// one decomposition across the steps. The outputs decrypt as the
+// divides once per output where that sequence divides twice (the
+// rotations come out of RotateHoisted divided), and shares one
+// decomposition across the steps. The outputs decrypt as the
 // sequence's do but are not bit-identical to them (see DESIGN.md). A
 // level mismatch between a and p fails with ErrLevelMismatch.
 func (c *Context) RotateHoistedMulRescale(a *Ciphertext, steps []int, p *Plain) ([]*Ciphertext, error) {
@@ -680,5 +706,5 @@ func wrapAll(outs []*ckks.Ciphertext, err error) ([]*Ciphertext, error) {
 
 // Conjugate conjugates the slots (requires Config.Conjugation).
 func (c *Context) Conjugate(a *Ciphertext) (*Ciphertext, error) {
-	return c.runOp("Conjugate", func() (*ckks.Ciphertext, error) { return c.eval.Conjugate(a.ct) })
+	return c.runSettled("Conjugate", func() (*ckks.Ciphertext, error) { return c.eval.Conjugate(a.ct) })
 }

@@ -7,6 +7,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"bitpacker/internal/ckks"
 )
 
 var (
@@ -157,6 +159,22 @@ func FuzzUnmarshalCiphertext(f *testing.F) {
 		hostile[i] = 0xff
 	}
 	f.Add(hostile)
+	// A pending form on the wire: a relinearized product's rows over the
+	// level's moduli ++ the special primes, forged past the marshal's
+	// refusal. The decoder must refuse it with a typed error.
+	prod, err := ctx.eval.MulRelin(ct.ct, ct.ct)
+	if err != nil {
+		f.Fatal(err)
+	}
+	forged := &ckks.Ciphertext{C0: prod.C0, C1: prod.C1, Level: prod.Level, Scale: prod.Scale, NoiseBits: prod.NoiseBits}
+	pendingBlob, err := forged.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ctx.UnmarshalCiphertext(pendingBlob); !errors.Is(err, ErrInvalidParams) {
+		f.Fatalf("a pending form decodes: %v", err)
+	}
+	f.Add(pendingBlob)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ctx.UnmarshalCiphertext(data)
 		if err != nil {

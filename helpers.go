@@ -53,12 +53,12 @@ func (c *Context) Power(ct *Ciphertext, k int) (*Ciphertext, error) {
 }
 
 // InnerSum folds the first n slots (n a power of two, n <= Slots()) so
-// that slot 0 holds their sum, using rotate-and-add with one division of
-// the first component for the whole sum (see DESIGN.md). The context
+// that slot 0 holds their sum: log2(n) rounds of rotate-and-add with one
+// division of the first component for the whole sum (see DESIGN.md). The context
 // must have Galois keys for rotations 1, 2, 4, ..., n/2
 // (Config.Rotations).
 func (c *Context) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
-	return c.runOp("InnerSum", func() (*ckks.Ciphertext, error) { return c.eval.InnerSum(ct.ct, n) })
+	return c.runSettled("InnerSum", func() (*ckks.Ciphertext, error) { return c.eval.InnerSum(ct.ct, n) })
 }
 
 // EvalPolynomial evaluates sum_i coeffs[i] * x^i homomorphically (Horner's

@@ -230,6 +230,16 @@ func TestBurstClearsAfterN(t *testing.T) {
 	}
 }
 
+// settled is ct divided for decryption: an apply's output pends.
+func settled(t *testing.T, ev *ckks.Evaluator, ct *ckks.Ciphertext) *ckks.Ciphertext {
+	t.Helper()
+	out, err := ev.Settle(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestBurstBelowExhaustionIsHealedByRetry wires the burst injector to the
 // op-level retrier: a burst shorter than the attempt budget is healed
 // transparently (same decrypted values as the fault-free run), while a
@@ -257,7 +267,7 @@ func TestBurstBelowExhaustionIsHealedByRetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cleanVals, err := s.dec.DecryptAndDecode(clean, s.enc)
+		cleanVals, err := s.dec.DecryptAndDecode(settled(t, s.ev, clean), s.enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +284,7 @@ func TestBurstBelowExhaustionIsHealedByRetry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: retry did not heal a sub-budget burst: %v", scheme, err)
 		}
-		healedVals, err := s.dec.DecryptAndDecode(healed, s.enc)
+		healedVals, err := s.dec.DecryptAndDecode(settled(t, s.ev, healed), s.enc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,6 +45,10 @@ func (ev *Evaluator) ModRaise(ct *Ciphertext, toLevel int) (*Ciphertext, error) 
 		return nil, fherr.Wrap(fherr.ErrLevelMismatch,
 			"ckks: ModRaise target level %d above chain top %d", toLevel, ev.params.MaxLevel())
 	}
+	ct, err := ev.Settle(ct)
+	if err != nil {
+		return nil, err
+	}
 	p := ev.params
 	dstModuli := p.LevelModuli(toLevel)
 	lift := func(src *ring.Poly) *ring.Poly {
@@ -165,23 +169,4 @@ func SineCoeffs(degree int, kRange, scale float64) []float64 {
 		coeffs[k] = c
 	}
 	return coeffs
-}
-
-// EvalChebyshevAt evaluates a Chebyshev series at a plain float (reference
-// helper for tests and calibration).
-func EvalChebyshevAt(coeffs []float64, x float64) float64 {
-	if len(coeffs) == 0 {
-		return 0
-	}
-	tPrev2, tPrev := 1.0, x
-	sum := coeffs[0]
-	if len(coeffs) > 1 {
-		sum += coeffs[1] * x
-	}
-	for k := 2; k < len(coeffs); k++ {
-		tk := 2*x*tPrev - tPrev2
-		sum += coeffs[k] * tk
-		tPrev2, tPrev = tPrev, tk
-	}
-	return sum
 }

@@ -54,7 +54,9 @@ func (ev *Evaluator) MulByI(ct *Ciphertext, power int) *Ciphertext {
 		m.NTT()
 		return m
 	}
-	return newCiphertext(mul(ct.C0), mul(ct.C1), ct.Level, new(big.Rat).Set(ct.Scale), ct.NoiseBits)
+	out := newCiphertext(mul(ct.C0), mul(ct.C1), ct.Level, new(big.Rat).Set(ct.Scale), ct.NoiseBits)
+	out.pend = ct.pend
+	return out
 }
 
 // NewBootstrapper precomputes the DFT transforms and sine coefficients.

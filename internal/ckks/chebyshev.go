@@ -172,74 +172,40 @@ func (ce *chebEval) take(out *Ciphertext, err error) *Ciphertext {
 	return out
 }
 
-func (ce *chebEval) rescale(ct *Ciphertext) *Ciphertext {
+// step1 and step2 run one evaluator operation unless a step failed.
+func step1[A any](ce *chebEval, f func(A) (*Ciphertext, error), a A) *Ciphertext {
 	if ce.err != nil {
 		return nil
 	}
-	return ce.take(ce.ev.Rescale(ct))
+	return ce.take(f(a))
 }
 
+func step2[A, B any](ce *chebEval, f func(A, B) (*Ciphertext, error), a A, b B) *Ciphertext {
+	if ce.err != nil {
+		return nil
+	}
+	return ce.take(f(a, b))
+}
+
+func (ce *chebEval) rescale(ct *Ciphertext) *Ciphertext { return step1(ce, ce.ev.Rescale, ct) }
+func (ce *chebEval) square(ct *Ciphertext) *Ciphertext  { return step1(ce, ce.ev.Square, ct) }
 func (ce *chebEval) mulRescale(a, b *Ciphertext) *Ciphertext {
-	if ce.err != nil {
-		return nil
-	}
-	return ce.take(ce.ev.MulRescale(a, b))
+	return step2(ce, ce.ev.MulRescale, a, b)
 }
-
-func (ce *chebEval) square(ct *Ciphertext) *Ciphertext {
-	if ce.err != nil {
-		return nil
-	}
-	return ce.take(ce.ev.Square(ct))
-}
-
-func (ce *chebEval) mulRelin(a, b *Ciphertext) *Ciphertext {
-	if ce.err != nil {
-		return nil
-	}
-	return ce.take(ce.ev.MulRelin(a, b))
-}
-
+func (ce *chebEval) mulRelin(a, b *Ciphertext) *Ciphertext { return step2(ce, ce.ev.MulRelin, a, b) }
 func (ce *chebEval) mulConst(ct *Ciphertext, v float64) *Ciphertext {
-	if ce.err != nil {
-		return nil
-	}
-	return ce.take(ce.ev.MulConst(ct, v))
+	return step2(ce, ce.ev.MulConst, ct, v)
 }
-
 func (ce *chebEval) mulScalarInt(ct *Ciphertext, k int64) *Ciphertext {
-	if ce.err != nil {
-		return nil
-	}
-	return ce.take(ce.ev.MulScalarInt(ct, k))
+	return step2(ce, ce.ev.MulScalarInt, ct, k)
 }
-
 func (ce *chebEval) addConst(ct *Ciphertext, v float64) *Ciphertext {
-	if ce.err != nil {
-		return nil
-	}
-	return ce.take(ce.ev.AddConst(ct, v))
+	return step2(ce, ce.ev.AddConst, ct, v)
 }
-
-func (ce *chebEval) add(a, b *Ciphertext) *Ciphertext {
-	if ce.err != nil {
-		return nil
-	}
-	return ce.take(ce.ev.Add(a, b))
-}
-
-func (ce *chebEval) sub(a, b *Ciphertext) *Ciphertext {
-	if ce.err != nil {
-		return nil
-	}
-	return ce.take(ce.ev.Sub(a, b))
-}
-
+func (ce *chebEval) add(a, b *Ciphertext) *Ciphertext { return step2(ce, ce.ev.Add, a, b) }
+func (ce *chebEval) sub(a, b *Ciphertext) *Ciphertext { return step2(ce, ce.ev.Sub, a, b) }
 func (ce *chebEval) adjustTo(ct *Ciphertext, level int) *Ciphertext {
-	if ce.err != nil {
-		return nil
-	}
-	return ce.take(ce.ev.AdjustTo(ct, level))
+	return step2(ce, ce.ev.AdjustTo, ct, level)
 }
 
 // EvalChebyshev evaluates sum_k coeffs[k]*T_k(x) by Paterson–Stockmeyer,

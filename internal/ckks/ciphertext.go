@@ -19,6 +19,14 @@ type Plaintext struct {
 // Ciphertext is a CKKS ciphertext (c0, c1) at a level of the chain. Both
 // polynomials are kept in the NTT domain between operations.
 //
+// A component may be pending: the output of a keyswitch before its
+// division, its rows the level's moduli followed by the chain's special
+// primes, holding P·c (P their product). Rotations and MulRelin return
+// pending components, the linear operations, MulPlain and the level
+// changes accept them, and Rescale/AdjustTo shed P with the retired
+// moduli in their one division; Evaluator.Settle divides them for every
+// other reader. Scale and NoiseBits always describe the divided value.
+//
 // NoiseBits carries the evaluator's running estimate of log2 of the
 // ciphertext's error bound in the coefficient embedding (see
 // NoiseModel); it is advisory metadata updated by every homomorphic
@@ -52,6 +60,10 @@ type Ciphertext struct {
 	// of possible m values instead of assuming zero.
 	SpareDepth int
 
+	// pend counts, per component (C0, C1), the special rows it carries
+	// past the level's moduli: zero when divided.
+	pend [2]int
+
 	meta uint64
 }
 
@@ -65,6 +77,7 @@ func newCiphertext(c0, c1 *ring.Poly, level int, scale *big.Rat, noiseBits float
 // CopyNew returns a deep copy.
 func (ct *Ciphertext) CopyNew() *Ciphertext {
 	out := newCiphertext(ct.C0.Copy(), ct.C1.Copy(), ct.Level, new(big.Rat).Set(ct.Scale), ct.NoiseBits)
+	out.pend = ct.pend
 	if ct.SpareDepth > 0 {
 		out.Spare0 = append([]uint64(nil), ct.Spare0...)
 		out.Spare1 = append([]uint64(nil), ct.Spare1...)
@@ -87,6 +100,7 @@ func CopyCiphertexts(cts []*Ciphertext) []*Ciphertext {
 	out := make([]*Ciphertext, len(cts))
 	for i, ct := range cts {
 		c := newCiphertext(copies[2*i], copies[2*i+1], ct.Level, new(big.Rat).Set(ct.Scale), ct.NoiseBits)
+		c.pend = ct.pend
 		if ct.SpareDepth > 0 {
 			c.Spare0 = append([]uint64(nil), ct.Spare0...)
 			c.Spare1 = append([]uint64(nil), ct.Spare1...)
@@ -105,8 +119,11 @@ func (ct *Ciphertext) clearSpare() {
 	ct.Spare0, ct.Spare1, ct.SpareDepth = nil, nil, 0
 }
 
-// R returns the residue count of the ciphertext (paper's R).
-func (ct *Ciphertext) R() int { return ct.C0.R() }
+// R returns the residue count of the ciphertext's level (paper's R).
+func (ct *Ciphertext) R() int { return ct.C0.R() - ct.pend[0] }
+
+// pending reports whether either component is pending.
+func (ct *Ciphertext) pending() bool { return ct.pend != [2]int{} }
 
 // metaTag hashes the bookkeeping fields (not the coefficient payload,
 // which the range check covers).
@@ -155,7 +172,8 @@ func (ct *Ciphertext) seal() { ct.meta = ct.metaTag() }
 //     moduli and NTT-domain flags (the evaluator keeps ciphertexts in
 //     the NTT domain between operations);
 //   - level within the chain and moduli exactly the level's canonical
-//     list;
+//     list — followed by the special primes for a pending component
+//     the evaluator made, never for one that arrives from outside;
 //   - scale positive and within the representable window of the level's
 //     modulus;
 //   - every residue word in [0, q) for its modulus (a corrupted word is
@@ -188,16 +206,25 @@ func (ct *Ciphertext) validateStructure(params *Parameters) error {
 	if ct.Level < 0 || ct.Level > params.MaxLevel() {
 		return fherr.Wrap(fherr.ErrInvariant, "ckks: level %d outside chain [0, %d]", ct.Level, params.MaxLevel())
 	}
-	want := params.LevelModuli(ct.Level)
-	for _, p := range []*ring.Poly{ct.C0, ct.C1} {
-		if len(p.Moduli) != len(want) {
-			return fherr.Wrap(fherr.ErrInvariant, "ckks: level %d expects %d residues, polynomial has %d",
-				ct.Level, len(want), len(p.Moduli))
+	level, special := params.LevelModuli(ct.Level), params.Chain.Special
+	for c, p := range []*ring.Poly{ct.C0, ct.C1} {
+		if k := ct.pend[c]; k != 0 && k != len(special) {
+			return fherr.Wrap(fherr.ErrInvariant, "ckks: c%d pends over %d special rows, chain has %d", c, k, len(special))
 		}
-		for i := range want {
-			if p.Moduli[i] != want[i] {
+		if len(p.Moduli) != len(level)+ct.pend[c] {
+			return fherr.Wrap(fherr.ErrInvariant, "ckks: level %d expects %d residues, polynomial has %d",
+				ct.Level, len(level)+ct.pend[c], len(p.Moduli))
+		}
+		for i, q := range p.Moduli {
+			var want uint64
+			if i < len(level) {
+				want = level[i]
+			} else {
+				want = special[i-len(level)]
+			}
+			if q != want {
 				return fherr.Wrap(fherr.ErrInvariant, "ckks: level %d residue %d modulus %d, canonical chain has %d",
-					ct.Level, i, p.Moduli[i], want[i])
+					ct.Level, i, q, want)
 			}
 		}
 	}

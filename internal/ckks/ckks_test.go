@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bitpacker/internal/core"
+	"bitpacker/internal/ring"
 )
 
 // testSetup bundles everything a scheme test needs.
@@ -61,6 +62,30 @@ func (s *testSetup) addRotationKeys(steps []int) {
 }
 
 // encryptValues encodes and encrypts at the top level.
+// decrypt decodes ct's slots after settling it: the divided value a
+// reader outside the evaluator sees (see Ciphertext).
+func (s *testSetup) decrypt(ct *Ciphertext) []complex128 {
+	return s.dec.MustDecryptAndDecode(s.settled(ct), s.enc)
+}
+
+// settled is ct with its pending components divided.
+func (s *testSetup) settled(ct *Ciphertext) *Ciphertext {
+	out, err := s.ev.Settle(ct)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// decryptPoly is DecryptToPoly of ct settled.
+func (s *testSetup) decryptPoly(ct *Ciphertext) *Plaintext {
+	pt, err := s.dec.DecryptToPoly(s.settled(ct))
+	if err != nil {
+		panic(err)
+	}
+	return pt
+}
+
 func (s *testSetup) encryptValues(values []complex128) *Ciphertext {
 	lvl := s.params.MaxLevel()
 	pt := &Plaintext{
@@ -108,7 +133,7 @@ func TestEncryptDecrypt(t *testing.T) {
 		rng := rand.New(rand.NewPCG(3, 4))
 		vals := randomValues(s.params.Slots(), rng)
 		ct := s.encryptValues(vals)
-		got := s.dec.MustDecryptAndDecode(ct, s.enc)
+		got := s.decrypt(ct)
 		if e := maxErr(got, vals); e > 1e-6 {
 			t.Fatalf("%v: encrypt/decrypt error %g", scheme, e)
 		}
@@ -124,7 +149,7 @@ func TestHomomorphicAdd(t *testing.T) {
 		ca := s.encryptValues(a)
 		cb := s.encryptValues(b)
 		sum := s.ev.MustAdd(ca, cb)
-		got := s.dec.MustDecryptAndDecode(sum, s.enc)
+		got := s.decrypt(sum)
 		want := make([]complex128, len(a))
 		for i := range a {
 			want[i] = a[i] + b[i]
@@ -133,7 +158,7 @@ func TestHomomorphicAdd(t *testing.T) {
 			t.Fatalf("%v: add error %g", scheme, e)
 		}
 		diff := s.ev.MustSub(sum, cb)
-		got = s.dec.MustDecryptAndDecode(diff, s.enc)
+		got = s.decrypt(diff)
 		if e := maxErr(got, a); e > 1e-6 {
 			t.Fatalf("%v: sub error %g", scheme, e)
 		}
@@ -153,7 +178,7 @@ func TestMulRelinRescale(t *testing.T) {
 		if prod.Level != s.params.MaxLevel()-1 {
 			t.Fatalf("%v: level after rescale = %d", scheme, prod.Level)
 		}
-		got := s.dec.MustDecryptAndDecode(prod, s.enc)
+		got := s.decrypt(prod)
 		want := make([]complex128, len(a))
 		for i := range a {
 			want[i] = a[i] * b[i]
@@ -186,7 +211,7 @@ func TestDeepMultiplicationChain(t *testing.T) {
 		if ct.Level != 0 {
 			t.Fatalf("%v: expected level 0, got %d", scheme, ct.Level)
 		}
-		got := s.dec.MustDecryptAndDecode(ct, s.enc)
+		got := s.decrypt(ct)
 		if e := maxErr(got, want); e > 1e-4 {
 			t.Fatalf("%v: depth-%d chain error %g", scheme, levels, e)
 		}
@@ -210,7 +235,7 @@ func TestAdjustEnablesAddAcrossLevels(t *testing.T) {
 			t.Fatalf("%v: adjust level %d != %d", scheme, adj.Level, sq.Level)
 		}
 		res := s.ev.MustAdd(sq, adj)
-		got := s.dec.MustDecryptAndDecode(res, s.enc)
+		got := s.decrypt(res)
 		want := make([]complex128, n)
 		for i := range vals {
 			want[i] = vals[i]*vals[i] + vals[i]
@@ -231,7 +256,7 @@ func TestAdjustToMultipleLevels(t *testing.T) {
 		if low.Level != 1 {
 			t.Fatalf("%v: level %d", scheme, low.Level)
 		}
-		got := s.dec.MustDecryptAndDecode(low, s.enc)
+		got := s.decrypt(low)
 		if e := maxErr(got, vals); e > 1e-4 {
 			t.Fatalf("%v: adjustTo error %g", scheme, e)
 		}
@@ -291,7 +316,7 @@ func TestAdjustToMatchesChainedAdjusts(t *testing.T) {
 // phaseDistance is the largest coefficient of the difference of a's and
 // b's decryptions, relative to a's scale.
 func phaseDistance(s *testSetup, a, b *Ciphertext) float64 {
-	pa, pb := s.dec.DecryptToPoly(a).Value.Copy(), s.dec.DecryptToPoly(b).Value.Copy()
+	pa, pb := s.decryptPoly(a).Value.Copy(), s.decryptPoly(b).Value.Copy()
 	pa.INTT()
 	pb.INTT()
 	basis := pa.Basis()
@@ -315,7 +340,7 @@ func TestRotateAndConjugate(t *testing.T) {
 		ct := s.encryptValues(vals)
 
 		rot := s.ev.MustRotate(ct, 1)
-		got := s.dec.MustDecryptAndDecode(rot, s.enc)
+		got := s.decrypt(rot)
 		want := make([]complex128, n)
 		for i := range want {
 			want[i] = vals[(i+1)%n]
@@ -325,7 +350,7 @@ func TestRotateAndConjugate(t *testing.T) {
 		}
 
 		conj := s.ev.MustConjugate(ct)
-		got = s.dec.MustDecryptAndDecode(conj, s.enc)
+		got = s.decrypt(conj)
 		for i := range want {
 			want[i] = cmplx.Conj(vals[i])
 		}
@@ -349,7 +374,7 @@ func TestMulPlainAndAddPlain(t *testing.T) {
 		Scale: s.params.DefaultScale(lvl),
 	}
 	prod := s.ev.MustRescale(s.ev.MustMulPlain(ct, ptW))
-	got := s.dec.MustDecryptAndDecode(prod, s.enc)
+	got := s.decrypt(prod)
 	want := make([]complex128, n)
 	for i := range want {
 		want[i] = vals[i] * weights[i]
@@ -364,7 +389,7 @@ func TestMulPlainAndAddPlain(t *testing.T) {
 		Scale: ct.Scale,
 	}
 	sum := s.ev.MustAddPlain(ct, ptA)
-	got = s.dec.MustDecryptAndDecode(sum, s.enc)
+	got = s.decrypt(sum)
 	for i := range want {
 		want[i] = vals[i] + weights[i]
 	}
@@ -383,7 +408,7 @@ func TestPrecisionTracksScale(t *testing.T) {
 		vals := randomValues(s.params.Slots(), rng)
 		ct := s.encryptValues(vals)
 		prod := s.ev.MustRescale(s.ev.MustSquare(ct))
-		got := s.dec.MustDecryptAndDecode(prod, s.enc)
+		got := s.decrypt(prod)
 		want := make([]complex128, len(vals))
 		for i := range vals {
 			want[i] = vals[i] * vals[i]
@@ -412,7 +437,7 @@ func TestDnumVariants(t *testing.T) {
 		vals := randomValues(s.params.Slots(), rng)
 		ct := s.encryptValues(vals)
 		prod := s.ev.MustRescale(s.ev.MustSquare(ct))
-		got := s.dec.MustDecryptAndDecode(prod, s.enc)
+		got := s.decrypt(prod)
 		want := make([]complex128, len(vals))
 		for i := range vals {
 			want[i] = vals[i] * vals[i]
@@ -438,7 +463,7 @@ func TestNarrowWordBitPacker(t *testing.T) {
 	vals := randomValues(s.params.Slots(), rng)
 	ct := s.encryptValues(vals)
 	prod := s.ev.MustRescale(s.ev.MustSquare(ct))
-	got := s.dec.MustDecryptAndDecode(prod, s.enc)
+	got := s.decrypt(prod)
 	want := make([]complex128, len(vals))
 	for i := range vals {
 		want[i] = vals[i] * vals[i]
@@ -460,14 +485,14 @@ func TestSymmetricEncryption(t *testing.T) {
 		Scale: s.params.DefaultScale(lvl),
 	}
 	ct := enc.MustEncryptAtLevel(pt, lvl)
-	got := s.dec.MustDecryptAndDecode(ct, s.enc)
+	got := s.decrypt(ct)
 	if e := maxErr(got, vals); e > 1e-6 {
 		t.Fatalf("symmetric roundtrip error %g", e)
 	}
 	// Symmetric and public-key ciphertexts interoperate.
 	ct2 := s.encryptValues(vals)
 	sum := s.ev.MustAdd(ct, ct2)
-	got = s.dec.MustDecryptAndDecode(sum, s.enc)
+	got = s.decrypt(sum)
 	want := make([]complex128, len(vals))
 	for i := range vals {
 		want[i] = 2 * vals[i]
@@ -475,4 +500,43 @@ func TestSymmetricEncryption(t *testing.T) {
 	if e := maxErr(got, want); e > 1e-5 {
 		t.Fatalf("mixed add error %g", e)
 	}
+}
+
+// SymmetricEncryptor encrypts directly under the secret key, producing
+// fresh ciphertexts with slightly less noise than public-key encryption
+// (no v*e_pk term). Used server-side or for test vectors.
+type SymmetricEncryptor struct {
+	params  *Parameters
+	sk      *SecretKey
+	sampler *ring.Sampler
+}
+
+// NewSymmetricEncryptor creates a secret-key encryptor.
+func NewSymmetricEncryptor(params *Parameters, sk *SecretKey, seed1, seed2 uint64) *SymmetricEncryptor {
+	return &SymmetricEncryptor{params: params, sk: sk, sampler: ring.NewSampler(params.Ctx, seed1, seed2)}
+}
+
+// EncryptAtLevel encrypts pt at the given level: c1 uniform, c0 = -c1*s + e + m.
+func (enc *SymmetricEncryptor) EncryptAtLevel(pt *Plaintext, level int) (*Ciphertext, error) {
+	p := enc.params
+	if err := checkEncryptLevel(p, level); err != nil {
+		return nil, err
+	}
+	moduli := p.LevelModuli(level)
+	c1 := enc.sampler.UniformPoly(moduli)
+	e := enc.sampler.GaussianPoly(moduli, p.Sigma)
+	e.NTT()
+	m := pt.Value.Copy()
+	m.NTT()
+	s := enc.sk.S.Restrict(moduli)
+	c0 := ring.NewPoly(p.Ctx, moduli)
+	c0.IsNTT = true
+	c0.MulCoeffs(c1, s)
+	c0.Neg(c0)
+	c0.Add(c0, e)
+	c0.Add(c0, m)
+	fresh := NewNoiseModel(p).FreshBits()
+	ct := newCiphertext(c0, c1, level, new(big.Rat).Set(pt.Scale), fresh)
+	ct.SeedSpare(p)
+	return ct, nil
 }

@@ -87,14 +87,25 @@ func NewDecryptor(params *Parameters, sk *SecretKey) *Decryptor {
 }
 
 // DecryptToPoly returns the raw plaintext polynomial m = c0 + c1*s in the
-// coefficient domain, together with the ciphertext's scale.
-func (dec *Decryptor) DecryptToPoly(ct *Ciphertext) *Plaintext {
+// coefficient domain, together with the ciphertext's scale. A pending
+// ciphertext (see Ciphertext) would decrypt to P·m and is refused with
+// fherr.ErrInvariant: Evaluator.Settle it first.
+func (dec *Decryptor) DecryptToPoly(ct *Ciphertext) (*Plaintext, error) {
+	if ct.pending() {
+		return nil, errPending("decrypt")
+	}
 	s := dec.sk.S.Restrict(ct.C0.Moduli)
 	m := ct.C1.Copy()
 	m.MulCoeffs(m, s)
 	m.Add(m, ct.C0)
 	m.INTT()
-	return &Plaintext{Value: m, Level: ct.Level, Scale: new(big.Rat).Set(ct.Scale)}
+	return &Plaintext{Value: m, Level: ct.Level, Scale: new(big.Rat).Set(ct.Scale)}, nil
+}
+
+// errPending is the refusal of a pending ciphertext by a reader that
+// needs the divided value.
+func errPending(op string) error {
+	return fherr.Wrap(fherr.ErrInvariant, "ckks: %s of a pending ciphertext (settle it first)", op)
 }
 
 // Basis returns (caching) the CRT basis for a modulus list. An invalid
@@ -131,49 +142,13 @@ func sameModuli(a, b []uint64) bool {
 
 // DecryptAndDecode decrypts ct and decodes its slots.
 func (dec *Decryptor) DecryptAndDecode(ct *Ciphertext, encoder *Encoder) ([]complex128, error) {
-	pt := dec.DecryptToPoly(ct)
+	pt, err := dec.DecryptToPoly(ct)
+	if err != nil {
+		return nil, err
+	}
 	basis, err := dec.Basis(pt.Value.Moduli)
 	if err != nil {
 		return nil, err
 	}
 	return encoder.Decode(pt.Value, basis, pt.Scale), nil
-}
-
-// SymmetricEncryptor encrypts directly under the secret key, producing
-// fresh ciphertexts with slightly less noise than public-key encryption
-// (no v*e_pk term). Used server-side or for test vectors.
-type SymmetricEncryptor struct {
-	params  *Parameters
-	sk      *SecretKey
-	sampler *ring.Sampler
-}
-
-// NewSymmetricEncryptor creates a secret-key encryptor.
-func NewSymmetricEncryptor(params *Parameters, sk *SecretKey, seed1, seed2 uint64) *SymmetricEncryptor {
-	return &SymmetricEncryptor{params: params, sk: sk, sampler: ring.NewSampler(params.Ctx, seed1, seed2)}
-}
-
-// EncryptAtLevel encrypts pt at the given level: c1 uniform, c0 = -c1*s + e + m.
-func (enc *SymmetricEncryptor) EncryptAtLevel(pt *Plaintext, level int) (*Ciphertext, error) {
-	p := enc.params
-	if err := checkEncryptLevel(p, level); err != nil {
-		return nil, err
-	}
-	moduli := p.LevelModuli(level)
-	c1 := enc.sampler.UniformPoly(moduli)
-	e := enc.sampler.GaussianPoly(moduli, p.Sigma)
-	e.NTT()
-	m := pt.Value.Copy()
-	m.NTT()
-	s := enc.sk.S.Restrict(moduli)
-	c0 := ring.NewPoly(p.Ctx, moduli)
-	c0.IsNTT = true
-	c0.MulCoeffs(c1, s)
-	c0.Neg(c0)
-	c0.Add(c0, e)
-	c0.Add(c0, m)
-	fresh := NewNoiseModel(p).FreshBits()
-	ct := newCiphertext(c0, c1, level, new(big.Rat).Set(pt.Scale), fresh)
-	ct.SeedSpare(p)
-	return ct, nil
 }

@@ -113,9 +113,6 @@ func (ev *Evaluator) KeyManager() *KeyManager { return ev.km }
 // the toggle exists for differential testing and benchmarking.
 func (ev *Evaluator) SetFused(on bool) { ev.fused = on }
 
-// Fused reports whether the fused hot paths are active.
-func (ev *Evaluator) Fused() bool { return ev.fused }
-
 // Params returns the evaluator's parameter set.
 func (ev *Evaluator) Params() *Parameters { return ev.params }
 
@@ -205,14 +202,13 @@ func moduliKey(buf []byte, a, b []uint64) []byte {
 
 // ksPlan is the layout of a hybrid keyswitch over one live basis: the
 // extended basis live++special, each digit's rows and ModUp conversion,
-// the ModDown transition back to live, and P's residues over live, which
-// lift multiplies by. It depends on nothing but the basis, so it is built
-// once and shared by every keyswitch at that level.
+// and P's residues over live, which lift multiplies by. It depends on
+// nothing but the basis, so it is built once and shared by every
+// keyswitch at that level.
 type ksPlan struct {
-	ext     []uint64
-	digits  []ksDigit // indexed by digit; conv is nil when it has no live rows
-	modDown *ring.ScaleDownParams
-	pLive   []uint64 // P mod each live modulus
+	ext    []uint64
+	digits []ksDigit // indexed by digit; conv is nil when it has no live rows
+	pLive  []uint64  // P mod each live modulus
 }
 
 type ksDigit struct {
@@ -250,12 +246,7 @@ func (ev *Evaluator) ksPlan(live []uint64) *ksPlan {
 			}
 			dg.conv = rns.NewConv(src, dst)
 		}
-		shedPos := make([]int, len(special))
-		for i := range shedPos {
-			shedPos[i] = len(live) + i
-		}
-		pl.modDown = ring.NewScaleDownParams(pl.ext, shedPos)
-		pl.pLive = residues(pl.modDown.P, live)
+		pl.pLive = residues(p.specialP, live)
 		return pl, nil
 	})
 	return pl
@@ -276,22 +267,51 @@ func checkCompatible(op string, a, b *Ciphertext) error {
 	return nil
 }
 
-// polyPairLike returns two pooled polynomials shaped like ct's
-// components. The caller must fully overwrite both (pair kernels do).
-func (ev *Evaluator) polyPairLike(ct *Ciphertext) (*ring.Poly, *ring.Poly) {
-	c0 := ev.params.Ctx.GetPoly(ct.C0.Moduli)
-	c0.IsNTT = ct.C0.IsNTT
-	c1 := ev.params.Ctx.GetPoly(ct.C1.Moduli)
-	c1.IsNTT = ct.C1.IsNTT
+// polyPairLike returns two pooled polynomials shaped like x0 and x1. The
+// caller must fully overwrite both (pair kernels do).
+func (ev *Evaluator) polyPairLike(x0, x1 *ring.Poly) (*ring.Poly, *ring.Poly) {
+	c0 := ev.params.Ctx.GetPoly(x0.Moduli)
+	c0.IsNTT = x0.IsNTT
+	c1 := ev.params.Ctx.GetPoly(x1.Moduli)
+	c1.IsNTT = x1.IsNTT
 	return c0, c1
+}
+
+// lifted returns ct's components over the bases pend asks for, a divided
+// one that must pend lifted to P·c (pooled, listed in lifts for the
+// caller to put back): how a divided operand meets a pending one.
+func (ev *Evaluator) lifted(ct *Ciphertext, pend [2]int) (cs [2]*ring.Poly, lifts []*ring.Poly) {
+	cs = [2]*ring.Poly{ct.C0, ct.C1}
+	for i := range cs {
+		if pend[i] > 0 && ct.pend[i] == 0 {
+			cs[i] = ev.lift(cs[i])[0]
+			lifts = append(lifts, cs[i])
+		}
+	}
+	return cs, lifts
+}
+
+// put returns pooled polynomials the caller owns.
+func (ev *Evaluator) put(ps ...*ring.Poly) {
+	for _, p := range ps {
+		ev.params.Ctx.PutPoly(p)
+	}
+}
+
+// free returns an intermediate ciphertext's rows to the pool: one an
+// operation made and handed to no one (nil: nothing).
+func (ev *Evaluator) free(ct *Ciphertext) {
+	if ct != nil {
+		ev.put(ct.C0, ct.C1)
+	}
 }
 
 // plainOperand returns pt's rows over moduli in the NTT domain: a
 // zero-copy alias when it is already transformed (a plaintext encoded
 // for reuse is), a pooled fused copy+NTT otherwise — a view of the
 // leading rows when pt carries more (a plaintext encoded over
-// live++special read at live width). release reports whether the caller
-// must PutPoly the result.
+// live++special read at live width, or by a divided ciphertext).
+// release reports whether the caller must PutPoly the result.
 func (ev *Evaluator) plainOperand(pt *Plaintext, moduli []uint64) (m *ring.Poly, release bool) {
 	m = pt.Value
 	if len(m.Moduli) != len(moduli) {
@@ -305,33 +325,39 @@ func (ev *Evaluator) plainOperand(pt *Plaintext, moduli []uint64) (m *ring.Poly,
 
 // Add returns a + b (same level and scale required; use Adjust otherwise).
 // Both component sums run in one fork/join on pooled output rows — no
-// intermediate full copy of a.
+// intermediate full copy of a. A component pends when either operand's
+// does; the divided one is lifted to meet it.
 func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.begin("Add", a, b); err != nil {
-		return nil, err
-	}
-	if err := checkCompatible("Add", a, b); err != nil {
-		return nil, err
-	}
-	c0, c1 := ev.polyPairLike(a)
-	ring.AddPair(c0, a.C0, b.C0, c1, a.C1, b.C1)
-	out := newCiphertext(c0, c1, a.Level, new(big.Rat).Set(a.Scale), addNoiseBits(a.NoiseBits, b.NoiseBits))
-	ev.spareCombineInto(out, a, b, false)
-	return out, nil
+	return ev.addSub("Add", a, b, false)
 }
 
 // Sub returns a - b.
 func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.begin("Sub", a, b); err != nil {
+	return ev.addSub("Sub", a, b, true)
+}
+
+// addSub is Add (sub false) and Sub.
+func (ev *Evaluator) addSub(op string, a, b *Ciphertext, sub bool) (*Ciphertext, error) {
+	if err := ev.begin(op, a, b); err != nil {
 		return nil, err
 	}
-	if err := checkCompatible("Sub", a, b); err != nil {
+	if err := checkCompatible(op, a, b); err != nil {
 		return nil, err
 	}
-	c0, c1 := ev.polyPairLike(a)
-	ring.SubPair(c0, a.C0, b.C0, c1, a.C1, b.C1)
+	pend := [2]int{max(a.pend[0], b.pend[0]), max(a.pend[1], b.pend[1])}
+	x, xl := ev.lifted(a, pend)
+	y, yl := ev.lifted(b, pend)
+	c0, c1 := ev.polyPairLike(x[0], x[1])
+	if sub {
+		ring.SubPair(c0, x[0], y[0], c1, x[1], y[1])
+	} else {
+		ring.AddPair(c0, x[0], y[0], c1, x[1], y[1])
+	}
+	ev.put(xl...)
+	ev.put(yl...)
 	out := newCiphertext(c0, c1, a.Level, new(big.Rat).Set(a.Scale), addNoiseBits(a.NoiseBits, b.NoiseBits))
-	ev.spareCombineInto(out, a, b, true)
+	out.pend = pend
+	ev.spareCombineInto(out, a, b, sub)
 	return out, nil
 }
 
@@ -340,18 +366,27 @@ func (ev *Evaluator) Neg(a *Ciphertext) (*Ciphertext, error) {
 	if err := ev.begin("Neg", a); err != nil {
 		return nil, err
 	}
-	c0, c1 := ev.polyPairLike(a)
+	c0, c1 := ev.polyPairLike(a.C0, a.C1)
 	ring.NegPair(c0, a.C0, c1, a.C1)
 	out := newCiphertext(c0, c1, a.Level, new(big.Rat).Set(a.Scale), a.NoiseBits)
+	out.pend = a.pend
 	ev.spareNegInto(out, a)
 	return out, nil
 }
 
 // AddPlain returns ct + pt; the plaintext must be encoded at ct's level
-// with ct's scale.
+// with ct's scale. A pending ct is settled first.
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
 	if err := ev.begin("AddPlain", ct); err != nil {
 		return nil, err
+	}
+	if ct.pending() {
+		s, err := ev.Settle(ct)
+		if err != nil {
+			return nil, err
+		}
+		defer ev.free(s)
+		ct = s
 	}
 	if pt.Level != ct.Level {
 		return nil, fherr.Wrap(fherr.ErrLevelMismatch, "ckks: AddPlain: plaintext level %d vs ciphertext %d", pt.Level, ct.Level)
@@ -361,7 +396,7 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 			core.RatLog2(pt.Scale), core.RatLog2(ct.Scale))
 	}
 	m, release := ev.plainOperand(pt, ct.C0.Moduli)
-	c0, c1 := ev.polyPairLike(ct)
+	c0, c1 := ev.polyPairLike(ct.C0, ct.C1)
 	// Only C0 changes; C1 is copied in the same fork/join. The spare
 	// channel is not tracked across plaintext addition, so the output
 	// starts stale.
@@ -374,7 +409,10 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 }
 
 // MulPlain returns ct * pt elementwise. The result's scale is the product
-// of the scales; rescale afterwards.
+// of the scales; rescale afterwards. A pending ct stays pending, lifted
+// where one component is divided, when pt carries rows over the level's
+// moduli ++ special (bitpacker's EncodePlain stores them), and is
+// settled first otherwise.
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
 	if err := ev.begin("MulPlain", ct); err != nil {
 		return nil, err
@@ -382,11 +420,25 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	if pt.Level != ct.Level {
 		return nil, fherr.Wrap(fherr.ErrLevelMismatch, "ckks: MulPlain: plaintext level %d vs ciphertext %d", pt.Level, ct.Level)
 	}
-	m, release := ev.plainOperand(pt, ct.C0.Moduli)
-	c0, c1 := ev.polyPairLike(ct)
+	x, lifts := [2]*ring.Poly{ct.C0, ct.C1}, []*ring.Poly(nil)
+	if ct.pending() {
+		if s := len(ev.params.Chain.Special); len(pt.Value.Moduli) == ct.R()+s {
+			x, lifts = ev.lifted(ct, [2]int{s, s})
+		} else {
+			settled, err := ev.Settle(ct)
+			if err != nil {
+				return nil, err
+			}
+			defer ev.free(settled)
+			x = [2]*ring.Poly{settled.C0, settled.C1}
+		}
+	}
+	m, release := ev.plainOperand(pt, x[0].Moduli)
+	c0, c1 := ev.polyPairLike(x[0], x[1])
 	// Both pointwise products share one fork/join; the NTT products are
 	// not tracked by the spare algebra, so the output starts stale.
-	ring.MulCoeffsPair(c0, ct.C0, c1, ct.C1, m)
+	ring.MulCoeffsPair(c0, x[0], c1, x[1], m)
+	ev.put(lifts...)
 	if release {
 		ev.params.Ctx.PutPoly(m)
 	}
@@ -394,10 +446,14 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 }
 
 // plainProduct wraps the components of ct times a plaintext of the given
-// scale. pt·e_ct dominates the noise; the encoding rounding of pt is
-// amplified by the ciphertext's scale.
+// scale: pending where they are over more rows than ct's level has.
+// pt·e_ct dominates the noise; the encoding rounding of pt is amplified
+// by the ciphertext's scale.
 func (ev *Evaluator) plainProduct(ct *Ciphertext, c0, c1 *ring.Poly, ptScale *big.Rat) *Ciphertext {
-	return newCiphertext(c0, c1, ct.Level, new(big.Rat).Mul(ct.Scale, ptScale), ev.plainProductNoise(ct.Scale, ct.NoiseBits, ptScale))
+	out := newCiphertext(c0, c1, ct.Level, new(big.Rat).Mul(ct.Scale, ptScale), ev.plainProductNoise(ct.Scale, ct.NoiseBits, ptScale))
+	r := ct.R()
+	out.pend = [2]int{c0.R() - r, c1.R() - r}
+	return out
 }
 
 // plainProductNoise is plainProduct's noise estimate for a ciphertext of
@@ -424,16 +480,22 @@ func (ev *Evaluator) constOperand(op string, ct *Ciphertext, v float64, scale *b
 }
 
 // AddConst returns ct + v in every slot: AddPlain for a plaintext that is
-// one number, added to C0 at ct's scale.
+// one number, added to C0 at ct's scale — times P to a pending C0, whose
+// special rows it leaves as they are (P is zero there).
 func (ev *Evaluator) AddConst(ct *Ciphertext, v float64) (*Ciphertext, error) {
 	c, err := ev.constOperand("AddConst", ct, v, ct.Scale)
 	if err != nil {
 		return nil, err
 	}
-	c0, c1 := ev.polyPairLike(ct)
+	if ct.pend[0] > 0 {
+		c.Mul(c, ev.params.specialP)
+	}
+	c0, c1 := ev.polyPairLike(ct.C0, ct.C1)
 	ring.AddScalarBigCopyPair(c0, ct.C0, c1, ct.C1, c)
 	noise := addNoiseBits(ct.NoiseBits, ev.nm.EncodingBits())
-	return newCiphertext(c0, c1, ct.Level, new(big.Rat).Set(ct.Scale), noise), nil
+	out := newCiphertext(c0, c1, ct.Level, new(big.Rat).Set(ct.Scale), noise)
+	out.pend = ct.pend
+	return out, nil
 }
 
 // MulConst returns ct·v in every slot, v taken at the level's default
@@ -445,7 +507,7 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, v float64) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	c0, c1 := ev.polyPairLike(ct)
+	c0, c1 := ev.polyPairLike(ct.C0, ct.C1)
 	ring.MulScalarBigPair(c0, ct.C0, c1, ct.C1, c)
 	return ev.plainProduct(ct, c0, c1, scale), nil
 }
@@ -455,13 +517,14 @@ func (ev *Evaluator) MulScalarInt(ct *Ciphertext, c int64) (*Ciphertext, error) 
 	if err := ev.begin("MulScalarInt", ct); err != nil {
 		return nil, err
 	}
-	c0, c1 := ev.polyPairLike(ct)
+	c0, c1 := ev.polyPairLike(ct.C0, ct.C1)
 	ring.MulScalarBigPair(c0, ct.C0, c1, ct.C1, new(big.Int).SetInt64(c))
 	noise := ct.NoiseBits
 	if abs := math.Abs(float64(c)); abs > 1 {
 		noise = ct.NoiseBits + math.Log2(abs)
 	}
 	out := newCiphertext(c0, c1, ct.Level, new(big.Rat).Set(ct.Scale), noise)
+	out.pend = ct.pend
 	ev.spareMulScalarIntInto(out, ct, c)
 	return out, nil
 }
@@ -471,7 +534,9 @@ func (ev *Evaluator) MulScalarInt(ct *Ciphertext, c int64) (*Ciphertext, error) 
 // ---------------------------------------------------------------------------
 
 // MulRelin multiplies two ciphertexts and relinearizes back to degree one.
-// The output scale is Scale(a)*Scale(b); callers follow with Rescale.
+// The output scale is Scale(a)*Scale(b); callers follow with Rescale,
+// which divides the pending output (see Ciphertext) by P with the
+// retired moduli in one division. Pending operands are settled first.
 func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := ev.begin("MulRelin", a, b); err != nil {
 		return nil, err
@@ -479,42 +544,66 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := checkCompatible("MulRelin", a, b); err != nil {
 		return nil, err
 	}
-	d0, d1, e, err := ev.relinExt(a, b)
-	if err != nil {
-		return nil, err
-	}
-	ks := ev.modDown(a.C0.Moduli, e.c0, e.c1)
-	ev.addPair(d0, d1, ks[0], ks[1])
-	ev.params.Ctx.PutPoly(ks[0])
-	ev.params.Ctx.PutPoly(ks[1])
-
 	scale, noise := ev.productBookkeeping(a, b)
-	out := newCiphertext(d0, d1, a.Level, scale, noise)
+	// Guard the product before any work: the output describes it.
+	out := &Ciphertext{Level: a.Level, Scale: scale, NoiseBits: noise}
 	if err := ev.guardNoise("MulRelin", out); err != nil {
 		return nil, err
 	}
+	x, err := ev.Settle(a)
+	if err != nil {
+		return nil, err
+	}
+	if x != a {
+		defer ev.free(x)
+	}
+	y := x
+	if b != a {
+		if y, err = ev.Settle(b); err != nil {
+			return nil, err
+		}
+		if y != b {
+			defer ev.free(y)
+		}
+	}
+	if out.C0, out.C1, err = ev.relinExt(x, y); err != nil {
+		return nil, err
+	}
+	s := len(ev.params.Chain.Special)
+	out.pend = [2]int{s, s}
+	out.seal()
 	return out, nil
 }
 
-// relinExt is the product MulRelin and MulRescale share: the tensor
-// (d0, d1, d2) of a and b, d0 and d1 at live width, and d2 switched by
-// the relinearization key and left undivided — in the extended basis
-// live++special, scaled by P. MulRelin divides the keyswitch output and
-// adds it to (d0, d1); MulRescale lifts (d0, d1) and divides the sum
-// once. Everything returned is pooled; the caller owns it.
-func (ev *Evaluator) relinExt(a, b *Ciphertext) (d0, d1 *ring.Poly, e extPair, err error) {
+// relinExt is MulRelin's product: the tensor (d0, d1, d2) of a and b, d2
+// switched by the relinearization key, and P·(d0, d1) folded into the
+// keyswitch's inner product as one more term — P mod q per live row
+// times (d0, d1) — so the pair comes out pending, in the extended basis
+// live++special, with no separate lift. The returned pair is pooled and
+// the caller's.
+func (ev *Evaluator) relinExt(a, b *Ciphertext) (c0, c1 *ring.Poly, err error) {
 	rlk, releaseKey, err := ev.km.Acquire(ev.ctx, "MulRelin", RelinKeyID)
 	if err != nil {
-		return nil, nil, extPair{}, err
+		return nil, nil, err
 	}
 	defer releaseKey()
 	ctx := ev.params.Ctx
 	d0, d1, d2 := ev.tensor(a, b)
 	hd := ev.decomposePoly(d2)
 	ctx.PutPoly(d2)
-	e.c0, e.c1 = ev.keySwitchExt(hd, rlk, 1)
+	// P as a polynomial: the same word at every evaluation point of a row.
+	pLive := ev.ksPlan(d0.Moduli).pLive
+	p := ctx.GetPoly(d0.Moduli)
+	p.IsNTT = true
+	engine.Dispatch(len(pLive), ctx.N, func(i int) {
+		for k := range p.Coeffs[i] {
+			p.Coeffs[i][k] = pLive[i]
+		}
+	})
+	c0, c1 = ev.keySwitchExt(hd, rlk, 1, ring.Term{X: p, Y0: d0, Y1: d1})
+	ev.put(p, d0, d1)
 	hd.Free(ctx)
-	return d0, d1, e, nil
+	return c0, c1, nil
 }
 
 // productBookkeeping is the scale and noise of the product of a and b.
@@ -565,7 +654,8 @@ func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) {
 // conversion per digit — the dominant O(R²·N) part of a keyswitch — and
 // every rotation then reuses it (hoisting, HS18 / ARK-style inter-op
 // reuse). Its C0 is carried as P·c0 in the same extended basis, where
-// each rotation permutes it (rotateExt).
+// each rotation permutes it (rotateExt): the ciphertext's own pending C0,
+// or its divided C0 lifted.
 //
 // Fused, the digits are in the evaluation domain: a Galois automorphism
 // is then a permutation of evaluation points, which the inner product
@@ -574,14 +664,16 @@ func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) {
 type HoistedDecomp struct {
 	ext    []uint64
 	digits []*ring.Poly // indexed by digit; nil when the digit has no rows
-	// c0 is P·c0 over the extended basis: the lifted input (hoist), or
-	// an accumulator already there (a BSGS giant's, InnerSum's). It is
-	// nil in a decomposition only relinearization reads.
-	c0 *ring.Poly
+	// c0 is P·c0 over the extended basis, nil in a decomposition only
+	// relinearization reads; lifted reports that it is hoist's scratch
+	// rather than the ciphertext's pending C0.
+	c0     *ring.Poly
+	lifted bool
 }
 
-// Free returns the decomposition's scratch polynomials, c0 included, to
-// the context pool. The decomposition must not be used afterwards.
+// Free returns the decomposition's scratch polynomials, a lifted c0
+// included, to the context pool. The decomposition must not be used
+// afterwards.
 func (hd *HoistedDecomp) Free(ctx *ring.Context) {
 	for _, d := range hd.digits {
 		if d != nil {
@@ -589,10 +681,10 @@ func (hd *HoistedDecomp) Free(ctx *ring.Context) {
 		}
 	}
 	hd.digits = nil
-	if hd.c0 != nil {
+	if hd.lifted {
 		ctx.PutPoly(hd.c0)
-		hd.c0 = nil
 	}
+	hd.c0 = nil
 }
 
 // decomposePoly computes the digit decomposition + ModUp of c2 (NTT domain
@@ -677,23 +769,37 @@ func (ev *Evaluator) decompose(c2c, c2n *ring.Poly) *HoistedDecomp {
 }
 
 // hoist is the decomposition every rotation of ct starts from: the digits
-// of its C1 and P·c0.
-func (ev *Evaluator) hoist(ct *Ciphertext) *HoistedDecomp {
-	hd := ev.decomposePoly(ct.C1)
-	hd.c0 = ev.lift(ct.C0)[0]
-	return hd
+// of its C1, settled first when it pends, and P·c0 — a pending C0 as it
+// is (only read), a divided one lifted.
+func (ev *Evaluator) hoist(ct *Ciphertext) (*HoistedDecomp, error) {
+	c1 := ct.C1
+	if ct.pend[1] > 0 {
+		half, err := ev.settle(ct, ct.Level, divC1)
+		if err != nil {
+			return nil, err
+		}
+		c1 = half.C1
+		defer ev.params.Ctx.PutPoly(c1)
+	}
+	hd := ev.decomposePoly(c1)
+	hd.c0 = ct.C0
+	if ct.pend[0] == 0 {
+		hd.c0, hd.lifted = ev.lift(ct.C0)[0], true
+	}
+	return hd, nil
 }
 
 // keySwitchExt is the inner-product half of a keyswitch of the
 // polynomial hd decomposes, under the Galois map galEl (1 = identity):
 // the accumulated pair in the extended (live+special) basis and the NTT
-// domain, scaled by P — no ModDown. The returned polys are pooled; the
-// caller owns them.
-func (ev *Evaluator) keySwitchExt(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
+// domain, scaled by P — pending, undivided. Each extra term (galEl 1
+// only) adds X⊙Y0 and X⊙Y1 over a prefix of the rows. The returned polys
+// are pooled; the caller owns them.
+func (ev *Evaluator) keySwitchExt(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64, extra ...ring.Term) (*ring.Poly, *ring.Poly) {
 	if ev.fused {
-		return ev.keySwitchExtFused(hd, swk, galEl)
+		return ev.keySwitchExtFused(hd, swk, galEl, extra)
 	}
-	return ev.keySwitchExtUnfused(hd, swk, galEl)
+	return ev.keySwitchExtUnfused(hd, swk, galEl, extra)
 }
 
 // keySwitchExtFused is the fused twin of keySwitchExtUnfused: every
@@ -705,10 +811,10 @@ func (ev *Evaluator) keySwitchExt(hd *HoistedDecomp, swk *SwitchingKey, galEl ui
 // copied; a seed-compressed key's A rows are regenerated inside the same
 // kernel, row by row, and never materialize. Bit-identical to the staged
 // pipeline: both are the canonical residues of the same sums.
-func (ev *Evaluator) keySwitchExtFused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
+func (ev *Evaluator) keySwitchExtFused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64, extra []ring.Term) (*ring.Poly, *ring.Poly) {
 	ctx := ev.params.Ctx
 	ext := hd.ext
-	terms := make([]ring.Term, 0, len(hd.digits))
+	terms := make([]ring.Term, 0, len(hd.digits)+len(extra))
 	for d, digit := range hd.digits {
 		if digit == nil {
 			continue
@@ -725,32 +831,13 @@ func (ev *Evaluator) keySwitchExtFused(hd *HoistedDecomp, swk *SwitchingKey, gal
 		}
 		terms = append(terms, t)
 	}
+	terms = append(terms, extra...)
 	acc0 := ctx.GetPoly(ext)
 	acc0.IsNTT = true
 	acc1 := ctx.GetPoly(ext)
 	acc1.IsNTT = true
 	ring.InnerProduct(acc0, acc1, galEl, terms)
 	return acc0, acc1
-}
-
-// modDown is the keyswitch ModDown: it divides extended-basis
-// polynomials by P and sheds the special moduli, landing back on live,
-// all in the NTT domain — the live rows stay put; only the special rows
-// are inverse-transformed and only the conversion rows transformed
-// forward. It consumes its inputs (returned to the pool).
-//
-// A ModDown reads only the shed rows, which are zero in P·a, so
-// ModDown(P·a + e) = a + ModDown(e) word for word: carrying P·c0 to the
-// division moves no bit against adding c0 after it.
-func (ev *Evaluator) modDown(live []uint64, ps ...*ring.Poly) []*ring.Poly {
-	if !ev.fused {
-		return ev.modDownUnfused(live, ps)
-	}
-	outs := ev.ksPlan(live).modDown.ScaleDownNTTBatch(ps)
-	for _, p := range ps {
-		ev.params.Ctx.PutPoly(p)
-	}
-	return outs
 }
 
 // lift returns each live-basis p as it reads in the extended basis a
@@ -768,16 +855,6 @@ func (ev *Evaluator) lift(ps ...*ring.Poly) []*ring.Poly {
 		return outs
 	}
 	return ev.params.Ctx.ScaleUpBatch(ps, special, ev.ksPlan(ps[0].Moduli).pLive)
-}
-
-// addPair sets a0 += b0 and a1 += b1.
-func (ev *Evaluator) addPair(a0, a1, b0, b1 *ring.Poly) {
-	if ev.fused {
-		ring.AddPair(a0, a0, b0, a1, a1, b1)
-		return
-	}
-	a0.Add(a0, b0)
-	a1.Add(a1, b1)
 }
 
 // ---------------------------------------------------------------------------
@@ -824,22 +901,20 @@ func (ev *Evaluator) rotateOne(op string, ct *Ciphertext, galEl uint64) (*Cipher
 }
 
 // rotateExt is the one rotation: P·φ_g(ct) for the ciphertext hd holds,
-// undivided in the extended basis — φ_g(P·c0), permuted in place, plus
-// the keyswitch of φ_g(c1) read from hd's digits — with g's key acquired
-// for the duration. Every rotation is this followed by one division,
-// which is where callers differ: a modDown (Rotate, Conjugate,
-// RotateHoisted, InnerSum's C1), a transition that sheds P with a
-// level's retired moduli (RotateHoistedMulRescale), or, for the BSGS
-// babies and giants and InnerSum's C0, the modDown that ends the whole
-// sum. hd.c0 is only read; the returned pair is pooled and the caller's.
-func (ev *Evaluator) rotateExt(op string, hd *HoistedDecomp, galEl uint64) (extPair, error) {
+// pending in the extended basis — φ_g(P·c0), permuted in place, plus the
+// keyswitch of φ_g(c1) read from hd's digits — with g's key acquired for
+// the duration. Its one division is whichever settle its consumer runs:
+// a Rescale that sheds P with the retired moduli (MulRescale,
+// RotateHoistedMulRescale, an apply's rescale), a decomposition's C1
+// (InnerSum's next step, a BSGS giant), or Settle. hd.c0 is only read;
+// the returned pair is pooled and the caller's.
+func (ev *Evaluator) rotateExt(op string, hd *HoistedDecomp, galEl uint64) (c0, c1 *ring.Poly, err error) {
 	swk, releaseKey, err := ev.km.Acquire(ev.ctx, op, galEl)
 	if err != nil {
-		return extPair{}, err
+		return nil, nil, err
 	}
 	defer releaseKey()
 	e0, e1 := ev.keySwitchExt(hd, swk, galEl)
-	var c0 *ring.Poly
 	if ev.fused {
 		// One evaluation-domain gather+add: in the NTT domain the
 		// automorphism is a pure permutation of evaluation points.
@@ -848,17 +923,7 @@ func (ev *Evaluator) rotateExt(op string, hd *HoistedDecomp, galEl uint64) (extP
 		c0 = ev.permuteAddUnfused(hd.c0, galEl, e0)
 	}
 	ev.params.Ctx.PutPoly(e0)
-	return extPair{c0, e1}, nil
-}
-
-// extPair is a ciphertext's two components in the extended basis
-// live++special, scaled by P: what a rotation or a keyswitch leaves
-// before its division.
-type extPair struct{ c0, c1 *ring.Poly }
-
-func (x extPair) free(ctx *ring.Context) {
-	ctx.PutPoly(x.c0)
-	ctx.PutPoly(x.c1)
+	return c0, e1, nil
 }
 
 // fanOut is the one keyswitch fan-out (hoisted rotations, BSGS baby and
@@ -892,12 +957,12 @@ func (ev *Evaluator) fanOut(n int, live []uint64, f func(i int) error) error {
 
 // RotateHoisted rotates ct by every amount in steps, sharing one digit
 // decomposition (ModUp) across all of them: n rotations of the same
-// ciphertext cost 1 ModUp + n (inner product + ModDown) instead of n
-// full keyswitches. Steps are normalized modulo the slot count and
+// ciphertext cost 1 ModUp + n inner products instead of n full
+// keyswitches. Steps are normalized modulo the slot count and
 // deduplicated internally; the returned slice is indexed like steps,
-// with each entry an independent ciphertext. Rotations by zero (or a
-// multiple of the slot count) are plain copies. Each output is
-// bit-identical to Rotate's for its step.
+// with each entry an independent ciphertext, pending (see Ciphertext).
+// Rotations by zero (or a multiple of the slot count) are plain copies.
+// Each output is bit-identical to Rotate's for its step.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, error) {
 	if err := ev.begin("RotateHoisted", ct); err != nil {
 		return nil, err
@@ -907,20 +972,32 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 
 // rotations is the body of Rotate, Conjugate and RotateHoisted: one
 // hoisted rotation of ct per Galois element (1, the identity, a copy),
-// each divided by one modDown.
+// each left pending.
 func (ev *Evaluator) rotations(op string, ct *Ciphertext, els []uint64) ([]*Ciphertext, error) {
 	noise := addNoiseBits(ct.NoiseBits, ev.nm.KeySwitchBits())
 	return ev.hoisted(op, ct, els, func(hd *HoistedDecomp, galEl uint64) (*Ciphertext, error) {
 		if galEl == 1 {
 			return ct.CopyNew(), nil
 		}
-		x, err := ev.rotateExt(op, hd, galEl)
+		c0, c1, err := ev.rotateExt(op, hd, galEl)
 		if err != nil {
 			return nil, err
 		}
-		outs := ev.modDown(ct.C0.Moduli, x.c0, x.c1)
-		return newCiphertext(outs[0], outs[1], ct.Level, new(big.Rat).Set(ct.Scale), noise), nil
+		out := ev.pendingPair(c0, c1, ct)
+		out.NoiseBits = noise
+		out.seal()
+		return out, nil
 	})
+}
+
+// pendingPair wraps a keyswitch's output pair as a pending ciphertext at
+// ct's level, scale and noise.
+func (ev *Evaluator) pendingPair(c0, c1 *ring.Poly, ct *Ciphertext) *Ciphertext {
+	out := newCiphertext(c0, c1, ct.Level, new(big.Rat).Set(ct.Scale), ct.NoiseBits)
+	s := len(ev.params.Chain.Special)
+	out.pend = [2]int{s, s}
+	out.seal()
+	return out
 }
 
 // galoisElements maps slot rotation amounts to their Galois elements; a
@@ -935,20 +1012,13 @@ func (ev *Evaluator) galoisElements(steps []int) []uint64 {
 
 // RotateHoistedMulRescale returns, for every amount in steps,
 // Rescale(MulPlain(rot(ct, step), pt)) — the extraction of a packed
-// reply — dividing once per output where the two-step path divides
-// twice (a ModDown by P, then the rescale). The nonzero steps share one
-// ModUp and stop before their ModDown: P·φ(c0) plus the keyswitch
-// output, in the extended basis live++special, is multiplied there by
-// pt and carried to the level below by one transition that sheds P with
-// the level's retired moduli. A zero step is MulPlain+Rescale itself.
-// pt must be at ct's level and carry rows over live++special
-// (bitpacker's EncodePlain stores them); MulPlain reads its live rows.
-//
-// Steps are normalized and deduplicated as RotateHoisted's. The outputs
-// are value-equivalent to the two-step path's — same level, scale and
-// noise bound — but not bit-identical: the division by P rounds inside
-// the rescale's. Each output's extended-width scratch is back in the
-// pool before the next output starts.
+// reply — and is exactly that composition: the rotations pend, pt
+// multiplies them over live++special, and each rescale sheds P with the
+// level's retired moduli in one division. pt must be at ct's level and
+// carry rows over live++special (bitpacker's EncodePlain stores them); a
+// divided zero step reads its live rows. Steps are normalized and
+// deduplicated as RotateHoisted's, and each rotation's extended-width
+// rows are back in the pool once its output is made.
 func (ev *Evaluator) RotateHoistedMulRescale(ct *Ciphertext, steps []int, pt *Plaintext) ([]*Ciphertext, error) {
 	const op = "RotateHoistedMulRescale"
 	if err := ev.begin(op, ct); err != nil {
@@ -960,53 +1030,36 @@ func (ev *Evaluator) RotateHoistedMulRescale(ct *Ciphertext, steps []int, pt *Pl
 	if ct.Level <= 0 {
 		return nil, fherr.Wrap(fherr.ErrChainExhausted, "ckks: Rescale at level 0")
 	}
-	ctx, live := ev.params.Ctx, ct.C0.Moduli
-	ks := ev.ksPlan(live)
-	if !slices.Equal(pt.Value.Moduli, ks.ext) {
+	if !slices.Equal(pt.Value.Moduli, ev.ksPlan(ev.params.LevelModuli(ct.Level)).ext) {
 		return nil, fherr.Wrap(fherr.ErrInvalidParams, "ckks: %s: plaintext rows are not the level's moduli ++ special", op)
 	}
-	down, err := ev.levelPlan(live, ct.Level-1)
+	rots, err := ev.rotations(op, ct, ev.galoisElements(steps))
 	if err != nil {
 		return nil, err
 	}
-	extDown, err := ev.levelPlan(ks.ext, ct.Level-1)
-	if err != nil {
-		return nil, err
-	}
-	m, release := ev.plainOperand(pt, ks.ext)
-	if release {
-		defer ctx.PutPoly(m)
-	}
-	mLive := m.RestrictView(live)
-	scale := new(big.Rat).Mul(ct.Scale, pt.Scale)
-	noise := ev.plainProductNoise(ct.Scale, ct.NoiseBits, pt.Scale)
-	// The extended pair is P·rot(ct)·pt: its scale and noise carry P.
-	pScale := new(big.Rat).SetInt(ks.modDown.P)
-	extScale := new(big.Rat).Mul(scale, pScale)
-	extNoise := ev.plainProductNoise(ct.Scale, addNoiseBits(ct.NoiseBits, ev.nm.KeySwitchBits()), pt.Scale) + core.RatLog2(pScale)
-	return ev.hoisted(op, ct, ev.galoisElements(steps), func(hd *HoistedDecomp, galEl uint64) (*Ciphertext, error) {
-		if galEl == 1 {
-			c0, c1 := ev.polyPairLike(ct)
-			ring.MulCoeffsPair(c0, ct.C0, c1, ct.C1, mLive)
-			return ev.transition(down, c0, c1, true, nil, scale, noise, nil)
+	outs := make([]*Ciphertext, len(rots))
+	for i, r := range rots {
+		m, err := ev.MulPlain(r, pt)
+		ev.free(r)
+		if err == nil {
+			outs[i], err = ev.Rescale(m)
+			ev.free(m)
 		}
-		x, err := ev.rotateExt(op, hd, galEl)
 		if err != nil {
+			for _, r := range rots[i+1:] {
+				ev.free(r)
+			}
 			return nil, err
 		}
-		ring.MulCoeffsPair(x.c0, x.c0, x.c1, x.c1, m)
-		return ev.transition(extDown, x.c0, x.c1, true, nil, extScale, extNoise, nil)
-	})
+	}
+	return outs, nil
 }
 
 // InnerSum folds the first n slots (n a power of two, n ≤ Slots()) so
-// that slot i holds the sum of slots i … i+n−1: log2(n) steps adding the
-// running sum rotated by 1, 2, 4, … to itself, with one division of C0.
-// A step ModDowns only its C1 output, which the next decomposition needs;
-// C0 stays in the extended basis as P·c0, the accumulator each step's
-// rotation permutes and adds to, and one ModDown ends the sum.
-// Value-equivalent to log2(n) Rotate+Add pairs (same level, scale and
-// noise bound), not bit-identical: C0 rounds once.
+// that slot i holds the sum of slots i … i+n−1: log2(n) rounds of Rotate
+// + Add, each rotating the running sum by 1, 2, 4, … The sum pends; a
+// round settles only its C1, which the rotation decomposes, so C0 is
+// divided once, by whoever settles the output.
 func (ev *Evaluator) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
 	if err := ev.begin("InnerSum", ct); err != nil {
 		return nil, err
@@ -1026,26 +1079,35 @@ func (ev *Evaluator) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
 		return nil, err
 	}
 	defer releaseKeys()
-	ctx, live := ev.params.Ctx, ct.C0.Moduli
-	x0, c1 := ev.lift(ct.C0)[0], ct.C1.ScratchCopy()
-	noise := ct.NoiseBits
+	acc := ct
 	for _, galEl := range els {
-		hd := ev.decomposePoly(c1)
-		hd.c0 = x0
-		r, err := ev.rotateExt("InnerSum", hd, galEl)
+		next, err := ev.innerSumRound(acc, galEl)
+		if acc != ct {
+			ev.free(acc)
+		}
 		if err != nil {
-			hd.Free(ctx)
-			ctx.PutPoly(c1)
 			return nil, err
 		}
-		r1 := ev.modDown(live, r.c1)[0]
-		ev.addPair(r.c0, c1, x0, r1)
-		hd.Free(ctx) // x0 with it: r.c0 is the running sum now
-		ctx.PutPoly(r1)
-		x0 = r.c0
-		noise = addNoiseBits(noise, addNoiseBits(noise, ev.nm.KeySwitchBits()))
+		acc = next
 	}
-	return newCiphertext(ev.modDown(live, x0)[0], c1, ct.Level, new(big.Rat).Set(ct.Scale), noise), nil
+	return acc, nil
+}
+
+// innerSumRound is acc + rot_g(acc) with acc's C1 settled first.
+func (ev *Evaluator) innerSumRound(acc *Ciphertext, galEl uint64) (*Ciphertext, error) {
+	half, err := ev.settle(acc, acc.Level, divC1)
+	if err != nil {
+		return nil, err
+	}
+	if half.C1 != acc.C1 {
+		defer ev.params.Ctx.PutPoly(half.C1)
+	}
+	rot, err := ev.rotateOne("InnerSum", half, galEl)
+	if err != nil {
+		return nil, err
+	}
+	defer ev.free(rot)
+	return ev.Add(half, rot)
 }
 
 // hoisted is the body every rotation shares: dedupe the Galois elements
@@ -1078,7 +1140,10 @@ func (ev *Evaluator) hoisted(op string, ct *Ciphertext, els []uint64, one func(h
 			}
 			defer releaseKeys()
 		}
-		hd = ev.hoist(ct)
+		var err error
+		if hd, err = ev.hoist(ct); err != nil {
+			return nil, err
+		}
 		defer hd.Free(ev.params.Ctx)
 	}
 	results := make([]*Ciphertext, len(uniq))

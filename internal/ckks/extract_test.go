@@ -21,12 +21,13 @@ func (s *testSetup) encodeExt(values []complex128, level int) *Plaintext {
 	return &Plaintext{Value: p, Level: level, Scale: s.params.DefaultScale(level)}
 }
 
-// twoStepExtract is the path RotateHoistedMulRescale replaces:
-// Rescale(MulPlain(RotateHoisted(ct, steps)[i], pt)).
+// twoStepExtract is the extraction dividing twice, each rotation settled
+// before its product: Rescale(MulPlain(Settle(RotateHoisted(ct,
+// steps)[i]), pt)).
 func (s *testSetup) twoStepExtract(ct *Ciphertext, steps []int, pt *Plaintext) []*Ciphertext {
 	outs := s.ev.MustRotateHoisted(ct, steps)
 	for i, o := range outs {
-		outs[i] = s.ev.MustRescale(s.ev.MustMulPlain(o, pt))
+		outs[i] = s.ev.MustRescale(s.ev.MustMulPlain(s.settled(o), pt))
 	}
 	return outs
 }
@@ -53,7 +54,7 @@ func (s *testSetup) extractErrors(outs []*Ciphertext, steps []int, vals, mask []
 	slots := len(vals)
 	var nk, nz float64
 	for i, step := range steps {
-		got := s.dec.MustDecryptAndDecode(outs[i], s.enc)
+		got := s.decrypt(outs[i])
 		for k := range got {
 			d := cmplx.Abs(got[k] - vals[(k+step)%slots]*mask[k])
 			if mask[k] != 0 {

@@ -55,6 +55,9 @@ func steps(lo, hi int) []int {
 
 // withFused runs fn with the evaluator's fusion toggle forced, restoring
 // the previous setting afterwards.
+// Fused reports whether the fused hot paths are active.
+func (ev *Evaluator) Fused() bool { return ev.fused }
+
 func withFused(s *testSetup, on bool, fn func() *Ciphertext) *Ciphertext {
 	prev := s.ev.Fused()
 	s.ev.SetFused(on)
@@ -98,9 +101,9 @@ func TestFusedDifferentialOps(t *testing.T) {
 	}
 }
 
-// TestFusedMulRescaleMatchesTwoCall: the MulRescale macro op divides
-// once — the special primes shed with the retired moduli — where
-// MulRelin+Rescale divides twice, so the two are value-equivalent, not
+// TestFusedMulRescaleMatchesTwoCall: MulRescale divides once — the
+// special primes shed with the retired moduli — where MulRelin, Settle
+// and Rescale divide twice, so the two are value-equivalent, not
 // bit-identical. Fused and staged MulRescale stay bit-identical to each
 // other at workers 1 and 4, the output lands where the two-call
 // sequence's does (level, scale, moduli, noise estimate), and it
@@ -132,7 +135,7 @@ func TestFusedMulRescaleMatchesTwoCall(t *testing.T) {
 						t.Fatalf("%s workers=%d: fused MulRescale differs from staged or from workers=1", tag, workers)
 					}
 				}
-				twoCall := s.ev.MustRescale(s.ev.MustMulRelin(a, b))
+				twoCall := s.ev.MustRescale(s.settled(s.ev.MustMulRelin(a, b)))
 				if first.Level != twoCall.Level || first.Scale.Cmp(twoCall.Scale) != 0 ||
 					!slices.Equal(first.C0.Moduli, twoCall.C0.Moduli) || math.Abs(first.NoiseBits-twoCall.NoiseBits) > 1e-9 {
 					t.Fatalf("%s: MulRescale lands at level %d scale 2^%.3f noise %.3f, MulRelin+Rescale at %d 2^%.3f %.3f", tag,
@@ -143,7 +146,7 @@ func TestFusedMulRescaleMatchesTwoCall(t *testing.T) {
 					want[i] = va[i] * vb[i]
 				}
 				rms := func(ct *Ciphertext) float64 {
-					got, sum := s.dec.MustDecryptAndDecode(ct, s.enc), 0.0
+					got, sum := s.decrypt(ct), 0.0
 					for i := range want {
 						d := cmplx.Abs(got[i] - want[i])
 						sum += d * d
@@ -479,7 +482,12 @@ func TestWideChainsHaveNoNarrowModulus(t *testing.T) {
 // instead of reducing P per call, and Rotate became the one-step hoisted
 // rotation, MulRescale read 444 (515 before), Rotate 289 (286 on the
 // deleted permute-first route), the extraction 554 and InnerSum(16) 971;
-// no ceiling moved. The collector is held off because a collection
+// no ceiling moved. Once a pooled row came back without boxing a slice
+// header and P·(d0, d1) joined relinearization's inner product, with
+// every op a composition over pending ciphertexts, they read: MulRescale
+// 266, Rotate 144, EvalChebyshev 2,879, the transform 702, the
+// extraction 427 and InnerSum(16) 730, and the ceilings came down to
+// about 10 % above. The collector is held off because a collection
 // empties the scratch pools mid-run.
 func TestFusedHotPathAllocCeiling(t *testing.T) {
 	if raceEnabled {
@@ -501,16 +509,16 @@ func TestFusedHotPathAllocCeiling(t *testing.T) {
 		ceiling float64
 		run     func()
 	}{
-		{"MulRescale", 560, func() { s.ev.MustMulRescale(a, b) }},
-		{"Rotate", 300, func() { s.ev.MustRotate(a, 1) }},
-		{"EvalChebyshev", 4260, func() {
+		{"MulRescale", 295, func() { s.ev.MustMulRescale(a, b) }},
+		{"Rotate", 160, func() { s.ev.MustRotate(a, 1) }},
+		{"EvalChebyshev", 3170, func() {
 			if _, err := s.ev.EvalChebyshev(s.enc, a, cheb7); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"ApplyLinearTransform", 1120, func() { s.ev.MustApplyLinearTransform(blocks, lt) }},
-		{"RotateHoistedMulRescale", 700, func() { s.ev.MustRotateHoistedMulRescale(a, []int{1, 0}, mask) }},
-		{"InnerSum", 1090, func() { innerSum(t, s, a, 16) }},
+		{"ApplyLinearTransform", 775, func() { s.ev.MustApplyLinearTransform(blocks, lt) }},
+		{"RotateHoistedMulRescale", 470, func() { s.ev.MustRotateHoistedMulRescale(a, []int{1, 0}, mask) }},
+		{"InnerSum", 805, func() { innerSum(t, s, a, 16) }},
 	} {
 		if got := testing.AllocsPerRun(10, op.run); got > op.ceiling {
 			t.Errorf("fused %s: %.0f allocations per call, ceiling %.0f", op.name, got, op.ceiling)
@@ -530,8 +538,8 @@ func innerSum(t testing.TB, s *testSetup, ct *Ciphertext, n int) *Ciphertext {
 	return out
 }
 
-// TestInnerSumMatchesRotateAdd: InnerSum divides C0 once where the
-// log2(n) Rotate+Add pairs divide it per step. Its output lands where
+// TestInnerSumMatchesRotateAdd: InnerSum divides C0 once where log2(n)
+// Rotate+Add pairs with each rotation settled divide it per step. Its output lands where
 // theirs does (level, scale, moduli, noise estimate) and decrypts within
 // 0.1 bit (RMS over the slots) of theirs, on both schemes at 28- and
 // 61-bit words; width 1 returns the input, and widths 0, 3 and twice the
@@ -544,17 +552,17 @@ func TestInnerSumMatchesRotateAdd(t *testing.T) {
 			s := newTestSetup(t, scheme, 2, 40, w, 10, 3, []int{1, 2, 4, 8})
 			vals := randomValues(s.params.Slots(), rand.New(rand.NewPCG(221, uint64(w))))
 			ct := s.encryptValues(vals)
-			got := innerSum(t, s, ct, n)
+			got := s.settled(innerSum(t, s, ct, n))
 			chain := ct
 			for r := 1; r < n; r <<= 1 {
-				chain = s.ev.MustAdd(chain, s.ev.MustRotate(chain, r))
+				chain = s.ev.MustAdd(chain, s.settled(s.ev.MustRotate(chain, r)))
 			}
 			if got.Level != chain.Level || got.Scale.Cmp(chain.Scale) != 0 || !slices.Equal(got.C0.Moduli, chain.C0.Moduli) || got.NoiseBits != chain.NoiseBits {
 				t.Fatalf("%s: InnerSum lands at level %d noise %.3f, Rotate+Add at %d %.3f", tag, got.Level, got.NoiseBits, chain.Level, chain.NoiseBits)
 			}
 			slots := len(vals)
 			rms := func(out *Ciphertext) float64 {
-				dec, sum := s.dec.MustDecryptAndDecode(out, s.enc), 0.0
+				dec, sum := s.decrypt(out), 0.0
 				for i := range dec {
 					var want complex128
 					for j := range n {

@@ -61,14 +61,14 @@ func TestRotateHoistedMatchesRotate(t *testing.T) {
 			if hoisted[i].Level != ct.Level || hoisted[i].Scale.Cmp(ct.Scale) != 0 {
 				t.Fatalf("%v steps=%d: level/scale moved", scheme, st)
 			}
-			got := s.dec.MustDecryptAndDecode(hoisted[i], s.enc)
+			got := s.decrypt(hoisted[i])
 			for j := range got {
 				if e := cmplx.Abs(got[j] - vals[(j+st)%slots]); e > 1e-5 {
 					t.Fatalf("%v steps=%d slot %d: hoisted err %g", scheme, st, j, e)
 				}
 			}
 		}
-		got := s.dec.MustDecryptAndDecode(s.ev.MustConjugate(ct), s.enc)
+		got := s.decrypt(s.ev.MustConjugate(ct))
 		for j := range got {
 			if e := cmplx.Abs(got[j] - cmplx.Conj(vals[j])); e > 1e-5 {
 				t.Fatalf("%v: conjugate slot %d: err %g", scheme, j, e)
@@ -238,8 +238,8 @@ func TestLinearTransformBSGSMatchesNaive(t *testing.T) {
 		if fast.Level != ref.Level || fast.Scale.Cmp(ref.Scale) != 0 {
 			t.Fatalf("%v: BSGS level/scale mismatch vs naive", scheme)
 		}
-		gotF := s.dec.MustDecryptAndDecode(fast, s.enc)
-		gotR := s.dec.MustDecryptAndDecode(ref, s.enc)
+		gotF := s.decrypt(fast)
+		gotR := s.decrypt(ref)
 		for i := 0; i < dim; i++ {
 			if e := cmplx.Abs(gotF[i] - want[i]); e > 1e-4 {
 				t.Fatalf("%v row %d: BSGS err %g vs expected product", scheme, i, e)
@@ -312,8 +312,8 @@ func TestEvalChebyshevPSMatchesNaive(t *testing.T) {
 			if name == "dense" && naiveUsed != deg {
 				t.Fatalf("%v: naive consumed %d levels for dense degree %d", scheme, naiveUsed, deg)
 			}
-			gotP := s.dec.MustDecryptAndDecode(ps, s.enc)
-			gotN := s.dec.MustDecryptAndDecode(naive, s.enc)
+			gotP := s.decrypt(ps)
+			gotN := s.decrypt(naive)
 			for i := range vals {
 				want := chebyshevRef(coeffs, real(vals[i]))
 				if e := math.Abs(real(gotP[i]) - want); e > 1e-3 {
@@ -366,7 +366,7 @@ func TestEvalChebyshevZeroCoeffNoWaste(t *testing.T) {
 		if out.Level != ct.Level {
 			t.Fatalf("%s: constant-after-trim series consumed %d levels", name, ct.Level-out.Level)
 		}
-		got := s.dec.MustDecryptAndDecode(out, s.enc)
+		got := s.decrypt(out)
 		if e := math.Abs(real(got[0]) - 0.7); e > 1e-5 {
 			t.Fatalf("%s: constant series decoded to %v", name, real(got[0]))
 		}
@@ -379,7 +379,7 @@ func TestEvalChebyshevZeroCoeffNoWaste(t *testing.T) {
 		if used := ct.Level - out.Level; used != 2 {
 			t.Fatalf("%s: degree-2 series with zero c1 consumed %d levels, want 2", name, used)
 		}
-		got = s.dec.MustDecryptAndDecode(out, s.enc)
+		got = s.decrypt(out)
 		for i := range vals {
 			want := chebyshevRef([]float64{0.5, 0, 0.3}, real(vals[i]))
 			if e := math.Abs(real(got[i]) - want); e > 1e-4 {

@@ -391,51 +391,3 @@ func (km *KeyManager) Pin(ctx context.Context, op string, els []uint64) (func(),
 	}
 	return releaseAll, nil
 }
-
-// VerifyIntegrity recomputes the manager's accounting from first
-// principles under the lock and reports the first inconsistency:
-// resident bytes must equal the sum over resident entries, no entry may
-// hold negative pins, and LRU membership must match residency exactly.
-// It exists so concurrency tests (and debug endpoints) can assert the
-// books balance after arbitrary pin/release/evict interleavings.
-func (km *KeyManager) VerifyIntegrity() error {
-	km.mu.Lock()
-	defer km.mu.Unlock()
-	// A generation or A-promotion in flight works on its key outside the
-	// lock, with only the generating flag holding acquirers off: the
-	// key's rows and the books disagree until it lands, so wait it out.
-	generating := func() bool {
-		for _, e := range km.entries {
-			if e.generating {
-				return true
-			}
-		}
-		return false
-	}
-	for generating() {
-		km.cond.Wait()
-	}
-	var sum int64
-	inLRU := map[*keyEntry]bool{}
-	for el := km.lru.Front(); el != nil; el = el.Next() {
-		inLRU[el.Value.(*keyEntry)] = true
-	}
-	for id, e := range km.entries {
-		if e.pins < 0 {
-			return fherr.Wrap(fherr.ErrInvariant, "ckks: key %d has %d pins", id, e.pins)
-		}
-		if e.swk != nil {
-			sum += e.swk.ResidentBytes()
-			if e.elem == nil || !inLRU[e] {
-				return fherr.Wrap(fherr.ErrInvariant, "ckks: resident key %d missing from LRU", id)
-			}
-		} else if e.elem != nil {
-			return fherr.Wrap(fherr.ErrInvariant, "ckks: cold key %d still in LRU", id)
-		}
-	}
-	if sum != km.resident {
-		return fherr.Wrap(fherr.ErrInvariant,
-			"ckks: resident accounting drift: tracked %d bytes, actual %d", km.resident, sum)
-	}
-	return nil
-}

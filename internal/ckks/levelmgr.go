@@ -12,9 +12,9 @@ import (
 
 // Level management: rescale and adjust (paper Sec. 2.3 and 3.2).
 //
-// Every level change — Rescale, Adjust, AdjustTo over any span, and the
-// rescale that ends MulRescale — is one call of transition, built on the
-// scaleUp / scaleDown primitives:
+// Every level change — Rescale, Adjust, AdjustTo over any span — and
+// every division of a pending component by a keyswitch's P is one call
+// of settle, built on the scaleUp / scaleDown primitives:
 //
 //   - RNS-CKKS changes never introduce moduli (nothing to scale up by),
 //     so the path degenerates to Listing 1/2: shed the level's own primes.
@@ -23,7 +23,8 @@ import (
 //     (Listings 4 and 6 via Listings 3 and 5).
 //
 // A change divides once, however many levels it spans: a modulus that
-// leaves and comes back in between is neither shed nor introduced.
+// leaves and comes back in between is neither shed nor introduced, and a
+// pending component's special primes are shed with the retired moduli.
 
 // levelPlan is the part of a level change that depends only on moduli:
 // what the target level introduces, the one division, the row order and
@@ -101,36 +102,136 @@ func (pl *levelPlan) canonical(ps ...*ring.Poly) {
 	}
 }
 
-// transition carries the evaluation-domain pair (c0, c1) to level pl.to
-// in one step: premultiply by pre (Adjust's rounded constant; nil for
-// none) folded with the scale-up constant into one Shoup multiply per
-// row, scale up by every modulus the level introduces, then one division
-// by every modulus of the pair's basis the level does not use. The pair
-// is only read — and, when owned (pooled scratch of the caller's),
-// returned to the pool as soon as it has been, so its rows are free
-// again before the division's outputs are taken. inScale/inNoise
-// describe the (virtual) input after premultiplication.
+// division is what settle does besides shedding moduli.
+type division int
+
+const (
+	// divRescale divides value and scale by what the change retires;
+	// kept at the same level, it divides the pending components by P.
+	divRescale division = iota
+	// divAdjust premultiplies by the rounded K that keeps the value and
+	// lands on the target level's canonical scale.
+	divAdjust
+	// divC1 divides a pending C1 by P and carries C0 as it is: the input
+	// a keyswitch decomposition needs.
+	divC1
+)
+
+// Settle returns ct with its pending components divided by P (see
+// Ciphertext) — what decryption, serialization and every reader outside
+// the evaluator need — or ct itself when nothing pends. ct is only read.
+func (ev *Evaluator) Settle(ct *Ciphertext) (*Ciphertext, error) {
+	return ev.settle(ct, ct.Level, divRescale)
+}
+
+// settle is the package's one division: it carries ct to level `to` in
+// one step, scaling up by every modulus the level introduces and then
+// dividing once by every modulus ct's components hold that the level
+// does not use — a pending component's special primes with the retired
+// moduli. Kept at the same level it divides only the pending components
+// (divC1: only C1) by P, and the bookkeeping, which describes the
+// divided value already, stays. ct is only read; a component read by
+// two dividing consumers is divided twice, deterministically.
 //
 // Without a spare channel nothing leaves the evaluation domain but the
-// shed rows: scale-up is a scalar multiply plus zero rows in either
-// domain, and the division inverse-transforms the D shed rows and
+// shed rows: the division inverse-transforms the D shed rows and
 // forward-transforms the K conversion rows (ScaleDownNTTBatch) — D+K
 // transforms per polynomial where the coefficient-domain route pays R+K.
-// A redundant-residue chain needs coefficient residues at both ends —
-// the input for the cross-check of checked's spare (nil: no check), the
-// output to seed the next spare — and takes that route.
-func (ev *Evaluator) transition(pl *levelPlan, c0, c1 *ring.Poly, owned bool, pre *big.Int, inScale *big.Rat, inNoise float64, checked *Ciphertext) (*Ciphertext, error) {
-	divide := ev.divide
-	if !ev.fused {
-		divide = ev.divideUnfused
+// A level change on a redundant-residue chain needs coefficient residues
+// at both ends — the input for the cross-check of the spare, the output
+// to seed the next one — and takes that route, as the staged twin does
+// everywhere.
+func (ev *Evaluator) settle(ct *Ciphertext, to int, kind division) (*Ciphertext, error) {
+	same := to == ct.Level && kind != divAdjust
+	in := []*ring.Poly{ct.C0, ct.C1}
+	var lifts []*ring.Poly
+	switch {
+	case same:
+		in = in[:0]
+		for i, p := range []*ring.Poly{ct.C0, ct.C1} {
+			if ct.pend[i] > 0 && (i == 1 || kind != divC1) {
+				in = append(in, p)
+			}
+		}
+		if len(in) == 0 {
+			return ct, nil
+		}
+	case ct.pend[0] != ct.pend[1]:
+		// One plan divides both components: lift the divided one.
+		s := len(ev.params.Chain.Special)
+		var lc [2]*ring.Poly
+		lc, lifts = ev.lifted(ct, [2]int{s, s})
+		in = lc[:]
 	}
-	outs, spares, err := divide(pl, c0, c1, owned, pre, checked)
+	pl, err := ev.levelPlan(in[0].Moduli, to)
+	if err != nil {
+		ev.put(lifts...)
+		return nil, err
+	}
+	scale, noise := ct.Scale, ct.NoiseBits
+	var pre *big.Int
+	checked := ct
+	if !same {
+		// The input the division sees: P times the value when it pends,
+		// times K when adjusting.
+		if ct.pending() {
+			p := new(big.Rat).SetInt(ev.params.specialP)
+			scale, noise, checked = new(big.Rat).Mul(scale, p), noise+core.RatLog2(p), nil
+		}
+		if kind == divAdjust {
+			k := new(big.Rat).Quo(ev.params.DefaultScale(to), scale)
+			k.Quo(k, pl.factor)
+			if pre = roundRat(k); pre.Sign() <= 0 {
+				ev.put(lifts...)
+				return nil, fherr.Wrap(fherr.ErrScaleMismatch,
+					"ckks: Adjust constant K=%v not positive; scale too large to adjust", k)
+			}
+			if pre.Cmp(big.NewInt(1)) > 0 {
+				noise += core.RatLog2(new(big.Rat).SetInt(pre))
+			}
+			scale, checked = new(big.Rat).Mul(scale, k), nil
+		}
+		scale = core.LimitRat(new(big.Rat).Mul(scale, pl.factor))
+		noise = math.Max(noise-pl.shedBits, ev.nm.RescaleFloorBits())
+	}
+	coeff := !ev.fused || ev.rrnsEnabled() && !same
+	cs, owned, err := ev.transition(pl, in, pre, coeff, checked)
+	ev.put(lifts...)
 	if err != nil {
 		return nil, err
 	}
-	scale := core.LimitRat(new(big.Rat).Mul(inScale, pl.factor))
-	noise := math.Max(inNoise-pl.shedBits, ev.nm.RescaleFloorBits())
-	out := newCiphertext(outs[0], outs[1], pl.to, scale, noise)
+	var outs []*ring.Poly
+	if coeff {
+		outs = pl.sd.ScaleDownBatch(cs)
+	} else {
+		outs = pl.sd.ScaleDownNTTBatch(cs)
+	}
+	if owned {
+		ev.put(cs...)
+	}
+	pl.canonical(outs...)
+	var spares [][]uint64
+	if coeff {
+		if ev.rrnsEnabled() && !same {
+			// Reseed the spare channel from the output while it is still in
+			// the coefficient domain — the trusted production point for
+			// the next stretch of the computation.
+			spares = [][]uint64{ev.projectSpare(outs[0]), ev.projectSpare(outs[1])}
+		}
+		ring.NTTBatch(outs...)
+	}
+	if same {
+		out := &Ciphertext{C0: ct.C0, C1: ct.C1, Level: ct.Level, Scale: new(big.Rat).Set(scale), NoiseBits: noise, pend: ct.pend}
+		if in[0] == ct.C0 {
+			out.C0, out.pend[0], outs = outs[0], 0, outs[1:]
+		}
+		if len(outs) > 0 {
+			out.C1, out.pend[1] = outs[0], 0
+		}
+		out.seal()
+		return out, nil
+	}
+	out := newCiphertext(outs[0], outs[1], to, scale, noise)
 	if spares != nil {
 		out.Spare0, out.Spare1, out.SpareDepth = spares[0], spares[1], 1
 	}
@@ -140,15 +241,44 @@ func (ev *Evaluator) transition(pl *levelPlan, c0, c1 *ring.Poly, owned bool, pr
 	if err := ev.guardNoise("Rescale", out); err != nil {
 		return nil, err
 	}
+	if kind == divAdjust {
+		// Kim et al.'s reduced-error convention, adopted by the paper:
+		// exact bookkeeping would multiply by the rounded K, and the
+		// sub-ULP difference is absorbed into the noise.
+		out.Scale = ev.params.DefaultScale(to)
+		out.seal()
+	}
 	return out, nil
 }
 
-// divide is transition's polynomial work on the fused kernels: the
-// pooled output pair in the target's row order and, on a
-// redundant-residue chain, the spare channels seeded from it.
-func (ev *Evaluator) divide(pl *levelPlan, c0, c1 *ring.Poly, owned bool, pre *big.Int, checked *Ciphertext) ([]*ring.Poly, [][]uint64, error) {
-	ctx := ev.params.Ctx
-	rrns := ev.rrnsEnabled()
+// transition prepares the components cs (only read) for a division by
+// pl: in the coefficient domain when coeff — inverse-transformed pooled
+// copies, where checked's spare channel (nil: none) is cross-checked —
+// then premultiplied by pre (nil: 1) and scaled up by every modulus the
+// target introduces, the two folded into one Shoup multiply per row
+// (scale-up is a scalar multiply plus zero rows in either domain). It
+// returns what the division reads and whether that is pooled scratch of
+// the caller's (false: cs itself).
+func (ev *Evaluator) transition(pl *levelPlan, cs []*ring.Poly, pre *big.Int, coeff bool, checked *Ciphertext) ([]*ring.Poly, bool, error) {
+	owned := false
+	if coeff {
+		x := make([]*ring.Poly, len(cs))
+		for i, c := range cs {
+			if ev.fused {
+				x[i] = c.ScratchCopyINTT()
+			} else {
+				x[i] = c.ScratchCopy()
+				x[i].INTT()
+			}
+		}
+		cs, owned = x, true
+		if ev.rrnsEnabled() && checked != nil && checked.SpareDepth > 0 {
+			if err := ev.checkSpare("Rescale", checked, cs[0], cs[1]); err != nil {
+				ev.put(cs...)
+				return nil, false, err
+			}
+		}
+	}
 	mul := pl.upK
 	if pre != nil {
 		if mul == nil {
@@ -157,52 +287,21 @@ func (ev *Evaluator) divide(pl *levelPlan, c0, c1 *ring.Poly, owned bool, pre *b
 			mul = new(big.Int).Mul(mul, pre)
 		}
 	}
-
-	cs := []*ring.Poly{c0, c1}
-	free := func() {
-		if owned {
-			ctx.PutPoly(cs[0])
-			ctx.PutPoly(cs[1])
-		}
-	}
-	if rrns {
-		x := []*ring.Poly{c0.ScratchCopyINTT(), c1.ScratchCopyINTT()}
-		free()
-		cs, owned = x, true
-		if checked != nil && checked.SpareDepth > 0 {
-			if err := ev.checkSpare("Rescale", checked, cs[0], cs[1]); err != nil {
-				free()
-				return nil, nil, err
-			}
-		}
-	}
 	if mul != nil {
-		up := ctx.ScaleUpBatch(cs, pl.up, residues(mul, cs[0].Moduli))
-		free()
+		up := ev.params.Ctx.ScaleUpBatch(cs, pl.up, residues(mul, cs[0].Moduli))
+		if owned {
+			ev.put(cs...)
+		}
 		cs, owned = up, true
 	}
-	var outs []*ring.Poly
-	var spares [][]uint64
-	if rrns {
-		// Reseed the spare channel from the output while it is still in
-		// the coefficient domain — the trusted production point for the
-		// next stretch of the computation.
-		outs = pl.sd.ScaleDownBatch(cs)
-		pl.canonical(outs...)
-		spares = [][]uint64{ev.projectSpare(outs[0]), ev.projectSpare(outs[1])}
-		ring.NTTBatch(outs...)
-	} else {
-		outs = pl.sd.ScaleDownNTTBatch(cs)
-		pl.canonical(outs...)
-	}
-	free()
-	return outs, spares, nil
+	return cs, owned, nil
 }
 
 // Rescale moves ct from its level L to L-1, dividing the encrypted value
 // (and the scale) by Q_L·/Q_{L-1} — i.e. by P/K where P is the product of
 // the shed moduli and K of the introduced ones. It is normally called
-// right after a multiplication. Rescaling at level 0 fails with
+// right after a multiplication, whose pending output it divides by the
+// keyswitch's P in the same division. Rescaling at level 0 fails with
 // fherr.ErrChainExhausted (bootstrap or re-plan the circuit).
 func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	if err := ev.begin("Rescale", ct); err != nil {
@@ -211,29 +310,20 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Level <= 0 {
 		return nil, fherr.Wrap(fherr.ErrChainExhausted, "ckks: Rescale at level 0")
 	}
-	pl, err := ev.levelPlan(ct.C0.Moduli, ct.Level-1)
-	if err != nil {
-		return nil, err
-	}
-	return ev.transition(pl, ct.C0, ct.C1, false, nil, ct.Scale, ct.NoiseBits, ct)
+	return ev.settle(ct, ct.Level-1, divRescale)
 }
 
 // Adjust moves ct one level down without changing the encrypted value:
 // AdjustTo(ct, ct.Level-1).
-func (ev *Evaluator) Adjust(ct *Ciphertext) (*Ciphertext, error) {
-	if err := ev.begin("Adjust", ct); err != nil {
-		return nil, err
-	}
-	if ct.Level <= 0 {
-		return nil, fherr.Wrap(fherr.ErrChainExhausted, "ckks: Adjust at level 0")
-	}
-	return ev.adjust(ct, ct.Level-1)
-}
+func (ev *Evaluator) Adjust(ct *Ciphertext) (*Ciphertext, error) { return ev.AdjustTo(ct, ct.Level-1) }
 
 // AdjustTo lowers ct to the given level without changing the encrypted
-// value, in one transition however many levels it spans. Raising levels
-// is not possible without bootstrapping and fails with
-// fherr.ErrLevelMismatch.
+// value, in one division however many levels it spans: it multiplies ct
+// by the rounded constant K = (Q_L/Q_l)·(S_l/S_ct) and divides by
+// Q_L/Q_l (Listings 2 and 6), landing on the level's canonical scale.
+// The spare channel is not checked — K is generally too large for the
+// tracked spare algebra. Raising levels is not possible without
+// bootstrapping and fails with fherr.ErrLevelMismatch.
 func (ev *Evaluator) AdjustTo(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if level > ct.Level {
 		return nil, fherr.Wrap(fherr.ErrLevelMismatch,
@@ -248,86 +338,19 @@ func (ev *Evaluator) AdjustTo(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if err := ev.begin("Adjust", ct); err != nil {
 		return nil, err
 	}
-	return ev.adjust(ct, level)
+	return ev.settle(ct, level, divAdjust)
 }
 
-// adjust multiplies ct by the rounded constant
-// K = (Q_L/Q_l)·(S_l/S_ct) and divides by Q_L/Q_l in one transition
-// (Listings 2 and 6). The result carries the destination level's
-// canonical scale, following Kim et al.'s reduced-error convention
-// adopted by the paper: exact bookkeeping would multiply by the rounded
-// K, and the sub-ULP difference is absorbed into the noise. The spare
-// channel is not checked — K is generally too large for the tracked
-// spare algebra.
-func (ev *Evaluator) adjust(ct *Ciphertext, level int) (*Ciphertext, error) {
-	pl, err := ev.levelPlan(ct.C0.Moduli, level)
-	if err != nil {
-		return nil, err
-	}
-	scale := ev.params.DefaultScale(level)
-	k := new(big.Rat).Quo(scale, ct.Scale)
-	k.Quo(k, pl.factor)
-	kInt := roundRat(k)
-	if kInt.Sign() <= 0 {
-		return nil, fherr.Wrap(fherr.ErrScaleMismatch,
-			"ckks: Adjust constant K=%v not positive; scale too large to adjust", k)
-	}
-	noise := ct.NoiseBits
-	if kInt.Cmp(big.NewInt(1)) > 0 {
-		noise += core.RatLog2(new(big.Rat).SetInt(kInt))
-	}
-	out, err := ev.transition(pl, ct.C0, ct.C1, false, kInt, new(big.Rat).Mul(ct.Scale, k), noise, nil)
-	if err != nil {
-		return nil, err
-	}
-	out.Scale = scale
-	out.seal()
-	return out, nil
-}
-
-// MulRescale computes Rescale(MulRelin(a, b)) dividing once: the
-// keyswitch output plus P·(d0, d1), in the extended basis live++special,
-// goes to the level below in one transition that sheds the special
-// primes with the retired moduli — 2R forward transforms fewer than a
-// ModDown and a rescale. The division rounds (rns.ExactDiv), so this
-// costs no precision: the result is value-equivalent to the two calls
-// (same level, scale and noise bound) but not bit-identical.
+// MulRescale is Rescale(MulRelin(a, b)): the product pends, so the
+// rescale sheds P with the retired moduli in one division — 2R forward
+// transforms fewer than dividing by P first.
 func (ev *Evaluator) MulRescale(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.begin("MulRelin", a, b); err != nil {
-		return nil, err
-	}
-	if err := checkCompatible("MulRelin", a, b); err != nil {
-		return nil, err
-	}
-	scale, noise := ev.productBookkeeping(a, b)
-	// Guard the (never materialized) product ciphertext exactly as
-	// MulRelin would have before rescaling.
-	if err := ev.guardNoise("MulRelin", &Ciphertext{Level: a.Level, Scale: scale, NoiseBits: noise}); err != nil {
-		return nil, err
-	}
-	if a.Level <= 0 {
-		return nil, fherr.Wrap(fherr.ErrChainExhausted, "ckks: Rescale at level 0")
-	}
-	ks := ev.ksPlan(a.C0.Moduli)
-	pl, err := ev.levelPlan(ks.ext, a.Level-1)
+	prod, err := ev.MulRelin(a, b)
 	if err != nil {
 		return nil, err
 	}
-	d0, d1, e, err := ev.relinExt(a, b)
-	if err != nil {
-		return nil, err
-	}
-	ctx := ev.params.Ctx
-	lifted := ev.lift(d0, d1)
-	ctx.PutPoly(d0)
-	ctx.PutPoly(d1)
-	ev.addPair(e.c0, e.c1, lifted[0], lifted[1])
-	ctx.PutPoly(lifted[0])
-	ctx.PutPoly(lifted[1])
-	// The pair is P times the product (scale and noise carry P) and has
-	// no spare channel to cross-check.
-	p := new(big.Rat).SetInt(ks.modDown.P)
-	return ev.transition(pl, e.c0, e.c1, true, nil, new(big.Rat).Mul(p, scale), noise+core.RatLog2(p), nil)
+	defer ev.free(prod)
+	return ev.Rescale(prod)
 }
 
 // residues returns c mod q for every q in moduli.

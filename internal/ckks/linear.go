@@ -27,10 +27,10 @@ import (
 //	M·v = Σ_g rot(Σ_b rot(diag_{g·n1+b}, -g) ⊙ rot(v, b), g·n1)
 //
 // Evaluation is double-hoisted (Bossuat et al., EUROCRYPT 2021): the
-// baby rotations share one ModUp and stay in the extended basis
+// baby rotations share one ModUp and pend in the extended basis
 // live++special, scaled by P, where the diagonals multiply them; a giant
-// divides only its C1 accumulator, for its own decomposition; and one
-// ModDown ends the apply.
+// divides only its C1 accumulator, for its own decomposition; and the
+// output pends until the rescale that follows divides it once.
 
 // LinearTransform is a plaintext matrix encoded diagonal-by-diagonal at a
 // fixed level and scale, ready to be applied to ciphertexts at that level.
@@ -305,14 +305,10 @@ func NewLinearTransform(params *Parameters, enc *Encoder, mat [][]complex128, le
 // zeroTransformResult is the all-zero-transform fallback: an encryption
 // of zero at the right level and scale.
 func (ev *Evaluator) zeroTransformResult(ct *Ciphertext, scale *big.Rat) *Ciphertext {
-	out := ct.CopyNew()
-	out.C0 = ring.NewPoly(ev.params.Ctx, ct.C0.Moduli)
-	out.C0.IsNTT = true
-	out.C1 = ring.NewPoly(ev.params.Ctx, ct.C1.Moduli)
-	out.C1.IsNTT = true
-	out.Scale = new(big.Rat).Mul(ct.Scale, scale)
-	out.seal()
-	return out
+	moduli := ev.params.LevelModuli(ct.Level)
+	c0, c1 := ring.NewPoly(ev.params.Ctx, moduli), ring.NewPoly(ev.params.Ctx, moduli)
+	c0.IsNTT, c1.IsNTT = true, true
+	return newCiphertext(c0, c1, ct.Level, new(big.Rat).Mul(ct.Scale, scale), ct.NoiseBits)
 }
 
 // transformNoise is the post-transform noise estimate: each of the
@@ -336,74 +332,26 @@ func checkTransformLevel(op string, ct *Ciphertext, level int) error {
 	return nil
 }
 
-// ApplyLinearTransformNaive is the reference per-diagonal evaluation,
-// kept for differential testing: Σ_d MulPlain(Rotate(ct, d), encode(diag_d))
-// straight from raw diagonals (as NewLinearTransformFromDiags takes them)
-// at the level's canonical scale — one full keyswitch per nonzero d, and
-// nothing shared with the LinearTransform it is compared against.
-func (ev *Evaluator) ApplyLinearTransformNaive(enc *Encoder, ct *Ciphertext, diags map[int][]complex128, level int) (*Ciphertext, error) {
-	if err := ev.begin("ApplyLinearTransformNaive", ct); err != nil {
-		return nil, err
-	}
-	if err := checkTransformLevel("ApplyLinearTransformNaive", ct, level); err != nil {
-		return nil, err
-	}
-	scale := ev.params.DefaultScale(level)
-	ds := make([]int, 0, len(diags))
-	for d := range diags {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
-	var acc *Ciphertext
-	for _, d := range ds {
-		val, err := enc.Encode(diags[d], scale, ev.params.LevelModuli(level))
-		if err != nil {
-			return nil, err
-		}
-		term, err := ev.Rotate(ct, d)
-		if err != nil {
-			return nil, err
-		}
-		term, err = ev.MulPlain(term, &Plaintext{Value: val, Level: level, Scale: scale})
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = term
-		} else {
-			acc.C0.Add(acc.C0, term.C0)
-			acc.C1.Add(acc.C1, term.C1)
-		}
-	}
-	if acc == nil {
-		return ev.zeroTransformResult(ct, scale), nil
-	}
-	// Every rotation divides by P before its product: the whole keyswitch
-	// noise, rounding included, reaches each term.
-	acc.NoiseBits = ev.transformNoise(ct, scale, len(ds), ev.nm.KeySwitchBits())
-	acc.seal()
-	return acc, nil
-}
-
 // ApplyLinearTransform computes M·v for the encrypted vector v. The input
-// must be at lt.Level with the canonical scale; the output carries scale
-// ct.Scale * lt.Scale and should be rescaled by the caller.
+// must be at lt.Level with the canonical scale (a pending one is settled
+// first); the output carries scale ct.Scale * lt.Scale, pends (see
+// Ciphertext), and should be rescaled by the caller — which sheds P with
+// the retired moduli in one division.
 //
 // The evaluation is baby-step/giant-step, double-hoisted: the nonzero
-// baby rotations share one ModUp and stop before their ModDown, each
-// P·φ_b(ct) plus its keyswitch output in the extended basis, where the
-// extended-width diagonals multiply them; a baby-0 diagonal, stored times
-// P, multiplies the input at live width, and all of a giant's products
-// are one inner product (fused). A nonzero giant ModDowns only
-// its C1 accumulator, for its decomposition, and permutes its C0
-// accumulator where it lies; the giants' extended-basis results are
-// summed and one ModDown ends the apply. An unfactored transform is the
-// same with a single giant step, 0; diagonal 0 alone is a plaintext
-// product, with no keyswitch and no division. The result is
-// value-equivalent to ApplyLinearTransformNaive — same level, scale and
-// noise bound — but not bit-identical: hoisting reorders the
-// approximate-ModUp rounding and the single division rounds once where
-// the naive path rounds per rotation (see DESIGN.md).
+// baby rotations share one ModUp and pend, each P·φ_b(ct) plus its
+// keyswitch output in the extended basis, where the extended-width
+// diagonals multiply them; a baby-0 diagonal, stored times P, multiplies
+// the input at live width, and all of a giant's products are one inner
+// product (fused). A nonzero giant rotates its pending sum, which
+// settles only the C1 it decomposes; the giants' pending parts are
+// summed by Add. An unfactored transform is the same with a single giant
+// step, 0; diagonal 0 alone is a plaintext product, with no keyswitch
+// and nothing pending. The result is value-equivalent to
+// ApplyLinearTransformNaive — same level, scale and noise bound — but not
+// bit-identical: hoisting reorders the approximate-ModUp rounding and the
+// single division rounds once where the naive path rounds per rotation
+// (see DESIGN.md).
 //
 // The baby rotations and the per-giant accumulations are independent
 // and fan out across the execution engine (honoring the evaluator's
@@ -416,20 +364,29 @@ func (ev *Evaluator) ApplyLinearTransformNaive(enc *Encoder, ct *Ciphertext, dia
 // input vector must be replicated across the slot blocks (ReplicateBlocks
 // does this for freshly encoded vectors).
 func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
-	if err := ev.begin("ApplyLinearTransform", ct); err != nil {
+	const op = "ApplyLinearTransform"
+	if err := ev.begin(op, ct); err != nil {
 		return nil, err
 	}
-	if err := checkTransformLevel("ApplyLinearTransform", ct, lt.Level); err != nil {
+	if err := checkTransformLevel(op, ct, lt.Level); err != nil {
 		return nil, err
 	}
 	if lt.diags == 0 {
 		return ev.zeroTransformResult(ct, lt.Scale), nil
 	}
+	if ct.pending() {
+		settled, err := ev.Settle(ct)
+		if err != nil {
+			return nil, err
+		}
+		defer ev.free(settled)
+		ct = settled
+	}
 	if len(lt.galEls) == 0 {
-		// Diagonal 0 alone: P·diag·ct would reach the closing ModDown an
-		// exact multiple of P, which the rounded division shifts by a
-		// constant in every coefficient. A plaintext product divides nothing.
-		c0, c1 := ev.polyPairLike(ct)
+		// Diagonal 0 alone: P·diag·ct would reach the division an exact
+		// multiple of P, which the rounded division shifts by a constant
+		// in every coefficient. A plaintext product divides nothing.
+		c0, c1 := ev.polyPairLike(ct.C0, ct.C1)
 		ring.MulCoeffsPair(c0, ct.C0, c1, ct.C1, lt.giants[0].terms[0].pt)
 		return ev.plainProduct(ct, c0, c1, lt.Scale), nil
 	}
@@ -437,20 +394,19 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 	// the transform's rotation keys are pinned resident for the duration
 	// of the evaluation, so the per-step keyswitches hit a stable working
 	// set instead of re-streaming keys mid-plan.
-	releaseKeys, err := ev.PinGaloisKeys("ApplyLinearTransform", lt.galEls)
+	releaseKeys, err := ev.PinGaloisKeys(op, lt.galEls)
 	if err != nil {
 		return nil, err
 	}
 	defer releaseKeys()
-	ctx := ev.params.Ctx
 	live := ct.C0.Moduli
 
 	// Baby steps, indexed like lt.babies (baby 0, the input itself, is
 	// read at live width and has no entry).
-	babies := make([]extPair, len(lt.babies))
+	babies := make([]*Ciphertext, len(lt.babies))
 	defer func() {
 		for _, b := range babies {
-			b.free(ctx)
+			ev.free(b)
 		}
 	}()
 	first := 0
@@ -458,11 +414,17 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 		first = 1
 	}
 	if nb := len(lt.babies) - first; nb > 0 {
-		hd := ev.hoist(ct)
-		defer hd.Free(ctx)
-		if err := ev.fanOut(nb, live, func(i int) (err error) {
+		hd, err := ev.hoist(ct)
+		if err != nil {
+			return nil, err
+		}
+		defer hd.Free(ev.params.Ctx)
+		if err := ev.fanOut(nb, live, func(i int) error {
 			// The nonzero babies lead lt.galEls.
-			babies[first+i], err = ev.rotateExt("ApplyLinearTransform", hd, lt.galEls[i])
+			c0, c1, err := ev.rotateExt(op, hd, lt.galEls[i])
+			if err == nil {
+				babies[first+i] = ev.pendingPair(c0, c1, ct)
+			}
 			return err
 		}); err != nil {
 			return nil, err
@@ -471,10 +433,10 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 
 	// Giant steps: each accumulates its diagonals' products in the
 	// extended basis and, when nonzero, rotates the sum there.
-	parts := make([]extPair, len(lt.giants))
+	parts := make([]*Ciphertext, len(lt.giants))
 	defer func() {
 		for _, part := range parts {
-			part.free(ctx)
+			ev.free(part)
 		}
 	}()
 	if err := ev.fanOut(len(lt.giants), live, func(gi int) (err error) {
@@ -484,71 +446,73 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 		return nil, err
 	}
 
-	// Ordered reduction keeps the result independent of scheduling: sum
-	// the extended-basis pairs in ascending giant order (exact mod-q
-	// adds), then divide by P once.
-	sum := parts[0]
+	// Ordered reduction keeps the result independent of scheduling: the
+	// pending parts are added in ascending giant order (exact mod-q
+	// adds), and whoever settles the sum divides it once.
+	out := parts[0]
+	parts[0] = nil
 	for _, part := range parts[1:] {
-		ev.addPair(sum.c0, sum.c1, part.c0, part.c1)
+		sum, err := ev.Add(out, part)
+		ev.free(out)
+		if err != nil {
+			return nil, err
+		}
+		out = sum
 	}
-	parts[0] = extPair{}
-	outs := ev.modDown(live, sum.c0, sum.c1)
 	// A baby rotation reaches its products before any division: only its
 	// inner-product noise is multiplied by the diagonals. The rounding is
-	// paid once, by the closing ModDown, and the giants' keyswitches act
+	// paid once, by the closing division, and the giants' keyswitches act
 	// on the products' sum; both land at the output unamplified.
 	nm := ev.nm
-	noise := addNoiseBits(ev.transformNoise(ct, lt.Scale, lt.diags, nm.KeySwitchBits()-nm.RescaleFloorBits()), nm.KeySwitchBits())
-	return newCiphertext(outs[0], outs[1], ct.Level, new(big.Rat).Mul(ct.Scale, lt.Scale), noise), nil
+	out.Scale = new(big.Rat).Mul(ct.Scale, lt.Scale)
+	out.NoiseBits = addNoiseBits(ev.transformNoise(ct, lt.Scale, lt.diags, nm.KeySwitchBits()-nm.RescaleFloorBits()), nm.KeySwitchBits())
+	out.seal()
+	return out, nil
 }
 
-// giantStep evaluates one inner sum of the factorization and, for a
-// nonzero giant g, rotates it by g, all in the extended basis: each
+// giantStep evaluates one inner sum of the factorization, pending in the
+// extended basis, and, for a nonzero giant g, rotates it by g there: each
 // diagonal multiplies its baby rotation — the baby-0 diagonal, stored
 // times P at live width, multiplies the input itself, which lands on the
-// live rows of P·ct — and the rotation ModDowns only the C1 accumulator,
-// the one it decomposes, while the C0 accumulator is the decomposition's
-// P·c0, which rotateExt permutes where it lies.
+// live rows of P·ct — and the rotation settles only the C1 it
+// decomposes, permuting the pending C0 where it lies.
 // Fused, the diagonals' products are one inner product, reduced once per
 // coefficient; staged, each is its own product pass.
-func (ev *Evaluator) giantStep(ct *Ciphertext, lt *LinearTransform, giant *giantStep, babies []extPair) (extPair, error) {
+func (ev *Evaluator) giantStep(ct *Ciphertext, lt *LinearTransform, giant *giantStep, babies []*Ciphertext) (*Ciphertext, error) {
 	ctx := ev.params.Ctx
-	live := ct.C0.Moduli
-	ext := ev.ksPlan(live).ext
-	var acc extPair
+	ext := ev.ksPlan(ct.C0.Moduli).ext
 	operands := func(term babyTerm) (x0, x1 *ring.Poly) {
-		if lt.babies[term.baby] == 0 {
-			return ct.C0, ct.C1
+		x := ct
+		if lt.babies[term.baby] != 0 {
+			x = babies[term.baby]
 		}
-		return babies[term.baby].c0, babies[term.baby].c1
+		return x.C0, x.C1
 	}
+	var acc0, acc1 *ring.Poly
 	if ev.fused {
-		acc = extPair{ctx.GetPoly(ext), ctx.GetPoly(ext)}
-		acc.c0.IsNTT, acc.c1.IsNTT = true, true
+		acc0, acc1 = ctx.GetPoly(ext), ctx.GetPoly(ext)
+		acc0.IsNTT, acc1.IsNTT = true, true
 		terms := make([]ring.Term, len(giant.terms))
 		for i, term := range giant.terms {
 			x0, x1 := operands(term)
 			terms[i] = ring.Term{X: term.pt, Y0: x0, Y1: x1}
 		}
-		ring.InnerProduct(acc.c0, acc.c1, 1, terms)
+		ring.InnerProduct(acc0, acc1, 1, terms)
 	} else {
-		acc = extPair{ctx.GetPolyZero(ext), ctx.GetPolyZero(ext)}
-		acc.c0.IsNTT, acc.c1.IsNTT = true, true
+		acc0, acc1 = ctx.GetPolyZero(ext), ctx.GetPolyZero(ext)
+		acc0.IsNTT, acc1.IsNTT = true, true
 		for _, term := range giant.terms {
 			x0, x1 := operands(term)
-			acc.c0.RestrictView(term.pt.Moduli).MulCoeffsAdd(x0, term.pt)
-			acc.c1.RestrictView(term.pt.Moduli).MulCoeffsAdd(x1, term.pt)
+			acc0.RestrictView(term.pt.Moduli).MulCoeffsAdd(x0, term.pt)
+			acc1.RestrictView(term.pt.Moduli).MulCoeffsAdd(x1, term.pt)
 		}
 	}
+	acc := ev.pendingPair(acc0, acc1, ct)
 	if giant.g == 0 {
 		return acc, nil
 	}
-	c1 := ev.modDown(live, acc.c1)[0]
-	hd := ev.decomposePoly(c1)
-	ctx.PutPoly(c1)
-	hd.c0 = acc.c0
-	defer hd.Free(ctx)
-	return ev.rotateExt("ApplyLinearTransform", hd, ring.GaloisElementForRotation(giant.g, ev.params.N()))
+	defer ev.free(acc)
+	return ev.rotateOne("ApplyLinearTransform", acc, ring.GaloisElementForRotation(giant.g, ev.params.N()))
 }
 
 // ReplicateBlocks repeats the first dim entries of values across the whole

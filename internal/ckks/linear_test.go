@@ -29,16 +29,16 @@ func TestLinearTransformIdentity(t *testing.T) {
 	vals := randomValues(slots, rng)
 	ct := s.encryptValues(vals)
 	out := s.ev.MustRescale(s.ev.MustApplyLinearTransform(ct, lt))
-	got := s.dec.MustDecryptAndDecode(out, s.enc)
+	got := s.decrypt(out)
 	if e := maxErr(got, vals); e > 1e-5 {
 		t.Fatalf("identity transform error %g", e)
 	}
 	// Diagonal 0 alone is a plaintext product, fused and staged: no
 	// keyswitch, and no division of an exact multiple of P.
 	pt := &Plaintext{Value: s.enc.MustEncode(ones(slots), lt.Scale, s.params.LevelModuli(ct.Level)), Level: ct.Level, Scale: lt.Scale}
-	want := marshalCt(t, s.ev.MustMulPlain(ct, pt))
+	want := marshalCt(t, s, s.ev.MustMulPlain(ct, pt))
 	for _, fused := range []bool{true, false} {
-		if got := withFused(s, fused, func() *Ciphertext { return s.ev.MustApplyLinearTransform(ct, lt) }); !bytes.Equal(marshalCt(t, got), want) {
+		if got := withFused(s, fused, func() *Ciphertext { return s.ev.MustApplyLinearTransform(ct, lt) }); !bytes.Equal(marshalCt(t, s, got), want) {
 			t.Errorf("fused=%v: identity transform differs from MulPlain by the diagonal", fused)
 		}
 	}
@@ -78,7 +78,7 @@ func TestLinearTransformDenseMatrix(t *testing.T) {
 		replicated := ReplicateBlocks(vec, dim, s.params.Slots())
 		ct := s.encryptValues(replicated)
 		out := s.ev.MustRescale(s.ev.MustApplyLinearTransform(ct, lt))
-		got := s.dec.MustDecryptAndDecode(out, s.enc)
+		got := s.decrypt(out)
 
 		for i := 0; i < dim; i++ {
 			want := complex(0, 0)
@@ -114,7 +114,7 @@ func TestLinearTransformBanded(t *testing.T) {
 	vals := randomValues(slots, rng)
 	ct := s.encryptValues(vals)
 	out := s.ev.MustRescale(s.ev.MustApplyLinearTransform(ct, lt))
-	got := s.dec.MustDecryptAndDecode(out, s.enc)
+	got := s.decrypt(out)
 	for i := range vals {
 		want := k[0]*vals[((i-1)+slots)%slots] + k[1]*vals[i] + k[2]*vals[(i+1)%slots]
 		if e := cmplx.Abs(got[i] - want); e > 1e-4 {
@@ -199,9 +199,10 @@ func parentHoistedApply(t *testing.T, s *testSetup, ct *Ciphertext, diags map[in
 	return acc
 }
 
-func marshalCt(t *testing.T, ct *Ciphertext) []byte {
+// marshalCt is the encoding of ct settled: the bytes it would travel as.
+func marshalCt(t *testing.T, s *testSetup, ct *Ciphertext) []byte {
 	t.Helper()
-	b, err := ct.MarshalBinary()
+	b, err := s.settled(ct).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +262,13 @@ func TestUnfactoredTransformMatchesParentHoisted(t *testing.T) {
 // 0.5 bit worse than parent against want.
 func checkAgainstParent(t *testing.T, tag string, s *testSetup, got, parent *Ciphertext, want []complex128) {
 	t.Helper()
+	got = s.settled(got)
 	if got.Level != parent.Level || got.Scale.Cmp(parent.Scale) != 0 || !slices.Equal(got.C0.Moduli, parent.C0.Moduli) {
 		t.Fatalf("%s: level %d scale 2^%.3f, parent body %d / 2^%.3f (or moduli differ)", tag,
 			got.Level, core.RatLog2(got.Scale), parent.Level, core.RatLog2(parent.Scale))
 	}
 	errOf := func(ct *Ciphertext) float64 {
-		return maxErr(s.dec.MustDecryptAndDecode(ct, s.enc)[:len(want)], want)
+		return maxErr(s.decrypt(ct)[:len(want)], want)
 	}
 	e, eParent := errOf(got), errOf(parent)
 	if bound := 16 * math.Exp2(-s.ev.NoiseBudget(got)); e > bound {
@@ -286,12 +288,16 @@ func checkAgainstParent(t *testing.T, tag string, s *testSetup, got, parent *Cip
 // at 1f9a2a3, held until then), and again when every division started
 // rounding (rns.ExactDiv), after the math/big references of the division
 // (internal/rns TestExactDivRoundsAgainstBig, internal/ring
-// TestEntryPointsMatchIndependentReference) passed.
+// TestEntryPointsMatchIndependentReference) passed, and once more when
+// the apply's output began to pend and its rescale to divide once, after
+// TestApplyRescaleDividesOnce held the new words within the divisions'
+// rounding of the old.
 //
 // The other rows pin the keyswitching ops on the same input, recorded
-// before every rotation became the one extended-basis route: a ModDown
-// reads only the shed rows, which are zero in P·a, so carrying P·φ(c0)
-// to the division instead of adding φ(c0) after it moves no word.
+// before every rotation became the one extended-basis route, and read
+// through the Settle that precedes a marshal: a ModDown reads only the
+// shed rows, which are zero in P·a, so carrying P·φ(c0) to the division
+// instead of adding φ(c0) after it moves no word.
 func TestDenseTransformMatchesParentBytes(t *testing.T) {
 	const dim = 16
 	rots := make([]int, 0, dim-1)
@@ -304,7 +310,7 @@ func TestDenseTransformMatchesParentBytes(t *testing.T) {
 		sha    map[string]string
 	}{
 		{core.BitPacker, 28, map[string]string{
-			"ApplyLinearTransform":    "294fb9f7a91e8628eba4fd5cfe81edf18e996c5845bc67e95752d83a84e519af",
+			"ApplyLinearTransform":    "8edc1fcd3185786ce6b84dc476b154911b7a3fd0d18393afa059b77b7f11354f",
 			"MulRelin":                "9cf152707edbc9bd8d6c99c0f39bd6c3fdd7c8ca02940983f648802915aef95a",
 			"MulRescale":              "9ba2c6ccb3a87ea55e05932a57e77ffcf9aff10e48768a425e002bb77137bc35",
 			"RotateHoisted":           "8448967c33d1278c32caa44df70c673ac268e7a4564bd5105092bc90c9895021",
@@ -312,7 +318,7 @@ func TestDenseTransformMatchesParentBytes(t *testing.T) {
 			"InnerSum":                "7a401fb0dc1913284d6b5af164b067619345c3698445ba0d9d155ae21e2aa43a",
 		}},
 		{core.BitPacker, 61, map[string]string{
-			"ApplyLinearTransform":    "10d5a56c164ab319bd445cbba4db6e5d0e0793b28fd002cff0e4e6093c428308",
+			"ApplyLinearTransform":    "2c66249726fc3130bf8228fc4884119035a3d49077bc16c75b171a8fc681b8f6",
 			"MulRelin":                "537021d591c0b7a159d34939672cc565c451994a2ae1f324a244ea01aff8d042",
 			"MulRescale":              "086410c6e16f5c58747eccc77ca9220ec86db55eecc7fc1b1e5a33a08821d056",
 			"RotateHoisted":           "d335864fc323fe25b7d274fac43d7752928f32550bbe4ec18a3a4116454b42a6",
@@ -320,7 +326,7 @@ func TestDenseTransformMatchesParentBytes(t *testing.T) {
 			"InnerSum":                "53948f1d7913a6e6b4db92ce3de9202a1dae6a094cf0ad07792f9cef690985a8",
 		}},
 		{core.RNSCKKS, 28, map[string]string{
-			"ApplyLinearTransform":    "09d5868a08e7ee3110c282dcfed49c2f4633423fa1e6750329316599a79390d5",
+			"ApplyLinearTransform":    "57152df77d2fddb352ac1699a8440e3b8244bc938f40e0966185a96d4be42333",
 			"MulRelin":                "70b2ec1904701fde19a14ee5297586304b36d8c05c2f6a2ae797b23d0666bc8f",
 			"MulRescale":              "0b903bf60f302d3f010f89d91bdd420144f1a28a7edcbbc3c3e55b263df5bc65",
 			"RotateHoisted":           "06f92fb9191f79bcf73b4c0f62de401700b4beb37f804f1e43a5d6d405990c3f",
@@ -328,7 +334,7 @@ func TestDenseTransformMatchesParentBytes(t *testing.T) {
 			"InnerSum":                "723ad7442b073ae6163ef9b59ab43ade0000b9a121be74ab4b68aca0afbd605c",
 		}},
 		{core.RNSCKKS, 61, map[string]string{
-			"ApplyLinearTransform":    "658a560bb918afe95e190b363d475114058bf92b881b436e2a79a9bb036ed3eb",
+			"ApplyLinearTransform":    "edf8cb7437b2a95eadadfd237cfea7955d0aa2b7818794bfa66cb3d83fda26a3",
 			"MulRelin":                "0f1793f2dec1cf6e0b95df2ff67863b9fd644dd4215323422753f47421bdccd9",
 			"MulRescale":              "247da0517a0a2a3812df815ec63bc3c61a48d6b6800786e0909cb753f911c731",
 			"RotateHoisted":           "2fbb053316e908cdc39f9e99d88c2b6eaa3332f3356a5fd9ca48dd0bbe9d068e",
@@ -352,11 +358,61 @@ func TestDenseTransformMatchesParentBytes(t *testing.T) {
 		} {
 			h := sha256.New()
 			for _, out := range run() {
-				h.Write(marshalCt(t, out))
+				h.Write(marshalCt(t, s, out))
 			}
 			if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.sha[op] {
 				t.Errorf("%v w=%d: %s output digest %s, recorded %s", c.scheme, c.w, op, got, c.sha[op])
 			}
+		}
+	}
+}
+
+// TestApplyRescaleDividesOnce is the value check behind the moved
+// ApplyLinearTransform digests above: the apply's output pends, so its
+// rescale sheds P with the retired moduli in one division, where the
+// recorded digests divided by P first (Settle) and then rescaled. The two
+// must land at the same level, scale, moduli and noise estimate, and
+// their decryptions, composed with math/big (phaseDistance), may differ
+// per coefficient by no more than the divisions' rounding: each rounded
+// division is within ⌈k/2⌉ + ½ of the exact quotient for k shed moduli
+// (internal/rns TestExactDivRoundsAgainstBig), so a component differs
+// by at most B = S + D + 3 for S special and D retired moduli, and a
+// decryption by B·(1 + ‖s‖₁).
+func TestApplyRescaleDividesOnce(t *testing.T) {
+	for _, c := range []struct {
+		scheme core.Scheme
+		w      int
+	}{{core.BitPacker, 28}, {core.BitPacker, 61}, {core.RNSCKKS, 28}, {core.RNSCKKS, 61}} {
+		tag := fmt.Sprintf("%v w=%d", c.scheme, c.w)
+		s := newTestSetup(t, c.scheme, 2, 40, c.w, 9, 8, []int{1, 2, 3, 4, 5, 6, 7, 8, 12})
+		lt, ct, _ := denseTestTransform(t, s, 16, 81)
+		applied := s.ev.MustApplyLinearTransform(ct, lt)
+		once := s.ev.MustRescale(applied)
+		twice := s.ev.MustRescale(s.settled(applied))
+		if once.Level != twice.Level || once.Scale.Cmp(twice.Scale) != 0 ||
+			!slices.Equal(once.C0.Moduli, twice.C0.Moduli) || math.Abs(once.NoiseBits-twice.NoiseBits) > 1e-9 {
+			t.Fatalf("%s: one division lands at level %d scale 2^%.3f noise %.3f, two at %d 2^%.3f %.3f", tag,
+				once.Level, core.RatLog2(once.Scale), once.NoiseBits, twice.Level, core.RatLog2(twice.Scale), twice.NoiseBits)
+		}
+		pl, err := s.ev.levelPlan(ct.C0.Moduli, ct.Level-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retired := len(ct.C0.Moduli) + len(pl.up) - len(once.C0.Moduli)
+		sk := s.sk.S.RestrictView(ct.C0.Moduli[:1]).Copy()
+		sk.INTT()
+		weight := 0
+		for _, v := range sk.Coeffs[0] {
+			if v != 0 {
+				weight++
+			}
+		}
+		bound := float64((len(s.params.Chain.Special) + retired + 3) * (1 + weight))
+		scale, _ := once.Scale.Float64()
+		d := scale * phaseDistance(s, once, twice)
+		t.Logf("%s: decryptions differ by at most %.0f per coefficient (bound %.0f)", tag, d, bound)
+		if d > bound {
+			t.Errorf("%s: one division's decryption is %.0f from two divisions', above the rounding bound %.0f", tag, d, bound)
 		}
 	}
 }
@@ -391,7 +447,7 @@ func TestEvalChebyshev(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := s.dec.MustDecryptAndDecode(out, s.enc)
+		got := s.decrypt(out)
 		for i := range vals {
 			want := chebyshevRef(coeffs, real(vals[i]))
 			if e := math.Abs(real(got[i]) - want); e > 1e-3 {
@@ -409,7 +465,7 @@ func TestEvalChebyshevEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.dec.MustDecryptAndDecode(out, s.enc)
+	got := s.decrypt(out)
 	if math.Abs(real(got[0])-0.75) > 1e-5 {
 		t.Fatalf("constant series: %v", real(got[0]))
 	}
@@ -418,7 +474,7 @@ func TestEvalChebyshevEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = s.dec.MustDecryptAndDecode(out, s.enc)
+	got = s.decrypt(out)
 	if math.Abs(real(got[0])-0.35) > 1e-4 {
 		t.Fatalf("degree-1 series: %v", real(got[0]))
 	}
@@ -431,4 +487,53 @@ func TestEvalChebyshevEdgeCases(t *testing.T) {
 	if _, err := s.ev.EvalChebyshev(s.enc, ct, nil); err == nil {
 		t.Fatal("empty series accepted")
 	}
+}
+
+// ApplyLinearTransformNaive is the reference per-diagonal evaluation,
+// kept for differential testing: Σ_d MulPlain(Rotate(ct, d), encode(diag_d))
+// straight from raw diagonals (as NewLinearTransformFromDiags takes them)
+// at the level's canonical scale — one full keyswitch per nonzero d, and
+// nothing shared with the LinearTransform it is compared against.
+func (ev *Evaluator) ApplyLinearTransformNaive(enc *Encoder, ct *Ciphertext, diags map[int][]complex128, level int) (*Ciphertext, error) {
+	if err := ev.begin("ApplyLinearTransformNaive", ct); err != nil {
+		return nil, err
+	}
+	if err := checkTransformLevel("ApplyLinearTransformNaive", ct, level); err != nil {
+		return nil, err
+	}
+	scale := ev.params.DefaultScale(level)
+	ds := make([]int, 0, len(diags))
+	for d := range diags {
+		ds = append(ds, d)
+	}
+	sort.Ints(ds)
+	var acc *Ciphertext
+	for _, d := range ds {
+		val, err := enc.Encode(diags[d], scale, ev.params.LevelModuli(level))
+		if err != nil {
+			return nil, err
+		}
+		term, err := ev.Rotate(ct, d)
+		if err != nil {
+			return nil, err
+		}
+		term, err = ev.MulPlain(term, &Plaintext{Value: val, Level: level, Scale: scale})
+		if err != nil {
+			return nil, err
+		}
+		if acc == nil {
+			acc = term
+		} else {
+			acc.C0.Add(acc.C0, term.C0)
+			acc.C1.Add(acc.C1, term.C1)
+		}
+	}
+	if acc == nil {
+		return ev.zeroTransformResult(ct, scale), nil
+	}
+	// Every rotation divides by P before its product: the whole keyswitch
+	// noise, rounding included, reaches each term.
+	acc.NoiseBits = ev.transformNoise(ct, scale, len(ds), ev.nm.KeySwitchBits())
+	acc.seal()
+	return acc, nil
 }

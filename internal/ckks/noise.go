@@ -106,10 +106,3 @@ func (nm *NoiseModel) shedBits(lvl int) float64 {
 	}
 	return bits
 }
-
-// SupportsDepth reports whether a program of the given multiplicative
-// depth retains at least minPrecisionBits of relative precision under
-// this model.
-func (nm *NoiseModel) SupportsDepth(depth int, minPrecisionBits float64) bool {
-	return nm.EstimateSquaringChain(depth) >= minPrecisionBits
-}

@@ -34,7 +34,7 @@ func TestNoiseModelIsAnEnvelope(t *testing.T) {
 				ref[i] *= ref[i]
 			}
 		}
-		got := s.dec.MustDecryptAndDecode(ct, s.enc)
+		got := s.decrypt(ct)
 		worst := math.Inf(1)
 		for i := range ref {
 			e := cmplx.Abs(got[i] - ref[i])
@@ -86,7 +86,7 @@ func TestNoiseModelCoversDivisionPoints(t *testing.T) {
 		}
 		ct := s.encryptValues(vals)
 		errBits := func(out *Ciphertext, want []complex128) float64 {
-			got := s.dec.MustDecryptAndDecode(out, s.enc)[:len(want)]
+			got := s.decrypt(out)[:len(want)]
 			for i := range got {
 				got[i] = complex(real(got[i]), 0) // every reference is real
 			}
@@ -201,4 +201,11 @@ func TestNoiseModelScaleSensitivity(t *testing.T) {
 	if p50 < p30+12 {
 		t.Fatalf("precision should scale with the CKKS scale: %f vs %f", p30, p50)
 	}
+}
+
+// SupportsDepth reports whether a program of the given multiplicative
+// depth retains at least minPrecisionBits of relative precision under
+// this model.
+func (nm *NoiseModel) SupportsDepth(depth int, minPrecisionBits float64) bool {
+	return nm.EstimateSquaringChain(depth) >= minPrecisionBits
 }

@@ -43,6 +43,9 @@ type Parameters struct {
 	// position within the level where it first appears (mod Dnum), so
 	// every level's live moduli spread evenly across digits.
 	digitOf map[uint64]int
+	// specialP is P, the product of the special primes: what a pending
+	// component is scaled by (see Ciphertext).
+	specialP *big.Int
 
 	// spareMu guards spareProj, the cache of exact CRT projectors the
 	// RRNS channel uses (seed/check projectors keyed per level, repair
@@ -103,11 +106,15 @@ func NewParameters(chain *core.Chain, dnum int, sigma float64) (*Parameters, err
 		return nil, err
 	}
 	p := &Parameters{
-		Chain:   chain,
-		Ctx:     ctx,
-		Dnum:    dnum,
-		Sigma:   sigma,
-		digitOf: map[uint64]int{},
+		Chain:    chain,
+		Ctx:      ctx,
+		Dnum:     dnum,
+		Sigma:    sigma,
+		digitOf:  map[uint64]int{},
+		specialP: big.NewInt(1),
+	}
+	for _, q := range chain.Special {
+		p.specialP.Mul(p.specialP, new(big.Int).SetUint64(q))
 	}
 	// Canonical union order: walk levels top-down so the widest basis
 	// comes first; record first-appearance positions for digit layout.

@@ -65,7 +65,7 @@ func TestRRNSCleanPath(t *testing.T) {
 		}
 		out := s.ev.MustAdd(prod, s.ev.MustAdjust(sum))
 
-		got := s.dec.MustDecryptAndDecode(out, s.enc)
+		got := s.decrypt(out)
 		want := make([]complex128, len(a))
 		for i := range a {
 			want[i] = a[i]*b[i] + a[i] + b[i]
@@ -100,7 +100,7 @@ func TestRRNSSpareAlgebra(t *testing.T) {
 	if out.SpareDepth != 1 {
 		t.Fatalf("adjust output spare depth = %d, want 1", out.SpareDepth)
 	}
-	got := s.dec.MustDecryptAndDecode(out, s.enc)
+	got := s.decrypt(out)
 	want := make([]complex128, len(a))
 	for i := range a {
 		want[i] = -(a[i] + b[i] - b[i]) - 3*a[i] // = -4a
@@ -142,7 +142,7 @@ func TestRRNSRepairsCorruptResidue(t *testing.T) {
 				corrupt(ca)
 			}
 			out := s.ev.MustRescale(s.ev.MustMulRelin(ca, cb))
-			return s.dec.MustDecryptAndDecode(out, s.enc)
+			return s.decrypt(out)
 		}
 
 		clean := run(nil)
@@ -178,7 +178,7 @@ func TestRRNSCorruptSpareDropsChannel(t *testing.T) {
 	if out.SpareDepth != 0 {
 		t.Fatal("output inherited a dropped channel as fresh")
 	}
-	got := s.dec.MustDecryptAndDecode(out, s.enc)
+	got := s.decrypt(out)
 	want := make([]complex128, len(a))
 	for i := range a {
 		want[i] = 2 * a[i]
@@ -259,7 +259,7 @@ func TestRRNSSerializationReseed(t *testing.T) {
 	}
 	// The reseeded channel verifies at the next rescale.
 	out := s.ev.MustAdjust(back)
-	got := s.dec.MustDecryptAndDecode(out, s.enc)
+	got := s.decrypt(out)
 	if e := maxErr(got, a); e > 1e-4 {
 		t.Fatalf("error %g after reseed", e)
 	}

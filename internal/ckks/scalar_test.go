@@ -75,7 +75,7 @@ func TestScalarConstantsMatchEncoderPath(t *testing.T) {
 			vals[i] = complex(2*rng.Float64()-1, 0)
 		}
 		ct := s.encryptValues(vals)
-		decode := func(ct *Ciphertext) []complex128 { return s.dec.MustDecryptAndDecode(ct, s.enc) }
+		decode := func(ct *Ciphertext) []complex128 { return s.decrypt(ct) }
 		mulEnc := func(ct *Ciphertext, v float64) (*Ciphertext, error) {
 			return s.ev.MulPlain(ct, constPT(s, v, ct.Level, s.params.DefaultScale(ct.Level)))
 		}

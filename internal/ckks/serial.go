@@ -49,6 +49,9 @@ func (ct *Ciphertext) AppendBinary(dst []byte) ([]byte, error) {
 	if ct.C0.IsNTT != ct.C1.IsNTT || ct.C0.R() != ct.C1.R() {
 		return nil, fmt.Errorf("ckks: inconsistent ciphertext polynomials")
 	}
+	if ct.pending() {
+		return nil, errPending("marshal")
+	}
 	r, n := ct.C0.R(), ct.C0.N()
 	num, den := scaleParts(ct.Scale)
 	out := slices.Grow(dst, ct.BinarySize())
@@ -177,7 +180,9 @@ func UnmarshalCiphertext(params *Parameters, data []byte) (*Ciphertext, error) {
 	}
 	moduli := make([]uint64, r)
 	for i := range moduli {
-		moduli[i] = rd.u64()
+		if moduli[i] = rd.u64(); slices.Contains(params.Chain.Special, moduli[i]) {
+			return nil, fherr.Wrap(fherr.ErrInvariant, "ckks: residue %d is over special prime %d: a pending form, which never travels", i, moduli[i])
+		}
 	}
 	want := params.LevelModuli(level)
 	if len(want) != r {

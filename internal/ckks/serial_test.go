@@ -29,14 +29,14 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 		t.Fatal("polynomial mismatch")
 	}
 	// The deserialized ciphertext must decrypt identically.
-	want := s.dec.MustDecryptAndDecode(ct, s.enc)
-	have := s.dec.MustDecryptAndDecode(got, s.enc)
+	want := s.decrypt(ct)
+	have := s.decrypt(got)
 	if e := maxErr(have, want); e != 0 {
 		t.Fatalf("decryption differs after roundtrip: %g", e)
 	}
 	// And still supports homomorphic ops.
 	sq := s.ev.MustRescale(s.ev.MustSquare(got))
-	res := s.dec.MustDecryptAndDecode(sq, s.enc)
+	res := s.decrypt(sq)
 	ref := make([]complex128, len(vals))
 	for i := range vals {
 		ref[i] = vals[i] * vals[i]

@@ -1,8 +1,6 @@
 package ckks
 
 import (
-	"math/big"
-
 	"bitpacker/internal/ring"
 )
 
@@ -11,15 +9,18 @@ import (
 // copy, transform, pointwise, divide, transform — exactly as the
 // pipeline looked before the fused execution layer. The evaluator keeps
 // them behind SetFused(false) as the baseline for the differential tests
-// and the fused/unfused benchmark: both paths divide at the same points
-// and must produce bit-identical ciphertexts at every worker count.
+// and the fused/unfused benchmark: both paths divide at the same points,
+// through the one settle (which takes the coefficient-domain route
+// staged), and must produce bit-identical ciphertexts at every worker
+// count.
 
 // keySwitchExtUnfused is the staged inner-product half: it stops before
 // the ModDown, returning the accumulated pair in the extended basis (NTT
 // domain). The staged twin of keySwitchExtFused — same values, one full
 // pass per kernel: each coefficient-domain digit is permuted (galEl 1 is
-// the identity) and transformed into a copy before its products.
-func (ev *Evaluator) keySwitchExtUnfused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64) (*ring.Poly, *ring.Poly) {
+// the identity) and transformed into a copy before its products, and
+// each extra term is its own product pass over its rows.
+func (ev *Evaluator) keySwitchExtUnfused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64, extra []ring.Term) (*ring.Poly, *ring.Poly) {
 	p := ev.params
 	ext := hd.ext
 
@@ -52,68 +53,11 @@ func (ev *Evaluator) keySwitchExtUnfused(hd *HoistedDecomp, swk *SwitchingKey, g
 		}
 		p.Ctx.PutPoly(digit)
 	}
+	for _, t := range extra {
+		acc0.RestrictView(t.X.Moduli).MulCoeffsAdd(t.X, t.Y0)
+		acc1.RestrictView(t.X.Moduli).MulCoeffsAdd(t.X, t.Y1)
+	}
 	return acc0, acc1
-}
-
-// modDownUnfused is the staged keyswitch ModDown: each polynomial is
-// inverse-transformed in place, divided by P and forward-transformed,
-// every kernel a full pass. Consumes its inputs.
-func (ev *Evaluator) modDownUnfused(live []uint64, ps []*ring.Poly) []*ring.Poly {
-	sd := ev.ksPlan(live).modDown
-	outs := make([]*ring.Poly, len(ps))
-	for i, p := range ps {
-		p.INTT()
-		outs[i] = p.ScaleDown(sd)
-		ev.params.Ctx.PutPoly(p)
-		outs[i].NTT()
-	}
-	return outs
-}
-
-// divideUnfused is divide's staged twin: copy, inverse transform, spare
-// check, premultiply, scale up, divide, reorder, reseed and forward
-// transform each run as their own full pass.
-func (ev *Evaluator) divideUnfused(pl *levelPlan, c0, c1 *ring.Poly, owned bool, pre *big.Int, checked *Ciphertext) ([]*ring.Poly, [][]uint64, error) {
-	ctx := ev.params.Ctx
-	x0, x1 := c0.ScratchCopy(), c1.ScratchCopy()
-	if owned {
-		ctx.PutPoly(c0)
-		ctx.PutPoly(c1)
-	}
-	x0.INTT()
-	x1.INTT()
-	// RRNS cross-check at the point where the live residues are in the
-	// coefficient domain anyway: a fresh spare channel must agree with
-	// the exact CRT projection of the live residues up to bounded mod-Q
-	// wraparound.
-	if ev.rrnsEnabled() && checked != nil && checked.SpareDepth > 0 {
-		if err := ev.checkSpare("Rescale", checked, x0, x1); err != nil {
-			ctx.PutPoly(x0)
-			ctx.PutPoly(x1)
-			return nil, nil, err
-		}
-	}
-	if pre != nil {
-		x0.MulScalarBig(x0, pre)
-		x1.MulScalarBig(x1, pre)
-	}
-	if len(pl.up) > 0 { // BitPacker: introduce the destination's new moduli
-		u0, u1 := x0.ScaleUp(pl.up), x1.ScaleUp(pl.up)
-		ctx.PutPoly(x0)
-		ctx.PutPoly(x1)
-		x0, x1 = u0, u1
-	}
-	s0, s1 := x0.ScaleDown(pl.sd), x1.ScaleDown(pl.sd)
-	ctx.PutPoly(x0)
-	ctx.PutPoly(x1)
-	pl.canonical(s0, s1)
-	var spares [][]uint64
-	if ev.rrnsEnabled() {
-		spares = [][]uint64{ev.projectSpare(s0), ev.projectSpare(s1)}
-	}
-	s0.NTT()
-	s1.NTT()
-	return []*ring.Poly{s0, s1}, spares, nil
 }
 
 // permuteAddUnfused returns φ(a) + b (both NTT domain) with staged

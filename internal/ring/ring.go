@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"bitpacker/internal/ntt"
 	"bitpacker/internal/rns"
@@ -34,8 +35,9 @@ type Context struct {
 	autoTabs    map[uint64][]uint64
 	autoNTTTabs map[uint64][]uint64 // evaluation-domain gather tables
 
-	// vecs pools N-length []uint64 residue vectors (stored as *[]uint64
-	// so Put does not allocate an interface header).
+	// vecs pools N-length []uint64 residue vectors, each stored as a
+	// pointer to its first word: a pointer boxes into an interface
+	// without allocating, so neither Put nor Get allocates.
 	vecs sync.Pool
 }
 
@@ -51,10 +53,7 @@ func NewContext(n int) (*Context, error) {
 		autoTabs:    make(map[uint64][]uint64),
 		autoNTTTabs: make(map[uint64][]uint64),
 	}
-	c.vecs.New = func() any {
-		v := make([]uint64, n)
-		return &v
-	}
+	c.vecs.New = func() any { return &make([]uint64, n)[0] }
 	return c, nil
 }
 
@@ -82,7 +81,7 @@ func (c *Context) Table(q uint64) *ntt.Table {
 // GetVec returns an N-length scratch vector from the pool. Its contents
 // are unspecified; callers must overwrite every element they read.
 func (c *Context) GetVec() []uint64 {
-	return *(c.vecs.Get().(*[]uint64))
+	return unsafe.Slice(c.vecs.Get().(*uint64), c.N)
 }
 
 // PutVec returns a vector obtained from GetVec (or any N-length vector
@@ -91,8 +90,7 @@ func (c *Context) PutVec(v []uint64) {
 	if cap(v) < c.N {
 		return
 	}
-	v = v[:c.N]
-	c.vecs.Put(&v)
+	c.vecs.Put(&v[0])
 }
 
 // GetPoly returns a polynomial over the given moduli whose residue

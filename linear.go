@@ -46,9 +46,11 @@ func (c *Context) NewDiagonalTransform(diags map[int][]complex128, level int) (*
 // ciphertext must sit at the transform's level (ErrLevelMismatch
 // otherwise); follow with Rescale. Dense transforms evaluate
 // baby-step/giant-step, double-hoisted: the baby rotations share one
-// decomposition and stay undivided by the special modulus, and one
-// ModDown ends the apply; sparse ones are the same evaluation with one
-// giant step, every diagonal's rotation hoisted.
+// decomposition and stay undivided by the special modulus, and so does
+// the output, which the Rescale then divides by it and by the level's
+// retired moduli at once (Decrypt, MarshalCiphertext and a pipeline
+// checkpoint divide it alone); sparse ones are the same evaluation with
+// one giant step, every diagonal's rotation hoisted.
 // Under a canceled WithContext the fan-out stops within one dispatch
 // quantum and Apply fails with ErrCanceled. With Config.Retry, a
 // dropped engine task (ErrEngineFault) re-dispatches the whole

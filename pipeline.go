@@ -68,7 +68,7 @@ func (c *Context) runPipeline(ctx context.Context, stages []PipelineStage, initi
 				if err != nil {
 					return nil, err
 				}
-				return unwrapState(out)
+				return c.unwrapState(out)
 			},
 		}
 	}
@@ -91,7 +91,7 @@ func (c *Context) runPipeline(ctx context.Context, stages []PipelineStage, initi
 	if err != nil {
 		return nil, nil, PipelineReport{ResumedFrom: -1}, err
 	}
-	init, err := unwrapState(initial)
+	init, err := c.unwrapState(initial)
 	if err != nil {
 		return nil, nil, PipelineReport{ResumedFrom: -1}, err
 	}
@@ -113,13 +113,18 @@ func wrapState(state []*ckks.Ciphertext) []*Ciphertext {
 	return out
 }
 
-func unwrapState(state []*Ciphertext) ([]*ckks.Ciphertext, error) {
+// unwrapState is a state slice as it is checkpointed or sent: every
+// ciphertext settled (an Apply output pends until then).
+func (c *Context) unwrapState(state []*Ciphertext) ([]*ckks.Ciphertext, error) {
 	out := make([]*ckks.Ciphertext, len(state))
 	for i, ct := range state {
 		if ct == nil || ct.ct == nil {
 			return nil, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: nil ciphertext in pipeline state (index %d)", i)
 		}
-		out[i] = ct.ct
+		var err error
+		if out[i], err = c.eval.Settle(ct.ct); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -127,7 +132,11 @@ func unwrapState(state []*Ciphertext) ([]*ckks.Ciphertext, error) {
 // MarshalCiphertext serializes a ciphertext for storage or transport
 // (the same wire format pipeline checkpoints use).
 func (c *Context) MarshalCiphertext(ct *Ciphertext) ([]byte, error) {
-	return ct.ct.MarshalBinary()
+	settled, err := c.eval.Settle(ct.ct)
+	if err != nil {
+		return nil, err
+	}
+	return settled.MarshalBinary()
 }
 
 // UnmarshalCiphertext decodes a ciphertext serialized by

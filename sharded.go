@@ -23,7 +23,7 @@ import (
 // EncodeCiphertexts serializes a ciphertext batch in the shard-exchange
 // wire format (the pipeline checkpoint state encoding).
 func (c *Context) EncodeCiphertexts(cts []*Ciphertext) ([]byte, error) {
-	inner, err := unwrapState(cts)
+	inner, err := c.unwrapState(cts)
 	if err != nil {
 		return nil, err
 	}
