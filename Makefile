@@ -213,9 +213,11 @@ fuzz-smoke:
 
 # Serving-layer smoke: 100 mixed-tenant requests through the full HTTP
 # stack under chaos bursts — zero 5xx, every answer verified, clean
-# drain — with the race detector on.
+# drain — and the scheduler core's schedule search and closed-loop model,
+# so the policy's invariants are replayed where the scheduler runs under
+# chaos; all with the race detector on.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServeSmoke' -v ./internal/serve
+	$(GO) test -race -count=1 -run 'TestServeSmoke|TestSchedulerCore' -v ./internal/serve
 
 # Chaos soak: run the fault-injection and self-healing suites (RRNS
 # repair, op-level retry, checkpoint/resume) repeatedly with shuffled

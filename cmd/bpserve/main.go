@@ -40,7 +40,7 @@ func main() {
 	scheme := flag.String("scheme", "bitpacker", "scheme: "+schemeValues)
 	window := flag.Int("window", 0, "slots per tenant window (0 = Slots()/8)")
 	maxBatch := flag.Int("maxbatch", 0, "max requests per packed batch (0 = window capacity)")
-	flush := flag.Duration("flush", 3*time.Millisecond, "batch flush deadline")
+	flush := flag.Duration("flush", 3*time.Millisecond, "how long a lone batch waits for riders while nothing else is queued")
 	queueDepth := flag.Int("queue", 64, "request queue depth (full = HTTP 429)")
 	keyCache := flag.Int64("keycache", 32<<20, "switching-key cache budget in bytes")
 	noPack := flag.Bool("nopack", false, "disable slot packing (solo evaluation)")

@@ -167,8 +167,9 @@ func TestMustPanicsOnError(t *testing.T) {
 // TestDecodeCiphertextsRejectsHostileBatch: a shard batch whose framing
 // and ciphertext encoding both parse but whose ciphertext breaks an
 // evaluator invariant (here: polynomials flagged coefficient-domain) is
-// refused with ErrInvalidParams — by the one validation pass
-// pipeline.DecodeState runs, DecodeCiphertexts adds none of its own.
+// refused with that check's ErrInvariant — by the one validation pass
+// pipeline.DecodeState runs, DecodeCiphertexts adds none of its own and
+// keeps the refusal's type — and a broken frame with ErrInvalidParams.
 func TestDecodeCiphertextsRejectsHostileBatch(t *testing.T) {
 	ctx := errCtx(t, BitPacker)
 	ct := ctx.MustEncrypt([]complex128{1, 2, 3})
@@ -192,8 +193,8 @@ func TestDecodeCiphertextsRejectsHostileBatch(t *testing.T) {
 	}
 	hostile := append([]byte(nil), ctBlob...)
 	hostile[isNTT] = 0
-	if _, err := ctx.DecodeCiphertexts(frame.Append(frame.Append(frame.Append(nil, frame.Ciphertext, hostile), frame.Ciphertext, ctBlob), frame.End, nil)); !errors.Is(err, ErrInvalidParams) {
-		t.Fatalf("hostile batch: %v, want ErrInvalidParams", err)
+	if _, err := ctx.DecodeCiphertexts(frame.Append(frame.Append(frame.Append(nil, frame.Ciphertext, hostile), frame.Ciphertext, ctBlob), frame.End, nil)); !errors.Is(err, ErrInvariant) || errors.Is(err, ErrInvalidParams) {
+		t.Fatalf("hostile batch: %v, want ErrInvariant alone", err)
 	}
 	if _, err := ctx.DecodeCiphertexts(blob[:len(blob)-1]); !errors.Is(err, ErrInvalidParams) {
 		t.Fatalf("truncated batch: %v, want ErrInvalidParams", err)

@@ -161,7 +161,8 @@ func FuzzUnmarshalCiphertext(f *testing.F) {
 	f.Add(hostile)
 	// A pending form on the wire: a relinearized product's rows over the
 	// level's moduli ++ the special primes, forged past the marshal's
-	// refusal. The decoder must refuse it with a typed error.
+	// refusal. The decoder must refuse it with the unmarshal's typed
+	// error, ErrInvariant, not rewrapped as ErrInvalidParams.
 	prod, err := ctx.eval.MulRelin(ct.ct, ct.ct)
 	if err != nil {
 		f.Fatal(err)
@@ -171,7 +172,7 @@ func FuzzUnmarshalCiphertext(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := ctx.UnmarshalCiphertext(pendingBlob); !errors.Is(err, ErrInvalidParams) {
+	if _, err := ctx.UnmarshalCiphertext(pendingBlob); !errors.Is(err, ErrInvariant) || errors.Is(err, ErrInvalidParams) {
 		f.Fatalf("a pending form decodes: %v", err)
 	}
 	f.Add(pendingBlob)

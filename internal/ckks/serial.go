@@ -118,12 +118,16 @@ func MaxCiphertextBytes(params *Parameters) int {
 // coefficient scan is not repeated), then the RRNS spare channel seeded
 // when the chain carries one — like a fresh encryption. Every ciphertext
 // that enters the library from bytes (a served blob, a shard batch, a
-// checkpoint) comes through here. A parse error wraps ErrInvalidParams;
-// a failed check is Validate's ErrInvariant.
+// checkpoint) comes through here. An untyped parse error wraps
+// ErrInvalidParams; a typed one (the pending form's ErrInvariant) and a
+// failed check (Validate's ErrInvariant) come back as they are.
 func DecodeCiphertext(params *Parameters, data []byte) (*Ciphertext, error) {
 	ct, err := UnmarshalCiphertext(params, data)
 	if err != nil {
-		return nil, fherr.Wrap(fherr.ErrInvalidParams, "%v", err)
+		if !fherr.Typed(err) {
+			err = fherr.Wrap(fherr.ErrInvalidParams, "%v", err)
+		}
+		return nil, err
 	}
 	if err := ct.validateStructure(params); err != nil {
 		return nil, err

@@ -91,6 +91,24 @@ func Wrap(sentinel error, format string, args ...any) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), sentinel)
 }
 
+var sentinels = []error{
+	ErrLevelMismatch, ErrScaleMismatch, ErrMissingKey, ErrChainExhausted,
+	ErrInvariant, ErrCanceled, ErrNoiseBudget, ErrEngineFault,
+	ErrInvalidParams, ErrFaultUnrecovered, ErrCircuitOpen,
+}
+
+// Typed reports whether err already carries one of the sentinels. A
+// layer that classifies the errors of the layer below wraps only the
+// untyped ones, so a typed refusal from deeper down keeps its class.
+func Typed(err error) bool {
+	for _, s := range sentinels {
+		if errors.Is(err, s) {
+			return true
+		}
+	}
+	return false
+}
+
 // NoiseBudgetError reports an exhausted (or nearly exhausted) noise
 // budget together with the recovery the evaluator suggests. It unwraps
 // to ErrNoiseBudget.

@@ -7,12 +7,6 @@ import (
 )
 
 func TestWrapSatisfiesIs(t *testing.T) {
-	sentinels := []error{
-		ErrLevelMismatch, ErrScaleMismatch, ErrMissingKey,
-		ErrChainExhausted, ErrInvariant, ErrCanceled,
-		ErrNoiseBudget, ErrEngineFault, ErrInvalidParams,
-		ErrFaultUnrecovered, ErrCircuitOpen,
-	}
 	for _, s := range sentinels {
 		err := Wrap(s, "op at level %d", 3)
 		if !errors.Is(err, s) {

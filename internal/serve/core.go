@@ -119,8 +119,9 @@ func (c *core) done(failed bool) {
 
 // settle starts the next evaluation when nothing is in flight: a failed
 // batch's next member alone, else the open batch once it is full, closed
-// or due. A batch opens when its seed reaches the head of an idle queue
-// and is armed to flush FlushInterval later.
+// or due, or as soon as a queued request lies outside it — the evaluator
+// never idles while one waits. A batch opens when its seed reaches the
+// head of an idle queue and is armed to flush FlushInterval later.
 func (c *core) settle(now time.Time) {
 	switch {
 	case c.inFlight != nil:
@@ -141,7 +142,7 @@ func (c *core) settle(now time.Time) {
 	if opening {
 		c.open, c.deadline = true, now.Add(c.flush)
 	}
-	if len(batch) < c.maxBatch && !c.closed && now.Before(c.deadline) {
+	if len(batch) < c.maxBatch && len(batch) == len(c.queue) && !c.closed && now.Before(c.deadline) {
 		if opening {
 			c.emit(action{kind: actArm, deadline: c.deadline})
 		}

@@ -11,11 +11,14 @@ package serve
 // leaves no compatible request queued while it has room; the seed is the
 // oldest queued request, except that a failed packed batch's members go
 // next, alone; no batch flushes before its deadline unless full or
-// closed, nor after it; no full batch waits; the queue never exceeds
-// QueueDepth and a request is rejected only at depth; after close nothing
-// is accepted, nothing waits, and finish comes exactly once. At the end
-// of a schedule the harness closes the core and drains it, and every
-// request must have been answered exactly once.
+// closed or a queued request lies outside it, nor after it; no full batch
+// waits; the evaluator is never idle while a queued request lies outside
+// the open batch (work conservation); the queue never exceeds QueueDepth
+// and a request is rejected only at depth; after close nothing is
+// accepted, nothing waits, and finish comes exactly once. At the end of a
+// schedule the harness closes the core and drains it, and every request
+// must have been answered exactly once. A closed-loop model of the
+// serving benchmark's tenants runs the core in virtual time on top.
 
 import (
 	"bytes"
@@ -216,8 +219,8 @@ func (w *coreWorld) evaluate(a action) {
 	switch {
 	case w.now.After(deadline):
 		w.failf("batch flushed %v after its deadline", w.now.Sub(deadline))
-	case w.now.Before(deadline) && len(b) < w.maxBatch && !w.closed:
-		w.failf("batch of %d flushed %v before its deadline", len(b), deadline.Sub(w.now))
+	case w.now.Before(deadline) && len(b) < w.maxBatch && !w.closed && len(rest) == 0:
+		w.failf("batch of %d flushed %v before its deadline with nothing queued outside it", len(b), deadline.Sub(w.now))
 	}
 	w.queue, w.waiting = rest, false
 }
@@ -262,16 +265,26 @@ func (w *coreWorld) checkRest() {
 	if !slices.Contains(w.timers, deadline) {
 		w.failf("a batch waits with no deadline armed")
 	}
-	head, windows, n := w.queue[0], map[int]bool{}, 0
-	for _, r := range w.queue {
+	n := riders(w.queue)
+	if n >= w.maxBatch {
+		w.failf("a full batch of %d waits", n)
+	}
+	if n < len(w.queue) {
+		w.failf("the evaluator idles while %d queued requests lie outside the open batch", len(w.queue)-n)
+	}
+}
+
+// riders counts the queued requests that fit the batch the oldest one
+// seeds, MaxBatch aside; the rest lie outside it.
+func riders(queue []*evalRequest) int {
+	head, windows, n := queue[0], map[int]bool{}, 0
+	for _, r := range queue {
 		if fits(head, r, windows) {
 			windows[r.tenant.window] = true
 			n++
 		}
 	}
-	if n >= w.maxBatch {
-		w.failf("a full batch of %d waits", n)
-	}
+	return n
 }
 
 // advance moves the clock by d, delivering every armed deadline on the
@@ -493,6 +506,10 @@ func TestSchedulerCoreCorpus(t *testing.T) {
 		"depth-reject":     {Submitted: 2, Rejected: 1, PackedBatches: 1, PackedReqs: 2, MaxBatch: 2},
 		"fallback":         {Submitted: 3, PackedBatches: 0, SoloEvals: 3, Fallbacks: 1},
 		"close-flushes":    {Submitted: 1, SoloEvals: 1},
+		// A queued outsider flushes the open batch at once, and a seed
+		// alone with others queued behind it goes without waiting.
+		"flush-for-outsider": {Submitted: 4, PackedBatches: 1, PackedReqs: 2, SoloEvals: 2, MaxBatch: 2},
+		"solo-no-wait":       {Submitted: 3, SoloEvals: 3},
 	}
 	entries, err := os.ReadDir(coreCorpusDir)
 	if err != nil {
@@ -519,5 +536,107 @@ func TestSchedulerCoreCorpus(t *testing.T) {
 				t.Errorf("stats %+v, want %+v\n%s", w.c.stats, exp, strings.Join(w.trace, "\n"))
 			}
 		})
+	}
+}
+
+// TestSchedulerCoreClosedLoop runs the core under the serving benchmark's
+// shape (serve_mix) in virtual time: six tenants that pack (one op,
+// level and scale, windows 0-5) and two that pack with no one, each
+// sending its next request a fixed turnaround after its reply. A batch
+// costs a fixed shared part plus a part per member. The evaluator must
+// never be idle while a request waits outside the open batch, and the
+// virtual mean latency and mean batch size are pinned: a policy change
+// moves them on purpose or not at all.
+func TestSchedulerCoreClosedLoop(t *testing.T) {
+	const (
+		tenants    = 8
+		flush      = 3 * time.Millisecond
+		shared     = 4 * time.Millisecond // the op on the packed ciphertext
+		perMember  = time.Millisecond     // one member's pack add and extraction
+		turnaround = time.Millisecond     // a tenant's check of its reply and its next request
+		replies    = 4000
+		wantMean   = "18.986 ms"
+		wantBatch  = "2.667"
+	)
+	shapes := [tenants]string{OpQuartic, OpQuartic, OpQuartic, OpQuartic, OpQuartic, OpQuartic, OpScale, OpSquare}
+	c := newCore(tenants, 4*tenants, flush)
+	var (
+		now      = coreEpoch
+		sendAt   [tenants]time.Time // a tenant's next request; zero while it waits for a reply
+		sentAt   = map[*evalRequest]time.Time{}
+		queued   []*evalRequest // the model's own book, oldest first
+		timers   []time.Time
+		inFlight []*evalRequest
+		doneAt   time.Time
+		cost     time.Duration
+
+		busy, latency                time.Duration
+		answered, batches, idleSteps int
+	)
+	for i := range sendAt {
+		sendAt[i] = coreEpoch
+	}
+	apply := func(acts []action) {
+		for _, a := range acts {
+			switch a.kind {
+			case actReject:
+				t.Fatalf("at %v: request rejected (%v)", now.Sub(coreEpoch), a.err)
+			case actArm:
+				timers = append(timers, a.deadline)
+			case actEvaluate:
+				cost = shared + time.Duration(len(a.batch))*perMember
+				inFlight, doneAt = a.batch, now.Add(cost)
+				queued = slices.DeleteFunc(queued, func(r *evalRequest) bool { return slices.Contains(a.batch, r) })
+			}
+		}
+		if inFlight == nil && len(queued) > 0 && riders(queued) < len(queued) {
+			idleSteps++
+		}
+	}
+	for answered < replies {
+		// The next event in virtual time; at a tie a reply comes first,
+		// then arrivals in tenant order, then a deadline.
+		next, arrival := time.Time{}, -1
+		if inFlight != nil {
+			next = doneAt
+		}
+		for i := range sendAt {
+			if !sendAt[i].IsZero() && (next.IsZero() || sendAt[i].Before(next)) {
+				next, arrival = sendAt[i], i
+			}
+		}
+		slices.SortFunc(timers, time.Time.Compare)
+		if len(timers) > 0 && (next.IsZero() || timers[0].Before(next)) {
+			next, arrival = timers[0], -1
+		}
+		now = next
+		switch {
+		case inFlight != nil && !doneAt.After(now):
+			for _, r := range inFlight {
+				latency += now.Sub(sentAt[r])
+				answered++
+				sendAt[r.tenant.window] = now.Add(turnaround)
+			}
+			inFlight, busy, batches = nil, busy+cost, batches+1
+			apply(c.step(event{kind: evDone, now: now}))
+		case arrival >= 0:
+			r := &evalRequest{tenant: &tenant{window: arrival}, op: shapes[arrival], level: 1, scale: 40}
+			sentAt[r], sendAt[arrival] = now, time.Time{}
+			queued = append(queued, r)
+			apply(c.step(event{kind: evArrive, req: r, now: now}))
+		default:
+			timers = timers[1:]
+			apply(c.step(event{kind: evTick, now: now}))
+		}
+	}
+	mean := fmt.Sprintf("%.3f ms", float64(latency)/float64(answered)/float64(time.Millisecond))
+	batch := fmt.Sprintf("%.3f", float64(answered)/float64(batches))
+	t.Logf("%d replies in %v of virtual time: mean latency %s, mean batch %s, evaluator busy %.1f %%",
+		answered, now.Sub(coreEpoch), mean, batch, 100*float64(busy)/float64(now.Sub(coreEpoch)))
+	if idleSteps > 0 {
+		t.Errorf("after %d steps the evaluator was idle while a request waited outside the open batch", idleSteps)
+	}
+	if mean != wantMean || batch != wantBatch {
+		t.Errorf("mean latency %s and mean batch %s, pinned at %s and %s", mean, batch, wantMean, wantBatch)
 	}
 }

@@ -37,8 +37,9 @@ type ProfileConfig struct {
 	// MaxBatch caps how many compatible requests one packed evaluation
 	// coalesces. Defaults to Slots() / Window.
 	MaxBatch int
-	// FlushInterval bounds how long the scheduler waits to fill a batch
-	// before evaluating what it has. Defaults to 3ms.
+	// FlushInterval bounds how long a lone batch waits for riders while
+	// nothing else is queued; a queued request the open batch cannot take
+	// flushes it at once. Defaults to 3ms.
 	FlushInterval time.Duration
 	// QueueDepth bounds the requests waiting for evaluation, the open
 	// batch's included; a full queue rejects with ErrBusy (HTTP 429).

@@ -730,9 +730,17 @@ func TestServeSmoke(t *testing.T) {
 		}
 	}
 
+	// A transient fault shower under the evaluations, re-armed after every
+	// rearmEvery answered requests: each burst is small enough for the
+	// retry budget to absorb.
+	const rearmEvery = 20
 	inj := chaos.New(99)
 	_, restore := inj.Burst(0, 2)
 	defer restore()
+	var (
+		answered atomic.Int64
+		armMu    sync.Mutex
+	)
 
 	results := make([][]float64, requests)
 	statuses := make([]int, requests)
@@ -744,6 +752,12 @@ func TestServeSmoke(t *testing.T) {
 			for i := client; i < requests; i += tenants {
 				status, _, outBlob := evalHTTP(t, ts.URL, cases[i].hdr, cases[i].blob)
 				statuses[i] = status
+				if answered.Add(1)%rearmEvery == 0 {
+					armMu.Lock()
+					restore()
+					_, restore = inj.Burst(0, 2)
+					armMu.Unlock()
+				}
 				if status != 200 {
 					continue
 				}
@@ -760,13 +774,6 @@ func TestServeSmoke(t *testing.T) {
 				results[i] = vals
 			}
 		}(c)
-	}
-	// Re-arm the chaos burst a few times mid-run: transient fault
-	// showers, each small enough for the retry budget to absorb.
-	for k := 0; k < 4; k++ {
-		time.Sleep(15 * time.Millisecond)
-		restore()
-		_, restore = inj.Burst(0, 2)
 	}
 	wg.Wait()
 	restore()

@@ -34,11 +34,16 @@ func (c *Context) EncodeCiphertexts(cts []*Ciphertext) ([]byte, error) {
 // is validated against the context's chain and its RRNS spare channel
 // reseeded (deserialization is a trusted point, like a fresh encryption)
 // by pipeline.DecodeState, once: both are O(R·N) passes per ciphertext,
-// and a shard's batch is decoded on each side of the exchange.
+// and a shard's batch is decoded on each side of the exchange. A broken
+// frame wraps ErrInvalidParams; a ciphertext's typed refusal (a failed
+// invariant is ErrInvariant) comes back as it is.
 func (c *Context) DecodeCiphertexts(data []byte) ([]*Ciphertext, error) {
 	inner, err := pipeline.DecodeState(c.params, data)
 	if err != nil {
-		return nil, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: %v", err)
+		if !fherr.Typed(err) {
+			err = fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: %v", err)
+		}
+		return nil, err
 	}
 	return wrapState(inner), nil
 }
