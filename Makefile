@@ -223,9 +223,14 @@ serve-smoke:
 # repair, op-level retry, checkpoint/resume) repeatedly with shuffled
 # test order. Recovery bugs are often timing- and order-dependent; a
 # soak of shuffled repetitions flushes out what a single pass misses.
+# The shard suites' process faults come second: a shard lost before its
+# final checkpoint is recomputed from its input, and the shuffled
+# repetitions put that path through every order.
 chaos-soak:
 	$(GO) test -race -count=5 -shuffle=on -short -run 'Chaos|SelfHeal|Fault|Retry|Burst|RRNS|Pipeline' \
 		./internal/chaos/... ./internal/engine/... ./internal/pipeline/... ./internal/ckks/... .
+	$(GO) test -race -count=5 -shuffle=on -short -run 'Crash|Hang|Corrupt|Resume|Degraded|FleetLost' \
+		./internal/shard/...
 
 # Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
 # included), the parallel hot paths must be race-free, a program op must

@@ -100,10 +100,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// HTTP intake is closed; drain the schedulers and checkpoint
-	// in-flight long jobs (sharded ones drain their worker fleet through
-	// the supervisor) so they stay durably "running" and the next start
-	// resumes them from their latest intact checkpoint.
+	// HTTP intake is closed; drain the schedulers and cut in-flight long
+	// jobs (sharded ones drain their worker fleet through the supervisor)
+	// so they stay durably "running" and the next start resumes them,
+	// keeping the shards whose final checkpoint landed.
 	srv.Shutdown()
 	log.Printf("bpserve drained cleanly")
 }

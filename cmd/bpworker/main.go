@@ -8,7 +8,7 @@
 // out. A shard's input batch arrives with its assign and its output
 // leaves with the done; fleet members still need a filesystem shared
 // with the supervisor, whose job exchange directory carries the job file
-// and the per-step checkpoints.
+// and each shard's final checkpoint, its one durable record.
 //
 // Forked mode (no flags): the supervisor (Context.RunSharded) spawns it
 // with the job exchange directory in the environment. It is the same

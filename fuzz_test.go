@@ -229,7 +229,7 @@ func FuzzProgram(f *testing.F) {
 			}
 			return
 		}
-		out, _, _, err := ctx.runProgram(context.Background(), program, []*Ciphertext{in}, PipelineOptions{}, nil)
+		out, _, err := ctx.runProgram(context.Background(), program, []*Ciphertext{in}, nil)
 		if err != nil {
 			if !isTyped(err) {
 				t.Fatalf("accepted program %s failed with an untyped error: %v", data, err)

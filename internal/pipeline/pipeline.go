@@ -22,10 +22,12 @@ import (
 // Stage is one step of a pipeline. Run receives the state produced by
 // the previous stage and returns the next state. Run must treat its
 // input as read-only: on a retry or a resume the same input is replayed,
-// so mutating it would diverge from the checkpointed truth. The runner
-// hands each attempt a deep copy, so accidental mutation cannot leak
-// between attempts — but a Stage must still not stash and reuse its
-// input across calls.
+// so mutating it would diverge from the checkpointed truth. Under a
+// retry policy each attempt gets a deep copy of its input, so a faulted
+// attempt that damaged its working set cannot poison the re-run; without
+// one a stage receives the state itself, and a mutation reaches the
+// caller's ciphertexts. A Stage must not stash and reuse its input across
+// calls.
 type Stage struct {
 	Name string
 	Run  func(ctx context.Context, state []*ckks.Ciphertext) ([]*ckks.Ciphertext, error)
@@ -38,7 +40,7 @@ type Options struct {
 	Store Store
 	// Retry, when non-nil, re-runs a faulted stage (ErrInvariant /
 	// ErrEngineFault) from its retained input under the policy before
-	// giving up on the run.
+	// giving up on the run; each attempt then runs on a deep copy of it.
 	Retry *engine.RetryPolicy
 	// Keep leaves the checkpoints in the store after a successful run
 	// (default: Clear on success).
@@ -87,26 +89,15 @@ func New(params *ckks.Parameters, stages []Stage, opts Options) (*Pipeline, erro
 // Options.Keep is set; on failure the checkpoints of the completed
 // stages remain, so a later Run picks up where this one stopped.
 func (p *Pipeline) Run(ctx context.Context, initial []*ckks.Ciphertext) ([]*ckks.Ciphertext, Report, error) {
-	state, _, report, err := p.RunStored(ctx, initial)
-	return state, report, err
-}
-
-// RunStored is Run that also returns the payload of the last checkpoint:
-// the one the last stage stored, or the one the run resumed from when
-// every stage was done already. It is EncodeState of the final state, so
-// a caller that ships the result as bytes need not encode it a second
-// time. Nil without a Store.
-func (p *Pipeline) RunStored(ctx context.Context, initial []*ckks.Ciphertext) ([]*ckks.Ciphertext, []byte, Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	report := Report{ResumedFrom: -1}
 	state := initial
-	var stored []byte
 	start := 0
 	if p.opts.Store != nil {
-		if s, restored, payload, ok := p.resume(); ok {
-			state, stored, start, report.ResumedFrom = restored, payload, s+1, s
+		if s, restored, ok := p.resume(); ok {
+			state, start, report.ResumedFrom = restored, s+1, s
 		}
 	}
 
@@ -119,10 +110,14 @@ func (p *Pipeline) RunStored(ctx context.Context, initial []*ckks.Ciphertext) ([
 		st := p.stages[i]
 		var next []*ckks.Ciphertext
 		run := func(attemptCtx context.Context) error {
-			// Each attempt gets its own deep copy: a faulted attempt may
-			// have corrupted the working set, and the retry contract is a
-			// re-run from the retained input.
-			in := ckks.CopyCiphertexts(state) // all rows in one batched fork/join
+			// Under a retrier each attempt gets its own deep copy: a faulted
+			// attempt may have corrupted the working set, and the retry
+			// contract is a re-run from the retained input. With no re-run
+			// nothing reads the input again, and the stage gets it as it is.
+			in := state
+			if retrier != nil {
+				in = ckks.CopyCiphertexts(state) // all rows in one batched fork/join
+			}
 			out, err := st.Run(attemptCtx, in)
 			if err != nil {
 				return err
@@ -144,33 +139,34 @@ func (p *Pipeline) RunStored(ctx context.Context, initial []*ckks.Ciphertext) ([
 			}
 		}
 		if err != nil {
-			return nil, nil, report, fmt.Errorf("pipeline: stage %d (%q): %w", i, st.Name, err)
+			return nil, report, fmt.Errorf("pipeline: stage %d (%q): %w", i, st.Name, err)
 		}
 		state = next
 		report.StagesRun++
 		if p.opts.Store != nil {
-			if stored, err = EncodeState(state); err != nil {
-				return nil, nil, report, fmt.Errorf("pipeline: checkpoint stage %d (%q): %w", i, st.Name, err)
+			payload, err := EncodeState(state)
+			if err != nil {
+				return nil, report, fmt.Errorf("pipeline: checkpoint stage %d (%q): %w", i, st.Name, err)
 			}
-			if err := p.opts.Store.Put(i, st.Name, stored); err != nil {
-				return nil, nil, report, err
+			if err := p.opts.Store.Put(i, st.Name, payload); err != nil {
+				return nil, report, err
 			}
 		}
 	}
 	if p.opts.Store != nil && !p.opts.Keep {
 		if err := p.opts.Store.Clear(); err != nil {
-			return nil, nil, report, err
+			return nil, report, err
 		}
 	}
-	return state, stored, report, nil
+	return state, report, nil
 }
 
 // resume finds the latest checkpoint that survives integrity checks and
 // decodes, falling back past corrupt ones stage by stage.
-func (p *Pipeline) resume() (stage int, state []*ckks.Ciphertext, payload []byte, ok bool) {
+func (p *Pipeline) resume() (stage int, state []*ckks.Ciphertext, ok bool) {
 	stages, err := p.opts.Store.Stages()
 	if err != nil {
-		return 0, nil, nil, false
+		return 0, nil, false
 	}
 	for i := len(stages) - 1; i >= 0; i-- {
 		s := stages[i]
@@ -188,9 +184,9 @@ func (p *Pipeline) resume() (stage int, state []*ckks.Ciphertext, payload []byte
 		if err != nil {
 			continue
 		}
-		return s, restored, payload, true
+		return s, restored, true
 	}
-	return 0, nil, nil, false
+	return 0, nil, false
 }
 
 // EncodeState serializes a state slice: one frame (internal/frame) per

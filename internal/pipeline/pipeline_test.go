@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -434,6 +435,64 @@ func TestPipelineRetryExhaustion(t *testing.T) {
 	_, _, err = p.Run(context.Background(), []*ckks.Ciphertext{s.encrypt(t, randVals(s.params.Slots(), rng))})
 	if !errors.Is(err, fherr.ErrFaultUnrecovered) {
 		t.Fatalf("err = %v, want ErrFaultUnrecovered", err)
+	}
+}
+
+// TestPipelineStageInputCopiedOnlyForRetry pins who pays for the deep
+// copy of a stage's input: under a retry policy every attempt gets one, a
+// pristine replay of the retained input; with no policy nothing re-runs a
+// stage, and it receives the state itself, allocating per stage far less
+// than one state's size.
+func TestPipelineStageInputCopiedOnlyForRetry(t *testing.T) {
+	s := newSetup(t, core.BitPacker, false)
+	rng := rand.New(rand.NewPCG(21, 22))
+	ct := s.encrypt(t, randVals(s.params.Slots(), rng))
+	initial := []*ckks.Ciphertext{ct}
+	var same, copied int
+	pass := func(_ context.Context, state []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
+		if state[0] == ct {
+			same++
+		} else {
+			copied++
+		}
+		return state, nil
+	}
+	stages := []Stage{{Name: "a", Run: pass}, {Name: "b", Run: pass}, {Name: "c", Run: pass}}
+	for _, retry := range []*engine.RetryPolicy{nil, {MaxAttempts: 2, BaseDelay: time.Microsecond, Seed: 1}} {
+		same, copied = 0, 0
+		p, err := New(s.params, stages, Options{Retry: retry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.Run(context.Background(), initial); err != nil {
+			t.Fatal(err)
+		}
+		if retry == nil && (same != len(stages) || copied != 0) {
+			t.Fatalf("no retrier: %d stages got the state itself and %d a copy, want all of them the state", same, copied)
+		}
+		if retry != nil && (copied != len(stages) || same != 0) {
+			t.Fatalf("under a retrier: %d stages got a copy and %d the state itself, want all of them a copy", copied, same)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	p, err := New(s.params, stages, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, _, err := p.Run(context.Background(), initial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perStage := float64(after.TotalAlloc-before.TotalAlloc) / (runs * float64(len(stages)))
+	if size := ct.BinarySize(); perStage >= float64(size)/8 {
+		t.Fatalf("a stage with no retrier allocates %.0f bytes, against a %d-byte state: its input is being copied", perStage, size)
 	}
 }
 

@@ -230,9 +230,9 @@ func (jm *JobManager) run(rec *jobRecord) {
 	jm.mu.Lock()
 	switch {
 	case errors.Is(err, bitpacker.ErrCanceled) && jm.runCtx.Err() != nil:
-		// Shutdown drain, not a failure: the job's checkpoints are
-		// durable, so leave it recorded as running and the next process
-		// resumes it from the latest intact checkpoint.
+		// Shutdown drain, not a failure: the job's input and its finished
+		// shards' final checkpoints are durable, so leave it recorded as
+		// running and the next process resumes it.
 	case errors.Is(err, errUnpublished):
 		// The result exists but could not be made durable: a storage
 		// fault, not a job fault. The record must not say done for an
@@ -259,9 +259,9 @@ func (jm *JobManager) run(rec *jobRecord) {
 // execute runs (or resumes) the job's steps from its input, then
 // publishes the output durably, which is what lets run() record it done.
 // The exchange directory is shards/ inside the job directory and is
-// kept through the run, so a server restart resumes from the shards'
-// per-step checkpoints and a failed publish from their final ones (a
-// finished shard's last checkpoint is its output).
+// kept through the run: a restart keeps the shards whose final
+// checkpoint (their output) landed and recomputes the rest from
+// input.bin, and a failed publish is republished from them.
 func (jm *JobManager) execute(rec *jobRecord) error {
 	p, err := jm.reg.profile(rec.Profile)
 	if err != nil {
@@ -339,11 +339,11 @@ func (jm *JobManager) Close() {
 }
 
 // Shutdown stops intake and drains in-flight jobs instead of waiting
-// them out: each running job is cut at its next checkpoint boundary
-// (a job on a fleet drains it through the supervisor's cancellation
-// path) and stays durably recorded as running, so the next
-// process resumes it from the latest intact checkpoint. This is the
-// SIGTERM path; Close is the wait-for-completion path.
+// them out: each running job is cut at its next step boundary (a job on
+// a fleet drains it through the supervisor's cancellation path) and
+// stays durably recorded as running, so the next process resumes it
+// from its finished shards and its input. This is the SIGTERM path;
+// Close is the wait-for-completion path.
 func (jm *JobManager) Shutdown() {
 	jm.mu.Lock()
 	jm.closed = true

@@ -559,9 +559,9 @@ func TestJobSubmitSkipsUnloadableDirectory(t *testing.T) {
 
 // TestJobDurableWrites counts the directory fsyncs of one in-process job
 // from submission to done: input.bin, job.json at submission and at the
-// end, the exchange directory's job.json, one checkpoint per step and
-// output.bin. What stays in the job's directory is the record and the
-// two blobs.
+// end, the exchange directory's job.json, output.bin, and the one shard's
+// final checkpoint — not one per step. What stays in the job's directory
+// is the record and the two blobs.
 func TestJobDurableWrites(t *testing.T) {
 	jobDir := t.TempDir()
 	srv, p := testServer(t, nil, jobDir)
@@ -588,7 +588,7 @@ func TestJobDurableWrites(t *testing.T) {
 	if rec, err := srv.jobs.Status(id); err != nil || rec.State != JobDone {
 		t.Fatalf("job %s: %+v, %v; want done", id, rec, err)
 	}
-	if n, want := syncs.Load(), int64(5+len(steps)); n != want {
+	if n, want := syncs.Load(), int64(5+1); n != want {
 		t.Fatalf("one in-process job made %d directory fsyncs, want %d", n, want)
 	}
 	entries, err := os.ReadDir(filepath.Join(jobDir, id))

@@ -300,8 +300,8 @@ func (m *machine) start(sl *slot, after time.Duration, now time.Time) {
 	m.emit(action{kind: actStart, slot: sl.id, after: after})
 }
 
-// release takes the slot's lease away and queues the shard again (it
-// resumes from its last durable checkpoint). broken marks a lease lost to
+// release takes the slot's lease away and queues the shard again (its
+// next worker recomputes it unless its final checkpoint landed). broken marks a lease lost to
 // a death or partition: free for the shard's attempt budget, counted as a
 // re-dispatch.
 func (m *machine) release(sl *slot, broken bool) {

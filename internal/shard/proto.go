@@ -4,7 +4,7 @@
 // circuit breaker, hung workers are detected by heartbeat deadline and
 // SIGKILLed, dropped connections are redialed and their leases
 // re-adopted, and a lost worker's leased shards are re-dispatched to
-// survivors, who resume from the shard's last durable checkpoint. When
+// survivors, who recompute it unless its final checkpoint landed. When
 // no worker can be kept alive the supervisor hands the job back
 // (ErrFleetLost) with the shards it did not finish: it runs no shard
 // itself, and the caller fails the job or runs them in-process.
@@ -31,7 +31,7 @@
 // the caller supplies the inputs and the callback that validates and
 // keeps a completed shard's output. Its options are the caller's too:
 // Options is bitpacker.ShardOptions. The bitpacker root package wires
-// Run to its ciphertext batch encoding and per-step checkpoints in
+// Run to its ciphertext batch encoding and per-shard final checkpoints in
 // Context.RunSharded, whose in-process route runs a job with no fleet and
 // the shards a lost one left unfinished, and internal/shard/worker
 // drives the worker side of the protocol. Keeping ciphertext types

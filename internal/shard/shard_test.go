@@ -27,6 +27,7 @@ import (
 
 	"bitpacker"
 	"bitpacker/internal/chaos"
+	"bitpacker/internal/pipeline"
 	"bitpacker/internal/shard"
 	"bitpacker/internal/shard/worker"
 )
@@ -91,6 +92,16 @@ var testProgram = []bitpacker.ShardStep{
 	{Op: bitpacker.ShardOpSquare},
 	{Op: bitpacker.ShardOpOffset, Arg: 0.5},
 	{Op: bitpacker.ShardOpScale, Arg: 1.25},
+}
+
+// jobProgram is the benchmark's shape of program: six steps.
+var jobProgram = []bitpacker.ShardStep{
+	{Op: bitpacker.ShardOpSquare},
+	{Op: bitpacker.ShardOpOffset, Arg: 0.5},
+	{Op: bitpacker.ShardOpNegate},
+	{Op: bitpacker.ShardOpOffset, Arg: 1},
+	{Op: bitpacker.ShardOpNegate},
+	{Op: bitpacker.ShardOpOffset, Arg: 0.25},
 }
 
 // unshardedRun is the ground truth: the program applied in-process to
@@ -235,6 +246,79 @@ func TestShardedWorkerCrash(t *testing.T) {
 	})
 }
 
+// TestShardedCrashPoints kills the worker running one shard at each of the
+// two points a shard can be lost, on the forked and on the TCP route (a
+// standing fleet of member processes): mid-program, at step 3 of 6, and
+// after its final checkpoint landed but before its done (the hook
+// ExecShard fires once the output is durable). A shard's one durable
+// record is that final checkpoint. So, when the shard is re-dispatched,
+// the first crash has left nothing to resume from and the shard is
+// recomputed from the input its assign carries; the second has left the
+// record, which the re-dispatch returns without running a step — the
+// file is the one that was there, not a rewrite. Either way the job is
+// bit-identical to the serial run and the shard's directory holds only
+// the final checkpoint.
+func TestShardedCrashPoints(t *testing.T) {
+	ctx := testCtx(t, bitpacker.BitPacker)
+	inputs := encryptBatch(t, ctx, 4, 74)
+	want := unshardedRun(t, ctx, jobProgram, inputs)
+	const victim = 1
+	redispatchLine := regexp.MustCompile(`action=redispatch worker=\d+ shard=(\d+)`)
+	for _, route := range []string{"fork", "tcp"} {
+		for _, point := range []struct {
+			name string
+			step int
+		}{{"mid-program", 3}, {"after-final", len(jobProgram)}} {
+			t.Run(route+"/"+point.name, func(t *testing.T) {
+				fault := chaos.ProcFault{Kind: chaos.ProcCrash, Shard: victim, Step: point.step, Times: 1}
+				t.Setenv(chaos.ProcFaultEnv, fault.Encode())
+				opts := baseOpts(t)
+				opts.Keep = true
+				if route == "tcp" {
+					opts.Workers, opts.WorkerCommand = 0, nil
+					opts.Addrs = spawnMembers(t, opts.Dir, 2)
+				}
+				final := pipeline.DirStorePath(shard.CkptDir(opts.Dir, victim), len(jobProgram)-1)
+				// The supervisor logs the re-dispatch before it sends the
+				// assign: what the file is then is what the crash left.
+				var mu sync.Mutex
+				var left os.FileInfo
+				var leftErr error
+				seen := false
+				onLine(&opts, redispatchLine, func(n []int) {
+					mu.Lock()
+					defer mu.Unlock()
+					if n[0] == victim && !seen {
+						seen = true
+						left, leftErr = os.Stat(final)
+					}
+				})
+				got, report, err := ctx.RunSharded(context.Background(), jobProgram, inputs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBitIdentical(t, ctx, route+" "+point.name, got, want)
+				mu.Lock()
+				defer mu.Unlock()
+				if !seen || report.Stats.DegradedEntries != 0 {
+					t.Fatalf("shard %d was not re-dispatched to a worker (stats %+v)", victim, report.Stats)
+				}
+				assertOnlyFinal(t, opts.Dir, victim, len(jobProgram))
+				after, err := os.Stat(final)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case point.step < len(jobProgram) && !os.IsNotExist(leftErr):
+					t.Fatalf("a crash at step %d left %v (%v) for the re-dispatch, want nothing", point.step, left, leftErr)
+				case point.step == len(jobProgram) && (leftErr != nil || !os.SameFile(left, after)):
+					t.Fatalf("the re-dispatch rewrote the final checkpoint the crash left (%v): it ran the program again", leftErr)
+				}
+			})
+		}
+	}
+}
+
 // TestShardedWorkerHang wedges a worker (compute and heartbeats stop);
 // the supervisor must detect the missed heartbeats, SIGKILL it, and
 // recover the shard bit-exactly.
@@ -263,9 +347,9 @@ func TestShardedWorkerHang(t *testing.T) {
 
 // TestShardedCorruptOutput has a worker publish a torn (corrupted)
 // output, report success, and die. The supervisor's checksum validation
-// must reject the file, re-dispatch the shard, and the redo — resuming
-// from the shard's intact per-step checkpoints — must produce the
-// bit-identical result.
+// must reject the file, re-dispatch the shard, and the redo — returning
+// the shard's intact final checkpoint, which the corruption never
+// reached — must produce the bit-identical result.
 func TestShardedCorruptOutput(t *testing.T) {
 	forBothSchemes(t, func(t *testing.T, scheme bitpacker.Scheme) {
 		ctx := testCtx(t, scheme)

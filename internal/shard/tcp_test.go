@@ -19,6 +19,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -43,6 +44,39 @@ func startFleet(t *testing.T) (*worker.Fleet, string) {
 	go fl.Serve()
 	t.Cleanup(func() { fl.Close() })
 	return fl, fl.Addr()
+}
+
+// spawnMembers starts n fleet members as processes of their own — this
+// binary serving the one exchange directory dir, as a forked worker does
+// — and returns their addresses for ShardOptions.Addrs. Unlike the
+// in-process members of startFleet, a process fault (chaos.ProcCrash)
+// kills only the member it fires in. A member serves while its stdin is
+// open; the cleanup kills what is left.
+func spawnMembers(t *testing.T, dir string, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		cmd := exec.Command(selfExec(t)[0])
+		cmd.Env = append(os.Environ(), shard.EnvDir+"="+dir)
+		stdin, err := cmd.StdinPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { stdin.Close(); cmd.Process.Kill(); cmd.Wait() })
+		addr, err := frame.Expect(stdout, frame.Addr, 1<<10)
+		if err != nil {
+			t.Fatalf("member %d announced no address: %v", i, err)
+		}
+		addrs[i] = string(addr)
+	}
+	return addrs
 }
 
 // fleetOpts are fast-failover supervisor options for TCP tests: n
@@ -362,9 +396,10 @@ func TestTCPFleetResume(t *testing.T) {
 // TestTCPFleetResumeDamaged reruns a kept job after one shard's
 // checkpoint directory was deleted and a byte of another's final-stage
 // checkpoint flipped: every other shard resumes from its final checkpoint,
-// the deleted one is recomputed, the damaged one resumes from its previous
-// step's checkpoint (which the rerun leaves as it was) — and the outputs
-// are still bit-identical to the serial run.
+// and the two damaged ones are recomputed from their inputs — a shard's
+// final checkpoint is its only durable record, so the damaged one's
+// directory then holds a freshly written final file and nothing else —
+// and the outputs are still bit-identical to the serial run.
 func TestTCPFleetResumeDamaged(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
 	inputs := encryptBatch(t, ctx, 6, 71)
@@ -389,8 +424,7 @@ func TestTCPFleetResumeDamaged(t *testing.T) {
 	if err := os.WriteFile(final, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	previous := pipeline.DirStorePath(shard.CkptDir(opts.Dir, 3), last-1)
-	before, err := os.Stat(previous)
+	damaged, err := os.Stat(final)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,28 +437,43 @@ func TestTCPFleetResumeDamaged(t *testing.T) {
 	if report2.Resumed != report.Shards-2 {
 		t.Fatalf("rerun resumed %d of %d shards, want all but the two damaged", report2.Resumed, report2.Shards)
 	}
-	if after, err := os.Stat(previous); err != nil || !os.SameFile(before, after) {
-		t.Fatalf("the damaged shard's step %d checkpoint was rewritten (%v): it did not resume from it", last-1, err)
+	for _, sh := range []int{1, 3} {
+		assertOnlyFinal(t, opts.Dir, sh, len(testProgram))
+	}
+	if after, err := os.Stat(final); err != nil || os.SameFile(damaged, after) {
+		t.Fatalf("the damaged shard's final checkpoint was not written afresh (%v)", err)
+	}
+}
+
+// assertOnlyFinal checks that a shard's checkpoint directory holds exactly
+// the final step's checkpoint: a shard's one durable record.
+func assertOnlyFinal(t *testing.T, dir string, sh, steps int) {
+	t.Helper()
+	ckpt := shard.CkptDir(dir, sh)
+	entries, err := os.ReadDir(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Base(pipeline.DirStorePath(ckpt, steps-1))
+	if len(entries) != 1 || entries[0].Name() != want {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("shard %d's checkpoint directory holds %v, want only %s", sh, names, want)
 	}
 }
 
 // TestShardedDurableWrites counts the directory fsyncs of one kept job at
 // the benchmark's shape — 4 shards through 6 steps — on both routes: on
 // in-process fleet members, so every write happens here, and with no
-// fleet at all. It checks what is left: the job file and one checkpoint
-// per shard and step are all the job makes durable, and all the exchange
-// directory holds. On the fleet, inputs and outputs travel on the
+// fleet at all. It checks what is left: the job file and one final
+// checkpoint per shard are all the job makes durable, and all the
+// exchange directory holds. On the fleet, inputs and outputs travel on the
 // sessions; with none, they never leave the process.
 func TestShardedDurableWrites(t *testing.T) {
 	ctx := testCtx(t, bitpacker.BitPacker)
-	program := []bitpacker.ShardStep{
-		{Op: bitpacker.ShardOpSquare},
-		{Op: bitpacker.ShardOpOffset, Arg: 0.5},
-		{Op: bitpacker.ShardOpNegate},
-		{Op: bitpacker.ShardOpOffset, Arg: 1},
-		{Op: bitpacker.ShardOpNegate},
-		{Op: bitpacker.ShardOpOffset, Arg: 0.25},
-	}
+	program := jobProgram
 	const shards = 4
 	inputs := encryptBatch(t, ctx, 2*shards, 72)
 	want := unshardedRun(t, ctx, program, inputs)
@@ -453,8 +502,11 @@ func TestShardedDurableWrites(t *testing.T) {
 			if len(opts.Addrs) == 0 && (report.Workers != 0 || report.PredictedSpeedup != 1 || report.Stats != (bitpacker.SupervisorStats{})) {
 				t.Fatalf("the in-process route reported %d workers, speedup %g, stats %+v; want 0, 1 and none", report.Workers, report.PredictedSpeedup, report.Stats)
 			}
-			if n, want := syncs.Load(), int64(1+shards*len(program)); n != want {
-				t.Fatalf("one job made %d directory fsyncs, want %d: the job file and one per shard and step", n, want)
+			if n, want := syncs.Load(), int64(1+shards); n != want {
+				t.Fatalf("one job made %d directory fsyncs, want %d: the job file and one per shard", n, want)
+			}
+			for sh := range shards {
+				assertOnlyFinal(t, opts.Dir, sh, len(program))
 			}
 			entries, err := os.ReadDir(opts.Dir)
 			if err != nil {

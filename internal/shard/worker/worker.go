@@ -8,13 +8,13 @@
 // ticker at the hello's beat period: the loop feeds the slot's core the
 // hellos, reads, build, progress and results, and performs what it
 // answers — beats and reports written on the socket, the input batch of
-// each assign executed through the checkpointed ExecShard path off the
-// loop, compute canceled, sessions closed. A process the supervisor
-// forked (BITPACKER_SHARD_DIR in its environment, Main) is the same
-// member on a loopback port, serving that one directory until its stdin
-// closes. The process faults of internal/chaos (crash, hang, corrupt
-// output) are carried out here, because only the OS can: faults of the
-// link are a link's to inject.
+// each assign executed through ExecShard (which stores the shard's final
+// checkpoint) off the loop, compute canceled, sessions closed. A process
+// the supervisor forked (BITPACKER_SHARD_DIR in its environment, Main) is
+// the same member on a loopback port, serving that one directory until
+// its stdin closes. The process faults of internal/chaos (crash, hang,
+// corrupt output) are carried out here, because only the OS can: faults
+// of the link are a link's to inject.
 package worker
 
 import (

@@ -12,8 +12,10 @@ import (
 // PipelineStage is one step of a long homomorphic computation. Run
 // receives the state produced by the previous stage and returns the
 // next state. Run must treat its input as read-only: on a retry or a
-// resume the same input is replayed from the checkpointed truth (each
-// attempt receives a fresh deep copy).
+// resume the same input is replayed from the checkpointed truth. Under
+// Config.Retry each attempt receives a fresh deep copy, so a faulted
+// attempt cannot damage what its re-run reads; without it Run receives
+// the state itself.
 type PipelineStage struct {
 	Name string
 	Run  func(ctx context.Context, state []*Ciphertext) ([]*Ciphertext, error)
@@ -46,19 +48,11 @@ type PipelineReport = pipeline.Report
 // On success the checkpoints are cleared unless Keep is set; on failure
 // they remain for the next attempt.
 func (c *Context) RunPipeline(ctx context.Context, stages []PipelineStage, initial []*Ciphertext, opts PipelineOptions) ([]*Ciphertext, PipelineReport, error) {
-	final, _, report, err := c.runPipeline(ctx, stages, initial, opts)
-	return final, report, err
-}
-
-// runPipeline is RunPipeline that also returns the payload of the last
-// checkpoint (pipeline.RunStored): the final state's encoding, nil
-// without CheckpointDir.
-func (c *Context) runPipeline(ctx context.Context, stages []PipelineStage, initial []*Ciphertext, opts PipelineOptions) ([]*Ciphertext, []byte, PipelineReport, error) {
 	inner := make([]pipeline.Stage, len(stages))
 	for i, st := range stages {
 		run := st.Run
 		if run == nil {
-			return nil, nil, PipelineReport{ResumedFrom: -1}, fherr.Wrap(fherr.ErrInvalidParams,
+			return nil, PipelineReport{ResumedFrom: -1}, fherr.Wrap(fherr.ErrInvalidParams,
 				"bitpacker: pipeline stage %d (%q) has no Run", i, st.Name)
 		}
 		inner[i] = pipeline.Stage{
@@ -76,7 +70,7 @@ func (c *Context) runPipeline(ctx context.Context, stages []PipelineStage, initi
 	if opts.CheckpointDir != "" {
 		ds, err := pipeline.NewDirStore(opts.CheckpointDir)
 		if err != nil {
-			return nil, nil, PipelineReport{ResumedFrom: -1}, err
+			return nil, PipelineReport{ResumedFrom: -1}, err
 		}
 		store = ds
 	}
@@ -89,20 +83,20 @@ func (c *Context) runPipeline(ctx context.Context, stages []PipelineStage, initi
 	}
 	p, err := pipeline.New(c.params, inner, pipeline.Options{Store: store, Retry: retryCopy, Keep: opts.Keep})
 	if err != nil {
-		return nil, nil, PipelineReport{ResumedFrom: -1}, err
+		return nil, PipelineReport{ResumedFrom: -1}, err
 	}
 	init, err := c.unwrapState(initial)
 	if err != nil {
-		return nil, nil, PipelineReport{ResumedFrom: -1}, err
+		return nil, PipelineReport{ResumedFrom: -1}, err
 	}
 	if ctx == nil {
 		ctx = c.opCtx()
 	}
-	final, stored, report, err := p.RunStored(ctx, init)
+	final, report, err := p.Run(ctx, init)
 	if err != nil {
-		return nil, nil, report, err
+		return nil, report, err
 	}
-	return wrapState(final), stored, report, nil
+	return wrapState(final), report, nil
 }
 
 func wrapState(state []*ckks.Ciphertext) []*Ciphertext {

@@ -183,19 +183,19 @@ func (c *Context) ApplyShardStep(step ShardStep, state []*Ciphertext) ([]*Cipher
 }
 
 // ShardHook observes a program's step boundaries inside ExecShard: it is
-// called with the step index before each step runs (skipped for steps
-// restored from a checkpoint). The shard worker uses it for progress
-// heartbeats and chaos injection points.
+// called with the step index before each step runs (none runs when the
+// shard's final checkpoint is intact). The shard worker uses it for
+// progress heartbeats and chaos injection points.
 type ShardHook func(step int)
 
-// runProgram runs a program as a checkpointed pipeline, one stage per
-// step (RunPipeline's options and report), and also returns the payload
-// of the last checkpoint (runPipeline). Stage i is named stageName(i,
-// step), which is what a checkpoint directory is resumed by. Whoever
-// accepts a program from outside calls PlanProgram first; a step it would
-// have refused fails here with the same typed error, at its stage. Its
-// one caller is ExecShard: a durable program is a RunSharded job.
-func (c *Context) runProgram(ctx context.Context, program []ShardStep, state []*Ciphertext, opts PipelineOptions, hook ShardHook) ([]*Ciphertext, []byte, PipelineReport, error) {
+// runProgram runs a program in memory as a pipeline, one stage per step,
+// with no checkpoint: the stage rung (Config.Retry) and the report are
+// RunPipeline's. Its one caller is ExecShard, which makes the shard's
+// final state durable under stageName(last, step), the name a checkpoint
+// directory is resumed by. Whoever accepts a program from outside calls
+// PlanProgram first; a step it would have refused fails here with the
+// same typed error, at its stage.
+func (c *Context) runProgram(ctx context.Context, program []ShardStep, state []*Ciphertext, hook ShardHook) ([]*Ciphertext, PipelineReport, error) {
 	stages := make([]PipelineStage, len(program))
 	for i, st := range program {
 		stages[i] = PipelineStage{
@@ -208,7 +208,7 @@ func (c *Context) runProgram(ctx context.Context, program []ShardStep, state []*
 			},
 		}
 	}
-	return c.runPipeline(ctx, stages, state, opts)
+	return c.RunPipeline(ctx, stages, state, PipelineOptions{})
 }
 
 // stageName is the pipeline stage name of a program's step i: "%02d-<op>".

@@ -1,8 +1,10 @@
 package bitpacker
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -315,6 +317,69 @@ func TestSelfHealMetadataFaults(t *testing.T) {
 				t.Fatalf("%v/%s: report.Retries = %d, want 1", scheme, f.name, report.Retries)
 			}
 			equalSlots(t, f.name, c.MustDecrypt(healed[0]), cleanVals)
+		}
+	}
+}
+
+// TestSelfHealScribbledStageInput holds the stage rung to its contract
+// under Config.Retry: a first attempt that scribbles over its input — the
+// coefficients of every residue of C0 and C1, more than the RRNS rung
+// could repair, and on a chain without a spare channel anyway — and then
+// fails with ErrEngineFault is re-run on a pristine copy. The result is
+// bit-identical to an unfaulted run's, and the caller's input is
+// untouched.
+func TestSelfHealScribbledStageInput(t *testing.T) {
+	for _, scheme := range []Scheme{RNSCKKS, BitPacker} {
+		c, err := New(Config{Scheme: scheme, LogN: 9, Levels: 3, ScaleBits: 40, WordBits: 61, Retry: fastRetry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := c.MustEncrypt(randComplex(c.Slots(), rand.New(rand.NewPCG(23, 24))))
+		inBytes, err := c.MarshalCiphertext(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		square := func(_ context.Context, state []*Ciphertext) ([]*Ciphertext, error) {
+			out, err := c.MulRescale(state[0], state[0])
+			return []*Ciphertext{out}, err
+		}
+		clean, _, err := c.RunPipeline(context.Background(), []PipelineStage{{Name: "square", Run: square}}, []*Ciphertext{in}, PipelineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		attempts := 0
+		scribble := func(ctx context.Context, state []*Ciphertext) ([]*Ciphertext, error) {
+			if attempts++; attempts == 1 {
+				for _, p := range [][][]uint64{state[0].ct.C0.Coeffs, state[0].ct.C1.Coeffs} {
+					for _, row := range p {
+						clear(row)
+					}
+				}
+				return nil, fmt.Errorf("scribbled on its input: %w", ErrEngineFault)
+			}
+			return square(ctx, state)
+		}
+		healed, report, err := c.RunPipeline(context.Background(), []PipelineStage{{Name: "square", Run: scribble}}, []*Ciphertext{in}, PipelineOptions{})
+		if err != nil {
+			t.Fatalf("%v: the stage rung did not heal: %v", scheme, err)
+		}
+		if report.Retries != 1 || attempts != 2 {
+			t.Fatalf("%v: %d retries over %d attempts, want 1 over 2", scheme, report.Retries, attempts)
+		}
+		for _, pair := range [][2]*Ciphertext{{healed[0], clean[0]}, {in, nil}} {
+			got, err := c.MarshalCiphertext(pair[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := inBytes
+			if pair[1] != nil {
+				if want, err = c.MarshalCiphertext(pair[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v: the re-run did not see a pristine input (result or input bytes differ)", scheme)
+			}
 		}
 	}
 }

@@ -54,31 +54,41 @@ func (c *Context) DecodeCiphertexts(data []byte) ([]*Ciphertext, error) {
 // as that shard's batch.
 func (c *Context) MaxCiphertextBytes() int { return ckks.MaxCiphertextBytes(c.params) }
 
-// ExecShard executes one shard of a sharded job: decodes its input batch
-// (an EncodeCiphertexts batch, as its assign carried it), runs the
-// program through the checkpointed pipeline and returns the output
-// batch. Every step is checkpointed under the shard's directory in the
-// exchange directory dir, and the checkpoints are kept: a re-dispatched
-// shard resumes from its last durable step instead of recomputing, and
-// the last one is the shard's output — the returned batch is the very
-// payload it stored — which a rerun of the job resumes from. Fleet
-// members and RunSharded's in-process route (a job with no fleet, or the
-// shards a lost fleet left unfinished) run shards through this one code
-// path, which is what makes every execution mode bit-identical. hook, if
-// not nil, is called with the step index before each step runs (skipped
-// for steps restored from a checkpoint), and once more with
-// len(program) when the last step is done.
+// ExecShard executes one shard of a sharded job and returns its output
+// batch. A shard's one durable record is its final checkpoint, the last
+// step's under the shard's directory in the exchange directory dir: when
+// it is intact ExecShard returns it and runs nothing; otherwise it runs
+// the program in memory on the input batch its assign carried (the
+// Config.Retry stage rung kept), then stores and returns the final
+// state's encoding. Fleet members and RunSharded's in-process route run
+// shards through this one code path, which is what makes every execution
+// mode bit-identical. hook, if not nil, is called with the step index
+// before each step runs, and with len(program) once the output is durable.
 func (c *Context) ExecShard(ctx context.Context, dir string, shardID int, input []byte, program []ShardStep, hook ShardHook) ([]byte, error) {
-	state, err := c.DecodeCiphertexts(input)
-	if err != nil {
-		return nil, fmt.Errorf("bitpacker: shard %d input: %w", shardID, err)
-	}
-	// The output is the payload the last step's checkpoint stored (or the
-	// run resumed from): the final state's encoding, not encoded again.
-	_, output, _, err := c.runProgram(ctx, program, state,
-		PipelineOptions{CheckpointDir: shard.CkptDir(dir, shardID), Keep: true}, hook)
+	store, err := pipeline.NewDirStore(shard.CkptDir(dir, shardID))
 	if err != nil {
 		return nil, err
+	}
+	last := len(program) - 1 // a planned program is not empty
+	name := stageName(last, program[last])
+	got, output, err := store.Get(last)
+	if err == nil && got == name {
+		_, err = c.DecodeCiphertexts(output)
+	}
+	if err != nil || got != name {
+		state, err := c.DecodeCiphertexts(input)
+		if err != nil {
+			return nil, fmt.Errorf("bitpacker: shard %d input: %w", shardID, err)
+		}
+		if state, _, err = c.runProgram(ctx, program, state, hook); err == nil {
+			output, err = c.EncodeCiphertexts(state)
+		}
+		if err == nil {
+			err = store.Put(last, name, output)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	if hook != nil {
 		hook(len(program))
@@ -177,19 +187,20 @@ func clearExchange(dir string) error {
 }
 
 // RunSharded executes a declarative program over a ciphertext batch as
-// a durable job: the batch is partitioned into shards, every shard
-// checkpoints every step under the exchange directory, and a rerun over
-// the same directory accepts the shards whose final checkpoint is
-// intact. With no fleet (Workers 0, no Addrs) the shards run in-process,
-// in order, through ExecShard. Otherwise supervised worker processes run
-// them, surviving worker crashes and hangs: each shard's input rides its
+// a durable job: the batch is partitioned into shards, each shard's final
+// state is its one checkpoint under the exchange directory, and a rerun
+// over the same directory accepts the shards whose one is intact. With no
+// fleet (Workers 0, no Addrs) the shards run in-process, in order,
+// through ExecShard. Otherwise supervised worker processes run them,
+// surviving worker crashes and hangs: each shard's input rides its
 // assign and its output the worker's done, and a dead worker's shards
-// are re-dispatched to survivors, who resume from their last durable
-// checkpoint. A fleet lost altogether leaves the shards it did not finish
-// to the in-process route (DegradedEntries, LocalShards), or fails the job
-// with ErrFaultUnrecovered under DisableDegraded. Either route is
-// bit-identical to running the program in-process. See DESIGN.md
-// "Sharded execution & supervision" for the failure matrix.
+// are re-dispatched to survivors, who recompute them from their input
+// unless the final checkpoint landed. A fleet lost altogether leaves the
+// shards it did not finish to the in-process route (DegradedEntries,
+// LocalShards), or fails the job with ErrFaultUnrecovered under
+// DisableDegraded. Either route is bit-identical to running the program
+// in-process. See DESIGN.md "Sharded execution & supervision" for the
+// failure matrix.
 func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []*Ciphertext, opts ShardOptions) ([]*Ciphertext, ShardReport, error) {
 	report := ShardReport{}
 	if len(inputs) == 0 {
@@ -287,8 +298,7 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 	// Collect results as shards complete. A shard whose final checkpoint
 	// a previous run of this job left intact is done already: the
 	// fingerprint check above has cleared any other job's. A damaged or
-	// missing one is dispatched as usual and resumes from the latest
-	// checkpoint that is intact.
+	// missing one is dispatched and recomputed.
 	results := make([][]*Ciphertext, total)
 	var resMu sync.Mutex
 	collect := func(sh int, batch []byte) error {
