@@ -1,21 +1,13 @@
 package pipeline
 
 import (
-	"context"
-	"encoding/binary"
-	"errors"
-	"hash/fnv"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"bitpacker/internal/ckks"
 	"bitpacker/internal/core"
-	"bitpacker/internal/engine"
-	"bitpacker/internal/fherr"
 	"bitpacker/internal/frame"
 )
 
@@ -78,42 +70,6 @@ func randVals(n int, rng *rand.Rand) []complex128 {
 		vals[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
 	}
 	return vals
-}
-
-// squareStages is a 3-stage pipeline: square+rescale, double, square+
-// rescale again — deep enough that a mid-pipeline resume skips real work.
-func squareStages(s *setup) []Stage {
-	sq := func(ctx context.Context, state []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
-		out, err := s.ev.MulRelin(state[0], state[0])
-		if err != nil {
-			return nil, err
-		}
-		if out, err = s.ev.Rescale(out); err != nil {
-			return nil, err
-		}
-		return []*ckks.Ciphertext{out}, nil
-	}
-	double := func(ctx context.Context, state []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
-		out, err := s.ev.Add(state[0], state[0])
-		if err != nil {
-			return nil, err
-		}
-		return []*ckks.Ciphertext{out}, nil
-	}
-	return []Stage{
-		{Name: "square-1", Run: sq},
-		{Name: "double", Run: double},
-		{Name: "square-2", Run: sq},
-	}
-}
-
-func wantSquare(vals []complex128) []complex128 {
-	out := make([]complex128, len(vals))
-	for i, v := range vals {
-		x := v * v
-		out[i] = (2 * x) * (2 * x)
-	}
-	return out
 }
 
 func maxErr(got, want []complex128) float64 {
@@ -184,333 +140,6 @@ func TestDecodeStateRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestPipelineCleanRun(t *testing.T) {
-	for _, scheme := range bothSchemes {
-		s := newSetup(t, scheme, true)
-		store := NewMemStore()
-		p, err := New(s.params, squareStages(s), Options{Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewPCG(5, 6))
-		vals := randVals(s.params.Slots(), rng)
-		final, report, err := p.Run(context.Background(), []*ckks.Ciphertext{s.encrypt(t, vals)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.ResumedFrom != -1 || report.StagesRun != 3 {
-			t.Fatalf("%v: report = %+v", scheme, report)
-		}
-		got := s.dec.MustDecryptAndDecode(final[0], s.enc)
-		if e := maxErr(got, wantSquare(vals)); e > 1e-3 {
-			t.Fatalf("%v: error %g", scheme, e)
-		}
-		stages, _ := store.Stages()
-		if len(stages) != 0 {
-			t.Fatalf("%v: %d checkpoints left after success (Keep unset)", scheme, len(stages))
-		}
-	}
-}
-
-// TestPipelineResume: a run dies mid-pipeline, a fresh Run (modeling a
-// process restart) resumes from the last checkpoint — skipping completed
-// stages — and produces the exact values of an uninterrupted run.
-func TestPipelineResume(t *testing.T) {
-	for _, scheme := range bothSchemes {
-		s := newSetup(t, scheme, true)
-		rng := rand.New(rand.NewPCG(7, 8))
-		vals := randVals(s.params.Slots(), rng)
-		initial := s.encrypt(t, vals)
-
-		// Reference: uninterrupted run without a store.
-		pRef, err := New(s.params, squareStages(s), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refOut, _, err := pRef.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := s.dec.MustDecryptAndDecode(refOut[0], s.enc)
-
-		// Faulted run: stage 2 dies (simulated crash) after 0 and 1 are
-		// checkpointed.
-		store := NewMemStore()
-		stages := squareStages(s)
-		goodRun := stages[2].Run
-		stages[2].Run = func(context.Context, []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
-			return nil, fherr.Wrap(fherr.ErrEngineFault, "simulated crash")
-		}
-		p1, err := New(s.params, stages, Options{Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := p1.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()}); err == nil {
-			t.Fatal("faulted run succeeded")
-		}
-		left, _ := store.Stages()
-		if len(left) != 2 {
-			t.Fatalf("%v: %d checkpoints after stages 0,1 completed, want 2", scheme, len(left))
-		}
-
-		// Restarted process: fresh pipeline over the same store; no initial
-		// state is even needed for the skipped stages.
-		stages[2].Run = goodRun
-		p2, err := New(s.params, stages, Options{Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		final, report, err := p2.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.ResumedFrom != 1 || report.StagesRun != 1 {
-			t.Fatalf("%v: resume report = %+v, want ResumedFrom=1 StagesRun=1", scheme, report)
-		}
-		got := s.dec.MustDecryptAndDecode(final[0], s.enc)
-		if e := maxErr(got, ref); e != 0 {
-			t.Fatalf("%v: resumed run differs from uninterrupted run by %g", scheme, e)
-		}
-	}
-}
-
-// corrupt flips a byte inside a stored checkpoint's payload region.
-func corrupt(s *MemStore, stage int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	blob, ok := s.blobs[stage]
-	if !ok || len(blob) < 32 {
-		return false
-	}
-	blob[len(blob)/2] ^= 0xff
-	return true
-}
-
-// TestPipelineFallsBackPastCorruptCheckpoint: the newest checkpoint is
-// corrupted on disk; resume detects it via the checksum and restarts
-// from the previous stage instead.
-func TestPipelineFallsBackPastCorruptCheckpoint(t *testing.T) {
-	s := newSetup(t, core.BitPacker, true)
-	rng := rand.New(rand.NewPCG(9, 10))
-	vals := randVals(s.params.Slots(), rng)
-	initial := s.encrypt(t, vals)
-
-	store := NewMemStore()
-	p, err := New(s.params, squareStages(s), Options{Store: store, Keep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOut, _, err := p.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := s.dec.MustDecryptAndDecode(refOut[0], s.enc)
-
-	if !corrupt(store, 2) {
-		t.Fatal("could not corrupt stage-2 checkpoint")
-	}
-	final, report, err := p.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.ResumedFrom != 1 || report.StagesRun != 1 {
-		t.Fatalf("fallback report = %+v, want ResumedFrom=1 StagesRun=1", report)
-	}
-	got := s.dec.MustDecryptAndDecode(final[0], s.enc)
-	if e := maxErr(got, ref); e != 0 {
-		t.Fatalf("fallback run differs by %g", e)
-	}
-}
-
-// TestPipelineRefusesParentFormatCheckpoint: the newest checkpoint on disk
-// is in the previous release's format ("BPKP" header, FNV-64a trailer,
-// count- and length-prefixed state), intact by that format's own
-// checksum. There is no compatibility reader: it is refused like a
-// corrupt one and the run recomputes from the previous intact stage.
-func TestPipelineRefusesParentFormatCheckpoint(t *testing.T) {
-	s := newSetup(t, core.BitPacker, false)
-	rng := rand.New(rand.NewPCG(19, 20))
-	initial := s.encrypt(t, randVals(s.params.Slots(), rng))
-	dir := t.TempDir()
-	store, err := NewDirStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(s.params, squareStages(s), Options{Store: store, Keep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOut, _, err := p.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := s.dec.MustDecryptAndDecode(refOut[0], s.enc)
-
-	ctBlob, err := refOut[0].MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := binary.LittleEndian.AppendUint32(nil, 1)
-	state = binary.LittleEndian.AppendUint64(state, uint64(len(ctBlob)))
-	state = append(state, ctBlob...)
-	const stage, name = 2, "square-2"
-	old := append([]byte("BPKP"), 1)
-	old = binary.LittleEndian.AppendUint32(old, stage)
-	old = binary.LittleEndian.AppendUint32(old, uint32(len(name)))
-	old = append(old, name...)
-	old = binary.LittleEndian.AppendUint64(old, uint64(len(state)))
-	old = append(old, state...)
-	h := fnv.New64a()
-	h.Write(old)
-	old = binary.LittleEndian.AppendUint64(old, h.Sum64())
-	if err := os.WriteFile(DirStorePath(dir, stage), old, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := store.Get(stage); err == nil {
-		t.Fatal("parent-format checkpoint accepted")
-	}
-
-	final, report, err := p.Run(context.Background(), []*ckks.Ciphertext{initial.CopyNew()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.ResumedFrom != 1 || report.StagesRun != 1 {
-		t.Fatalf("report = %+v, want ResumedFrom=1 StagesRun=1", report)
-	}
-	if e := maxErr(s.dec.MustDecryptAndDecode(final[0], s.enc), ref); e != 0 {
-		t.Fatalf("recomputed run differs by %g", e)
-	}
-}
-
-// TestPipelineRetryHealsStage: a transient stage fault is healed by the
-// retry rung without consuming the checkpoint rung.
-func TestPipelineRetryHealsStage(t *testing.T) {
-	s := newSetup(t, core.RNSCKKS, true)
-	rng := rand.New(rand.NewPCG(11, 12))
-	vals := randVals(s.params.Slots(), rng)
-
-	stages := squareStages(s)
-	inner := stages[1].Run
-	failures := 2
-	stages[1].Run = func(ctx context.Context, state []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
-		if failures > 0 {
-			failures--
-			return nil, fherr.Wrap(fherr.ErrInvariant, "transient corruption")
-		}
-		return inner(ctx, state)
-	}
-	p, err := New(s.params, stages, Options{
-		Retry: &engine.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Microsecond, Seed: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, report, err := p.Run(context.Background(), []*ckks.Ciphertext{s.encrypt(t, vals)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Retries != 2 {
-		t.Fatalf("report.Retries = %d, want 2", report.Retries)
-	}
-	got := s.dec.MustDecryptAndDecode(final[0], s.enc)
-	if e := maxErr(got, wantSquare(vals)); e > 1e-3 {
-		t.Fatalf("error %g", e)
-	}
-}
-
-// TestPipelineRetryExhaustion: a persistent fault exhausts the budget
-// and surfaces the typed unrecovered error with stage context.
-func TestPipelineRetryExhaustion(t *testing.T) {
-	s := newSetup(t, core.BitPacker, false)
-	stages := []Stage{{Name: "doomed", Run: func(context.Context, []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
-		return nil, fherr.Wrap(fherr.ErrEngineFault, "persistent")
-	}}}
-	p, err := New(s.params, stages, Options{
-		Retry: &engine.RetryPolicy{MaxAttempts: 2, BaseDelay: 50 * time.Microsecond, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(13, 14))
-	_, _, err = p.Run(context.Background(), []*ckks.Ciphertext{s.encrypt(t, randVals(s.params.Slots(), rng))})
-	if !errors.Is(err, fherr.ErrFaultUnrecovered) {
-		t.Fatalf("err = %v, want ErrFaultUnrecovered", err)
-	}
-}
-
-// TestPipelineStageInputCopiedOnlyForRetry pins who pays for the deep
-// copy of a stage's input: under a retry policy every attempt gets one, a
-// pristine replay of the retained input; with no policy nothing re-runs a
-// stage, and it receives the state itself, allocating per stage far less
-// than one state's size.
-func TestPipelineStageInputCopiedOnlyForRetry(t *testing.T) {
-	s := newSetup(t, core.BitPacker, false)
-	rng := rand.New(rand.NewPCG(21, 22))
-	ct := s.encrypt(t, randVals(s.params.Slots(), rng))
-	initial := []*ckks.Ciphertext{ct}
-	var same, copied int
-	pass := func(_ context.Context, state []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
-		if state[0] == ct {
-			same++
-		} else {
-			copied++
-		}
-		return state, nil
-	}
-	stages := []Stage{{Name: "a", Run: pass}, {Name: "b", Run: pass}, {Name: "c", Run: pass}}
-	for _, retry := range []*engine.RetryPolicy{nil, {MaxAttempts: 2, BaseDelay: time.Microsecond, Seed: 1}} {
-		same, copied = 0, 0
-		p, err := New(s.params, stages, Options{Retry: retry})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := p.Run(context.Background(), initial); err != nil {
-			t.Fatal(err)
-		}
-		if retry == nil && (same != len(stages) || copied != 0) {
-			t.Fatalf("no retrier: %d stages got the state itself and %d a copy, want all of them the state", same, copied)
-		}
-		if retry != nil && (copied != len(stages) || same != 0) {
-			t.Fatalf("under a retrier: %d stages got a copy and %d the state itself, want all of them a copy", copied, same)
-		}
-	}
-	if raceEnabled {
-		return
-	}
-	p, err := New(s.params, stages, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		if _, _, err := p.Run(context.Background(), initial); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perStage := float64(after.TotalAlloc-before.TotalAlloc) / (runs * float64(len(stages)))
-	if size := ct.BinarySize(); perStage >= float64(size)/8 {
-		t.Fatalf("a stage with no retrier allocates %.0f bytes, against a %d-byte state: its input is being copied", perStage, size)
-	}
-}
-
-func TestPipelineCancellation(t *testing.T) {
-	s := newSetup(t, core.BitPacker, false)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p, err := New(s.params, squareStages(s), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(15, 16))
-	_, _, err = p.Run(ctx, []*ckks.Ciphertext{s.encrypt(t, randVals(s.params.Slots(), rng))})
-	if !errors.Is(err, fherr.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
 func TestDirStore(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDirStore(filepath.Join(dir, "ckpts"))
@@ -537,6 +166,14 @@ func TestDirStore(t *testing.T) {
 	}
 	if name != "stage-three" || string(got) != string(payload) {
 		t.Fatalf("Get = %q, %q", name, got)
+	}
+	// MemStore frames a checkpoint as DirStore does, in memory.
+	mem := NewMemStore()
+	if err := mem.Put(3, "stage-three", payload); err != nil {
+		t.Fatal(err)
+	}
+	if name, got, err := mem.Get(3); err != nil || name != "stage-three" || string(got) != string(payload) {
+		t.Fatalf("MemStore.Get = %q, %q, %v", name, got, err)
 	}
 
 	// Overwrite is atomic-replace, not append.

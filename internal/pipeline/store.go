@@ -13,24 +13,6 @@ import (
 	"bitpacker/internal/frame"
 )
 
-// Store persists stage checkpoints. Implementations must make Put
-// atomic: a crash mid-write leaves either the previous checkpoint or
-// none, never a torn one. Get must verify integrity and report a
-// corrupted blob as an error — the resume scan treats any Get error as
-// "fall back to the previous stage".
-type Store interface {
-	// Put atomically replaces the checkpoint for a stage.
-	Put(stage int, name string, payload []byte) error
-	// Get returns a stage's checkpoint. Missing, truncated, or
-	// checksum-mismatched blobs are errors.
-	Get(stage int) (name string, payload []byte, err error)
-	// Stages lists the stage indices with a checkpoint present (valid or
-	// not), ascending.
-	Stages() ([]int, error)
-	// Clear removes every checkpoint.
-	Clear() error
-}
-
 // A checkpoint blob is two frames (internal/frame): a Meta head, the
 // stage in decimal, a space and the stage's name, then a Body frame
 // carrying the payload. Each frame's CRC-32C turns silent disk or DRAM
@@ -134,9 +116,8 @@ func (s *DirStore) Clear() error {
 	return nil
 }
 
-// MemStore is an in-memory Store for tests and single-process runs that
-// want stage-rerun recovery without touching disk. Safe for concurrent
-// use.
+// MemStore keeps checkpoints in memory, framed exactly as DirStore
+// frames them on disk. Safe for concurrent use.
 type MemStore struct {
 	mu    sync.Mutex
 	blobs map[int][]byte
@@ -166,22 +147,4 @@ func (s *MemStore) Get(stage int) (string, []byte, error) {
 		return "", nil, fmt.Errorf("pipeline: no checkpoint for stage %d", stage)
 	}
 	return decodeCheckpoint(stage, blob)
-}
-
-func (s *MemStore) Stages() ([]int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stages := make([]int, 0, len(s.blobs))
-	for stage := range s.blobs {
-		stages = append(stages, stage)
-	}
-	sort.Ints(stages)
-	return stages, nil
-}
-
-func (s *MemStore) Clear() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobs = map[int][]byte{}
-	return nil
 }

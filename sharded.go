@@ -23,11 +23,11 @@ import (
 // EncodeCiphertexts serializes a ciphertext batch in the shard-exchange
 // wire format (the pipeline checkpoint state encoding).
 func (c *Context) EncodeCiphertexts(cts []*Ciphertext) ([]byte, error) {
-	inner, err := c.unwrapState(cts)
+	settled, err := c.settleState(cts)
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.EncodeState(inner)
+	return pipeline.EncodeState(unwrapState(settled))
 }
 
 // DecodeCiphertexts decodes an EncodeCiphertexts batch. Every ciphertext
@@ -71,11 +71,8 @@ func (c *Context) ExecShard(ctx context.Context, dir string, shardID int, input 
 	}
 	last := len(program) - 1 // a planned program is not empty
 	name := stageName(last, program[last])
-	got, output, err := store.Get(last)
-	if err == nil && got == name {
-		_, err = c.DecodeCiphertexts(output)
-	}
-	if err != nil || got != name {
+	_, output, err := c.storedStage(store, last, name)
+	if err != nil {
 		state, err := c.DecodeCiphertexts(input)
 		if err != nil {
 			return nil, fmt.Errorf("bitpacker: shard %d input: %w", shardID, err)
@@ -301,11 +298,7 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 	// missing one is dispatched and recomputed.
 	results := make([][]*Ciphertext, total)
 	var resMu sync.Mutex
-	collect := func(sh int, batch []byte) error {
-		cts, err := c.DecodeCiphertexts(batch)
-		if err != nil {
-			return err
-		}
+	collect := func(sh int, cts []*Ciphertext) error {
 		if len(cts) != sizes[sh] {
 			return fherr.Wrap(fherr.ErrInvariant, "bitpacker: shard %d output has %d ciphertexts, want %d", sh, len(cts), sizes[sh])
 		}
@@ -314,6 +307,13 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		resMu.Unlock()
 		return nil
 	}
+	receive := func(sh int, batch []byte) error {
+		cts, err := c.DecodeCiphertexts(batch)
+		if err != nil {
+			return err
+		}
+		return collect(sh, cts)
+	}
 	preDone := make([]bool, total)
 	last := len(program) - 1
 	for sh := range preDone {
@@ -321,7 +321,7 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		if err != nil {
 			continue
 		}
-		if name, batch, err := store.Get(last); err == nil && name == stageName(last, program[last]) && collect(sh, batch) == nil {
+		if cts, _, err := c.storedStage(store, last, stageName(last, program[last])); err == nil && collect(sh, cts) == nil {
 			preDone[sh] = true
 			report.Resumed++
 		}
@@ -349,7 +349,7 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 		if len(fleet.Addrs) == 0 && len(fleet.WorkerCommand) == 0 {
 			err = fmt.Errorf("bitpacker: no worker command or fleet address: %w: %w", shard.ErrFleetLost, fherr.ErrFaultUnrecovered)
 		} else {
-			report.Stats, err = shard.Run(ctx, fleet, fingerprint, blobs, shard.Limit{Counts: sizes, CiphertextBytes: c.MaxCiphertextBytes()}, preDone, collect)
+			report.Stats, err = shard.Run(ctx, fleet, fingerprint, blobs, shard.Limit{Counts: sizes, CiphertextBytes: c.MaxCiphertextBytes()}, preDone, receive)
 		}
 		switch {
 		case err == nil:
@@ -365,7 +365,7 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 	for _, sh := range todo {
 		out, err := c.ExecShard(ctx, dir, sh, blobs[sh], program, nil)
 		if err == nil {
-			err = collect(sh, out)
+			err = receive(sh, out)
 		}
 		if err != nil {
 			return nil, report, err
