@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test check clean panicgate opgate keygate jobgate routegate framegate puregate rotgate divgate docs-check loc fuzz-smoke chaos-soak serve-smoke
+.PHONY: all build vet test race bench-test check clean panicgate opgate keygate jobgate clientgate routegate framegate puregate rotgate divgate docs-check loc fuzz-smoke chaos-soak serve-smoke
 
 all: check
 
@@ -71,6 +71,16 @@ jobgate:
 	@bad=$$(grep -rnE 'RunProgram|RunPipeline|PipelineOptions' --include='*.go' internal/serve \
 		| grep -v _test.go; true); \
 	if [ -n "$$bad" ]; then echo "second durable job route in internal/serve:"; echo "$$bad"; exit 1; fi
+
+# Client gate: the paper reproduction (internal/experiments) is a client
+# of the library — its functional experiments build a bitpacker.Context
+# and run the public API. Non-test code there that imports internal/ckks
+# is a second scheme setup growing back. The reverse edge needs no gate:
+# the root importing internal/experiments would be an import cycle.
+clientgate:
+	@bad=$$(grep -rn '"bitpacker/internal/ckks"' --include='*.go' internal/experiments \
+		| grep -v _test.go; true); \
+	if [ -n "$$bad" ]; then echo "internal/experiments builds its own scheme:"; echo "$$bad"; exit 1; fi
 
 # Two-route gate: a sharded job has RunSharded's two routes — its
 # in-process loop (no fleet, or the shards a lost fleet left unfinished)
@@ -245,9 +255,10 @@ chaos-soak:
 # Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
 # included), the parallel hot paths must be race-free, a program op must
 # have one definition, switching keys one source, a served long job one
-# route, a shard two routes, streams and blobs one frame format, the state-machine cores
-# stay pure, a rotation one route, and the docs may name only commands that exist.
-check: build vet test bench-test race panicgate opgate keygate jobgate routegate framegate puregate rotgate divgate docs-check
+# route, the paper reproduction no scheme of its own, a shard two routes,
+# streams and blobs one frame format, the state-machine cores stay pure,
+# a rotation one route, and the docs may name only commands that exist.
+check: build vet test bench-test race panicgate opgate keygate jobgate clientgate routegate framegate puregate rotgate divgate docs-check
 
 clean:
 	$(GO) clean ./...

@@ -229,22 +229,6 @@ func TestSimulateWorkloadAPI(t *testing.T) {
 	if _, err := SimulateWorkload("LogReg", "nope", BitPacker, 28); err == nil {
 		t.Fatal("unknown bootstrap accepted")
 	}
-}
-
-func TestRunExperimentAPI(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunExperiment("fig01", true, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "BitPacker") {
-		t.Fatalf("experiment output malformed: %s", buf.String())
-	}
-	if err := RunExperiment("nope", true, &buf); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	if len(ExperimentIDs()) < 13 {
-		t.Fatalf("expected >=13 experiments, got %d", len(ExperimentIDs()))
-	}
 	if len(Workloads()) != 5 || len(BootstrapAlgorithms()) != 2 {
 		t.Fatal("workload registry wrong")
 	}

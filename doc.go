@@ -13,9 +13,11 @@
 //     compare the two representations on the paper's five benchmarks:
 //     SimulateWorkload.
 //
-//   - The paper's full evaluation as runnable experiments: RunExperiment
-//     and the cmd/bpbench tool. (Host timings of the library itself are a
-//     separate module, bench/, declared in BENCHMARK.json.)
+//   - The paper's full evaluation as runnable experiments: the
+//     cmd/bpbench tool, whose functional experiments (Table 1, Figs 13,
+//     18 and 19) are clients of this package. (Host timings of the
+//     library itself are a separate module, bench/, declared in
+//     BENCHMARK.json.)
 //
 // A minimal session:
 //

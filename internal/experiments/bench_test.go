@@ -1,4 +1,4 @@
-package bitpacker
+package experiments
 
 // The benchmark harness: one testing.B benchmark per paper table/figure.
 // Each BenchmarkFigXX regenerates the corresponding artifact (in quick
@@ -9,18 +9,16 @@ package bitpacker
 import (
 	"bytes"
 	"testing"
-
-	"bitpacker/internal/experiments"
 )
 
 // runExperimentBench regenerates one experiment per benchmark invocation.
 func runExperimentBench(b *testing.B, id string) {
 	b.Helper()
-	r, ok := experiments.ByID(id)
+	r, ok := ByID(id)
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	var out *experiments.Result
+	var out *Result
 	for i := 0; i < b.N; i++ {
 		res, err := r.Run(true)
 		if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,6 +25,41 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("unknown id resolved")
+	}
+}
+
+func TestFig01RendersBitPacker(t *testing.T) {
+	r, _ := ByID("fig01")
+	res, err := r.Run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	res.Render(&buf)
+	if !strings.Contains(buf.String(), "BitPacker") {
+		t.Fatalf("experiment output malformed: %s", buf.String())
+	}
+}
+
+// TestFunctionalGolden pins the rendered quick output of the functional
+// experiments that measure precision (Table 1, Figs 18 and 19) byte for
+// byte: a change to the library ops they run (New, Encrypt, MulRescale,
+// Adjust, Add, Decrypt) that moves a figure fails here.
+func TestFunctionalGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/functional_quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for _, run := range []func(bool) (*Result, error){runTab1, runFig18, runFig19} {
+		res, err := run(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Render(&buf)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("functional experiments moved:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

@@ -8,58 +8,15 @@ import (
 	"sort"
 	"time"
 
-	"bitpacker/internal/ckks"
-	"bitpacker/internal/core"
+	"bitpacker"
 	"bitpacker/internal/workloads"
 )
 
-// The functional experiments run the real CKKS library (both level-
-// management backends) rather than the accelerator model. They use
-// laptop-scale ring degrees; precision behavior is N-independent and the
-// CPU comparison measures the same arithmetic Lattigo-class libraries run.
-
-// funcSetup builds a working scheme instance.
-type funcSetup struct {
-	params *ckks.Parameters
-	enc    *ckks.Encoder
-	sk     *ckks.SecretKey
-	encr   *ckks.Encryptor
-	dec    *ckks.Decryptor
-	ev     *ckks.Evaluator
-}
-
-func newFuncSetup(scheme core.Scheme, levels int, scaleBits float64, w, logN int, seed uint64) (*funcSetup, error) {
-	targets := make([]float64, levels+1)
-	for i := range targets {
-		targets[i] = scaleBits
-	}
-	prog := core.ProgramSpec{MaxLevel: levels, TargetScaleBits: targets, QMinBits: scaleBits + 20}
-	params, err := ckks.BuildParameters(scheme, prog, core.SecuritySpec{LogN: logN}, core.HWSpec{WordBits: w}, 3, 3.2)
-	if err != nil {
-		return nil, err
-	}
-	kg := ckks.NewKeyGenerator(params, seed, seed+1)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	return &funcSetup{
-		params: params,
-		enc:    ckks.NewEncoder(params),
-		sk:     sk,
-		encr:   ckks.NewEncryptor(params, pk, seed+2, seed+3),
-		dec:    ckks.NewDecryptor(params, sk),
-		ev:     ckks.NewEvaluator(params, ckks.NewClosedKeyManager(params, kg, sk, nil, false)),
-	}, nil
-}
-
-func (s *funcSetup) encryptTop(values []complex128) *ckks.Ciphertext {
-	lvl := s.params.MaxLevel()
-	pt := &ckks.Plaintext{
-		Value: s.enc.MustEncode(values, s.params.DefaultScale(lvl), s.params.LevelModuli(lvl)),
-		Level: lvl,
-		Scale: s.params.DefaultScale(lvl),
-	}
-	return s.encr.MustEncryptAtLevel(pt, lvl)
-}
+// The functional experiments run the library itself — a
+// bitpacker.Context per scheme, through the public API — rather than the
+// accelerator model. They use laptop-scale ring degrees; precision
+// behavior is N-independent and the CPU comparison measures the same
+// arithmetic Lattigo-class libraries run.
 
 // ---------------------------------------------------------------------------
 // FIG13: CPU execution time, 64-bit words
@@ -71,17 +28,17 @@ func init() {
 
 // cpuKernel runs a squaring chain down the whole modulus chain, the
 // dominant pattern of leveled CKKS programs, and returns wall time.
-func cpuKernel(s *funcSetup, reps int) time.Duration {
+func cpuKernel(c *bitpacker.Context, reps int) time.Duration {
 	rng := rand.New(rand.NewPCG(99, 100))
-	vals := make([]complex128, s.params.Slots())
+	vals := make([]complex128, c.Slots())
 	for i := range vals {
 		vals[i] = complex(rng.Float64()*0.5+0.5, 0)
 	}
 	start := time.Now()
 	for rep := 0; rep < reps; rep++ {
-		ct := s.encryptTop(vals)
-		for ct.Level > 0 {
-			ct = s.ev.MustRescale(s.ev.MustSquare(ct))
+		ct := c.MustEncrypt(vals)
+		for ct.Level() > 0 {
+			ct = c.MustMulRescale(ct, ct)
 		}
 	}
 	return time.Since(start)
@@ -103,12 +60,12 @@ func runFig13(quick bool) (*Result, error) {
 	for _, b := range workloads.Benchmarks() {
 		levels := b.AppLevels + 6 // app depth plus a slice of bootstrap depth
 		var times [2]time.Duration
-		for i, scheme := range []core.Scheme{core.BitPacker, core.RNSCKKS} {
-			s, err := newFuncSetup(scheme, levels, b.AppScale, 64, logN, 7)
+		for i, scheme := range []bitpacker.Scheme{bitpacker.BitPacker, bitpacker.RNSCKKS} {
+			c, err := bitpacker.New(bitpacker.Config{Scheme: scheme, LogN: logN, Levels: levels, ScaleBits: b.AppScale, WordBits: 64, Seed: 7})
 			if err != nil {
 				return nil, fmt.Errorf("%s %v: %w", b.Name, scheme, err)
 			}
-			times[i] = cpuKernel(s, reps)
+			times[i] = cpuKernel(c, reps)
 		}
 		ratio := float64(times[1]) / float64(times[0])
 		ratios = append(ratios, ratio)
@@ -134,33 +91,31 @@ func init() {
 // precisionRun executes a depth-matched synthetic computation (alternating
 // squarings and cross-level adds via adjust, the paper's noise-relevant op
 // mix) and returns the mean and worst-case error-free mantissa bits.
-func precisionRun(s *funcSetup, depth int, seed uint64) (mean, worst float64) {
+func precisionRun(c *bitpacker.Context, depth int, seed uint64) (mean, worst float64) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e37))
-	n := s.params.Slots()
+	n := c.Slots()
 	vals := make([]complex128, n)
 	for i := range vals {
 		vals[i] = complex(2*rng.Float64()-1, 0)
 	}
-	ct := s.encryptTop(vals)
+	orig := c.MustEncrypt(vals)
+	ct := orig
 	ref := append([]complex128(nil), vals...)
-	orig := ct.CopyNew()
-	origRef := append([]complex128(nil), ref...)
 	for d := 0; d < depth; d++ {
-		ct = s.ev.MustRescale(s.ev.MustSquare(ct))
+		ct = c.MustMulRescale(ct, ct)
 		for i := range ref {
 			ref[i] *= ref[i]
 		}
 		// Cross-level add to exercise adjust.
-		adj := s.ev.MustAdjustTo(orig.CopyNew(), ct.Level)
-		ct = s.ev.MustAdd(ct, adj)
+		ct = c.MustAdd(ct, c.MustAdjust(orig, ct.Level()))
 		for i := range ref {
-			ref[i] += origRef[i]
+			ref[i] += vals[i]
 		}
-		if ct.Level == 0 {
+		if ct.Level() == 0 {
 			break
 		}
 	}
-	got := s.dec.MustDecryptAndDecode(ct, s.enc)
+	got := c.MustDecrypt(ct)
 	meanBits, worstBits := 0.0, math.Inf(1)
 	for i := range ref {
 		err := cmplx.Abs(got[i] - ref[i])
@@ -190,16 +145,16 @@ func runTab1(quick bool) (*Result, error) {
 	for _, b := range workloads.Benchmarks() {
 		depth := 6
 		var means, worsts [2]float64
-		for i, scheme := range []core.Scheme{core.BitPacker, core.RNSCKKS} {
+		for i, scheme := range []bitpacker.Scheme{bitpacker.BitPacker, bitpacker.RNSCKKS} {
 			w := 61
-			if scheme == core.BitPacker {
+			if scheme == bitpacker.BitPacker {
 				w = 28 // the paper tests BitPacker at its most-constrained word size
 			}
-			s, err := newFuncSetup(scheme, depth+1, b.AppScale, w, logN, 21)
+			c, err := bitpacker.New(bitpacker.Config{Scheme: scheme, LogN: logN, Levels: depth + 1, ScaleBits: b.AppScale, WordBits: w, Seed: 21})
 			if err != nil {
 				return nil, fmt.Errorf("%s %v: %w", b.Name, scheme, err)
 			}
-			means[i], worsts[i] = precisionRun(s, depth, 31)
+			means[i], worsts[i] = precisionRun(c, depth, 31)
 		}
 		res.Rows = append(res.Rows, []string{
 			b.Name, fmt.Sprintf("%.0f", b.AppScale),
@@ -231,31 +186,25 @@ func quartiles(bits []float64) distStats {
 }
 
 // levelOpErrors measures per-slot precision (in bits) after one squaring+
-// rescale (adjust=false) or one adjust (adjust=true), starting from level
-// L=10, for one scheme/scale.
-func levelOpErrors(scheme core.Scheme, scaleBits float64, w, logN, reps int, adjust bool) ([]float64, error) {
-	s, err := newFuncSetup(scheme, 10, scaleBits, w, logN, 55)
-	if err != nil {
-		return nil, err
-	}
+// rescale (adjust=false) or one adjust (adjust=true), starting from the
+// top of c's chain.
+func levelOpErrors(c *bitpacker.Context, reps int, adjust bool) []float64 {
 	rng := rand.New(rand.NewPCG(77, 78))
 	var bits []float64
 	for rep := 0; rep < reps; rep++ {
-		n := s.params.Slots()
+		n := c.Slots()
 		vals := make([]complex128, n)
 		for i := range vals {
 			vals[i] = complex(2*rng.Float64()-1, 0)
 		}
-		ct := s.encryptTop(vals)
+		ct := c.MustEncrypt(vals)
 		var got []complex128
 		ref := make([]complex128, n)
 		if adjust {
-			out := s.ev.MustAdjust(ct)
-			got = s.dec.MustDecryptAndDecode(out, s.enc)
+			got = c.MustDecrypt(c.MustAdjust(ct, ct.Level()-1))
 			copy(ref, vals)
 		} else {
-			out := s.ev.MustRescale(s.ev.MustSquare(ct))
-			got = s.dec.MustDecryptAndDecode(out, s.enc)
+			got = c.MustDecrypt(c.MustMulRescale(ct, ct))
 			for i := range ref {
 				ref[i] = vals[i] * vals[i]
 			}
@@ -268,7 +217,7 @@ func levelOpErrors(scheme core.Scheme, scaleBits float64, w, logN, reps int, adj
 			bits = append(bits, -math.Log2(err))
 		}
 	}
-	return bits, nil
+	return bits
 }
 
 func runErrDist(id, title string, adjust bool, quick bool) (*Result, error) {
@@ -282,16 +231,16 @@ func runErrDist(id, title string, adjust bool, quick bool) (*Result, error) {
 		Header: []string{"scale", "scheme", "min", "q1", "median", "q3", "max"},
 	}
 	for _, scale := range []float64{30, 35, 40, 45, 50, 55, 60} {
-		for _, scheme := range []core.Scheme{core.BitPacker, core.RNSCKKS} {
+		for _, scheme := range []bitpacker.Scheme{bitpacker.BitPacker, bitpacker.RNSCKKS} {
 			w := 61
-			if scheme == core.BitPacker {
+			if scheme == bitpacker.BitPacker {
 				w = 28
 			}
-			bits, err := levelOpErrors(scheme, scale, w, logN, reps, adjust)
+			c, err := bitpacker.New(bitpacker.Config{Scheme: scheme, LogN: logN, Levels: 10, ScaleBits: scale, WordBits: w, Seed: 55})
 			if err != nil {
 				return nil, fmt.Errorf("scale %.0f %v: %w", scale, scheme, err)
 			}
-			d := quartiles(bits)
+			d := quartiles(levelOpErrors(c, reps, adjust))
 			res.Rows = append(res.Rows, []string{
 				fmt.Sprintf("%.0f", scale), scheme.String(),
 				f1(d.min), f1(d.q1), f1(d.med), f1(d.q3), f1(d.max),

@@ -160,6 +160,13 @@ func (jm *JobManager) persist(rec jobRecord) error {
 	return jm.writeFile(rec.ID, "job.json", frame.Meta, data)
 }
 
+// badJob is a submission the client got wrong — an input blob that does
+// not decode, or steps that do not plan — as opposed to a storage
+// failure while recording it, which is the server's.
+type badJob struct{ error }
+
+func (e badJob) Unwrap() error { return e.error }
+
 // Submit durably records a new job and starts it. The input ciphertext
 // blob is durable before job.json says running, so a crash between the
 // two leaves nothing half-started, and an id is returned only for a job
@@ -176,10 +183,10 @@ func (jm *JobManager) Submit(spec JobSpec, inputBlob []byte) (string, error) {
 	// levels cannot finish, fail the submission, not the job.
 	input, err := p.ctx.UnmarshalCiphertext(inputBlob)
 	if err != nil {
-		return "", err
+		return "", badJob{err}
 	}
 	if err := p.admit(spec.Steps, input, 0); err != nil {
-		return "", err
+		return "", badJob{err}
 	}
 	jm.mu.Lock()
 	if jm.closed {

@@ -281,10 +281,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := s.jobs.Submit(spec, blob)
 	if err != nil {
-		if errors.Is(err, ErrUnknownProfile) || errors.Is(err, ErrUnknownTenant) || errors.Is(err, ErrShutdown) {
-			s.httpError(w, err)
-		} else {
+		if errors.As(err, new(badJob)) {
 			s.badRequest(w, err)
+		} else {
+			s.httpError(w, err)
 		}
 		return
 	}

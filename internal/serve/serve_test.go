@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -601,6 +602,53 @@ func TestJobDurableWrites(t *testing.T) {
 	}
 	if strings.Join(names, " ") != "input.bin job.json output.bin" {
 		t.Fatalf("a done job's directory holds %v, want input.bin, job.json and output.bin", names)
+	}
+}
+
+// TestJobSubmitStorageFailure: a submission the server cannot record —
+// here its input.bin's directory fsync fails — is the server's fault: a
+// 500 counted in FiveXX, not a 400, and the claimed job directory is
+// removed. Once storage recovers the next submission is accepted.
+func TestJobSubmitStorageFailure(t *testing.T) {
+	jobDir := t.TempDir()
+	srv, p := testServer(t, nil, jobDir)
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	register(t, ts.URL, "alice")
+	ct, err := p.ctx.EncryptReal(make([]float64, p.ctx.Slots()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := p.ctx.MarshalCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func() int {
+		var body bytes.Buffer
+		spec, _ := json.Marshal(JobSpec{Tenant: "alice", Profile: "p", Steps: []JobStep{{Op: OpNegate}}})
+		WriteFrame(&body, FrameHeader, spec)
+		WriteFrame(&body, FrameBlob, blob)
+		res, err := http.Post(ts.URL+"/v1/job", "application/octet-stream", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		return res.StatusCode
+	}
+
+	syncDir := durable.SyncDir
+	durable.SyncDir = func(string) error { return errors.New("injected dir sync failure") }
+	code := submit()
+	durable.SyncDir = syncDir
+	if code != http.StatusInternalServerError || srv.FiveXX() != 1 {
+		t.Fatalf("storage failure: status %d, FiveXX %d; want 500 and 1", code, srv.FiveXX())
+	}
+	if dirs, _ := filepath.Glob(filepath.Join(jobDir, "job-*")); len(dirs) != 0 {
+		t.Fatalf("job directories after a failed submission: %v", dirs)
+	}
+	if code := submit(); code != http.StatusOK {
+		t.Fatalf("submission after storage recovered: status %d", code)
 	}
 }
 

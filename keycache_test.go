@@ -260,3 +260,45 @@ func TestKeyCacheChaosRegen(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyCacheChaosRegenChebyshev: Chebyshev is under Config.Retry like
+// every other operation. Its relinearization key, demoted by a rotation
+// key under a byte budget, has its A half regenerated from seed on the
+// next evaluation; a task dropped there heals into the output of the
+// fault-free evaluation.
+func TestKeyCacheChaosRegenChebyshev(t *testing.T) {
+	coeffs := []float64{0.1, 0.5, -0.25, 0.125}
+	for _, scheme := range []Scheme{RNSCKKS, BitPacker} {
+		dense, err := New(keyCfg(scheme, []int{1, 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := keyCfg(scheme, nil)
+		cfg.KeyCacheBytes = dense.ResidentKeyBytes() / 2
+		cfg.Retry = &RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Microsecond, Seed: 7}
+		cached, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, cached.Slots())
+		rng := rand.New(rand.NewPCG(63, 64))
+		for i := range vals {
+			vals[i] = 2*rng.Float64() - 1
+		}
+		ct := cached.MustEncryptReal(vals)
+		want := cached.MustDecrypt(must(cached.Chebyshev(ct, coeffs)))
+
+		cached.MustRotate(ct, 1)
+		regens := cached.KeyCacheStats().ARegens
+		left, restore := chaos.New(9).Burst(0, 1)
+		healed, err := cached.Chebyshev(ct, coeffs)
+		restore()
+		if err != nil {
+			t.Fatalf("%v: retry did not heal fault during Chebyshev's key regeneration: %v", scheme, err)
+		}
+		if left() != 0 || cached.KeyCacheStats().ARegens == regens {
+			t.Fatalf("%v: the injected drop never fired in an A regeneration", scheme)
+		}
+		slotsEqual(t, "healed Chebyshev", cached.MustDecrypt(healed), want)
+	}
+}

@@ -73,13 +73,10 @@ func (c *Context) Replicate(values []complex128, dim int) []complex128 {
 // Chebyshev evaluates sum_k coeffs[k]*T_k(x) on an encrypted x with slots
 // in [-1, 1] by Paterson–Stockmeyer, consuming ChebyshevDepth(deg) =
 // O(log deg) levels for a degree-deg series. Chebyshev bases are how CKKS
-// programs evaluate activation functions and bootstrapping's sine.
+// programs evaluate activation functions and bootstrapping's sine. With
+// Config.Retry, a detected fault re-runs the evaluation from its input.
 func (c *Context) Chebyshev(ct *Ciphertext, coeffs []float64) (*Ciphertext, error) {
-	out, err := c.eval.EvalChebyshev(c.encoder, ct.ct, coeffs)
-	if err != nil {
-		return nil, err
-	}
-	return &Ciphertext{ct: out}, nil
+	return c.runOp("Chebyshev", func() (*ckks.Ciphertext, error) { return c.eval.EvalChebyshev(c.encoder, ct.ct, coeffs) })
 }
 
 // ChebyshevDepth returns the number of levels Chebyshev consumes for a

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -196,6 +198,29 @@ func TestProgramTable(t *testing.T) {
 			prev = p.PredictedMicros
 		}
 	})
+}
+
+// TestExecShardRefusesEmptyProgram: ExecShard is exported, and a shard
+// with no steps has no final checkpoint to look for. It is refused as
+// invalid before the exchange directory is touched.
+func TestExecShardRefusesEmptyProgram(t *testing.T) {
+	ctx, err := New(Config{Scheme: BitPacker, LogN: 9, Levels: 2, ScaleBits: 40, WordBits: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input, err := ctx.EncodeCiphertexts([]*Ciphertext{testInput(t, ctx)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "exchange")
+	for _, program := range [][]ShardStep{nil, {}} {
+		if _, err := ctx.ExecShard(context.Background(), dir, 0, input, program, nil); !errors.Is(err, ErrInvalidParams) {
+			t.Fatalf("empty program %#v: err = %v, want ErrInvalidParams", program, err)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("exchange directory touched by a refused shard: %v", err)
+	}
 }
 
 // TestPlanProgramRefusals: what cannot run is refused with a typed error

@@ -64,12 +64,16 @@ func (c *Context) MaxCiphertextBytes() int { return ckks.MaxCiphertextBytes(c.pa
 // shards through this one code path, which is what makes every execution
 // mode bit-identical. hook, if not nil, is called with the step index
 // before each step runs, and with len(program) once the output is durable.
+// An empty program is refused with ErrInvalidParams.
 func (c *Context) ExecShard(ctx context.Context, dir string, shardID int, input []byte, program []ShardStep, hook ShardHook) ([]byte, error) {
+	if len(program) == 0 {
+		return nil, fherr.Wrap(fherr.ErrInvalidParams, "bitpacker: shard %d has an empty program", shardID)
+	}
 	store, err := pipeline.NewDirStore(shard.CkptDir(dir, shardID))
 	if err != nil {
 		return nil, err
 	}
-	last := len(program) - 1 // a planned program is not empty
+	last := len(program) - 1
 	name := stageName(last, program[last])
 	_, output, err := c.storedStage(store, last, name)
 	if err != nil {

@@ -2,12 +2,10 @@ package bitpacker
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"bitpacker/internal/accel"
 	"bitpacker/internal/core"
-	"bitpacker/internal/experiments"
 	"bitpacker/internal/workloads"
 )
 
@@ -104,28 +102,4 @@ func DescribeChain(ch *core.Chain) string {
 	}
 	fmt.Fprintf(&sb, "  special primes: %d\n", len(ch.Special))
 	return sb.String()
-}
-
-// ExperimentIDs lists the reproducible paper experiments.
-func ExperimentIDs() []string {
-	var out []string
-	for _, r := range experiments.Runners() {
-		out = append(out, r.ID)
-	}
-	return out
-}
-
-// RunExperiment regenerates one of the paper's tables/figures, rendering a
-// text table to w. Quick mode trims sample counts and sweep grids.
-func RunExperiment(id string, quick bool, w io.Writer) error {
-	r, ok := experiments.ByID(id)
-	if !ok {
-		return fmt.Errorf("bitpacker: unknown experiment %q (have %s)", id, strings.Join(ExperimentIDs(), ", "))
-	}
-	res, err := r.Run(quick)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
 }
