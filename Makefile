@@ -34,12 +34,12 @@ bench-test:
 # Error-taxonomy gate: the API layers (root package, internal/ckks,
 # internal/engine, internal/fherr, internal/chaos) report failures as
 # typed errors. panic( is allowed only in the documented Must* wrappers
-# (must.go) and on lines marked "(unreachable)" — internal-corruption
-# assertions that no input can trigger. Low-level kernels (ring, rns,
+# (must.go) and on lines that carry the "(unreachable)" marker, parentheses
+# included — internal-corruption assertions that no input can trigger. Low-level kernels (ring, rns,
 # nt, ntt, core) keep precondition panics by design; see DESIGN.md.
 panicgate:
 	@bad=$$(grep -rn "panic(" --include="*.go" *.go internal/ckks internal/engine internal/fherr internal/chaos internal/serve \
-		| grep -v _test.go | grep -vE '(^|/)must\.go:' | grep -v unreachable; true); \
+		| grep -v _test.go | grep -vE '(^|/)must\.go:' | grep -vF '(unreachable)'; true); \
 	if [ -n "$$bad" ]; then echo "untyped panic in API layer:"; echo "$$bad"; exit 1; fi
 
 # One-definition gate: a program op (square, quartic, negate, offset,
@@ -76,11 +76,19 @@ jobgate:
 # of the library — its functional experiments build a bitpacker.Context
 # and run the public API. Non-test code there that imports internal/ckks
 # is a second scheme setup growing back. The reverse edge needs no gate:
-# the root importing internal/experiments would be an import cycle.
+# the root importing internal/experiments would be an import cycle. The
+# accelerator model (internal/accel) and the paper's workloads
+# (internal/workloads) are the reproduction's too: if the runtime — the
+# root, the serving layer, the shard packages and the two servers — links
+# either, a price no host decision reads is growing back.
+RUNTIME = . ./internal/serve ./internal/shard/... ./cmd/bpserve ./cmd/bpworker
 clientgate:
 	@bad=$$(grep -rn '"bitpacker/internal/ckks"' --include='*.go' internal/experiments \
 		| grep -v _test.go; true); \
 	if [ -n "$$bad" ]; then echo "internal/experiments builds its own scheme:"; echo "$$bad"; exit 1; fi
+	@deps=$$($(GO) list -deps $(RUNTIME)) || exit 1; \
+	bad=$$(echo "$$deps" | grep -xE 'bitpacker/internal/(accel|workloads)'; true); \
+	if [ -n "$$bad" ]; then echo "the runtime links the accelerator model:"; echo "$$bad"; exit 1; fi
 
 # Two-route gate: a sharded job has RunSharded's two routes — its
 # in-process loop (no fleet, or the shards a lost fleet left unfinished)
@@ -125,15 +133,17 @@ puregate:
 # internal/ckks's rotateExt, P·φ(ct) pending in the extended basis, and
 # callers differ only in the decomposition they hand it; its division is
 # whichever settle its consumer runs (divgate). Non-test internal/ckks
-# code (comments aside) that calls keySwitchExt( outside rotateExt and
-# the relinearization product relinExt, or PermuteNTTAdd( outside
-# rotateExt, is a second rotation route growing back.
+# code (comments aside) that names keySwitchExt outside rotateExt and
+# the relinearization product relinExt, or PermuteNTTAdd outside
+# rotateExt, is a second rotation route growing back. Any reference
+# counts, not only a call: a method value (ks := ev.keySwitchExt) is a
+# call made elsewhere.
 rotgate:
 	@bad=$$(for f in $$(ls internal/ckks/*.go | grep -v _test.go); do \
 		sed 's://.*$$::' $$f | awk -v f=$$f ' \
 			/^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn) } \
-			/keySwitchExt\(/ && !/^func / && fn != "rotateExt" && fn != "relinExt" { print f ":" NR ": " fn ": " $$0 } \
-			/PermuteNTTAdd\(/ && fn != "rotateExt" { print f ":" NR ": " fn ": " $$0 }'; \
+			/keySwitchExt([^A-Za-z0-9_]|$$)/ && !/^func / && fn != "rotateExt" && fn != "relinExt" { print f ":" NR ": " fn ": " $$0 } \
+			/PermuteNTTAdd([^A-Za-z0-9_]|$$)/ && fn != "rotateExt" { print f ":" NR ": " fn ": " $$0 }'; \
 	done); \
 	if [ -n "$$bad" ]; then echo "rotation or keyswitch outside the one rotation route:"; echo "$$bad"; exit 1; fi
 
@@ -141,13 +151,14 @@ rotgate:
 # a state of the ciphertext, and every division — Rescale, AdjustTo, a
 # keyswitch's ModDown, a decomposition's C1, Settle for a reader outside
 # the evaluator — is internal/ckks's settle. Non-test internal/ckks code
-# (comments aside) that calls transition(, ScaleDownNTTBatch( or
-# ScaleDownBatch( outside settle is a second division route growing back.
+# (comments aside) that names transition, ScaleDownNTTBatch or
+# ScaleDownBatch outside settle is a second division route growing back.
+# Any reference counts, not only a call (tr := ev.transition).
 divgate:
 	@bad=$$(for f in $$(ls internal/ckks/*.go | grep -v _test.go); do \
 		sed 's://.*$$::' $$f | awk -v f=$$f ' \
 			/^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn); next } \
-			/(transition|ScaleDownNTTBatch|ScaleDownBatch)\(/ && fn != "settle" { print f ":" NR ": " fn ": " $$0 }'; \
+			/(transition|ScaleDownNTTBatch|ScaleDownBatch)([^A-Za-z0-9_]|$$)/ && fn != "settle" { print f ":" NR ": " fn ": " $$0 }'; \
 	done); \
 	if [ -n "$$bad" ]; then echo "division outside the one settle:"; echo "$$bad"; exit 1; fi
 
@@ -255,9 +266,10 @@ chaos-soak:
 # Tier-1 gate: everything must build, vet clean, pass tests (bench/'s
 # included), the parallel hot paths must be race-free, a program op must
 # have one definition, switching keys one source, a served long job one
-# route, the paper reproduction no scheme of its own, a shard two routes,
-# streams and blobs one frame format, the state-machine cores stay pure,
-# a rotation one route, and the docs may name only commands that exist.
+# route, the paper reproduction no scheme of its own and the runtime no
+# accelerator model, a shard two routes, streams and blobs one frame
+# format, the state-machine cores stay pure, a rotation and a division
+# one route each, and the docs may name only commands that exist.
 check: build vet test bench-test race panicgate opgate keygate jobgate clientgate routegate framegate puregate rotgate divgate docs-check
 
 clean:

@@ -429,7 +429,7 @@ func (c *Context) Scheme() Scheme { return c.cfg.Scheme }
 // ChainDescription summarizes the modulus chain (levels, residue counts,
 // scales, packing overheads).
 func (c *Context) ChainDescription() string {
-	return DescribeChain(c.params.Chain)
+	return c.params.Chain.Describe()
 }
 
 // Encrypt encodes and encrypts up to Slots() complex values at the top

@@ -207,29 +207,3 @@ func TestTopLevelResidueCounts(t *testing.T) {
 		}
 	}
 }
-
-func TestSimulateWorkloadAPI(t *testing.T) {
-	bp, err := SimulateWorkload("LogReg", "BS19", BitPacker, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := SimulateWorkload("LogReg", "BS19", RNSCKKS, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bp.Milliseconds <= 0 || bp.Milliseconds >= rc.Milliseconds {
-		t.Fatalf("BitPacker %.1fms vs RNS-CKKS %.1fms", bp.Milliseconds, rc.Milliseconds)
-	}
-	if bp.MeanResidues >= rc.MeanResidues {
-		t.Fatalf("meanR %f vs %f", bp.MeanResidues, rc.MeanResidues)
-	}
-	if _, err := SimulateWorkload("nope", "BS19", BitPacker, 28); err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-	if _, err := SimulateWorkload("LogReg", "nope", BitPacker, 28); err == nil {
-		t.Fatal("unknown bootstrap accepted")
-	}
-	if len(Workloads()) != 5 || len(BootstrapAlgorithms()) != 2 {
-		t.Fatal("workload registry wrong")
-	}
-}

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"bitpacker"
+	"bitpacker/internal/experiments"
 )
 
 func main() {
@@ -26,8 +27,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("benchmarks:", strings.Join(bitpacker.Workloads(), ", "))
-		fmt.Println("bootstraps:", strings.Join(bitpacker.BootstrapAlgorithms(), ", "))
+		fmt.Println("benchmarks:", strings.Join(experiments.Workloads(), ", "))
+		fmt.Println("bootstraps:", strings.Join(experiments.BootstrapAlgorithms(), ", "))
 		return
 	}
 
@@ -46,7 +47,7 @@ func main() {
 	fmt.Printf("%s (%s) on CraterLake-class hardware, w=%d bits\n", *bench, *bs, *word)
 	var times []float64
 	for _, s := range schemes {
-		st, err := bitpacker.SimulateWorkload(*bench, *bs, s, *word)
+		st, err := experiments.SimulateWorkload(*bench, *bs, s, *word)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"bitpacker"
 	"bitpacker/internal/core"
 )
 
@@ -62,7 +61,7 @@ func main() {
 		log.Fatalf("RNS-CKKS: %v", err)
 	}
 	for _, ch := range []*core.Chain{bp, rc} {
-		fmt.Print(bitpacker.DescribeChain(ch))
+		fmt.Print(ch.Describe())
 		top := ch.Levels[ch.MaxLevel()]
 		fmt.Printf("  top-level: %d residues for %.1f info bits -> %.1f%% packing overhead; mean R %.2f\n\n",
 			top.R(), top.QBits, 100*ch.PackingOverhead(ch.MaxLevel()), ch.MeanR())

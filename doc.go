@@ -3,15 +3,17 @@
 // library whose RNS representation keeps ciphertext residues packed at the
 // hardware word size, decoupling residue moduli from CKKS scales.
 //
-// The package offers three things:
+// The repository offers three things:
 //
-//   - A working CKKS library (encode/encrypt/evaluate/decrypt, rotations,
-//     hybrid keyswitching) with two interchangeable level-management
-//     backends: classic RNS-CKKS and BitPacker. Create one with New.
+//   - This package: a working CKKS library (encode/encrypt/evaluate/
+//     decrypt, rotations, hybrid keyswitching) with two interchangeable
+//     level-management backends, classic RNS-CKKS and BitPacker. Create
+//     one with New.
 //
-//   - An analytic model of a CraterLake-class FHE accelerator, used to
-//     compare the two representations on the paper's five benchmarks:
-//     SimulateWorkload.
+//   - An analytic model of a CraterLake-class FHE accelerator
+//     (internal/accel), used to compare the two representations on the
+//     paper's five benchmarks (cmd/accelsim). It belongs to the
+//     reproduction: this package does not link it.
 //
 //   - The paper's full evaluation as runnable experiments: the
 //     cmd/bpbench tool, whose functional experiments (Table 1, Figs 13,

@@ -1,9 +1,8 @@
-// Word-size study: the paper's headline argument in one screen. For a
-// range of hardware word sizes, build both representations' modulus chains
-// for the same program and simulate the ResNet-20 (BS19) workload on the
-// CraterLake-class accelerator model, showing that BitPacker stays flat
-// while RNS-CKKS swings with how well scales divide into words (Fig. 14),
-// and that BitPacker needs fewer residues everywhere (Fig. 1).
+// Word-size study, the library's half: the same depth-4 program's modulus
+// chain at 28-bit words under both representations, showing that
+// BitPacker packs each level's modulus into fewer residues (Fig. 1). The
+// accelerator-model sweep over word sizes (Fig. 14) is the reproduction's:
+// `go run ./cmd/bpbench -exp fig14`.
 package main
 
 import (
@@ -14,25 +13,7 @@ import (
 )
 
 func main() {
-	fmt.Println("ResNet-20 (BS19) on the CraterLake-class model, iso-throughput word sweep")
-	fmt.Printf("%6s  %22s  %22s  %9s\n", "word", "BitPacker  ms / meanR", "RNS-CKKS   ms / meanR", "slowdown")
-	for w := 28; w <= 64; w += 6 {
-		bp, err := bitpacker.SimulateWorkload("ResNet-20", "BS19", bitpacker.BitPacker, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rc, err := bitpacker.SimulateWorkload("ResNet-20", "BS19", bitpacker.RNSCKKS, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%6d  %12.1f / %-7.1f  %12.1f / %-7.1f  %8.2fx\n",
-			w, bp.Milliseconds, bp.MeanResidues, rc.Milliseconds, rc.MeanResidues,
-			rc.Milliseconds/bp.Milliseconds)
-	}
-
-	// And the functional library view: the same depth-4 program's chain at
-	// 28-bit words under both representations.
-	for _, scheme := range []bitpacker.Scheme{bitpacker.BitPacker, bitpacker.RNSCKKS} {
+	for i, scheme := range []bitpacker.Scheme{bitpacker.BitPacker, bitpacker.RNSCKKS} {
 		ctx, err := bitpacker.New(bitpacker.Config{
 			Scheme:    scheme,
 			LogN:      12,
@@ -43,7 +24,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println()
+		if i > 0 {
+			fmt.Println()
+		}
 		fmt.Print(ctx.ChainDescription())
 	}
 }

@@ -210,6 +210,36 @@ func TestSimulatorErrors(t *testing.T) {
 	}
 }
 
+// TestSimulatorLongerProgramCostsMore: every group appended to a program
+// adds simulated time — here a six-step program's lowering (multiplies,
+// rescales, a plaintext multiply, adds) from the top of both chains.
+func TestSimulatorLongerProgramCostsMore(t *testing.T) {
+	b, _ := workloads.BenchmarkByName("LogReg")
+	bp, rc := buildChains(t, b, workloads.BS19, 28)
+	for name, ch := range map[string]*core.Chain{"bp": bp, "rc": rc} {
+		top := ch.MaxLevel()
+		groups := []trace.Group{
+			{Kind: trace.HMul, Level: top, Count: 1}, {Kind: trace.Rescale, Level: top, Count: 1},
+			{Kind: trace.PMul, Level: top - 1, Count: 1}, {Kind: trace.Rescale, Level: top - 1, Count: 1},
+			{Kind: trace.PAdd, Level: top - 2, Count: 1},
+			{Kind: trace.HMul, Level: top - 2, Count: 1}, {Kind: trace.Rescale, Level: top - 2, Count: 1},
+			{Kind: trace.PAdd, Level: top - 3, Count: 1},
+			{Kind: trace.PAdd, Level: top - 3, Count: 1},
+		}
+		prev := 0.0
+		for k := 1; k <= len(groups); k++ {
+			st, err := NewSimulator(CraterLake(28), ch, 3).Run(&trace.Program{Groups: groups[:k]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Seconds <= prev {
+				t.Fatalf("%s: %d groups simulated at %g s, %d groups at %g", name, k, st.Seconds, k-1, prev)
+			}
+			prev = st.Seconds
+		}
+	}
+}
+
 func TestStatsAggregation(t *testing.T) {
 	b, _ := workloads.BenchmarkByName("SqueezeNet")
 	bp, _ := buildChains(t, b, workloads.BS19, 28)

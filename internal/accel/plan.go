@@ -3,7 +3,7 @@ package accel
 // Simulated per-operation times in microseconds at a bare residue count,
 // exposed so the benchmark can set prediction beside measurement
 // (accel.pred_* in BENCHMARK.json). A whole program on a real chain is
-// priced by Simulator.Run (bitpacker.PlanProgram).
+// priced by Simulator.Run (the paper's benchmarks, internal/experiments).
 // All times come from the same cycle model the rest of the package uses:
 // compute bounded by the busiest FU pipeline, memory overlapped.
 

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strings"
 
 	"bitpacker/internal/nt"
 )
@@ -201,6 +202,21 @@ func (c *Chain) PackingOverhead(level int) float64 {
 	l := c.Levels[level]
 	used := float64(l.R() * c.WordBits)
 	return 1 - l.QBits/used
+}
+
+// Describe renders the chain level by level, top level first: residue
+// count, modulus bits, scale, packing overhead and the terminal split.
+func (c *Chain) Describe() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s chain, N=%d, word=%d bits, %d levels\n",
+		c.Scheme, c.N, c.WordBits, c.MaxLevel()+1)
+	for l := c.MaxLevel(); l >= 0; l-- {
+		lv := c.Levels[l]
+		fmt.Fprintf(&sb, "  L%-3d R=%-3d logQ=%7.1f  scale=2^%-6.2f  overhead=%4.1f%%  (%d non-terminal + %d terminal)\n",
+			l, lv.R(), lv.QBits, RatLog2(lv.Scale), 100*c.PackingOverhead(l), lv.NonTerminal, lv.Terminal)
+	}
+	fmt.Fprintf(&sb, "  special primes: %d\n", len(c.Special))
+	return sb.String()
 }
 
 // ratLog2 approximates log2 of a positive rational.

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"bitpacker"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -38,6 +40,34 @@ func TestFig01RendersBitPacker(t *testing.T) {
 	res.Render(&buf)
 	if !strings.Contains(buf.String(), "BitPacker") {
 		t.Fatalf("experiment output malformed: %s", buf.String())
+	}
+}
+
+// TestSimulateWorkloadAPI: the accelerator-model entry point cmd/accelsim
+// calls, on the chain cache the figures share.
+func TestSimulateWorkloadAPI(t *testing.T) {
+	bp, err := SimulateWorkload("LogReg", "BS19", bitpacker.BitPacker, 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := SimulateWorkload("LogReg", "BS19", bitpacker.RNSCKKS, 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bp.Milliseconds <= 0 || bp.Milliseconds >= rc.Milliseconds {
+		t.Fatalf("BitPacker %.1fms vs RNS-CKKS %.1fms", bp.Milliseconds, rc.Milliseconds)
+	}
+	if bp.MeanResidues >= rc.MeanResidues {
+		t.Fatalf("meanR %f vs %f", bp.MeanResidues, rc.MeanResidues)
+	}
+	if _, err := SimulateWorkload("nope", "BS19", bitpacker.BitPacker, 28); err == nil {
+		t.Fatal("unknown benchmark accepted")
+	}
+	if _, err := SimulateWorkload("LogReg", "nope", bitpacker.BitPacker, 28); err == nil {
+		t.Fatal("unknown bootstrap accepted")
+	}
+	if len(Workloads()) != 5 || len(BootstrapAlgorithms()) != 2 {
+		t.Fatal("workload registry wrong")
 	}
 }
 

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
+	"bitpacker"
 	"bitpacker/internal/accel"
 	"bitpacker/internal/core"
 	"bitpacker/internal/workloads"
@@ -68,6 +70,84 @@ func pairStats(c config, w int, hw accel.Config) (bp, rc accel.Stats, err error)
 	}
 	rc, err = simulate(hw, rcc, c)
 	return bp, rc, err
+}
+
+// SimStats summarizes one benchmark simulated on the accelerator model.
+type SimStats struct {
+	// Milliseconds of simulated execution on the CraterLake-class model.
+	Milliseconds float64
+	// EnergyMJ consumed, and the fraction spent in rescale/adjust.
+	EnergyMJ         float64
+	LevelMgmtPercent float64
+	// HBMGigabytes of off-chip traffic.
+	HBMGigabytes float64
+	// AreaMM2 of the accelerator configuration used.
+	AreaMM2 float64
+	// EDP is the energy-delay product in J*s.
+	EDP float64
+	// MeanResidues is the chain's average residue count per level.
+	MeanResidues float64
+}
+
+// Workloads lists the benchmark names SimulateWorkload accepts.
+func Workloads() []string {
+	var out []string
+	for _, b := range workloads.Benchmarks() {
+		out = append(out, b.Name)
+	}
+	return out
+}
+
+// BootstrapAlgorithms lists the bootstrapping variants ("BS19", "BS26").
+func BootstrapAlgorithms() []string {
+	var out []string
+	for _, bs := range workloads.Bootstraps() {
+		out = append(out, bs.Name)
+	}
+	return out
+}
+
+// SimulateWorkload runs one of the paper's benchmarks on the accelerator
+// model at a hardware word size, over the scheme's chain from chainPair.
+// Like the experiments, it is not safe for concurrent use: the chain
+// cache is a plain map.
+func SimulateWorkload(benchmark, bootstrap string, scheme bitpacker.Scheme, wordBits int) (SimStats, error) {
+	b, ok := workloads.BenchmarkByName(benchmark)
+	if !ok {
+		return SimStats{}, fmt.Errorf("experiments: unknown benchmark %q (have %s)", benchmark, strings.Join(Workloads(), ", "))
+	}
+	c := config{bench: b}
+	found := false
+	for _, cand := range workloads.Bootstraps() {
+		if strings.EqualFold(cand.Name, bootstrap) {
+			c.bs, found = cand, true
+		}
+	}
+	if !found {
+		return SimStats{}, fmt.Errorf("experiments: unknown bootstrap %q (have %s)", bootstrap, strings.Join(BootstrapAlgorithms(), ", "))
+	}
+	bp, rc, err := chainPair(c, wordBits)
+	if err != nil {
+		return SimStats{}, err
+	}
+	chain := rc
+	if scheme == bitpacker.BitPacker {
+		chain = bp
+	}
+	hw := accel.CraterLake(wordBits)
+	st, err := simulate(hw, chain, c)
+	if err != nil {
+		return SimStats{}, err
+	}
+	return SimStats{
+		Milliseconds:     st.Seconds * 1e3,
+		EnergyMJ:         st.EnergyMJ(),
+		LevelMgmtPercent: 100 * st.LevelMgmtPJ / st.TotalEnergyPJ(),
+		HBMGigabytes:     st.HBMBytes / 1e9,
+		AreaMM2:          hw.AreaMM2(),
+		EDP:              st.EDP(),
+		MeanResidues:     chain.MeanR(),
+	}, nil
 }
 
 // ---------------------------------------------------------------------------

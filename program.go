@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"bitpacker/internal/accel"
 	"bitpacker/internal/fherr"
 	"bitpacker/internal/ring"
 	"bitpacker/internal/trace"
@@ -14,8 +13,8 @@ import (
 // Program operations. A program crosses process boundaries as JSON (a
 // sharded job's job file, a served job's record, an eval request's
 // header), so it is a sequence of named steps rather than closures. Each
-// name is defined once, in opTable; whatever validates, plans, prices or
-// runs a program reads that table.
+// name is defined once, in opTable; whatever validates, plans or runs a
+// program reads that table.
 const (
 	ShardOpSquare  = "square"  // MulRescale(x, x)
 	ShardOpQuartic = "quartic" // MulRescale(y, y) with y = MulRescale(x, x)
@@ -38,9 +37,10 @@ type opFunc func(c *Context, ct *Ciphertext, arg float64) (*Ciphertext, error)
 type opDef struct {
 	// apply is the op as primitives of the library, run in order.
 	apply []opFunc
-	// lower is the op in the accelerator model's kinds, in execution order.
+	// lower is the op in internal/trace's kinds, in execution order.
 	// Every trace.Rescale leaves the ciphertext one level down, so the
-	// levels an op spends are the Rescales of its lowering.
+	// levels an op spends are the Rescales of its lowering. PlanProgram
+	// reads only those; nothing prices a lowering on the host yet.
 	lower []trace.Kind
 	// slotWise: the op acts on every slot independently, so tenants packed
 	// into disjoint slot windows of one ciphertext can share it. The
@@ -55,9 +55,9 @@ type opDef struct {
 // constant polynomial: addScalar and mulScalar apply it per residue and
 // the encoder is never reached.
 //
-// The model has no negation. It is one add-unit pass, and the cheapest
-// kind that is one is PAdd (r·N adds; HAdd and PMul are 2·r·N), so negate
-// is priced as PAdd.
+// trace has no negation kind. Negation is one add-unit pass, and the
+// cheapest kind that is one is PAdd (r·N adds; HAdd and PMul are 2·r·N),
+// so negate lowers to PAdd.
 var opTable = map[string]opDef{
 	ShardOpSquare:  {apply: []opFunc{opSquare}, lower: []trace.Kind{trace.HMul, trace.Rescale}, slotWise: true},
 	ShardOpQuartic: {apply: []opFunc{opSquare, opSquare}, lower: []trace.Kind{trace.HMul, trace.Rescale, trace.HMul, trace.Rescale}, slotWise: true},
@@ -101,18 +101,11 @@ type ProgramPlan struct {
 	EndLevel int
 	// SlotWise: every step is slot-wise (what the serving layer requires).
 	SlotWise bool
-	// PredictedMicros is the accelerator model's time for the program on
-	// one ciphertext: its lowering simulated on a CraterLake-class
-	// configuration at the context's word size over the context's own
-	// chain — the residue count of every level, and the moduli each
-	// rescale introduces and sheds.
-	PredictedMicros float64
-	lowered         trace.Program
 }
 
-// PlanProgram checks a program against the chain before anything runs,
-// and prices it. level is the level of the ciphertexts the program will
-// run on. Refused, with typed errors: an empty program, an unknown op, a
+// PlanProgram checks a program against the chain before anything runs.
+// level is the level of the ciphertexts the program will run on.
+// Refused, with typed errors: an empty program, an unknown op, a
 // non-finite argument or a rotation amount that is not an integer an
 // int32 holds (ErrInvalidParams); a rotation whose Galois key the context
 // cannot supply (ErrMissingKey); a program that spends more levels than
@@ -147,19 +140,12 @@ func (c *Context) PlanProgram(program []ShardStep, level int) (ProgramPlan, erro
 					"bitpacker: program step %d: %s needs a level and the ciphertext has none left (the program starts at level %d)",
 					i, st.Op, plan.Levels[0])
 			}
-			plan.lowered.Add(kind, level, 1)
 			if kind == trace.Rescale {
 				level--
 			}
 		}
 	}
 	plan.EndLevel = level
-	sim := accel.NewSimulator(accel.CraterLake(c.cfg.WordBits), c.params.Chain, c.cfg.KeySwitchDigits)
-	stats, err := sim.Run(&plan.lowered)
-	if err != nil {
-		return ProgramPlan{}, fherr.Wrap(fherr.ErrInvariant, "bitpacker: cost model: %v", err)
-	}
-	plan.PredictedMicros = stats.Seconds * 1e6
 	return plan, nil
 }
 

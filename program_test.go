@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bitpacker/internal/accel"
 	"bitpacker/internal/trace"
 )
 
@@ -86,9 +85,24 @@ func sameBytes(t *testing.T, ctx *Context, a, b *Ciphertext) bool {
 	return bytes.Equal(ab, bb)
 }
 
+// lowering is a program's steps in the op table's trace kinds, each at
+// the level it runs at, starting at level.
+func lowering(program []ShardStep, level int) []trace.Group {
+	var p trace.Program
+	for _, st := range program {
+		for _, kind := range opTable[st.Op].lower {
+			p.Add(kind, level, 1)
+			if kind == trace.Rescale {
+				level--
+			}
+		}
+	}
+	return p.Groups
+}
+
 // endOfLowering is the level the lowered program leaves a ciphertext at.
-func endOfLowering(p *trace.Program) int {
-	last := p.Groups[len(p.Groups)-1]
+func endOfLowering(groups []trace.Group) int {
+	last := groups[len(groups)-1]
 	if last.Kind == trace.Rescale {
 		return last.Level - 1
 	}
@@ -97,9 +111,8 @@ func endOfLowering(p *trace.Program) int {
 
 // TestProgramTable holds the op table's three readings of a program to
 // each other: the levels PlanProgram predicts are the levels execution
-// spends, the lowering ends where the plan does and is what the report's
-// prediction simulates, and every op is, to the bit, the primitive
-// sequence its comment documents.
+// spends, the lowering ends where the plan does, and every op is, to the
+// bit, the primitive sequence its comment documents.
 func TestProgramTable(t *testing.T) {
 	forProgramConfigs(t, func(t *testing.T, ctx *Context) {
 		must := mustCt(t)
@@ -141,7 +154,7 @@ func TestProgramTable(t *testing.T) {
 			if got := state[0].Level(); got != plan.EndLevel {
 				t.Fatalf("%s ends at level %d, planned %d", name, got, plan.EndLevel)
 			}
-			if got := endOfLowering(&plan.lowered); got != plan.EndLevel {
+			if got := endOfLowering(lowering(program, in.Level())); got != plan.EndLevel {
 				t.Fatalf("%s: lowering ends at level %d, the plan at %d", name, got, plan.EndLevel)
 			}
 			if ref, ok := documented[name]; ok && !sameBytes(t, ctx, state[0], ref(program[0].Arg)) {
@@ -149,7 +162,7 @@ func TestProgramTable(t *testing.T) {
 			}
 		}
 
-		// The bench program's lowering, written out, on the real chain.
+		// The bench program's lowering, written out, from the top level.
 		top := ctx.MaxLevel()
 		want := []trace.Group{
 			{Kind: trace.HMul, Level: top, Count: 1}, {Kind: trace.Rescale, Level: top, Count: 1},
@@ -163,39 +176,14 @@ func TestProgramTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(plan.lowered.Groups, want) {
-			t.Fatalf("bench program lowers to %+v, want %+v", plan.lowered.Groups, want)
+		if got := lowering(benchShardProgram, top); !reflect.DeepEqual(got, want) {
+			t.Fatalf("bench program lowers to %+v, want %+v", got, want)
 		}
 		if !plan.SlotWise {
 			t.Fatal("the bench program is slot-wise")
 		}
 		if rot, err := ctx.PlanProgram([]ShardStep{{Op: ShardOpNegate}, {Op: ShardOpRotate, Arg: 3}}, top); err != nil || rot.SlotWise {
 			t.Fatalf("a program with a rotation planned slot-wise (%v)", err)
-		}
-		// The job report's prediction is the simulator on that lowering,
-		// and a longer program costs strictly more.
-		stats, err := accel.NewSimulator(accel.CraterLake(ctx.cfg.WordBits), ctx.params.Chain, ctx.cfg.KeySwitchDigits).
-			Run(&trace.Program{Groups: want})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, report, err := ctx.RunSharded(context.Background(), benchShardProgram, []*Ciphertext{in}, ShardOptions{Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.PredictedMicrosPerCt != stats.Seconds*1e6 || report.PredictedMicrosPerCt <= 0 {
-			t.Fatalf("report predicts %g us per ciphertext, the simulator says %g", report.PredictedMicrosPerCt, stats.Seconds*1e6)
-		}
-		prev := 0.0
-		for k := 1; k <= len(benchShardProgram); k++ {
-			p, err := ctx.PlanProgram(benchShardProgram[:k], top)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.PredictedMicros <= prev {
-				t.Fatalf("%d steps predicted at %g us, %d steps at %g", k, p.PredictedMicros, k-1, prev)
-			}
-			prev = p.PredictedMicros
 		}
 	})
 }

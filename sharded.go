@@ -118,11 +118,9 @@ type ShardReport struct {
 	Shards     int
 	ShardSizes []int
 	Workers    int
-	// PredictedMicrosPerCt is ProgramPlan.PredictedMicros for the job's
-	// program at the lowest input level; PredictedSpeedup is the
-	// model-planned serial/sharded ratio for this partition and fleet.
-	PredictedMicrosPerCt float64
-	PredictedSpeedup     float64
+	// PredictedSpeedup is the partition's load balance over the fleet:
+	// the job's ciphertext count over the most any one worker is dealt.
+	PredictedSpeedup float64
 	// Resumed counts shards whose intact final checkpoints from a previous
 	// run were accepted without recomputation.
 	Resumed int
@@ -146,9 +144,10 @@ func resolveWorkerCommand(opts ShardOptions) []string {
 	return nil
 }
 
-// planSpeedup is the model's serial/sharded ratio: serial time over the
-// makespan of a greedy longest-first assignment of shard loads to the
-// effective worker count.
+// planSpeedup is the partition's load balance: the ciphertext count over
+// the largest load a greedy longest-first assignment of shards deals to
+// one of the effective workers. Every ciphertext is taken to cost the
+// same; nothing here prices the program.
 func planSpeedup(sizes []int, workers int) float64 {
 	if workers > len(sizes) {
 		workers = len(sizes)
@@ -213,11 +212,9 @@ func (c *Context) RunSharded(ctx context.Context, program []ShardStep, inputs []
 	for _, ct := range inputs[1:] {
 		level = min(level, ct.Level())
 	}
-	plan, err := c.PlanProgram(program, level)
-	if err != nil {
+	if _, err := c.PlanProgram(program, level); err != nil {
 		return nil, report, err
 	}
-	report.PredictedMicrosPerCt = plan.PredictedMicros
 	if ctx == nil {
 		ctx = c.opCtx()
 	}
