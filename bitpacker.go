@@ -58,7 +58,10 @@ type Config struct {
 	// SecurityBits, when nonzero, validates the parameters against the
 	// HE-standard tables (e.g. 128).
 	SecurityBits float64
-	// KeySwitchDigits is the hybrid keyswitching digit count (default 3).
+	// KeySwitchDigits is the hybrid keyswitching digit count (default 3):
+	// how many digits the switching keys hold, and so how many special
+	// primes P takes. Each level's keyswitch decomposes into as few groups
+	// of these digits as P covers: all of them at the top, fewer below.
 	KeySwitchDigits int
 	// Rotations lists the slot rotations to generate Galois keys for.
 	Rotations []int

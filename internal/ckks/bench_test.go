@@ -58,9 +58,12 @@ func BenchmarkDivideOnce(b *testing.B) {
 // BenchmarkRotate times Rotate, Conjugate and an 8-step RotateHoisted —
 // every one the hoisted rotation, the first two its one-step case — at
 // LogN 13 on the benchmark's two configurations (BitPacker at 28-bit
-// words, RNS-CKKS at 61; 8 levels of 40-bit scale, 3 digits), on a
-// top-level ciphertext. For numbers, alternate the parent's and the
-// change's test binaries (EXPERIMENTS.md).
+// words, RNS-CKKS at 61; 8 levels of 40-bit scale, 3 digits), at three
+// levels of the infer unit: the top, L3 (its second transform) and L1
+// (its InnerSum). The keyswitch decomposes into one group per key digit
+// at the top and into fewer below it (ksPlan), so the lower levels are
+// where a change to the decomposition shows. For numbers, alternate the
+// parent's and the change's test binaries (EXPERIMENTS.md).
 func BenchmarkRotate(b *testing.B) {
 	eight := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, c := range []struct {
@@ -69,20 +72,26 @@ func BenchmarkRotate(b *testing.B) {
 		w      int
 	}{{"bp28", core.BitPacker, 28}, {"rns61", core.RNSCKKS, 61}} {
 		s := newTestSetup(b, c.scheme, 8, 40, c.w, 13, 3, eight)
-		ct := s.encryptValues(randomValues(s.params.Slots(), rand.New(rand.NewPCG(509, uint64(c.w)))))
-		for _, op := range []struct {
-			name string
-			run  func()
-		}{
-			{"Rotate", func() { s.ev.MustRotate(ct, 1) }},
-			{"Conjugate", func() { s.ev.MustConjugate(ct) }},
-			{"RotateHoisted8", func() { s.ev.MustRotateHoisted(ct, eight) }},
-		} {
-			b.Run(c.name+"/"+op.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					op.run()
-				}
-			})
+		top := s.encryptValues(randomValues(s.params.Slots(), rand.New(rand.NewPCG(509, uint64(c.w)))))
+		for _, l := range []int{top.Level, 3, 1} {
+			ct := top
+			if l < top.Level {
+				ct = s.ev.MustAdjustTo(top, l)
+			}
+			for _, op := range []struct {
+				name string
+				run  func()
+			}{
+				{"Rotate", func() { s.ev.MustRotate(ct, 1) }},
+				{"Conjugate", func() { s.ev.MustConjugate(ct) }},
+				{"RotateHoisted8", func() { s.ev.MustRotateHoisted(ct, eight) }},
+			} {
+				b.Run(fmt.Sprintf("%s/L%d/%s", c.name, l, op.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						op.run()
+					}
+				})
+			}
 		}
 	}
 }

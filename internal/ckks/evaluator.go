@@ -201,50 +201,76 @@ func moduliKey(buf []byte, a, b []uint64) []byte {
 }
 
 // ksPlan is the layout of a hybrid keyswitch over one live basis: the
-// extended basis live++special, each digit's rows and ModUp conversion,
-// and P's residues over live, which lift multiplies by. It depends on
-// nothing but the basis, so it is built once and shared by every
-// keyswitch at that level.
+// extended basis live++special, the decomposition groups and their ModUp
+// conversions, and P's residues over live, which lift multiplies by. It
+// depends on nothing but the basis, so it is built once and shared by
+// every keyswitch at that level.
+//
+// A group is a set of whole key digits decomposed by one ModUp. Digit j's
+// gadget is P on j's moduli and 0 on every other union modulus and every
+// special, so the gadgets of a group's digits sum to P on the group's
+// rows and 0 elsewhere: one X per group, multiplied by each member
+// digit's key, switches exactly as one X per digit does. The keys are the
+// chain's; only the decomposition is sized per level. Digits merge while
+// the group's product stays within P — the bound the special primes are
+// sized by (NewParameters), so the inner-product noise X·e/P stays within
+// what the top level's largest digit already adds — packed first-fit
+// decreasing by product, which is optimal for three digits.
 type ksPlan struct {
 	ext    []uint64
-	digits []ksDigit // indexed by digit; conv is nil when it has no live rows
-	pLive  []uint64  // P mod each live modulus
+	groups []ksGroup
+	pLive  []uint64 // P mod each live modulus
 }
 
-type ksDigit struct {
-	own  []int     // the digit's rows of live — and of ext, which extends live
-	rest []int     // every other row of ext: what the conversion fills
-	conv *rns.Conv // own moduli -> rest moduli
+type ksGroup struct {
+	digits []int     // the key digits the group covers
+	own    []int     // the group's rows of live — and of ext, which extends live
+	rest   []int     // every other row of ext: what the conversion fills
+	conv   *rns.Conv // own moduli -> rest moduli
 }
 
 func (ev *Evaluator) ksPlan(live []uint64) *ksPlan {
 	var buf [512]byte
 	pl, _ := cached(ev.caches, ev.caches.ksCache, moduliKey(buf[:0], live, nil), func() (*ksPlan, error) {
 		p := ev.params
-		special := p.Chain.Special
-		pl := &ksPlan{
-			ext:    append(append([]uint64(nil), live...), special...),
-			digits: make([]ksDigit, p.Dnum),
-		}
-		for r, q := range live {
-			d := &pl.digits[p.DigitOf(q)]
-			d.own = append(d.own, r)
-		}
-		for d := range pl.digits {
-			dg := &pl.digits[d]
-			if len(dg.own) == 0 {
-				continue
+		pl := &ksPlan{ext: append(append([]uint64(nil), live...), p.Chain.Special...)}
+		prod := make([]*big.Int, p.Dnum) // each digit's product over live
+		var order []int                  // the non-empty digits
+		for _, q := range live {
+			d := p.DigitOf(q)
+			if prod[d] == nil {
+				prod[d] = big.NewInt(1)
+				order = append(order, d)
 			}
+			prod[d].Mul(prod[d], new(big.Int).SetUint64(q))
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return prod[b].Cmp(prod[a]) })
+		var gprod []*big.Int
+		for _, d := range order {
+			g := slices.IndexFunc(gprod, func(gp *big.Int) bool {
+				return new(big.Int).Mul(gp, prod[d]).Cmp(p.specialP) <= 0
+			})
+			if g < 0 {
+				g = len(gprod)
+				gprod = append(gprod, big.NewInt(1))
+				pl.groups = append(pl.groups, ksGroup{})
+			}
+			gprod[g].Mul(gprod[g], prod[d])
+			pl.groups[g].digits = append(pl.groups[g].digits, d)
+		}
+		for g := range pl.groups {
+			gr := &pl.groups[g]
 			var src, dst []uint64
 			for r, q := range pl.ext {
-				if slices.Contains(dg.own, r) {
+				if r < len(live) && slices.Contains(gr.digits, p.DigitOf(q)) {
+					gr.own = append(gr.own, r)
 					src = append(src, q)
 				} else {
-					dg.rest = append(dg.rest, r)
+					gr.rest = append(gr.rest, r)
 					dst = append(dst, q)
 				}
 			}
-			dg.conv = rns.NewConv(src, dst)
+			gr.conv = rns.NewConv(src, dst)
 		}
 		pl.pLive = residues(p.specialP, live)
 		return pl, nil
@@ -649,21 +675,21 @@ func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) {
 
 // HoistedDecomp is a ciphertext ready to be rotated any number of ways.
 // Its C1 is held as the reusable first half of a hybrid keyswitch: the
-// digit decomposition, basis-extended (ModUp) from the live moduli to
-// live++special. Producing it costs one INTT plus one approximate basis
-// conversion per digit — the dominant O(R²·N) part of a keyswitch — and
-// every rotation then reuses it (hoisting, HS18 / ARK-style inter-op
-// reuse). Its C0 is carried as P·c0 in the same extended basis, where
-// each rotation permutes it (rotateExt): the ciphertext's own pending C0,
-// or its divided C0 lifted.
+// decomposition, basis-extended (ModUp) from the live moduli to
+// live++special, one X per group of key digits (ksPlan). Producing it
+// costs one INTT plus one approximate basis conversion per group — the
+// dominant O(R²·N) part of a keyswitch — and every rotation then reuses
+// it (hoisting, HS18 / ARK-style inter-op reuse). Its C0 is carried as
+// P·c0 in the same extended basis, where each rotation permutes it
+// (rotateExt): the ciphertext's own pending C0, or its divided C0 lifted.
 //
-// Fused, the digits are in the evaluation domain: a Galois automorphism
+// Fused, the groups are in the evaluation domain: a Galois automorphism
 // is then a permutation of evaluation points, which the inner product
 // reads in place. Staged, they stay in the coefficient domain and each
 // rotation permutes and transforms a copy.
 type HoistedDecomp struct {
-	ext    []uint64
-	digits []*ring.Poly // indexed by digit; nil when the digit has no rows
+	plan   *ksPlan
+	digits []*ring.Poly // indexed by group of plan
 	// c0 is P·c0 over the extended basis, nil in a decomposition only
 	// relinearization reads; lifted reports that it is hoist's scratch
 	// rather than the ciphertext's pending C0.
@@ -676,9 +702,7 @@ type HoistedDecomp struct {
 // afterwards.
 func (hd *HoistedDecomp) Free(ctx *ring.Context) {
 	for _, d := range hd.digits {
-		if d != nil {
-			ctx.PutPoly(d)
-		}
+		ctx.PutPoly(d)
 	}
 	hd.digits = nil
 	if hd.lifted {
@@ -705,59 +729,58 @@ func (ev *Evaluator) decomposePoly(c2 *ring.Poly) *HoistedDecomp {
 	return hd
 }
 
-// decompose builds the digits of the polynomial whose coefficient-domain
-// form is c2c: each digit carries its own rows of the polynomial and the
+// decompose builds the groups of the polynomial whose coefficient-domain
+// form is c2c: each group carries its own rows of the polynomial and the
 // ModUp conversion of those rows onto every other row of live++special.
+// A keyswitch at a level of R live rows and E extended rows thus costs R
+// inverse and g·E − R forward transforms for its g groups.
 //
 // c2n, when non-nil, is the same polynomial in the evaluation domain (the
 // fused decomposePoly has it at hand: the keyswitch input itself), and
-// the digits come out in the evaluation domain: a digit's own rows are
+// the groups come out in the evaluation domain: a group's own rows are
 // copied from c2n — they are NTT(INTT(c2n)) = c2n bit for bit, the
 // transforms being exact inverses — and only the converted rows are
-// transformed, |ext|−|own| per digit instead of |ext|. With c2n nil
-// (staged evaluator) the digits stay in the coefficient domain. Both
+// transformed, |ext|−|own| per group instead of |ext|. With c2n nil
+// (staged evaluator) the groups stay in the coefficient domain. Both
 // inputs are only read.
 func (ev *Evaluator) decompose(c2c, c2n *ring.Poly) *HoistedDecomp {
 	ctx := ev.params.Ctx
 	pl := ev.ksPlan(c2c.Moduli)
 	hd := &HoistedDecomp{
-		ext:    pl.ext,
-		digits: make([]*ring.Poly, len(pl.digits)),
+		plan:   pl,
+		digits: make([]*ring.Poly, len(pl.groups)),
 	}
 	own := c2c
 	if c2n != nil {
 		own = c2n
 	}
-	// The pooled digit polys are not zeroed: copied and converted rows
+	// The pooled group polys are not zeroed: copied and converted rows
 	// together cover every row.
 	type rowJob struct {
 		dst, src []uint64 // src nil: a converted row, to be transformed
 		q        uint64
 	}
 	var jobs []rowJob
-	for d := range pl.digits {
-		dg := &pl.digits[d]
-		if dg.conv == nil {
-			continue
-		}
-		digit := ctx.GetPoly(pl.ext)
-		digit.IsNTT = own.IsNTT
-		srcRes := make([][]uint64, len(dg.own))
-		for i, r := range dg.own {
+	for g := range pl.groups {
+		gr := &pl.groups[g]
+		x := ctx.GetPoly(pl.ext)
+		x.IsNTT = own.IsNTT
+		srcRes := make([][]uint64, len(gr.own))
+		for i, r := range gr.own {
 			srcRes[i] = c2c.Coeffs[r]
-			jobs = append(jobs, rowJob{dst: digit.Coeffs[r], src: own.Coeffs[r]})
+			jobs = append(jobs, rowJob{dst: x.Coeffs[r], src: own.Coeffs[r]})
 		}
-		dstRes := make([][]uint64, len(dg.rest))
-		for i, r := range dg.rest {
-			dstRes[i] = digit.Coeffs[r]
+		dstRes := make([][]uint64, len(gr.rest))
+		for i, r := range gr.rest {
+			dstRes[i] = x.Coeffs[r]
 			if c2n != nil {
 				jobs = append(jobs, rowJob{dst: dstRes[i], q: pl.ext[r]})
 			}
 		}
-		dg.conv.Convert(dstRes, srcRes)
-		hd.digits[d] = digit
+		gr.conv.Convert(dstRes, srcRes)
+		hd.digits[g] = x
 	}
-	// One fork/join over every row of every digit.
+	// One fork/join over every row of every group.
 	engine.Dispatch(len(jobs), ctx.N, func(t int) {
 		if j := &jobs[t]; j.src != nil {
 			copy(j.dst, j.src)
@@ -802,34 +825,34 @@ func (ev *Evaluator) keySwitchExt(hd *HoistedDecomp, swk *SwitchingKey, galEl ui
 	return ev.keySwitchExtUnfused(hd, swk, galEl, extra)
 }
 
-// keySwitchExtFused is the fused twin of keySwitchExtUnfused: every
-// digit's products with the key go into one inner product
+// keySwitchExtFused is the fused twin of keySwitchExtUnfused: every key
+// digit's products with its group's X go into one inner product
 // (ring.InnerProduct), one fork/join over the extended rows that sums
-// the raw products and reduces each coefficient once per group of digits
-// instead of once per digit. The evaluation-domain digits are read in
-// place — under a Galois map through the gather table — so no digit is
+// the raw products and reduces each coefficient once per run of terms
+// instead of once per term. The evaluation-domain groups are read in
+// place — under a Galois map through the gather table — so no X is
 // copied; a seed-compressed key's A rows are regenerated inside the same
 // kernel, row by row, and never materialize. Bit-identical to the staged
 // pipeline: both are the canonical residues of the same sums.
 func (ev *Evaluator) keySwitchExtFused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64, extra []ring.Term) (*ring.Poly, *ring.Poly) {
 	ctx := ev.params.Ctx
-	ext := hd.ext
-	terms := make([]ring.Term, 0, len(hd.digits)+len(extra))
-	for d, digit := range hd.digits {
-		if digit == nil {
-			continue
+	ext := hd.plan.ext
+	terms := make([]ring.Term, 0, ev.params.Dnum+len(extra))
+	for g, x := range hd.digits {
+		for _, d := range hd.plan.groups[g].digits {
+			// The key rows are only read: alias them instead of copying
+			// the whole switching key per digit. Row content of a
+			// seed-compressed A depends only on (seed, modulus), so the
+			// rows regenerated over ext match the dense key's restricted
+			// rows bit for bit.
+			t := ring.Term{X: x, Y0: swk.B[d].RestrictView(ext)}
+			if swk.A[d] != nil {
+				t.Y1 = swk.A[d].RestrictView(ext)
+			} else {
+				t.Seed = swk.ASeeds[d]
+			}
+			terms = append(terms, t)
 		}
-		// The key rows are only read: alias them instead of copying the
-		// whole switching key per digit. Row content of a seed-compressed
-		// A depends only on (seed, modulus), so the rows regenerated over
-		// ext match the dense key's restricted rows bit for bit.
-		t := ring.Term{X: digit, Y0: swk.B[d].RestrictView(ext)}
-		if swk.A[d] != nil {
-			t.Y1 = swk.A[d].RestrictView(ext)
-		} else {
-			t.Seed = swk.ASeeds[d]
-		}
-		terms = append(terms, t)
 	}
 	terms = append(terms, extra...)
 	acc0 := ctx.GetPoly(ext)

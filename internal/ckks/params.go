@@ -29,19 +29,23 @@ type Parameters struct {
 	Chain *core.Chain
 	Ctx   *ring.Context
 
-	// Dnum is the number of keyswitching digits (the paper evaluates
-	// 1-, 2- and 3-digit keyswitching; len(Chain.Special) must be at
-	// least ceil(maxR/Dnum) so the special modulus P dominates every
-	// digit product).
+	// Dnum is the number of keyswitching digits the switching keys hold
+	// (the paper evaluates 1-, 2- and 3-digit keyswitching;
+	// len(Chain.Special) must be at least ceil(maxR/Dnum) so the special
+	// modulus P dominates every digit product). A keyswitch decomposes
+	// into at most Dnum groups of whole digits, fewer where P covers
+	// several digits' products (ksPlan).
 	Dnum int
 	// Sigma is the encryption error standard deviation (HE standard 3.2).
 	Sigma float64
 
 	// union is the canonical ordering of every modulus any level uses.
 	union []uint64
-	// digitOf assigns each union modulus to a keyswitching digit, by its
-	// position within the level where it first appears (mod Dnum), so
-	// every level's live moduli spread evenly across digits.
+	// digitOf assigns each union modulus to a key digit, by its position
+	// within the level where it first appears (mod Dnum), so every
+	// level's live moduli spread evenly across digits. It fixes the keys'
+	// gadgets for the whole chain; a level's decomposition groups whole
+	// digits (ksPlan).
 	digitOf map[uint64]int
 	// specialP is P, the product of the special primes: what a pending
 	// component is scaled by (see Ciphertext).

@@ -17,41 +17,38 @@ import (
 // keySwitchExtUnfused is the staged inner-product half: it stops before
 // the ModDown, returning the accumulated pair in the extended basis (NTT
 // domain). The staged twin of keySwitchExtFused — same values, one full
-// pass per kernel: each coefficient-domain digit is permuted (galEl 1 is
-// the identity) and transformed into a copy before its products, and
-// each extra term is its own product pass over its rows.
+// pass per kernel: each coefficient-domain group is permuted (galEl 1 is
+// the identity) and transformed into a copy before its member digits'
+// products, and each extra term is its own product pass over its rows.
 func (ev *Evaluator) keySwitchExtUnfused(hd *HoistedDecomp, swk *SwitchingKey, galEl uint64, extra []ring.Term) (*ring.Poly, *ring.Poly) {
 	p := ev.params
-	ext := hd.ext
+	ext := hd.plan.ext
 
 	acc0 := p.Ctx.GetPolyZero(ext)
 	acc0.IsNTT = true
 	acc1 := p.Ctx.GetPolyZero(ext)
 	acc1.IsNTT = true
 
-	for d, src := range hd.digits {
-		if src == nil {
-			continue
+	for g, src := range hd.digits {
+		x := src.Automorphism(galEl)
+		x.NTT()
+		for _, d := range hd.plan.groups[g].digits {
+			// The key rows are only read: alias them instead of copying
+			// the whole switching key per digit.
+			acc0.MulCoeffsAdd(x, swk.B[d].RestrictView(ext))
+			if swk.A[d] == nil {
+				// Seed-compressed key: materialize the needed A rows from
+				// the digit's seed into pooled scratch for this one pass.
+				// Row content depends only on (seed, modulus), so the
+				// values match the dense key's restricted rows bit for bit.
+				ka := ring.GetUniformPolyFromSeed(p.Ctx, ext, swk.ASeeds[d])
+				acc1.MulCoeffsAdd(x, ka)
+				p.Ctx.PutPoly(ka)
+			} else {
+				acc1.MulCoeffsAdd(x, swk.A[d].RestrictView(ext))
+			}
 		}
-		digit := src.Automorphism(galEl)
-		digit.NTT()
-
-		// The key rows are only read: alias them instead of copying the
-		// whole switching key per digit.
-		kb := swk.B[d].RestrictView(ext)
-		acc0.MulCoeffsAdd(digit, kb)
-		if swk.A[d] == nil {
-			// Seed-compressed key: materialize the needed A rows from the
-			// digit's seed into pooled scratch for this one pass. Row
-			// content depends only on (seed, modulus), so the values match
-			// the dense key's restricted rows bit for bit.
-			ka := ring.GetUniformPolyFromSeed(p.Ctx, ext, swk.ASeeds[d])
-			acc1.MulCoeffsAdd(digit, ka)
-			p.Ctx.PutPoly(ka)
-		} else {
-			acc1.MulCoeffsAdd(digit, swk.A[d].RestrictView(ext))
-		}
-		p.Ctx.PutPoly(digit)
+		p.Ctx.PutPoly(x)
 	}
 	for _, t := range extra {
 		acc0.RestrictView(t.X.Moduli).MulCoeffsAdd(t.X, t.Y0)

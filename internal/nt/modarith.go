@@ -10,7 +10,10 @@
 // the NTT never overflow).
 package nt
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // MaxModulusBits is the widest modulus supported by the arithmetic in this
 // package. Keeping two slack bits below 64 lets the NTT use lazy reduction.
@@ -98,17 +101,20 @@ func MulModBarrett(x, y, q, bhi, blo uint64) uint64 {
 }
 
 // ReduceWide returns (hi·2^64 + lo) mod q where (bhi, blo) =
-// BarrettConstant(q). The quotient floor(a/q) of the 128-bit a is
-// estimated from the top 128 bits of the 256-bit product a·floor(2^128/q),
-// which undershoots by at most one (a·floor(2^128/q)/2^128 > a/q − a/2^128
-// > a/q − 1), so a single conditional subtraction finishes the reduction.
-// Requires hi < q < 2^63, i.e. a < q·2^64: the quotient then fits one
-// word. A product of two residues qualifies, and so does a sum of up to
-// WideTerms(q) of them (see there).
+// BarrettConstant(q), for any 128-bit a = hi·2^64 + lo. The quotient
+// floor(a/q) is estimated as t = floor(a·floor(2^128/q) / 2^128), which
+// undershoots by at most one (a·floor(2^128/q)/2^128 > a/q − a/2^128
+// > a/q − 1), so the true remainder a − t·q lies in [0, 2q). That
+// remainder is below 2^64 (q < 2^63), so it is computed exactly mod 2^64
+// from lo and t mod 2^64: t itself may exceed a word when a ≥ q·2^64,
+// but only its low word is needed, and that is what the partial products
+// below give. A single conditional subtraction finishes the reduction.
+// Requires q < 2^63. A product of two residues qualifies, and so does a
+// sum of up to WideTerms(q) of them (see there).
 func ReduceWide(hi, lo, q, bhi, blo uint64) uint64 {
-	// t = floor(a*b / 2^128), computed exactly: sum the 2^64-column
-	// partial products (carries propagate into the 2^128 column) and the
-	// 2^128-column partials. t <= a/q < 2^64.
+	// t = floor(a*b / 2^128) mod 2^64: sum the 2^64-column partial
+	// products (carries propagate into the 2^128 column) and the
+	// 2^128-column partials, the 2^192 column dropped.
 	c1hi, _ := bits.Mul64(lo, blo)
 	c2hi, c2lo := bits.Mul64(lo, bhi)
 	c3hi, c3lo := bits.Mul64(hi, blo)
@@ -133,7 +139,7 @@ func ReduceWide(hi, lo, q, bhi, blo uint64) uint64 {
 //	n·(q−1)² + (q−1) < W
 //
 // with W the accumulator's bound: 2^64 for one word (NarrowTerms, and
-// ReduceWord), q·2^64 for two words (WideTerms, and ReduceWide).
+// ReduceWord), 2^128 for two words (WideTerms, and ReduceWide).
 
 // NarrowTerms returns how many products of residues mod q one 64-bit
 // accumulator takes between reductions by ReduceWord: the largest n with
@@ -145,17 +151,22 @@ func NarrowTerms(q uint64) int {
 }
 
 // WideTerms returns how many products of residues mod q a two-word
-// (128-bit) accumulator takes between reductions by ReduceWide:
-// floor((2^64−1)/q), which keeps n·(q−1)² + (q−1) < q·2^64 since
-// n·(q−1) + 1 <= n·q <= 2^64 − 1: 8 just below 2^61, 4 just below 2^62.
-// That is ReduceWide's contract, a quotient that fits one word. Its
-// arithmetic would in fact stay exact up to 2^128 (the quotient is only
-// used mod 2^64, and the estimate stays within one of it), but at the
-// benchmark's shapes no sum exceeds a group (three keyswitch digits,
-// eight diagonals per BSGS giant), so the wider bound would buy nothing
-// there. Requires 1 < q < 2^63.
+// (128-bit) accumulator takes between reductions by ReduceWide: the
+// largest n with n·(q−1)² + (q−1) < 2^128, which ReduceWide reduces
+// exactly since it takes any 128-bit sum: 64 just below 2^61, 16 just
+// below 2^62. It is floor((2^128 − 1 − m)/m²) with m = q−1, taken as
+// two 128-bit divisions by m (floor(floor(x/m)/m) = floor(x/m²)) and
+// capped at the largest int. Requires 2 < q < 2^63.
 func WideTerms(q uint64) int {
-	return int(^uint64(0) / q)
+	m := q - 1
+	hi, r := bits.Div64(0, ^uint64(0), m)
+	lo, _ := bits.Div64(r, ^uint64(0)-m, m)
+	hi, r = bits.Div64(0, hi, m)
+	lo, _ = bits.Div64(r, lo, m)
+	if hi != 0 || lo > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(lo)
 }
 
 // WordBarrett returns floor(2^64 / q), the one-word Barrett constant

@@ -86,9 +86,12 @@ func TestReduceWord(t *testing.T) {
 }
 
 // TestReduceWideAgainstBig: the 128-bit Barrett reduction must agree
-// with math/big over its whole domain hi < q, in particular at the top
-// (hi = q−1, lo = 2^64−1, the largest sum an accumulator may hold) and
-// at multiples of q, where an estimate one short leaves exactly q.
+// with math/big over its whole domain, every 128-bit word pair: below
+// q·2^64 (hi < q, the quotient one word) and above it up to 2^128 − 1,
+// where the quotient overflows a word and only its low word is used —
+// the sums of WideTerms products reach there. In particular at the tops
+// (hi = q−1 or 2^64−1, lo = 2^64−1) and at multiples of q, where an
+// estimate one short leaves exactly q.
 func TestReduceWideAgainstBig(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	for _, q := range []uint64{3, 97, 1<<32 + 15, 1<<45 - 55, testPrime, 1<<62 - 57} {
@@ -101,7 +104,7 @@ func TestReduceWideAgainstBig(t *testing.T) {
 				t.Fatalf("q=%d ReduceWide(%d, %d)=%d want %d", q, hi, lo, got, want)
 			}
 		}
-		for _, hi := range []uint64{0, 1, q / 2, q - 1} {
+		for _, hi := range []uint64{0, 1, q / 2, q - 1, q, 1 << 63, ^uint64(0) - 1, ^uint64(0)} {
 			for _, lo := range []uint64{0, 1, q - 1, q, ^uint64(0), ^uint64(0) - q} {
 				check(hi, lo)
 			}
@@ -110,14 +113,14 @@ func TestReduceWideAgainstBig(t *testing.T) {
 			m.Div(m, bq).Add(m, big.NewInt(1)).Mul(m, bq)
 			if m.BitLen() <= 128 {
 				mlo := new(big.Int).And(m, new(big.Int).SetUint64(^uint64(0))).Uint64()
-				if mhi := new(big.Int).Rsh(m, 64).Uint64(); mhi < q {
-					check(mhi, mlo)
-					check(mhi, mlo-1)
-				}
+				mhi := new(big.Int).Rsh(m, 64).Uint64()
+				check(mhi, mlo)
+				check(mhi, mlo-1)
 			}
 		}
 		for i := 0; i < 2000; i++ {
 			check(rng.Uint64N(q), rng.Uint64())
+			check(rng.Uint64(), rng.Uint64())
 		}
 	}
 }
@@ -125,10 +128,11 @@ func TestReduceWideAgainstBig(t *testing.T) {
 // TestSumHeadroomAgainstBig pins the group lengths of unreduced sums at
 // the headroom boundaries: a group of n maximal products (q−1)², started
 // from a carried residue q−1, stays below the accumulator's bound — 2^64
-// for NarrowTerms, q·2^64 for WideTerms — and for NarrowTerms one more
-// product does not, so the length is the largest safe one. Moduli: just
-// below 2^32 (one term per group), below 2^28 (at least 256), and just
-// below 2^61 and 2^62 (eight and four).
+// for NarrowTerms, 2^128 for WideTerms — and one more product does not,
+// so the length is the largest safe one. Moduli: just below 2^32 (one
+// term per group), below 2^28 (at least 256), and just below 2^61 and
+// 2^62 (64 and 16). ReduceWide takes any 128-bit sum
+// (TestReduceWideAgainstBig), so 2^128 is the wide bound.
 func TestSumHeadroomAgainstBig(t *testing.T) {
 	sum := func(q uint64, n int) *big.Int {
 		m := new(big.Int).SetUint64(q - 1)
@@ -153,24 +157,20 @@ func TestSumHeadroomAgainstBig(t *testing.T) {
 			t.Fatalf("q=%d: %d products and a carry still fit one word: NarrowTerms is not the largest", c.q, n+1)
 		}
 	}
+	pair := new(big.Int).Lsh(big.NewInt(1), 128)
 	for _, c := range []struct {
 		q    uint64
 		want int
-	}{{testPrime, 8}, {1<<61 - 1, 8}, {1<<62 - 57, 4}, {1<<62 - 1<<40 + 1, 4}} {
+	}{{testPrime, 64}, {1<<61 - 1, 64}, {1<<62 - 57, 16}, {1<<62 - 1<<40 + 1, 16}} {
 		n := WideTerms(c.q)
 		if n != c.want {
 			t.Fatalf("WideTerms(%d) = %d, want %d", c.q, n, c.want)
 		}
-		bound := new(big.Int).Mul(new(big.Int).SetUint64(c.q), word)
-		if sum(c.q, n).Cmp(bound) >= 0 {
-			t.Fatalf("q=%d: %d products and a carry reach q·2^64", c.q, n)
+		if sum(c.q, n).Cmp(pair) >= 0 {
+			t.Fatalf("q=%d: %d products and a carry overflow two words", c.q, n)
 		}
-		// One more maximal product (no carry) is already past the bound:
-		// a group one term longer would overflow the quotient word.
-		over := sum(c.q, n+1)
-		over.Sub(over, new(big.Int).SetUint64(c.q-1))
-		if over.Cmp(bound) < 0 {
-			t.Fatalf("q=%d: %d maximal products stay below q·2^64", c.q, n+1)
+		if sum(c.q, n+1).Cmp(pair) < 0 {
+			t.Fatalf("q=%d: %d products and a carry still fit two words: WideTerms is not the largest", c.q, n+1)
 		}
 	}
 }

@@ -616,7 +616,7 @@ func (t *Table) innerNarrow(o0, o1, gather []uint64, terms []Term, b int) {
 }
 
 // innerWide is InnerProduct's block kernel for q >= 2^32: each sum is a
-// (hi, lo) word pair below q·2^64 until its group is reduced.
+// (hi, lo) word pair below 2^128 until its group is reduced.
 func (t *Table) innerWide(o0, o1, gather []uint64, terms []Term, b int) {
 	var lo0, hi0, lo1, hi1, xbuf, ybuf [ipBlock]uint64
 	m := len(o0)

@@ -421,10 +421,11 @@ func TestPointwiseKernelsMatchMulMod(t *testing.T) {
 // headroom boundaries of its unreduced sums: a prime just below 2^32
 // (one product per one-word group), one below 2^28 (a group of at least
 // 256, here exceeded twice), and primes just below 2^61 and 2^62 (two-word
-// groups of eight and four, so the sums fold). A wide sum takes enough
+// groups of 64 and 16, so the sums fold twice). A wide sum takes enough
 // terms to pass 2^128 unfolded: ReduceWide's result is exact for any
 // 128-bit word pair (its quotient is only needed mod 2^64), so only an
-// overflow of the pair itself can show a missing fold. Every word of
+// overflow of the pair itself can show a missing fold or a group one
+// term longer than nt.WideTerms. Every word of
 // every operand is q−1 in one pass — the largest sums the bound admits —
 // and random in the other; X is read directly and through a gather, and
 // every other term streams its Y1.
@@ -433,7 +434,7 @@ func TestInnerProductHeadroom(t *testing.T) {
 	for _, c := range []struct {
 		bits  int
 		group int // 0: at least 256
-	}{{32, 1}, {28, 0}, {61, 8}, {62, 4}} {
+	}{{32, 1}, {28, 0}, {61, 64}, {62, 16}} {
 		q := nt.PreviousNTTPrime(1<<c.bits, 2*512)
 		tab := testTable(t, q, 512)
 		if c.group != 0 && tab.group != c.group || c.group == 0 && tab.group < 256 {
