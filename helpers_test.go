@@ -230,12 +230,13 @@ func TestTransformAPI(t *testing.T) {
 }
 
 // TestTransformStoresEachDiagonalOnce: a transform retains one encoded
-// polynomial per diagonal, at the width Apply reads it — E = R+S rows of
-// N words (level moduli and special primes) when its baby step is
-// nonzero, R when it multiplies the input itself — and little else.
+// polynomial per diagonal, at the width Apply reads it — E = R+S rows
+// (level moduli and special primes) when its baby step is nonzero, R
+// when it multiplies the input itself, each row one word per run of
+// slots/dim evaluation points, N·dim/slots words — and little else.
 // Measured as live heap across the build; with a second encoded copy of
 // every diagonal beside the one Apply reads, the same build retained
-// 2.0 x.
+// 2.0 x (at dense rows, before the runs).
 func TestTransformStoresEachDiagonalOnce(t *testing.T) {
 	const dim = 32
 	mat := make([][]complex128, dim)
@@ -278,7 +279,7 @@ func TestTransformStoresEachDiagonalOnce(t *testing.T) {
 				rows += e
 			}
 		}
-		once := float64(rows * (1 << 12) * 8)
+		once := float64(rows * (1 << 12) * dim / ctx.Slots() * 8)
 		if retained > 1.15*once {
 			t.Errorf("%v: a %dx%d transform retains %.1f MB, %.2f x one encoded copy per diagonal (%.1f MB)",
 				scheme, dim, dim, retained/1e6, retained/once, once/1e6)

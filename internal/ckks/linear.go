@@ -3,6 +3,7 @@ package ckks
 import (
 	"math"
 	"math/big"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -36,9 +37,12 @@ import (
 // fixed level and scale, ready to be applied to ciphertexts at that level.
 // Each diagonal is stored once, in the form the evaluation reads: grouped
 // giant step -> baby step, pre-rotated by minus its giant step, in the
-// NTT domain, and over the basis its baby rotation lives in. The
-// evaluation plan (ordered steps, key demand) is fixed when the
-// transform is built.
+// NTT domain, over the basis its baby rotation lives in, and one word per
+// run of equal evaluation points. A diagonal of slot period p (a matrix
+// of side p replicated across the slot blocks) has NTT rows constant on
+// aligned runs of slots/p words, so its rows are N·p/slots words; an
+// aperiodic diagonal's run is one word, the dense row. The evaluation
+// plan (ordered steps, key demand) is fixed when the transform is built.
 type LinearTransform struct {
 	Level int
 	Scale *big.Rat
@@ -70,10 +74,44 @@ type giantStep struct {
 // it multiplies a baby rotation still in the extended basis — and, times
 // P, over the level's moduli alone when it multiplies the input itself
 // (the live rows of P·ct; its special rows are zero). Diagonal 0 alone is
-// a plaintext product and is stored as it is.
+// a plaintext product and is stored as it is. Each row holds one word per
+// run of evaluation points (ring.Poly.Runs), N words when it is dense.
 type babyTerm struct {
 	baby int // index into LinearTransform.babies
 	pt   *ring.Poly
+}
+
+// dense returns the term's diagonal at full rows: pt itself when it is
+// stored dense, else a pooled expansion the caller releases with
+// ctx.PutPoly. It serves the readers other than the inner product, which
+// reads the runs in place.
+func (t *babyTerm) dense(ctx *ring.Context) *ring.Poly {
+	if len(t.pt.Coeffs[0]) == ctx.N {
+		return t.pt
+	}
+	d := ctx.GetPoly(t.pt.Moduli)
+	d.IsNTT = true
+	ring.ExpandRuns(d, t.pt)
+	return d
+}
+
+// release returns what dense handed out to the pool.
+func (t *babyTerm) release(ctx *ring.Context, d *ring.Poly) {
+	if d != t.pt {
+		ctx.PutPoly(d)
+	}
+}
+
+// slotPeriod is the smallest power of two p with v[i] = v[i mod p] for
+// every slot i of the power-of-two-long v. A vector of period p halves
+// to period p/2 exactly when its two halves of p agree, so the halvings
+// read at most len(v) words together.
+func slotPeriod(v []complex128) int {
+	p := len(v)
+	for p > 1 && slices.Equal(v[:p/2], v[p/2:p]) {
+		p /= 2
+	}
+	return p
 }
 
 // Rotations returns the rotation amounts the transform's evaluation
@@ -236,9 +274,14 @@ func NewLinearTransformFromDiags(params *Parameters, enc *Encoder, diags map[int
 			// giant's extended-basis sum with no lift.
 			pt.MulScalarBig(pt, p)
 		}
+		// A slot period of p makes the NTT rows constant on aligned runs
+		// of slots/p words; RunShift confirms it on the words themselves
+		// (halving the run where encoding broke it), so the runs store
+		// exactly the dense rows.
+		shift := pt.RunShift(uint(bits.TrailingZeros(uint(slots / slotPeriod(rotated)))))
 		bi, _ := slices.BinarySearch(lt.babies, b)
 		last := &lt.giants[len(lt.giants)-1]
-		last.terms = append(last.terms, babyTerm{baby: bi, pt: pt})
+		last.terms = append(last.terms, babyTerm{baby: bi, pt: pt.Runs(shift)})
 		if d != 0 {
 			lt.naive++
 		}
@@ -387,7 +430,10 @@ func (ev *Evaluator) ApplyLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 		// multiple of P, which the rounded division shifts by a constant
 		// in every coefficient. A plaintext product divides nothing.
 		c0, c1 := ev.polyPairLike(ct.C0, ct.C1)
-		ring.MulCoeffsPair(c0, ct.C0, c1, ct.C1, lt.giants[0].terms[0].pt)
+		term := &lt.giants[0].terms[0]
+		d := term.dense(ev.params.Ctx)
+		ring.MulCoeffsPair(c0, ct.C0, c1, ct.C1, d)
+		term.release(ev.params.Ctx, d)
 		return ev.plainProduct(ct, c0, c1, lt.Scale), nil
 	}
 	// Declare the plan's whole key demand up front: with a key manager
@@ -501,10 +547,13 @@ func (ev *Evaluator) giantStep(ct *Ciphertext, lt *LinearTransform, giant *giant
 	} else {
 		acc0, acc1 = ctx.GetPolyZero(ext), ctx.GetPolyZero(ext)
 		acc0.IsNTT, acc1.IsNTT = true, true
-		for _, term := range giant.terms {
-			x0, x1 := operands(term)
-			acc0.RestrictView(term.pt.Moduli).MulCoeffsAdd(x0, term.pt)
-			acc1.RestrictView(term.pt.Moduli).MulCoeffsAdd(x1, term.pt)
+		for i := range giant.terms {
+			term := &giant.terms[i]
+			x0, x1 := operands(*term)
+			d := term.dense(ctx)
+			acc0.RestrictView(d.Moduli).MulCoeffsAdd(x0, d)
+			acc1.RestrictView(d.Moduli).MulCoeffsAdd(x1, d)
+			term.release(ctx, d)
 		}
 	}
 	acc := ev.pendingPair(acc0, acc1, ct)

@@ -537,3 +537,111 @@ func (ev *Evaluator) ApplyLinearTransformNaive(enc *Encoder, ct *Ciphertext, dia
 	acc.seal()
 	return acc, nil
 }
+
+// storedWords counts the words a transform's diagonals hold, and the
+// words the same diagonals take at dense rows.
+func storedWords(lt *LinearTransform, n int) (words, dense int) {
+	for _, g := range lt.giants {
+		for _, term := range g.terms {
+			for _, row := range term.pt.Coeffs {
+				words += len(row)
+				dense += n
+			}
+		}
+	}
+	return words, dense
+}
+
+// transformParams builds a chain without keys: storage needs only the
+// parameters and an encoder.
+func transformParams(t *testing.T, scheme core.Scheme, levels int, qMin float64, w, logN int) (*Parameters, *Encoder) {
+	t.Helper()
+	targets := make([]float64, levels+1)
+	for i := range targets {
+		targets[i] = 40
+	}
+	prog := core.ProgramSpec{MaxLevel: levels, TargetScaleBits: targets, QMinBits: qMin}
+	params, err := BuildParameters(scheme, prog, core.SecuritySpec{LogN: logN}, core.HWSpec{WordBits: w}, 3, 3.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return params, NewEncoder(params)
+}
+
+// TestTransformStoresRunsOfPeriodicDiagonals: a diagonal of slot period
+// p stores each row as one word per run of slots/p evaluation points,
+// N·p/slots words, and an aperiodic one stores N. A matrix of side dim
+// replicated across the slot blocks has period dim; sides up to 32 are
+// built by NewLinearTransform from a random dense matrix, and slots/2
+// and slots from three replicated random diagonals of that side (0, 1
+// and dim-1: NewLinearTransform's own extraction, without a dense
+// matrix of gigabytes). The bootstrapper's CoeffToSlot and SlotToCoeff
+// matrices span all slots and keep dense rows, and the benchmark's
+// inference transforms (two 32x32 at the top level and at L3, bp28 at
+// LogN 13) shrink from ~62 MB to under 1 MB.
+func TestTransformStoresRunsOfPeriodicDiagonals(t *testing.T) {
+	rng := rand.New(rand.NewPCG(48, 13))
+	check := func(tag string, lt *LinearTransform, want int) {
+		t.Helper()
+		for _, g := range lt.giants {
+			for _, term := range g.terms {
+				for _, row := range term.pt.Coeffs {
+					if len(row) != want {
+						t.Fatalf("%s: a diagonal row holds %d words, want %d", tag, len(row), want)
+					}
+				}
+			}
+		}
+	}
+	for logN := 10; logN <= 13; logN++ {
+		params, enc := transformParams(t, core.BitPacker, 3, 60, 28, logN)
+		n, slots := params.N(), params.Slots()
+		for _, dim := range []int{2, 8, 16, 32, slots / 2, slots} {
+			tag := fmt.Sprintf("LogN %d dim %d", logN, dim)
+			var lt *LinearTransform
+			var err error
+			if dim <= 32 {
+				lt, err = NewLinearTransform(params, enc, denseTestMatrix(rng, dim), params.MaxLevel())
+			} else {
+				diags := map[int][]complex128{}
+				for _, d := range []int{0, 1, dim - 1} {
+					diags[d] = ReplicateBlocks(randomValues(dim, rng), dim, slots)
+				}
+				lt, err = NewLinearTransformFromDiags(params, enc, diags, params.MaxLevel())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(tag, lt, n*dim/slots)
+		}
+		lt, err := NewLinearTransformFromDiags(params, enc, map[int][]complex128{3: randomValues(slots, rng)}, params.MaxLevel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("LogN %d random diagonal", logN), lt, n)
+	}
+
+	params, enc := transformParams(t, core.BitPacker, 3, 60, 61, 7)
+	dft, err := NewHomDFT(params, enc, params.MaxLevel(), params.MaxLevel()-1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("CoeffToSlot", dft.CtS, params.N())
+	check("SlotToCoeff", dft.StC, params.N())
+
+	params, enc = transformParams(t, core.BitPacker, 8, 60, 28, 13)
+	total, dense := 0, 0
+	for _, level := range []int{params.MaxLevel(), 3} {
+		lt, err := NewLinearTransform(params, enc, denseTestMatrix(rng, 32), level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("infer L%d", level), lt, params.N()*32/params.Slots())
+		w, d := storedWords(lt, params.N())
+		total, dense = total+8*w, dense+8*d
+	}
+	if total > 1e6 {
+		t.Errorf("infer shape: diagonals hold %.2f MB, want at most 1 MB", float64(total)/1e6)
+	}
+	t.Logf("infer shape: diagonals hold %.2f MB, %.1f MB at dense rows", float64(total)/1e6, float64(dense)/1e6)
+}

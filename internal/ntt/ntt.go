@@ -530,10 +530,13 @@ func (t *Table) MulCoeffsCross(out, a0, b1, a1, b0 []uint64) {
 }
 
 // Term is one summand of InnerProduct: X·Y0 goes to the first output and
-// X·Y1 to the second. A nil Y1 is drawn from Stream instead — word k of
-// the row is the k-th Stream.Uint64N(q) — so a seed-compressed operand
-// (the A half of a switching key) is regenerated as it is consumed and
-// never materializes.
+// X·Y1 to the second. X holds one word per aligned run of len(Y0)/len(X)
+// coefficients (a power of two), so a row that is constant on runs (a
+// periodic transform diagonal) is stored and read at its short length;
+// len(Y0) words is the dense row. A nil Y1 is drawn from Stream instead
+// — word k of the row is the k-th Stream.Uint64N(q) — so a
+// seed-compressed operand (the A half of a switching key) is regenerated
+// as it is consumed and never materializes.
 type Term struct {
 	X, Y0, Y1 []uint64
 	Stream    *rand.Rand
@@ -544,18 +547,20 @@ type Term struct {
 // gathered X block and a streamed Y1 block stay in L1 across the terms.
 const ipBlock = 128
 
-// InnerProduct sets o0[k] = Σ_t X_t[j]·Y0_t[k] and o1[k] = Σ_t
-// X_t[j]·Y1_t[k] mod q (NTT domain), with j = gather[k] — a Galois
-// automorphism read in place, the table of AutomorphismNTTTable — or j = k
-// when gather is nil. Raw products are accumulated unreduced: in one word
-// when q < 2^32, in two words (bits.Mul64, bits.Add64) above, and each
-// sum is reduced once per coefficient per group of t.group terms
-// (nt.NarrowTerms, nt.WideTerms), the next group adding onto the reduced
-// residue. The outputs are canonical residues of the exact sums, so they
-// are bit-identical to a MulCoeffs followed by one MulCoeffsAdd per
-// further term. With no terms the outputs are zero. All slices have
-// length len(o0); an output may alias a Y operand, or an X operand when
-// gather is nil, but not an X operand under a gather.
+// InnerProduct sets o0[k] = Σ_t X_t[j>>s_t]·Y0_t[k] and o1[k] = Σ_t
+// X_t[j>>s_t]·Y1_t[k] mod q (NTT domain), with 1<<s_t = n/len(X_t) the
+// term's run and j = gather[k] — a Galois automorphism read in place,
+// the table of AutomorphismNTTTable — or j = k when gather is nil. Raw
+// products are accumulated unreduced: in one word when q < 2^32, in two
+// words (bits.Mul64, bits.Add64) above, and each sum is reduced once per
+// coefficient per group of t.group terms (nt.NarrowTerms, nt.WideTerms),
+// the next group adding onto the reduced residue. The outputs are
+// canonical residues of the exact sums, so they are bit-identical to a
+// MulCoeffs followed by one MulCoeffsAdd per further term on the dense
+// rows. With no terms the outputs are zero. Y rows have length n =
+// len(o0), an X row one word per run of it; an output may alias a Y
+// operand, or a dense X operand when gather is nil, but not an X operand
+// under a gather.
 func (t *Table) InnerProduct(o0, o1, gather []uint64, terms []Term) {
 	n := len(o0)
 	o1 = o1[:n]
@@ -570,24 +575,51 @@ func (t *Table) InnerProduct(o0, o1, gather []uint64, terms []Term) {
 }
 
 // operands returns term tm's rows for the block of len(xb) coefficients
-// at offset b: X gathered into xb under a map, Y1 streamed into yb when
-// the term carries no Y1 row.
-func (t *Table) operands(tm *Term, gather []uint64, b int, xb, yb []uint64) (x, y0, y1 []uint64) {
-	m := len(xb)
-	x, y0, y1 = tm.X[b:b+m], tm.Y0[b:b+m], tm.Y1
-	if gather != nil {
+// at offset b. X is read in place when its row is dense and ungathered,
+// and is one scalar, xv with a nil x, when a run covers the block with
+// no map: the kernel then streams two operands instead of three, which
+// took a 32x32 transform's giant 0.76x the time of filling the block
+// (EXPERIMENTS.md "Diagonals stored by runs"). Otherwise X is filled
+// into xb through the map or from the runs, one run at a time. Y1 is
+// streamed into yb when the term carries no Y1 row.
+func (t *Table) operands(tm *Term, gather []uint64, b int, xb, yb []uint64) (x []uint64, xv uint64, y0, y1 []uint64) {
+	m, row := len(xb), tm.X
+	y0, y1, x = tm.Y0[b:b+m], tm.Y1, xb
+	switch dense := len(row) == len(tm.Y0); {
+	case dense && gather == nil:
+		x = row[b : b+m]
+	case dense:
 		for k, j := range gather[b : b+m] {
-			xb[k] = tm.X[j]
+			xb[k] = row[j]
 		}
-		x = xb
+	default:
+		s := uint(bits.TrailingZeros(uint(len(tm.Y0) / len(row))))
+		if gather != nil {
+			for k, j := range gather[b : b+m] {
+				xb[k] = row[j>>s]
+			}
+			break
+		}
+		if 1<<s >= m {
+			x, xv = nil, row[b>>s]
+			break
+		}
+		// Runs are aligned powers of two, so a block they do not cover
+		// holds whole ones.
+		for j := 0; j < m; j += 1 << s {
+			v, r := row[(b+j)>>s], xb[j:j+1<<s]
+			for k := range r {
+				r[k] = v
+			}
+		}
 	}
 	if y1 == nil {
 		for k := range yb {
 			yb[k] = tm.Stream.Uint64N(t.Q)
 		}
-		return x, y0, yb
+		return x, xv, y0, yb
 	}
-	return x, y0, y1[b : b+m]
+	return x, xv, y0, y1[b : b+m]
 }
 
 // innerNarrow is InnerProduct's block kernel for q < 2^32: a product of
@@ -598,11 +630,18 @@ func (t *Table) innerNarrow(o0, o1, gather []uint64, terms []Term, b int) {
 	o1, a0, a1, xb, yb := o1[:m], acc0[:m], acc1[:m], xbuf[:m], ybuf[:m]
 	q, mu := t.Q, t.mu
 	for i := range terms {
-		x, y0, y1 := t.operands(&terms[i], gather, b, xb, yb)
-		x, y0, y1 = x[:m], y0[:m], y1[:m]
-		for k, xv := range x {
-			a0[k] += xv * y0[k]
-			a1[k] += xv * y1[k]
+		x, xv, y0, y1 := t.operands(&terms[i], gather, b, xb, yb)
+		y0, y1 = y0[:m], y1[:m]
+		if x == nil {
+			for k := range a0 {
+				a0[k] += xv * y0[k]
+				a1[k] += xv * y1[k]
+			}
+		} else {
+			for k, xv := range x[:m] {
+				a0[k] += xv * y0[k]
+				a1[k] += xv * y1[k]
+			}
 		}
 		if (i+1)%t.group == 0 && i+1 < len(terms) {
 			for k := range a0 {
@@ -623,16 +662,28 @@ func (t *Table) innerWide(o0, o1, gather []uint64, terms []Term, b int) {
 	o1, l0, h0, l1, h1, xb, yb := o1[:m], lo0[:m], hi0[:m], lo1[:m], hi1[:m], xbuf[:m], ybuf[:m]
 	q, bhi, blo := t.Q, t.brHi, t.brLo
 	for i := range terms {
-		x, y0, y1 := t.operands(&terms[i], gather, b, xb, yb)
-		x, y0, y1 = x[:m], y0[:m], y1[:m]
-		for k, xv := range x {
-			hi, lo := bits.Mul64(xv, y0[k])
-			var c uint64
-			l0[k], c = bits.Add64(l0[k], lo, 0)
-			h0[k] += hi + c
-			hi, lo = bits.Mul64(xv, y1[k])
-			l1[k], c = bits.Add64(l1[k], lo, 0)
-			h1[k] += hi + c
+		x, xv, y0, y1 := t.operands(&terms[i], gather, b, xb, yb)
+		y0, y1 = y0[:m], y1[:m]
+		if x == nil {
+			for k := range l0 {
+				hi, lo := bits.Mul64(xv, y0[k])
+				var c uint64
+				l0[k], c = bits.Add64(l0[k], lo, 0)
+				h0[k] += hi + c
+				hi, lo = bits.Mul64(xv, y1[k])
+				l1[k], c = bits.Add64(l1[k], lo, 0)
+				h1[k] += hi + c
+			}
+		} else {
+			for k, xv := range x[:m] {
+				hi, lo := bits.Mul64(xv, y0[k])
+				var c uint64
+				l0[k], c = bits.Add64(l0[k], lo, 0)
+				h0[k] += hi + c
+				hi, lo = bits.Mul64(xv, y1[k])
+				l1[k], c = bits.Add64(l1[k], lo, 0)
+				h1[k] += hi + c
+			}
 		}
 		if (i+1)%t.group == 0 && i+1 < len(terms) {
 			for k := range l0 {

@@ -512,6 +512,58 @@ func TestInnerProductHeadroom(t *testing.T) {
 	}
 }
 
+// TestInnerProductRunsMatchDense: a term whose X holds one word per run
+// of 1<<s (N>>s words) gives the same words as the same term with X expanded to
+// its dense row. Every shift from 0 to log2 N appears, so runs shorter
+// than, as long as and longer than ipBlock, the whole row at the last;
+// narrow and wide moduli, more terms than the table's group so the sums
+// fold, under the identity and a gather map.
+func TestInnerProductRunsMatchDense(t *testing.T) {
+	const logN = 10
+	const n = 1 << logN
+	gather := make([]uint64, n)
+	for k := range gather {
+		gather[k] = uint64(k*5) % n
+	}
+	for _, bits := range []int{28, 31, 61, 62} {
+		q := nt.PreviousNTTPrime(1<<bits, 2*n)
+		tab := testTable(t, q, n)
+		rng := rand.New(rand.NewPCG(uint64(bits), 48))
+		row := func(m int) []uint64 {
+			r := make([]uint64, m)
+			for k := range r {
+				r[k] = rng.Uint64N(q)
+			}
+			return r
+		}
+		terms := max(tab.group+3, 2*(logN+1))
+		runs, dense := make([]Term, terms), make([]Term, terms)
+		for i := range runs {
+			s := uint(i % (logN + 1))
+			x := row(n >> s)
+			wide := make([]uint64, n)
+			for k := range wide {
+				wide[k] = x[k>>s]
+			}
+			y0, y1 := row(n), row(n)
+			runs[i] = Term{X: x, Y0: y0, Y1: y1}
+			dense[i] = Term{X: wide, Y0: y0, Y1: y1}
+		}
+		for _, g := range [][]uint64{nil, gather} {
+			got0, got1 := make([]uint64, n), make([]uint64, n)
+			want0, want1 := make([]uint64, n), make([]uint64, n)
+			tab.InnerProduct(got0, got1, g, runs)
+			tab.InnerProduct(want0, want1, g, dense)
+			for k := range got0 {
+				if got0[k] != want0[k] || got1[k] != want1[k] {
+					t.Fatalf("%d-bit q=%d, %d terms (group %d), gather=%v, coeff %d: runs give (%d, %d), dense rows (%d, %d)",
+						bits, q, terms, tab.group, g != nil, k, got0[k], got1[k], want0[k], want1[k])
+				}
+			}
+		}
+	}
+}
+
 func TestMulByXShiftsNegacyclically(t *testing.T) {
 	// (X * a(X)) mod X^N+1 rotates coefficients with sign flip at wrap.
 	n := 64

@@ -101,9 +101,12 @@ func MulScalarBigPair(o0, a0, o1, a1 *Poly, c *big.Int) {
 }
 
 // Term is one summand of InnerProduct: X⊙Y0 into the first output, X⊙Y1
-// into the second. A nil Y1 stands for the seed-compressed uniform
-// polynomial of Seed (UniformPolyFromSeed over X's moduli), regenerated
-// row by row inside the kernel: it never materializes.
+// into the second. X's rows hold one word per aligned run of evaluation
+// points (Poly.Runs): a row of N>>s words stands for the dense row whose
+// word k is its word k>>s, and N words is a dense X. A nil Y1 stands for
+// the seed-compressed uniform polynomial of Seed (UniformPolyFromSeed
+// over X's moduli), regenerated row by row inside the kernel: it never
+// materializes.
 type Term struct {
 	X, Y0, Y1 *Poly
 	Seed      Seed

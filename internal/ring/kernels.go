@@ -205,8 +205,9 @@ func crossOp(who string, o, a0, b1, a1, b0 *Poly) rowOp {
 // row through the table's InnerProduct: one reduction per coefficient
 // per group of terms instead of one per product. A term's operands share
 // their moduli, which are a prefix of the outputs' (a live-width term
-// adds nothing to an extended output's special rows); a term without Y1
-// draws it from the row stream of its seed. The Galois map is read in
+// adds nothing to an extended output's special rows), and an X row's
+// length is a power of two dividing N, one word per run; a term without
+// Y1 draws it from the row stream of its seed. The Galois map is read in
 // place, so no output may alias an X when k != 1.
 func innerOp(who string, o0, o1 *Poly, k uint64, terms []Term) rowOp {
 	sameShape(o0, o1)
@@ -219,6 +220,11 @@ func innerOp(who string, o0, o1 *Poly, k uint64, terms []Term) rowOp {
 		}
 		if len(tm.X.Moduli) > len(o0.Moduli) || !slices.Equal(tm.X.Moduli, o0.Moduli[:len(tm.X.Moduli)]) {
 			panic("ring: " + who + ": term moduli are not a prefix of the output's")
+		}
+		for _, row := range tm.X.Coeffs {
+			if len(row) == 0 || o0.ctx.N%len(row) != 0 {
+				panic("ring: " + who + ": X row length does not divide N")
+			}
 		}
 	}
 	var gather []uint64

@@ -510,8 +510,9 @@ func (e *refEnv) seeded(alias bool) {
 
 // inner checks InnerProduct on ten terms — more than a 61-bit modulus's
 // group of eight, so the wide sum folds — with dense and seed-compressed
-// Y1 rows and one term over a prefix of the outputs' moduli, under the
-// identity and two Galois maps. The reference gathers each X by the
+// Y1 rows, one term over a prefix of the outputs' moduli and one whose X
+// holds one word per run of four (Poly.Runs), under the identity and two
+// Galois maps. The reference expands the runs, gathers each X by the
 // definition's index map (the evaluation-domain image of shift's
 // automorphism) and sums products mod q one at a time.
 func (e *refEnv) inner(alias bool) {
@@ -529,6 +530,9 @@ func (e *refEnv) inner(alias bool) {
 			if t%4 == 1 {
 				ts[t].Y1, ts[t].Seed = nil, seed.Derive(uint64(t))
 			}
+			if t == 6 {
+				ts[t].X = ts[t].X.Runs(2)
+			}
 		}
 		want0, want1 := make([][]uint64, len(m)), make([][]uint64, len(m))
 		for i, q := range m {
@@ -537,7 +541,11 @@ func (e *refEnv) inner(alias bool) {
 				if i >= len(tm.X.Moduli) {
 					continue
 				}
-				x := e.fwd(m[i:i+1], shift(m[i:i+1], e.inv(m[i:i+1], [][]uint64{tm.X.Coeffs[i]}), func(j uint64) uint64 { return j * k }))[0]
+				xd, run := make([]uint64, refN), refN/len(tm.X.Coeffs[i])
+				for c := range xd {
+					xd[c] = tm.X.Coeffs[i][c/run]
+				}
+				x := e.fwd(m[i:i+1], shift(m[i:i+1], e.inv(m[i:i+1], [][]uint64{xd}), func(j uint64) uint64 { return j * k }))[0]
 				y1 := make([]uint64, refN)
 				if tm.Y1 != nil {
 					copy(y1, tm.Y1.Coeffs[i])

@@ -8,6 +8,7 @@ package ring
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"slices"
 	"sync"
 	"unsafe"
@@ -311,4 +312,56 @@ func (p *Poly) SetCoeffBig(k int, v *big.Int) {
 // moduli, in the given order. Every requested modulus must be present.
 func (p *Poly) Restrict(moduli []uint64) *Poly {
 	return p.restrictView("Restrict", moduli).Copy()
+}
+
+// RunShift returns the largest shift <= limit such that every row of p is
+// constant on aligned runs of 1<<shift words, so Runs(shift) loses
+// nothing. It reads each word once: a mismatch with its run's first word
+// halves the run until the two fall in different runs, and the words
+// already read stay valid, since a shorter run's first word lies in the
+// longer run they matched.
+func (p *Poly) RunShift(limit uint) uint {
+	s := limit
+	for _, row := range p.Coeffs {
+		for k, v := range row {
+			for s > 0 && v != row[k&^(1<<s-1)] {
+				s--
+			}
+		}
+	}
+	return s
+}
+
+// Runs returns p stored one word per run of 1<<shift: row i of the
+// result holds word k<<shift of p's row i at k, N>>shift words, and is
+// exactly p when p.RunShift(shift) == shift. Runs(0) is p itself.
+// InnerProduct reads the short rows as a Term's X, and ExpandRuns
+// rebuilds the dense rows for every other kernel.
+func (p *Poly) Runs(shift uint) *Poly {
+	if shift == 0 {
+		return p
+	}
+	out := &Poly{ctx: p.ctx, Moduli: p.Moduli, Coeffs: make([][]uint64, len(p.Coeffs)), IsNTT: p.IsNTT}
+	for i, row := range p.Coeffs {
+		r := make([]uint64, p.ctx.N>>shift) // a power-of-two size class: no rounding waste
+		for k := range r {
+			r[k] = row[k<<shift]
+		}
+		out.Coeffs[i] = r
+	}
+	return out
+}
+
+// ExpandRuns sets the dense o from x, whose rows hold one word per run
+// (Runs): o's word k is x's word k>>s, with 1<<s = N/len(row), row by
+// row.
+func ExpandRuns(o, x *Poly) {
+	sameShape(o, x)
+	each(o.op(func(i int) {
+		src, dst := x.Coeffs[i], o.Coeffs[i]
+		shift := uint(bits.TrailingZeros(uint(len(dst) / len(src))))
+		for k := range dst {
+			dst[k] = src[k>>shift]
+		}
+	}))
 }

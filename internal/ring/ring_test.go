@@ -328,3 +328,42 @@ func TestNewContextErrors(t *testing.T) {
 		t.Fatal("zero accepted")
 	}
 }
+
+// TestRunsRoundTrip: RunShift finds the longest run every row is
+// constant on, halving from the cap where one row breaks it, and Runs
+// then ExpandRuns gives the rows back word for word.
+func TestRunsRoundTrip(t *testing.T) {
+	const n = 256
+	ctx := testCtx(t, n)
+	moduli := testModuli(t, n, 40, 3)
+	p := randPoly(ctx, moduli, rand.New(rand.NewPCG(48, 1)))
+	p.IsNTT = true
+	for i, row := range p.Coeffs {
+		run := 16
+		if i == 1 {
+			run = 4 // one row breaks the longer run
+		}
+		for k := range row {
+			row[k] = row[k&^(run-1)]
+		}
+	}
+	for _, c := range []struct{ max, want uint }{{8, 2}, {2, 2}, {1, 1}, {0, 0}} {
+		if got := p.RunShift(c.max); got != c.want {
+			t.Fatalf("RunShift(%d) = %d, want %d", c.max, got, c.want)
+		}
+	}
+	for s := uint(0); s <= 2; s++ {
+		r := p.Runs(s)
+		for _, row := range r.Coeffs {
+			if len(row) != n>>s {
+				t.Fatalf("Runs(%d): row of %d words, want %d", s, len(row), n>>s)
+			}
+		}
+		back := NewPoly(ctx, moduli)
+		back.IsNTT = true
+		ExpandRuns(back, r)
+		if !back.Equal(p) {
+			t.Fatalf("ExpandRuns(Runs(%d)) differs from the rows", s)
+		}
+	}
+}
